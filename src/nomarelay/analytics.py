@@ -503,6 +503,140 @@ def _deficit_at(threshold: float, evaluate) -> float:
     return evaluate(threshold)
 
 
+class SlotMarginals:
+    """Outage marginals of one scenario, each evaluated at most once.
+
+    The decoding thresholds are derived on construction.  Hop outage,
+    served-device outage, end-to-end outage and sum throughput are
+    memoized per (event, ``asymptotic``), so every composition of the same
+    scenario reuses one value per slot.  ``nearest_fit(t)`` returns the
+    nearest-gain fit of slot ``t``; it is called only when an exact qom
+    device outage first needs it.
+    """
+
+    def __init__(self, scheme: Scheme, topology: NetworkTopology,
+                 policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
+                 nearest_fit=None):
+        self.scheme = scheme
+        self.topology = topology
+        self.policy = policy
+        self.budget = budget
+        self.plan = plan
+        self.thresholds = decoding_thresholds(plan, policy, topology.node_count,
+                                              scheme)
+        self._nearest_fit = nearest_fit
+        self._memo = {}
+
+    def _once(self, compute, *args):
+        key = (compute.__name__,) + args
+        if key not in self._memo:
+            self._memo[key] = compute(*args)
+        return self._memo[key]
+
+    def hop(self, t: int, asymptotic: bool = False) -> float:
+        """Outage of the relayed message at the receiver of slot t."""
+        return self._once(self._hop, t, asymptotic)
+
+    def device(self, t: int, k: Optional[int],
+               asymptotic: bool = False) -> float:
+        """Outage of the device served in slot t (``k=None``: qom device)."""
+        return self._once(self._device, t, k, asymptotic)
+
+    def e2e(self, node, asymptotic: bool = False) -> float:
+        """End-to-end outage of ``node``, as in :func:`e2e_op`."""
+        return self._once(self._e2e, node, asymptotic)
+
+    def throughput(self, asymptotic: bool = False) -> float:
+        """Sum throughput over the relayed message and every served device."""
+        return self._once(self._throughput, asymptotic)
+
+    def _hop(self, t, asymptotic):
+        topology, policy, budget = self.topology, self.policy, self.budget
+        log_idle = log_null_probability(topology.density_active,
+                                        topology.disk_radii[t - 1])
+        iota = (math.exp(log_idle), -math.expm1(log_idle))
+        rho = (policy.rho0(t + 1), policy.rho1(t + 1))
+
+        if asymptotic:
+            def evaluate(x):
+                return asymptotic_cdf_X(x, t, topology, policy, budget)
+        else:
+            def evaluate(x):
+                return cdf_X(x, t, topology, policy, budget)
+
+        op = 0.0
+        for i in (0, 1):
+            if rho[i] == 0.0:
+                continue
+            for j in (0, 1):
+                if iota[j] == 0.0:
+                    continue
+                op += rho[i] * iota[j] * _deficit_at(
+                    self.thresholds.relay[i][j], evaluate)
+        return _clamp(op, f"op_typeI(t={t})")
+
+    def _device(self, t, k, asymptotic):
+        topology, policy, budget = self.topology, self.policy, self.budget
+        rho = (policy.rho0(t + 1), policy.rho1(t + 1))
+        if k is None:
+            thresholds = self.thresholds.qom_device[t - 1]
+            label = f"op_typeII_qom(t={t})"
+            if asymptotic:
+                def evaluate(z):
+                    return asymptotic_cdf_Z(z, t, topology, policy, budget)
+            else:
+                if self._nearest_fit is None:
+                    raise ValueError(
+                        "exact qom outage needs the nearest-gain fit")
+                fit = self._nearest_fit(t)
+
+                def evaluate(z):
+                    return cdf_Z(z, t, topology, policy, budget, fit)
+        else:
+            thresholds = self.thresholds.com_device[t - 1][k - 1]
+            label = f"op_typeII_com(t={t},k={k})"
+            if asymptotic:
+                def evaluate(y):
+                    return asymptotic_cdf_Y(y, t, k, topology, policy, budget)
+            else:
+                def evaluate(y):
+                    return cdf_Y(y, t, k, topology, policy, budget)
+
+        op = 0.0
+        for i in (0, 1):
+            if rho[i] == 0.0:
+                continue
+            op += rho[i] * _deficit_at(thresholds[i], evaluate)
+        return _clamp(op, label)
+
+    def _e2e(self, node, asymptotic):
+        if node == "destination":
+            return _clamp(_success_product(
+                self.hop(t, asymptotic)
+                for t in range(1, self.topology.hop_count + 1)),
+                "e2e_op(destination)")
+        t, k = node
+        device = self.device(t, k, asymptotic)
+        chain = [self.hop(i, asymptotic) for i in range(1, t)] + [device]
+        return _clamp(_success_product(chain), f"e2e_op(t={t},k={k})")
+
+    def _throughput(self, asymptotic):
+        pairing = self.scheme.pairing
+        destination = self.e2e("destination", asymptotic)
+        devices = []
+        for t in range(1, self.topology.hop_count + 1):
+            if pairing == "com":
+                kt = self.topology.subarea_counts[t - 1]
+                devices.append(tuple(self.e2e((t, k), asymptotic)
+                                     for k in range(1, kt + 1)))
+            elif pairing == "qom":
+                devices.append((self.e2e((t, None), asymptotic),))
+            else:
+                devices.append(())
+        return sum_throughput(self.plan, destination, tuple(devices), pairing,
+                              self.topology.node_count)
+
+
 def op_typeI(t: int, scheme: Scheme, topology: NetworkTopology,
              policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
              asymptotic: bool = False) -> float:
@@ -513,50 +647,16 @@ def op_typeI(t: int, scheme: Scheme, topology: NetworkTopology,
     pairing because the relayed message sees the same total interference
     share either way.
     """
-    thresholds = decoding_thresholds(plan, policy, topology.node_count, scheme)
-    log_idle = log_null_probability(topology.density_active,
-                                    topology.disk_radii[t - 1])
-    iota = (math.exp(log_idle), -math.expm1(log_idle))
-    rho = (policy.rho0(t + 1), policy.rho1(t + 1))
-
-    if asymptotic:
-        def evaluate(x):
-            return asymptotic_cdf_X(x, t, topology, policy, budget)
-    else:
-        def evaluate(x):
-            return cdf_X(x, t, topology, policy, budget)
-
-    op = 0.0
-    for i in (0, 1):
-        if rho[i] == 0.0:
-            continue
-        for j in (0, 1):
-            if iota[j] == 0.0:
-                continue
-            op += rho[i] * iota[j] * _deficit_at(thresholds.relay[i][j], evaluate)
-    return _clamp(op, f"op_typeI(t={t})")
+    return SlotMarginals(scheme, topology, policy, budget, plan).hop(
+        t, asymptotic)
 
 
 def op_typeII_com(t: int, k: int, scheme: Scheme, topology: NetworkTopology,
                   policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
                   asymptotic: bool = False) -> float:
     """Outage of the com device in subarea k of slot t (given it is served)."""
-    thresholds = decoding_thresholds(plan, policy, topology.node_count, scheme)
-    rho = (policy.rho0(t + 1), policy.rho1(t + 1))
-
-    if asymptotic:
-        def evaluate(y):
-            return asymptotic_cdf_Y(y, t, k, topology, policy, budget)
-    else:
-        def evaluate(y):
-            return cdf_Y(y, t, k, topology, policy, budget)
-
-    op = 0.0
-    for i in (0, 1):
-        if rho[i] == 0.0:
-            continue
-        op += rho[i] * _deficit_at(thresholds.com_device[t - 1][k - 1][i], evaluate)
-    return _clamp(op, f"op_typeII_com(t={t},k={k})")
+    return SlotMarginals(scheme, topology, policy, budget, plan).device(
+        t, k, asymptotic)
 
 
 def op_typeII_qom(t: int, scheme: Scheme, topology: NetworkTopology,
@@ -564,25 +664,9 @@ def op_typeII_qom(t: int, scheme: Scheme, topology: NetworkTopology,
                   fit: Optional[FittedGainDistribution] = None,
                   asymptotic: bool = False) -> float:
     """Outage of the nearest served device in slot t (given one exists)."""
-    thresholds = decoding_thresholds(plan, policy, topology.node_count, scheme)
-    rho = (policy.rho0(t + 1), policy.rho1(t + 1))
-
-    if asymptotic:
-        def evaluate(z):
-            return asymptotic_cdf_Z(z, t, topology, policy, budget)
-    else:
-        if fit is None:
-            raise ValueError("exact qom outage needs the nearest-gain fit")
-
-        def evaluate(z):
-            return cdf_Z(z, t, topology, policy, budget, fit)
-
-    op = 0.0
-    for i in (0, 1):
-        if rho[i] == 0.0:
-            continue
-        op += rho[i] * _deficit_at(thresholds.qom_device[t - 1][i], evaluate)
-    return _clamp(op, f"op_typeII_qom(t={t})")
+    nearest_fit = None if fit is None else (lambda _t: fit)
+    return SlotMarginals(scheme, topology, policy, budget, plan,
+                         nearest_fit).device(t, None, asymptotic)
 
 
 def _success_product(ops) -> float:
@@ -602,27 +686,10 @@ def e2e_op(node, scheme: Scheme, topology: NetworkTopology, policy: EhPolicy,
     message, so its chain covers hops 1..t-1 plus the device's own
     decode; the slot's forward hop is a separate event.
     """
-    hop_ops = {}
+    nearest_fit = None if fits is None else (lambda t: fits[t - 1])
+    return SlotMarginals(scheme, topology, policy, budget, plan,
+                         nearest_fit).e2e(node, asymptotic)
 
-    def hop(t):
-        if t not in hop_ops:
-            hop_ops[t] = op_typeI(t, scheme, topology, policy, budget, plan,
-                                  asymptotic=asymptotic)
-        return hop_ops[t]
-
-    if node == "destination":
-        return _clamp(_success_product(hop(t) for t in range(1, topology.hop_count + 1)),
-                      "e2e_op(destination)")
-    t, k = node
-    if k is None:
-        fit = fits[t - 1] if fits is not None else None
-        device = op_typeII_qom(t, scheme, topology, policy, budget, plan,
-                               fit=fit, asymptotic=asymptotic)
-    else:
-        device = op_typeII_com(t, k, scheme, topology, policy, budget, plan,
-                               asymptotic=asymptotic)
-    chain = [hop(i) for i in range(1, t)] + [device]
-    return _clamp(_success_product(chain), f"e2e_op(t={t},k={k})")
 
 
 # ---------------------------------------------------------------------------

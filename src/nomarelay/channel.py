@@ -15,10 +15,12 @@ range; we keep the formula exactly as given rather than re-deriving it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -337,14 +339,73 @@ def load_fit_cache(path: str) -> dict:
 
 
 def save_fit_cache(path: str, cache: dict) -> None:
+    """Write the sidecar atomically.
+
+    The payload goes to a temporary file in the sidecar's directory, which
+    then replaces the sidecar in one rename, so a concurrent reader or an
+    interrupted write never sees a torn file.
+    """
     payload = {
         key: {"mu": fit.mu, "theta": fit.theta, "m": fit.m,
               "fit_error": fit.fit_error}
         for key, fit in cache.items()
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+class FitBook:
+    """Nearest-gain fits memoized by geometry, backed by an optional sidecar.
+
+    Each geometry is resolved at most once per book: the sidecar at
+    ``cache_path`` is read on the first lookup, a fit it lacks is computed
+    and written back, and a fit that fails is remembered and its
+    :class:`FitError` raised again on every later lookup.
+    """
+
+    def __init__(self, cache_path: Optional[str] = None):
+        self.cache_path = cache_path
+        self._sidecar = None
+        self._fits = {}
+
+    def fit(self, disk: CoverageDisk, budget: LinkBudget,
+            grid_spec: tuple = (1e-4, 1e4, 200),
+            max_error: float = 1e-2) -> FittedGainDistribution:
+        key = fit_cache_key(disk, budget)
+        memo = (key, tuple(grid_spec), max_error)
+        if memo not in self._fits:
+            self._fits[memo] = self._resolve(key, disk, budget, grid_spec,
+                                             max_error)
+        entry = self._fits[memo]
+        if isinstance(entry, FitError):
+            raise entry
+        return entry
+
+    def _resolve(self, key, disk, budget, grid_spec, max_error):
+        if self._sidecar is None:
+            self._sidecar = ({} if self.cache_path is None
+                             else load_fit_cache(self.cache_path))
+        if key in self._sidecar:
+            return self._sidecar[key]
+        try:
+            fit = fit_singh_maddala(disk, budget, grid_spec=grid_spec,
+                                    max_error=max_error)
+        except FitError as exc:
+            return exc
+        if self.cache_path is not None:
+            self._sidecar[key] = fit
+            save_fit_cache(self.cache_path, self._sidecar)
+        return fit
 
 
 def fit_singh_maddala_cached(disk: CoverageDisk, budget: LinkBudget,
@@ -352,11 +413,5 @@ def fit_singh_maddala_cached(disk: CoverageDisk, budget: LinkBudget,
                              grid_spec: tuple = (1e-4, 1e4, 200),
                              max_error: float = 1e-2) -> FittedGainDistribution:
     """Fit with a JSON sidecar so sweeps do not refit identical geometries."""
-    cache = load_fit_cache(cache_path)
-    key = fit_cache_key(disk, budget)
-    if key in cache:
-        return cache[key]
-    fit = fit_singh_maddala(disk, budget, grid_spec=grid_spec, max_error=max_error)
-    cache[key] = fit
-    save_fit_cache(cache_path, cache)
-    return fit
+    return FitBook(cache_path).fit(disk, budget, grid_spec=grid_spec,
+                                   max_error=max_error)

@@ -10,10 +10,10 @@ flagged or failed, so they can gate CI jobs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .channel import fit_singh_maddala_cached
-from .experiments import load_config, render_results, run_sweep
+from .experiments import fill_fit_cache, load_config, render_results, run_sweep
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,19 +66,8 @@ def _cmd_fit_cache(args) -> int:
         print("config declares no fit_cache and no --out given",
               file=sys.stderr)
         return 1
-    # walking the sweep the same way the runner does guarantees the cache
-    # covers exactly the geometries the run will request
-    from . import experiments as _ex
-    import dataclasses
-
     config = dataclasses.replace(config, fit_cache=str(cache_path))
-    fitted = 0
-    for value in config.sweep.grid:
-        for scheme in config.sweep.schemes:
-            if scheme.pairing != "qom":
-                continue
-            ctx = _ex._PointContext(config, scheme, value)
-            fitted += len(ctx.scenario.nearest_fits or ())
+    fitted = fill_fit_cache(config)
     print(f"fit cache at {cache_path} covers {fitted} disk fits",
           file=sys.stderr)
     return 0

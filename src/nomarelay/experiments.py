@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -25,13 +26,7 @@ from typing import Optional
 import yaml
 
 from . import analytics, montecarlo
-from .channel import (
-    LinkBudget,
-    dbm_to_watts,
-    fit_singh_maddala,
-    fit_singh_maddala_cached,
-    noise_power_w,
-)
+from .channel import FitBook, LinkBudget, dbm_to_watts, noise_power_w
 from .network import NetworkTopology, Scenario, Scheme, build_policy
 
 TOPOLOGY_PRESETS = {
@@ -243,75 +238,101 @@ def load_config(path) -> RunConfig:
 # scenario construction per (grid value, scheme)
 # ---------------------------------------------------------------------------
 
+def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
+    """The scenario of one (grid value, scheme) pair; it carries no fits."""
+    var = config.sweep.variable
+    topology = config.topology
+    rho, alpha, beta = config.rho, config.alpha, config.beta
+    p0_dbm = config.p0_dbm
+    if var == "p0_dbm":
+        p0_dbm = value
+    elif var == "rho":
+        rho = value
+    elif var == "alpha":
+        alpha = value
+    elif var == "beta":
+        beta = value
+    elif var == "density_active":
+        topology = dataclasses.replace(topology, density_active=value)
+    elif var == "node_count":
+        table = config.topology_by_node_count
+        if table is None or int(value) not in table:
+            raise ValueError(f"no topology configured for node count {value}")
+        topology = table[int(value)]
+    elif var == "subarea_counts":
+        topology = dataclasses.replace(topology, subarea_counts=value)
+    m = topology.node_count
+    if var == "node_count" and m != int(value):
+        raise ValueError(f"topology for node count {value} has {m} nodes")
+    budget = LinkBudget(P0=dbm_to_watts(p0_dbm),
+                        sigma2=noise_power_w(config.bandwidth_hz),
+                        f_c=config.f_c_ghz, G_r=config.gain_rx_dbi,
+                        G_t=config.gain_tx_dbi, epsilon=config.epsilon)
+    policy = build_policy(scheme, m, rho, alpha=alpha, beta=beta,
+                          eta=config.eta)
+    # every scheme competes at the rates the time-switching reference
+    # can sustain; the baseline inherits only the relayed-message rate
+    reference = analytics.default_allocation(
+        topology, build_policy(Scheme.TCOM, m, rho, alpha=alpha,
+                               beta=beta, eta=config.eta),
+        relay_share=config.relay_share,
+        rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
+    if scheme is Scheme.CNRR:
+        topology = topology.without_devices()
+        plan = analytics.baseline_plan(reference, topology.hop_count)
+    elif scheme.harvesting is None:
+        plan = reference
+    elif scheme.harvesting == "BTEH":
+        plan = reference
+    else:
+        plan = analytics.default_allocation(
+            topology, policy, relay_share=config.relay_share,
+            rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
+    return Scenario(scheme=scheme, topology=topology, policy=policy,
+                    budget=budget, plan=plan)
+
+
+class _SweepCore:
+    """Analytic state shared by every point of one sweep.
+
+    Scenarios equal in value share one :class:`analytics.SlotMarginals`, so
+    thresholds, slot outages and throughput are computed once per sweep
+    (the no-harvest twin of a rho sweep is the same scenario at every grid
+    point), and nearest-gain fits are resolved lazily through one
+    :class:`FitBook`.
+    """
+
+    def __init__(self, fit_cache: Optional[str]):
+        self.fits = FitBook(fit_cache)
+        self._marginals = {}
+
+    def marginals(self, scenario: Scenario) -> analytics.SlotMarginals:
+        if scenario not in self._marginals:
+            # the fit source binds the book, not the core, so no reference
+            # cycle keeps a finished sweep's memo alive until a full collection
+            self._marginals[scenario] = analytics.SlotMarginals(
+                scenario.scheme, scenario.topology, scenario.policy,
+                scenario.budget, scenario.plan,
+                nearest_fit=functools.partial(_nearest_fit, self.fits,
+                                              scenario))
+        return self._marginals[scenario]
+
+
+def _nearest_fit(book: FitBook, scenario: Scenario, t: int):
+    return book.fit(scenario.topology.disk(t), scenario.budget)
+
+
 class _PointContext:
     """Everything needed to evaluate one (grid value, scheme) pair."""
 
-    def __init__(self, config: RunConfig, scheme: Scheme, value):
-        var = config.sweep.variable
-        topology = config.topology
-        rho, alpha, beta = config.rho, config.alpha, config.beta
-        p0_dbm = config.p0_dbm
-        if var == "p0_dbm":
-            p0_dbm = value
-        elif var == "rho":
-            rho = value
-        elif var == "alpha":
-            alpha = value
-        elif var == "beta":
-            beta = value
-        elif var == "density_active":
-            topology = dataclasses.replace(topology, density_active=value)
-        elif var == "node_count":
-            table = config.topology_by_node_count
-            if table is None or int(value) not in table:
-                raise ValueError(f"no topology configured for node count {value}")
-            topology = table[int(value)]
-        elif var == "subarea_counts":
-            topology = dataclasses.replace(topology, subarea_counts=value)
-        m = topology.node_count
-        if var == "node_count" and m != int(value):
-            raise ValueError(f"topology for node count {value} has {m} nodes")
-        budget = LinkBudget(P0=dbm_to_watts(p0_dbm),
-                            sigma2=noise_power_w(config.bandwidth_hz),
-                            f_c=config.f_c_ghz, G_r=config.gain_rx_dbi,
-                            G_t=config.gain_tx_dbi, epsilon=config.epsilon)
-        policy = build_policy(scheme, m, rho, alpha=alpha, beta=beta,
-                              eta=config.eta)
-        # every scheme competes at the rates the time-switching reference
-        # can sustain; the baseline inherits only the relayed-message rate
-        reference = analytics.default_allocation(
-            topology, build_policy(Scheme.TCOM, m, rho, alpha=alpha,
-                                   beta=beta, eta=config.eta),
-            relay_share=config.relay_share,
-            rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
-        if scheme is Scheme.CNRR:
-            topology = topology.without_devices()
-            plan = analytics.baseline_plan(reference, topology.hop_count)
-        elif scheme.harvesting is None:
-            plan = reference
-        elif scheme.harvesting == "BTEH":
-            plan = reference
-        else:
-            plan = analytics.default_allocation(
-                topology, policy, relay_share=config.relay_share,
-                rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
-        fits = None
-        if scheme.pairing == "qom":
-            if config.fit_cache is None:
-                fits = tuple(fit_singh_maddala(topology.disk(t), budget)
-                             for t in range(1, topology.hop_count + 1))
-            else:
-                fits = tuple(
-                    fit_singh_maddala_cached(topology.disk(t), budget,
-                                             config.fit_cache)
-                    for t in range(1, topology.hop_count + 1))
+    def __init__(self, config: RunConfig, scheme: Scheme, value,
+                 core: _SweepCore):
         self.config = config
         self.scheme = scheme
         self.value = value
         self.bandwidth_hz = config.bandwidth_hz
-        self.scenario = Scenario(scheme=scheme, topology=topology,
-                                 policy=policy, budget=budget, plan=plan,
-                                 nearest_fits=fits)
+        self.scenario = _build_scenario(config, scheme, value)
+        self.core = core
         self._twin = None
 
     @property
@@ -327,74 +348,33 @@ class _PointContext:
 
     # -- analytic side ----------------------------------------------------
 
-    def _device_e2e(self, scenario, asymptotic=False):
-        s = scenario
-        out = []
-        for t in range(1, s.topology.hop_count + 1):
-            if s.scheme.pairing == "com":
-                out.append(tuple(
-                    analytics.e2e_op((t, k), s.scheme, s.topology, s.policy,
-                                     s.budget, s.plan, asymptotic=asymptotic)
-                    for k in range(1, s.topology.subarea_counts[t - 1] + 1)))
-            elif s.scheme.pairing == "qom":
-                out.append((analytics.e2e_op(
-                    (t, None), s.scheme, s.topology, s.policy, s.budget,
-                    s.plan, fits=s.nearest_fits, asymptotic=asymptotic),))
-            else:
-                out.append(())
-        return tuple(out)
-
-    def _analytic_throughput(self, scenario, asymptotic=False) -> float:
-        s = scenario
-        dest = analytics.e2e_op("destination", s.scheme, s.topology, s.policy,
-                                s.budget, s.plan, asymptotic=asymptotic)
-        return analytics.sum_throughput(
-            s.plan, dest, self._device_e2e(s, asymptotic),
-            s.scheme.pairing if s.scheme.serves_devices else None,
-            s.topology.node_count)
+    def _efficiency(self, scenario, asymptotic=False) -> float:
+        tp = self.core.marginals(scenario).throughput(asymptotic)
+        return analytics.energy_efficiency(tp, scenario.budget,
+                                           scenario.policy,
+                                           self.bandwidth_hz)[0]
 
     def analytic(self, selector, asymptotic=False) -> float:
         s = self.scenario
+        marginals = self.core.marginals(s)
         kind = selector[0]
         if kind == "hop":
-            return analytics.op_typeI(selector[1], s.scheme, s.topology,
-                                      s.policy, s.budget, s.plan,
-                                      asymptotic=asymptotic)
+            return marginals.hop(selector[1], asymptotic)
         if kind == "device":
-            t, k = selector[1], selector[2]
-            if k is None:
-                fit = None if s.nearest_fits is None else s.nearest_fits[t - 1]
-                return analytics.op_typeII_qom(t, s.scheme, s.topology,
-                                               s.policy, s.budget, s.plan,
-                                               fit=fit, asymptotic=asymptotic)
-            return analytics.op_typeII_com(t, k, s.scheme, s.topology,
-                                           s.policy, s.budget, s.plan,
-                                           asymptotic=asymptotic)
+            return marginals.device(selector[1], selector[2], asymptotic)
         if kind == "e2e_destination":
-            return analytics.e2e_op("destination", s.scheme, s.topology,
-                                    s.policy, s.budget, s.plan,
-                                    asymptotic=asymptotic)
+            return marginals.e2e("destination", asymptotic)
         if kind == "e2e_device":
-            return analytics.e2e_op((selector[1], selector[2]), s.scheme,
-                                    s.topology, s.policy, s.budget, s.plan,
-                                    fits=s.nearest_fits, asymptotic=asymptotic)
+            return marginals.e2e((selector[1], selector[2]), asymptotic)
         if kind == "throughput":
-            return self._analytic_throughput(s, asymptotic)
+            return marginals.throughput(asymptotic)
         if kind == "ee":
-            tp = self._analytic_throughput(s, asymptotic)
-            return analytics.energy_efficiency(tp, s.budget, s.policy,
-                                               self.bandwidth_hz)[0]
+            return self._efficiency(s, asymptotic)
         if kind == "eed":
             if not s.policy.is_harvesting:
                 return 0.0
-            tp = self._analytic_throughput(s, asymptotic)
-            ee = analytics.energy_efficiency(tp, s.budget, s.policy,
-                                             self.bandwidth_hz)[0]
-            twin = self.twin
-            tp0 = self._analytic_throughput(twin, asymptotic)
-            ee0 = analytics.energy_efficiency(tp0, twin.budget, twin.policy,
-                                              self.bandwidth_hz)[0]
-            return ee - ee0
+            return (self._efficiency(s, asymptotic)
+                    - self._efficiency(self.twin, asymptotic))
         if kind == "p_tol":
             return analytics.energy_efficiency(0.0, s.budget, s.policy,
                                                self.bandwidth_hz)[1]
@@ -450,9 +430,10 @@ class _PointContext:
             return sigma3 + floor
         if kind == "device":
             allowance = 0.0
-            if selector[2] is None and self.scenario.nearest_fits:
-                allowance = 2.0 * max(f.fit_error
-                                      for f in self.scenario.nearest_fits)
+            if selector[2] is None and self.scheme.pairing == "qom":
+                allowance = 2.0 * max(
+                    _nearest_fit(self.core.fits, self.scenario, t).fit_error
+                    for t in range(1, self.scenario.topology.hop_count + 1))
             return sigma3 + allowance + floor
         # end-to-end compositions multiply per-slot marginals; the simulator
         # resolves the exact joint events, where a harvesting node reuses the
@@ -470,14 +451,8 @@ class _PointContext:
         if kind == "eed":
             # a difference of two efficiencies inherits the error of the
             # larger one, so the envelope tracks their magnitudes instead
-            s, tw = self.scenario, self.twin
-            ee = analytics.energy_efficiency(
-                self._analytic_throughput(s), s.budget, s.policy,
-                self.bandwidth_hz)[0]
-            ee0 = analytics.energy_efficiency(
-                self._analytic_throughput(tw), tw.budget, tw.policy,
-                self.bandwidth_hz)[0]
-            scale = abs(ee) + abs(ee0)
+            scale = (abs(self._efficiency(self.scenario))
+                     + abs(self._efficiency(self.twin)))
         envelope = (0.01 + 0.12 * rho) if qom else (0.005 + 0.02 * rho)
         return sigma3 + envelope * scale + floor
 
@@ -485,6 +460,26 @@ class _PointContext:
 # ---------------------------------------------------------------------------
 # the sweep loop
 # ---------------------------------------------------------------------------
+
+def fill_fit_cache(config: RunConfig) -> int:
+    """Fit every qom slot geometry the sweep reads into its fit sidecar.
+
+    Walks the grid as :func:`run_sweep` does, through one fit book, so
+    each distinct geometry is fitted at most once.  Returns the number of
+    (grid value, scheme, slot) fits covered.
+    """
+    book = FitBook(config.fit_cache)
+    covered = 0
+    for value in config.sweep.grid:
+        for scheme in config.sweep.schemes:
+            if scheme.pairing != "qom":
+                continue
+            scenario = _build_scenario(config, scheme, value)
+            for t in range(1, scenario.topology.hop_count + 1):
+                book.fit(scenario.topology.disk(t), scenario.budget)
+                covered += 1
+    return covered
+
 
 def _format_value(value) -> str:
     return repr(value)
@@ -498,7 +493,9 @@ def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
     ``source`` selects which rows are produced; with ``both``, analytic
     and simulated rows for the same point are compared and disagreements
     beyond the declared margin are flagged.  Numeric failures abort the
-    affected row only.
+    affected row only; a nearest-gain fit is resolved only for rows that
+    read it, so a fit that fails fails just those rows.  Every analytic
+    quantity is computed once per call, from the first row that asks.
     """
     if source not in ("analytic", "mc", "both"):
         raise ValueError(f"unknown source {source!r}")
@@ -508,10 +505,11 @@ def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     result = SweepResult(rows=[], flagged=[], failures=[])
+    core = _SweepCore(config.fit_cache)
     for value in config.sweep.grid:
         for scheme in config.sweep.schemes:
             try:
-                ctx = _PointContext(config, scheme, value)
+                ctx = _PointContext(config, scheme, value, core)
             except Exception as exc:
                 result.failures.append(
                     (value, scheme.value, "*", f"{type(exc).__name__}: {exc}"))
@@ -570,7 +568,14 @@ def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
                                      ci_half_width=estimate.half_width,
                                      trials=estimate.trials, **base))
         if analytic_value is not None and math.isfinite(analytic_value):
-            margin = ctx.declared_margin(selector, analytic_value, estimate)
+            try:
+                margin = ctx.declared_margin(selector, analytic_value,
+                                             estimate)
+            except Exception as exc:
+                # the margin of a qom device row reads every slot's fit
+                result.failures.append((ctx.value, ctx.scheme.value, metric,
+                                        f"{type(exc).__name__}: {exc}"))
+                return
             gap = abs(analytic_value - estimate.mean)
             if gap > margin:
                 result.flagged.append(
@@ -623,17 +628,28 @@ def emit_results(rows, fmt: str, path) -> None:
 
 
 def read_results(path) -> list:
-    """Parse an emitted CSV back into ResultRow objects (lossless)."""
-    rows = []
+    """Parse an emitted CSV or JSON-lines table back into ResultRow objects.
+
+    The format is told by the first character: JSON lines open with
+    ``{``.  Both formats carry shortest-roundtrip floats, so the parse is
+    lossless.
+    """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
+        text = handle.read()
+    if text.startswith("{"):
+        records = [json.loads(line) for line in text.splitlines() if line]
+        for record in records:
+            if tuple(record) != RESULT_COLUMNS:
+                raise ValueError(f"unexpected record fields {tuple(record)!r}")
+        table = [[record[c] for c in RESULT_COLUMNS] for record in records]
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = tuple(next(reader, ()))
         if header != RESULT_COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
-        for cells in reader:
-            rows.append(ResultRow(
-                sweep_var=cells[0], value=cells[1], scheme=cells[2],
-                metric=cells[3], source=cells[4], mean=float(cells[5]),
-                ci_half_width=float(cells[6]), trials=int(cells[7]),
-                seed=int(cells[8])))
-    return rows
+        table = list(reader)
+    return [ResultRow(sweep_var=cells[0], value=cells[1], scheme=cells[2],
+                      metric=cells[3], source=cells[4], mean=float(cells[5]),
+                      ci_half_width=float(cells[6]), trials=int(cells[7]),
+                      seed=int(cells[8]))
+            for cells in table]

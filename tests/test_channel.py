@@ -19,6 +19,7 @@ from nomarelay.channel import (
     fit_singh_maddala,
     fit_singh_maddala_cached,
     load_fit_cache,
+    save_fit_cache,
     noise_power_w,
     pathloss_db,
     pathloss_linear,
@@ -27,6 +28,7 @@ from nomarelay.channel import (
     singh_maddala_ccdf_foxh,
     watts_to_dbm,
 )
+from nomarelay import channel
 from nomarelay.geometry import CoverageDisk
 
 
@@ -294,6 +296,27 @@ def test_fit_cache_roundtrip(tmp_path):
     cache = load_fit_cache(path)
     assert fit_cache_key(disk, b) in cache
     assert cache[fit_cache_key(disk, b)] == first
+
+
+def test_save_fit_cache_never_leaves_a_torn_sidecar(tmp_path, monkeypatch):
+    path = os.path.join(tmp_path, "fits.json")
+    fit = FittedGainDistribution(mu=0.1, theta=1.0, m=0.5, fit_error=1e-4)
+    save_fit_cache(path, {"a": fit})
+    before = open(path, encoding="utf-8").read()
+
+    def dump_half(payload, fh, **kw):
+        fh.write('{"a": {"mu"')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(channel.json, "dump", dump_half)
+    with pytest.raises(KeyboardInterrupt):
+        save_fit_cache(path, {"a": fit, "b": fit})
+    assert open(path, encoding="utf-8").read() == before
+    assert os.listdir(tmp_path) == ["fits.json"]
+    monkeypatch.undo()
+    save_fit_cache(path, {"a": fit, "b": fit})
+    assert load_fit_cache(path) == {"a": fit, "b": fit}
+    assert os.listdir(tmp_path) == ["fits.json"]
 
 
 def test_fit_cache_key_distinguishes_geometry():

@@ -1,10 +1,15 @@
 """Runner tests: config parsing, sweep loop, emission contract, CLI."""
 
+import dataclasses
+import hashlib
+import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 
-from nomarelay import cli, experiments
+from nomarelay import channel, cli, experiments
 from nomarelay.experiments import (
     RESULT_COLUMNS,
     RunConfig,
@@ -274,6 +279,107 @@ def test_flag_plumbing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one evaluation core per sweep: lazy fits, shared marginals
+# ---------------------------------------------------------------------------
+
+def _count_fits(monkeypatch, fit=channel.fit_singh_maddala):
+    calls = []
+
+    def counted(disk, budget, **kw):
+        calls.append(channel.fit_cache_key(disk, budget))
+        return fit(disk, budget, **kw)
+
+    for module in (channel, experiments):
+        if hasattr(module, "fit_singh_maddala"):
+            monkeypatch.setattr(module, "fit_singh_maddala", counted)
+    return calls
+
+
+def test_destination_sweep_fits_nothing(monkeypatch):
+    calls = _count_fits(monkeypatch)
+    sweep = SweepSpec(variable="p0_dbm", grid=(-10.0, 0.0),
+                      schemes=(Scheme.TQOM, Scheme.PQOM, Scheme.QOM_NOEH),
+                      metrics=("e2e_op:destination",),
+                      include_asymptotic=True)
+    result = run_sweep(small_config(sweep=sweep), source="analytic")
+    assert result.clean and len(result.rows) == 12
+    assert calls == []
+
+
+@pytest.mark.parametrize("sidecar", [False, True])
+def test_nearest_fit_once_per_geometry(monkeypatch, tmp_path, sidecar):
+    calls = _count_fits(monkeypatch)
+    loads = []
+    load = channel.load_fit_cache
+    monkeypatch.setattr(channel, "load_fit_cache",
+                        lambda path: loads.append(path) or load(path))
+    path = str(tmp_path / "fits.json") if sidecar else None
+    sweep = SweepSpec(variable="p0_dbm", grid=(-10.0, 0.0, 10.0),
+                      schemes=(Scheme.TQOM, Scheme.PQOM),
+                      metrics=("device_op:1:nearest",))
+    result = run_sweep(small_config(sweep=sweep, fit_cache=path),
+                       source="analytic")
+    assert result.clean and len(result.rows) == 6
+    assert len(calls) == 1
+    assert loads == ([path] if sidecar else [])
+    if sidecar:
+        assert list(channel.load_fit_cache(path)) == calls
+        # a second sweep reads the stored fit and fits nothing
+        run_sweep(small_config(sweep=sweep, fit_cache=path),
+                  source="analytic")
+        assert len(calls) == 1
+
+
+def test_fit_error_fails_only_rows_that_read_the_fit(monkeypatch):
+    def refuse(disk, budget, **kw):
+        raise channel.FitError("refused")
+
+    calls = _count_fits(monkeypatch, fit=refuse)
+    sweep = SweepSpec(variable="p0_dbm", grid=(-10.0, 0.0),
+                      schemes=(Scheme.TQOM,),
+                      metrics=("e2e_op:destination", "device_op:1:nearest",
+                               "throughput"))
+    result = run_sweep(small_config(sweep=sweep), source="analytic")
+    by_metric = {}
+    for row in result.rows:
+        by_metric.setdefault(row.metric, []).append(row.mean)
+    assert all(math.isfinite(v) for v in by_metric["e2e_op:destination"])
+    assert all(math.isnan(v) for v in by_metric["device_op:1:nearest"])
+    assert all(math.isnan(v) for v in by_metric["throughput"])
+    assert sorted((value, metric) for value, _, metric, _ in result.failures) \
+        == [(-10.0, "device_op:1:nearest"), (-10.0, "throughput"),
+            (0.0, "device_op:1:nearest"), (0.0, "throughput")]
+    assert all(message == "FitError: refused"
+               for *_, message in result.failures)
+    assert len(calls) == 1  # the failure is remembered, not retried
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 of the analytic tables of two shipped configs, as emitted before
+# the sweep core shared marginals and fits across points
+GOLDEN_ANALYTIC = {
+    "validate_chain":
+        "b18e3600486bfd4d30a6053cdb9441f3e83e77ddb64105a8227721cdc94b012b",
+    "validate_devices_qom":
+        "50e33e9cfea128386c637f970cf2b2c8fa66ae70f27f865345d06aa124f68302",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
+def test_shipped_analytic_tables_are_byte_identical(tmp_path, name):
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    sidecar = tmp_path / "fits.json"
+    shutil.copyfile(ROOT / config.fit_cache, sidecar)
+    config = dataclasses.replace(config, fit_cache=str(sidecar))
+    result = run_sweep(config, source="analytic")
+    text = render_results(result.rows, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC[name]
+    assert sidecar.read_bytes() == (ROOT / "data" / "nearest_fits.json"
+                                    ).read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # emission contract
 # ---------------------------------------------------------------------------
 
@@ -313,6 +419,19 @@ def test_read_results_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     experiments.emit_results(result.rows, "csv", path)
     assert read_results(path) == result.rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_read_results_parses_both_formats(tmp_path, fmt):
+    rows = run_sweep(small_config(), source="both").rows
+    rows.append(dataclasses.replace(rows[0], mean=math.nan,
+                                    ci_half_width=math.nan, trials=0))
+    path = tmp_path / "rows.out"
+    experiments.emit_results(rows, fmt, path)
+    back = read_results(path)
+    assert back[:-1] == rows[:-1]
+    assert math.isnan(back[-1].mean) and math.isnan(back[-1].ci_half_width)
+    assert render_results(back, fmt) == path.read_text()
 
 
 def test_read_results_rejects_foreign_tables(tmp_path):
@@ -399,6 +518,8 @@ def test_cli_fit_cache(tmp_path, capfd):
     assert rc == 0
     assert cache.exists()
     assert "2 disk fits" in capfd.readouterr().err
+    # both slots of t3 share one disk geometry, stored once
+    assert len(json.loads(cache.read_text())) == 1
 
 
 def test_cli_error_exit_code(tmp_path, capfd):
