@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ from scipy.optimize import minimize
 
 from .geometry import CoverageDisk
 from .specfun import FoxSpec, KernelConvergenceError, fox_h, lower_incomplete_gamma
+
+logger = logging.getLogger(__name__)
 
 REFERENCE_NOISE_DBM_PER_HZ = -174.0
 
@@ -370,7 +373,8 @@ class FitBook:
     Each geometry is resolved at most once per book: the sidecar at
     ``cache_path`` is read on the first lookup, a fit it lacks is computed
     and written back, and a fit that fails is remembered and its
-    :class:`FitError` raised again on every later lookup.
+    :class:`FitError` raised again on every later lookup.  A sidecar that
+    cannot be written costs a warning, not the fit.
     """
 
     def __init__(self, cache_path: Optional[str] = None):
@@ -404,7 +408,11 @@ class FitBook:
             return exc
         if self.cache_path is not None:
             self._sidecar[key] = fit
-            save_fit_cache(self.cache_path, self._sidecar)
+            try:
+                save_fit_cache(self.cache_path, self._sidecar)
+            except OSError as exc:
+                logger.warning("fit sidecar %s not saved: %s",
+                               self.cache_path, exc)
         return fit
 
 

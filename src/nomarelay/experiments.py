@@ -293,18 +293,20 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
 
 
 class _SweepCore:
-    """Analytic state shared by every point of one sweep.
+    """State shared by every point of one sweep.
 
     Scenarios equal in value share one :class:`analytics.SlotMarginals`, so
     thresholds, slot outages and throughput are computed once per sweep
     (the no-harvest twin of a rho sweep is the same scenario at every grid
     point), and nearest-gain fits are resolved lazily through one
-    :class:`FitBook`.
+    :class:`FitBook`.  Simulated rows read ``tallies``, filled by one
+    :func:`montecarlo.simulate_plan` over every run the sweep needs.
     """
 
     def __init__(self, fit_cache: Optional[str]):
         self.fits = FitBook(fit_cache)
         self._marginals = {}
+        self.tallies = {}
 
     def marginals(self, scenario: Scenario) -> analytics.SlotMarginals:
         if scenario not in self._marginals:
@@ -382,19 +384,33 @@ class _PointContext:
 
     # -- simulated side ---------------------------------------------------
 
-    def simulated(self, selector, seed: int) -> montecarlo.Estimate:
+    def simulation_runs(self, selector, seed: int) -> list:
+        """The ``(scenario, seed, trials)`` runs a simulated row reads."""
         cfg, s = self.config, self.scenario
+        if selector[0] not in _SCALAR_METRICS:
+            return [(s, seed, cfg.trials_outage)]
+        runs = [(s, seed, cfg.trials_throughput)]
+        if selector[0] == "eed" and s.policy.is_harvesting:
+            runs.append((self.twin, seed + _TWIN_SEED_OFFSET,
+                         cfg.trials_throughput))
+        return runs
+
+    def simulated(self, selector, seed: int) -> montecarlo.Estimate:
+        s = self.scenario
         kind = selector[0]
-        if kind in ("hop", "device", "e2e_destination", "e2e_device"):
-            return montecarlo.estimate_outage(s, selector, cfg.trials_outage,
-                                              seed)
-        n = cfg.trials_throughput
-        if kind == "throughput":
-            return montecarlo.estimate_throughput(s, n, seed)
+        tallies = [self.core.tallies[run]
+                   for run in self.simulation_runs(selector, seed)]
+        for tal in tallies:
+            if isinstance(tal, Exception):
+                raise tal
+        if kind not in _SCALAR_METRICS:
+            return tallies[0].outage(selector, s.topology.hop_count)
         if kind == "p_tol":
-            return montecarlo.estimate_supply_power(s, n, seed)
+            return tallies[0].supply_power()
+        tp = tallies[0].throughput()
+        if kind == "throughput":
+            return tp
         scale = self.bandwidth_hz
-        tp = montecarlo.estimate_throughput(s, n, seed)
         _, p_tol = analytics.energy_efficiency(0.0, s.budget, s.policy, scale)
         if kind == "ee":
             return montecarlo.Estimate(mean=scale * tp.mean / p_tol,
@@ -404,8 +420,7 @@ class _PointContext:
             if not s.policy.is_harvesting:
                 return montecarlo.Estimate(0.0, 0.0, tp.trials)
             twin = self.twin
-            tp0 = montecarlo.estimate_throughput(twin, n,
-                                                 seed + _TWIN_SEED_OFFSET)
+            tp0 = tallies[1].throughput()
             _, p0 = analytics.energy_efficiency(0.0, twin.budget, twin.policy,
                                                 scale)
             hw = scale * math.hypot(tp.half_width / p_tol, tp0.half_width / p0)
@@ -495,7 +510,8 @@ def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
     beyond the declared margin are flagged.  Numeric failures abort the
     affected row only; a nearest-gain fit is resolved only for rows that
     read it, so a fit that fails fails just those rows.  Every analytic
-    quantity is computed once per call, from the first row that asks.
+    quantity is computed once per call, from the first row that asks, and
+    every simulated row reads one simulation plan run before the first row.
     """
     if source not in ("analytic", "mc", "both"):
         raise ValueError(f"unknown source {source!r}")
@@ -506,18 +522,29 @@ def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
         config = dataclasses.replace(config, seed=seed)
     result = SweepResult(rows=[], flagged=[], failures=[])
     core = _SweepCore(config.fit_cache)
+    selectors = [parse_metric(metric) for metric in config.sweep.metrics]
+    points = []
     for value in config.sweep.grid:
         for scheme in config.sweep.schemes:
             try:
                 ctx = _PointContext(config, scheme, value, core)
             except Exception as exc:
-                result.failures.append(
-                    (value, scheme.value, "*", f"{type(exc).__name__}: {exc}"))
-                continue
-            for metric in config.sweep.metrics:
-                selector = parse_metric(metric)
-                _emit_point(ctx, metric, selector, source, config.seed,
-                            result)
+                ctx = exc
+            points.append((value, scheme, ctx))
+    if source in ("mc", "both"):
+        # one plan for the whole sweep: shorter runs are prefixes of longer
+        # ones and scenarios sharing pairing and topology share draws
+        core.tallies = montecarlo.simulate_plan(
+            run for *_, ctx in points if isinstance(ctx, _PointContext)
+            for selector in selectors
+            for run in ctx.simulation_runs(selector, config.seed))
+    for value, scheme, ctx in points:
+        if isinstance(ctx, Exception):
+            result.failures.append(
+                (value, scheme.value, "*", f"{type(ctx).__name__}: {ctx}"))
+            continue
+        for metric, selector in zip(config.sweep.metrics, selectors):
+            _emit_point(ctx, metric, selector, source, config.seed, result)
     if out_path is not None:
         emit_results(result.rows, fmt, out_path)
     return result

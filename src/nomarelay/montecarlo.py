@@ -6,12 +6,17 @@ come from the instantaneous rate formulas, never from the analytic
 thresholds.  Trials are vectorized in fixed-size blocks; block ``b`` of a
 run draws from its own counter-derived stream, so estimates are
 bit-identical however the blocks are distributed over workers, and a
-shorter run is a prefix of a longer one with the same seed.
+shorter run is a prefix of a longer one with the same seed.  A sweep
+plans its simulation once (:func:`simulate_plan`): shorter trial counts
+are tallied as prefixes of longer ones, and scenarios sharing pairing,
+topology and seed resolve the same draws, with unchanged results.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,6 +26,8 @@ from .channel import pathloss_linear
 from .geometry import as_generator, log_null_probability
 from .network import Scenario
 from .power import omega_factor
+
+logger = logging.getLogger(__name__)
 
 BLOCK_SIZE = 1 << 16
 _CI_FACTOR = 1.96
@@ -87,29 +94,49 @@ class _Block:
             setattr(self, name, kw[name])
 
 
+@dataclass(eq=False)
+class _Draws:
+    """Random numbers of one block: they depend only on the pairing,
+    topology, seed, empty-annulus mode and block index."""
+
+    u_eh: np.ndarray
+    active: np.ndarray
+    com_present: list | None
+    hop_fades: np.ndarray
+    device_dist: list
+    device_fade: list
+    gains: dict = field(default_factory=dict)
+
+    def device_gain(self, budget) -> list:
+        """Path gain of every drawn device distance, once per (L, d0, eps)."""
+        key = (budget.L, budget.d0, budget.epsilon)
+        if key not in self.gains:
+            self.gains[key] = [pathloss_linear(dist, budget)
+                               for dist in self.device_dist]
+        return self.gains[key]
+
+
 def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int,
                     empty_annulus: str = "resample") -> _Block:
-    """Draw and resolve ``n`` independent relaying blocks.
+    """Draw and resolve ``n`` independent relaying blocks."""
+    return _resolve(scenario, _draw(scenario.topology, scenario.scheme.pairing,
+                                    rng, n, empty_annulus))
+
+
+def _draw(topo, pairing, rng: np.random.Generator, n: int,
+          empty_annulus: str = "resample") -> _Draws:
+    """Draw every random element of ``n`` relaying blocks.
 
     The draw order is part of the determinism contract: harvest
-    indicators, disk activity, hop fades, then per-slot device geometry
+    uniforms, disk activity, hop fades, then per-slot device geometry
     and fades.
     """
     if empty_annulus not in ("resample", "skip"):
         raise ValueError(f"unknown empty-annulus mode {empty_annulus!r}")
-    topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
-    budget, scheme = scenario.budget, scenario.scheme
     m, hops = topo.node_count, topo.hop_count
-    pairing = scheme.pairing if scheme.serves_devices else None
-    g0 = budget.gamma_bar0
-    bteh = policy.architecture == "BTEH"
-    p_m = plan.relay_share
 
-    # 1. harvest indicators of nodes 2..M
+    # 1. harvest uniforms of nodes 2..M, compared with rho on resolution
     u_eh = rng.random((m - 1, n))
-    indicators = np.empty((m - 1, n), dtype=bool)
-    for row in range(m - 1):
-        indicators[row] = u_eh[row] < policy.rho1(row + 2)
 
     # 2. device activity per slot (skip mode resolves it per subarea)
     com_present = None
@@ -159,6 +186,26 @@ def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int,
     else:
         device_dist = [np.zeros((0, n))] * hops
         device_fade = [np.zeros((0, n))] * hops
+    return _Draws(u_eh=u_eh, active=active, com_present=com_present,
+                  hop_fades=hop_fades, device_dist=device_dist,
+                  device_fade=device_fade)
+
+
+def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
+    """Resolve every decode event of one scenario from shared draws."""
+    topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
+    budget, pairing = scenario.budget, scenario.scheme.pairing
+    m, hops = topo.node_count, topo.hop_count
+    n = draws.hop_fades.shape[1]
+    g0 = budget.gamma_bar0
+    bteh = policy.architecture == "BTEH"
+    p_m = plan.relay_share
+    active, com_present = draws.active, draws.com_present
+    hop_fades = draws.hop_fades
+
+    indicators = np.empty((m - 1, n), dtype=bool)
+    for row in range(m - 1):
+        indicators[row] = draws.u_eh[row] < policy.rho1(row + 2)
 
     # 5. transmit power chain, in units of P0
     powers = np.ones((hops, n))
@@ -190,7 +237,9 @@ def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int,
         sinr = eff
     hop_rates = time_factor * np.log1p(sinr) / _LN2
     hop_ok = hop_rates >= plan.relay_rate
-    prefix_ok = np.logical_and.accumulate(hop_ok, axis=0)
+    prefix_ok = hop_ok.copy()
+    for t in range(1, hops):
+        prefix_ok[t] &= prefix_ok[t - 1]
     # slot t serves its devices iff its transmitter holds the message,
     # i.e. hops 1..t-1 all succeeded; the slot's own hop is a separate event
     msg_ok = np.vstack([np.ones((1, n), dtype=bool), prefix_ok[:-1]])
@@ -198,17 +247,18 @@ def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int,
     # 8. device decoding: the own message plus its full SIC chain
     device_snr, device_rates, device_ok = [], [], []
     throughput = plan.relay_rate * prefix_ok[-1].astype(float)
+    device_gain = draws.device_gain(budget)
     for t in range(1, hops + 1):
-        dist, fade = device_dist[t - 1], device_fade[t - 1]
+        ell_dev, fade = device_gain[t - 1], draws.device_fade[t - 1]
         served = active[t - 1]
-        count = dist.shape[0]
+        count = ell_dev.shape[0]
         if count == 0:
             empty = np.zeros((0, n))
             device_snr.append(empty)
             device_rates.append(empty)
             device_ok.append(empty.astype(bool))
             continue
-        snr = g0 * powers[t - 1] * pathloss_linear(dist, budget) * fade
+        snr = g0 * powers[t - 1] * ell_dev * fade
         tf = time_factor[t - 1]
         # every device first peels the relayed message off the superposition
         relayed_ok = tf * np.log1p(p_m * snr / ((1.0 - p_m) * snr + 1.0)) \
@@ -225,11 +275,12 @@ def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int,
                 y = snr[k - 1]
                 rates[k - 1] = tf * np.log1p(shares[k - 1] * y
                                              / (below[k - 1] * y + 1.0)) / _LN2
-                # device k peels every weaker-protected message n >= k
+                # device k peels every weaker-protected message n >= k;
+                # the peel of its own message is its rate
                 chain = relayed_ok[k - 1]
                 for nn in range(count, k - 1, -1):
-                    peel = tf * np.log1p(shares[nn - 1] * y
-                                         / (below[nn - 1] * y + 1.0)) / _LN2
+                    peel = rates[k - 1] if nn == k else tf * np.log1p(
+                        shares[nn - 1] * y / (below[nn - 1] * y + 1.0)) / _LN2
                     chain = chain & (peel >= targets[nn - 1])
                 ok[k - 1] = present[k - 1] & chain
                 throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
@@ -290,53 +341,132 @@ class _Tallies:
     supply_w_sum: float = 0.0
     supply_w_sumsq: float = 0.0
 
+    def add(self, scenario: Scenario, block: _Block, used: int) -> None:
+        """Count the first ``used`` trials of one resolved block."""
+        cut = slice(0, used)
+        self.trials += used
+        for t in range(1, scenario.topology.hop_count + 1):
+            row = block.hop_ok[t - 1, cut]
+            self.hop_fail[t] = self.hop_fail.get(t, 0) + int((~row).sum())
+            ok = block.device_ok[t - 1]
+            if ok.shape[0] == 0:
+                continue
+            served = block.active[t - 1, cut]
+            self.present[t] = self.present.get(t, 0) + int(served.sum())
+            for k in range(1, ok.shape[0] + 1):
+                key = (t, k if scenario.scheme.pairing == "com" else None)
+                fail = served & ~ok[k - 1, cut]
+                self.device_fail[key] = self.device_fail.get(key, 0) \
+                    + int(fail.sum())
+                e2e_fail = served & ~(ok[k - 1, cut]
+                                      & block.msg_ok[t - 1, cut])
+                self.e2e_device_fail[key] = self.e2e_device_fail.get(key, 0) \
+                    + int(e2e_fail.sum())
+        self.e2e_destination_fail += int((~block.prefix_ok[-1, cut]).sum())
+        tp = block.throughput[cut]
+        self.throughput_sum += float(tp.sum())
+        self.throughput_sumsq += float((tp * tp).sum())
+        watts = scenario.budget.P0 * block.supply_units[cut]
+        self.supply_w_sum += float(watts.sum())
+        self.supply_w_sumsq += float((watts * watts).sum())
 
-def _blocked_streams(seed: int, n_trials: int):
-    """Yield (generator, rows-used) for each full block of a run."""
-    n_blocks = -(-n_trials // BLOCK_SIZE)
-    for b in range(n_blocks):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(b,))))
-        yield rng, min(BLOCK_SIZE, n_trials - b * BLOCK_SIZE)
+    def outage(self, node_selector, hops: int) -> Estimate:
+        """The outage estimate of one selector; see :func:`estimate_outage`."""
+        kind, rest = node_selector[0], node_selector[1:]
+        if kind == "e2e_destination":
+            return Estimate.from_binomial(self.e2e_destination_fail,
+                                          self.trials)
+        t = rest[0]
+        if not 1 <= t <= hops:
+            raise ValueError(f"slot {t} outside 1..{hops}")
+        if kind == "hop":
+            return Estimate.from_binomial(self.hop_fail[t], self.trials)
+        if kind not in ("device", "e2e_device"):
+            raise ValueError(f"unknown selector {node_selector!r}")
+        key = (t, rest[1])
+        table = self.device_fail if kind == "device" else self.e2e_device_fail
+        if key not in table:
+            raise ValueError(
+                f"no served device matches selector {node_selector!r}")
+        return Estimate.from_binomial(table[key], self.present[t])
+
+    def throughput(self) -> Estimate:
+        return Estimate.from_moments(self.throughput_sum,
+                                     self.throughput_sumsq, self.trials)
+
+    def supply_power(self) -> Estimate:
+        return Estimate.from_moments(self.supply_w_sum, self.supply_w_sumsq,
+                                     self.trials)
+
+
+def _block_rng(seed: int, b: int) -> np.random.Generator:
+    """The counter-derived stream of block ``b`` of a run."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def simulate_plan(runs, empty_annulus: str = "resample") -> dict:
+    """Tallies of every ``(scenario, seed, n_trials)`` run, as one plan.
+
+    Scenarios of one seed that share pairing and topology read the same
+    draws: each block is drawn once, resolved once per scenario and tallied
+    into every trial count asked of it, in block order, so each entry
+    equals its run simulated alone.  A failed run maps to its exception.
+    """
+    out, groups = {}, {}
+    for scenario, seed, n in runs:
+        if n <= 0:
+            out[scenario, seed, n] = ValueError(
+                f"trial count must be positive, got {n}")
+        else:
+            groups.setdefault((scenario.scheme.pairing, scenario.topology,
+                               seed), {}).setdefault(scenario, set()).add(n)
+    for (pairing, topo, seed), cuts in groups.items():
+        tallies = {(s, seed, n): _Tallies() for s in cuts for n in cuts[s]}
+        failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
+        # blocks are always drawn in full so a longer run extends a shorter
+        # one; one draw set and one resolved block are alive at a time
+        for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
+            draws = None
+            for s in cuts:
+                if s in failed or max(cuts[s]) <= b * BLOCK_SIZE:
+                    continue
+                try:
+                    if draws is None:
+                        draws = _draw(topo, pairing, _block_rng(seed, b),
+                                      BLOCK_SIZE, empty_annulus)
+                        drawn += 1
+                    tick = time.perf_counter()
+                    block = _resolve(s, draws)
+                    for n in cuts[s]:
+                        if n > b * BLOCK_SIZE:
+                            tallies[s, seed, n].add(
+                                s, block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+                    del block
+                except Exception as exc:
+                    failed[s] = exc
+                    continue
+                secs, trials = spent.get(s.scheme.value, (0.0, 0))
+                spent[s.scheme.value] = (secs + time.perf_counter() - tick,
+                                         trials + BLOCK_SIZE)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
+                         "resolved in %.3f s; %s", pairing or "bare", seed,
+                         drawn, len(cuts), time.perf_counter() - start,
+                         ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s"
+                                   for k, (t, n) in spent.items()))
+        out.update({run: failed.get(run[0], tal)
+                    for run, tal in tallies.items()})
+    return out
 
 
 @lru_cache(maxsize=8)
 def _accumulate(scenario: Scenario, n_trials: int, seed: int,
                 empty_annulus: str) -> _Tallies:
-    if n_trials <= 0:
-        raise ValueError(f"trial count must be positive, got {n_trials}")
-    hops = scenario.topology.hop_count
-    tal = _Tallies()
-    for rng, used in _blocked_streams(seed, n_trials):
-        # blocks are always drawn in full so a longer run extends a
-        # shorter one instead of reshuffling it
-        block = _simulate_block(scenario, rng, BLOCK_SIZE, empty_annulus)
-        cut = slice(0, used)
-        tal.trials += used
-        for t in range(1, hops + 1):
-            row = block.hop_ok[t - 1, cut]
-            tal.hop_fail[t] = tal.hop_fail.get(t, 0) + int((~row).sum())
-            ok = block.device_ok[t - 1]
-            if ok.shape[0] == 0:
-                continue
-            served = block.active[t - 1, cut]
-            tal.present[t] = tal.present.get(t, 0) + int(served.sum())
-            for k in range(1, ok.shape[0] + 1):
-                key = (t, k if scenario.scheme.pairing == "com" else None)
-                fail = served & ~ok[k - 1, cut]
-                tal.device_fail[key] = tal.device_fail.get(key, 0) \
-                    + int(fail.sum())
-                e2e_fail = served & ~(ok[k - 1, cut]
-                                      & block.msg_ok[t - 1, cut])
-                tal.e2e_device_fail[key] = tal.e2e_device_fail.get(key, 0) \
-                    + int(e2e_fail.sum())
-        tal.e2e_destination_fail += int((~block.prefix_ok[-1, cut]).sum())
-        tp = block.throughput[cut]
-        tal.throughput_sum += float(tp.sum())
-        tal.throughput_sumsq += float((tp * tp).sum())
-        watts = scenario.budget.P0 * block.supply_units[cut]
-        tal.supply_w_sum += float(watts.sum())
-        tal.supply_w_sumsq += float((watts * watts).sum())
+    run = (scenario, seed, n_trials)
+    tal = simulate_plan([run], empty_annulus)[run]
+    if isinstance(tal, Exception):
+        raise tal
     return tal
 
 
@@ -349,39 +479,20 @@ def estimate_outage(config: Scenario, node_selector, n_trials: int,
     Device estimates condition on the slot's disk being active, so their
     trial count is the number of conditioning trials.
     """
-    tal = _accumulate(config, n_trials, seed, empty_annulus)
-    kind, rest = node_selector[0], node_selector[1:]
-    hops = config.topology.hop_count
-    if kind == "e2e_destination":
-        return Estimate.from_binomial(tal.e2e_destination_fail, tal.trials)
-    t = rest[0]
-    if not 1 <= t <= hops:
-        raise ValueError(f"slot {t} outside 1..{hops}")
-    if kind == "hop":
-        return Estimate.from_binomial(tal.hop_fail[t], tal.trials)
-    if kind not in ("device", "e2e_device"):
-        raise ValueError(f"unknown selector {node_selector!r}")
-    key = (t, rest[1])
-    table = tal.device_fail if kind == "device" else tal.e2e_device_fail
-    if key not in table:
-        raise ValueError(f"no served device matches selector {node_selector!r}")
-    return Estimate.from_binomial(table[key], tal.present[t])
+    return _accumulate(config, n_trials, seed, empty_annulus).outage(
+        node_selector, config.topology.hop_count)
 
 
 def estimate_throughput(config: Scenario, n_trials: int, seed: int,
                         empty_annulus: str = "resample") -> Estimate:
     """Mean delivered rate per block from exact joint end-to-end events."""
-    tal = _accumulate(config, n_trials, seed, empty_annulus)
-    return Estimate.from_moments(tal.throughput_sum, tal.throughput_sumsq,
-                                 tal.trials)
+    return _accumulate(config, n_trials, seed, empty_annulus).throughput()
 
 
 def estimate_supply_power(config: Scenario, n_trials: int, seed: int,
                           empty_annulus: str = "resample") -> Estimate:
     """Mean grid-supplied transmit power in watts (harvested slots are free)."""
-    tal = _accumulate(config, n_trials, seed, empty_annulus)
-    return Estimate.from_moments(tal.supply_w_sum, tal.supply_w_sumsq,
-                                 tal.trials)
+    return _accumulate(config, n_trials, seed, empty_annulus).supply_power()
 
 
 def empirical_ccdf_oracle(config: Scenario, variable, grid, n_trials: int,
@@ -413,9 +524,9 @@ def empirical_ccdf_oracle(config: Scenario, variable, grid, n_trials: int,
         raise ValueError("Z requires a qom scheme")
     above = np.zeros(grid.size, dtype=np.int64)
     count = 0
-    for rng, used in _blocked_streams(seed, n_trials):
-        block = _simulate_block(config, rng, BLOCK_SIZE)
-        cut = slice(0, used)
+    for b in range(-(-n_trials // BLOCK_SIZE)):
+        block = _simulate_block(config, _block_rng(seed, b), BLOCK_SIZE)
+        cut = slice(0, min(BLOCK_SIZE, n_trials - b * BLOCK_SIZE))
         if kind == "X":
             samples = block.hop_snr[t - 1, cut]
         else:

@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import shutil
 from pathlib import Path
 
 import pytest
 
-from nomarelay import channel, cli, experiments
+from nomarelay import channel, cli, experiments, montecarlo
 from nomarelay.experiments import (
     RESULT_COLUMNS,
     RunConfig,
@@ -354,7 +355,34 @@ def test_fit_error_fails_only_rows_that_read_the_fit(monkeypatch):
     assert len(calls) == 1  # the failure is remembered, not retried
 
 
+def test_unwritable_sidecar_warns_and_keeps_the_fit(monkeypatch, tmp_path,
+                                                  caplog):
+    calls = _count_fits(monkeypatch)
+    path = tmp_path / "missing" / "fits.json"
+    sweep = SweepSpec(variable="p0_dbm", grid=(-10.0, 0.0),
+                      schemes=(Scheme.TQOM, Scheme.PQOM),
+                      metrics=("device_op:1:nearest", "device_op:2:nearest"))
+    with caplog.at_level(logging.WARNING, logger="nomarelay.channel"):
+        result = run_sweep(small_config(sweep=sweep, fit_cache=str(path)),
+                           source="analytic")
+    assert result.clean and len(result.rows) == 8
+    assert all(math.isfinite(row.mean) for row in result.rows)
+    assert len(calls) == 1  # memoized although the sidecar was not written
+    warnings = [r for r in caplog.records if r.name == "nomarelay.channel"]
+    assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+    assert str(path) in warnings[0].getMessage()
+    assert not path.parent.exists()
+
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _shipped(tmp_path, name, **overrides):
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    sidecar = tmp_path / "fits.json"
+    shutil.copyfile(ROOT / config.fit_cache, sidecar)
+    return dataclasses.replace(config, fit_cache=str(sidecar), **overrides)
+
 
 # sha256 of the analytic tables of two shipped configs, as emitted before
 # the sweep core shared marginals and fits across points
@@ -368,15 +396,82 @@ GOLDEN_ANALYTIC = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
 def test_shipped_analytic_tables_are_byte_identical(tmp_path, name):
-    config = load_config(ROOT / "configs" / f"{name}.yaml")
-    sidecar = tmp_path / "fits.json"
-    shutil.copyfile(ROOT / config.fit_cache, sidecar)
-    config = dataclasses.replace(config, fit_cache=str(sidecar))
-    result = run_sweep(config, source="analytic")
+    result = run_sweep(_shipped(tmp_path, name), source="analytic")
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC[name]
-    assert sidecar.read_bytes() == (ROOT / "data" / "nearest_fits.json"
-                                    ).read_bytes()
+    assert (tmp_path / "fits.json").read_bytes() \
+        == (ROOT / "data" / "nearest_fits.json").read_bytes()
+
+
+# sha256 of the simulated validate_chain table at 140,000 outage and 70,000
+# throughput trials (three blocks, partial cuts in blocks 1 and 2), as
+# emitted before a sweep planned its simulation
+GOLDEN_MC = "8ab2b6eb4eb6533352bbddecf5c698795160698196407a740949d12033d6ae80"
+
+
+def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
+    config = _shipped(tmp_path, "validate_chain", trials_outage=140_000,
+                      trials_throughput=70_000)
+    # debug logging reports the simulation plan without touching the table
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.montecarlo"):
+        result = run_sweep(config, source="mc")
+    text = render_results(result.rows, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC
+    groups = [r.getMessage() for r in caplog.records
+              if r.name == "nomarelay.montecarlo"]
+    # com, qom and bare-chain draws at the config's seed, three blocks each
+    assert len(groups) == 3
+    assert all("seed 51: 3 blocks drawn" in g and "trials/s" in g
+               for g in groups)
+
+
+def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
+                                                         tmp_path):
+    counts = {"draw": 0, "resolve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "_draw",
+                        counted("draw", montecarlo._draw))
+    monkeypatch.setattr(montecarlo, "_resolve",
+                        counted("resolve", montecarlo._resolve))
+    result = run_sweep(_shipped(tmp_path, "validate_chain"), source="mc")
+    assert not result.failures
+    # 200,000 outage trials are 4 blocks and the 100,000 throughput trials
+    # are their prefix; com, qom and the bare chain each draw once per
+    # block, and tcom/tqom/pcom/pqom at 3 rho values plus the rho-free
+    # com-noeh/qom-noeh/cnrr make 15 scenarios
+    assert counts == {"draw": 3 * 4, "resolve": 15 * 4}
+
+
+def test_simulation_failure_fails_only_its_scheme(monkeypatch):
+    sweep = SweepSpec(variable="p0_dbm", grid=(0.0,),
+                      schemes=(Scheme.TCOM, Scheme.PCOM, Scheme.COM_NOEH),
+                      metrics=("hop_op:1", "throughput"))
+    config = small_config(sweep=sweep)
+    clean = run_sweep(config, source="both")
+    resolve = montecarlo._resolve
+
+    def refuse_pcom(scenario, draws):
+        if scenario.scheme is Scheme.PCOM:
+            raise FloatingPointError("refused")
+        return resolve(scenario, draws)
+
+    monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
+    result = run_sweep(config, source="both")
+    assert result.failures == [
+        (0.0, "pcom", metric, "FloatingPointError: refused")
+        for metric in sweep.metrics]
+    assert len(result.rows) == len(clean.rows) == 12
+    for row, before in zip(result.rows, clean.rows):
+        if (row.scheme, row.source) == ("pcom", "mc"):
+            assert math.isnan(row.mean) and row.trials == 0
+        else:
+            assert row == before
 
 
 # ---------------------------------------------------------------------------

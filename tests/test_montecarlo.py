@@ -6,6 +6,7 @@ events are compared separately in the acceptance suite where the product
 approximation's documented envelope applies.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from nomarelay.montecarlo import (
     estimate_supply_power,
     estimate_throughput,
     run_block_trial,
+    simulate_plan,
 )
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 
@@ -222,6 +224,42 @@ def test_skip_mode_counts_empty_annuli_as_unserved():
                             empty_annulus="skip")
     sigma = math.hypot(hop_a.half_width, hop_b.half_width) / 1.96
     assert abs(hop_a.mean - hop_b.mean) <= 3.0 * sigma + 1e-12
+
+
+BARE = Scenario(scheme=Scheme.CNRR, topology=T1.without_devices(),
+                policy=build_policy(Scheme.CNRR, 4, 0.0), budget=BUDGET,
+                plan=analytics.baseline_plan(TCOM.plan, 3))
+
+
+# another path-loss law reads the same draws through its own device gains
+STEEP_TCOM = dataclasses.replace(
+    TCOM, budget=LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7), epsilon=3.0))
+
+
+@pytest.mark.parametrize("empty_annulus", ["resample", "skip"])
+@pytest.mark.parametrize("group", [
+    (TCOM, scenario(Scheme.PCOM), scenario(Scheme.COM_NOEH, rho=0.0),
+     STEEP_TCOM),
+    (TQOM, scenario(Scheme.PQOM), scenario(Scheme.QOM_NOEH, rho=0.0), BARE),
+], ids=["com", "qom"])
+def test_shared_draws_match_runs_simulated_alone(group, empty_annulus):
+    # 30,000 trials cut block 0 and 100,000 cut block 1 of the same run
+    runs = [(s, 41, n) for s in group for n in (100_000, 30_000)]
+    plan = simulate_plan(runs, empty_annulus)
+    for s, seed, n in runs:
+        alone = montecarlo._accumulate.__wrapped__(s, n, seed, empty_annulus)
+        assert plan[s, seed, n] == alone
+    assert simulate_plan(runs[::-1], empty_annulus) == plan
+    assert simulate_plan(runs[1::2] + runs[::2], empty_annulus) == plan
+
+
+def test_plan_keeps_failures_to_their_runs():
+    runs = [(TCOM, 5, 10_000), (TCOM, 5, 0), (TQOM, 5, 10_000)]
+    plan = simulate_plan(runs)
+    assert isinstance(plan[TCOM, 5, 0], ValueError)
+    assert plan[TCOM, 5, 10_000] == montecarlo._accumulate.__wrapped__(
+        TCOM, 10_000, 5, "resample")
+    assert plan[TQOM, 5, 10_000].trials == 10_000
 
 
 def test_selector_and_argument_validation():
