@@ -9,14 +9,21 @@ from :mod:`nomarelay.specfun`.  Outage assembles those mixtures in
 CDF-deficit space so small probabilities keep relative accuracy, and the
 small-argument residue expansions provide the high-power asymptotes and
 diversity slopes.
+
+Every kernel call goes through a :class:`KernelMemo`.  A sweep shares one
+memo across all its :class:`SlotMarginals`, so each distinct kernel
+argument is evaluated once per sweep; a standalone ``SlotMarginals`` or
+public mixture call gets a private memo, and nothing outlives its owner.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,7 +36,7 @@ from .channel import (
 from .geometry import log_null_probability
 from .network import NetworkTopology, Scheme
 from .power import EhPolicy, omega_factor
-from .specfun import (
+from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
     annulus_kernel,
     annulus_kernel_deficit,
     lower_incomplete_gamma,
@@ -175,13 +182,8 @@ def default_allocation(topology: NetworkTopology, policy: EhPolicy,
     device_rates = tuple(
         tuple(pick(("device", t, n)) for n in range(1, len(row) + 1))
         for t, row in enumerate(plan.device_shares, start=1))
-    return AllocationPlan(
-        relay_share=relay_share,
-        device_shares=plan.device_shares,
-        relay_rate=pick("relay"),
-        device_rates=device_rates,
-        nearest_rates=(pick("nearest"),) * topology.hop_count,
-    )
+    return replace(plan, relay_rate=pick("relay"), device_rates=device_rates,
+                   nearest_rates=(pick("nearest"),) * topology.hop_count)
 
 
 def baseline_plan(reference: AllocationPlan, hop_count: int) -> AllocationPlan:
@@ -241,22 +243,19 @@ def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
     bteh = policy.architecture == "BTEH"
     alpha, beta = policy.alpha, policy.beta
 
-    def relay_threshold(i: int, j: int) -> float:
-        if bteh:
-            scale = 1.0 - alpha if i == 1 else 1.0
-            tau0 = _rate_threshold(plan.relay_rate, node_count, scale)
-            return tau0 if j == 0 else _noma_threshold(tau0, plan.relay_share)
-        tau0 = _rate_threshold(plan.relay_rate, node_count, 1.0)
-        base = tau0 if j == 0 else _noma_threshold(tau0, plan.relay_share)
-        return base / (1.0 - beta) if i == 1 else base
-
-    relay = tuple(tuple(relay_threshold(i, j) for j in (0, 1)) for i in (0, 1))
-
     def device_rate_threshold(rate: float, i: int) -> float:
         # harvesting at the next relay compresses the information window
         # under time-switching; power-splitting does not touch the device
         scale = 1.0 - alpha if (bteh and i == 1) else 1.0
         return _rate_threshold(rate, node_count, scale)
+
+    def relay_threshold(i: int, j: int) -> float:
+        tau0 = device_rate_threshold(plan.relay_rate, i)
+        base = tau0 if j == 0 else _noma_threshold(tau0, plan.relay_share)
+        # a power-splitting relay keeps 1-beta of the power for decoding
+        return base / (1.0 - beta) if (i == 1 and not bteh) else base
+
+    relay = tuple(tuple(relay_threshold(i, j) for j in (0, 1)) for i in (0, 1))
 
     def device_relayed_threshold(i: int) -> float:
         # the device must also peel off the relayed message, at its own
@@ -294,134 +293,182 @@ def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
 
 
 # ---------------------------------------------------------------------------
+# kernel memo
+# ---------------------------------------------------------------------------
+
+_KERNEL_FAMILY = {
+    "prod_exp_ccdf": "prod_exp", "prod_exp_cdf": "prod_exp",
+    "annulus_kernel": "annulus", "annulus_kernel_deficit": "annulus",
+    "nearest_kernel": "nearest", "nearest_kernel_deficit": "nearest",
+    "residue_asymptote_cdf": "residue_asymptote"}
+
+
+class KernelMemo(dict):
+    """Kernel values keyed by ``(kernel name, *arguments)``.
+
+    The kernels are pure, so a hit returns the very float a miss computes.
+    ``lookups`` counts calls per kernel family; each key is one evaluation.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = collections.Counter()
+
+    def __call__(self, name: str, *args) -> float:
+        self.lookups[_KERNEL_FAMILY[name]] += 1
+        key = (name,) + args
+        value = self.get(key)
+        if value is None:
+            # resolved by name only on a miss, so a wrapper installed on
+            # this module sees real evaluations only
+            value = self[key] = globals()[name](*args)
+        return value
+
+    def log_summary(self) -> None:
+        """One DEBUG line: lookups, evaluations and hit ratio per family."""
+        evaluations = collections.Counter(_KERNEL_FAMILY[key[0]] for key in self)
+        logger.debug("kernel memo: %s", "; ".join(
+            f"{family} {n} lookups, {evaluations[family]} evaluations, "
+            f"hit ratio {1.0 - evaluations[family] / n:.3f}"
+            for family, n in sorted(self.lookups.items())) or "no lookups")
+
+
+# ---------------------------------------------------------------------------
 # mixture CCDFs of the normalized received powers
 # ---------------------------------------------------------------------------
 
-def _chain_weights(t: int, policy: EhPolicy):
-    """(tau, weight) for the harvest-run states of transmitter t.
+def _chain_gains(tau: int, t: int, topology: NetworkTopology, policy: EhPolicy,
+                 budget: LinkBudget) -> tuple:
+    """Mean gains of the harvested hops tau+1..t."""
+    return tuple(omega_factor(i, policy, topology.node_count)
+                 * pathloss_linear(topology.hop_distances[i - 2], budget)
+                 for i in range(tau + 1, t + 1))
+
+
+def _check_argument(x: float, t: int, topology: NetworkTopology) -> None:
+    if not 1 <= t <= topology.hop_count:
+        raise ValueError(f"slot {t} outside 1..{topology.hop_count}")
+    if x <= 0.0:
+        raise ValueError(f"argument must be positive, got {x}")
+
+
+def _mix(t, topology, policy, budget, branch, label: str) -> float:
+    """Mixture over the harvest-run states of transmitter t, clamped.
 
     Branch ``tau`` means node ``tau`` ran on supply power and every node
-    ``tau+1..t`` harvested; the weights sum to one.
+    ``tau+1..t`` harvested; the weights sum to one.  Each branch with a
+    nonzero weight ``w`` adds ``branch(w, v, gains)``, where ``v = t - tau``
+    and ``gains`` are the mean gains of the harvested hops.  ``branch``
+    returns the whole weighted term, so each law keeps the float
+    association of its own product.
     """
-    out = []
+    total = 0.0
     for tau in range(1, t + 1):
         w = policy.rho0(tau)
         for j in range(tau + 1, t + 1):
             w *= policy.rho1(j)
-        out.append((tau, w))
-    return out
+        if w != 0.0:
+            total += branch(w, t - tau,
+                            _chain_gains(tau, t, topology, policy, budget))
+    return _clamp(total, label)
 
 
-def _xi_product(tau: int, t: int, topology: NetworkTopology, policy: EhPolicy,
-                budget: LinkBudget) -> float:
-    """Mean-gain product of the harvested chain tau+1..t."""
-    xi = 1.0
-    for i in range(tau + 1, t + 1):
-        xi *= omega_factor(i, policy, topology.node_count) \
-            * pathloss_linear(topology.hop_distances[i - 2], budget)
-    return xi
+def _residue_branch(memo, x, budget, ell, coeff):
+    """Branch of the high-power asymptote of a gain with edge gain ``ell``."""
+    def branch(w, v, gains):
+        scaled = coeff * x / (budget.gamma_bar0 * ell * math.prod(gains))
+        # branches still outside their small-argument regime saturate at
+        # certain outage instead of overshooting
+        return w * min(max(memo("residue_asymptote_cdf", scaled, v), 0.0), 1.0)
+    return branch
 
 
-def _check_slot(t: int, topology: NetworkTopology) -> None:
-    if not 1 <= t <= topology.hop_count:
-        raise ValueError(f"slot {t} outside 1..{topology.hop_count}")
+def _hop_mix(memo, form, t, topology, policy, budget, x):
+    """``form`` ("ccdf", "cdf" or "asymptotic_cdf") of the hop SNR X_t."""
+    _check_argument(x, t, topology)
+    ell_next = pathloss_linear(topology.hop_distances[t - 1], budget)
+    kernel = "prod_exp_cdf" if form == "cdf" else "prod_exp_ccdf"
+
+    def branch(w, v, gains):
+        return w * memo(kernel, x / budget.gamma_bar0, v + 1, gains + (ell_next,))
+    if form == "asymptotic_cdf":
+        branch = _residue_branch(memo, x, budget, ell_next, 1.0)
+    return _mix(t, topology, policy, budget, branch, f"{form}_X(t={t})")
+
+
+def _com_mix(memo, form, t, k, topology, policy, budget, y):
+    """``form`` of the com device SNR Y_{t,k} in subarea k of slot t."""
+    _check_argument(y, t, topology)
+    kt = topology.subarea_counts[t - 1]
+    if not 1 <= k <= kt:
+        raise ValueError(f"subarea {k} outside 1..{kt}")
+    eps, c_exp = budget.epsilon, 2.0 / budget.epsilon
+    chi_hi = k * k / (2.0 * k - 1.0)
+    chi_lo = (k - 1.0) ** 2 / (2.0 * k - 1.0)
+    ell_edge = pathloss_linear(topology.disk_radii[t - 1], budget)
+    kernel = "annulus_kernel_deficit" if form == "cdf" else "annulus_kernel"
+
+    def branch(w, v, gains):
+        c_tau = y / (budget.gamma_bar0 * ell_edge * math.prod(gains))
+        term = chi_hi * memo(kernel, c_tau * (k / kt) ** eps, v, c_exp)
+        if k > 1:
+            term -= chi_lo * memo(kernel, c_tau * ((k - 1) / kt) ** eps, v, c_exp)
+        return w * c_exp * term
+    if form == "asymptotic_cdf":
+        branch = _residue_branch(memo, y, budget, ell_edge,
+                                 annulus_small_gain_coefficient(k, kt, eps))
+    return _mix(t, topology, policy, budget, branch, f"{form}_Y(t={t},k={k})")
+
+
+def _nearest_mix(memo, form, t, topology, policy, budget, fit, z):
+    """``form`` of the qom (nearest-device) SNR Z_t; asymptotes need no fit."""
+    _check_argument(z, t, topology)
+    kernel = "nearest_kernel_deficit" if form == "cdf" else "nearest_kernel"
+
+    def branch(w, v, gains):
+        scale = budget.gamma_bar0 * fit.mu * math.prod(gains)
+        return w / math.gamma(fit.m) * memo(kernel, (z / scale) ** fit.theta, v,
+                                            fit.theta, fit.m)
+    if form == "asymptotic_cdf":
+        radius = topology.disk_radii[t - 1]
+        branch = _residue_branch(
+            memo, z, budget, pathloss_linear(radius, budget),
+            nearest_small_gain_coefficient(topology.density_active, radius,
+                                           budget.epsilon))
+    return _mix(t, topology, policy, budget, branch, f"{form}_Z(t={t})")
 
 
 def ccdf_X(x: float, t: int, topology: NetworkTopology, policy: EhPolicy,
            budget: LinkBudget) -> float:
     """Survival function of the hop SNR received by node t+1."""
-    return _mix_X(x, t, topology, policy, budget, deficit=False)
+    return _hop_mix(KernelMemo(), "ccdf", t, topology, policy, budget, x)
 
 
 def cdf_X(x: float, t: int, topology: NetworkTopology, policy: EhPolicy,
           budget: LinkBudget) -> float:
-    return _mix_X(x, t, topology, policy, budget, deficit=True)
-
-
-def _mix_X(x, t, topology, policy, budget, deficit):
-    _check_slot(t, topology)
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    ell_next = pathloss_linear(topology.hop_distances[t - 1], budget)
-    total = 0.0
-    for tau, w in _chain_weights(t, policy):
-        if w == 0.0:
-            continue
-        means = [omega_factor(i, policy, topology.node_count)
-                 * pathloss_linear(topology.hop_distances[i - 2], budget)
-                 for i in range(tau + 1, t + 1)]
-        means.append(ell_next)
-        n = t - tau + 1
-        value = (prod_exp_cdf if deficit else prod_exp_ccdf)(
-            x / budget.gamma_bar0, n, means)
-        total += w * value
-    return _clamp(total, f"{'cdf' if deficit else 'ccdf'}_X(t={t})")
+    return _hop_mix(KernelMemo(), "cdf", t, topology, policy, budget, x)
 
 
 def ccdf_Y(y: float, t: int, k: int, topology: NetworkTopology, policy: EhPolicy,
            budget: LinkBudget) -> float:
     """Survival function of the com device SNR in subarea k of slot t."""
-    return _mix_Y(y, t, k, topology, policy, budget, deficit=False)
+    return _com_mix(KernelMemo(), "ccdf", t, k, topology, policy, budget, y)
 
 
 def cdf_Y(y: float, t: int, k: int, topology: NetworkTopology, policy: EhPolicy,
           budget: LinkBudget) -> float:
-    return _mix_Y(y, t, k, topology, policy, budget, deficit=True)
-
-
-def _mix_Y(y, t, k, topology, policy, budget, deficit):
-    _check_slot(t, topology)
-    kt = topology.subarea_counts[t - 1]
-    if not 1 <= k <= kt:
-        raise ValueError(f"subarea {k} outside 1..{kt}")
-    if y <= 0.0:
-        raise ValueError(f"argument must be positive, got {y}")
-    eps = budget.epsilon
-    c_exp = 2.0 / eps
-    chi_hi = k * k / (2.0 * k - 1.0)
-    chi_lo = (k - 1.0) ** 2 / (2.0 * k - 1.0)
-    ell_edge = pathloss_linear(topology.disk_radii[t - 1], budget)
-    kernel = annulus_kernel_deficit if deficit else annulus_kernel
-    total = 0.0
-    for tau, w in _chain_weights(t, policy):
-        if w == 0.0:
-            continue
-        v = t - tau
-        c_tau = y / (budget.gamma_bar0 * ell_edge
-                     * _xi_product(tau, t, topology, policy, budget))
-        term = chi_hi * kernel(c_tau * (k / kt) ** eps, v, c_exp)
-        if k > 1:
-            term -= chi_lo * kernel(c_tau * ((k - 1) / kt) ** eps, v, c_exp)
-        total += w * c_exp * term
-    return _clamp(total, f"{'cdf' if deficit else 'ccdf'}_Y(t={t},k={k})")
+    return _com_mix(KernelMemo(), "cdf", t, k, topology, policy, budget, y)
 
 
 def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
            budget: LinkBudget, fit: FittedGainDistribution) -> float:
     """Survival function of the qom (nearest-device) SNR in slot t."""
-    return _mix_Z(z, t, topology, policy, budget, fit, deficit=False)
+    return _nearest_mix(KernelMemo(), "ccdf", t, topology, policy, budget, fit, z)
 
 
 def cdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
           budget: LinkBudget, fit: FittedGainDistribution) -> float:
-    return _mix_Z(z, t, topology, policy, budget, fit, deficit=True)
-
-
-def _mix_Z(z, t, topology, policy, budget, fit, deficit):
-    _check_slot(t, topology)
-    if z <= 0.0:
-        raise ValueError(f"argument must be positive, got {z}")
-    gamma_m = math.gamma(fit.m)
-    kernel = nearest_kernel_deficit if deficit else nearest_kernel
-    total = 0.0
-    for tau, w in _chain_weights(t, policy):
-        if w == 0.0:
-            continue
-        v = t - tau
-        scale = budget.gamma_bar0 * fit.mu \
-            * _xi_product(tau, t, topology, policy, budget)
-        total += w / gamma_m * kernel((z / scale) ** fit.theta, v, fit.theta, fit.m)
-    return _clamp(total, f"{'cdf' if deficit else 'ccdf'}_Z(t={t})")
+    return _nearest_mix(KernelMemo(), "cdf", t, topology, policy, budget, fit, z)
 
 
 # ---------------------------------------------------------------------------
@@ -449,59 +496,25 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 def asymptotic_cdf_X(x: float, t: int, topology: NetworkTopology,
                      policy: EhPolicy, budget: LinkBudget) -> float:
     """Residue-series approximation of cdf_X, accurate at high power."""
-    return _asymptotic_mix(x, t, topology, policy, budget,
-                           pathloss_linear(topology.hop_distances[t - 1], budget),
-                           1.0, "X")
+    return _hop_mix(KernelMemo(), "asymptotic_cdf", t, topology, policy,
+                    budget, x)
 
 
 def asymptotic_cdf_Y(y: float, t: int, k: int, topology: NetworkTopology,
                      policy: EhPolicy, budget: LinkBudget) -> float:
-    coeff = annulus_small_gain_coefficient(k, topology.subarea_counts[t - 1],
-                                           budget.epsilon)
-    return _asymptotic_mix(y, t, topology, policy, budget,
-                           pathloss_linear(topology.disk_radii[t - 1], budget),
-                           coeff, "Y")
+    return _com_mix(KernelMemo(), "asymptotic_cdf", t, k, topology, policy,
+                    budget, y)
 
 
 def asymptotic_cdf_Z(z: float, t: int, topology: NetworkTopology,
                      policy: EhPolicy, budget: LinkBudget) -> float:
-    coeff = nearest_small_gain_coefficient(topology.density_active,
-                                           topology.disk_radii[t - 1],
-                                           budget.epsilon)
-    return _asymptotic_mix(z, t, topology, policy, budget,
-                           pathloss_linear(topology.disk_radii[t - 1], budget),
-                           coeff, "Z")
-
-
-def _asymptotic_mix(x, t, topology, policy, budget, ell, coeff, label):
-    _check_slot(t, topology)
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    total = 0.0
-    for tau, w in _chain_weights(t, policy):
-        if w == 0.0:
-            continue
-        scaled = coeff * x / (budget.gamma_bar0 * ell
-                              * _xi_product(tau, t, topology, policy, budget))
-        # branches still outside their small-argument regime saturate at
-        # certain outage instead of overshooting
-        term = residue_asymptote_cdf(scaled, t - tau)
-        total += w * min(max(term, 0.0), 1.0)
-    return _clamp(total, f"asymptotic_cdf_{label}(t={t})")
+    return _nearest_mix(KernelMemo(), "asymptotic_cdf", t, topology, policy,
+                        budget, None, z)
 
 
 # ---------------------------------------------------------------------------
 # outage probabilities
 # ---------------------------------------------------------------------------
-
-def _deficit_at(threshold: float, evaluate) -> float:
-    """CDF deficit at a threshold, honoring the +inf / degenerate corners."""
-    if threshold <= 0.0:
-        return 0.0
-    if math.isinf(threshold):
-        return 1.0
-    return evaluate(threshold)
-
 
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
@@ -516,7 +529,7 @@ class SlotMarginals:
 
     def __init__(self, scheme: Scheme, topology: NetworkTopology,
                  policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
-                 nearest_fit=None):
+                 nearest_fit=None, kernels: Optional["KernelMemo"] = None):
         self.scheme = scheme
         self.topology = topology
         self.policy = policy
@@ -525,6 +538,7 @@ class SlotMarginals:
         self.thresholds = decoding_thresholds(plan, policy, topology.node_count,
                                               scheme)
         self._nearest_fit = nearest_fit
+        self.kernels = KernelMemo() if kernels is None else kernels
         self._memo = {}
 
     def _once(self, compute, *args):
@@ -555,58 +569,44 @@ class SlotMarginals:
         log_idle = log_null_probability(topology.density_active,
                                         topology.disk_radii[t - 1])
         iota = (math.exp(log_idle), -math.expm1(log_idle))
-        rho = (policy.rho0(t + 1), policy.rho1(t + 1))
-
-        if asymptotic:
-            def evaluate(x):
-                return asymptotic_cdf_X(x, t, topology, policy, budget)
-        else:
-            def evaluate(x):
-                return cdf_X(x, t, topology, policy, budget)
-
-        op = 0.0
-        for i in (0, 1):
-            if rho[i] == 0.0:
-                continue
-            for j in (0, 1):
-                if iota[j] == 0.0:
-                    continue
-                op += rho[i] * iota[j] * _deficit_at(
-                    self.thresholds.relay[i][j], evaluate)
-        return _clamp(op, f"op_typeI(t={t})")
+        form = "asymptotic_cdf" if asymptotic else "cdf"
+        evaluate = functools.partial(_hop_mix, self.kernels, form, t,
+                                     topology, policy, budget)
+        return self._outage(t, self.thresholds.relay, iota, evaluate,
+                            f"op_typeI(t={t})")
 
     def _device(self, t, k, asymptotic):
         topology, policy, budget = self.topology, self.policy, self.budget
-        rho = (policy.rho0(t + 1), policy.rho1(t + 1))
+        form = "asymptotic_cdf" if asymptotic else "cdf"
         if k is None:
             thresholds = self.thresholds.qom_device[t - 1]
             label = f"op_typeII_qom(t={t})"
-            if asymptotic:
-                def evaluate(z):
-                    return asymptotic_cdf_Z(z, t, topology, policy, budget)
-            else:
-                if self._nearest_fit is None:
-                    raise ValueError(
-                        "exact qom outage needs the nearest-gain fit")
-                fit = self._nearest_fit(t)
-
-                def evaluate(z):
-                    return cdf_Z(z, t, topology, policy, budget, fit)
+            if not asymptotic and self._nearest_fit is None:
+                raise ValueError("exact qom outage needs the nearest-gain fit")
+            fit = None if asymptotic else self._nearest_fit(t)
+            evaluate = functools.partial(_nearest_mix, self.kernels, form, t,
+                                         topology, policy, budget, fit)
         else:
             thresholds = self.thresholds.com_device[t - 1][k - 1]
             label = f"op_typeII_com(t={t},k={k})"
-            if asymptotic:
-                def evaluate(y):
-                    return asymptotic_cdf_Y(y, t, k, topology, policy, budget)
-            else:
-                def evaluate(y):
-                    return cdf_Y(y, t, k, topology, policy, budget)
+            evaluate = functools.partial(_com_mix, self.kernels, form, t, k,
+                                         topology, policy, budget)
+        return self._outage(t, tuple((th,) for th in thresholds), (1.0,),
+                            evaluate, label)
 
+    def _outage(self, t, thresholds, iota, evaluate, label):
+        """CDF deficit at ``thresholds[i][j]``, mixed over the receiver's
+        harvest state i and the sender's states j, weighted by ``iota``."""
+        rho = (self.policy.rho0(t + 1), self.policy.rho1(t + 1))
         op = 0.0
         for i in (0, 1):
-            if rho[i] == 0.0:
-                continue
-            op += rho[i] * _deficit_at(thresholds[i], evaluate)
+            for j, share in enumerate(iota):
+                threshold = thresholds[i][j]
+                # a threshold at or below zero never fails; +inf always does
+                if rho[i] == 0.0 or share == 0.0 or threshold <= 0.0:
+                    continue
+                op += rho[i] * share * (1.0 if math.isinf(threshold)
+                                        else evaluate(threshold))
         return _clamp(op, label)
 
     def _e2e(self, node, asymptotic):
@@ -689,7 +689,6 @@ def e2e_op(node, scheme: Scheme, topology: NetworkTopology, policy: EhPolicy,
     nearest_fit = None if fits is None else (lambda t: fits[t - 1])
     return SlotMarginals(scheme, topology, policy, budget, plan,
                          nearest_fit).e2e(node, asymptotic)
-
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,9 @@ def pathloss_db(x: float, budget: LinkBudget) -> float:
 
 def pathloss_linear(x: float, budget: LinkBudget) -> float:
     """Linear path gain L (d0/x)^epsilon; agrees with the dB form."""
-    if np.any(np.asarray(x) <= 0.0):
+    # a float skips the array round trip; NaN passes either way
+    bad = x <= 0.0 if isinstance(x, float) else np.any(np.asarray(x) <= 0.0)
+    if bad:
         raise ValueError(f"distance must be positive, got {x}")
     return budget.L * (budget.d0 / x) ** budget.epsilon
 

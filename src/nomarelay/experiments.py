@@ -305,6 +305,7 @@ class _SweepCore:
 
     def __init__(self, fit_cache: Optional[str]):
         self.fits = FitBook(fit_cache)
+        self.kernels = analytics.KernelMemo()
         self._marginals = {}
         self.tallies = {}
 
@@ -316,7 +317,8 @@ class _SweepCore:
                 scenario.scheme, scenario.topology, scenario.policy,
                 scenario.budget, scenario.plan,
                 nearest_fit=functools.partial(_nearest_fit, self.fits,
-                                              scenario))
+                                              scenario),
+                kernels=self.kernels)
         return self._marginals[scenario]
 
 
@@ -545,6 +547,7 @@ def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
             continue
         for metric, selector in zip(config.sweep.metrics, selectors):
             _emit_point(ctx, metric, selector, source, config.seed, result)
+    core.kernels.log_summary()
     if out_path is not None:
         emit_results(result.rows, fmt, out_path)
     return result

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import FittedGainDistribution, LinkBudget
+from .channel import LinkBudget
 from .geometry import CoverageDisk
 from .power import EhPolicy, uniform_policy
 
@@ -139,18 +139,13 @@ def build_policy(scheme: Scheme, node_count: int, rho: float,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one evaluation needs: scheme, layout, powering, budget, plan.
-
-    ``nearest_fits`` carries the per-slot Singh-Maddala approximations the
-    qom analytics consume; com and baseline scenarios leave it None.
-    """
+    """Everything one evaluation needs: scheme, layout, powering, budget, plan."""
 
     scheme: Scheme
     topology: NetworkTopology
     policy: EhPolicy
     budget: LinkBudget
     plan: "AllocationPlan"  # noqa: F821 - defined in analytics
-    nearest_fits: Optional[tuple] = None
 
     def __post_init__(self):
         if self.policy.node_count != self.topology.node_count:
@@ -165,15 +160,3 @@ class Scenario:
         if want is None and self.policy.is_harvesting:
             raise ValueError(
                 f"{self.scheme.value} disallows harvesting but rho is nonzero")
-        if self.scheme.pairing == "qom" and self.nearest_fits is not None:
-            if len(self.nearest_fits) != self.topology.hop_count:
-                raise ValueError("need one nearest-gain fit per slot")
-            for fit in self.nearest_fits:
-                if not isinstance(fit, FittedGainDistribution):
-                    raise ValueError("nearest_fits entries must be fitted distributions")
-
-    def fit_for_slot(self, t: int) -> FittedGainDistribution:
-        if self.nearest_fits is None:
-            raise ValueError(
-                f"scenario for {self.scheme.value} carries no nearest-gain fits")
-        return self.nearest_fits[t - 1]

@@ -62,9 +62,8 @@ def _scenario(scheme, p0_dbm, rho=0.1):
     reference = default_allocation(T1, build_policy(Scheme.TCOM, 4, rho))
     plan = default_allocation(T1, policy) \
         if scheme.harvesting == "BPEH" else reference
-    fits = (FIT100,) * 3 if scheme.pairing == "qom" else None
     return Scenario(scheme=scheme, topology=T1, policy=policy,
-                    budget=_budget(p0_dbm), plan=plan, nearest_fits=fits)
+                    budget=_budget(p0_dbm), plan=plan)
 
 
 def test_criterion_1_slot_outage_oracle_equivalence():

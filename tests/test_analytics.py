@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nomarelay import analytics
 from nomarelay.analytics import (
     AllocationPlan,
+    KernelMemo,
+    SlotMarginals,
     annulus_small_gain_coefficient,
     asymptotic_cdf_X,
     asymptotic_cdf_Y,
@@ -490,3 +493,56 @@ def test_diversity_needs_enough_points():
         diversity_order_estimate([30.0, 35.0, 40.0], [1e-3, 1e-4, 1e-5])
     with pytest.raises(ValueError, match="align"):
         diversity_order_estimate([30.0, 35.0], [1e-3])
+
+
+# ---------------------------------------------------------------------------
+# kernel memo
+# ---------------------------------------------------------------------------
+
+def _marginals(scheme, kernels):
+    policy = build_policy(scheme, 4, 0.3)
+    plan = default_allocation(T1, policy)
+    return SlotMarginals(scheme, T1, policy, BUDGET, plan,
+                         nearest_fit=lambda t: FIT100, kernels=kernels)
+
+
+def _every_marginal(marginals, asymptotic):
+    values = []
+    for t in range(1, T1.hop_count + 1):
+        values.append(marginals.hop(t, asymptotic))
+        ks = (range(1, T1.subarea_counts[t - 1] + 1)
+              if marginals.scheme.pairing == "com" else (None,))
+        for k in ks:
+            values.append(marginals.device(t, k, asymptotic))
+            values.append(marginals.e2e((t, k), asymptotic))
+    values.append(marginals.e2e("destination", asymptotic))
+    values.append(marginals.throughput(asymptotic))
+    return values
+
+
+@pytest.mark.parametrize("asymptotic", [False, True])
+def test_shared_kernel_memo_returns_the_private_floats(asymptotic):
+    shared = KernelMemo()
+    for scheme in (Scheme.TCOM, Scheme.PCOM, Scheme.TQOM, Scheme.PQOM):
+        private = _every_marginal(_marginals(scheme, None), asymptotic)
+        assert _every_marginal(_marginals(scheme, shared), asymptotic) == private
+    # the four schemes share hop laws, so the shared memo saw repeats
+    assert sum(shared.lookups.values()) > len(shared)
+
+
+def test_standalone_evaluations_keep_no_memo_between_calls(monkeypatch):
+    calls = []
+    kernel = analytics.annulus_kernel_deficit
+    monkeypatch.setattr(analytics, "annulus_kernel_deficit",
+                        lambda *args: calls.append(args) or kernel(*args))
+    first = cdf_Y(1e-2, 2, 2, T1, BTEH, BUDGET)
+    evaluated = len(calls)
+    assert evaluated > 0
+    assert cdf_Y(1e-2, 2, 2, T1, BTEH, BUDGET) == first
+    assert len(calls) == 2 * evaluated
+    # a standalone SlotMarginals owns its memo; a sweep hands one in
+    memo = KernelMemo()
+    assert SlotMarginals(Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH,
+                         kernels=memo).kernels is memo
+    assert SlotMarginals(Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH).kernels \
+        is not memo

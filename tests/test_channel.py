@@ -90,8 +90,12 @@ def test_pathloss_exceeds_unity_at_short_range():
 
 def test_pathloss_domain_error():
     b = default_budget()
-    with pytest.raises(ValueError):
-        pathloss_linear(0.0, b)
+    for bad in (0.0, -1.0, np.float64(-2.0), 0, np.array([50.0, 0.0])):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            pathloss_linear(bad, b)
+    # NaN passes the check, as a float and inside an array alike
+    assert math.isnan(pathloss_linear(math.nan, b))
+    assert np.isnan(pathloss_linear(np.array([math.nan]), b)).all()
     with pytest.raises(ValueError):
         pathloss_db(-3.0, b)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nomarelay import channel, cli, experiments, montecarlo
+from nomarelay import analytics, channel, cli, experiments, montecarlo
 from nomarelay.experiments import (
     RESULT_COLUMNS,
     RunConfig,
@@ -378,29 +378,106 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _shipped(tmp_path, name, **overrides):
+    """A shipped config, its fit sidecar (if it names one) copied to tmp."""
     config = load_config(ROOT / "configs" / f"{name}.yaml")
-    sidecar = tmp_path / "fits.json"
-    shutil.copyfile(ROOT / config.fit_cache, sidecar)
-    return dataclasses.replace(config, fit_cache=str(sidecar), **overrides)
+    if config.fit_cache is not None:
+        sidecar = tmp_path / "fits.json"
+        shutil.copyfile(ROOT / config.fit_cache, sidecar)
+        config = dataclasses.replace(config, fit_cache=str(sidecar))
+    return dataclasses.replace(config, **overrides)
 
 
-# sha256 of the analytic tables of two shipped configs, as emitted before
-# the sweep core shared marginals and fits across points
+# sha256 of the analytic table of every shipped config, as emitted before
+# the sweep core shared marginals and fits across points and before the
+# sweep shared one kernel memo
 GOLDEN_ANALYTIC = {
+    "alpha_share":
+        "b7289df5b3cc22787067621cee9c8082a9ec748ef1883836ad562a782d0df903",
+    "density":
+        "fb5c93af4cba29fa0bcfa5a66ab04351a03239ad467fcd286703460ebbede669",
+    "destination_op_p0":
+        "691f1d23624064eb667ab8a7516b94d13d7e6122b5cacfd9e9792ea5540ff1a8",
+    "efficiency_rho":
+        "8432410e127e6810c2293f6abafb99be859651615fa9ec7243d38e2e59833c70",
+    "rho_tradeoff":
+        "7f78b3e1368235685d88f039c15198599a7c3952eb7e414684bbefc9e1666c60",
+    "scaling_com":
+        "6be50823a15ebb9bd6de7e8e30b2780f53a20d1a50a79ff896b5547c65eed7fc",
+    "scaling_qom":
+        "364bb69af1c77e3b69156f0aef3352e8477900a1aa7d4057f46676548751bcff",
+    "throughput_p0":
+        "9513bc6c6190ebacd0caaf76cded6919275f984cd67eb1e6edeef35d3d7d6337",
     "validate_chain":
         "b18e3600486bfd4d30a6053cdb9441f3e83e77ddb64105a8227721cdc94b012b",
+    "validate_devices_com":
+        "4bafd44dbe34b0c4e6a24cb8c1b6eeb7883437cef47efc38bc81db221800b663",
     "validate_devices_qom":
         "50e33e9cfea128386c637f970cf2b2c8fa66ae70f27f865345d06aa124f68302",
 }
 
 
+def test_every_shipped_config_has_a_golden_analytic_table():
+    shipped = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
+    assert shipped == sorted(GOLDEN_ANALYTIC)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
-def test_shipped_analytic_tables_are_byte_identical(tmp_path, name):
-    result = run_sweep(_shipped(tmp_path, name), source="analytic")
+def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
+    config = _shipped(tmp_path, name)
+    # debug logging reports the kernel memo without touching the table
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
+        result = run_sweep(config, source="analytic")
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC[name]
-    assert (tmp_path / "fits.json").read_bytes() \
-        == (ROOT / "data" / "nearest_fits.json").read_bytes()
+    if config.fit_cache is not None:
+        assert (tmp_path / "fits.json").read_bytes() \
+            == (ROOT / "data" / "nearest_fits.json").read_bytes()
+    summaries = [r.getMessage() for r in caplog.records
+                 if r.name == "nomarelay.analytics"
+                 and r.getMessage().startswith("kernel memo: ")]
+    assert len(summaries) == 1 and "hit ratio" in summaries[0]
+
+
+KERNELS = ("prod_exp_ccdf", "prod_exp_cdf", "annulus_kernel",
+           "annulus_kernel_deficit", "nearest_kernel", "nearest_kernel_deficit",
+           "residue_asymptote_cdf")
+
+
+def _count_kernels(monkeypatch):
+    """Record every kernel evaluation the analytic layer makes."""
+    calls = []
+    for name in KERNELS:
+        def counted(*args, name=name, fn=getattr(analytics, name)):
+            calls.append((name,) + args)
+            return fn(*args)
+        monkeypatch.setattr(analytics, name, counted)
+    return calls
+
+
+def test_sweep_evaluates_each_kernel_argument_once(monkeypatch, tmp_path,
+                                                  caplog):
+    calls = _count_kernels(monkeypatch)
+    config = _shipped(tmp_path, "rho_tradeoff")
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
+        first = render_results(run_sweep(config, source="analytic").rows, "csv")
+    evaluated = list(calls)
+    assert evaluated and len(set(evaluated)) == len(evaluated)
+    # the summary counts the same evaluations, and a hit for every repeat
+    summary = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("kernel memo: ")]
+    families = dict(part.split(" ", 1)
+                    for part in summary[0][len("kernel memo: "):].split("; "))
+    assert sorted(families) == ["annulus", "nearest", "prod_exp"]
+    for family, text in families.items():
+        lookups, evaluations = (int(word) for word in text.split()[0:3:2])
+        assert evaluations == sum(1 for name, *_ in evaluated
+                                  if name.startswith(family))
+        assert lookups > evaluations
+    # the memo is scoped to one call: a second sweep pays its own cost
+    calls.clear()
+    second = render_results(run_sweep(config, source="analytic").rows, "csv")
+    assert sorted(map(repr, calls)) == sorted(map(repr, evaluated))
+    assert first == second
 
 
 # sha256 of the simulated validate_chain table at 140,000 outage and 70,000

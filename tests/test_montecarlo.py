@@ -42,7 +42,7 @@ FIT100 = FittedGainDistribution(mu=0.12381469748798679,
                                 fit_error=0.00016760753354505553)
 
 
-def scenario(scheme, rho=0.1, topology=T1, fits=False):
+def scenario(scheme, rho=0.1, topology=T1):
     policy = build_policy(scheme, topology.node_count, rho)
     plan = default_allocation(topology,
                               build_policy(Scheme.TCOM, topology.node_count,
@@ -50,13 +50,11 @@ def scenario(scheme, rho=0.1, topology=T1, fits=False):
     if scheme.harvesting == "BPEH":
         plan = default_allocation(topology, policy)
     return Scenario(scheme=scheme, topology=topology, policy=policy,
-                    budget=BUDGET, plan=plan,
-                    nearest_fits=(FIT100,) * topology.hop_count
-                    if fits else None)
+                    budget=BUDGET, plan=plan)
 
 
 TCOM = scenario(Scheme.TCOM)
-TQOM = scenario(Scheme.TQOM, fits=True)
+TQOM = scenario(Scheme.TQOM)
 
 
 def test_estimate_invariants():

@@ -108,12 +108,3 @@ def test_scenario_rejects_harvesting_for_noeh_scheme():
     with pytest.raises(ValueError, match="disallows harvesting"):
         Scenario(scheme=Scheme.COM_NOEH, topology=T1, policy=policy,
                  budget=BUDGET, plan=plan)
-
-
-def test_scenario_checks_fit_list_shape():
-    s = _scenario(Scheme.TQOM)
-    with pytest.raises(ValueError, match="no nearest-gain fits"):
-        s.fit_for_slot(1)
-    with pytest.raises(ValueError, match="one nearest-gain fit per slot"):
-        Scenario(scheme=Scheme.TQOM, topology=T1, policy=s.policy,
-                 budget=BUDGET, plan=s.plan, nearest_fits=(None,))
