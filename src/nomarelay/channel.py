@@ -7,7 +7,9 @@ over the annulus or nearest-device distance law.  The annulus mixture has
 a closed form in lower incomplete gamma functions; the nearest-device
 mixture only has an integral form, which we evaluate by quadrature and
 approximate with a fitted Singh-Maddala (Burr XII) distribution whose
-Fox-H representation the analytical layer consumes.
+Fox-H representation the analytical layer consumes; the annulus mixture
+enters that layer directly as a kernel.  The path gain at 1 m is the
+constant ``LinkBudget.L``.
 
 Note: the printed dB path-loss convention yields gains above one at short
 range; we keep the formula exactly as given rather than re-deriving it.
@@ -28,21 +30,18 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from .geometry import CoverageDisk
-from .specfun import FoxSpec, KernelConvergenceError, fox_h, lower_incomplete_gamma
+from .specfun import KernelConvergenceError
 
 logger = logging.getLogger(__name__)
 
 REFERENCE_NOISE_DBM_PER_HZ = -174.0
 
+# absolute error target of the nearest-gain quadrature
+_QUAD_TOL = 1e-9
+
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError(f"power must be positive, got {watts}")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 def noise_power_w(bandwidth_hz: float) -> float:
@@ -56,8 +55,8 @@ def noise_power_w(bandwidth_hz: float) -> float:
 class LinkBudget:
     """Transmit power, noise floor, and UMi path-loss parameters.
 
-    ``L`` is the path gain at the reference distance ``d0``; it and the
-    reference SNR ``gamma_bar0 = P0 / sigma2`` are derived on construction.
+    ``L`` is the path gain at 1 m; it and the reference SNR
+    ``gamma_bar0 = P0 / sigma2`` are derived from the fields.
     """
 
     P0: float          # W
@@ -65,14 +64,13 @@ class LinkBudget:
     f_c: float = 3.0   # GHz
     G_r: float = 5.0   # dBi
     G_t: float = 5.0   # dBi
-    d0: float = 1.0    # m
     epsilon: float = 3.67
 
     def __post_init__(self):
         if self.P0 <= 0.0 or self.sigma2 <= 0.0:
             raise ValueError("P0 and sigma2 must be positive")
-        if self.f_c <= 0.0 or self.d0 <= 0.0:
-            raise ValueError("f_c and d0 must be positive")
+        if self.f_c <= 0.0:
+            raise ValueError("f_c must be positive")
         if self.epsilon <= 2.0:
             raise ValueError(
                 f"path-loss exponent must exceed 2 for finite moments, got {self.epsilon}")
@@ -88,74 +86,18 @@ class LinkBudget:
     def gamma_bar0(self) -> float:
         return self.P0 / self.sigma2
 
-    def with_p0(self, p0_watts: float) -> "LinkBudget":
-        return LinkBudget(P0=p0_watts, sigma2=self.sigma2, f_c=self.f_c,
-                          G_r=self.G_r, G_t=self.G_t, d0=self.d0,
-                          epsilon=self.epsilon)
-
-
-def pathloss_db(x: float, budget: LinkBudget) -> float:
-    """Path gain in dB at distance x (negative of the UMi loss expression)."""
-    if x <= 0.0:
-        raise ValueError(f"distance must be positive, got {x}")
-    return (-budget.G_r - budget.G_t + 22.7 + 26.0 * math.log10(budget.f_c)
-            - 10.0 * budget.epsilon * math.log10(x / budget.d0))
-
 
 def pathloss_linear(x: float, budget: LinkBudget) -> float:
-    """Linear path gain L (d0/x)^epsilon; agrees with the dB form."""
+    """Linear path gain L (1/x)^epsilon at distance x in metres."""
     # a float skips the array round trip; NaN passes either way
     bad = x <= 0.0 if isinstance(x, float) else np.any(np.asarray(x) <= 0.0)
     if bad:
         raise ValueError(f"distance must be positive, got {x}")
-    return budget.L * (budget.d0 / x) ** budget.epsilon
-
-
-def cdf_phi(phi, hop_distance: float, budget: LinkBudget):
-    """CDF of a fixed-distance hop gain: exponential with mean l(d)."""
-    mean = pathloss_linear(hop_distance, budget)
-    phi = np.asarray(phi, dtype=float)
-    out = -np.expm1(-np.maximum(phi, 0.0) / mean)
-    return float(out) if out.ndim == 0 else out
-
-
-def ccdf_varphi_annulus(phi: float, k: int, disk: CoverageDisk,
-                        budget: LinkBudget) -> float:
-    """Survival function of the annulus-device gain (distance-mixed fade).
-
-    Mixing the exponential fade over the annulus distance law gives, with
-    c = phi / l(r_t) and a = 2/epsilon,
-
-        Fbar = [2 K^2 / ((2k-1) eps)] c^-a [g(a, c (k/K)^eps) - g(a, c ((k-1)/K)^eps)]
-
-    where g is the lower incomplete gamma function.  Computed directly (no
-    one-minus) so small-phi values keep relative accuracy.
-    """
-    k = disk._check_annulus(k)
-    if phi < 0.0:
-        raise ValueError(f"gain must be non-negative, got {phi}")
-    if phi == 0.0:
-        return 1.0
-    eps = budget.epsilon
-    kt = disk.subarea_count
-    c = phi / pathloss_linear(disk.radius, budget)
-    a = 2.0 / eps
-    upper = lower_incomplete_gamma(a, c * (k / kt) ** eps)
-    lower = lower_incomplete_gamma(a, c * ((k - 1) / kt) ** eps) if k > 1 else 0.0
-    return 2.0 * kt**2 / ((2 * k - 1) * eps) * c ** (-a) * (upper - lower)
-
-
-def cdf_varphi_annulus(phi: float, k: int, disk: CoverageDisk,
-                       budget: LinkBudget) -> float:
-    if phi < 0.0:
-        raise ValueError(f"gain must be non-negative, got {phi}")
-    if phi == 0.0:
-        return 0.0
-    return 1.0 - ccdf_varphi_annulus(phi, k, disk, budget)
+    return budget.L * (1.0 / x) ** budget.epsilon
 
 
 def ccdf_varphi_nearest_numeric(phi: float, disk: CoverageDisk,
-                                budget: LinkBudget, tol: float = 1e-9) -> float:
+                                budget: LinkBudget) -> float:
     """Survival function of the nearest-device gain, by quadrature.
 
     Conditioning the exponential fade on the truncated contact distance and
@@ -185,20 +127,21 @@ def ccdf_varphi_nearest_numeric(phi: float, disk: CoverageDisk,
                      if 0.0 < w < 1.0})
     value, err = quad(lambda w: math.exp(-a * w - c * w**half_eps), 0.0, 1.0,
                       points=breaks or None,
-                      epsabs=tol * 1e-2, epsrel=1e-12, limit=200)
-    if err > tol:
+                      epsabs=_QUAD_TOL * 1e-2, epsrel=1e-12, limit=200)
+    if err > _QUAD_TOL:
         raise KernelConvergenceError(
-            "nearest-gain quadrature did not converge", achieved=err, target=tol)
+            "nearest-gain quadrature did not converge", achieved=err,
+            target=_QUAD_TOL)
     return a / -math.expm1(-a) * value
 
 
 def cdf_varphi_nearest_numeric(phi: float, disk: CoverageDisk,
-                               budget: LinkBudget, tol: float = 1e-9) -> float:
+                               budget: LinkBudget) -> float:
     if phi < 0.0:
         raise ValueError(f"gain must be non-negative, got {phi}")
     if phi == 0.0:
         return 0.0
-    return 1.0 - ccdf_varphi_nearest_numeric(phi, disk, budget, tol=tol)
+    return 1.0 - ccdf_varphi_nearest_numeric(phi, disk, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +170,6 @@ def singh_maddala_cdf(phi, fit: FittedGainDistribution):
     phi = np.maximum(np.asarray(phi, dtype=float), 0.0)
     out = 1.0 - (1.0 + (phi / fit.mu) ** fit.theta) ** (-fit.m)
     return float(out) if out.ndim == 0 else out
-
-
-def singh_maddala_ccdf(phi, fit: FittedGainDistribution):
-    phi = np.maximum(np.asarray(phi, dtype=float), 0.0)
-    out = (1.0 + (phi / fit.mu) ** fit.theta) ** (-fit.m)
-    return float(out) if out.ndim == 0 else out
-
-
-def singh_maddala_ccdf_foxh(phi: float, fit: FittedGainDistribution) -> float:
-    """Same survival function through the Fox-H layout the analysis uses.
-
-    H^{1,1}_{1,1}[(phi/mu)^-theta | (1,1); (m,1)] / Gamma(m) must reduce to
-    the elementary Singh-Maddala form; keeping this route alive validates
-    the kernel on a known identity.
-    """
-    if phi <= 0.0:
-        raise ValueError(f"gain must be positive, got {phi}")
-    spec = FoxSpec(1, 1, 1, 1, ((1.0, 1.0),), ((fit.m, 1.0),))
-    x = (phi / fit.mu) ** (-fit.theta)
-    return fox_h(spec, x) / math.gamma(fit.m)
 
 
 def _quantile_matched_start(m: float, grid: np.ndarray, target: np.ndarray):
@@ -384,28 +307,23 @@ class FitBook:
         self._sidecar = None
         self._fits = {}
 
-    def fit(self, disk: CoverageDisk, budget: LinkBudget,
-            grid_spec: tuple = (1e-4, 1e4, 200),
-            max_error: float = 1e-2) -> FittedGainDistribution:
+    def fit(self, disk: CoverageDisk, budget: LinkBudget) -> FittedGainDistribution:
         key = fit_cache_key(disk, budget)
-        memo = (key, tuple(grid_spec), max_error)
-        if memo not in self._fits:
-            self._fits[memo] = self._resolve(key, disk, budget, grid_spec,
-                                             max_error)
-        entry = self._fits[memo]
+        if key not in self._fits:
+            self._fits[key] = self._resolve(key, disk, budget)
+        entry = self._fits[key]
         if isinstance(entry, FitError):
             raise entry
         return entry
 
-    def _resolve(self, key, disk, budget, grid_spec, max_error):
+    def _resolve(self, key, disk, budget):
         if self._sidecar is None:
             self._sidecar = ({} if self.cache_path is None
                              else load_fit_cache(self.cache_path))
         if key in self._sidecar:
             return self._sidecar[key]
         try:
-            fit = fit_singh_maddala(disk, budget, grid_spec=grid_spec,
-                                    max_error=max_error)
+            fit = fit_singh_maddala(disk, budget)
         except FitError as exc:
             return exc
         if self.cache_path is not None:
@@ -417,11 +335,3 @@ class FitBook:
                                self.cache_path, exc)
         return fit
 
-
-def fit_singh_maddala_cached(disk: CoverageDisk, budget: LinkBudget,
-                             cache_path: str,
-                             grid_spec: tuple = (1e-4, 1e4, 200),
-                             max_error: float = 1e-2) -> FittedGainDistribution:
-    """Fit with a JSON sidecar so sweeps do not refit identical geometries."""
-    return FitBook(cache_path).fit(disk, budget, grid_spec=grid_spec,
-                                   max_error=max_error)

@@ -13,7 +13,8 @@ import argparse
 import dataclasses
 import sys
 
-from .experiments import fill_fit_cache, load_config, render_results, run_sweep
+from .experiments import (emit_results, fill_fit_cache, load_config,
+                          render_results, run_sweep)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -40,13 +41,10 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     result = run_sweep(config, source=args.source, trials=args.trials,
                        seed=args.seed)
-    if result.rows:
-        payload = render_results(result.rows, args.format)
-        if args.out is None:
-            sys.stdout.write(payload)
-        else:
-            with open(args.out, "w") as handle:
-                handle.write(payload)
+    if result.rows and args.out is None:
+        sys.stdout.write(render_results(result.rows, args.format))
+    elif result.rows:
+        emit_results(result.rows, args.format, args.out)
     _report(result)
     return 0 if result.clean else 1
 

@@ -162,76 +162,87 @@ def parse_metric(metric: str):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _topology_from_spec(spec, densities) -> NetworkTopology:
+# the keys of each config section; each sets the RunConfig field of the
+# same name, prefixed with ``trials_`` under ``trials``
+_SECTIONS = {
+    "budget": ("p0_dbm", "bandwidth_hz", "f_c_ghz", "gain_rx_dbi",
+               "gain_tx_dbi", "epsilon"),
+    "policy": ("rho", "alpha", "beta", "eta"),
+    "plan": ("relay_share", "rate_fraction", "rate_cap"),
+    "trials": ("outage", "throughput"),
+}
+_SWEEP_KEYS = ("variable", "grid", "schemes", "metrics", "include_asymptotic")
+_TOPOLOGY_KEYS = ("hop_distances", "disk_radii", "subarea_counts")
+
+
+def _checked(mapping, known, where: str) -> dict:
+    """``mapping`` after rejecting every key outside ``known``."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where}: expected a mapping, got {mapping!r}")
+    extra = set(mapping) - set(known)
+    if extra:
+        raise ValueError(f"{where}: unknown config keys {sorted(extra)}")
+    return mapping
+
+
+def _topology_from_spec(spec, density_active: float, where: str) -> NetworkTopology:
     if isinstance(spec, str):
         try:
             spec = TOPOLOGY_PRESETS[spec.lower()]
         except KeyError:
             raise ValueError(f"unknown topology preset {spec!r}") from None
+    spec = _checked(spec, _TOPOLOGY_KEYS, where)
     return NetworkTopology(
         hop_distances=tuple(float(d) for d in spec["hop_distances"]),
         disk_radii=tuple(float(r) for r in spec["disk_radii"]),
         subarea_counts=tuple(int(k) for k in spec["subarea_counts"]),
-        density_active=float(densities.get("active", 1e-2)),
-        density_inactive=float(densities.get("inactive", 1e-3)),
+        density_active=density_active,
     )
 
 
 def load_config(path) -> RunConfig:
-    """Parse a YAML run config; unknown keys are rejected."""
-    raw = yaml.safe_load(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a mapping")
-    known = {"topology", "densities", "topology_by_node_count", "budget",
-             "policy", "plan", "sweep", "trials", "seed", "fit_cache"}
-    extra = set(raw) - known
-    if extra:
-        raise ValueError(f"{path}: unknown config keys {sorted(extra)}")
-    densities = raw.get("densities", {})
-    topology = _topology_from_spec(raw.get("topology", "t1"), densities)
-    sweep_raw = raw.get("sweep", {})
-    grid = sweep_raw.get("grid", ())
-    if sweep_raw.get("variable") == "subarea_counts":
-        grid = tuple(tuple(int(k) for k in row) for row in grid)
+    """Parse a YAML run config; unknown keys are rejected in every section.
+
+    Only the keys present are passed on, so the defaults of
+    :class:`RunConfig` and :class:`SweepSpec` apply to the rest.
+    """
+    raw = _checked(yaml.safe_load(Path(path).read_text()),
+                   ("topology", "densities", "topology_by_node_count",
+                    "sweep", "seed", "fit_cache", *_SECTIONS), path)
+    density = float(_checked(raw.get("densities", {}), ("active",),
+                             f"{path} densities").get("active", 1e-2))
+    topology = _topology_from_spec(raw.get("topology", "t1"), density,
+                                   f"{path} topology")
+    sweep = dict(_checked(raw.get("sweep", {}), _SWEEP_KEYS, f"{path} sweep"))
+    sweep.setdefault("variable", "p0_dbm")
+    grid = sweep.get("grid", ())
+    if sweep["variable"] == "subarea_counts":
+        sweep["grid"] = tuple(tuple(int(k) for k in row) for row in grid)
     else:
-        grid = tuple(float(v) if not isinstance(v, int) else v for v in grid)
-    sweep = SweepSpec(
-        variable=sweep_raw.get("variable", "p0_dbm"),
-        grid=grid,
-        schemes=tuple(Scheme.parse(s) for s in sweep_raw.get("schemes", ())),
-        metrics=tuple(sweep_raw.get("metrics", ())),
-        include_asymptotic=bool(sweep_raw.get("include_asymptotic", False)),
-    )
-    budget = raw.get("budget", {})
-    policy = raw.get("policy", {})
-    plan = raw.get("plan", {})
-    trials = raw.get("trials", {})
+        sweep["grid"] = tuple(float(v) if not isinstance(v, int) else v
+                              for v in grid)
+    sweep["schemes"] = tuple(Scheme.parse(s) for s in sweep.get("schemes", ()))
+    sweep["metrics"] = tuple(sweep.get("metrics", ()))
+    if "include_asymptotic" in sweep:
+        sweep["include_asymptotic"] = bool(sweep["include_asymptotic"])
+    fields = {}
+    for section, keys in _SECTIONS.items():
+        given = _checked(raw.get(section, {}), keys, f"{path} {section}")
+        if section == "trials":
+            fields.update({f"trials_{k}": int(v) for k, v in given.items()})
+        else:
+            fields.update({k: float(v) for k, v in given.items()})
+    if "seed" in raw:
+        fields["seed"] = int(raw["seed"])
+    if "fit_cache" in raw:
+        fields["fit_cache"] = raw["fit_cache"]
     by_m = raw.get("topology_by_node_count")
     if by_m is not None:
-        by_m = {int(m): _topology_from_spec(spec, densities)
-                for m, spec in by_m.items()}
-    return RunConfig(
-        topology=topology,
-        sweep=sweep,
-        p0_dbm=float(budget.get("p0_dbm", 0.0)),
-        bandwidth_hz=float(budget.get("bandwidth_hz", 1.0e7)),
-        f_c_ghz=float(budget.get("f_c_ghz", 3.0)),
-        gain_rx_dbi=float(budget.get("gain_rx_dbi", 5.0)),
-        gain_tx_dbi=float(budget.get("gain_tx_dbi", 5.0)),
-        epsilon=float(budget.get("epsilon", 3.67)),
-        rho=float(policy.get("rho", 0.1)),
-        alpha=float(policy.get("alpha", 0.2)),
-        beta=float(policy.get("beta", 0.8)),
-        eta=float(policy.get("eta", 1.0)),
-        relay_share=float(plan.get("relay_share", 0.8)),
-        rate_fraction=float(plan.get("rate_fraction", 0.5)),
-        rate_cap=float(plan.get("rate_cap", 0.75)),
-        trials_outage=int(trials.get("outage", 1_000_000)),
-        trials_throughput=int(trials.get("throughput", 100_000)),
-        seed=int(raw.get("seed", 1)),
-        fit_cache=raw.get("fit_cache"),
-        topology_by_node_count=by_m,
-    )
+        fields["topology_by_node_count"] = {
+            int(m): _topology_from_spec(spec, density,
+                                        f"{path} topology_by_node_count {m}")
+            for m, spec in by_m.items()}
+    return RunConfig(topology=topology, sweep=SweepSpec(**sweep), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +291,12 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
     if scheme is Scheme.CNRR:
         topology = topology.without_devices()
         plan = analytics.baseline_plan(reference, topology.hop_count)
-    elif scheme.harvesting is None:
-        plan = reference
-    elif scheme.harvesting == "BTEH":
-        plan = reference
-    else:
+    elif scheme.harvesting == "BPEH":
         plan = analytics.default_allocation(
             topology, policy, relay_share=config.relay_share,
             rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
+    else:
+        plan = reference
     return Scenario(scheme=scheme, topology=topology, policy=policy,
                     budget=budget, plan=plan)
 
@@ -498,14 +507,10 @@ def fill_fit_cache(config: RunConfig) -> int:
     return covered
 
 
-def _format_value(value) -> str:
-    return repr(value)
-
-
-def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
-              trials: Optional[int] = None, seed: Optional[int] = None,
-              fmt: str = "csv") -> SweepResult:
-    """Evaluate the config's sweep and optionally emit the table.
+def run_sweep(config: RunConfig, *, source: str = "both",
+              trials: Optional[int] = None,
+              seed: Optional[int] = None) -> SweepResult:
+    """Evaluate the config's sweep into result rows.
 
     ``source`` selects which rows are produced; with ``both``, analytic
     and simulated rows for the same point are compared and disagreements
@@ -548,63 +553,52 @@ def run_sweep(config: RunConfig, out_path=None, *, source: str = "both",
         for metric, selector in zip(config.sweep.metrics, selectors):
             _emit_point(ctx, metric, selector, source, config.seed, result)
     core.kernels.log_summary()
-    if out_path is not None:
-        emit_results(result.rows, fmt, out_path)
     return result
 
 
 def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
                 seed: int, result: SweepResult) -> None:
-    base = dict(sweep_var=ctx.config.sweep.variable,
-                value=_format_value(ctx.value), scheme=ctx.scheme.value,
-                metric=metric, seed=seed)
+    base = dict(sweep_var=ctx.config.sweep.variable, value=repr(ctx.value),
+                scheme=ctx.scheme.value, metric=metric, seed=seed)
+
+    def row(row_source, mean, half_width=0.0, trials=0):
+        result.rows.append(ResultRow(source=row_source, mean=mean,
+                                     ci_half_width=half_width, trials=trials,
+                                     **base))
+
+    def fail(exc, row_source=None):
+        # a failed value keeps its row in the table, as NaN
+        if row_source is not None:
+            row(row_source, math.nan, math.nan)
+        result.failures.append((ctx.value, ctx.scheme.value, metric,
+                                f"{type(exc).__name__}: {exc}"))
+
     analytic_value = None
     if source in ("analytic", "both"):
         try:
             analytic_value = ctx.analytic(selector)
-            result.rows.append(ResultRow(source="analytic",
-                                         mean=analytic_value,
-                                         ci_half_width=0.0, trials=0, **base))
+            row("analytic", analytic_value)
         except Exception as exc:
-            result.rows.append(ResultRow(source="analytic", mean=math.nan,
-                                         ci_half_width=math.nan, trials=0,
-                                         **base))
-            result.failures.append((ctx.value, ctx.scheme.value, metric,
-                                    f"{type(exc).__name__}: {exc}"))
+            fail(exc, "analytic")
         if ctx.config.sweep.include_asymptotic:
             try:
-                result.rows.append(ResultRow(
-                    source="asymptotic",
-                    mean=ctx.analytic(selector, asymptotic=True),
-                    ci_half_width=0.0, trials=0, **base))
+                row("asymptotic", ctx.analytic(selector, asymptotic=True))
             except Exception as exc:
-                result.rows.append(ResultRow(source="asymptotic",
-                                             mean=math.nan,
-                                             ci_half_width=math.nan,
-                                             trials=0, **base))
-                result.failures.append((ctx.value, ctx.scheme.value, metric,
-                                        f"{type(exc).__name__}: {exc}"))
+                fail(exc, "asymptotic")
     if source in ("mc", "both"):
         try:
             estimate = ctx.simulated(selector, seed)
         except Exception as exc:
-            result.rows.append(ResultRow(source="mc", mean=math.nan,
-                                         ci_half_width=math.nan, trials=0,
-                                         **base))
-            result.failures.append((ctx.value, ctx.scheme.value, metric,
-                                    f"{type(exc).__name__}: {exc}"))
+            fail(exc, "mc")
             return
-        result.rows.append(ResultRow(source="mc", mean=estimate.mean,
-                                     ci_half_width=estimate.half_width,
-                                     trials=estimate.trials, **base))
+        row("mc", estimate.mean, estimate.half_width, estimate.trials)
         if analytic_value is not None and math.isfinite(analytic_value):
             try:
                 margin = ctx.declared_margin(selector, analytic_value,
                                              estimate)
             except Exception as exc:
                 # the margin of a qom device row reads every slot's fit
-                result.failures.append((ctx.value, ctx.scheme.value, metric,
-                                        f"{type(exc).__name__}: {exc}"))
+                fail(exc)
                 return
             gap = abs(analytic_value - estimate.mean)
             if gap > margin:

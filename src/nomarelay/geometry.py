@@ -2,56 +2,33 @@
 
 Type-II devices form a homogeneous Poisson point process (HPPP) on a disk
 centred at their serving transmitter.  The disk is split into equal-width
-annuli used as NOMA scheduling subareas; the per-annulus device processes
-behave like independent thinnings of the parent process at density
-``lambda / K``.  This module samples those processes and evaluates the
-distance laws the analytical side relies on: the scheduled-device distance
-within an annulus and the nearest-active-device distance on the disk.
+annuli used as NOMA scheduling subareas.  This module holds the disk and
+its null probability; the simulator draws the scheduled-device and
+nearest-device distances itself, and the closed-form layer mixes over
+their laws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-_KINDS = ("active", "inactive")
-
-
-def as_generator(rng_seed) -> np.random.Generator:
-    """Coerce a seed into a counter-based generator.
-
-    Accepts an existing ``Generator`` (passed through), a ``SeedSequence``,
-    or anything ``SeedSequence`` accepts (int, list of ints).  Counter-based
-    Philox streams keep serial and parallel draws bit-identical for the same
-    seed layout.
-    """
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    if not isinstance(rng_seed, np.random.SeedSequence):
-        rng_seed = np.random.SeedSequence(rng_seed)
-    return np.random.Generator(np.random.Philox(rng_seed))
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class CoverageDisk:
-    """Coverage region of one relay: radius, device densities, subarea count."""
+    """Coverage region of one relay: radius, active density, subarea count."""
 
-    center: tuple[float, float]
     radius: float
     density_active: float
-    density_inactive: float
     subarea_count: int = 1
 
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.density_active < 0.0 or self.density_inactive < 0.0:
+        if self.density_active < 0.0:
             raise ValueError("densities must be non-negative")
         if int(self.subarea_count) != self.subarea_count or self.subarea_count < 1:
             raise ValueError(f"subarea_count must be a positive integer, got {self.subarea_count}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     def annulus_bounds(self, annulus_index: int) -> tuple[float, float]:
         """Radial bounds [lo, hi) of the 1-based equal-width annulus."""
@@ -67,112 +44,12 @@ class CoverageDisk:
         return k
 
 
-@dataclass(frozen=True)
-class PointPattern:
-    """One realization of a device process on a disk."""
-
-    points: np.ndarray  # shape (n, 2), absolute coordinates
-    parent_density: float
-    kind: str
-    disk: CoverageDisk = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_hppp_disk(disk: CoverageDisk, kind: str, rng_seed) -> PointPattern:
-    """Draw one HPPP realization on the disk for the given device kind.
-
-    The count is Poisson with mean ``density * pi * radius**2`` and points
-    are uniform on the disk via radius inversion (r = R sqrt(u)), which is
-    exact and needs no rejection loop.  Deterministic for a fixed seed.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    density = disk.density_active if kind == "active" else disk.density_inactive
-    rng = as_generator(rng_seed)
-    count = rng.poisson(density * math.pi * disk.radius**2)
-    radii = disk.radius * np.sqrt(rng.random(count))
-    angles = 2.0 * math.pi * rng.random(count)
-    points = np.column_stack((
-        disk.center[0] + radii * np.cos(angles),
-        disk.center[1] + radii * np.sin(angles),
-    ))
-    return PointPattern(points=points, parent_density=density, kind=kind, disk=disk)
-
-
-def null_probability(density: float, radius: float) -> float:
-    """Probability that a disk of this radius holds no point of the process.
-
-    For the per-annulus scheduling processes the caller passes
-    ``density / subarea_count``.  Use :func:`log_null_probability` when the
-    result would lose precision (dense Type-II deployments push this to
-    ~1e-137 and beyond).
-    """
-    return math.exp(log_null_probability(density, radius))
-
-
 def log_null_probability(density: float, radius: float) -> float:
-    """Log-domain companion of :func:`null_probability` (returns -lambda*pi*r^2)."""
+    """Log-probability that a disk of this radius holds no point of the
+    process: -lambda*pi*r^2, kept in log form because dense Type-II
+    deployments push the probability to ~1e-137 and beyond."""
     if density < 0.0:
         raise ValueError(f"density must be non-negative, got {density}")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     return -density * math.pi * radius**2
-
-
-def annulus_distance_pdf(annulus_index: int, disk: CoverageDisk, distance: float) -> float:
-    """Density of the scheduled-device distance within one annulus.
-
-    A device placed uniformly in the equal-width annulus ``k`` has distance
-    density ``2 K^2 r / ((2k-1) R^2)`` on ``[(k-1)R/K, kR/K)``, which
-    integrates to one over the annulus and collapses to ``2r/R^2`` for a
-    single subarea.
-    """
-    k = disk._check_annulus(annulus_index)
-    if distance < 0.0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
-    lo, hi = disk.annulus_bounds(k)
-    if not lo <= distance < hi:
-        return 0.0
-    kt = disk.subarea_count
-    return 2.0 * kt**2 * distance / ((2 * k - 1) * disk.radius**2)
-
-
-def sample_annulus_distance(annulus_index: int, disk: CoverageDisk, rng_seed) -> float:
-    """Draw one scheduled-device distance from :func:`annulus_distance_pdf`.
-
-    Inversion of the annulus CDF: with u uniform,
-    ``r = (R/K) sqrt((k-1)^2 + (2k-1) u)``.
-    """
-    k = disk._check_annulus(annulus_index)
-    rng = as_generator(rng_seed)
-    u = rng.random()
-    kt = disk.subarea_count
-    return disk.radius / kt * math.sqrt((k - 1) ** 2 + (2 * k - 1) * u)
-
-
-def sample_nearest_distance(disk: CoverageDisk, rng_seed):
-    """Distance from the centre to the nearest active device, or ``None``.
-
-    A single uniform draw inverts the untruncated contact CDF
-    ``1 - exp(-pi lambda r^2)``; draws landing beyond the disk radius mean
-    the disk held no active device, which happens with exactly the null
-    probability ``exp(-lambda pi R^2)``.  Conditioned on a hit, the result
-    follows the truncated contact law on ``[0, R]``.
-    """
-    lam = disk.density_active
-    if lam <= 0.0:
-        raise ValueError("nearest-distance law needs a positive active density")
-    rng = as_generator(rng_seed)
-    u = rng.random()
-    distance = math.sqrt(-math.log1p(-u) / (math.pi * lam))
-    if distance > disk.radius:
-        return None
-    return distance

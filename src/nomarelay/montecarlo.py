@@ -6,10 +6,14 @@ come from the instantaneous rate formulas, never from the analytic
 thresholds.  Trials are vectorized in fixed-size blocks; block ``b`` of a
 run draws from its own counter-derived stream, so estimates are
 bit-identical however the blocks are distributed over workers, and a
-shorter run is a prefix of a longer one with the same seed.  A sweep
-plans its simulation once (:func:`simulate_plan`): shorter trial counts
-are tallied as prefixes of longer ones, and scenarios sharing pairing,
-topology and seed resolve the same draws, with unchanged results.
+shorter run is a prefix of a longer one with the same seed.  Each block
+is drawn by :func:`_draw` and resolved per scenario by :func:`_resolve`.
+A sweep plans its simulation once (:func:`simulate_plan`): shorter trial
+counts are tallied as prefixes of longer ones, and scenarios sharing
+pairing, topology and seed resolve the same draws, with unchanged results.
+Given an active disk, every com annulus holds a scheduled device.
+Single-trial outcomes and empirical survival curves, which only the tests
+read, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import pathloss_linear
-from .geometry import as_generator, log_null_probability
+from .geometry import log_null_probability
 from .network import Scenario
 from .power import omega_factor
 
@@ -62,29 +66,10 @@ class Estimate:
                    trials=trials)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Fully resolved single relaying block.
-
-    ``device_rates``/``device_success`` hold one entry per served device
-    of each slot (com: subarea order; qom: the nearest device; baseline:
-    empty).  A device success bit requires its whole SIC chain, so it can
-    be False even when the own-message rate clears its target.
-    """
-
-    eh_indicators: tuple
-    device_present: tuple
-    powers_w: tuple
-    hop_rates: tuple
-    hop_success: tuple
-    device_rates: tuple
-    device_success: tuple
-
-
 class _Block:
     """Raw per-trial arrays for one simulated block."""
 
-    __slots__ = ("n", "indicators", "active", "com_present", "powers",
+    __slots__ = ("n", "indicators", "active", "powers",
                  "hop_snr", "hop_rates", "hop_ok", "device_snr",
                  "device_rates", "device_ok", "prefix_ok", "msg_ok",
                  "supply_units", "throughput")
@@ -97,67 +82,42 @@ class _Block:
 @dataclass(eq=False)
 class _Draws:
     """Random numbers of one block: they depend only on the pairing,
-    topology, seed, empty-annulus mode and block index."""
+    topology, seed and block index."""
 
     u_eh: np.ndarray
     active: np.ndarray
-    com_present: list | None
     hop_fades: np.ndarray
     device_dist: list
     device_fade: list
     gains: dict = field(default_factory=dict)
 
     def device_gain(self, budget) -> list:
-        """Path gain of every drawn device distance, once per (L, d0, eps)."""
-        key = (budget.L, budget.d0, budget.epsilon)
+        """Path gain of every drawn device distance, once per (L, eps)."""
+        key = (budget.L, budget.epsilon)
         if key not in self.gains:
             self.gains[key] = [pathloss_linear(dist, budget)
                                for dist in self.device_dist]
         return self.gains[key]
 
 
-def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int,
-                    empty_annulus: str = "resample") -> _Block:
-    """Draw and resolve ``n`` independent relaying blocks."""
-    return _resolve(scenario, _draw(scenario.topology, scenario.scheme.pairing,
-                                    rng, n, empty_annulus))
-
-
-def _draw(topo, pairing, rng: np.random.Generator, n: int,
-          empty_annulus: str = "resample") -> _Draws:
+def _draw(topo, pairing, rng: np.random.Generator, n: int) -> _Draws:
     """Draw every random element of ``n`` relaying blocks.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
     and fades.
     """
-    if empty_annulus not in ("resample", "skip"):
-        raise ValueError(f"unknown empty-annulus mode {empty_annulus!r}")
     m, hops = topo.node_count, topo.hop_count
 
     # 1. harvest uniforms of nodes 2..M, compared with rho on resolution
     u_eh = rng.random((m - 1, n))
 
-    # 2. device activity per slot (skip mode resolves it per subarea)
-    com_present = None
-    if pairing == "com" and empty_annulus == "skip":
-        com_present, active = [], np.zeros((hops, n), dtype=bool)
-        for t in range(1, hops + 1):
-            disk = topo.disk(t)
-            rows = np.empty((topo.subarea_counts[t - 1], n), dtype=bool)
-            for k in range(1, topo.subarea_counts[t - 1] + 1):
-                lo, hi = disk.annulus_bounds(k)
-                occupied = -math.expm1(-topo.density_active * math.pi
-                                       * (hi * hi - lo * lo))
-                rows[k - 1] = rng.random(n) < occupied
-            com_present.append(rows)
-            active[t - 1] = rows.any(axis=0)
-    else:
-        active = np.empty((hops, n), dtype=bool)
-        for t in range(1, hops + 1):
-            p_active = -math.expm1(log_null_probability(
-                topo.density_active, topo.disk_radii[t - 1]))
-            active[t - 1] = rng.random(n) < p_active
+    # 2. device activity per slot
+    active = np.empty((hops, n), dtype=bool)
+    for t in range(1, hops + 1):
+        p_active = -math.expm1(log_null_probability(
+            topo.density_active, topo.disk_radii[t - 1]))
+        active[t - 1] = rng.random(n) < p_active
 
     # 3. hop fades; each doubles as the receiving node's harvest input
     hop_fades = rng.standard_exponential((hops, n))
@@ -186,9 +146,8 @@ def _draw(topo, pairing, rng: np.random.Generator, n: int,
     else:
         device_dist = [np.zeros((0, n))] * hops
         device_fade = [np.zeros((0, n))] * hops
-    return _Draws(u_eh=u_eh, active=active, com_present=com_present,
-                  hop_fades=hop_fades, device_dist=device_dist,
-                  device_fade=device_fade)
+    return _Draws(u_eh=u_eh, active=active, hop_fades=hop_fades,
+                  device_dist=device_dist, device_fade=device_fade)
 
 
 def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
@@ -200,7 +159,7 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
     g0 = budget.gamma_bar0
     bteh = policy.architecture == "BTEH"
     p_m = plan.relay_share
-    active, com_present = draws.active, draws.com_present
+    active = draws.active
     hop_fades = draws.hop_fades
 
     indicators = np.empty((m - 1, n), dtype=bool)
@@ -266,8 +225,6 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
         rates = np.empty((count, n))
         ok = np.empty((count, n), dtype=bool)
         if pairing == "com":
-            present = com_present[t - 1] if com_present is not None \
-                else np.broadcast_to(served, (count, n))
             shares = plan.device_shares[t - 1]
             targets = plan.device_rates[t - 1]
             below = np.cumsum((0.0,) + shares)
@@ -282,7 +239,7 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
                     peel = rates[k - 1] if nn == k else tf * np.log1p(
                         shares[nn - 1] * y / (below[nn - 1] * y + 1.0)) / _LN2
                     chain = chain & (peel >= targets[nn - 1])
-                ok[k - 1] = present[k - 1] & chain
+                ok[k - 1] = served & chain
                 throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
         else:
             target = plan.nearest_rates[t - 1]
@@ -302,30 +259,11 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
         assert not np.any((msg_ok[t - 1] & device_ok[t - 1])
                           & ~prefix_ok[t - 2])
 
-    return _Block(n=n, indicators=indicators, active=active,
-                  com_present=com_present, powers=powers, hop_snr=hop_snr,
-                  hop_rates=hop_rates, hop_ok=hop_ok, device_snr=device_snr,
-                  device_rates=device_rates, device_ok=device_ok,
-                  prefix_ok=prefix_ok, msg_ok=msg_ok,
+    return _Block(n=n, indicators=indicators, active=active, powers=powers,
+                  hop_snr=hop_snr, hop_rates=hop_rates, hop_ok=hop_ok,
+                  device_snr=device_snr, device_rates=device_rates,
+                  device_ok=device_ok, prefix_ok=prefix_ok, msg_ok=msg_ok,
                   supply_units=supply_units, throughput=throughput)
-
-
-def run_block_trial(config: Scenario, rng_seed) -> TrialOutcome:
-    """Resolve a single relaying block from the given seed or generator."""
-    block = _simulate_block(config, as_generator(rng_seed), 1)
-    hops = config.topology.hop_count
-    return TrialOutcome(
-        eh_indicators=tuple(int(v) for v in block.indicators[:, 0]),
-        device_present=tuple(bool(v) for v in block.active[:, 0]),
-        powers_w=tuple(config.budget.P0 * float(p)
-                       for p in block.powers[:, 0]),
-        hop_rates=tuple(float(r) for r in block.hop_rates[:, 0]),
-        hop_success=tuple(bool(v) for v in block.hop_ok[:, 0]),
-        device_rates=tuple(tuple(float(r) for r in block.device_rates[t][:, 0])
-                           for t in range(hops)),
-        device_success=tuple(tuple(bool(v) for v in block.device_ok[t][:, 0])
-                             for t in range(hops)),
-    )
 
 
 @dataclass
@@ -405,7 +343,7 @@ def _block_rng(seed: int, b: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
-def simulate_plan(runs, empty_annulus: str = "resample") -> dict:
+def simulate_plan(runs) -> dict:
     """Tallies of every ``(scenario, seed, n_trials)`` run, as one plan.
 
     Scenarios of one seed that share pairing and topology read the same
@@ -434,7 +372,7 @@ def simulate_plan(runs, empty_annulus: str = "resample") -> dict:
                 try:
                     if draws is None:
                         draws = _draw(topo, pairing, _block_rng(seed, b),
-                                      BLOCK_SIZE, empty_annulus)
+                                      BLOCK_SIZE)
                         drawn += 1
                     tick = time.perf_counter()
                     block = _resolve(s, draws)
@@ -461,17 +399,16 @@ def simulate_plan(runs, empty_annulus: str = "resample") -> dict:
 
 
 @lru_cache(maxsize=8)
-def _accumulate(scenario: Scenario, n_trials: int, seed: int,
-                empty_annulus: str) -> _Tallies:
+def _accumulate(scenario: Scenario, n_trials: int, seed: int) -> _Tallies:
     run = (scenario, seed, n_trials)
-    tal = simulate_plan([run], empty_annulus)[run]
+    tal = simulate_plan([run])[run]
     if isinstance(tal, Exception):
         raise tal
     return tal
 
 
 def estimate_outage(config: Scenario, node_selector, n_trials: int,
-                    seed: int, empty_annulus: str = "resample") -> Estimate:
+                    seed: int) -> Estimate:
     """Outage estimate for one decode event.
 
     Selectors: ``("hop", t)``, ``("device", t, k)``, ``("e2e_destination",)``
@@ -479,60 +416,17 @@ def estimate_outage(config: Scenario, node_selector, n_trials: int,
     Device estimates condition on the slot's disk being active, so their
     trial count is the number of conditioning trials.
     """
-    return _accumulate(config, n_trials, seed, empty_annulus).outage(
+    return _accumulate(config, n_trials, seed).outage(
         node_selector, config.topology.hop_count)
 
 
-def estimate_throughput(config: Scenario, n_trials: int, seed: int,
-                        empty_annulus: str = "resample") -> Estimate:
+def estimate_throughput(config: Scenario, n_trials: int, seed: int) -> Estimate:
     """Mean delivered rate per block from exact joint end-to-end events."""
-    return _accumulate(config, n_trials, seed, empty_annulus).throughput()
+    return _accumulate(config, n_trials, seed).throughput()
 
 
-def estimate_supply_power(config: Scenario, n_trials: int, seed: int,
-                          empty_annulus: str = "resample") -> Estimate:
+def estimate_supply_power(config: Scenario, n_trials: int,
+                          seed: int) -> Estimate:
     """Mean grid-supplied transmit power in watts (harvested slots are free)."""
-    return _accumulate(config, n_trials, seed, empty_annulus).supply_power()
+    return _accumulate(config, n_trials, seed).supply_power()
 
-
-def empirical_ccdf_oracle(config: Scenario, variable, grid, n_trials: int,
-                          seed: int) -> tuple:
-    """Empirical survival curve of a received-power variable.
-
-    ``variable`` is ``("X", t)`` for the hop SNR, ``("Y", t, k)`` for the
-    subarea-k device SNR, or ``("Z", t)`` for the nearest-device SNR; the
-    device variables condition on the slot being active.  Returns one
-    Estimate per grid point.
-    """
-    if n_trials <= 0:
-        raise ValueError(f"trial count must be positive, got {n_trials}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0) \
-            or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be positive and strictly increasing")
-    kind = variable[0]
-    t = variable[1]
-    hops = config.topology.hop_count
-    if not 1 <= t <= hops:
-        raise ValueError(f"slot {t} outside 1..{hops}")
-    if kind not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown variable {variable!r}")
-    pairing = config.scheme.pairing
-    if kind == "Y" and pairing != "com":
-        raise ValueError("Y requires a com scheme")
-    if kind == "Z" and pairing != "qom":
-        raise ValueError("Z requires a qom scheme")
-    above = np.zeros(grid.size, dtype=np.int64)
-    count = 0
-    for b in range(-(-n_trials // BLOCK_SIZE)):
-        block = _simulate_block(config, _block_rng(seed, b), BLOCK_SIZE)
-        cut = slice(0, min(BLOCK_SIZE, n_trials - b * BLOCK_SIZE))
-        if kind == "X":
-            samples = block.hop_snr[t - 1, cut]
-        else:
-            row = variable[2] - 1 if kind == "Y" else 0
-            samples = block.device_snr[t - 1][row, cut]
-            samples = samples[block.active[t - 1, cut]]
-        count += samples.size
-        above += (samples[None, :] > grid[:, None]).sum(axis=1)
-    return tuple(Estimate.from_binomial(int(a), count) for a in above)

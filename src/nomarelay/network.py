@@ -15,7 +15,7 @@ A scheme couples a device-pairing rule with a powering mode:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .channel import LinkBudget
@@ -50,10 +50,6 @@ class Scheme(enum.Enum):
             return "BPEH"
         return None
 
-    @property
-    def serves_devices(self) -> bool:
-        return self.pairing is not None
-
     @classmethod
     def parse(cls, label: str) -> "Scheme":
         try:
@@ -77,7 +73,6 @@ class NetworkTopology:
     disk_radii: tuple
     subarea_counts: tuple
     density_active: float
-    density_inactive: float = 0.0
 
     def __post_init__(self):
         hops = tuple(float(d) for d in self.hop_distances)
@@ -91,7 +86,7 @@ class NetworkTopology:
             raise ValueError("distances and radii must be positive")
         if any(k < 1 for k in counts):
             raise ValueError("subarea counts must be >= 1")
-        if self.density_active < 0 or self.density_inactive < 0:
+        if self.density_active < 0:
             raise ValueError("densities must be non-negative")
         object.__setattr__(self, "hop_distances", hops)
         object.__setattr__(self, "disk_radii", radii)
@@ -109,17 +104,12 @@ class NetworkTopology:
         """Device disk of transmitter t (1-based slot index)."""
         if not 1 <= t <= self.hop_count:
             raise ValueError(f"slot {t} outside 1..{self.hop_count}")
-        return CoverageDisk(center=(0.0, 0.0), radius=self.disk_radii[t - 1],
+        return CoverageDisk(radius=self.disk_radii[t - 1],
                             density_active=self.density_active,
-                            density_inactive=self.density_inactive,
                             subarea_count=self.subarea_counts[t - 1])
 
     def without_devices(self) -> "NetworkTopology":
-        return NetworkTopology(hop_distances=self.hop_distances,
-                               disk_radii=self.disk_radii,
-                               subarea_counts=self.subarea_counts,
-                               density_active=0.0,
-                               density_inactive=self.density_inactive)
+        return replace(self, density_active=0.0)
 
 
 def build_policy(scheme: Scheme, node_count: int, rho: float,

@@ -7,16 +7,14 @@ its receive slot to harvesting; under power-splitting (BPEH) it taps a
 fraction ``beta`` of the received power.  Either way the harvested
 transmit power is the previous hop's received power scaled by a
 per-architecture gain factor, which makes the power at hop ``t`` a product
-over the run of consecutive harvesting nodes behind it.
+over the run of consecutive harvesting nodes behind it.  This module holds
+the policy and that gain factor; the simulator resolves the chain per
+trial and the closed-form layer mixes over its harvest-run states.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from .channel import LinkBudget
-from .geometry import as_generator
 
 ARCHITECTURES = ("BTEH", "BPEH")
 
@@ -82,24 +80,6 @@ def uniform_policy(architecture: str, node_count: int, rho: float,
                     beta=beta, eta=eta)
 
 
-@dataclass(frozen=True)
-class EhRealization:
-    """Harvest indicator draws for nodes 2..M (node 1 never harvests)."""
-
-    indicators: tuple
-
-    def __post_init__(self):
-        ind = tuple(int(i) for i in self.indicators)
-        if any(i not in (0, 1) for i in ind):
-            raise ValueError("indicators must be 0/1 bits")
-        object.__setattr__(self, "indicators", ind)
-
-    def indicator(self, node: int) -> int:
-        if node == 1:
-            return 0
-        return self.indicators[node - 2]
-
-
 def omega_factor(t: int, policy: EhPolicy, node_count: int) -> float:
     """Power gain applied per harvested hop.
 
@@ -112,54 +92,3 @@ def omega_factor(t: int, policy: EhPolicy, node_count: int) -> float:
             raise ValueError("alpha = 1 leaves no transmit window")
         return (node_count - 1) * policy.alpha * policy.eta / (1.0 - policy.alpha)
     return policy.beta * policy.eta
-
-
-def sample_eh_process(policy: EhPolicy, rng_seed) -> EhRealization:
-    rng = as_generator(rng_seed)
-    draws = rng.random(policy.node_count - 1)
-    bits = tuple(int(u < policy.rho[node - 1])
-                 for node, u in zip(range(2, policy.node_count + 1), draws))
-    return EhRealization(indicators=bits)
-
-
-def transmit_power(t: int, realization: EhRealization, hop_gains,
-                   policy: EhPolicy, budget: LinkBudget) -> float:
-    """Transmit power of node t, resolving the harvest chain behind it.
-
-    ``hop_gains[j]`` is the channel gain of the link received by node
-    ``j + 2`` (the gain the node would harvest from).  A node with a zero
-    indicator transmits at the supply power; a harvesting node relays the
-    accumulated product ``P0 * prod(Omega_i * gain_i)`` back to the most
-    recent non-harvesting node, which always exists because node 1 never
-    harvests.
-    """
-    m = policy.node_count
-    if not 1 <= t <= m - 1:
-        raise ValueError(f"transmitter index {t} outside 1..{m - 1}")
-    if realization.indicator(t) == 0:
-        return budget.P0
-    tau = t - 1
-    while realization.indicator(tau) == 1:
-        tau -= 1
-    power = budget.P0
-    for i in range(tau + 1, t + 1):
-        gain = hop_gains[i - 2]
-        if gain <= 0.0:
-            raise ValueError(f"hop gain for node {i} must be positive, got {gain}")
-        power *= omega_factor(i, policy, m) * gain
-    return power
-
-
-def transmit_power_recursive(t: int, realization: EhRealization, hop_gains,
-                             policy: EhPolicy, budget: LinkBudget) -> float:
-    """Same chain written as the step-by-step recursion (cross-check route)."""
-    m = policy.node_count
-    if not 1 <= t <= m - 1:
-        raise ValueError(f"transmitter index {t} outside 1..{m - 1}")
-    power = budget.P0
-    for i in range(2, t + 1):
-        if realization.indicator(i) == 1:
-            power = omega_factor(i, policy, m) * hop_gains[i - 2] * power
-        else:
-            power = budget.P0
-    return power

@@ -1,13 +1,14 @@
 """Numerical kernel for the restricted Meijer-G / Fox-H families of the model.
 
 Only the parameter layouts that actually occur in the outage analysis are
-supported (product-of-exponentials CCDF/PDF kernels, the annulus mixed-gain
-kernel, the Singh-Maddala CDF kernel and the nearest-gain product kernel);
-anything else raises UnsupportedSpecError.  Values come from Mellin-Barnes
-contour quadrature on a vertical line, switched below a small-argument
-crossover to a residue series evaluated by circle integrals around the left
-pole ladder, so that tiny CDF values keep *relative* accuracy (needed for
-the high-power diversity slope).
+evaluated: the product-of-exponentials CCDF kernel, the annulus mixed-gain
+kernel and the nearest-gain product kernel, each with its CDF-side
+deficit.  The product PDF and Singh-Maddala CDF layouts keep their factor
+rows so their known closed forms can check the same machinery.  Values
+come from Mellin-Barnes contour quadrature on a vertical line, switched
+below a small-argument crossover to a residue series evaluated by circle
+integrals around the left pole ladder, so that tiny CDF values keep
+*relative* accuracy (needed for the high-power diversity slope).
 
 Everything here is pure and thread-safe.
 """
@@ -15,14 +16,11 @@ Everything here is pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import loggamma
-
-EULER_GAMMA = 0.5772156649015328606
 
 # contour -> residue-series switch point for the CDF-side kernels
 RESIDUE_CROSSOVER = 1e-3
@@ -30,9 +28,6 @@ RESIDUE_CROSSOVER = 1e-3
 # incomplete-gamma iteration controls (series / Lentz continued fraction)
 _MAX_ITER = 500
 _GAMMA_EPS = 1e-15
-
-# tolerance for recognising the restricted parameter layouts
-_LAYOUT_ATOL = 1e-9
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -107,108 +102,6 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     raise KernelConvergenceError(
         f"incomplete-gamma continued fraction stalled at a={a}, x={x}",
         achieved=abs(delta - 1.0), target=_GAMMA_EPS)
-
-
-# ---------------------------------------------------------------------------
-# parameter specs and family classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeijerSpec:
-    """Orders and parameter lists of a Meijer-G symbol G^{m,n}_{p,q}[. | a; b]."""
-    m: int
-    n: int
-    p: int
-    q: int
-    a: Tuple[float, ...]
-    b: Tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        if len(self.a) != self.p or len(self.b) != self.q:
-            raise UnsupportedSpecError(
-                f"parameter list lengths ({len(self.a)}, {len(self.b)}) do not "
-                f"match orders p={self.p}, q={self.q}")
-        if not (0 <= self.n <= self.p and 0 <= self.m <= self.q):
-            raise UnsupportedSpecError(f"inconsistent orders in {self}")
-
-
-@dataclass(frozen=True)
-class FoxSpec:
-    """Orders and (coefficient, scale) pairs of a Fox-H symbol."""
-    m: int
-    n: int
-    p: int
-    q: int
-    a: Tuple[Tuple[float, float], ...]
-    b: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "a", tuple((float(u), float(v)) for u, v in self.a))
-        object.__setattr__(
-            self, "b", tuple((float(u), float(v)) for u, v in self.b))
-        if len(self.a) != self.p or len(self.b) != self.q:
-            raise UnsupportedSpecError(
-                f"parameter list lengths ({len(self.a)}, {len(self.b)}) do not "
-                f"match orders p={self.p}, q={self.q}")
-        if not (0 <= self.n <= self.p and 0 <= self.m <= self.q):
-            raise UnsupportedSpecError(f"inconsistent orders in {self}")
-
-
-def _near(value: float, target: float) -> bool:
-    return abs(value - target) <= _LAYOUT_ATOL
-
-
-def _classify_meijer(spec: MeijerSpec):
-    """Map a MeijerSpec onto one of the supported families.
-
-    Returns ("ccdf", n) for G^{n,0}_{0,n}[x | 1,..,1,0]   (product CCDF),
-            ("pdf", n)  for G^{n,0}_{0,n}[x | 0,..,0]     (product PDF),
-            ("annulus", v, c) for G^{v+1,1}_{1,v+2}[x | 1-c; 1,..,1,0,-c].
-    """
-    if spec.p == 0 and spec.n == 0 and spec.m == spec.q and spec.q >= 1:
-        low = sorted(spec.b)
-        n = spec.q
-        if all(_near(v, 0.0) for v in low):
-            return ("pdf", n)
-        if n >= 2 and _near(low[0], 0.0) and all(_near(v, 1.0) for v in low[1:]):
-            return ("ccdf", n)
-    if (spec.p == 1 and spec.n == 1 and spec.q >= 2 and spec.m == spec.q - 1):
-        c = -spec.b[-1]
-        v = spec.q - 2
-        body = sorted(spec.b[:-1])
-        if (0.0 < c < 1.0 and _near(spec.a[0], 1.0 - c)
-                and _near(body[0], 0.0)
-                and all(_near(u, 1.0) for u in body[1:])):
-            return ("annulus", v, c)
-    raise UnsupportedSpecError(
-        f"Meijer-G layout not in the supported families: {spec}")
-
-
-def _classify_fox(spec: FoxSpec):
-    """Map a FoxSpec onto ("sm_cdf", m) or ("z_kernel", v, theta, m)."""
-    if spec.m == 1 and spec.n == 1 and spec.p == 1 and spec.q == 1:
-        (a1, alpha1), = spec.a
-        (b1, beta1), = spec.b
-        if _near(a1, 1.0) and _near(alpha1, 1.0) and _near(beta1, 1.0) and b1 > 0:
-            return ("sm_cdf", b1)
-    if spec.n == 1 and spec.p == 1 and spec.q == spec.m and spec.q >= 1:
-        (a1, alpha1), = spec.a
-        if _near(alpha1, 1.0) and a1 < 1.0:
-            shape = 1.0 - a1
-            anchor = [pr for pr in spec.b if _near(pr[0], 0.0) and _near(pr[1], 1.0)]
-            blocks = [pr for pr in spec.b if _near(pr[0], 1.0)]
-            if len(anchor) == 1 and len(anchor) + len(blocks) == spec.q:
-                if not blocks:
-                    return ("z_kernel", 0, 1.0, shape)
-                thetas = {round(pr[1], 12) for pr in blocks}
-                theta = blocks[0][1]
-                if len(thetas) == 1 and theta > 0:
-                    return ("z_kernel", len(blocks), theta, shape)
-    raise UnsupportedSpecError(
-        f"Fox-H layout not in the supported families: {spec}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,149 +269,102 @@ def _residue_sum(kind, x: float, rel_tol: float = 1e-11,
 
 
 # ---------------------------------------------------------------------------
-# family evaluators (value + CDF-side deficit forms)
+# family evaluators: value and CDF-side deficit from one crossover branch
 # ---------------------------------------------------------------------------
 
-def _ccdf_kernel(x: float, n: int, tol: float = 1e-9) -> float:
-    """G^{n,0}_{0,n}[x | 1,..,1,0]: CCDF of a product of n unit exponentials."""
+def _sides(kind, x: float, total: float, tol: float) -> tuple:
+    """(value, deficit) of a family at x > 0, where the two sum to ``total``.
+
+    Below the crossover the residue series gives the deficit with relative
+    accuracy; above it the contour gives the value.
+    """
+    if x < RESIDUE_CROSSOVER:
+        r = -_residue_sum(kind, x)
+        return total - r, r
+    c = _contour_value(kind, x, tol)
+    return c, total - c
+
+
+def _ccdf_sides(x: float, n: int) -> tuple:
+    """G^{n,0}_{0,n}[x | 1,..,1,0], the CCDF of a product of n unit
+    exponentials, and its deficit 1 - G."""
     if n == 1:
-        return math.exp(-x)
-    if x < RESIDUE_CROSSOVER:
-        return 1.0 - _ccdf_kernel_deficit(x, n)
-    return _contour_value(("ccdf", n), x, tol)
-
-
-def _ccdf_kernel_deficit(x: float, n: int) -> float:
-    """1 - G^{n,0}_{0,n}[x | 1,..,1,0], accurate for small x."""
-    if n == 1:
-        return -math.expm1(-x)
-    if x >= RESIDUE_CROSSOVER:
-        return 1.0 - _contour_value(("ccdf", n), x, 1e-9)
-    return -_residue_sum(("ccdf", n), x)
-
-
-def _pdf_kernel(x: float, n: int, tol: float = 1e-9) -> float:
-    """G^{n,0}_{0,n}[x | 0,..,0]: PDF of a product of n unit exponentials."""
-    if n == 1:
-        return math.exp(-x)
-    if x < RESIDUE_CROSSOVER:
-        return _residue_sum(("pdf", n), x)
-    return _contour_value(("pdf", n), x, tol)
-
-
-def _annulus_value(x: float, v: int, c: float, tol: float = 1e-9) -> float:
-    if x < RESIDUE_CROSSOVER:
-        return 1.0 / c - _annulus_deficit(x, v, c)
-    return _contour_value(("annulus", v, c), x, tol)
-
-
-def _annulus_deficit(x: float, v: int, c: float) -> float:
-    if x >= RESIDUE_CROSSOVER:
-        return 1.0 / c - _contour_value(("annulus", v, c), x, 1e-9)
-    return -_residue_sum(("annulus", v, c), x)
-
-
-def _z_kernel_value(x: float, v: int, theta: float, m: float,
-                    tol: float = 1e-8) -> float:
-    if x < RESIDUE_CROSSOVER:
-        return math.gamma(m) - _z_kernel_deficit(x, v, theta, m)
-    return _contour_value(("z_kernel", v, theta, m), x, tol)
-
-
-def _z_kernel_deficit(x: float, v: int, theta: float, m: float) -> float:
-    if x >= RESIDUE_CROSSOVER:
-        return math.gamma(m) - _contour_value(("z_kernel", v, theta, m), x, 1e-8)
-    return -_residue_sum(("z_kernel", v, theta, m), x)
+        return math.exp(-x), -math.expm1(-x)
+    return _sides(("ccdf", n), x, 1.0, 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def meijer_g(spec: MeijerSpec, x: float) -> float:
-    """Evaluate a supported Meijer-G symbol at x > 0."""
-    if x <= 0:
-        raise ValueError(f"meijer_g requires x > 0, got x={x!r}")
-    kind = _classify_meijer(spec)
-    if kind[0] == "ccdf":
-        return _ccdf_kernel(x, kind[1])
-    if kind[0] == "pdf":
-        return _pdf_kernel(x, kind[1])
-    return _annulus_value(x, kind[1], kind[2])
-
-
-def fox_h(spec: FoxSpec, x: float) -> float:
-    """Evaluate a supported Fox-H symbol at x > 0."""
-    if x <= 0:
-        raise ValueError(f"fox_h requires x > 0, got x={x!r}")
-    kind = _classify_fox(spec)
-    if kind[0] == "sm_cdf":
-        return _contour_value(kind, x, 1e-8)
-    return _z_kernel_value(x, kind[1], kind[2], kind[3])
+def _check_means(n: int, means: Sequence[float]) -> None:
+    if n < 1 or len(means) != n:
+        raise ValueError(f"need n >= 1 factor means, got n={n}, {len(means)} means")
+    if any(m <= 0 for m in means):
+        raise ValueError("factor means must be positive")
 
 
 def prod_exp_ccdf(z: float, n: int, means: Sequence[float]) -> float:
     """Pr[prod of n independent exponentials >= z], means as given."""
-    if n < 1 or len(means) != n:
-        raise ValueError(f"need n >= 1 factor means, got n={n}, {len(means)} means")
-    if any(m <= 0 for m in means):
-        raise ValueError("factor means must be positive")
+    _check_means(n, means)
     if z <= 0:
         return 1.0
     scale = math.prod(means)
-    return _ccdf_kernel(z / scale, n)
+    return _ccdf_sides(z / scale, n)[0]
 
 
 def prod_exp_cdf(z: float, n: int, means: Sequence[float]) -> float:
     """1 - prod_exp_ccdf, computed on the deficit path for small arguments."""
-    if n < 1 or len(means) != n:
-        raise ValueError(f"need n >= 1 factor means, got n={n}, {len(means)} means")
-    if any(m <= 0 for m in means):
-        raise ValueError("factor means must be positive")
+    _check_means(n, means)
     if z <= 0:
         return 0.0
     scale = math.prod(means)
-    return _ccdf_kernel_deficit(z / scale, n)
+    return _ccdf_sides(z / scale, n)[1]
 
 
-def annulus_kernel(x: float, v: int, c_exp: float) -> float:
-    """G^{v+1,1}_{1,v+2}[x | 1-c; 1,..,1,0,-c] with c = c_exp = 2/epsilon."""
-    if x <= 0:
-        raise ValueError(f"annulus_kernel requires x > 0, got x={x!r}")
+def _check_annulus(v: int, c_exp: float) -> None:
     if not (0.0 < c_exp < 1.0):
         raise UnsupportedSpecError(f"annulus exponent must be in (0,1), got {c_exp}")
     if v < 0:
         raise UnsupportedSpecError(f"annulus kernel needs v >= 0, got {v}")
-    return _annulus_value(x, v, c_exp)
+
+
+def annulus_kernel(x: float, v: int, c_exp: float) -> float:
+    """G^{v+1,1}_{1,v+2}[x | 1-c; 1,..,1,0,-c] with c = c_exp = 2/epsilon."""
+    _check_annulus(v, c_exp)
+    if x <= 0:
+        raise ValueError(f"annulus_kernel requires x > 0, got x={x!r}")
+    return _sides(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9)[0]
 
 
 def annulus_kernel_deficit(x: float, v: int, c_exp: float) -> float:
     """1/c - annulus_kernel(x): the CDF-side remainder, small-x accurate."""
+    _check_annulus(v, c_exp)
     if x <= 0:
         return 0.0
-    if not (0.0 < c_exp < 1.0):
-        raise UnsupportedSpecError(f"annulus exponent must be in (0,1), got {c_exp}")
-    return _annulus_deficit(x, v, c_exp)
+    return _sides(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9)[1]
+
+
+def _check_nearest(v: int, theta: float, m: float) -> None:
+    if theta <= 0 or m <= 0 or v < 0:
+        raise UnsupportedSpecError(
+            f"nearest kernel needs theta > 0, m > 0, v >= 0; got {theta}, {m}, {v}")
 
 
 def nearest_kernel(x: float, v: int, theta: float, m: float) -> float:
     """H^{v+1,1}_{1,v+1}[x | (1-m,1); (0,1),(1,theta)^v]."""
+    _check_nearest(v, theta, m)
     if x <= 0:
         raise ValueError(f"nearest_kernel requires x > 0, got x={x!r}")
-    if theta <= 0 or m <= 0 or v < 0:
-        raise UnsupportedSpecError(
-            f"nearest kernel needs theta > 0, m > 0, v >= 0; got {theta}, {m}, {v}")
-    return _z_kernel_value(x, v, theta, m)
+    return _sides(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8)[0]
 
 
 def nearest_kernel_deficit(x: float, v: int, theta: float, m: float) -> float:
     """Gamma(m) - nearest_kernel(x): CDF-side remainder, small-x accurate."""
+    _check_nearest(v, theta, m)
     if x <= 0:
         return 0.0
-    if theta <= 0 or m <= 0 or v < 0:
-        raise UnsupportedSpecError(
-            f"nearest kernel needs theta > 0, m > 0, v >= 0; got {theta}, {m}, {v}")
-    return _z_kernel_deficit(x, v, theta, m)
+    return _sides(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8)[1]
 
 
 # --- small-argument residue asymptote (Lemma-2 building block) --------------
@@ -552,25 +398,13 @@ def _leading_residue(x: float, n: int) -> float:
     return x * total
 
 
-def residue_asymptote(x: float, n: int) -> float:
-    """Two-pole approximation of the n+1 factor product CCDF kernel, x -> 0.
-
-    Keeps the residues at s=0 and the order-(n+1) pole at s=-1 only; this is
-    the building block of the high-power CDF asymptotes.
-    """
-    if n < 0:
-        raise ValueError(f"residue_asymptote requires n >= 0, got n={n}")
-    if x <= 0:
-        raise ValueError(f"residue_asymptote requires x > 0, got x={x!r}")
-    if n == 0:
-        # degenerate chain: a single exponential factor, whose CDF opens
-        # linearly
-        return 1.0 - x
-    return 1.0 + _leading_residue(x, n)
-
-
 def residue_asymptote_cdf(x: float, n: int) -> float:
-    """CDF-side leading term 1 - residue_asymptote(x, n), cancellation-free."""
+    """Two-pole approximation of the CDF of an n+1 factor product, x -> 0.
+
+    Keeps the residues at s=0 and the order-(n+1) pole at s=-1 of the
+    product CCDF kernel only, cancellation-free; this is the building
+    block of the high-power CDF asymptotes.
+    """
     if n < 0:
         raise ValueError(f"residue_asymptote_cdf requires n >= 0, got n={n}")
     if x <= 0:

@@ -1,0 +1,491 @@
+"""Reference routes the tests check the library against; no sweep or CLI
+path reads them.  Each is an independent or per-trial route to a quantity
+the library computes another way."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Tuple
+
+import numpy as np
+
+from nomarelay import montecarlo, specfun as sf
+from nomarelay.channel import FitBook, FittedGainDistribution, LinkBudget, \
+    pathloss_linear
+from nomarelay.geometry import CoverageDisk, log_null_probability
+from nomarelay.montecarlo import BLOCK_SIZE, Estimate, _block_rng
+from nomarelay.network import Scenario
+from nomarelay.power import EhPolicy, omega_factor
+from nomarelay.specfun import UnsupportedSpecError, lower_incomplete_gamma
+
+EULER_GAMMA = 0.5772156649015328606
+
+
+# --- geometry: disk sampling and distance laws ---
+
+_KINDS = ("active", "inactive")
+
+
+def as_generator(rng_seed) -> np.random.Generator:
+    """A Philox generator from a seed, a ``SeedSequence`` or a generator."""
+    if isinstance(rng_seed, np.random.Generator):
+        return rng_seed
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        rng_seed = np.random.SeedSequence(rng_seed)
+    return np.random.Generator(np.random.Philox(rng_seed))
+
+
+@dataclass(frozen=True)
+class PointPattern:
+    """One realization of a device process on a disk."""
+
+    points: np.ndarray  # shape (n, 2), centred on the disk's transmitter
+    parent_density: float
+    kind: str
+    disk: CoverageDisk = field(repr=False, default=None)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "points", pts)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+
+def sample_hppp_disk(disk: CoverageDisk, kind: str, rng_seed,
+                     density_inactive: float = 0.0) -> PointPattern:
+    """One HPPP realization on the disk, at the disk's density for active
+    devices and at ``density_inactive`` for inactive ones: a Poisson count,
+    then uniform points by radius inversion (r = R sqrt(u))."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    density = disk.density_active if kind == "active" else density_inactive
+    rng = as_generator(rng_seed)
+    count = rng.poisson(density * math.pi * disk.radius**2)
+    radii = disk.radius * np.sqrt(rng.random(count))
+    angles = 2.0 * math.pi * rng.random(count)
+    points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    return PointPattern(points=points, parent_density=density, kind=kind, disk=disk)
+
+
+def null_probability(density: float, radius: float) -> float:
+    """Probability that a disk of this radius holds no point of the process."""
+    return math.exp(log_null_probability(density, radius))
+
+
+def annulus_distance_pdf(annulus_index: int, disk: CoverageDisk, distance: float) -> float:
+    """Scheduled-device distance density in annulus k of K:
+    ``2 K^2 r / ((2k-1) R^2)`` on ``[(k-1)R/K, kR/K)``."""
+    k = disk._check_annulus(annulus_index)
+    if distance < 0.0:
+        raise ValueError(f"distance must be non-negative, got {distance}")
+    lo, hi = disk.annulus_bounds(k)
+    if not lo <= distance < hi:
+        return 0.0
+    kt = disk.subarea_count
+    return 2.0 * kt**2 * distance / ((2 * k - 1) * disk.radius**2)
+
+
+def sample_annulus_distance(annulus_index: int, disk: CoverageDisk, rng_seed) -> float:
+    """Draw one scheduled-device distance by inverting the annulus CDF:
+    ``r = (R/K) sqrt((k-1)^2 + (2k-1) u)``."""
+    k = disk._check_annulus(annulus_index)
+    rng = as_generator(rng_seed)
+    u = rng.random()
+    kt = disk.subarea_count
+    return disk.radius / kt * math.sqrt((k - 1) ** 2 + (2 * k - 1) * u)
+
+
+def sample_nearest_distance(disk: CoverageDisk, rng_seed):
+    """Distance to the nearest active device, or ``None`` for an empty
+    disk: one draw inverts the untruncated contact CDF, and a draw beyond
+    the radius has exactly the null probability."""
+    lam = disk.density_active
+    if lam <= 0.0:
+        raise ValueError("nearest-distance law needs a positive active density")
+    rng = as_generator(rng_seed)
+    u = rng.random()
+    distance = math.sqrt(-math.log1p(-u) / (math.pi * lam))
+    if distance > disk.radius:
+        return None
+    return distance
+
+
+# --- power: one realization of the harvest chain ---
+
+@dataclass(frozen=True)
+class EhRealization:
+    """Harvest indicator draws for nodes 2..M (node 1 never harvests)."""
+
+    indicators: tuple
+
+    def __post_init__(self):
+        ind = tuple(int(i) for i in self.indicators)
+        if any(i not in (0, 1) for i in ind):
+            raise ValueError("indicators must be 0/1 bits")
+        object.__setattr__(self, "indicators", ind)
+
+    def indicator(self, node: int) -> int:
+        if node == 1:
+            return 0
+        return self.indicators[node - 2]
+
+
+def sample_eh_process(policy: EhPolicy, rng_seed) -> EhRealization:
+    rng = as_generator(rng_seed)
+    draws = rng.random(policy.node_count - 1)
+    bits = tuple(int(u < policy.rho[node - 1])
+                 for node, u in zip(range(2, policy.node_count + 1), draws))
+    return EhRealization(indicators=bits)
+
+
+def transmit_power(t: int, realization: EhRealization, hop_gains,
+                   policy: EhPolicy, budget: LinkBudget) -> float:
+    """Transmit power of node t, resolving the harvest chain behind it.
+
+    ``hop_gains[j]`` is the channel gain of the link received by node
+    ``j + 2``.  A harvesting node relays ``P0 * prod(Omega_i * gain_i)``
+    back to the most recent non-harvesting node.
+    """
+    m = policy.node_count
+    if not 1 <= t <= m - 1:
+        raise ValueError(f"transmitter index {t} outside 1..{m - 1}")
+    if realization.indicator(t) == 0:
+        return budget.P0
+    tau = t - 1
+    while realization.indicator(tau) == 1:
+        tau -= 1
+    power = budget.P0
+    for i in range(tau + 1, t + 1):
+        gain = hop_gains[i - 2]
+        if gain <= 0.0:
+            raise ValueError(f"hop gain for node {i} must be positive, got {gain}")
+        power *= omega_factor(i, policy, m) * gain
+    return power
+
+
+def transmit_power_recursive(t: int, realization: EhRealization, hop_gains,
+                             policy: EhPolicy, budget: LinkBudget) -> float:
+    """Same chain written as the step-by-step recursion."""
+    m = policy.node_count
+    if not 1 <= t <= m - 1:
+        raise ValueError(f"transmitter index {t} outside 1..{m - 1}")
+    power = budget.P0
+    for i in range(2, t + 1):
+        if realization.indicator(i) == 1:
+            power = omega_factor(i, policy, m) * hop_gains[i - 2] * power
+        else:
+            power = budget.P0
+    return power
+
+
+# --- montecarlo: single trials and empirical survival curves ---
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """One resolved relaying block; the device tuples hold one entry per
+    served device of each slot (com: subarea order; qom: the nearest)."""
+
+    eh_indicators: tuple
+    device_present: tuple
+    powers_w: tuple
+    hop_rates: tuple
+    hop_success: tuple
+    device_rates: tuple
+    device_success: tuple
+
+
+def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):
+    """Draw and resolve ``n`` independent relaying blocks."""
+    return montecarlo._resolve(scenario, montecarlo._draw(
+        scenario.topology, scenario.scheme.pairing, rng, n))
+
+
+def run_block_trial(config: Scenario, rng_seed) -> TrialOutcome:
+    """Resolve a single relaying block from the given seed or generator."""
+    block = _simulate_block(config, as_generator(rng_seed), 1)
+    hops = config.topology.hop_count
+    return TrialOutcome(
+        eh_indicators=tuple(int(v) for v in block.indicators[:, 0]),
+        device_present=tuple(bool(v) for v in block.active[:, 0]),
+        powers_w=tuple(config.budget.P0 * float(p)
+                       for p in block.powers[:, 0]),
+        hop_rates=tuple(float(r) for r in block.hop_rates[:, 0]),
+        hop_success=tuple(bool(v) for v in block.hop_ok[:, 0]),
+        device_rates=tuple(tuple(float(r) for r in block.device_rates[t][:, 0])
+                           for t in range(hops)),
+        device_success=tuple(tuple(bool(v) for v in block.device_ok[t][:, 0])
+                             for t in range(hops)),
+    )
+
+
+def empirical_ccdf_oracle(config: Scenario, variable, grid, n_trials: int,
+                          seed: int) -> tuple:
+    """One Estimate per grid point of the survival curve of ``("X", t)``,
+    the hop SNR, ``("Y", t, k)``, the com device SNR, or ``("Z", t)``, the
+    nearest-device SNR; device variables condition on an active slot."""
+    if n_trials <= 0:
+        raise ValueError(f"trial count must be positive, got {n_trials}")
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or np.any(grid <= 0.0) \
+            or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be positive and strictly increasing")
+    kind = variable[0]
+    t = variable[1]
+    hops = config.topology.hop_count
+    if not 1 <= t <= hops:
+        raise ValueError(f"slot {t} outside 1..{hops}")
+    if kind not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown variable {variable!r}")
+    pairing = config.scheme.pairing
+    if kind == "Y" and pairing != "com":
+        raise ValueError("Y requires a com scheme")
+    if kind == "Z" and pairing != "qom":
+        raise ValueError("Z requires a qom scheme")
+    above = np.zeros(grid.size, dtype=np.int64)
+    count = 0
+    for b in range(-(-n_trials // BLOCK_SIZE)):
+        block = _simulate_block(config, _block_rng(seed, b), BLOCK_SIZE)
+        cut = slice(0, min(BLOCK_SIZE, n_trials - b * BLOCK_SIZE))
+        if kind == "X":
+            samples = block.hop_snr[t - 1, cut]
+        else:
+            row = variable[2] - 1 if kind == "Y" else 0
+            samples = block.device_snr[t - 1][row, cut]
+            samples = samples[block.active[t - 1, cut]]
+        count += samples.size
+        above += (samples[None, :] > grid[:, None]).sum(axis=1)
+    return tuple(Estimate.from_binomial(int(a), count) for a in above)
+
+
+# --- channel: dB forms, fixed-distance and annulus gain laws, Fox-H route ---
+
+def watts_to_dbm(watts: float) -> float:
+    if watts <= 0.0:
+        raise ValueError(f"power must be positive, got {watts}")
+    return 10.0 * math.log10(watts) + 30.0
+
+
+def pathloss_db(x: float, budget: LinkBudget) -> float:
+    """Path gain in dB at distance x (negative of the UMi loss expression)."""
+    if x <= 0.0:
+        raise ValueError(f"distance must be positive, got {x}")
+    return (-budget.G_r - budget.G_t + 22.7 + 26.0 * math.log10(budget.f_c)
+            - 10.0 * budget.epsilon * math.log10(x))
+
+
+def cdf_phi(phi, hop_distance: float, budget: LinkBudget):
+    """CDF of a fixed-distance hop gain: exponential with mean l(d)."""
+    mean = pathloss_linear(hop_distance, budget)
+    phi = np.asarray(phi, dtype=float)
+    out = -np.expm1(-np.maximum(phi, 0.0) / mean)
+    return float(out) if out.ndim == 0 else out
+
+
+def ccdf_varphi_annulus(phi: float, k: int, disk: CoverageDisk,
+                        budget: LinkBudget) -> float:
+    """Survival function of the annulus-device gain (distance-mixed fade).
+
+    With c = phi / l(r_t) and a = 2/epsilon,
+
+        Fbar = [2 K^2 / ((2k-1) eps)] c^-a [g(a, c (k/K)^eps) - g(a, c ((k-1)/K)^eps)]
+
+    where g is the lower incomplete gamma function.
+    """
+    k = disk._check_annulus(k)
+    if phi < 0.0:
+        raise ValueError(f"gain must be non-negative, got {phi}")
+    if phi == 0.0:
+        return 1.0
+    eps = budget.epsilon
+    kt = disk.subarea_count
+    c = phi / pathloss_linear(disk.radius, budget)
+    a = 2.0 / eps
+    upper = lower_incomplete_gamma(a, c * (k / kt) ** eps)
+    lower = lower_incomplete_gamma(a, c * ((k - 1) / kt) ** eps) if k > 1 else 0.0
+    return 2.0 * kt**2 / ((2 * k - 1) * eps) * c ** (-a) * (upper - lower)
+
+
+def cdf_varphi_annulus(phi: float, k: int, disk: CoverageDisk,
+                       budget: LinkBudget) -> float:
+    if phi < 0.0:
+        raise ValueError(f"gain must be non-negative, got {phi}")
+    if phi == 0.0:
+        return 0.0
+    return 1.0 - ccdf_varphi_annulus(phi, k, disk, budget)
+
+
+def singh_maddala_ccdf(phi, fit: FittedGainDistribution):
+    phi = np.maximum(np.asarray(phi, dtype=float), 0.0)
+    out = (1.0 + (phi / fit.mu) ** fit.theta) ** (-fit.m)
+    return float(out) if out.ndim == 0 else out
+
+
+def singh_maddala_ccdf_foxh(phi: float, fit: FittedGainDistribution) -> float:
+    """Same survival function through its Fox-H layout:
+    H^{1,1}_{1,1}[(phi/mu)^-theta | (1,1); (m,1)] / Gamma(m)."""
+    if phi <= 0.0:
+        raise ValueError(f"gain must be positive, got {phi}")
+    spec = FoxSpec(1, 1, 1, 1, ((1.0, 1.0),), ((fit.m, 1.0),))
+    x = (phi / fit.mu) ** (-fit.theta)
+    return fox_h(spec, x) / math.gamma(fit.m)
+
+
+def fit_singh_maddala_cached(disk: CoverageDisk, budget: LinkBudget,
+                             cache_path: str) -> FittedGainDistribution:
+    """One fit through a fresh fit book backed by the sidecar."""
+    return FitBook(cache_path).fit(disk, budget)
+
+
+# --- specfun: Meijer-G / Fox-H symbols dispatched onto the kernel families ---
+
+# tolerance for recognising the restricted parameter layouts
+_LAYOUT_ATOL = 1e-9
+
+
+@dataclass(frozen=True)
+class MeijerSpec:
+    """Orders and parameter lists of a Meijer-G symbol G^{m,n}_{p,q}[. | a; b]."""
+    m: int
+    n: int
+    p: int
+    q: int
+    a: Tuple[float, ...]
+    b: Tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+        _check_orders(self)
+
+
+@dataclass(frozen=True)
+class FoxSpec:
+    """Orders and (coefficient, scale) pairs of a Fox-H symbol."""
+    m: int
+    n: int
+    p: int
+    q: int
+    a: Tuple[Tuple[float, float], ...]
+    b: Tuple[Tuple[float, float], ...]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "a", tuple((float(u), float(v)) for u, v in self.a))
+        object.__setattr__(
+            self, "b", tuple((float(u), float(v)) for u, v in self.b))
+        _check_orders(self)
+
+
+def _check_orders(spec) -> None:
+    if len(spec.a) != spec.p or len(spec.b) != spec.q:
+        raise UnsupportedSpecError(
+            f"parameter list lengths ({len(spec.a)}, {len(spec.b)}) do not "
+            f"match orders p={spec.p}, q={spec.q}")
+    if not (0 <= spec.n <= spec.p and 0 <= spec.m <= spec.q):
+        raise UnsupportedSpecError(f"inconsistent orders in {spec}")
+
+
+def _near(value: float, target: float) -> bool:
+    return abs(value - target) <= _LAYOUT_ATOL
+
+
+def _classify_meijer(spec: MeijerSpec):
+    """Map a MeijerSpec onto one of the supported families.
+
+    Returns ("ccdf", n) for G^{n,0}_{0,n}[x | 1,..,1,0]   (product CCDF),
+            ("pdf", n)  for G^{n,0}_{0,n}[x | 0,..,0]     (product PDF),
+            ("annulus", v, c) for G^{v+1,1}_{1,v+2}[x | 1-c; 1,..,1,0,-c].
+    """
+    if spec.p == 0 and spec.n == 0 and spec.m == spec.q and spec.q >= 1:
+        low = sorted(spec.b)
+        n = spec.q
+        if all(_near(v, 0.0) for v in low):
+            return ("pdf", n)
+        if n >= 2 and _near(low[0], 0.0) and all(_near(v, 1.0) for v in low[1:]):
+            return ("ccdf", n)
+    if (spec.p == 1 and spec.n == 1 and spec.q >= 2 and spec.m == spec.q - 1):
+        c = -spec.b[-1]
+        v = spec.q - 2
+        body = sorted(spec.b[:-1])
+        if (0.0 < c < 1.0 and _near(spec.a[0], 1.0 - c)
+                and _near(body[0], 0.0)
+                and all(_near(u, 1.0) for u in body[1:])):
+            return ("annulus", v, c)
+    raise UnsupportedSpecError(
+        f"Meijer-G layout not in the supported families: {spec}")
+
+
+def _classify_fox(spec: FoxSpec):
+    """Map a FoxSpec onto ("sm_cdf", m) or ("z_kernel", v, theta, m)."""
+    if spec.m == 1 and spec.n == 1 and spec.p == 1 and spec.q == 1:
+        (a1, alpha1), = spec.a
+        (b1, beta1), = spec.b
+        if _near(a1, 1.0) and _near(alpha1, 1.0) and _near(beta1, 1.0) and b1 > 0:
+            return ("sm_cdf", b1)
+    if spec.n == 1 and spec.p == 1 and spec.q == spec.m and spec.q >= 1:
+        (a1, alpha1), = spec.a
+        if _near(alpha1, 1.0) and a1 < 1.0:
+            shape = 1.0 - a1
+            anchor = [pr for pr in spec.b if _near(pr[0], 0.0) and _near(pr[1], 1.0)]
+            blocks = [pr for pr in spec.b if _near(pr[0], 1.0)]
+            if len(anchor) == 1 and len(anchor) + len(blocks) == spec.q:
+                if not blocks:
+                    return ("z_kernel", 0, 1.0, shape)
+                thetas = {round(pr[1], 12) for pr in blocks}
+                theta = blocks[0][1]
+                if len(thetas) == 1 and theta > 0:
+                    return ("z_kernel", len(blocks), theta, shape)
+    raise UnsupportedSpecError(
+        f"Fox-H layout not in the supported families: {spec}")
+
+
+def _pdf_kernel(x: float, n: int, tol: float = 1e-9) -> float:
+    """G^{n,0}_{0,n}[x | 0,..,0]: PDF of a product of n unit exponentials."""
+    if n == 1:
+        return math.exp(-x)
+    if x < sf.RESIDUE_CROSSOVER:
+        return sf._residue_sum(("pdf", n), x)
+    return sf._contour_value(("pdf", n), x, tol)
+
+
+def meijer_g(spec: MeijerSpec, x: float) -> float:
+    """Evaluate a supported Meijer-G symbol at x > 0."""
+    if x <= 0:
+        raise ValueError(f"meijer_g requires x > 0, got x={x!r}")
+    kind = _classify_meijer(spec)
+    if kind[0] == "ccdf":
+        return sf._ccdf_sides(x, kind[1])[0]
+    if kind[0] == "pdf":
+        return _pdf_kernel(x, kind[1])
+    return sf.annulus_kernel(x, kind[1], kind[2])
+
+
+def fox_h(spec: FoxSpec, x: float) -> float:
+    """Evaluate a supported Fox-H symbol at x > 0."""
+    if x <= 0:
+        raise ValueError(f"fox_h requires x > 0, got x={x!r}")
+    kind = _classify_fox(spec)
+    if kind[0] == "sm_cdf":
+        return sf._contour_value(kind, x, 1e-8)
+    return sf.nearest_kernel(x, kind[1], kind[2], kind[3])
+
+
+def residue_asymptote(x: float, n: int) -> float:
+    """Two-pole approximation of the n+1 factor product CCDF kernel, x -> 0.
+
+    Keeps the residues at s=0 and the order-(n+1) pole at s=-1 only; its
+    CDF side is :func:`nomarelay.specfun.residue_asymptote_cdf`.
+    """
+    if n < 0:
+        raise ValueError(f"residue_asymptote requires n >= 0, got n={n}")
+    if x <= 0:
+        raise ValueError(f"residue_asymptote requires x > 0, got x={x!r}")
+    if n == 0:
+        # degenerate chain: a single exponential factor, whose CDF opens
+        # linearly
+        return 1.0 - x
+    return 1.0 + sf._leading_residue(x, n)

@@ -26,24 +26,30 @@ from nomarelay.channel import (
     fit_singh_maddala,
     noise_power_w,
     pathloss_linear,
-    singh_maddala_ccdf,
-    singh_maddala_ccdf_foxh,
 )
 from nomarelay.experiments import RunConfig, SweepSpec, run_sweep
 from nomarelay.geometry import log_null_probability
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
-from nomarelay.power import sample_eh_process, transmit_power, \
-    transmit_power_recursive, uniform_policy
-from nomarelay.geometry import as_generator
+from nomarelay.power import uniform_policy
+from oracles import (
+    MeijerSpec,
+    as_generator,
+    meijer_g,
+    sample_eh_process,
+    singh_maddala_ccdf,
+    singh_maddala_ccdf_foxh,
+    transmit_power,
+    transmit_power_recursive,
+)
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
                      subarea_counts=(3, 2, 1),
-                     density_active=1e-2, density_inactive=1e-3)
+                     density_active=1e-2)
 T2 = NetworkTopology(hop_distances=(200.0, 100.0, 100.0),
                      disk_radii=(100.0, 50.0, 50.0),
                      subarea_counts=(3, 2, 1),
-                     density_active=1e-2, density_inactive=1e-3)
+                     density_active=1e-2)
 FIT100 = FittedGainDistribution(mu=0.12381469748798679,
                                 theta=0.9774996210662569,
                                 m=0.352367611096878,
@@ -110,8 +116,8 @@ def test_criterion_1_slot_outage_oracle_equivalence():
 def test_criterion_2_special_function_kernel():
     # closed kernel anchor within 1e-6 of the Bessel-integral oracle,
     # and the five-digit reference value on the nose
-    spec = specfun.MeijerSpec(m=2, n=0, p=0, q=2, a=(), b=(1.0, 0.0))
-    anchor = specfun.meijer_g(spec, 1.0)
+    spec = MeijerSpec(m=2, n=0, p=0, q=2, a=(), b=(1.0, 0.0))
+    anchor = meijer_g(spec, 1.0)
     assert anchor == pytest.approx(2.0 * scipy.special.kv(1, 2.0), abs=1e-6)
     assert round(anchor, 5) == 0.27973
 
@@ -172,7 +178,7 @@ def _best_over_patterns(scheme, hops):
     topology = NetworkTopology(hop_distances=(200.0,) * hops,
                                disk_radii=(100.0,) * hops,
                                subarea_counts=(1,) * hops,
-                               density_active=1e-2, density_inactive=1e-3)
+                               density_active=1e-2)
     patterns = tuple(itertools.product((1, 2, 3), repeat=hops))
     sweep = SweepSpec(variable="subarea_counts", grid=patterns,
                       schemes=(scheme,), metrics=("throughput",))
@@ -334,8 +340,6 @@ def test_criterion_6_property_suites():
     # deterministic replay: the tally pass is a pure function of
     # (scenario, trials, seed) however the blocks are scheduled
     scenario = _scenario(Scheme.TCOM, 0.0)
-    once = montecarlo._accumulate.__wrapped__(scenario, 50_000, 9,
-                                              "resample")
-    again = montecarlo._accumulate.__wrapped__(scenario, 50_000, 9,
-                                               "resample")
+    once = montecarlo._accumulate.__wrapped__(scenario, 50_000, 9)
+    again = montecarlo._accumulate.__wrapped__(scenario, 50_000, 9)
     assert once == again

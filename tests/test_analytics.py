@@ -47,15 +47,16 @@ from nomarelay.channel import (
     noise_power_w,
     pathloss_linear,
 )
-from nomarelay.geometry import annulus_distance_pdf, log_null_probability
+from nomarelay.geometry import log_null_probability
 from nomarelay.network import NetworkTopology, Scheme, build_policy
 from nomarelay.power import uniform_policy
 from nomarelay.specfun import prod_exp_ccdf
+from oracles import annulus_distance_pdf
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
                      subarea_counts=(3, 2, 1),
-                     density_active=1e-2, density_inactive=1e-3)
+                     density_active=1e-2)
 BUDGET = LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7))
 BTEH = uniform_policy("BTEH", 4, 0.1, alpha=0.2, eta=1.0)
 BPEH = uniform_policy("BPEH", 4, 0.1, beta=0.8, eta=1.0)
@@ -308,7 +309,7 @@ def test_mixture_argument_validation():
 # high-power asymptotes
 # ---------------------------------------------------------------------------
 
-HIGH = BUDGET.with_p0(BUDGET.P0 * 1e4)  # +40 dB
+HIGH = dataclasses.replace(BUDGET, P0=BUDGET.P0 * 1e4)  # +40 dB
 
 
 def test_small_gain_coefficients():

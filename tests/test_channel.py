@@ -1,5 +1,6 @@
 """Channel tests: path loss, fade CDFs, nearest-gain fit."""
 
+import dataclasses
 import math
 import os
 
@@ -10,26 +11,28 @@ from nomarelay.channel import (
     FitError,
     FittedGainDistribution,
     LinkBudget,
-    cdf_phi,
-    cdf_varphi_annulus,
     cdf_varphi_nearest_numeric,
     ccdf_varphi_nearest_numeric,
     dbm_to_watts,
     fit_cache_key,
     fit_singh_maddala,
-    fit_singh_maddala_cached,
     load_fit_cache,
     save_fit_cache,
     noise_power_w,
-    pathloss_db,
     pathloss_linear,
     singh_maddala_cdf,
+)
+from nomarelay import channel
+from nomarelay.geometry import CoverageDisk
+from oracles import (
+    cdf_phi,
+    cdf_varphi_annulus,
+    fit_singh_maddala_cached,
+    pathloss_db,
     singh_maddala_ccdf,
     singh_maddala_ccdf_foxh,
     watts_to_dbm,
 )
-from nomarelay import channel
-from nomarelay.geometry import CoverageDisk
 
 
 def default_budget(p0_dbm=0.0):
@@ -37,8 +40,8 @@ def default_budget(p0_dbm=0.0):
 
 
 def make_disk(radius, lam=1e-2, subareas=1):
-    return CoverageDisk(center=(0.0, 0.0), radius=radius, density_active=lam,
-                        density_inactive=1e-3, subarea_count=subareas)
+    return CoverageDisk(radius=radius, density_active=lam,
+                        subarea_count=subareas)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +64,7 @@ def test_noise_floor_and_reference_snr():
 
 def test_pathloss_reference_distance_identity():
     b = default_budget()
-    assert pathloss_linear(b.d0, b) == b.L
+    assert pathloss_linear(1.0, b) == b.L
 
 
 def test_pathloss_values():
@@ -111,7 +114,7 @@ def test_budget_validation():
 
 def test_with_p0_rescales_reference_snr():
     b = default_budget()
-    b10 = b.with_p0(dbm_to_watts(10.0))
+    b10 = dataclasses.replace(b, P0=dbm_to_watts(10.0))
     assert b10.gamma_bar0 == pytest.approx(10.0 * b.gamma_bar0, rel=1e-12)
     assert b10.L == b.L
 
@@ -330,7 +333,7 @@ def test_fit_cache_key_distinguishes_geometry():
     assert len(keys) == 4
     # but the key ignores transmit power, which the fit does not depend on
     assert fit_cache_key(make_disk(50.0), b) == fit_cache_key(
-        make_disk(50.0), b.with_p0(1e-2))
+        make_disk(50.0), dataclasses.replace(b, P0=1e-2))
 
 
 def test_ccdf_cdf_complement():

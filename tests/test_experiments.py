@@ -24,8 +24,7 @@ from nomarelay.experiments import (
 from nomarelay.network import NetworkTopology, Scheme
 
 T3 = NetworkTopology(hop_distances=(50.0, 50.0), disk_radii=(25.0, 25.0),
-                     subarea_counts=(2, 2), density_active=1e-2,
-                     density_inactive=1e-3)
+                     subarea_counts=(2, 2), density_active=1e-2)
 
 
 def small_config(**kw):
@@ -101,7 +100,7 @@ def test_sweep_spec_validation():
 
 FULL_YAML = """\
 topology: t2
-densities: {active: 2.0e-2, inactive: 5.0e-4}
+densities: {active: 2.0e-2}
 budget: {p0_dbm: -10.0, bandwidth_hz: 2.0e7, epsilon: 3.0}
 policy: {rho: 0.3, alpha: 0.25, beta: 0.7, eta: 0.9}
 plan: {relay_share: 0.75, rate_fraction: 0.4, rate_cap: 0.6}
@@ -122,7 +121,6 @@ def test_load_config_full(tmp_path):
     config = load_config(path)
     assert config.topology.hop_distances == (200.0, 100.0, 100.0)
     assert config.topology.density_active == 2e-2
-    assert config.topology.density_inactive == 5e-4
     assert config.p0_dbm == -10.0
     assert config.bandwidth_hz == 2e7
     assert config.epsilon == 3.0
@@ -154,6 +152,29 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(FULL_YAML + "extra_knob: 1\n")
     with pytest.raises(ValueError, match="unknown config keys"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, written, misspelled, key", [
+    ("budget", "p0_dbm: -10.0", "p0dbm: -10.0", "p0dbm"),
+    ("policy", "alpha: 0.25", "alfa: 0.25", "alfa"),
+    ("plan", "rate_cap: 0.6", "rate_capp: 0.6", "rate_capp"),
+    ("densities", "active: 2.0e-2", "activ: 2.0e-2", "activ"),
+    ("densities", "active: 2.0e-2", "active: 2.0e-2, inactive: 5.0e-4",
+     "inactive"),
+    ("sweep", "include_asymptotic: true", "include_asymtotic: true",
+     "include_asymtotic"),
+    ("trials", "outage: 5000", "outages: 5000", "outages"),
+    ("topology", "topology: t2", "topology: {hop_distances: [50.0], "
+     "disk_radii: [25.0], subarea_count: [1]}", "subarea_count"),
+], ids=["budget", "policy", "plan", "densities", "densities-inactive",
+        "sweep", "trials", "topology"])
+def test_load_config_rejects_unknown_nested_keys(tmp_path, section, written,
+                                                 misspelled, key):
+    path = tmp_path / "run.yaml"
+    path.write_text(FULL_YAML.replace(written, misspelled))
+    with pytest.raises(ValueError,
+                       match=rf"{section}: unknown config keys \['{key}'\]"):
         load_config(path)
 
 
@@ -559,8 +580,10 @@ def test_csv_contract_and_byte_identity(tmp_path):
     config = small_config()
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    run_sweep(config, first, source="both")
-    run_sweep(config, second, source="both")
+    experiments.emit_results(run_sweep(config, source="both").rows, "csv",
+                             first)
+    experiments.emit_results(run_sweep(config, source="both").rows, "csv",
+                             second)
     text = first.read_text()
     assert text == second.read_text()
     header, *lines = text.splitlines()

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare
 
-from nomarelay.geometry import (
-    CoverageDisk,
+from nomarelay.geometry import CoverageDisk, log_null_probability
+from oracles import (
     as_generator,
     annulus_distance_pdf,
-    log_null_probability,
     null_probability,
     sample_annulus_distance,
     sample_hppp_disk,
@@ -21,9 +20,8 @@ from nomarelay.geometry import (
 )
 
 
-def make_disk(radius=100.0, lam_active=1e-2, lam_inactive=1e-3, subareas=1):
-    return CoverageDisk(center=(0.0, 0.0), radius=radius,
-                        density_active=lam_active, density_inactive=lam_inactive,
+def make_disk(radius=100.0, lam_active=1e-2, subareas=1):
+    return CoverageDisk(radius=radius, density_active=lam_active,
                         subarea_count=subareas)
 
 
@@ -71,9 +69,11 @@ def test_empty_pattern_frequency_matches_null_probability():
 
 
 def test_inactive_kind_uses_other_density():
-    disk = make_disk(radius=100.0, lam_active=1e-2, lam_inactive=1e-3)
+    disk = make_disk(radius=100.0, lam_active=1e-2)
     rng = as_generator(11)
-    counts = np.array([len(sample_hppp_disk(disk, "inactive", rng)) for _ in range(5_000)])
+    counts = np.array([len(sample_hppp_disk(disk, "inactive", rng,
+                                            density_inactive=1e-3))
+                       for _ in range(5_000)])
     assert counts.mean() == pytest.approx(1e-3 * math.pi * 100.0**2, rel=0.05)
 
 

@@ -22,19 +22,18 @@ from nomarelay.channel import (
 from nomarelay.geometry import log_null_probability
 from nomarelay.montecarlo import (
     Estimate,
-    empirical_ccdf_oracle,
     estimate_outage,
     estimate_supply_power,
     estimate_throughput,
-    run_block_trial,
     simulate_plan,
 )
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
+from oracles import empirical_ccdf_oracle, run_block_trial
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
                      subarea_counts=(3, 2, 1),
-                     density_active=1e-2, density_inactive=1e-3)
+                     density_active=1e-2)
 BUDGET = LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7))
 FIT100 = FittedGainDistribution(mu=0.12381469748798679,
                                 theta=0.9774996210662569,
@@ -201,29 +200,6 @@ def test_empirical_ccdf_qom_variable():
         assert abs(ana - est.mean) <= 3.0 * sigma + 2.0 * FIT100.fit_error
 
 
-def test_skip_mode_counts_empty_annuli_as_unserved():
-    # skip mode keeps the sampled occupancy per annulus, so a hole in
-    # subarea 1 becomes a failure of its device event; resample mode
-    # always places a device there.  Conditioning stays disk-level.
-    resample = estimate_outage(SPARSE_COM, ("device", 1, 1), 60_000, 35)
-    skip = estimate_outage(SPARSE_COM, ("device", 1, 1), 60_000, 35,
-                           empty_annulus="skip")
-    disk = SPARSE.disk(1)
-    lo, hi = disk.annulus_bounds(1)
-    hole = math.exp(-1e-3 * math.pi * (hi * hi - lo * lo))
-    assert skip.mean - resample.mean > 0.8 * hole * 0.5
-    p_active = -math.expm1(log_null_probability(1e-3, 25.0))
-    for est in (resample, skip):
-        sigma = math.sqrt(p_active * (1.0 - p_active) / 60_000)
-        assert abs(est.trials / 60_000 - p_active) < 3 * sigma
-    # hop statistics only see a different draw order, not a different law
-    hop_a = estimate_outage(TCOM, ("hop", 2), 60_000, 35)
-    hop_b = estimate_outage(TCOM, ("hop", 2), 60_000, 35,
-                            empty_annulus="skip")
-    sigma = math.hypot(hop_a.half_width, hop_b.half_width) / 1.96
-    assert abs(hop_a.mean - hop_b.mean) <= 3.0 * sigma + 1e-12
-
-
 BARE = Scenario(scheme=Scheme.CNRR, topology=T1.without_devices(),
                 policy=build_policy(Scheme.CNRR, 4, 0.0), budget=BUDGET,
                 plan=analytics.baseline_plan(TCOM.plan, 3))
@@ -234,21 +210,21 @@ STEEP_TCOM = dataclasses.replace(
     TCOM, budget=LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7), epsilon=3.0))
 
 
-@pytest.mark.parametrize("empty_annulus", ["resample", "skip"])
+# a com device is resampled into its annulus whenever the disk is active
 @pytest.mark.parametrize("group", [
     (TCOM, scenario(Scheme.PCOM), scenario(Scheme.COM_NOEH, rho=0.0),
      STEEP_TCOM),
     (TQOM, scenario(Scheme.PQOM), scenario(Scheme.QOM_NOEH, rho=0.0), BARE),
-], ids=["com", "qom"])
-def test_shared_draws_match_runs_simulated_alone(group, empty_annulus):
+], ids=["com-resample", "qom-resample"])
+def test_shared_draws_match_runs_simulated_alone(group):
     # 30,000 trials cut block 0 and 100,000 cut block 1 of the same run
     runs = [(s, 41, n) for s in group for n in (100_000, 30_000)]
-    plan = simulate_plan(runs, empty_annulus)
+    plan = simulate_plan(runs)
     for s, seed, n in runs:
-        alone = montecarlo._accumulate.__wrapped__(s, n, seed, empty_annulus)
+        alone = montecarlo._accumulate.__wrapped__(s, n, seed)
         assert plan[s, seed, n] == alone
-    assert simulate_plan(runs[::-1], empty_annulus) == plan
-    assert simulate_plan(runs[1::2] + runs[::2], empty_annulus) == plan
+    assert simulate_plan(runs[::-1]) == plan
+    assert simulate_plan(runs[1::2] + runs[::2]) == plan
 
 
 def test_plan_keeps_failures_to_their_runs():
@@ -256,7 +232,7 @@ def test_plan_keeps_failures_to_their_runs():
     plan = simulate_plan(runs)
     assert isinstance(plan[TCOM, 5, 0], ValueError)
     assert plan[TCOM, 5, 10_000] == montecarlo._accumulate.__wrapped__(
-        TCOM, 10_000, 5, "resample")
+        TCOM, 10_000, 5)
     assert plan[TQOM, 5, 10_000].trials == 10_000
 
 
@@ -269,8 +245,6 @@ def test_selector_and_argument_validation():
         estimate_outage(TCOM, ("snr", 1), 1_000, 1)
     with pytest.raises(ValueError, match="no served device"):
         estimate_outage(TCOM, ("device", 1, 4), 1_000, 1)
-    with pytest.raises(ValueError, match="empty-annulus"):
-        estimate_outage(TCOM, ("hop", 1), 1_000, 1, empty_annulus="drop")
     with pytest.raises(ValueError, match="grid"):
         empirical_ccdf_oracle(TCOM, ("X", 1), [2.0, 1.0], 1_000, 1)
     with pytest.raises(ValueError, match="com scheme"):

@@ -9,7 +9,7 @@ from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
                      subarea_counts=(3, 2, 1),
-                     density_active=1e-2, density_inactive=1e-3)
+                     density_active=1e-2)
 BUDGET = LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7))
 
 
@@ -18,8 +18,6 @@ def test_scheme_taxonomy():
     assert Scheme.PQOM.pairing == "qom" and Scheme.PQOM.harvesting == "BPEH"
     assert Scheme.COM_NOEH.harvesting is None
     assert Scheme.CNRR.pairing is None
-    assert not Scheme.CNRR.serves_devices
-    assert Scheme.TQOM.serves_devices
 
 
 def test_scheme_parse_accepts_labels_case_insensitively():
@@ -63,7 +61,8 @@ def test_without_devices_only_clears_activity():
     bare = T1.without_devices()
     assert bare.density_active == 0.0
     assert bare.hop_distances == T1.hop_distances
-    assert bare.density_inactive == T1.density_inactive
+    assert (bare.disk_radii, bare.subarea_counts) \
+        == (T1.disk_radii, T1.subarea_counts)
 
 
 def test_build_policy_matches_scheme():

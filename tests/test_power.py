@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from nomarelay.channel import LinkBudget, noise_power_w
-from nomarelay.geometry import as_generator
-from nomarelay.power import (
-    EhPolicy,
+from nomarelay.power import EhPolicy, omega_factor, uniform_policy
+from oracles import (
     EhRealization,
-    omega_factor,
+    as_generator,
     sample_eh_process,
     transmit_power,
     transmit_power_recursive,
-    uniform_policy,
 )
 
 BUDGET = LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7))

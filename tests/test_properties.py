@@ -5,6 +5,7 @@ inside [0, 1] and close to total probability, allocations stay feasible,
 the power chain honors its harvest indicators, and estimators replay.
 """
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -17,14 +18,15 @@ from nomarelay.channel import (
     LinkBudget,
     noise_power_w,
 )
-from nomarelay.montecarlo import Estimate, run_block_trial
+from nomarelay.montecarlo import Estimate
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 from nomarelay.power import uniform_policy
+from oracles import run_block_trial
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
                      subarea_counts=(3, 2, 1),
-                     density_active=1e-2, density_inactive=1e-3)
+                     density_active=1e-2)
 BUDGET = LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7))
 FIT100 = FittedGainDistribution(mu=0.12381469748798679,
                                 theta=0.9774996210662569,
@@ -101,8 +103,6 @@ def test_default_allocation_is_feasible(rho, alpha, arch, scheme):
 def test_thresholds_increase_with_rates(rho, alpha, arch, factor):
     # rho > 0 keeps the harvested-state rows live; at rho = 0 the rate
     # rule ignores them and they may sit at infinity
-    import dataclasses
-
     scheme = Scheme.TCOM if arch == "BTEH" else Scheme.PCOM
     policy = build_policy(scheme, 4, rho, alpha=alpha)
     plan = default_allocation(T1, policy)
@@ -131,7 +131,8 @@ def test_outage_improves_with_supply_power(rho, alpha, t, arch, db_step):
     policy = build_policy(scheme, 4, rho, alpha=alpha)
     plan = default_allocation(T1, policy)
     low = analytics.op_typeI(t, scheme, T1, policy, BUDGET, plan)
-    boosted = BUDGET.with_p0(BUDGET.P0 * 10.0 ** (db_step / 10.0))
+    boosted = dataclasses.replace(BUDGET,
+                                  P0=BUDGET.P0 * 10.0 ** (db_step / 10.0))
     high = analytics.op_typeI(t, scheme, T1, policy, boosted, plan)
     assert 0.0 <= high <= low <= 1.0
 
