@@ -7,8 +7,12 @@ the run length of consecutive harvesting nodes turns every distribution
 into a finite mixture whose branches are the product-distribution kernels
 from :mod:`nomarelay.specfun`.  Outage assembles those mixtures in
 CDF-deficit space so small probabilities keep relative accuracy, and the
-small-argument residue expansions provide the high-power asymptotes and
-diversity slopes.
+small-argument residue expansions provide the high-power asymptotes.
+
+Every outage of a scenario, and its sum throughput, is read through one
+:class:`SlotMarginals`: ``outage`` takes the same selector tuples as
+:meth:`nomarelay.montecarlo.Tallies.outage`, so the closed form and the
+simulator answer one question the same way.
 
 Every kernel call goes through a :class:`KernelMemo`.  A sweep shares one
 memo across all its :class:`SlotMarginals`, so each distinct kernel
@@ -22,11 +26,8 @@ import collections
 import functools
 import logging
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .channel import (
     FittedGainDistribution,
@@ -34,7 +35,7 @@ from .channel import (
     pathloss_linear,
 )
 from .geometry import log_null_probability
-from .network import NetworkTopology, Scheme
+from .network import NetworkTopology, Scenario, Scheme
 from .power import EhPolicy, omega_factor
 from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
     annulus_kernel,
@@ -109,9 +110,6 @@ class AllocationPlan:
     @property
     def slot_count(self) -> int:
         return len(self.device_shares)
-
-    def subarea_count(self, t: int) -> int:
-        return len(self.device_shares[t - 1])
 
 
 def _time_scale(policy: EhPolicy) -> float:
@@ -519,24 +517,19 @@ def asymptotic_cdf_Z(z: float, t: int, topology: NetworkTopology,
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
-    The decoding thresholds are derived on construction.  Hop outage,
-    served-device outage, end-to-end outage and sum throughput are
-    memoized per (event, ``asymptotic``), so every composition of the same
-    scenario reuses one value per slot.  ``nearest_fit(t)`` returns the
-    nearest-gain fit of slot ``t``; it is called only when an exact qom
-    device outage first needs it.
+    The decoding thresholds are derived on construction.  Every outage and
+    the sum throughput are memoized per (event, ``asymptotic``), so every
+    composition of the same scenario reuses one value per slot.
+    ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``; it is
+    called only when an exact qom device outage first needs it.
     """
 
-    def __init__(self, scheme: Scheme, topology: NetworkTopology,
-                 policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
-                 nearest_fit=None, kernels: Optional["KernelMemo"] = None):
-        self.scheme = scheme
-        self.topology = topology
-        self.policy = policy
-        self.budget = budget
-        self.plan = plan
-        self.thresholds = decoding_thresholds(plan, policy, topology.node_count,
-                                              scheme)
+    def __init__(self, scenario: Scenario, nearest_fit=None,
+                 kernels: Optional["KernelMemo"] = None):
+        self.scenario = scenario
+        self.thresholds = decoding_thresholds(
+            scenario.plan, scenario.policy, scenario.topology.node_count,
+            scenario.scheme)
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
         self._memo = {}
@@ -547,57 +540,68 @@ class SlotMarginals:
             self._memo[key] = compute(*args)
         return self._memo[key]
 
-    def hop(self, t: int, asymptotic: bool = False) -> float:
-        """Outage of the relayed message at the receiver of slot t."""
-        return self._once(self._hop, t, asymptotic)
+    def outage(self, selector, asymptotic: bool = False) -> float:
+        """Outage probability of the decode event ``selector`` names.
 
-    def device(self, t: int, k: Optional[int],
-               asymptotic: bool = False) -> float:
-        """Outage of the device served in slot t (``k=None``: qom device)."""
-        return self._once(self._device, t, k, asymptotic)
-
-    def e2e(self, node, asymptotic: bool = False) -> float:
-        """End-to-end outage of ``node``, as in :func:`e2e_op`."""
-        return self._once(self._e2e, node, asymptotic)
+        ``("hop", t)``: the relayed message at the receiver of slot t, the
+        same for com and qom pairing because the relayed message sees the
+        same total interference share either way.  ``("device", t, k)``:
+        the com device in subarea k of slot t (``k=None``: the qom device),
+        given it is served.  ``("e2e_destination",)`` and
+        ``("e2e_device", t, k)``: end to end, under the rare-harvest product
+        approximation; a device is reached once its slot's transmitter
+        holds the message, so its chain covers hops 1..t-1 plus the
+        device's own decode, and the slot's forward hop is a separate event.
+        """
+        step = {"hop": self._hop, "device": self._device,
+                "e2e_destination": self._e2e_destination,
+                "e2e_device": self._e2e_device}.get(selector[0])
+        if step is None:
+            raise ValueError(f"unknown selector {selector!r}")
+        hops = self.scenario.topology.hop_count
+        if len(selector) > 1 and not 1 <= selector[1] <= hops:
+            raise ValueError(f"slot {selector[1]} outside 1..{hops}")
+        return self._once(step, *selector[1:], asymptotic)
 
     def throughput(self, asymptotic: bool = False) -> float:
         """Sum throughput over the relayed message and every served device."""
         return self._once(self._throughput, asymptotic)
 
     def _hop(self, t, asymptotic):
-        topology, policy, budget = self.topology, self.policy, self.budget
-        log_idle = log_null_probability(topology.density_active,
-                                        topology.disk_radii[t - 1])
+        s = self.scenario
+        log_idle = log_null_probability(s.topology.density_active,
+                                        s.topology.disk_radii[t - 1])
         iota = (math.exp(log_idle), -math.expm1(log_idle))
         form = "asymptotic_cdf" if asymptotic else "cdf"
         evaluate = functools.partial(_hop_mix, self.kernels, form, t,
-                                     topology, policy, budget)
+                                     s.topology, s.policy, s.budget)
         return self._outage(t, self.thresholds.relay, iota, evaluate,
-                            f"op_typeI(t={t})")
+                            f"hop outage (t={t})")
 
     def _device(self, t, k, asymptotic):
-        topology, policy, budget = self.topology, self.policy, self.budget
+        s = self.scenario
         form = "asymptotic_cdf" if asymptotic else "cdf"
         if k is None:
             thresholds = self.thresholds.qom_device[t - 1]
-            label = f"op_typeII_qom(t={t})"
+            label = f"qom device outage (t={t})"
             if not asymptotic and self._nearest_fit is None:
                 raise ValueError("exact qom outage needs the nearest-gain fit")
             fit = None if asymptotic else self._nearest_fit(t)
             evaluate = functools.partial(_nearest_mix, self.kernels, form, t,
-                                         topology, policy, budget, fit)
+                                         s.topology, s.policy, s.budget, fit)
         else:
             thresholds = self.thresholds.com_device[t - 1][k - 1]
-            label = f"op_typeII_com(t={t},k={k})"
+            label = f"com device outage (t={t},k={k})"
             evaluate = functools.partial(_com_mix, self.kernels, form, t, k,
-                                         topology, policy, budget)
+                                         s.topology, s.policy, s.budget)
         return self._outage(t, tuple((th,) for th in thresholds), (1.0,),
                             evaluate, label)
 
     def _outage(self, t, thresholds, iota, evaluate, label):
         """CDF deficit at ``thresholds[i][j]``, mixed over the receiver's
         harvest state i and the sender's states j, weighted by ``iota``."""
-        rho = (self.policy.rho0(t + 1), self.policy.rho1(t + 1))
+        policy = self.scenario.policy
+        rho = (policy.rho0(t + 1), policy.rho1(t + 1))
         op = 0.0
         for i in (0, 1):
             for j, share in enumerate(iota):
@@ -609,64 +613,32 @@ class SlotMarginals:
                                         else evaluate(threshold))
         return _clamp(op, label)
 
-    def _e2e(self, node, asymptotic):
-        if node == "destination":
-            return _clamp(_success_product(
-                self.hop(t, asymptotic)
-                for t in range(1, self.topology.hop_count + 1)),
-                "e2e_op(destination)")
-        t, k = node
-        device = self.device(t, k, asymptotic)
-        chain = [self.hop(i, asymptotic) for i in range(1, t)] + [device]
-        return _clamp(_success_product(chain), f"e2e_op(t={t},k={k})")
+    def _e2e_destination(self, asymptotic):
+        return _clamp(_success_product(
+            self.outage(("hop", t), asymptotic)
+            for t in range(1, self.scenario.topology.hop_count + 1)),
+            "e2e outage (destination)")
+
+    def _e2e_device(self, t, k, asymptotic):
+        device = self.outage(("device", t, k), asymptotic)
+        chain = [self.outage(("hop", i), asymptotic) for i in range(1, t)]
+        return _clamp(_success_product(chain + [device]),
+                      f"e2e outage (t={t},k={k})")
 
     def _throughput(self, asymptotic):
-        pairing = self.scheme.pairing
-        destination = self.e2e("destination", asymptotic)
+        s = self.scenario
+        pairing = s.scheme.pairing
+        destination = self.outage(("e2e_destination",), asymptotic)
         devices = []
-        for t in range(1, self.topology.hop_count + 1):
+        for t in range(1, s.topology.hop_count + 1):
             if pairing == "com":
-                kt = self.topology.subarea_counts[t - 1]
-                devices.append(tuple(self.e2e((t, k), asymptotic)
-                                     for k in range(1, kt + 1)))
-            elif pairing == "qom":
-                devices.append((self.e2e((t, None), asymptotic),))
+                ks = range(1, s.topology.subarea_counts[t - 1] + 1)
             else:
-                devices.append(())
-        return sum_throughput(self.plan, destination, tuple(devices), pairing,
-                              self.topology.node_count)
-
-
-def op_typeI(t: int, scheme: Scheme, topology: NetworkTopology,
-             policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
-             asymptotic: bool = False) -> float:
-    """Outage of the relayed message at the receiver of slot t.
-
-    Mixes the hop-SNR CDF over the receiver's harvest state and the
-    transmitter disk's device-activity state; identical for com and qom
-    pairing because the relayed message sees the same total interference
-    share either way.
-    """
-    return SlotMarginals(scheme, topology, policy, budget, plan).hop(
-        t, asymptotic)
-
-
-def op_typeII_com(t: int, k: int, scheme: Scheme, topology: NetworkTopology,
-                  policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
-                  asymptotic: bool = False) -> float:
-    """Outage of the com device in subarea k of slot t (given it is served)."""
-    return SlotMarginals(scheme, topology, policy, budget, plan).device(
-        t, k, asymptotic)
-
-
-def op_typeII_qom(t: int, scheme: Scheme, topology: NetworkTopology,
-                  policy: EhPolicy, budget: LinkBudget, plan: AllocationPlan,
-                  fit: Optional[FittedGainDistribution] = None,
-                  asymptotic: bool = False) -> float:
-    """Outage of the nearest served device in slot t (given one exists)."""
-    nearest_fit = None if fit is None else (lambda _t: fit)
-    return SlotMarginals(scheme, topology, policy, budget, plan,
-                         nearest_fit).device(t, None, asymptotic)
+                ks = (None,) if pairing == "qom" else ()
+            devices.append(tuple(self.outage(("e2e_device", t, k), asymptotic)
+                                 for k in ks))
+        return sum_throughput(s.plan, destination, tuple(devices), pairing,
+                              s.topology.node_count)
 
 
 def _success_product(ops) -> float:
@@ -675,24 +647,8 @@ def _success_product(ops) -> float:
     return -math.expm1(log_success) if math.isfinite(log_success) else 1.0
 
 
-def e2e_op(node, scheme: Scheme, topology: NetworkTopology, policy: EhPolicy,
-           budget: LinkBudget, plan: AllocationPlan,
-           fits: Optional[tuple] = None, asymptotic: bool = False) -> float:
-    """End-to-end outage under the rare-harvest product approximation.
-
-    ``node`` is ``"destination"`` for the relayed message, or ``(t, k)``
-    for the device served in slot ``t`` (``k=None`` selects the qom
-    device).  A device is reached once its slot's transmitter holds the
-    message, so its chain covers hops 1..t-1 plus the device's own
-    decode; the slot's forward hop is a separate event.
-    """
-    nearest_fit = None if fits is None else (lambda t: fits[t - 1])
-    return SlotMarginals(scheme, topology, policy, budget, plan,
-                         nearest_fit).e2e(node, asymptotic)
-
-
 # ---------------------------------------------------------------------------
-# throughput and energy efficiency
+# throughput and supply power
 # ---------------------------------------------------------------------------
 
 def sum_throughput(plan: AllocationPlan, destination_e2e: float,
@@ -720,39 +676,6 @@ def sum_throughput(plan: AllocationPlan, destination_e2e: float,
     return total / slots
 
 
-def energy_efficiency(throughput: float, budget: LinkBudget, policy: EhPolicy,
-                      bandwidth_hz: float):
-    """(EE, consumed supply power): harvested hops cost no supply power."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
-    p_tol = budget.P0 * sum(policy.rho0(j)
-                            for j in range(1, policy.node_count))
-    return bandwidth_hz * throughput / p_tol, p_tol
-
-
-# ---------------------------------------------------------------------------
-# diversity order
-# ---------------------------------------------------------------------------
-
-def diversity_order_estimate(p0_dbm, op_values, floor: float = 1e-290) -> float:
-    """Negative log-log outage slope over the last decade of transmit SNR.
-
-    Points at or below the numeric floor are excluded (reported via a
-    warning); at least four usable points must remain in the top 10 dB.
-    """
-    p0 = np.asarray(p0_dbm, dtype=float)
-    ops = np.asarray(op_values, dtype=float)
-    if p0.shape != ops.shape:
-        raise ValueError("grid and outage arrays must align")
-    usable = np.isfinite(ops) & (ops > floor)
-    if not np.all(usable):
-        warnings.warn(f"excluded {int((~usable).sum())} outage points at the "
-                      "numeric floor", RuntimeWarning)
-    p0, ops = p0[usable], ops[usable]
-    if p0.size:
-        window = p0 >= p0.max() - 10.0
-        p0, ops = p0[window], ops[window]
-    if p0.size < 4:
-        raise ValueError("need at least four usable points in the last decade")
-    slope = np.polyfit(p0 / 10.0, np.log10(ops), 1)[0]
-    return -slope
+def supply_power(budget: LinkBudget, policy: EhPolicy) -> float:
+    """Consumed supply power P_tol: harvested hops cost no supply power."""
+    return budget.P0 * sum(policy.rho0(j) for j in range(1, policy.node_count))

@@ -25,16 +25,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override the config seed")
 
 
-def _report(result, stream=None) -> None:
-    stream = sys.stderr if stream is None else stream
+def _report(result) -> None:
     for value, scheme, metric, ana, mc, gap, margin in result.flagged:
         print(f"FLAG  {scheme} {metric} @ {value}: analytic {ana:.6g} vs "
               f"simulated {mc:.6g} (gap {gap:.3g} > margin {margin:.3g})",
-              file=stream)
+              file=sys.stderr)
     for value, scheme, metric, message in result.failures:
-        print(f"ERROR {scheme} {metric} @ {value}: {message}", file=stream)
+        print(f"ERROR {scheme} {metric} @ {value}: {message}", file=sys.stderr)
     print(f"{len(result.rows)} rows, {len(result.flagged)} flagged, "
-          f"{len(result.failures)} failed", file=stream)
+          f"{len(result.failures)} failed", file=sys.stderr)
 
 
 def _cmd_sweep(args) -> int:

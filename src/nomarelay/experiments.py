@@ -192,6 +192,9 @@ def _topology_from_spec(spec, density_active: float, where: str) -> NetworkTopol
         except KeyError:
             raise ValueError(f"unknown topology preset {spec!r}") from None
     spec = _checked(spec, _TOPOLOGY_KEYS, where)
+    missing = [key for key in _TOPOLOGY_KEYS if key not in spec]
+    if missing:
+        raise ValueError(f"{where}: missing config keys {missing}")
     return NetworkTopology(
         hop_distances=tuple(float(d) for d in spec["hop_distances"]),
         disk_radii=tuple(float(r) for r in spec["disk_radii"]),
@@ -323,11 +326,8 @@ class _SweepCore:
             # the fit source binds the book, not the core, so no reference
             # cycle keeps a finished sweep's memo alive until a full collection
             self._marginals[scenario] = analytics.SlotMarginals(
-                scenario.scheme, scenario.topology, scenario.policy,
-                scenario.budget, scenario.plan,
-                nearest_fit=functools.partial(_nearest_fit, self.fits,
-                                              scenario),
-                kernels=self.kernels)
+                scenario, functools.partial(_nearest_fit, self.fits, scenario),
+                self.kernels)
         return self._marginals[scenario]
 
 
@@ -361,26 +361,20 @@ class _PointContext:
 
     # -- analytic side ----------------------------------------------------
 
+    def _per_watt(self, scenario, rate: float) -> float:
+        """Energy efficiency of ``rate``: bits per joule of supply power."""
+        return self.bandwidth_hz * rate / analytics.supply_power(
+            scenario.budget, scenario.policy)
+
     def _efficiency(self, scenario, asymptotic=False) -> float:
-        tp = self.core.marginals(scenario).throughput(asymptotic)
-        return analytics.energy_efficiency(tp, scenario.budget,
-                                           scenario.policy,
-                                           self.bandwidth_hz)[0]
+        return self._per_watt(
+            scenario, self.core.marginals(scenario).throughput(asymptotic))
 
     def analytic(self, selector, asymptotic=False) -> float:
         s = self.scenario
-        marginals = self.core.marginals(s)
         kind = selector[0]
-        if kind == "hop":
-            return marginals.hop(selector[1], asymptotic)
-        if kind == "device":
-            return marginals.device(selector[1], selector[2], asymptotic)
-        if kind == "e2e_destination":
-            return marginals.e2e("destination", asymptotic)
-        if kind == "e2e_device":
-            return marginals.e2e((selector[1], selector[2]), asymptotic)
         if kind == "throughput":
-            return marginals.throughput(asymptotic)
+            return self.core.marginals(s).throughput(asymptotic)
         if kind == "ee":
             return self._efficiency(s, asymptotic)
         if kind == "eed":
@@ -389,9 +383,8 @@ class _PointContext:
             return (self._efficiency(s, asymptotic)
                     - self._efficiency(self.twin, asymptotic))
         if kind == "p_tol":
-            return analytics.energy_efficiency(0.0, s.budget, s.policy,
-                                               self.bandwidth_hz)[1]
-        raise ValueError(f"unknown selector {selector!r}")
+            return analytics.supply_power(s.budget, s.policy)
+        return self.core.marginals(s).outage(selector, asymptotic)
 
     # -- simulated side ---------------------------------------------------
 
@@ -415,25 +408,24 @@ class _PointContext:
             if isinstance(tal, Exception):
                 raise tal
         if kind not in _SCALAR_METRICS:
-            return tallies[0].outage(selector, s.topology.hop_count)
+            return tallies[0].outage(selector)
         if kind == "p_tol":
             return tallies[0].supply_power()
         tp = tallies[0].throughput()
         if kind == "throughput":
             return tp
-        scale = self.bandwidth_hz
-        _, p_tol = analytics.energy_efficiency(0.0, s.budget, s.policy, scale)
         if kind == "ee":
-            return montecarlo.Estimate(mean=scale * tp.mean / p_tol,
-                                       half_width=scale * tp.half_width / p_tol,
+            return montecarlo.Estimate(mean=self._per_watt(s, tp.mean),
+                                       half_width=self._per_watt(
+                                           s, tp.half_width),
                                        trials=tp.trials)
         if kind == "eed":
             if not s.policy.is_harvesting:
                 return montecarlo.Estimate(0.0, 0.0, tp.trials)
-            twin = self.twin
+            scale = self.bandwidth_hz
+            p_tol = analytics.supply_power(s.budget, s.policy)
+            p0 = analytics.supply_power(self.twin.budget, self.twin.policy)
             tp0 = tallies[1].throughput()
-            _, p0 = analytics.energy_efficiency(0.0, twin.budget, twin.policy,
-                                                scale)
             hw = scale * math.hypot(tp.half_width / p_tol, tp0.half_width / p0)
             return montecarlo.Estimate(
                 mean=scale * (tp.mean / p_tol - tp0.mean / p0),

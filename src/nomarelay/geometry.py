@@ -5,7 +5,8 @@ centred at their serving transmitter.  The disk is split into equal-width
 annuli used as NOMA scheduling subareas.  This module holds the disk and
 its null probability; the simulator draws the scheduled-device and
 nearest-device distances itself, and the closed-form layer mixes over
-their laws.
+their laws.  The annulus bounds and distance laws, which only the tests
+read, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,19 +30,6 @@ class CoverageDisk:
             raise ValueError("densities must be non-negative")
         if int(self.subarea_count) != self.subarea_count or self.subarea_count < 1:
             raise ValueError(f"subarea_count must be a positive integer, got {self.subarea_count}")
-
-    def annulus_bounds(self, annulus_index: int) -> tuple[float, float]:
-        """Radial bounds [lo, hi) of the 1-based equal-width annulus."""
-        k = self._check_annulus(annulus_index)
-        width = self.radius / self.subarea_count
-        return (k - 1) * width, k * width
-
-    def _check_annulus(self, annulus_index: int) -> int:
-        k = int(annulus_index)
-        if k != annulus_index or not 1 <= k <= self.subarea_count:
-            raise ValueError(
-                f"annulus index {annulus_index} outside 1..{self.subarea_count}")
-        return k
 
 
 def log_null_probability(density: float, radius: float) -> float:

@@ -11,6 +11,10 @@ is drawn by :func:`_draw` and resolved per scenario by :func:`_resolve`.
 A sweep plans its simulation once (:func:`simulate_plan`): shorter trial
 counts are tallied as prefixes of longer ones, and scenarios sharing
 pairing, topology and seed resolve the same draws, with unchanged results.
+:func:`simulate` runs one scenario alone through the same plan.  Both
+yield :class:`Tallies`, whose ``outage`` reads the selector tuples of
+:meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
+between calls.
 Given an active disk, every com annulus holds a scheduled device.
 Single-trial outcomes and empirical survival curves, which only the tests
 read, live in ``tests/oracles.py``.
@@ -22,7 +26,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -267,7 +270,10 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
 
 
 @dataclass
-class _Tallies:
+class Tallies:
+    """Event counts and moment sums of one simulated run of ``hops`` slots."""
+
+    hops: int
     trials: int = 0
     hop_fail: dict = field(default_factory=dict)
     present: dict = field(default_factory=dict)
@@ -308,31 +314,39 @@ class _Tallies:
         self.supply_w_sum += float(watts.sum())
         self.supply_w_sumsq += float((watts * watts).sum())
 
-    def outage(self, node_selector, hops: int) -> Estimate:
-        """The outage estimate of one selector; see :func:`estimate_outage`."""
-        kind, rest = node_selector[0], node_selector[1:]
+    def outage(self, selector) -> Estimate:
+        """Outage estimate of one decode event.
+
+        Selectors: ``("hop", t)``, ``("device", t, k)``,
+        ``("e2e_destination",)`` and ``("e2e_device", t, k)``; ``k=None``
+        addresses the qom device.  Device estimates condition on the slot's
+        disk being active, so their trial count is the number of
+        conditioning trials.
+        """
+        kind, rest = selector[0], selector[1:]
         if kind == "e2e_destination":
             return Estimate.from_binomial(self.e2e_destination_fail,
                                           self.trials)
         t = rest[0]
-        if not 1 <= t <= hops:
-            raise ValueError(f"slot {t} outside 1..{hops}")
+        if not 1 <= t <= self.hops:
+            raise ValueError(f"slot {t} outside 1..{self.hops}")
         if kind == "hop":
             return Estimate.from_binomial(self.hop_fail[t], self.trials)
         if kind not in ("device", "e2e_device"):
-            raise ValueError(f"unknown selector {node_selector!r}")
+            raise ValueError(f"unknown selector {selector!r}")
         key = (t, rest[1])
         table = self.device_fail if kind == "device" else self.e2e_device_fail
         if key not in table:
-            raise ValueError(
-                f"no served device matches selector {node_selector!r}")
+            raise ValueError(f"no served device matches selector {selector!r}")
         return Estimate.from_binomial(table[key], self.present[t])
 
     def throughput(self) -> Estimate:
+        """Mean delivered rate per block from exact joint end-to-end events."""
         return Estimate.from_moments(self.throughput_sum,
                                      self.throughput_sumsq, self.trials)
 
     def supply_power(self) -> Estimate:
+        """Mean grid-supplied transmit power in watts; harvests are free."""
         return Estimate.from_moments(self.supply_w_sum, self.supply_w_sumsq,
                                      self.trials)
 
@@ -360,7 +374,8 @@ def simulate_plan(runs) -> dict:
             groups.setdefault((scenario.scheme.pairing, scenario.topology,
                                seed), {}).setdefault(scenario, set()).add(n)
     for (pairing, topo, seed), cuts in groups.items():
-        tallies = {(s, seed, n): _Tallies() for s in cuts for n in cuts[s]}
+        tallies = {(s, seed, n): Tallies(topo.hop_count)
+                   for s in cuts for n in cuts[s]}
         failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
         # blocks are always drawn in full so a longer run extends a shorter
         # one; one draw set and one resolved block are alive at a time
@@ -398,35 +413,10 @@ def simulate_plan(runs) -> dict:
     return out
 
 
-@lru_cache(maxsize=8)
-def _accumulate(scenario: Scenario, n_trials: int, seed: int) -> _Tallies:
+def simulate(scenario: Scenario, n_trials: int, seed: int) -> Tallies:
+    """Tallies of one run, simulated alone; raises the run's failure."""
     run = (scenario, seed, n_trials)
-    tal = simulate_plan([run])[run]
-    if isinstance(tal, Exception):
-        raise tal
-    return tal
-
-
-def estimate_outage(config: Scenario, node_selector, n_trials: int,
-                    seed: int) -> Estimate:
-    """Outage estimate for one decode event.
-
-    Selectors: ``("hop", t)``, ``("device", t, k)``, ``("e2e_destination",)``
-    and ``("e2e_device", t, k)``; ``k=None`` addresses the qom device.
-    Device estimates condition on the slot's disk being active, so their
-    trial count is the number of conditioning trials.
-    """
-    return _accumulate(config, n_trials, seed).outage(
-        node_selector, config.topology.hop_count)
-
-
-def estimate_throughput(config: Scenario, n_trials: int, seed: int) -> Estimate:
-    """Mean delivered rate per block from exact joint end-to-end events."""
-    return _accumulate(config, n_trials, seed).throughput()
-
-
-def estimate_supply_power(config: Scenario, n_trials: int,
-                          seed: int) -> Estimate:
-    """Mean grid-supplied transmit power in watts (harvested slots are free)."""
-    return _accumulate(config, n_trials, seed).supply_power()
-
+    tallies = simulate_plan([run])[run]
+    if isinstance(tallies, Exception):
+        raise tallies
+    return tallies

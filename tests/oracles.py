@@ -5,6 +5,7 @@ the library computes another way."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -76,13 +77,29 @@ def null_probability(density: float, radius: float) -> float:
     return math.exp(log_null_probability(density, radius))
 
 
+def annulus_bounds(disk: CoverageDisk,
+                   annulus_index: int) -> Tuple[float, float]:
+    """Radial bounds [lo, hi) of the 1-based equal-width annulus."""
+    k = _check_annulus(disk, annulus_index)
+    width = disk.radius / disk.subarea_count
+    return (k - 1) * width, k * width
+
+
+def _check_annulus(disk: CoverageDisk, annulus_index: int) -> int:
+    k = int(annulus_index)
+    if k != annulus_index or not 1 <= k <= disk.subarea_count:
+        raise ValueError(
+            f"annulus index {annulus_index} outside 1..{disk.subarea_count}")
+    return k
+
+
 def annulus_distance_pdf(annulus_index: int, disk: CoverageDisk, distance: float) -> float:
     """Scheduled-device distance density in annulus k of K:
     ``2 K^2 r / ((2k-1) R^2)`` on ``[(k-1)R/K, kR/K)``."""
-    k = disk._check_annulus(annulus_index)
+    k = _check_annulus(disk, annulus_index)
     if distance < 0.0:
         raise ValueError(f"distance must be non-negative, got {distance}")
-    lo, hi = disk.annulus_bounds(k)
+    lo, hi = annulus_bounds(disk, k)
     if not lo <= distance < hi:
         return 0.0
     kt = disk.subarea_count
@@ -92,7 +109,7 @@ def annulus_distance_pdf(annulus_index: int, disk: CoverageDisk, distance: float
 def sample_annulus_distance(annulus_index: int, disk: CoverageDisk, rng_seed) -> float:
     """Draw one scheduled-device distance by inverting the annulus CDF:
     ``r = (R/K) sqrt((k-1)^2 + (2k-1) u)``."""
-    k = disk._check_annulus(annulus_index)
+    k = _check_annulus(disk, annulus_index)
     rng = as_generator(rng_seed)
     u = rng.random()
     kt = disk.subarea_count
@@ -295,7 +312,7 @@ def ccdf_varphi_annulus(phi: float, k: int, disk: CoverageDisk,
 
     where g is the lower incomplete gamma function.
     """
-    k = disk._check_annulus(k)
+    k = _check_annulus(disk, k)
     if phi < 0.0:
         raise ValueError(f"gain must be non-negative, got {phi}")
     if phi == 0.0:
@@ -489,3 +506,29 @@ def residue_asymptote(x: float, n: int) -> float:
         # linearly
         return 1.0 - x
     return 1.0 + sf._leading_residue(x, n)
+
+
+# --- analytics: the diversity slope of an outage curve ---
+
+def diversity_order_estimate(p0_dbm, op_values, floor: float = 1e-290) -> float:
+    """Negative log-log outage slope over the last decade of transmit SNR.
+
+    Points at or below the numeric floor are excluded (reported via a
+    warning); at least four usable points must remain in the top 10 dB.
+    """
+    p0 = np.asarray(p0_dbm, dtype=float)
+    ops = np.asarray(op_values, dtype=float)
+    if p0.shape != ops.shape:
+        raise ValueError("grid and outage arrays must align")
+    usable = np.isfinite(ops) & (ops > floor)
+    if not np.all(usable):
+        warnings.warn(f"excluded {int((~usable).sum())} outage points at the "
+                      "numeric floor", RuntimeWarning)
+    p0, ops = p0[usable], ops[usable]
+    if p0.size:
+        window = p0 >= p0.max() - 10.0
+        p0, ops = p0[window], ops[window]
+    if p0.size < 4:
+        raise ValueError("need at least four usable points in the last decade")
+    slope = np.polyfit(p0 / 10.0, np.log10(ops), 1)[0]
+    return -slope

@@ -34,6 +34,7 @@ from nomarelay.power import uniform_policy
 from oracles import (
     MeijerSpec,
     as_generator,
+    diversity_order_estimate,
     meijer_g,
     sample_eh_process,
     singh_maddala_ccdf,
@@ -89,18 +90,12 @@ def test_criterion_1_slot_outage_oracle_equivalence():
             else:
                 selectors += [("device", t, k) for t in (1, 2, 3)
                               for k in range(1, T1.subarea_counts[t - 1] + 1)]
+            # one closed form and one simulated run answer every selector
+            marginals = analytics.SlotMarginals(s, lambda t: FIT100)
+            tallies = montecarlo.simulate(s, 1_000_000, 101)
             for sel in selectors:
-                if sel[0] == "hop":
-                    ana = analytics.op_typeI(sel[1], scheme, T1, s.policy,
-                                             s.budget, s.plan)
-                elif qom:
-                    ana = analytics.op_typeII_qom(sel[1], scheme, T1,
-                                                  s.policy, s.budget, s.plan,
-                                                  fit=FIT100)
-                else:
-                    ana = analytics.op_typeII_com(sel[1], sel[2], scheme, T1,
-                                                  s.policy, s.budget, s.plan)
-                est = montecarlo.estimate_outage(s, sel, 1_000_000, 101)
+                ana = marginals.outage(sel)
+                est = tallies.outage(sel)
                 sigma = max(est.half_width / 1.96,
                             math.sqrt(max(ana * (1.0 - ana), 1e-12)
                                       / est.trials))
@@ -255,27 +250,29 @@ def test_criterion_5_diversity_order():
     p0_grid = tuple(np.arange(20.0, 40.1, 2.5))
     reference = default_allocation(T1, build_policy(Scheme.TCOM, 4, 0.1))
 
-    def slope(scheme, node, rho, fits=None):
+    def slope(scheme, selector, rho):
         policy = build_policy(scheme, 4, rho)
         ops = tuple(
-            analytics.e2e_op(node, scheme, T1, policy, _budget(p), reference,
-                             fits=fits)
+            analytics.SlotMarginals(
+                Scenario(scheme=scheme, topology=T1, policy=policy,
+                         budget=_budget(p), plan=reference),
+                lambda t: FIT100).outage(selector)
             for p in p0_grid)
-        return analytics.diversity_order_estimate(p0_grid, ops)
+        return diversity_order_estimate(p0_grid, ops)
 
+    destination, served, nearest = (
+        ("e2e_destination",), ("e2e_device", 3, 1), ("e2e_device", 3, None))
     # without harvesting every chain is supply-powered and the unit
     # slope is clean across the window
-    assert abs(slope(Scheme.COM_NOEH, "destination", 0.0) - 1.0) <= 0.15
-    assert abs(slope(Scheme.COM_NOEH, (3, 1), 0.0) - 1.0) <= 0.15
-    assert abs(slope(Scheme.QOM_NOEH, (3, None), 0.0,
-                     fits=(FIT100,) * 3) - 1.0) <= 0.15
+    assert abs(slope(Scheme.COM_NOEH, destination, 0.0) - 1.0) <= 0.15
+    assert abs(slope(Scheme.COM_NOEH, served, 0.0) - 1.0) <= 0.15
+    assert abs(slope(Scheme.QOM_NOEH, nearest, 0.0) - 1.0) <= 0.15
 
     misses = []
     for label, value in (
-            ("destination", slope(Scheme.TCOM, "destination", 0.1)),
-            ("served device", slope(Scheme.TCOM, (3, 1), 0.1)),
-            ("nearest device", slope(Scheme.TQOM, (3, None), 0.1,
-                                     fits=(FIT100,) * 3))):
+            ("destination", slope(Scheme.TCOM, destination, 0.1)),
+            ("served device", slope(Scheme.TCOM, served, 0.1)),
+            ("nearest device", slope(Scheme.TQOM, nearest, 0.1))):
         if not 0.85 <= value <= 1.15:
             misses.append(f"{label} slope {value:.4f} outside 1 +/- 0.15")
     # pinned reference window at the default harvesting level; the
@@ -320,8 +317,9 @@ def test_criterion_6_property_suites():
     last = 0.0
     for eps in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
         harder = dataclasses.replace(plan, relay_rate=ceiling * (1.0 - eps))
-        op = analytics.op_typeII_com(2, 2, Scheme.COM_NOEH, T1, policy,
-                                     budget, harder)
+        op = analytics.SlotMarginals(
+            Scenario(scheme=Scheme.COM_NOEH, topology=T1, policy=policy,
+                     budget=budget, plan=harder)).outage(("device", 2, 2))
         assert op >= last
         last = op
     assert last == 1.0
@@ -340,6 +338,6 @@ def test_criterion_6_property_suites():
     # deterministic replay: the tally pass is a pure function of
     # (scenario, trials, seed) however the blocks are scheduled
     scenario = _scenario(Scheme.TCOM, 0.0)
-    once = montecarlo._accumulate.__wrapped__(scenario, 50_000, 9)
-    again = montecarlo._accumulate.__wrapped__(scenario, 50_000, 9)
+    once = montecarlo.simulate(scenario, 50_000, 9)
+    again = montecarlo.simulate(scenario, 50_000, 9)
     assert once == again

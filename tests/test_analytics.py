@@ -31,15 +31,10 @@ from nomarelay.analytics import (
     cdf_Z,
     decoding_thresholds,
     default_allocation,
-    diversity_order_estimate,
-    e2e_op,
-    energy_efficiency,
     mrtr,
     nearest_small_gain_coefficient,
-    op_typeI,
-    op_typeII_com,
-    op_typeII_qom,
     sum_throughput,
+    supply_power,
 )
 from nomarelay.channel import (
     FittedGainDistribution,
@@ -48,10 +43,14 @@ from nomarelay.channel import (
     pathloss_linear,
 )
 from nomarelay.geometry import log_null_probability
-from nomarelay.network import NetworkTopology, Scheme, build_policy
+from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 from nomarelay.power import uniform_policy
 from nomarelay.specfun import prod_exp_ccdf
-from oracles import annulus_distance_pdf
+from oracles import (
+    annulus_bounds,
+    annulus_distance_pdf,
+    diversity_order_estimate,
+)
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
@@ -73,6 +72,14 @@ FIT100 = FittedGainDistribution(mu=0.12381469748798679,
 GOLDEN = (math.sqrt(5.0) - 1.0)  # 2^(3 * MRTR/2) - 1 under the default share
 
 
+def outage(selector, scheme, policy, plan, fit=None):
+    """One outage of the T1 scenario, read through a fresh SlotMarginals."""
+    scenario = Scenario(scheme=scheme, topology=T1, policy=policy,
+                        budget=BUDGET, plan=plan)
+    nearest_fit = None if fit is None else (lambda t: fit)
+    return SlotMarginals(scenario, nearest_fit).outage(selector)
+
+
 # ---------------------------------------------------------------------------
 # allocation plans and rate rule
 # ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def test_default_allocation_share_layout():
     for row in PLAN_BTEH.device_shares:
         assert sum(row) == pytest.approx(0.2, rel=1e-12)
         assert all(b == pytest.approx(2.0 * a) for a, b in zip(row, row[1:]))
-    assert PLAN_BTEH.subarea_count(1) == 3
+    assert len(PLAN_BTEH.device_shares[0]) == 3
     assert PLAN_BTEH.slot_count == 3
 
 
@@ -226,7 +233,7 @@ def test_ccdf_Y_matches_annulus_quadrature():
     y = 2.0
     for k in (1, 2):
         disk = T1.disk(1)
-        lo, hi = disk.annulus_bounds(k)
+        lo, hi = annulus_bounds(disk, k)
 
         def integrand(r):
             cond = math.exp(-y / (BUDGET.gamma_bar0 * pathloss_linear(r, BUDGET)))
@@ -242,7 +249,7 @@ def test_ccdf_Y_harvested_branch_against_quadrature():
     # extra relay fade and integrate it out numerically
     y, k = 1.5, 2
     disk = T1.disk(2)
-    lo, hi = disk.annulus_bounds(k)
+    lo, hi = annulus_bounds(disk, k)
     omega_ell = (3 * 0.2 / 0.8) * pathloss_linear(200.0, BUDGET)
 
     def supply(r):
@@ -347,19 +354,19 @@ def test_asymptote_saturates_outside_its_regime():
 # outage probabilities
 # ---------------------------------------------------------------------------
 
-def test_op_typeI_reduces_to_activity_weighted_cdf():
+def test_hop_outage_reduces_to_activity_weighted_cdf():
     th = decoding_thresholds(PLAN_NOEH, NOEH, 4, Scheme.COM_NOEH)
     idle = math.exp(log_null_probability(1e-2, 100.0))
     manual = idle * cdf_X(th.relay[0][0], 1, T1, NOEH, BUDGET) \
         + (1.0 - idle) * cdf_X(th.relay[0][1], 1, T1, NOEH, BUDGET)
-    got = op_typeI(1, Scheme.COM_NOEH, T1, NOEH, BUDGET, PLAN_NOEH)
+    got = outage(("hop", 1), Scheme.COM_NOEH, NOEH, PLAN_NOEH)
     assert got == pytest.approx(manual, rel=1e-12)
 
 
-def test_op_typeI_identical_for_both_pairings():
+def test_hop_outage_identical_for_both_pairings():
     for t in (1, 2, 3):
-        com = op_typeI(t, Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
-        qom = op_typeI(t, Scheme.TQOM, T1, BTEH, BUDGET, PLAN_BTEH)
+        com = outage(("hop", t), Scheme.TCOM, BTEH, PLAN_BTEH)
+        qom = outage(("hop", t), Scheme.TQOM, BTEH, PLAN_BTEH)
         assert com == qom
 
 
@@ -367,13 +374,13 @@ def test_op_nondecreasing_in_target_rates():
     ops = []
     for rate in (0.2, 0.3, 0.4):
         plan = dataclasses.replace(PLAN_BTEH, relay_rate=rate)
-        ops.append(op_typeI(1, Scheme.TCOM, T1, BTEH, BUDGET, plan))
+        ops.append(outage(("hop", 1), Scheme.TCOM, BTEH, plan))
     assert ops[0] < ops[1] < ops[2]
     dev = []
     for rate in (0.05, 0.15, 0.25):
         rates = ((rate,) * 3, (rate,) * 2, (rate,))
         plan = dataclasses.replace(PLAN_BTEH, device_rates=rates)
-        dev.append(op_typeII_com(1, 2, Scheme.TCOM, T1, BTEH, BUDGET, plan))
+        dev.append(outage(("device", 1, 2), Scheme.TCOM, BTEH, plan))
     assert dev[0] < dev[1] < dev[2]
 
 
@@ -384,17 +391,17 @@ def test_device_op_reaches_one_at_the_rate_ceiling():
     ops = []
     for f in (0.9, 0.99, 0.999):
         plan = dataclasses.replace(PLAN_NOEH, relay_rate=f * ceiling)
-        ops.append(op_typeII_qom(1, Scheme.QOM_NOEH, T1, NOEH, BUDGET, plan,
-                                 fit=FIT100))
+        ops.append(outage(("device", 1, None), Scheme.QOM_NOEH, NOEH, plan,
+                          fit=FIT100))
     assert ops[0] < ops[1] < ops[2] <= 1.0
     at_ceiling = dataclasses.replace(PLAN_NOEH, relay_rate=ceiling)
-    assert op_typeII_qom(1, Scheme.QOM_NOEH, T1, NOEH, BUDGET, at_ceiling,
-                         fit=FIT100) == 1.0
+    assert outage(("device", 1, None), Scheme.QOM_NOEH, NOEH, at_ceiling,
+                  fit=FIT100) == 1.0
 
 
 def test_qom_exact_op_requires_a_fit():
     with pytest.raises(ValueError, match="nearest-gain fit"):
-        op_typeII_qom(1, Scheme.TQOM, T1, BTEH, BUDGET, PLAN_BTEH)
+        outage(("device", 1, None), Scheme.TQOM, BTEH, PLAN_BTEH)
 
 
 # ---------------------------------------------------------------------------
@@ -402,33 +409,31 @@ def test_qom_exact_op_requires_a_fit():
 # ---------------------------------------------------------------------------
 
 def test_destination_chains_every_hop():
-    hops = [op_typeI(t, Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
+    hops = [outage(("hop", t), Scheme.TCOM, BTEH, PLAN_BTEH)
             for t in (1, 2, 3)]
     manual = 1.0 - (1.0 - hops[0]) * (1.0 - hops[1]) * (1.0 - hops[2])
-    got = e2e_op("destination", Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
+    got = outage(("e2e_destination",), Scheme.TCOM, BTEH, PLAN_BTEH)
     assert got == pytest.approx(manual, rel=1e-12)
 
 
 def test_device_chain_stops_at_its_transmitter():
     # slot 1's device needs no hop at all; slot 3's needs hops 1 and 2 but
     # not the final forward hop
-    d1 = op_typeII_com(1, 2, Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
-    assert e2e_op((1, 2), Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH) == d1
-    hops = [op_typeI(t, Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
-            for t in (1, 2)]
-    d3 = op_typeII_com(3, 1, Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
+    d1 = outage(("device", 1, 2), Scheme.TCOM, BTEH, PLAN_BTEH)
+    assert outage(("e2e_device", 1, 2), Scheme.TCOM, BTEH, PLAN_BTEH) == d1
+    hops = [outage(("hop", t), Scheme.TCOM, BTEH, PLAN_BTEH) for t in (1, 2)]
+    d3 = outage(("device", 3, 1), Scheme.TCOM, BTEH, PLAN_BTEH)
     manual = 1.0 - (1.0 - hops[0]) * (1.0 - hops[1]) * (1.0 - d3)
-    got = e2e_op((3, 1), Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH)
+    got = outage(("e2e_device", 3, 1), Scheme.TCOM, BTEH, PLAN_BTEH)
     assert got == pytest.approx(manual, rel=1e-12)
 
 
 def test_qom_e2e_uses_the_per_slot_fit():
-    fits = (FIT100, FIT100, FIT100)
-    direct = op_typeII_qom(2, Scheme.TQOM, T1, BTEH, BUDGET, PLAN_BTEH,
-                           fit=FIT100)
-    hop1 = op_typeI(1, Scheme.TQOM, T1, BTEH, BUDGET, PLAN_BTEH)
-    got = e2e_op((2, None), Scheme.TQOM, T1, BTEH, BUDGET, PLAN_BTEH,
-                 fits=fits)
+    direct = outage(("device", 2, None), Scheme.TQOM, BTEH, PLAN_BTEH,
+                    fit=FIT100)
+    hop1 = outage(("hop", 1), Scheme.TQOM, BTEH, PLAN_BTEH)
+    got = outage(("e2e_device", 2, None), Scheme.TQOM, BTEH, PLAN_BTEH,
+                 fit=FIT100)
     assert got == pytest.approx(1.0 - (1.0 - hop1) * (1.0 - direct), rel=1e-12)
 
 
@@ -457,14 +462,15 @@ def test_sum_throughput_shape_mismatch():
         sum_throughput(PLAN_BTEH, 0.0, ((0.0,), (0.0,), (0.0,)), "com", 4)
 
 
-def test_energy_efficiency_supply_power():
-    ee, p_tol = energy_efficiency(0.5, BUDGET, BTEH, 1e7)
-    assert p_tol == pytest.approx(2.8 * BUDGET.P0, rel=1e-12)
-    assert ee == pytest.approx(1e7 * 0.5 / p_tol, rel=1e-12)
-    _, p_none = energy_efficiency(0.5, BUDGET, NOEH, 1e7)
-    assert p_none == pytest.approx(3.0 * BUDGET.P0, rel=1e-12)
+def test_supply_power_skips_harvested_hops():
+    assert supply_power(BUDGET, BTEH) == pytest.approx(2.8 * BUDGET.P0,
+                                                       rel=1e-12)
+    assert supply_power(BUDGET, NOEH) == pytest.approx(3.0 * BUDGET.P0,
+                                                       rel=1e-12)
+    # a bandwidth of zero is refused where the noise floor is derived,
+    # before any efficiency is formed
     with pytest.raises(ValueError, match="bandwidth"):
-        energy_efficiency(0.5, BUDGET, BTEH, 0.0)
+        noise_power_w(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +509,21 @@ def test_diversity_needs_enough_points():
 def _marginals(scheme, kernels):
     policy = build_policy(scheme, 4, 0.3)
     plan = default_allocation(T1, policy)
-    return SlotMarginals(scheme, T1, policy, BUDGET, plan,
-                         nearest_fit=lambda t: FIT100, kernels=kernels)
+    scenario = Scenario(scheme=scheme, topology=T1, policy=policy,
+                        budget=BUDGET, plan=plan)
+    return SlotMarginals(scenario, lambda t: FIT100, kernels)
 
 
 def _every_marginal(marginals, asymptotic):
     values = []
     for t in range(1, T1.hop_count + 1):
-        values.append(marginals.hop(t, asymptotic))
+        values.append(marginals.outage(("hop", t), asymptotic))
         ks = (range(1, T1.subarea_counts[t - 1] + 1)
-              if marginals.scheme.pairing == "com" else (None,))
+              if marginals.scenario.scheme.pairing == "com" else (None,))
         for k in ks:
-            values.append(marginals.device(t, k, asymptotic))
-            values.append(marginals.e2e((t, k), asymptotic))
-    values.append(marginals.e2e("destination", asymptotic))
+            values.append(marginals.outage(("device", t, k), asymptotic))
+            values.append(marginals.outage(("e2e_device", t, k), asymptotic))
+    values.append(marginals.outage(("e2e_destination",), asymptotic))
     values.append(marginals.throughput(asymptotic))
     return values
 
@@ -543,7 +550,7 @@ def test_standalone_evaluations_keep_no_memo_between_calls(monkeypatch):
     assert len(calls) == 2 * evaluated
     # a standalone SlotMarginals owns its memo; a sweep hands one in
     memo = KernelMemo()
-    assert SlotMarginals(Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH,
-                         kernels=memo).kernels is memo
-    assert SlotMarginals(Scheme.TCOM, T1, BTEH, BUDGET, PLAN_BTEH).kernels \
-        is not memo
+    scenario = Scenario(scheme=Scheme.TCOM, topology=T1, policy=BTEH,
+                        budget=BUDGET, plan=PLAN_BTEH)
+    assert SlotMarginals(scenario, kernels=memo).kernels is memo
+    assert SlotMarginals(scenario).kernels is not memo

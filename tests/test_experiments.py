@@ -155,26 +155,28 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("section, written, misspelled, key", [
-    ("budget", "p0_dbm: -10.0", "p0dbm: -10.0", "p0dbm"),
-    ("policy", "alpha: 0.25", "alfa: 0.25", "alfa"),
-    ("plan", "rate_cap: 0.6", "rate_capp: 0.6", "rate_capp"),
-    ("densities", "active: 2.0e-2", "activ: 2.0e-2", "activ"),
+@pytest.mark.parametrize("section, written, replaced, problem, key", [
+    ("budget", "p0_dbm: -10.0", "p0dbm: -10.0", "unknown", "p0dbm"),
+    ("policy", "alpha: 0.25", "alfa: 0.25", "unknown", "alfa"),
+    ("plan", "rate_cap: 0.6", "rate_capp: 0.6", "unknown", "rate_capp"),
+    ("densities", "active: 2.0e-2", "activ: 2.0e-2", "unknown", "activ"),
     ("densities", "active: 2.0e-2", "active: 2.0e-2, inactive: 5.0e-4",
-     "inactive"),
+     "unknown", "inactive"),
     ("sweep", "include_asymptotic: true", "include_asymtotic: true",
-     "include_asymtotic"),
-    ("trials", "outage: 5000", "outages: 5000", "outages"),
+     "unknown", "include_asymtotic"),
+    ("trials", "outage: 5000", "outages: 5000", "unknown", "outages"),
     ("topology", "topology: t2", "topology: {hop_distances: [50.0], "
-     "disk_radii: [25.0], subarea_count: [1]}", "subarea_count"),
+     "disk_radii: [25.0], subarea_count: [1]}", "unknown", "subarea_count"),
+    ("topology", "topology: t2", "topology: {hop_distances: [50.0], "
+     "disk_radii: [25.0]}", "missing", "subarea_counts"),
 ], ids=["budget", "policy", "plan", "densities", "densities-inactive",
-        "sweep", "trials", "topology"])
+        "sweep", "trials", "topology", "topology-missing"])
 def test_load_config_rejects_unknown_nested_keys(tmp_path, section, written,
-                                                 misspelled, key):
+                                                 replaced, problem, key):
     path = tmp_path / "run.yaml"
-    path.write_text(FULL_YAML.replace(written, misspelled))
+    path.write_text(FULL_YAML.replace(written, replaced))
     with pytest.raises(ValueError,
-                       match=rf"{section}: unknown config keys \['{key}'\]"):
+                       match=rf"{section}: {problem} config keys \['{key}'\]"):
         load_config(path)
 
 
@@ -286,6 +288,18 @@ def test_baseline_scheme_has_no_device_rows():
                       metrics=("device_op:1:1",))
     result = run_sweep(small_config(sweep=sweep), source="both")
     assert len(result.failures) == 2
+
+
+def test_efficiency_rows_divide_throughput_by_supply_power():
+    sweep = SweepSpec(variable="p0_dbm", grid=(0.0,), schemes=(Scheme.TCOM,),
+                      metrics=("throughput", "ee", "p_tol"))
+    config = small_config(sweep=sweep)
+    rows = {(r.metric, r.source): r for r in run_sweep(config).rows}
+    p_tol, scale = rows["p_tol", "analytic"].mean, config.bandwidth_hz
+    for source in ("analytic", "mc"):
+        tp, ee = rows["throughput", source], rows["ee", source]
+        assert (ee.mean, ee.ci_half_width) \
+            == (scale * tp.mean / p_tol, scale * tp.ci_half_width / p_tol)
 
 
 def test_flag_plumbing(monkeypatch):
@@ -724,3 +738,10 @@ def test_cli_error_exit_code(tmp_path, capfd):
     config = _write_config(tmp_path, SMALL_YAML + "bogus: 1\n")
     rc = cli.main(["validate", "--config", str(config)])
     assert rc == 2
+    config = _write_config(tmp_path, SMALL_YAML.replace(
+        "topology: t3",
+        "topology: {hop_distances: [50.0], disk_radii: [25.0]}"))
+    rc = cli.main(["sweep", "--config", str(config)])
+    assert rc == 2
+    assert "topology: missing config keys ['subarea_counts']" \
+        in capfd.readouterr().err

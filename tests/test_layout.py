@@ -1,12 +1,14 @@
 """The library holds only what a sweep, the CLI or a library user reads:
-test-only oracles live in ``tests/oracles.py`` and unread options are gone."""
+test-only oracles live in ``tests/oracles.py`` and unread options are gone.
+The README's library example runs as documented."""
 
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import oracles
-from nomarelay import channel, experiments, montecarlo
+from nomarelay import analytics, channel, cli, experiments, montecarlo
 from nomarelay.channel import FitBook, LinkBudget
 from nomarelay.geometry import CoverageDisk
 from nomarelay.network import NetworkTopology, Scheme
@@ -15,6 +17,7 @@ MOVED = {
     "geometry": ("as_generator", "PointPattern", "sample_hppp_disk",
                  "null_probability", "annulus_distance_pdf",
                  "sample_annulus_distance", "sample_nearest_distance"),
+    "analytics": ("diversity_order_estimate",),
     "power": ("EhRealization", "sample_eh_process", "transmit_power",
               "transmit_power_recursive"),
     "montecarlo": ("TrialOutcome", "_simulate_block", "run_block_trial",
@@ -30,10 +33,18 @@ MOVED = {
 # value/deficit twins, now one crossover evaluation per family
 MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
           "_annulus_deficit", "_z_kernel_value", "_z_kernel_deficit")
+# second ways into one route: per-call wrappers around SlotMarginals and
+# around a process-global cache of simulated runs
+DELETED = {
+    "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
+                  "energy_efficiency"),
+    "montecarlo": ("estimate_outage", "estimate_throughput",
+                   "estimate_supply_power", "_accumulate", "_Tallies",
+                   "lru_cache"),
+}
 REMOVED_PARAMETERS = {
-    "empty_annulus": (montecarlo.estimate_outage, montecarlo.estimate_throughput,
-                      montecarlo.estimate_supply_power, montecarlo.simulate_plan,
-                      montecarlo._accumulate, montecarlo._draw),
+    "empty_annulus": (montecarlo.simulate, montecarlo.simulate_plan,
+                      montecarlo._draw),
     "grid_spec": (FitBook.fit,),
     "max_error": (FitBook.fit,),
     "tol": (channel.ccdf_varphi_nearest_numeric,
@@ -48,6 +59,21 @@ def _fields(cls):
 
 
 def test_library_holds_only_the_model():
+    for module, names in DELETED.items():
+        library = importlib.import_module(f"nomarelay.{module}")
+        for name in names:
+            assert not hasattr(library, name), f"{module}.{name}"
+    # no process-global memo keeps simulated runs between calls
+    assert not [name for name, value in vars(montecarlo).items()
+                if hasattr(value, "cache_info")]
+    # one way into each route: a scenario in, fits through one callable
+    assert list(inspect.signature(analytics.SlotMarginals).parameters) \
+        == ["scenario", "nearest_fit", "kernels"]
+    assert not {"hop", "device", "e2e"} & set(vars(analytics.SlotMarginals))
+    assert not hasattr(analytics.AllocationPlan, "subarea_count")
+    assert "stream" not in inspect.signature(cli._report).parameters
+    assert not {"annulus_bounds", "_check_annulus"} & set(vars(CoverageDisk))
+    assert hasattr(oracles, "annulus_bounds")
     for module, names in MOVED.items():
         library = importlib.import_module(f"nomarelay.{module}")
         for name in names:
@@ -66,3 +92,12 @@ def test_library_holds_only_the_model():
     assert not hasattr(Scheme, "serves_devices")
     assert "com_present" not in montecarlo._Block.__slots__
     assert "com_present" not in _fields(montecarlo._Draws)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = block.rsplit("# prints:", 1)[1].split()
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == expected

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from nomarelay import analytics, montecarlo
+from nomarelay import analytics
 from nomarelay.analytics import default_allocation
 from nomarelay.channel import (
     FittedGainDistribution,
@@ -20,13 +20,7 @@ from nomarelay.channel import (
     noise_power_w,
 )
 from nomarelay.geometry import log_null_probability
-from nomarelay.montecarlo import (
-    Estimate,
-    estimate_outage,
-    estimate_supply_power,
-    estimate_throughput,
-    simulate_plan,
-)
+from nomarelay.montecarlo import Estimate, simulate, simulate_plan
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 from oracles import empirical_ccdf_oracle, run_block_trial
 
@@ -83,17 +77,18 @@ def test_block_trial_success_bits_match_rates():
 
 
 def test_estimates_are_replayable():
-    a = estimate_outage(TCOM, ("hop", 2), 40_000, 5)
-    b = estimate_outage(TCOM, ("hop", 2), 40_000, 5)
-    assert a == b
-    c = estimate_throughput(TCOM, 40_000, 5)
-    d = estimate_throughput(TCOM, 40_000, 5)
+    # two independent runs: nothing is cached between calls
+    first = simulate(TCOM, 40_000, 5)
+    second = simulate(TCOM, 40_000, 5)
+    assert first is not second
+    assert first.outage(("hop", 2)) == second.outage(("hop", 2))
+    c, d = first.throughput(), second.throughput()
     assert c.mean == d.mean and c.half_width == d.half_width
 
 
 def test_ci_shrinks_with_trials():
-    small = estimate_throughput(TCOM, 20_000, 9)
-    large = estimate_throughput(TCOM, 80_000, 9)
+    small = simulate(TCOM, 20_000, 9).throughput()
+    large = simulate(TCOM, 80_000, 9).throughput()
     assert large.half_width == pytest.approx(small.half_width / 2.0, rel=0.1)
 
 
@@ -108,7 +103,7 @@ SPARSE_COM = Scenario(scheme=Scheme.TCOM, topology=SPARSE,
 
 
 def test_device_presence_frequency():
-    est = estimate_outage(SPARSE_COM, ("device", 1, 1), 200_000, 11)
+    est = simulate(SPARSE_COM, 200_000, 11).outage(("device", 1, 1))
     p_active = -math.expm1(log_null_probability(1e-3, 25.0))
     frac = est.trials / 200_000
     sigma = math.sqrt(p_active * (1.0 - p_active) / 200_000)
@@ -116,12 +111,12 @@ def test_device_presence_frequency():
 
 
 def test_supply_power_matches_consumption_formula():
-    est = estimate_supply_power(TCOM, 100_000, 13)
-    p_tol = analytics.energy_efficiency(0.0, BUDGET, TCOM.policy, 1e7)[1]
+    est = simulate(TCOM, 100_000, 13).supply_power()
+    p_tol = analytics.supply_power(BUDGET, TCOM.policy)
     assert abs(est.mean - p_tol) < 3 * est.half_width / 1.96
     # without harvesting the supply power is deterministic
     noeh = scenario(Scheme.COM_NOEH, rho=0.0)
-    flat = estimate_supply_power(noeh, 10_000, 13)
+    flat = simulate(noeh, 10_000, 13).supply_power()
     assert flat.mean == pytest.approx(3.0 * BUDGET.P0, rel=1e-12)
     assert flat.half_width <= 1e-12
 
@@ -134,34 +129,35 @@ def _within_binomial(analytic, est):
 
 def test_hop_outage_matches_closed_form():
     for s in (TCOM, scenario(Scheme.PCOM)):
+        marginals = analytics.SlotMarginals(s)
+        tallies = simulate(s, 150_000, 21)
         for t in (1, 3):
-            ana = analytics.op_typeI(t, s.scheme, s.topology, s.policy,
-                                     s.budget, s.plan)
-            est = estimate_outage(s, ("hop", t), 150_000, 21)
-            assert _within_binomial(ana, est)
+            ana = marginals.outage(("hop", t))
+            assert _within_binomial(ana, tallies.outage(("hop", t)))
 
 
 def test_com_device_outage_matches_closed_form():
+    marginals = analytics.SlotMarginals(TCOM)
+    tallies = simulate(TCOM, 150_000, 23)
     for t, k in ((1, 1), (1, 3), (2, 2)):
-        ana = analytics.op_typeII_com(t, k, Scheme.TCOM, T1, TCOM.policy,
-                                      BUDGET, TCOM.plan)
-        est = estimate_outage(TCOM, ("device", t, k), 150_000, 23)
-        assert _within_binomial(ana, est)
+        selector = ("device", t, k)
+        assert _within_binomial(marginals.outage(selector),
+                                tallies.outage(selector))
 
 
 def test_qom_device_outage_matches_fitted_form():
+    marginals = analytics.SlotMarginals(TQOM, lambda t: FIT100)
+    tallies = simulate(TQOM, 150_000, 25)
     for t in (1, 2):
-        ana = analytics.op_typeII_qom(t, Scheme.TQOM, T1, TQOM.policy,
-                                      BUDGET, TQOM.plan, fit=FIT100)
-        est = estimate_outage(TQOM, ("device", t, None), 150_000, 25)
+        ana = marginals.outage(("device", t, None))
+        est = tallies.outage(("device", t, None))
         sigma = est.half_width / 1.96
         assert abs(ana - est.mean) <= 3.0 * sigma + 2.0 * FIT100.fit_error
 
 
 def test_destination_outage_matches_composition_at_low_rho():
-    ana = analytics.e2e_op("destination", Scheme.TCOM, T1, TCOM.policy,
-                           BUDGET, TCOM.plan)
-    est = estimate_outage(TCOM, ("e2e_destination",), 150_000, 27)
+    ana = analytics.SlotMarginals(TCOM).outage(("e2e_destination",))
+    est = simulate(TCOM, 150_000, 27).outage(("e2e_destination",))
     # composed rows carry the documented product-approximation envelope
     assert abs(ana - est.mean) <= 3.0 * est.half_width / 1.96 + 0.01 * ana
 
@@ -172,12 +168,13 @@ def test_cnrr_reduces_to_bare_chain():
     plan = analytics.baseline_plan(TCOM.plan, 3)
     s = Scenario(scheme=Scheme.CNRR, topology=bare, policy=policy,
                  budget=BUDGET, plan=plan)
-    est = estimate_throughput(s, 50_000, 29)
-    ana = plan.relay_rate / 3.0 * (1.0 - analytics.e2e_op(
-        "destination", Scheme.CNRR, bare, policy, BUDGET, plan))
+    tallies = simulate(s, 50_000, 29)
+    est = tallies.throughput()
+    ana = plan.relay_rate / 3.0 * (1.0 - analytics.SlotMarginals(s).outage(
+        ("e2e_destination",)))
     assert abs(ana - est.mean) <= 3.0 * est.half_width / 1.96 + 0.005 * ana
     with pytest.raises(ValueError, match="no served device"):
-        estimate_outage(s, ("device", 1, 1), 1_000, 29)
+        simulate(s, 1_000, 29).outage(("device", 1, 1))
 
 
 def test_empirical_ccdf_envelope_contains_closed_form():
@@ -221,8 +218,7 @@ def test_shared_draws_match_runs_simulated_alone(group):
     runs = [(s, 41, n) for s in group for n in (100_000, 30_000)]
     plan = simulate_plan(runs)
     for s, seed, n in runs:
-        alone = montecarlo._accumulate.__wrapped__(s, n, seed)
-        assert plan[s, seed, n] == alone
+        assert plan[s, seed, n] == simulate(s, n, seed)
     assert simulate_plan(runs[::-1]) == plan
     assert simulate_plan(runs[1::2] + runs[::2]) == plan
 
@@ -231,20 +227,22 @@ def test_plan_keeps_failures_to_their_runs():
     runs = [(TCOM, 5, 10_000), (TCOM, 5, 0), (TQOM, 5, 10_000)]
     plan = simulate_plan(runs)
     assert isinstance(plan[TCOM, 5, 0], ValueError)
-    assert plan[TCOM, 5, 10_000] == montecarlo._accumulate.__wrapped__(
-        TCOM, 10_000, 5)
+    assert plan[TCOM, 5, 10_000] == simulate(TCOM, 10_000, 5)
     assert plan[TQOM, 5, 10_000].trials == 10_000
 
 
 def test_selector_and_argument_validation():
     with pytest.raises(ValueError, match="positive"):
-        estimate_outage(TCOM, ("hop", 1), 0, 1)
-    with pytest.raises(ValueError, match="slot"):
-        estimate_outage(TCOM, ("hop", 4), 1_000, 1)
-    with pytest.raises(ValueError, match="unknown selector"):
-        estimate_outage(TCOM, ("snr", 1), 1_000, 1)
+        simulate(TCOM, 0, 1)
+    tallies = simulate(TCOM, 1_000, 1)
+    # the closed form rejects the same selectors the same way
+    for route in (tallies, analytics.SlotMarginals(TCOM)):
+        with pytest.raises(ValueError, match="slot"):
+            route.outage(("hop", 4))
+        with pytest.raises(ValueError, match="unknown selector"):
+            route.outage(("snr", 1))
     with pytest.raises(ValueError, match="no served device"):
-        estimate_outage(TCOM, ("device", 1, 4), 1_000, 1)
+        tallies.outage(("device", 1, 4))
     with pytest.raises(ValueError, match="grid"):
         empirical_ccdf_oracle(TCOM, ("X", 1), [2.0, 1.0], 1_000, 1)
     with pytest.raises(ValueError, match="com scheme"):

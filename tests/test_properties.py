@@ -130,10 +130,13 @@ def test_outage_improves_with_supply_power(rho, alpha, t, arch, db_step):
     scheme = Scheme.TCOM if arch == "BTEH" else Scheme.PCOM
     policy = build_policy(scheme, 4, rho, alpha=alpha)
     plan = default_allocation(T1, policy)
-    low = analytics.op_typeI(t, scheme, T1, policy, BUDGET, plan)
     boosted = dataclasses.replace(BUDGET,
                                   P0=BUDGET.P0 * 10.0 ** (db_step / 10.0))
-    high = analytics.op_typeI(t, scheme, T1, policy, boosted, plan)
+    low, high = (
+        analytics.SlotMarginals(Scenario(scheme=scheme, topology=T1,
+                                         policy=policy, budget=budget,
+                                         plan=plan)).outage(("hop", t))
+        for budget in (BUDGET, boosted))
     assert 0.0 <= high <= low <= 1.0
 
 
