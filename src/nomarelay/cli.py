@@ -58,14 +58,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fit_cache(args) -> int:
     config = load_config(args.config)
-    cache_path = args.out or config.fit_cache
-    if cache_path is None:
+    if args.out is not None:
+        # --out is a path from the working directory, not from the config
+        config = dataclasses.replace(config, fit_cache=args.out,
+                                     config_dir=None)
+    if config.fit_cache is None:
         print("config declares no fit_cache and no --out given",
               file=sys.stderr)
         return 1
-    config = dataclasses.replace(config, fit_cache=str(cache_path))
     fitted = fill_fit_cache(config)
-    print(f"fit cache at {cache_path} covers {fitted} disk fits",
+    print(f"fit cache at {config.fit_cache_path} covers {fitted} disk fits",
           file=sys.stderr)
     return 0
 

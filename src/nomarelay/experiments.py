@@ -114,6 +114,16 @@ class RunConfig:
     seed: int = 1
     fit_cache: Optional[str] = None
     topology_by_node_count: Optional[dict] = None
+    # directory a relative fit_cache resolves against (the working
+    # directory when None); load_config sets the config file's directory
+    config_dir: Optional[str] = None
+
+    @property
+    def fit_cache_path(self) -> Optional[str]:
+        """``fit_cache`` as a path from the working directory."""
+        if self.fit_cache is None:
+            return None
+        return str(Path(self.config_dir or "") / self.fit_cache)
 
 
 @dataclass(frozen=True)
@@ -245,7 +255,8 @@ def load_config(path) -> RunConfig:
             int(m): _topology_from_spec(spec, density,
                                         f"{path} topology_by_node_count {m}")
             for m, spec in by_m.items()}
-    return RunConfig(topology=topology, sweep=SweepSpec(**sweep), **fields)
+    return RunConfig(topology=topology, sweep=SweepSpec(**sweep),
+                     config_dir=str(Path(path).parent), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +497,7 @@ def fill_fit_cache(config: RunConfig) -> int:
     each distinct geometry is fitted at most once.  Returns the number of
     (grid value, scheme, slot) fits covered.
     """
-    book = FitBook(config.fit_cache)
+    book = FitBook(config.fit_cache_path)
     covered = 0
     for value in config.sweep.grid:
         for scheme in config.sweep.schemes:
@@ -520,7 +531,7 @@ def run_sweep(config: RunConfig, *, source: str = "both",
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     result = SweepResult(rows=[], flagged=[], failures=[])
-    core = _SweepCore(config.fit_cache)
+    core = _SweepCore(config.fit_cache_path)
     selectors = [parse_metric(metric) for metric in config.sweep.metrics]
     points = []
     for value in config.sweep.grid:

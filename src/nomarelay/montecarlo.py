@@ -7,10 +7,13 @@ thresholds.  Trials are vectorized in fixed-size blocks; block ``b`` of a
 run draws from its own counter-derived stream, so estimates are
 bit-identical however the blocks are distributed over workers, and a
 shorter run is a prefix of a longer one with the same seed.  Each block
-is drawn by :func:`_draw` and resolved per scenario by :func:`_resolve`.
-A sweep plans its simulation once (:func:`simulate_plan`): shorter trial
-counts are tallied as prefixes of longer ones, and scenarios sharing
-pairing, topology and seed resolve the same draws, with unchanged results.
+is drawn in full by :func:`_draw` and resolved per scenario by
+:func:`_resolve`, only as far as that scenario's longest run reads it:
+resolution works trial by trial, so a resolved prefix equals the same
+prefix of a full-width resolve.  A sweep plans its simulation once
+(:func:`simulate_plan`): shorter trial counts are tallied as prefixes of
+longer ones, and scenarios sharing pairing, topology and seed resolve the
+same draws, with unchanged results.
 :func:`simulate` runs one scenario alone through the same plan.  Both
 yield :class:`Tallies`, whose ``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
@@ -153,21 +156,21 @@ def _draw(topo, pairing, rng: np.random.Generator, n: int) -> _Draws:
                   device_dist=device_dist, device_fade=device_fade)
 
 
-def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
-    """Resolve every decode event of one scenario from shared draws."""
+def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
+    """Resolve every decode event of one scenario in the first ``n`` trials
+    of shared draws, which it reads through views."""
     topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
     budget, pairing = scenario.budget, scenario.scheme.pairing
     m, hops = topo.node_count, topo.hop_count
-    n = draws.hop_fades.shape[1]
     g0 = budget.gamma_bar0
     bteh = policy.architecture == "BTEH"
     p_m = plan.relay_share
-    active = draws.active
-    hop_fades = draws.hop_fades
+    active = draws.active[:, :n]
+    hop_fades = draws.hop_fades[:, :n]
 
     indicators = np.empty((m - 1, n), dtype=bool)
     for row in range(m - 1):
-        indicators[row] = draws.u_eh[row] < policy.rho1(row + 2)
+        indicators[row] = draws.u_eh[row, :n] < policy.rho1(row + 2)
 
     # 5. transmit power chain, in units of P0
     powers = np.ones((hops, n))
@@ -211,7 +214,8 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
     throughput = plan.relay_rate * prefix_ok[-1].astype(float)
     device_gain = draws.device_gain(budget)
     for t in range(1, hops + 1):
-        ell_dev, fade = device_gain[t - 1], draws.device_fade[t - 1]
+        ell_dev = device_gain[t - 1][:, :n]
+        fade = draws.device_fade[t - 1][:, :n]
         served = active[t - 1]
         count = ell_dev.shape[0]
         if count == 0:
@@ -255,13 +259,6 @@ def _resolve(scenario: Scenario, draws: _Draws) -> _Block:
 
     throughput /= m - 1
     supply_units = hops - indicators[:hops - 1].sum(axis=0)
-
-    # event nesting: a credited device message implies its transmitter
-    # received it, which implies every earlier hop succeeded
-    for t in range(2, hops + 1):
-        assert not np.any((msg_ok[t - 1] & device_ok[t - 1])
-                          & ~prefix_ok[t - 2])
-
     return _Block(n=n, indicators=indicators, active=active, powers=powers,
                   hop_snr=hop_snr, hop_rates=hop_rates, hop_ok=hop_ok,
                   device_snr=device_snr, device_rates=device_rates,
@@ -378,11 +375,13 @@ def simulate_plan(runs) -> dict:
                    for s in cuts for n in cuts[s]}
         failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
         # blocks are always drawn in full so a longer run extends a shorter
-        # one; one draw set and one resolved block are alive at a time
+        # one, and resolved only as wide as the scenario's longest run
+        # reads; one draw set and one resolved block are alive at a time
         for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
             draws = None
             for s in cuts:
-                if s in failed or max(cuts[s]) <= b * BLOCK_SIZE:
+                width = min(BLOCK_SIZE, max(cuts[s]) - b * BLOCK_SIZE)
+                if s in failed or width <= 0:
                     continue
                 try:
                     if draws is None:
@@ -390,7 +389,7 @@ def simulate_plan(runs) -> dict:
                                       BLOCK_SIZE)
                         drawn += 1
                     tick = time.perf_counter()
-                    block = _resolve(s, draws)
+                    block = _resolve(s, draws, width)
                     for n in cuts[s]:
                         if n > b * BLOCK_SIZE:
                             tallies[s, seed, n].add(
@@ -401,11 +400,13 @@ def simulate_plan(runs) -> dict:
                     continue
                 secs, trials = spent.get(s.scheme.value, (0.0, 0))
                 spent[s.scheme.value] = (secs + time.perf_counter() - tick,
-                                         trials + BLOCK_SIZE)
+                                         trials + width)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
-                         "resolved in %.3f s; %s", pairing or "bare", seed,
-                         drawn, len(cuts), time.perf_counter() - start,
+                         "resolved, %d trials resolved in %.3f s; %s",
+                         pairing or "bare", seed, drawn, len(cuts),
+                         sum(n for _, n in spent.values()),
+                         time.perf_counter() - start,
                          ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s"
                                    for k, (t, n) in spent.items()))
         out.update({run: failed.get(run[0], tal)

@@ -218,7 +218,7 @@ class TrialOutcome:
 def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):
     """Draw and resolve ``n`` independent relaying blocks."""
     return montecarlo._resolve(scenario, montecarlo._draw(
-        scenario.topology, scenario.scheme.pairing, rng, n))
+        scenario.topology, scenario.scheme.pairing, rng, n), n)
 
 
 def run_block_trial(config: Scenario, rng_seed) -> TrialOutcome:

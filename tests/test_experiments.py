@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -412,6 +413,39 @@ def test_unwritable_sidecar_warns_and_keeps_the_fit(monkeypatch, tmp_path,
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def test_relative_fit_cache_resolves_against_the_config(monkeypatch,
+                                                        tmp_path):
+    calls = _count_fits(monkeypatch)
+    copy = tmp_path / "copy"
+    (copy / "data").mkdir(parents=True)
+    shutil.copyfile(ROOT / "configs" / "validate_devices_qom.yaml",
+                    copy / "run.yaml")
+    shutil.copyfile(ROOT / "data" / "nearest_fits.json",
+                    copy / "data" / "nearest_fits.json")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = load_config(copy / "run.yaml")
+    assert config.fit_cache == "data/nearest_fits.json"  # as written
+    result = run_sweep(config, source="analytic")
+    assert result.clean and not calls
+    assert not list(work.iterdir())
+    assert (copy / "data" / "nearest_fits.json").read_bytes() \
+        == (ROOT / "data" / "nearest_fits.json").read_bytes()
+    # every shipped config reaches the shipped sidecar from any directory
+    for path in (ROOT / "configs").glob("*.yaml"):
+        config = load_config(path)
+        if config.fit_cache is not None:
+            assert Path(config.fit_cache_path).samefile(
+                ROOT / "data" / "nearest_fits.json")
+    # fit-cache --out stays a path from the working directory
+    rc = cli.main(["fit-cache", "--config", str(copy / "run.yaml"),
+                   "--out", "fits.json"])
+    assert rc == 0 and sorted(p.name for p in work.iterdir()) == ["fits.json"]
+    assert sorted(p.name for p in (copy / "data").iterdir()) \
+        == ["nearest_fits.json"]
+
+
 def _shipped(tmp_path, name, **overrides):
     """A shipped config, its fit sidecar (if it names one) copied to tmp."""
     config = load_config(ROOT / "configs" / f"{name}.yaml")
@@ -531,33 +565,43 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC
     groups = [r.getMessage() for r in caplog.records
               if r.name == "nomarelay.montecarlo"]
-    # com, qom and bare-chain draws at the config's seed, three blocks each
+    # com, qom and bare-chain draws at the config's seed, three blocks each;
+    # every scenario is resolved as far as its 140,000-trial run reads:
+    # 7 com, 7 qom and 1 bare scenario
     assert len(groups) == 3
     assert all("seed 51: 3 blocks drawn" in g and "trials/s" in g
                for g in groups)
+    resolved = {g.split(" ", 1)[0]: re.search(r"(\d+) trials resolved",
+                                              g).group(1) for g in groups}
+    assert resolved == {"com": "980000", "qom": "980000", "bare": "140000"}
 
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
-    counts = {"draw": 0, "resolve": 0}
+    draws, widths = [], []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def draw(*args, draw=montecarlo._draw):
+        draws.append(args)
+        return draw(*args)
 
-    monkeypatch.setattr(montecarlo, "_draw",
-                        counted("draw", montecarlo._draw))
-    monkeypatch.setattr(montecarlo, "_resolve",
-                        counted("resolve", montecarlo._resolve))
+    def resolve(scenario, shared, n, resolve=montecarlo._resolve):
+        widths.append(n)
+        return resolve(scenario, shared, n)
+
+    monkeypatch.setattr(montecarlo, "_draw", draw)
+    monkeypatch.setattr(montecarlo, "_resolve", resolve)
     result = run_sweep(_shipped(tmp_path, "validate_chain"), source="mc")
     assert not result.failures
     # 200,000 outage trials are 4 blocks and the 100,000 throughput trials
     # are their prefix; com, qom and the bare chain each draw once per
     # block, and tcom/tqom/pcom/pqom at 3 rho values plus the rho-free
     # com-noeh/qom-noeh/cnrr make 15 scenarios
-    assert counts == {"draw": 3 * 4, "resolve": 15 * 4}
+    assert (len(draws), len(widths)) == (3 * 4, 15 * 4)
+    # the last block is resolved only as far as the 200,000-trial run reads
+    tail = 200_000 - 3 * montecarlo.BLOCK_SIZE
+    assert sorted(set(widths)) == [tail, montecarlo.BLOCK_SIZE]
+    assert widths.count(tail) == 15
+    assert sum(widths) == 15 * 200_000
 
 
 def test_simulation_failure_fails_only_its_scheme(monkeypatch):
@@ -568,10 +612,10 @@ def test_simulation_failure_fails_only_its_scheme(monkeypatch):
     clean = run_sweep(config, source="both")
     resolve = montecarlo._resolve
 
-    def refuse_pcom(scenario, draws):
+    def refuse_pcom(scenario, draws, n):
         if scenario.scheme is Scheme.PCOM:
             raise FloatingPointError("refused")
-        return resolve(scenario, draws)
+        return resolve(scenario, draws, n)
 
     monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
     result = run_sweep(config, source="both")

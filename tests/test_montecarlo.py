@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from nomarelay import analytics
+from nomarelay import analytics, montecarlo
 from nomarelay.analytics import default_allocation
 from nomarelay.channel import (
     FittedGainDistribution,
@@ -221,6 +221,63 @@ def test_shared_draws_match_runs_simulated_alone(group):
         assert plan[s, seed, n] == simulate(s, n, seed)
     assert simulate_plan(runs[::-1]) == plan
     assert simulate_plan(runs[1::2] + runs[::2]) == plan
+
+
+PAIRINGS = {
+    "com": (TCOM, scenario(Scheme.PCOM)),
+    "qom": (TQOM, scenario(Scheme.PQOM)),
+    "bare": (BARE,),
+}
+# one trial, the partial last blocks of 200,000 and 100,000 trials, and a
+# full block
+PREFIX_WIDTHS = (1, 3_392, 34_464, montecarlo.BLOCK_SIZE)
+
+
+def _shared_draws(group):
+    s = group[0]
+    return montecarlo._draw(s.topology, s.scheme.pairing,
+                            montecarlo._block_rng(43, 0),
+                            montecarlo.BLOCK_SIZE)
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_prefix_resolve_equals_full_width_prefix(pairing):
+    group = PAIRINGS[pairing]
+    draws = _shared_draws(group)
+    for s in group:
+        full = montecarlo._resolve(s, draws, montecarlo.BLOCK_SIZE)
+        for n in PREFIX_WIDTHS:
+            part = montecarlo._resolve(s, draws, n)
+            assert part.n == n
+            for name in montecarlo._Block.__slots__[1:]:
+                got, want = getattr(part, name), getattr(full, name)
+                if isinstance(want, list):
+                    assert len(got) == len(want), name
+                    pairs = zip(got, want)
+                else:
+                    pairs = [(got, want)]
+                for a, b in pairs:
+                    assert np.array_equal(a, b[..., :n]), (s.scheme, n, name)
+    # device gains are computed once per path-loss law and sliced
+    assert len(draws.gains) == 1
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_credited_device_messages_nest_in_earlier_hops(pairing):
+    # a credited device message implies its transmitter received it, which
+    # implies every earlier hop succeeded
+    group = PAIRINGS[pairing]
+    draws = _shared_draws(group)
+    credited = 0
+    for s in group:
+        for n in PREFIX_WIDTHS:
+            block = montecarlo._resolve(s, draws, n)
+            for t in range(2, s.topology.hop_count + 1):
+                served = block.msg_ok[t - 1] & block.device_ok[t - 1]
+                assert not np.any(served & ~block.prefix_ok[t - 2]), (
+                    s.scheme, n, t)
+                credited += int(served.sum())
+    assert (credited > 0) == (pairing != "bare")
 
 
 def test_plan_keeps_failures_to_their_runs():
