@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize
 
 from .geometry import CoverageDisk
 from .specfun import KernelConvergenceError
@@ -109,6 +107,10 @@ def ccdf_varphi_nearest_numeric(phi: float, disk: CoverageDisk,
     on [0,1], so adaptive quadrature reaches 1e-9 easily; this is both the
     fitting target and the oracle the fitted form is judged against.
     """
+    # imported on first use: a sweep answered by the fit sidecar never
+    # integrates, and the import costs a fresh interpreter ~0.1 s
+    from scipy.integrate import quad
+
     if disk.density_active <= 0.0:
         raise ValueError("nearest-device law needs a positive active density")
     if phi < 0.0:
@@ -205,6 +207,8 @@ def fit_singh_maddala(disk: CoverageDisk, budget: LinkBudget,
     several shape values; raises :class:`FitError` rather than returning a
     fit worse than ``max_error``.
     """
+    from scipy.optimize import minimize  # on first use, like quad
+
     lo, hi, points = grid_spec
     if not (0.0 < lo < hi and int(points) >= 50):
         raise ValueError(f"bad grid spec {grid_spec}")

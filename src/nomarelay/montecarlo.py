@@ -2,8 +2,15 @@
 
 Every random element of one relaying block is drawn explicitly - harvest
 indicators, device activity, pairing distances, fades - and decode events
-come from the instantaneous rate formulas, never from the analytic
-thresholds.  Trials are vectorized in fixed-size blocks; block ``b`` of a
+come from the instantaneous rate formulas, never from the analytic layer.
+Each rate test ``tf log2(1 + a y / (b y + 1)) >= R`` holds iff the SNR ``y``
+reaches ``tau / (a - tau b)`` with ``tau = 2^(R/tf) - 1``, so a hop, a
+relayed message, a whole com SIC chain or a qom device is decided by one
+comparison with the largest of its thresholds, which :func:`_band` derives
+from the rate formula.  A guard band around each threshold, wider than the
+rounding of either form, sends the trials inside it back to the rate
+formula (:func:`_chain`), so every decision equals the rate comparison bit
+for bit.  Trials are vectorized in fixed-size blocks; block ``b`` of a
 run draws from its own counter-derived stream, so estimates are
 bit-identical however the blocks are distributed over workers, and a
 shorter run is a prefix of a longer one with the same seed.  Each block
@@ -42,6 +49,13 @@ logger = logging.getLogger(__name__)
 BLOCK_SIZE = 1 << 16
 _CI_FACTOR = 1.96
 _LN2 = math.log(2.0)
+# guard band per unit condition number of a threshold: the rounding of the
+# rate formula and of the threshold moves a decision by a few eps per unit
+_GUARD = 512 * np.finfo(float).eps
+_MAX_BAND = 1e-3
+# thresholds stay this far inside the normal float range, where every
+# rounding error is relative
+_SPAN = (1e-280, 1e280)
 
 
 @dataclass(frozen=True)
@@ -73,12 +87,13 @@ class Estimate:
 
 
 class _Block:
-    """Raw per-trial arrays for one simulated block."""
+    """Raw per-trial arrays for one simulated block, and the number of
+    trials decided inside a guard band and of rate tests decided by
+    ``_rate`` over a whole row (``guard_counts``)."""
 
-    __slots__ = ("n", "indicators", "active", "powers",
-                 "hop_snr", "hop_rates", "hop_ok", "device_snr",
-                 "device_rates", "device_ok", "prefix_ok", "msg_ok",
-                 "supply_units", "throughput")
+    __slots__ = ("n", "indicators", "active", "powers", "hop_snr", "hop_ok",
+                 "device_snr", "device_ok", "prefix_ok", "msg_ok",
+                 "supply_units", "throughput", "guard_counts")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -156,6 +171,98 @@ def _draw(topo, pairing, rng: np.random.Generator, n: int) -> _Draws:
                   device_dist=device_dist, device_fade=device_fade)
 
 
+def _rate(y, a, b, tf):
+    """Rate of a message holding share ``a`` of the superposition, decoded
+    over interference ``b`` at SNR ``y`` within time factor ``tf``."""
+    return tf * np.log1p(a * y / (b * y + 1.0)) / _LN2
+
+
+def _band(a, b, target, tf):
+    """SNR interval ``(lo, hi)`` around the threshold of the rate test
+    ``_rate(y, a, b, tf) >= target``; outside it the test is ``y >= lo``.
+
+    The test holds iff ``y >= tau / (a - tau b)`` with ``tau = 2^(target/tf)
+    - 1``.  The band's relative half-width scales with the condition number
+    of that inversion, at ``_GUARD`` per unit, and bounds the rounding of
+    both forms.  None when the test has no threshold (``tau <= 0`` or
+    ``a <= tau b``), or its band is wider than ``_MAX_BAND`` or leaves
+    ``_SPAN``.
+    """
+    if not tf > 0.0:
+        return None
+    tau = math.expm1(min(target * _LN2 / tf, 700.0))  # overflows past 709.8
+    if not (tau > 0.0 and a > tau * b):
+        return None
+    thr = tau / (a - tau * b)
+    width = _GUARD * a / (a - tau * b) \
+        * max(1.0, (1.0 + tau) * math.log1p(tau) / tau)
+    lo, hi = thr * (1.0 - width), thr * (1.0 + width)
+    if not (width <= _MAX_BAND and _SPAN[0] < lo and hi < _SPAN[1]):
+        return None
+    return lo, hi
+
+
+def _pick(values, sel):
+    """``values[1]`` where the mask ``sel`` holds, else ``values[0]``."""
+    return values[0] if sel is None else np.where(sel, values[1], values[0])
+
+
+def _either(sel, masks):
+    """:func:`_pick` for boolean masks, in bit operations: ``np.where``
+    branches per element and mispredicts on a random ``sel``."""
+    if sel is None:
+        return masks[0]
+    return (sel & masks[1]) | (masks[0] & ~sel)
+
+
+def _holds(y, tf, terms):
+    """Whether every rate test of ``terms`` holds, by the rate formula."""
+    ok = np.ones(y.shape, dtype=bool)
+    for a, b, target in terms:
+        ok &= _rate(y, a, b, tf) >= target
+    return ok
+
+
+def _chain(y, tfs, sel, terms, counts):
+    """Whether every rate test ``_rate(y, a, b, tf) >= target`` of ``terms``
+    holds, where ``tf`` is ``tfs[1]`` in the trials the mask ``sel`` marks
+    and ``tfs[0]`` elsewhere (everywhere when ``sel`` is None).
+
+    Each test is monotone in ``y``, so the chain holds iff ``y`` clears the
+    largest threshold: one comparison per trial.  Trials inside a guard
+    band and tests without a band are decided by ``_rate`` itself, so the
+    result equals the rate comparisons bit for bit.  ``counts`` gains the
+    trials decided in a band and the tests decided over the whole row.
+    """
+    guarded, exact = [], []
+    for term in terms:
+        bands = [_band(*term, tf) for tf in tfs]
+        if None in bands:
+            exact.append(term)
+        else:
+            guarded.append((term, bands))
+    if guarded:
+        edges = [(max(bands[i][0] for _, bands in guarded),
+                  max(bands[i][1] for _, bands in guarded))
+                 for i in range(len(tfs))]
+        # below the highest lower edge some test surely fails; above the
+        # highest upper edge every test surely holds
+        ok = _either(sel, [y >= lo for lo, _ in edges])
+        near = ok & ~_either(sel, [y > hi for _, hi in edges])
+        if near.any():
+            near = np.flatnonzero(near)
+            ok[near] = _holds(y[near],
+                              _pick(tfs, None if sel is None else sel[near]),
+                              [term for term, _ in guarded])
+            counts[0] += near.size
+    else:
+        ok = np.ones(y.shape, dtype=bool)
+    if exact:
+        ok &= _holds(y, _pick(tfs, sel), exact)
+        counts[1] += len(exact)
+    return ok
+
+
 def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     """Resolve every decode event of one scenario in the first ``n`` trials
     of shared draws, which it reads through views."""
@@ -183,25 +290,32 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
         powers[t - 1] = chain
 
     # 6. receiver adjustments: harvesting at the receiving relay either
-    # compresses the information window or splits the received power
+    # compresses the information window, giving each trial one of two time
+    # factors, or splits the received power
     recv = indicators[:hops]
     if bteh:
-        time_factor = (1.0 - policy.alpha * recv) / (m - 1)
+        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
         split = 1.0
     else:
-        time_factor = np.full((hops, n), 1.0 / (m - 1))
+        tfs = (1.0 / (m - 1),)
         split = 1.0 - policy.beta * recv
+    counts = [0, 0]
 
-    # 7. hop decoding
+    def decode(y, t, terms):
+        return _chain(y, tfs, recv[t - 1] if bteh else None, terms, counts)
+
+    # 7. hop decoding; with devices present, the relayed message is decoded
+    # over the devices' messages
     ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
     hop_snr = g0 * powers * ell_hop * hop_fades
     eff = hop_snr * split
-    if pairing is not None and p_m < 1.0:
-        sinr = np.where(active, p_m * eff / ((1.0 - p_m) * eff + 1.0), eff)
-    else:
-        sinr = eff
-    hop_rates = time_factor * np.log1p(sinr) / _LN2
-    hop_ok = hop_rates >= plan.relay_rate
+    relayed = (p_m, 1.0 - p_m, plan.relay_rate)
+    hop_ok = np.empty((hops, n), dtype=bool)
+    for t in range(1, hops + 1):
+        hop_ok[t - 1] = decode(eff[t - 1], t, [(1.0, 0.0, plan.relay_rate)])
+        if pairing is not None and p_m < 1.0:
+            hop_ok[t - 1] = _either(active[t - 1], [
+                hop_ok[t - 1], decode(eff[t - 1], t, [relayed])])
     prefix_ok = hop_ok.copy()
     for t in range(1, hops):
         prefix_ok[t] &= prefix_ok[t - 1]
@@ -209,8 +323,10 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     # i.e. hops 1..t-1 all succeeded; the slot's own hop is a separate event
     msg_ok = np.vstack([np.ones((1, n), dtype=bool), prefix_ok[:-1]])
 
-    # 8. device decoding: the own message plus its full SIC chain
-    device_snr, device_rates, device_ok = [], [], []
+    # 8. device decoding: every device first peels the relayed message off
+    # the superposition, then its own message; a com device k also peels
+    # every weaker-protected message n > k before its own
+    device_snr, device_ok = [], []
     throughput = plan.relay_rate * prefix_ok[-1].astype(float)
     device_gain = draws.device_gain(budget)
     for t in range(1, hops + 1):
@@ -219,51 +335,35 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
         served = active[t - 1]
         count = ell_dev.shape[0]
         if count == 0:
-            empty = np.zeros((0, n))
-            device_snr.append(empty)
-            device_rates.append(empty)
-            device_ok.append(empty.astype(bool))
+            device_snr.append(np.zeros((0, n)))
+            device_ok.append(np.zeros((0, n), dtype=bool))
             continue
         snr = g0 * powers[t - 1] * ell_dev * fade
-        tf = time_factor[t - 1]
-        # every device first peels the relayed message off the superposition
-        relayed_ok = tf * np.log1p(p_m * snr / ((1.0 - p_m) * snr + 1.0)) \
-            / _LN2 >= plan.relay_rate
-        rates = np.empty((count, n))
         ok = np.empty((count, n), dtype=bool)
         if pairing == "com":
             shares = plan.device_shares[t - 1]
             targets = plan.device_rates[t - 1]
             below = np.cumsum((0.0,) + shares)
             for k in range(count, 0, -1):
-                y = snr[k - 1]
-                rates[k - 1] = tf * np.log1p(shares[k - 1] * y
-                                             / (below[k - 1] * y + 1.0)) / _LN2
-                # device k peels every weaker-protected message n >= k;
-                # the peel of its own message is its rate
-                chain = relayed_ok[k - 1]
-                for nn in range(count, k - 1, -1):
-                    peel = rates[k - 1] if nn == k else tf * np.log1p(
-                        shares[nn - 1] * y / (below[nn - 1] * y + 1.0)) / _LN2
-                    chain = chain & (peel >= targets[nn - 1])
-                ok[k - 1] = served & chain
+                peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
+                         for nn in range(count, k - 1, -1)]
+                ok[k - 1] = served & decode(snr[k - 1], t, [relayed] + peels)
                 throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
         else:
             target = plan.nearest_rates[t - 1]
-            rates[0] = tf * np.log1p((1.0 - p_m) * snr[0]) / _LN2
-            ok[0] = served & relayed_ok[0] & (rates[0] >= target)
+            ok[0] = served & decode(snr[0], t,
+                                    [relayed, (1.0 - p_m, 0.0, target)])
             throughput += target * (msg_ok[t - 1] & ok[0])
         device_snr.append(snr)
-        device_rates.append(rates)
         device_ok.append(ok)
 
     throughput /= m - 1
     supply_units = hops - indicators[:hops - 1].sum(axis=0)
     return _Block(n=n, indicators=indicators, active=active, powers=powers,
-                  hop_snr=hop_snr, hop_rates=hop_rates, hop_ok=hop_ok,
-                  device_snr=device_snr, device_rates=device_rates,
+                  hop_snr=hop_snr, hop_ok=hop_ok, device_snr=device_snr,
                   device_ok=device_ok, prefix_ok=prefix_ok, msg_ok=msg_ok,
-                  supply_units=supply_units, throughput=throughput)
+                  supply_units=supply_units, throughput=throughput,
+                  guard_counts=tuple(counts))
 
 
 @dataclass
@@ -394,21 +494,25 @@ def simulate_plan(runs) -> dict:
                         if n > b * BLOCK_SIZE:
                             tallies[s, seed, n].add(
                                 s, block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+                    guarded = block.guard_counts
                     del block
                 except Exception as exc:
                     failed[s] = exc
                     continue
-                secs, trials = spent.get(s.scheme.value, (0.0, 0))
-                spent[s.scheme.value] = (secs + time.perf_counter() - tick,
-                                         trials + width)
+                # seconds, trials, trials in guard bands, whole-row tests
+                done = (time.perf_counter() - tick, width, *guarded)
+                spent[s.scheme.value] = tuple(map(sum, zip(
+                    spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
                          "resolved, %d trials resolved in %.3f s; %s",
                          pairing or "bare", seed, drawn, len(cuts),
-                         sum(n for _, n in spent.values()),
+                         sum(v[1] for v in spent.values()),
                          time.perf_counter() - start,
-                         ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s"
-                                   for k, (t, n) in spent.items()))
+                         ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
+                                   f"({g} in guard bands, {e} whole-row rate "
+                                   "tests)"
+                                   for k, (t, n, g, e) in spent.items()))
         out.update({run: failed.get(run[0], tal)
                     for run, tal in tallies.items()})
     return out

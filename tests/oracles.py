@@ -221,19 +221,102 @@ def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):
         scenario.topology, scenario.scheme.pairing, rng, n), n)
 
 
+_LN2 = math.log(2.0)
+
+
+def reference_decode(scenario: Scenario, block) -> dict:
+    """Every decode event of a resolved block, recomputed from its hop and
+    device SNRs by evaluating the rate of each hop, relayed message and SIC
+    peel and comparing it with its target: the per-peel route that the
+    simulator's threshold decoding replaces.  Returns the rates and the
+    event arrays of :class:`nomarelay.montecarlo._Block`."""
+    topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
+    pairing = scenario.scheme.pairing
+    m, hops, n = topo.node_count, topo.hop_count, block.n
+    p_m = plan.relay_share
+    active = block.active
+    recv = block.indicators[:hops]
+    if policy.architecture == "BTEH":
+        time_factor = (1.0 - policy.alpha * recv) / (m - 1)
+        split = 1.0
+    else:
+        time_factor = np.full((hops, n), 1.0 / (m - 1))
+        split = 1.0 - policy.beta * recv
+
+    eff = block.hop_snr * split
+    if pairing is not None and p_m < 1.0:
+        sinr = np.where(active, p_m * eff / ((1.0 - p_m) * eff + 1.0), eff)
+    else:
+        sinr = eff
+    hop_rates = time_factor * np.log1p(sinr) / _LN2
+    hop_ok = hop_rates >= plan.relay_rate
+    prefix_ok = hop_ok.copy()
+    for t in range(1, hops):
+        prefix_ok[t] &= prefix_ok[t - 1]
+    msg_ok = np.vstack([np.ones((1, n), dtype=bool), prefix_ok[:-1]])
+
+    device_rates, device_ok = [], []
+    throughput = plan.relay_rate * prefix_ok[-1].astype(float)
+    for t in range(1, hops + 1):
+        snr = block.device_snr[t - 1]
+        served = active[t - 1]
+        count = snr.shape[0]
+        rates = np.empty((count, n))
+        ok = np.empty((count, n), dtype=bool)
+        if count == 0:
+            device_rates.append(rates)
+            device_ok.append(ok)
+            continue
+        tf = time_factor[t - 1]
+        # every device first peels the relayed message off the superposition
+        relayed_ok = tf * np.log1p(p_m * snr / ((1.0 - p_m) * snr + 1.0)) \
+            / _LN2 >= plan.relay_rate
+        if pairing == "com":
+            shares = plan.device_shares[t - 1]
+            targets = plan.device_rates[t - 1]
+            below = np.cumsum((0.0,) + shares)
+            for k in range(count, 0, -1):
+                y = snr[k - 1]
+                rates[k - 1] = tf * np.log1p(shares[k - 1] * y
+                                             / (below[k - 1] * y + 1.0)) / _LN2
+                # device k peels every weaker-protected message n >= k;
+                # the peel of its own message is its rate
+                chain = relayed_ok[k - 1]
+                for nn in range(count, k - 1, -1):
+                    peel = rates[k - 1] if nn == k else tf * np.log1p(
+                        shares[nn - 1] * y / (below[nn - 1] * y + 1.0)) / _LN2
+                    chain = chain & (peel >= targets[nn - 1])
+                ok[k - 1] = served & chain
+                throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
+        else:
+            target = plan.nearest_rates[t - 1]
+            rates[0] = tf * np.log1p((1.0 - p_m) * snr[0]) / _LN2
+            ok[0] = served & relayed_ok[0] & (rates[0] >= target)
+            throughput += target * (msg_ok[t - 1] & ok[0])
+        device_rates.append(rates)
+        device_ok.append(ok)
+    throughput /= m - 1
+    supply_units = hops - block.indicators[:hops - 1].sum(axis=0)
+    return dict(hop_rates=hop_rates, hop_ok=hop_ok, prefix_ok=prefix_ok,
+                msg_ok=msg_ok, device_rates=device_rates, device_ok=device_ok,
+                throughput=throughput, supply_units=supply_units)
+
+
 def run_block_trial(config: Scenario, rng_seed) -> TrialOutcome:
-    """Resolve a single relaying block from the given seed or generator."""
+    """Resolve a single relaying block from the given seed or generator;
+    its rates come from :func:`reference_decode`."""
     block = _simulate_block(config, as_generator(rng_seed), 1)
+    rates = reference_decode(config, block)
     hops = config.topology.hop_count
     return TrialOutcome(
         eh_indicators=tuple(int(v) for v in block.indicators[:, 0]),
         device_present=tuple(bool(v) for v in block.active[:, 0]),
         powers_w=tuple(config.budget.P0 * float(p)
                        for p in block.powers[:, 0]),
-        hop_rates=tuple(float(r) for r in block.hop_rates[:, 0]),
+        hop_rates=tuple(float(r) for r in rates["hop_rates"][:, 0]),
         hop_success=tuple(bool(v) for v in block.hop_ok[:, 0]),
-        device_rates=tuple(tuple(float(r) for r in block.device_rates[t][:, 0])
-                           for t in range(hops)),
+        device_rates=tuple(tuple(float(r) for r in row[:, 0])
+                           for row in rates["device_rates"]),
         device_success=tuple(tuple(bool(v) for v in block.device_ok[t][:, 0])
                              for t in range(hops)),
     )

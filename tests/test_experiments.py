@@ -574,6 +574,13 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
     resolved = {g.split(" ", 1)[0]: re.search(r"(\d+) trials resolved",
                                               g).group(1) for g in groups}
     assert resolved == {"com": "980000", "qom": "980000", "bare": "140000"}
+    # every scheme reports its guard-band trials and whole-row rate tests;
+    # every rate test of a shipped plan has a threshold
+    guards = {g.split(" ", 1)[0]: re.findall(
+        r"(\d+) in guard bands, (\d+) whole-row", g) for g in groups}
+    assert {k: len(g) for k, g in guards.items()} \
+        == {"com": 3, "qom": 3, "bare": 1}
+    assert all(exact == "0" for g in guards.values() for _, exact in g)
 
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,

@@ -2,9 +2,13 @@
 test-only oracles live in ``tests/oracles.py`` and unread options are gone.
 The README's library example runs as documented."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import oracles
@@ -92,6 +96,33 @@ def test_library_holds_only_the_model():
     assert not hasattr(Scheme, "serves_devices")
     assert "com_present" not in montecarlo._Block.__slots__
     assert "com_present" not in _fields(montecarlo._Draws)
+    # decode events are threshold comparisons; no tally reads a rate
+    assert not {"hop_rates", "device_rates"} & set(montecarlo._Block.__slots__)
+    assert hasattr(oracles, "reference_decode")
+
+
+def test_simulator_derives_its_own_thresholds():
+    # the simulator stays a route independent of the closed-form layer
+    tree = ast.parse(Path(montecarlo.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not [name for name in imported
+                             if "analytics" in name]
+
+
+def test_cli_import_leaves_the_fitting_modules_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; import nomarelay.cli; "
+             "print(sorted({'scipy.optimize', 'scipy.integrate'} "
+             "& set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split() == ["[]"]
 
 
 def test_readme_library_example_runs(capsys):

@@ -71,6 +71,8 @@ def test_block_trial_is_deterministic():
 
 
 def test_block_trial_success_bits_match_rates():
+    # the success bits are decided by SNR thresholds, the rates come from
+    # the per-peel reference route
     out = run_block_trial(TCOM, 1234)
     for t, rate in enumerate(out.hop_rates, start=1):
         assert out.hop_success[t - 1] == (rate >= TCOM.plan.relay_rate)
@@ -233,6 +235,10 @@ PAIRINGS = {
 PREFIX_WIDTHS = (1, 3_392, 34_464, montecarlo.BLOCK_SIZE)
 
 
+ARRAY_FIELDS = [name for name in montecarlo._Block.__slots__
+                if name not in ("n", "guard_counts")]
+
+
 def _shared_draws(group):
     s = group[0]
     return montecarlo._draw(s.topology, s.scheme.pairing,
@@ -249,7 +255,10 @@ def test_prefix_resolve_equals_full_width_prefix(pairing):
         for n in PREFIX_WIDTHS:
             part = montecarlo._resolve(s, draws, n)
             assert part.n == n
-            for name in montecarlo._Block.__slots__[1:]:
+            # a prefix holds no more band trials; whole-row tests are per row
+            assert part.guard_counts[0] <= full.guard_counts[0]
+            assert part.guard_counts[1] == full.guard_counts[1]
+            for name in ARRAY_FIELDS:
                 got, want = getattr(part, name), getattr(full, name)
                 if isinstance(want, list):
                     assert len(got) == len(want), name
