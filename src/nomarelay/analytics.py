@@ -18,6 +18,9 @@ Every kernel call goes through a :class:`KernelMemo`.  A sweep shares one
 memo across all its :class:`SlotMarginals`, so each distinct kernel
 argument is evaluated once per sweep; a standalone ``SlotMarginals`` or
 public mixture call gets a private memo, and nothing outlives its owner.
+The memo also owns the sweep's :class:`specfun.LogGammaTable`, so the
+kernels it evaluates share their gamma factors on the fixed quadrature
+grids, and the table goes with the memo.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .geometry import log_null_probability
 from .network import NetworkTopology, Scenario, Scheme
 from .power import EhPolicy, omega_factor
 from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
+    LogGammaTable,
     annulus_kernel,
     annulus_kernel_deficit,
     lower_incomplete_gamma,
@@ -306,29 +310,42 @@ class KernelMemo(dict):
 
     The kernels are pure, so a hit returns the very float a miss computes.
     ``lookups`` counts calls per kernel family; each key is one evaluation.
+    Every quadrature kernel evaluated here reads and fills ``table``, one
+    :class:`specfun.LogGammaTable` that lives as long as the memo.
     """
 
     def __init__(self):
         super().__init__()
         self.lookups = collections.Counter()
+        self.table = LogGammaTable()
 
     def __call__(self, name: str, *args) -> float:
-        self.lookups[_KERNEL_FAMILY[name]] += 1
+        family = _KERNEL_FAMILY[name]
+        self.lookups[family] += 1
         key = (name,) + args
         value = self.get(key)
         if value is None:
             # resolved by name only on a miss, so a wrapper installed on
             # this module sees real evaluations only
-            value = self[key] = globals()[name](*args)
+            kernel = globals()[name]
+            value = self[key] = (kernel(*args) if family == "residue_asymptote"
+                                 else kernel(*args, table=self.table))
         return value
 
     def log_summary(self) -> None:
-        """One DEBUG line: lookups, evaluations and hit ratio per family."""
+        """Two DEBUG lines: lookups, evaluations and hit ratio per kernel
+        family, then arrays stored, lookups and hit ratio per grid kind of
+        the loggamma table."""
         evaluations = collections.Counter(_KERNEL_FAMILY[key[0]] for key in self)
         logger.debug("kernel memo: %s", "; ".join(
             f"{family} {n} lookups, {evaluations[family]} evaluations, "
             f"hit ratio {1.0 - evaluations[family] / n:.3f}"
             for family, n in sorted(self.lookups.items())) or "no lookups")
+        stored = collections.Counter(grid[0] for grid, *_ in self.table)
+        logger.debug("loggamma table: %s", "; ".join(
+            f"{kind} {stored[kind]} arrays, {n} lookups, "
+            f"hit ratio {1.0 - stored[kind] / n:.3f}"
+            for kind, n in sorted(self.table.lookups.items())) or "no lookups")
 
 
 # ---------------------------------------------------------------------------

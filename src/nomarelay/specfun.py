@@ -10,11 +10,17 @@ below a small-argument crossover to a residue series evaluated by circle
 integrals around the left pole ladder, so that tiny CDF values keep
 *relative* accuracy (needed for the high-power diversity slope).
 
-Everything here is pure and thread-safe.
+Everything here is pure and thread-safe.  The one piece of state is a
+:class:`LogGammaTable` of gamma factors: a caller may create one and pass
+it to the public kernels (``table=``) to share it across calls; it then
+owns the table, decides how long it lives and must not share it between
+threads.  Without one, each call fills a private table.  A table changes
+no result: a kernel returns the very float it returns without one.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from functools import lru_cache
 from typing import Sequence, Tuple
@@ -30,6 +36,14 @@ _MAX_ITER = 500
 _GAMMA_EPS = 1e-15
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
+
+# points of every residue circle: exp(i theta) at the midpoint angles
+_RING_NODES = 192
+_UNIT_RING = np.exp(1j * (2.0 * math.pi * (np.arange(_RING_NODES) + 0.5)
+                          / _RING_NODES))
+_UNIT_RING.setflags(write=False)
 
 
 class UnsupportedSpecError(ValueError):
@@ -136,16 +150,45 @@ def _family_factors(kind):
     raise UnsupportedSpecError(f"unknown kernel family {kind!r}")
 
 
-def _log_integrand(s, num, den, logx):
+class LogGammaTable(dict):
+    """``loggamma(shift + slope*s)`` of the quadrature grids, computed once.
+
+    Every point where a kernel integrand is evaluated is fixed by its grid,
+    not by the kernel argument: a contour panel by ``("panel", c, h,
+    index)``, a residue circle by ``("ring", center, radius)`` and an
+    abscissa candidate by ``("candidate", c)``.  So each gamma factor's
+    array is keyed by ``(grid, shift, slope)`` and computed once for as
+    long as the table lives.  Each factor keeps its own array, so a hit
+    adds exactly the terms a fresh evaluation adds, in the same order.
+    ``lookups`` counts lookups per grid kind.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = collections.Counter()
+
+    def factor(self, grid, shift: float, slope: float, s):
+        """``loggamma(shift + slope*s)`` with ``s`` the points of ``grid``."""
+        self.lookups[grid[0]] += 1
+        key = (grid, shift, slope)
+        value = self.get(key)
+        if value is None:
+            value = self[key] = loggamma(shift + slope * s)
+        return value
+
+
+def _log_integrand(s, num, den, logx, table, grid):
+    """-s log x plus the numerator and minus the denominator log-gammas,
+    each factor looked up in ``table`` on the grid that names the points s."""
     out = -s * logx
     for beta, slope in num:
-        out = out + loggamma(beta + slope * s)
+        out = out + table.factor(grid, beta, slope, s)
     for beta, slope in den:
-        out = out - loggamma(beta + slope * s)
+        out = out - table.factor(grid, beta, slope, s)
     return out
 
 
-def _pick_abscissa(num, den, window, logx) -> float:
+def _pick_abscissa(num, den, window, logx, table) -> float:
     """Scan the pole-free window for the abscissa with the flattest peak."""
     lo, hi = window
     if hi is None:
@@ -155,17 +198,24 @@ def _pick_abscissa(num, den, window, logx) -> float:
         cands = list(lo + width * np.linspace(0.05, 0.95, 19))
     best, best_val = cands[0], math.inf
     for c in cands:
-        val = _log_integrand(complex(c, 0.0), num, den, logx).real
+        val = _log_integrand(complex(c, 0.0), num, den, logx, table,
+                             ("candidate", c)).real
         if val < best_val:
             best, best_val = c, val
     return best
 
 
-def _contour_value(kind, x: float, tol: float) -> float:
-    """(1/pi) * int_0^inf Re[integrand(c + iu)] du by Gauss-Legendre panels."""
+def _contour_value(kind, x: float, tol: float, table=None) -> float:
+    """(1/pi) * int_0^inf Re[integrand(c + iu)] du by Gauss-Legendre panels.
+
+    Panel ``k`` spans ``[u, u + h]`` with ``u`` the sum of ``k`` steps
+    ``h``, so its nodes are fixed by ``(c, h, k)``.
+    """
+    if table is None:
+        table = LogGammaTable()
     num, den, window = _family_factors(kind)
     logx = math.log(x)
-    c = _pick_abscissa(num, den, window, logx)
+    c = _pick_abscissa(num, den, window, logx, table)
     decay = 0.5 * math.pi * (sum(abs(sl) for _, sl in num)
                              - sum(abs(sl) for _, sl in den))
     h = min(1.0, 30.0 / max(1.0, abs(logx)))
@@ -174,13 +224,16 @@ def _contour_value(kind, x: float, tol: float) -> float:
     last = math.inf
     quiet = 0
     u = 0.0
+    k = 0
     while u < u_cap:
         nodes = u + 0.5 * h * (_GL_NODES + 1.0)
         s = c + 1j * nodes
-        vals = np.exp(_log_integrand(s, num, den, logx)).real
+        vals = np.exp(_log_integrand(s, num, den, logx, table,
+                                     ("panel", c, h, k))).real
         last = 0.5 * h * float(np.dot(_GL_WEIGHTS, vals))
         total += last
         u += h
+        k += 1
         if abs(last) < tol / 16.0:
             quiet += 1
             if quiet >= 2:
@@ -219,22 +272,24 @@ def _cluster(poles, gap: float = 0.1):
     return clusters
 
 
-def _circle_residue_sum(num, den, logx, center, radius, nodes=192) -> float:
+def _circle_residue_sum(num, den, logx, center, radius, table) -> float:
     """(1/2 pi i) closed-circle integral of the integrand = sum of residues."""
-    theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
-    ring = radius * np.exp(1j * theta)
-    vals = np.exp(_log_integrand(center + ring, num, den, logx))
+    ring = radius * _UNIT_RING
+    vals = np.exp(_log_integrand(center + ring, num, den, logx, table,
+                                 ("ring", center, radius)))
     return float((vals * ring).mean().real)
 
 
 def _residue_sum(kind, x: float, rel_tol: float = 1e-11,
-                 max_poles: int = 60) -> float:
+                 max_poles: int = 60, table=None) -> float:
     """Sum of the integrand residues over the left pole ladder.
 
     The poles are walked in clusters away from zero until the running total
     stops moving; each cluster is integrated on a circle small enough to
     bound the x^{-s} amplification (radius <= 3/|log x|).
     """
+    if table is None:
+        table = LogGammaTable()
     num, den, _ = _family_factors(kind)
     logx = math.log(x)
     ladder = _left_poles(kind, max_poles)
@@ -255,7 +310,7 @@ def _residue_sum(kind, x: float, rel_tol: float = 1e-11,
             raise KernelConvergenceError(
                 f"pole cluster too crowded for family {kind!r} near s={center}")
         contrib = _circle_residue_sum(num, den, logx, center,
-                                      0.5 * span + margin)
+                                      0.5 * span + margin, table)
         acc += contrib
         if abs(contrib) <= rel_tol * max(abs(acc), 1e-300):
             quiet += 1
@@ -272,29 +327,32 @@ def _residue_sum(kind, x: float, rel_tol: float = 1e-11,
 # family evaluators: value and CDF-side deficit from one crossover branch
 # ---------------------------------------------------------------------------
 
-def _sides(kind, x: float, total: float, tol: float) -> tuple:
+def _sides(kind, x: float, total: float, tol: float, table) -> tuple:
     """(value, deficit) of a family at x > 0, where the two sum to ``total``.
 
     Below the crossover the residue series gives the deficit with relative
     accuracy; above it the contour gives the value.
     """
     if x < RESIDUE_CROSSOVER:
-        r = -_residue_sum(kind, x)
+        r = -_residue_sum(kind, x, table=table)
         return total - r, r
-    c = _contour_value(kind, x, tol)
+    c = _contour_value(kind, x, tol, table)
     return c, total - c
 
 
-def _ccdf_sides(x: float, n: int) -> tuple:
+def _ccdf_sides(x: float, n: int, table=None) -> tuple:
     """G^{n,0}_{0,n}[x | 1,..,1,0], the CCDF of a product of n unit
     exponentials, and its deficit 1 - G."""
     if n == 1:
         return math.exp(-x), -math.expm1(-x)
-    return _sides(("ccdf", n), x, 1.0, 1e-9)
+    return _sides(("ccdf", n), x, 1.0, 1e-9, table)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
+#
+# Each takes an optional keyword-only ``table``, a LogGammaTable the caller
+# owns, that the kernel reads and fills; the result is the same without one.
 # ---------------------------------------------------------------------------
 
 def _check_means(n: int, means: Sequence[float]) -> None:
@@ -304,22 +362,24 @@ def _check_means(n: int, means: Sequence[float]) -> None:
         raise ValueError("factor means must be positive")
 
 
-def prod_exp_ccdf(z: float, n: int, means: Sequence[float]) -> float:
+def prod_exp_ccdf(z: float, n: int, means: Sequence[float], *,
+                  table: LogGammaTable | None = None) -> float:
     """Pr[prod of n independent exponentials >= z], means as given."""
     _check_means(n, means)
     if z <= 0:
         return 1.0
     scale = math.prod(means)
-    return _ccdf_sides(z / scale, n)[0]
+    return _ccdf_sides(z / scale, n, table)[0]
 
 
-def prod_exp_cdf(z: float, n: int, means: Sequence[float]) -> float:
+def prod_exp_cdf(z: float, n: int, means: Sequence[float], *,
+                 table: LogGammaTable | None = None) -> float:
     """1 - prod_exp_ccdf, computed on the deficit path for small arguments."""
     _check_means(n, means)
     if z <= 0:
         return 0.0
     scale = math.prod(means)
-    return _ccdf_sides(z / scale, n)[1]
+    return _ccdf_sides(z / scale, n, table)[1]
 
 
 def _check_annulus(v: int, c_exp: float) -> None:
@@ -329,20 +389,22 @@ def _check_annulus(v: int, c_exp: float) -> None:
         raise UnsupportedSpecError(f"annulus kernel needs v >= 0, got {v}")
 
 
-def annulus_kernel(x: float, v: int, c_exp: float) -> float:
+def annulus_kernel(x: float, v: int, c_exp: float, *,
+                   table: LogGammaTable | None = None) -> float:
     """G^{v+1,1}_{1,v+2}[x | 1-c; 1,..,1,0,-c] with c = c_exp = 2/epsilon."""
     _check_annulus(v, c_exp)
     if x <= 0:
         raise ValueError(f"annulus_kernel requires x > 0, got x={x!r}")
-    return _sides(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9)[0]
+    return _sides(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9, table)[0]
 
 
-def annulus_kernel_deficit(x: float, v: int, c_exp: float) -> float:
+def annulus_kernel_deficit(x: float, v: int, c_exp: float, *,
+                           table: LogGammaTable | None = None) -> float:
     """1/c - annulus_kernel(x): the CDF-side remainder, small-x accurate."""
     _check_annulus(v, c_exp)
     if x <= 0:
         return 0.0
-    return _sides(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9)[1]
+    return _sides(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9, table)[1]
 
 
 def _check_nearest(v: int, theta: float, m: float) -> None:
@@ -351,20 +413,22 @@ def _check_nearest(v: int, theta: float, m: float) -> None:
             f"nearest kernel needs theta > 0, m > 0, v >= 0; got {theta}, {m}, {v}")
 
 
-def nearest_kernel(x: float, v: int, theta: float, m: float) -> float:
+def nearest_kernel(x: float, v: int, theta: float, m: float, *,
+                   table: LogGammaTable | None = None) -> float:
     """H^{v+1,1}_{1,v+1}[x | (1-m,1); (0,1),(1,theta)^v]."""
     _check_nearest(v, theta, m)
     if x <= 0:
         raise ValueError(f"nearest_kernel requires x > 0, got x={x!r}")
-    return _sides(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8)[0]
+    return _sides(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8, table)[0]
 
 
-def nearest_kernel_deficit(x: float, v: int, theta: float, m: float) -> float:
+def nearest_kernel_deficit(x: float, v: int, theta: float, m: float, *,
+                           table: LogGammaTable | None = None) -> float:
     """Gamma(m) - nearest_kernel(x): CDF-side remainder, small-x accurate."""
     _check_nearest(v, theta, m)
     if x <= 0:
         return 0.0
-    return _sides(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8)[1]
+    return _sides(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8, table)[1]
 
 
 # --- small-argument residue asymptote (Lemma-2 building block) --------------

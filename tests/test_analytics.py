@@ -542,7 +542,8 @@ def test_standalone_evaluations_keep_no_memo_between_calls(monkeypatch):
     calls = []
     kernel = analytics.annulus_kernel_deficit
     monkeypatch.setattr(analytics, "annulus_kernel_deficit",
-                        lambda *args: calls.append(args) or kernel(*args))
+                        lambda *args, **kw: calls.append(args)
+                        or kernel(*args, **kw))
     first = cdf_Y(1e-2, 2, 2, T1, BTEH, BUDGET)
     evaluated = len(calls)
     assert evaluated > 0

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nomarelay import analytics, channel, cli, experiments, montecarlo
+from nomarelay import analytics, channel, cli, experiments, montecarlo, specfun
 from nomarelay.experiments import (
     RESULT_COLUMNS,
     RunConfig,
@@ -516,9 +516,9 @@ def _count_kernels(monkeypatch):
     """Record every kernel evaluation the analytic layer makes."""
     calls = []
     for name in KERNELS:
-        def counted(*args, name=name, fn=getattr(analytics, name)):
+        def counted(*args, name=name, fn=getattr(analytics, name), **kw):
             calls.append((name,) + args)
-            return fn(*args)
+            return fn(*args, **kw)
         monkeypatch.setattr(analytics, name, counted)
     return calls
 
@@ -546,6 +546,40 @@ def test_sweep_evaluates_each_kernel_argument_once(monkeypatch, tmp_path,
     calls.clear()
     second = render_results(run_sweep(config, source="analytic").rows, "csv")
     assert sorted(map(repr, calls)) == sorted(map(repr, evaluated))
+    assert first == second
+
+
+def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path, caplog):
+    calls = []
+    real = specfun.loggamma
+    monkeypatch.setattr(specfun, "loggamma",
+                        lambda z: calls.append(z) or real(z))
+    memos = []
+
+    class Recorded(analytics.KernelMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+    monkeypatch.setattr(analytics, "KernelMemo", Recorded)
+    config = _shipped(tmp_path, "density")
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
+        first = render_results(run_sweep(config, source="analytic").rows, "csv")
+    (memo,) = memos
+    # one loggamma call per distinct (grid, shift, slope), none outside it
+    assert calls and len(calls) == len(memo.table)
+    assert sum(memo.table.lookups.values()) > 2 * len(memo.table)
+    summary = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("loggamma table: ")]
+    assert len(summary) == 1
+    kinds = dict(part.split(" ", 1)
+                 for part in summary[0][len("loggamma table: "):].split("; "))
+    assert sorted(kinds) == ["candidate", "panel", "ring"]
+    assert sum(int(text.split()[0]) for text in kinds.values()) == len(calls)
+    # the table lives for one sweep: a second sweep pays the same cost
+    evaluated = len(calls)
+    calls.clear()
+    second = render_results(run_sweep(config, source="analytic").rows, "csv")
+    assert len(calls) == evaluated and len(memos) == 2
     assert first == second
 
 

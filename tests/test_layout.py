@@ -9,7 +9,10 @@ import inspect
 import os
 import subprocess
 import sys
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
+
+import numpy as np
 
 import oracles
 from nomarelay import analytics, channel, cli, experiments, montecarlo
@@ -99,6 +102,19 @@ def test_library_holds_only_the_model():
     # decode events are threshold comparisons; no tally reads a rate
     assert not {"hop_rates", "device_rates"} & set(montecarlo._Block.__slots__)
     assert hasattr(oracles, "reference_decode")
+
+
+def test_specfun_keeps_no_module_level_cache():
+    # kernels read and fill only a table their caller owns and passes in
+    specfun = importlib.import_module("nomarelay.specfun")
+    module_level = {name: value for name, value in vars(specfun).items()
+                    if not name.startswith("__")}
+    assert [name for name, value in module_level.items()
+            if hasattr(value, "cache_info")] == ["_depoled_taylor"]
+    assert not [name for name, value in module_level.items()
+                if isinstance(value, (MutableMapping, MutableSequence,
+                                      MutableSet))
+                or (isinstance(value, np.ndarray) and value.flags.writeable)]
 
 
 def test_simulator_derives_its_own_thresholds():

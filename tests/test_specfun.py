@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, kv
+from scipy.special import gammainc, kv, loggamma
 
 from nomarelay import specfun as sf
 from nomarelay.specfun import (
@@ -308,6 +308,80 @@ def test_crossover_continuity_all_families():
     ]
     for f in cases:
         assert abs(f(lo) - f(hi)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# loggamma table: shared gamma factors change no bit
+# ---------------------------------------------------------------------------
+
+# both branches of every family, plus the grid edge cases: contour steps
+# h < 1 (|log x| > 30), residue circles narrower than 0.2 (|log x| > 15)
+# and, for theta = 0.95, Gamma(1 + theta s) poles clustered with Gamma(s)'s
+TABLE_XS = (3e-8, 2e-4, 0.4, 7.0, 1e14)
+TABLE_CASES = (
+    [(kernel, (x, n, (1.0,) * n)) for kernel in (prod_exp_ccdf, prod_exp_cdf)
+     for n in (2, 3) for x in TABLE_XS]
+    + [(kernel, (x, v, C_EXP))
+       for kernel in (annulus_kernel, annulus_kernel_deficit)
+       for v in (0, 2) for x in TABLE_XS]
+    + [(kernel, (x, v, theta, 1.3))
+       for kernel in (nearest_kernel, nearest_kernel_deficit)
+       for v, theta in ((1, 0.95), (2, 1.7)) for x in TABLE_XS])
+
+
+def _grid_points(grid):
+    """The points s that a table key's grid names."""
+    kind, *where = grid
+    if kind == "candidate":
+        return complex(where[0], 0.0)
+    if kind == "ring":
+        center, radius = where
+        return center + radius * sf._UNIT_RING
+    c, h, index = where
+    u = 0.0
+    for _ in range(index):
+        u += h
+    return c + 1j * (u + 0.5 * h * (sf._GL_NODES + 1.0))
+
+
+class _Uncached(sf.LogGammaTable):
+    """Computes every gamma factor afresh, as before there was a table."""
+
+    def factor(self, grid, shift, slope, s):
+        return loggamma(shift + slope * s)
+
+
+def test_shared_table_values_equal_fresh_evaluations():
+    fresh = [kernel(*args, table=_Uncached()) for kernel, args in TABLE_CASES]
+    # a call without a table fills a private one
+    assert [kernel(*args) for kernel, args in TABLE_CASES] == fresh
+    forward = sf.LogGammaTable()
+    assert [kernel(*args, table=forward)
+            for kernel, args in TABLE_CASES] == fresh
+    reverse = sf.LogGammaTable()
+    assert [kernel(*args, table=reverse)
+            for kernel, args in reversed(TABLE_CASES)] == fresh[::-1]
+    # a warm table gives the same floats again
+    assert [kernel(*args, table=forward)
+            for kernel, args in TABLE_CASES] == fresh
+    assert forward.keys() == reverse.keys()
+    # the cases reach every grid kind and both grid edge cases
+    grids = [grid for grid, _, _ in forward]
+    assert {grid[0] for grid in grids} == {"candidate", "panel", "ring"}
+    assert min(grid[2] for grid in grids if grid[0] == "panel") < 1.0
+    assert min(grid[2] for grid in grids if grid[0] == "ring") < 0.2
+    # clustered poles share one circle, wider than any single pole's
+    assert max(grid[2] for grid in grids if grid[0] == "ring") > 0.2
+
+
+def test_table_key_names_its_array():
+    table = sf.LogGammaTable()
+    for kernel, args in TABLE_CASES[::7]:
+        kernel(*args, table=table)
+    assert table and sum(table.lookups.values()) > len(table)
+    for (grid, shift, slope), stored in table.items():
+        expected = loggamma(shift + slope * _grid_points(grid))
+        assert np.array_equal(stored, expected), (grid, shift, slope)
 
 
 # ---------------------------------------------------------------------------
