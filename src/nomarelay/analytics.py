@@ -1,13 +1,15 @@
-"""Closed-form performance layer: thresholds, mixture CCDFs, outage, throughput.
+"""Closed-form performance layer: thresholds, mixture CDFs, outage, throughput.
 
 The received SNR on any link is a product of independent pieces: the
 supply-or-harvested power chain behind the transmitter, one exponential
 fade, and (for device links) a random-distance path gain.  Conditioning on
 the run length of consecutive harvesting nodes turns every distribution
 into a finite mixture whose branches are the product-distribution kernels
-from :mod:`nomarelay.specfun`.  Outage assembles those mixtures in
-CDF-deficit space so small probabilities keep relative accuracy, and the
-small-argument residue expansions provide the high-power asymptotes.
+from :mod:`nomarelay.specfun`; :func:`harvest_runs` lists a transmitter's
+run states once, and the hop, com and qom laws of its slot all read them.
+Outage assembles those mixtures in CDF-deficit space so small
+probabilities keep relative accuracy, and the small-argument residue
+expansions provide the high-power asymptotes.
 
 Every outage of a scenario, and its sum throughput, is read through one
 :class:`SlotMarginals`: ``outage`` takes the same selector tuples as
@@ -16,11 +18,11 @@ simulator answer one question the same way.
 
 Every kernel call goes through a :class:`KernelMemo`.  A sweep shares one
 memo across all its :class:`SlotMarginals`, so each distinct kernel
-argument is evaluated once per sweep; a standalone ``SlotMarginals`` or
-public mixture call gets a private memo, and nothing outlives its owner.
-The memo also owns the sweep's :class:`specfun.LogGammaTable`, so the
-kernels it evaluates share their gamma factors on the fixed quadrature
-grids, and the table goes with the memo.
+argument is evaluated once per sweep; a standalone ``SlotMarginals`` gets
+a private memo, and nothing outlives its owner.  The memo also owns the
+sweep's :class:`specfun.LogGammaTable`, so the kernels it evaluates share
+their gamma factors on the fixed quadrature grids, and the table goes
+with the memo.
 """
 
 from __future__ import annotations
@@ -32,22 +34,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .channel import (
-    FittedGainDistribution,
-    LinkBudget,
-    pathloss_linear,
-)
+from .channel import LinkBudget, pathloss_linear
 from .geometry import log_null_probability
 from .network import NetworkTopology, Scenario, Scheme
 from .power import EhPolicy, omega_factor
 from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
     LogGammaTable,
-    annulus_kernel,
     annulus_kernel_deficit,
     lower_incomplete_gamma,
-    nearest_kernel,
     nearest_kernel_deficit,
-    prod_exp_ccdf,
     prod_exp_cdf,
     residue_asymptote_cdf,
 )
@@ -299,9 +294,8 @@ def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
 # ---------------------------------------------------------------------------
 
 _KERNEL_FAMILY = {
-    "prod_exp_ccdf": "prod_exp", "prod_exp_cdf": "prod_exp",
-    "annulus_kernel": "annulus", "annulus_kernel_deficit": "annulus",
-    "nearest_kernel": "nearest", "nearest_kernel_deficit": "nearest",
+    "prod_exp_cdf": "prod_exp", "annulus_kernel_deficit": "annulus",
+    "nearest_kernel_deficit": "nearest",
     "residue_asymptote_cdf": "residue_asymptote"}
 
 
@@ -349,42 +343,41 @@ class KernelMemo(dict):
 
 
 # ---------------------------------------------------------------------------
-# mixture CCDFs of the normalized received powers
+# harvest-run mixtures of the normalized received powers
 # ---------------------------------------------------------------------------
 
-def _chain_gains(tau: int, t: int, topology: NetworkTopology, policy: EhPolicy,
+def harvest_runs(t: int, topology: NetworkTopology, policy: EhPolicy,
                  budget: LinkBudget) -> tuple:
-    """Mean gains of the harvested hops tau+1..t."""
-    return tuple(omega_factor(i, policy, topology.node_count)
-                 * pathloss_linear(topology.hop_distances[i - 2], budget)
-                 for i in range(tau + 1, t + 1))
+    """``(w, v, gains)`` of every harvest-run state of transmitter t whose
+    weight ``w`` is nonzero, in ``tau`` order.
 
-
-def _check_argument(x: float, t: int, topology: NetworkTopology) -> None:
-    if not 1 <= t <= topology.hop_count:
-        raise ValueError(f"slot {t} outside 1..{topology.hop_count}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-
-
-def _mix(t, topology, policy, budget, branch, label: str) -> float:
-    """Mixture over the harvest-run states of transmitter t, clamped.
-
-    Branch ``tau`` means node ``tau`` ran on supply power and every node
-    ``tau+1..t`` harvested; the weights sum to one.  Each branch with a
-    nonzero weight ``w`` adds ``branch(w, v, gains)``, where ``v = t - tau``
-    and ``gains`` are the mean gains of the harvested hops.  ``branch``
-    returns the whole weighted term, so each law keeps the float
-    association of its own product.
+    State ``tau`` means node ``tau`` ran on supply power and every node
+    ``tau+1..t`` harvested; the weights of all states sum to one.  ``v =
+    t - tau`` counts the harvested hops and ``gains`` are their mean gains.
     """
-    total = 0.0
+    runs = []
     for tau in range(1, t + 1):
         w = policy.rho0(tau)
         for j in range(tau + 1, t + 1):
             w *= policy.rho1(j)
         if w != 0.0:
-            total += branch(w, t - tau,
-                            _chain_gains(tau, t, topology, policy, budget))
+            runs.append((w, t - tau, tuple(
+                omega_factor(i, policy, topology.node_count)
+                * pathloss_linear(topology.hop_distances[i - 2], budget)
+                for i in range(tau + 1, t + 1))))
+    return tuple(runs)
+
+
+def _mix(runs, branch, label: str) -> float:
+    """Mixture of ``branch(w, v, gains)`` over ``runs``, clamped.
+
+    ``branch`` returns the whole weighted term, so each law keeps the float
+    association of its own product.  The loop adds in run order on every
+    interpreter; ``sum()`` compensates float sums from Python 3.12 on.
+    """
+    total = 0.0
+    for w, v, gains in runs:
+        total += branch(w, v, gains)
     return _clamp(total, label)
 
 
@@ -398,92 +391,60 @@ def _residue_branch(memo, x, budget, ell, coeff):
     return branch
 
 
-def _hop_mix(memo, form, t, topology, policy, budget, x):
-    """``form`` ("ccdf", "cdf" or "asymptotic_cdf") of the hop SNR X_t."""
-    _check_argument(x, t, topology)
+def _hop_law(memo, runs, t, topology, budget, asymptotic, x):
+    """CDF of the hop SNR X_t received by node t+1, or its asymptote."""
     ell_next = pathloss_linear(topology.hop_distances[t - 1], budget)
-    kernel = "prod_exp_cdf" if form == "cdf" else "prod_exp_ccdf"
 
     def branch(w, v, gains):
-        return w * memo(kernel, x / budget.gamma_bar0, v + 1, gains + (ell_next,))
-    if form == "asymptotic_cdf":
+        return w * memo("prod_exp_cdf", x / budget.gamma_bar0, v + 1,
+                        gains + (ell_next,))
+    if asymptotic:
         branch = _residue_branch(memo, x, budget, ell_next, 1.0)
-    return _mix(t, topology, policy, budget, branch, f"{form}_X(t={t})")
+    return _mix(runs, branch, f"cdf_X(t={t})")
 
 
-def _com_mix(memo, form, t, k, topology, policy, budget, y):
-    """``form`` of the com device SNR Y_{t,k} in subarea k of slot t."""
-    _check_argument(y, t, topology)
+def _annulus_chi(k: int) -> tuple:
+    """Weights of the outer and inner disk terms of the subarea-k law."""
+    return k * k / (2.0 * k - 1.0), (k - 1.0) ** 2 / (2.0 * k - 1.0)
+
+
+def _com_law(memo, runs, t, topology, budget, k, asymptotic, y):
+    """CDF of the com device SNR Y_{t,k} in subarea k of slot t, or its
+    asymptote."""
     kt = topology.subarea_counts[t - 1]
-    if not 1 <= k <= kt:
-        raise ValueError(f"subarea {k} outside 1..{kt}")
     eps, c_exp = budget.epsilon, 2.0 / budget.epsilon
-    chi_hi = k * k / (2.0 * k - 1.0)
-    chi_lo = (k - 1.0) ** 2 / (2.0 * k - 1.0)
+    chi_hi, chi_lo = _annulus_chi(k)
     ell_edge = pathloss_linear(topology.disk_radii[t - 1], budget)
-    kernel = "annulus_kernel_deficit" if form == "cdf" else "annulus_kernel"
 
     def branch(w, v, gains):
         c_tau = y / (budget.gamma_bar0 * ell_edge * math.prod(gains))
-        term = chi_hi * memo(kernel, c_tau * (k / kt) ** eps, v, c_exp)
+        term = chi_hi * memo("annulus_kernel_deficit", c_tau * (k / kt) ** eps,
+                             v, c_exp)
         if k > 1:
-            term -= chi_lo * memo(kernel, c_tau * ((k - 1) / kt) ** eps, v, c_exp)
+            term -= chi_lo * memo("annulus_kernel_deficit",
+                                  c_tau * ((k - 1) / kt) ** eps, v, c_exp)
         return w * c_exp * term
-    if form == "asymptotic_cdf":
+    if asymptotic:
         branch = _residue_branch(memo, y, budget, ell_edge,
                                  annulus_small_gain_coefficient(k, kt, eps))
-    return _mix(t, topology, policy, budget, branch, f"{form}_Y(t={t},k={k})")
+    return _mix(runs, branch, f"cdf_Y(t={t},k={k})")
 
 
-def _nearest_mix(memo, form, t, topology, policy, budget, fit, z):
-    """``form`` of the qom (nearest-device) SNR Z_t; asymptotes need no fit."""
-    _check_argument(z, t, topology)
-    kernel = "nearest_kernel_deficit" if form == "cdf" else "nearest_kernel"
-
+def _nearest_law(memo, runs, t, topology, budget, fit, asymptotic, z):
+    """CDF of the qom (nearest-device) SNR Z_t, or its asymptote, which
+    needs no fit."""
     def branch(w, v, gains):
         scale = budget.gamma_bar0 * fit.mu * math.prod(gains)
-        return w / math.gamma(fit.m) * memo(kernel, (z / scale) ** fit.theta, v,
-                                            fit.theta, fit.m)
-    if form == "asymptotic_cdf":
+        return w / math.gamma(fit.m) * memo(
+            "nearest_kernel_deficit", (z / scale) ** fit.theta, v, fit.theta,
+            fit.m)
+    if asymptotic:
         radius = topology.disk_radii[t - 1]
         branch = _residue_branch(
             memo, z, budget, pathloss_linear(radius, budget),
             nearest_small_gain_coefficient(topology.density_active, radius,
                                            budget.epsilon))
-    return _mix(t, topology, policy, budget, branch, f"{form}_Z(t={t})")
-
-
-def ccdf_X(x: float, t: int, topology: NetworkTopology, policy: EhPolicy,
-           budget: LinkBudget) -> float:
-    """Survival function of the hop SNR received by node t+1."""
-    return _hop_mix(KernelMemo(), "ccdf", t, topology, policy, budget, x)
-
-
-def cdf_X(x: float, t: int, topology: NetworkTopology, policy: EhPolicy,
-          budget: LinkBudget) -> float:
-    return _hop_mix(KernelMemo(), "cdf", t, topology, policy, budget, x)
-
-
-def ccdf_Y(y: float, t: int, k: int, topology: NetworkTopology, policy: EhPolicy,
-           budget: LinkBudget) -> float:
-    """Survival function of the com device SNR in subarea k of slot t."""
-    return _com_mix(KernelMemo(), "ccdf", t, k, topology, policy, budget, y)
-
-
-def cdf_Y(y: float, t: int, k: int, topology: NetworkTopology, policy: EhPolicy,
-          budget: LinkBudget) -> float:
-    return _com_mix(KernelMemo(), "cdf", t, k, topology, policy, budget, y)
-
-
-def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
-           budget: LinkBudget, fit: FittedGainDistribution) -> float:
-    """Survival function of the qom (nearest-device) SNR in slot t."""
-    return _nearest_mix(KernelMemo(), "ccdf", t, topology, policy, budget, fit, z)
-
-
-def cdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
-          budget: LinkBudget, fit: FittedGainDistribution) -> float:
-    return _nearest_mix(KernelMemo(), "cdf", t, topology, policy, budget, fit, z)
+    return _mix(runs, branch, f"cdf_Z(t={t})")
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +454,7 @@ def cdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
 def annulus_small_gain_coefficient(k: int, kt: int, eps: float) -> float:
     """Leading slope constant of the subarea-k gain CDF near zero."""
     c = 2.0 / eps
-    chi_hi = k * k / (2.0 * k - 1.0)
-    chi_lo = (k - 1.0) ** 2 / (2.0 * k - 1.0)
+    chi_hi, chi_lo = _annulus_chi(k)
     return c / (c + 1.0) * (chi_hi * (k / kt) ** eps - chi_lo * ((k - 1) / kt) ** eps)
 
 
@@ -508,28 +468,13 @@ def nearest_small_gain_coefficient(density: float, radius: float,
         / -math.expm1(-a)
 
 
-def asymptotic_cdf_X(x: float, t: int, topology: NetworkTopology,
-                     policy: EhPolicy, budget: LinkBudget) -> float:
-    """Residue-series approximation of cdf_X, accurate at high power."""
-    return _hop_mix(KernelMemo(), "asymptotic_cdf", t, topology, policy,
-                    budget, x)
-
-
-def asymptotic_cdf_Y(y: float, t: int, k: int, topology: NetworkTopology,
-                     policy: EhPolicy, budget: LinkBudget) -> float:
-    return _com_mix(KernelMemo(), "asymptotic_cdf", t, k, topology, policy,
-                    budget, y)
-
-
-def asymptotic_cdf_Z(z: float, t: int, topology: NetworkTopology,
-                     policy: EhPolicy, budget: LinkBudget) -> float:
-    return _nearest_mix(KernelMemo(), "asymptotic_cdf", t, topology, policy,
-                        budget, None, z)
-
-
 # ---------------------------------------------------------------------------
 # outage probabilities
 # ---------------------------------------------------------------------------
+
+_SELECTOR_ARITY = {"hop": 1, "device": 2, "e2e_destination": 0,
+                   "e2e_device": 2}
+
 
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
@@ -569,48 +514,58 @@ class SlotMarginals:
         approximation; a device is reached once its slot's transmitter
         holds the message, so its chain covers hops 1..t-1 plus the
         device's own decode, and the slot's forward hop is a separate event.
+        A selector the scheme does not serve raises ``ValueError``, as it
+        does for the simulated tallies.
         """
-        step = {"hop": self._hop, "device": self._device,
-                "e2e_destination": self._e2e_destination,
-                "e2e_device": self._e2e_device}.get(selector[0])
-        if step is None:
+        kind, args = selector[0], tuple(selector[1:])
+        if _SELECTOR_ARITY.get(kind) != len(args):
             raise ValueError(f"unknown selector {selector!r}")
         hops = self.scenario.topology.hop_count
-        if len(selector) > 1 and not 1 <= selector[1] <= hops:
-            raise ValueError(f"slot {selector[1]} outside 1..{hops}")
-        return self._once(step, *selector[1:], asymptotic)
+        if args and not 1 <= args[0] <= hops:
+            raise ValueError(f"slot {args[0]} outside 1..{hops}")
+        if len(args) == 2 and args[1] not in self._served(args[0]):
+            raise ValueError(f"no served device matches selector {selector!r}")
+        return self._once(getattr(self, "_" + kind), *args, asymptotic)
 
     def throughput(self, asymptotic: bool = False) -> float:
         """Sum throughput over the relayed message and every served device."""
         return self._once(self._throughput, asymptotic)
+
+    def _served(self, t):
+        """Subarea of every device served in slot t; None is the qom device."""
+        s = self.scenario
+        if s.scheme.pairing == "com":
+            return range(1, s.topology.subarea_counts[t - 1] + 1)
+        return (None,) if s.scheme.pairing == "qom" else ()
+
+    def _law(self, law, t, *args):
+        """``law`` over transmitter t's harvest runs, enumerated once."""
+        s = self.scenario
+        runs = self._once(harvest_runs, t, s.topology, s.policy, s.budget)
+        return functools.partial(law, self.kernels, runs, t, s.topology,
+                                 s.budget, *args)
 
     def _hop(self, t, asymptotic):
         s = self.scenario
         log_idle = log_null_probability(s.topology.density_active,
                                         s.topology.disk_radii[t - 1])
         iota = (math.exp(log_idle), -math.expm1(log_idle))
-        form = "asymptotic_cdf" if asymptotic else "cdf"
-        evaluate = functools.partial(_hop_mix, self.kernels, form, t,
-                                     s.topology, s.policy, s.budget)
-        return self._outage(t, self.thresholds.relay, iota, evaluate,
+        return self._outage(t, self.thresholds.relay, iota,
+                            self._law(_hop_law, t, asymptotic),
                             f"hop outage (t={t})")
 
     def _device(self, t, k, asymptotic):
-        s = self.scenario
-        form = "asymptotic_cdf" if asymptotic else "cdf"
         if k is None:
             thresholds = self.thresholds.qom_device[t - 1]
             label = f"qom device outage (t={t})"
             if not asymptotic and self._nearest_fit is None:
                 raise ValueError("exact qom outage needs the nearest-gain fit")
             fit = None if asymptotic else self._nearest_fit(t)
-            evaluate = functools.partial(_nearest_mix, self.kernels, form, t,
-                                         s.topology, s.policy, s.budget, fit)
+            evaluate = self._law(_nearest_law, t, fit, asymptotic)
         else:
             thresholds = self.thresholds.com_device[t - 1][k - 1]
             label = f"com device outage (t={t},k={k})"
-            evaluate = functools.partial(_com_mix, self.kernels, form, t, k,
-                                         s.topology, s.policy, s.budget)
+            evaluate = self._law(_com_law, t, k, asymptotic)
         return self._outage(t, tuple((th,) for th in thresholds), (1.0,),
                             evaluate, label)
 
@@ -644,17 +599,12 @@ class SlotMarginals:
 
     def _throughput(self, asymptotic):
         s = self.scenario
-        pairing = s.scheme.pairing
         destination = self.outage(("e2e_destination",), asymptotic)
-        devices = []
-        for t in range(1, s.topology.hop_count + 1):
-            if pairing == "com":
-                ks = range(1, s.topology.subarea_counts[t - 1] + 1)
-            else:
-                ks = (None,) if pairing == "qom" else ()
-            devices.append(tuple(self.outage(("e2e_device", t, k), asymptotic)
-                                 for k in ks))
-        return sum_throughput(s.plan, destination, tuple(devices), pairing,
+        devices = tuple(
+            tuple(self.outage(("e2e_device", t, k), asymptotic)
+                  for k in self._served(t))
+            for t in range(1, s.topology.hop_count + 1))
+        return sum_throughput(s.plan, destination, devices, s.scheme.pairing,
                               s.topology.node_count)
 
 

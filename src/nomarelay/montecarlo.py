@@ -420,7 +420,10 @@ class Tallies:
         disk being active, so their trial count is the number of
         conditioning trials.
         """
-        kind, rest = selector[0], selector[1:]
+        kind, rest = selector[0], tuple(selector[1:])
+        arity = {"hop": 1, "device": 2, "e2e_destination": 0, "e2e_device": 2}
+        if arity.get(kind) != len(rest):
+            raise ValueError(f"unknown selector {selector!r}")
         if kind == "e2e_destination":
             return Estimate.from_binomial(self.e2e_destination_fail,
                                           self.trials)
@@ -429,13 +432,10 @@ class Tallies:
             raise ValueError(f"slot {t} outside 1..{self.hops}")
         if kind == "hop":
             return Estimate.from_binomial(self.hop_fail[t], self.trials)
-        if kind not in ("device", "e2e_device"):
-            raise ValueError(f"unknown selector {selector!r}")
-        key = (t, rest[1])
         table = self.device_fail if kind == "device" else self.e2e_device_fail
-        if key not in table:
+        if rest not in table:
             raise ValueError(f"no served device matches selector {selector!r}")
-        return Estimate.from_binomial(table[key], self.present[t])
+        return Estimate.from_binomial(table[rest], self.present[t])
 
     def throughput(self) -> Estimate:
         """Mean delivered rate per block from exact joint end-to-end events."""

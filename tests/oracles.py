@@ -11,12 +11,12 @@ from typing import Tuple
 
 import numpy as np
 
-from nomarelay import montecarlo, specfun as sf
+from nomarelay import analytics, montecarlo, specfun as sf
 from nomarelay.channel import FitBook, FittedGainDistribution, LinkBudget, \
     pathloss_linear
 from nomarelay.geometry import CoverageDisk, log_null_probability
 from nomarelay.montecarlo import BLOCK_SIZE, Estimate, _block_rng
-from nomarelay.network import Scenario
+from nomarelay.network import NetworkTopology, Scenario
 from nomarelay.power import EhPolicy, omega_factor
 from nomarelay.specfun import UnsupportedSpecError, lower_incomplete_gamma
 
@@ -615,3 +615,90 @@ def diversity_order_estimate(p0_dbm, op_values, floor: float = 1e-290) -> float:
         raise ValueError("need at least four usable points in the last decade")
     slope = np.polyfit(p0 / 10.0, np.log10(ops), 1)[0]
     return -slope
+
+
+# --- analytics: the mixture laws of the hop, com device and qom device SNRs,
+# one argument at a time ---
+
+def _value_mixture(runs, branch) -> float:
+    """``branch(w, v, gains)`` summed over harvest runs in run order, then
+    clipped to [0,1]."""
+    total = 0.0
+    for w, v, gains in runs:
+        total += branch(w, v, gains)
+    return min(max(total, 0.0), 1.0)
+
+
+def ccdf_X(x: float, t: int, topology: NetworkTopology, policy: EhPolicy,
+           budget: LinkBudget) -> float:
+    """Survival function of the hop SNR received by node t+1."""
+    ell_next = pathloss_linear(topology.hop_distances[t - 1], budget)
+    return _value_mixture(
+        analytics.harvest_runs(t, topology, policy, budget),
+        lambda w, v, gains: w * sf.prod_exp_ccdf(
+            x / budget.gamma_bar0, v + 1, gains + (ell_next,)))
+
+
+def ccdf_Y(y: float, t: int, k: int, topology: NetworkTopology,
+           policy: EhPolicy, budget: LinkBudget) -> float:
+    """Survival function of the com device SNR in subarea k of slot t."""
+    kt = topology.subarea_counts[t - 1]
+    eps, c_exp = budget.epsilon, 2.0 / budget.epsilon
+    chi_hi = k * k / (2.0 * k - 1.0)
+    chi_lo = (k - 1.0) ** 2 / (2.0 * k - 1.0)
+    ell_edge = pathloss_linear(topology.disk_radii[t - 1], budget)
+
+    def branch(w, v, gains):
+        c_tau = y / (budget.gamma_bar0 * ell_edge * math.prod(gains))
+        term = chi_hi * sf.annulus_kernel(c_tau * (k / kt) ** eps, v, c_exp)
+        if k > 1:
+            term -= chi_lo * sf.annulus_kernel(c_tau * ((k - 1) / kt) ** eps,
+                                               v, c_exp)
+        return w * c_exp * term
+    return _value_mixture(analytics.harvest_runs(t, topology, policy, budget),
+                          branch)
+
+
+def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
+           budget: LinkBudget, fit: FittedGainDistribution) -> float:
+    """Survival function of the qom (nearest-device) SNR in slot t."""
+    def branch(w, v, gains):
+        scale = budget.gamma_bar0 * fit.mu * math.prod(gains)
+        return w / math.gamma(fit.m) * sf.nearest_kernel(
+            (z / scale) ** fit.theta, v, fit.theta, fit.m)
+    return _value_mixture(analytics.harvest_runs(t, topology, policy, budget),
+                          branch)
+
+
+def _law(law, t, topology, policy, budget, *args) -> float:
+    """A library mixture law, through a private kernel memo."""
+    return law(analytics.KernelMemo(),
+               analytics.harvest_runs(t, topology, policy, budget), t,
+               topology, budget, *args)
+
+
+def cdf_X(x, t, topology, policy, budget):
+    return _law(analytics._hop_law, t, topology, policy, budget, False, x)
+
+
+def cdf_Y(y, t, k, topology, policy, budget):
+    return _law(analytics._com_law, t, topology, policy, budget, k, False, y)
+
+
+def cdf_Z(z, t, topology, policy, budget, fit):
+    return _law(analytics._nearest_law, t, topology, policy, budget, fit,
+                False, z)
+
+
+def asymptotic_cdf_X(x, t, topology, policy, budget):
+    """Residue-series approximation of cdf_X, accurate at high power."""
+    return _law(analytics._hop_law, t, topology, policy, budget, True, x)
+
+
+def asymptotic_cdf_Y(y, t, k, topology, policy, budget):
+    return _law(analytics._com_law, t, topology, policy, budget, k, True, y)
+
+
+def asymptotic_cdf_Z(z, t, topology, policy, budget):
+    return _law(analytics._nearest_law, t, topology, policy, budget, None,
+                True, z)

