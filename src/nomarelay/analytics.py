@@ -36,7 +36,7 @@ from typing import Optional
 
 from .channel import LinkBudget, pathloss_linear
 from .geometry import log_null_probability
-from .network import NetworkTopology, Scenario, Scheme
+from .network import NetworkTopology, Scenario
 from .power import EhPolicy, omega_factor
 from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
     LogGammaTable,
@@ -72,25 +72,25 @@ def _clamp(p: float, label: str) -> float:
 class AllocationPlan:
     """Superposition power shares and target rates.
 
-    ``device_shares[t-1]`` lists the com power shares of slot ``t`` in
-    ascending order (weakest-allocated device first); together with the
-    relayed-message share they sum to one.  ``device_rates`` are the com
-    targets, ``nearest_rates`` the qom target for the single served device.
+    ``device_shares[t-1]`` lists the power share of every device message
+    slot ``t`` superposes on the relayed message, in ascending order
+    (weakest-allocated device first, peeled last); together with the
+    relayed-message share they sum to one.  ``device_rates[t-1]`` holds
+    their targets.  A com slot lists one device per subarea, a qom slot
+    one (the nearest), a baseline slot none.
     """
 
     relay_share: float
     device_shares: tuple
     relay_rate: float
     device_rates: tuple
-    nearest_rates: tuple
 
     def __post_init__(self):
         if not 0.0 < self.relay_share <= 1.0:
             raise ValueError(f"relay share must lie in (0,1], got {self.relay_share}")
         shares = tuple(tuple(float(p) for p in row) for row in self.device_shares)
         rates = tuple(tuple(float(r) for r in row) for row in self.device_rates)
-        nearest = tuple(float(r) for r in self.nearest_rates)
-        if len(shares) != len(rates) or len(shares) != len(nearest):
+        if len(shares) != len(rates):
             raise ValueError("per-slot plan fields must align")
         for row in shares:
             if any(p < 0.0 for p in row):
@@ -99,12 +99,10 @@ class AllocationPlan:
                 raise ValueError("device shares must be ascending")
             if abs(self.relay_share + sum(row) - 1.0) > 1e-9:
                 raise ValueError("shares must sum to one per slot")
-        if self.relay_rate < 0.0 or any(r < 0.0 for row in rates for r in row) \
-                or any(r < 0.0 for r in nearest):
+        if self.relay_rate < 0.0 or any(r < 0.0 for row in rates for r in row):
             raise ValueError("target rates must be non-negative")
         object.__setattr__(self, "device_shares", shares)
         object.__setattr__(self, "device_rates", rates)
-        object.__setattr__(self, "nearest_rates", nearest)
 
     @property
     def slot_count(self) -> int:
@@ -118,24 +116,21 @@ def _time_scale(policy: EhPolicy) -> float:
     return 1.0
 
 
-def mrtr(plan: AllocationPlan, policy: EhPolicy, node_count: int, signal):
+def mrtr(plan: AllocationPlan, policy: EhPolicy, signal):
     """Largest target rate that keeps the decode event possible.
 
     ``signal`` selects the message: ``"relay"`` for the relayed message,
-    ``("device", t, n)`` for the com device in subarea ``n`` of slot ``t``,
-    ``"nearest"`` for the qom-served device.  Returns ``None`` where no
-    finite ceiling exists: full relay share (nothing left to interfere), a
-    subarea-1 device (all interference cancelled by the SIC order), or the
-    qom device (sole superposed message).
+    ``("device", t, n)`` for the ``n``-th device message of slot ``t``.
+    Returns ``None`` where no finite ceiling exists: full relay share
+    (nothing left to interfere) or the first device of a slot (all
+    interference cancelled by the SIC order, as for the qom device).
     """
-    scale = _time_scale(policy) / (node_count - 1)
+    scale = _time_scale(policy) / (policy.node_count - 1)
     if signal == "relay":
         if plan.relay_share >= 1.0:
             return None
         ratio = plan.relay_share / (1.0 - plan.relay_share)
         return scale * math.log2(1.0 + ratio)
-    if signal == "nearest":
-        return None
     kind, t, n = signal
     if kind != "device":
         raise ValueError(f"unknown signal {signal!r}")
@@ -154,9 +149,9 @@ def default_allocation(topology: NetworkTopology, policy: EhPolicy,
     Device shares follow powers of two (weakest first) normalized to the
     non-relayed budget, which respects the ascending-share constraint.
     Every target rate is ``min(rate_fraction * MRTR, rate_cap)``; signals
-    without a finite MRTR take the cap.
+    without a finite MRTR take the cap.  A topology with one subarea per
+    slot gives the qom plan: one device on the whole non-relayed share.
     """
-    m = topology.node_count
     shares = []
     for kt in topology.subarea_counts:
         raw = [2.0 ** (k - 1) for k in range(1, kt + 1)]
@@ -167,11 +162,10 @@ def default_allocation(topology: NetworkTopology, policy: EhPolicy,
         device_shares=tuple(shares),
         relay_rate=0.0,
         device_rates=tuple(tuple(0.0 for _ in row) for row in shares),
-        nearest_rates=(0.0,) * topology.hop_count,
     )
 
     def pick(signal):
-        ceiling = mrtr(plan, policy, m, signal)
+        ceiling = mrtr(plan, policy, signal)
         if ceiling is None:
             return rate_cap
         return min(rate_fraction * ceiling, rate_cap)
@@ -179,8 +173,7 @@ def default_allocation(topology: NetworkTopology, policy: EhPolicy,
     device_rates = tuple(
         tuple(pick(("device", t, n)) for n in range(1, len(row) + 1))
         for t, row in enumerate(plan.device_shares, start=1))
-    return replace(plan, relay_rate=pick("relay"), device_rates=device_rates,
-                   nearest_rates=(pick("nearest"),) * topology.hop_count)
+    return replace(plan, relay_rate=pick("relay"), device_rates=device_rates)
 
 
 def baseline_plan(reference: AllocationPlan, hop_count: int) -> AllocationPlan:
@@ -194,7 +187,6 @@ def baseline_plan(reference: AllocationPlan, hop_count: int) -> AllocationPlan:
         device_shares=((),) * hop_count,
         relay_rate=reference.relay_rate,
         device_rates=((),) * hop_count,
-        nearest_rates=(0.0,) * hop_count,
     )
 
 
@@ -208,15 +200,14 @@ class ThresholdSet:
 
     ``relay[i][j]``: threshold on the hop SNR given harvest state ``i`` of
     the receiving node and device-activity state ``j`` of the transmitter's
-    disk.  ``com_device[t-1][k-1]`` and ``qom_device[t-1]`` hold the
-    ``(i=0, i=1)`` threshold pair for the device served in slot ``t``;
-    power-splitting leaves device decoding untouched, so there the two
-    entries coincide.
+    disk.  ``device[t-1][k-1]`` holds the ``(i=0, i=1)`` threshold pair of
+    the ``k``-th device message the plan lists for slot ``t`` (a com
+    subarea, or the qom device at ``k=1``); power-splitting leaves device
+    decoding untouched, so there the two entries coincide.
     """
 
     relay: tuple
-    com_device: tuple
-    qom_device: tuple
+    device: tuple
 
 
 def _rate_threshold(rate: float, node_count: int, time_scale: float) -> float:
@@ -231,12 +222,7 @@ def _noma_threshold(tau0: float, relay_share: float) -> float:
     return tau0 / denom
 
 
-def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
-                        node_count: int, scheme: Scheme) -> ThresholdSet:
-    if policy.node_count != node_count:
-        raise ValueError("policy and node count disagree")
-    if scheme.harvesting is not None and scheme.harvesting != policy.architecture:
-        raise ValueError(f"{scheme.value} expects {scheme.harvesting}")
+def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy) -> ThresholdSet:
     bteh = policy.architecture == "BTEH"
     alpha, beta = policy.alpha, policy.beta
 
@@ -244,7 +230,7 @@ def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
         # harvesting at the next relay compresses the information window
         # under time-switching; power-splitting does not touch the device
         scale = 1.0 - alpha if (bteh and i == 1) else 1.0
-        return _rate_threshold(rate, node_count, scale)
+        return _rate_threshold(rate, policy.node_count, scale)
 
     def relay_threshold(i: int, j: int) -> float:
         tau0 = device_rate_threshold(plan.relay_rate, i)
@@ -260,7 +246,7 @@ def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
         tau0 = device_rate_threshold(plan.relay_rate, i)
         return _noma_threshold(tau0, plan.relay_share)
 
-    def com_pair(t: int, k: int):
+    def device_pair(t: int, k: int):
         shares = plan.device_shares[t - 1]
         rates = plan.device_rates[t - 1]
         out = []
@@ -273,20 +259,9 @@ def decoding_thresholds(plan: AllocationPlan, policy: EhPolicy,
             out.append(best)
         return tuple(out)
 
-    def qom_pair(t: int):
-        own_share = 1.0 - plan.relay_share
-        out = []
-        for i in (0, 1):
-            tau0 = device_rate_threshold(plan.nearest_rates[t - 1], i)
-            own = tau0 / own_share if own_share > 0.0 else math.inf
-            out.append(max(device_relayed_threshold(i), own))
-        return tuple(out)
-
-    com_device = tuple(
-        tuple(com_pair(t, k) for k in range(1, len(plan.device_shares[t - 1]) + 1))
-        for t in range(1, plan.slot_count + 1))
-    qom_device = tuple(qom_pair(t) for t in range(1, plan.slot_count + 1))
-    return ThresholdSet(relay=relay, com_device=com_device, qom_device=qom_device)
+    device = tuple(tuple(device_pair(t, k) for k in range(1, len(row) + 1))
+                   for t, row in enumerate(plan.device_shares, start=1))
+    return ThresholdSet(relay=relay, device=device)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +337,7 @@ def harvest_runs(t: int, topology: NetworkTopology, policy: EhPolicy,
             w *= policy.rho1(j)
         if w != 0.0:
             runs.append((w, t - tau, tuple(
-                omega_factor(i, policy, topology.node_count)
+                omega_factor(policy)
                 * pathloss_linear(topology.hop_distances[i - 2], budget)
                 for i in range(tau + 1, t + 1))))
     return tuple(runs)
@@ -472,10 +447,6 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 # outage probabilities
 # ---------------------------------------------------------------------------
 
-_SELECTOR_ARITY = {"hop": 1, "device": 2, "e2e_destination": 0,
-                   "e2e_device": 2}
-
-
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
@@ -489,9 +460,7 @@ class SlotMarginals:
     def __init__(self, scenario: Scenario, nearest_fit=None,
                  kernels: Optional["KernelMemo"] = None):
         self.scenario = scenario
-        self.thresholds = decoding_thresholds(
-            scenario.plan, scenario.policy, scenario.topology.node_count,
-            scenario.scheme)
+        self.thresholds = decoding_thresholds(scenario.plan, scenario.policy)
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
         self._memo = {}
@@ -514,29 +483,15 @@ class SlotMarginals:
         approximation; a device is reached once its slot's transmitter
         holds the message, so its chain covers hops 1..t-1 plus the
         device's own decode, and the slot's forward hop is a separate event.
-        A selector the scheme does not serve raises ``ValueError``, as it
-        does for the simulated tallies.
+        :meth:`Scenario.check_selector` rejects what the scenario does not
+        serve, as it does for the simulated tallies.
         """
-        kind, args = selector[0], tuple(selector[1:])
-        if _SELECTOR_ARITY.get(kind) != len(args):
-            raise ValueError(f"unknown selector {selector!r}")
-        hops = self.scenario.topology.hop_count
-        if args and not 1 <= args[0] <= hops:
-            raise ValueError(f"slot {args[0]} outside 1..{hops}")
-        if len(args) == 2 and args[1] not in self._served(args[0]):
-            raise ValueError(f"no served device matches selector {selector!r}")
+        kind, args = self.scenario.check_selector(selector)
         return self._once(getattr(self, "_" + kind), *args, asymptotic)
 
     def throughput(self, asymptotic: bool = False) -> float:
         """Sum throughput over the relayed message and every served device."""
         return self._once(self._throughput, asymptotic)
-
-    def _served(self, t):
-        """Subarea of every device served in slot t; None is the qom device."""
-        s = self.scenario
-        if s.scheme.pairing == "com":
-            return range(1, s.topology.subarea_counts[t - 1] + 1)
-        return (None,) if s.scheme.pairing == "qom" else ()
 
     def _law(self, law, t, *args):
         """``law`` over transmitter t's harvest runs, enumerated once."""
@@ -555,15 +510,14 @@ class SlotMarginals:
                             f"hop outage (t={t})")
 
     def _device(self, t, k, asymptotic):
+        thresholds = self.thresholds.device[t - 1][0 if k is None else k - 1]
         if k is None:
-            thresholds = self.thresholds.qom_device[t - 1]
             label = f"qom device outage (t={t})"
             if not asymptotic and self._nearest_fit is None:
                 raise ValueError("exact qom outage needs the nearest-gain fit")
             fit = None if asymptotic else self._nearest_fit(t)
             evaluate = self._law(_nearest_law, t, fit, asymptotic)
         else:
-            thresholds = self.thresholds.com_device[t - 1][k - 1]
             label = f"com device outage (t={t},k={k})"
             evaluate = self._law(_com_law, t, k, asymptotic)
         return self._outage(t, tuple((th,) for th in thresholds), (1.0,),
@@ -602,10 +556,9 @@ class SlotMarginals:
         destination = self.outage(("e2e_destination",), asymptotic)
         devices = tuple(
             tuple(self.outage(("e2e_device", t, k), asymptotic)
-                  for k in self._served(t))
+                  for k in s.served(t))
             for t in range(1, s.topology.hop_count + 1))
-        return sum_throughput(s.plan, destination, devices, s.scheme.pairing,
-                              s.topology.node_count)
+        return sum_throughput(s.plan, destination, devices)
 
 
 def _success_product(ops) -> float:
@@ -619,28 +572,20 @@ def _success_product(ops) -> float:
 # ---------------------------------------------------------------------------
 
 def sum_throughput(plan: AllocationPlan, destination_e2e: float,
-                   device_e2e: tuple, pairing: Optional[str],
-                   node_count: int) -> float:
+                   device_e2e: tuple) -> float:
     """Aggregate goodput per block, normalized by the slot count.
 
-    ``device_e2e[t-1]`` lists the end-to-end outage of every device served
-    in slot ``t`` (com: one per subarea, in subarea order; qom: a single
-    entry; baseline: empty).
+    ``device_e2e[t-1]`` lists the end-to-end outage of every device the
+    plan lists for slot ``t``, in plan order.
     """
-    slots = node_count - 1
     total = plan.relay_rate * (1.0 - destination_e2e)
     for t, ops in enumerate(device_e2e, start=1):
-        if pairing == "com":
-            rates = plan.device_rates[t - 1]
-        elif pairing == "qom":
-            rates = (plan.nearest_rates[t - 1],)
-        else:
-            rates = ()
+        rates = plan.device_rates[t - 1]
         if len(ops) != len(rates):
             raise ValueError(f"slot {t}: {len(ops)} outage values for "
                              f"{len(rates)} served devices")
         total += sum(r * (1.0 - op) for r, op in zip(rates, ops))
-    return total / slots
+    return total / plan.slot_count
 
 
 def supply_power(budget: LinkBudget, policy: EhPolicy) -> float:

@@ -296,10 +296,15 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
     policy = build_policy(scheme, m, rho, alpha=alpha, beta=beta,
                           eta=config.eta)
     # every scheme competes at the rates the time-switching reference
-    # can sustain; the baseline inherits only the relayed-message rate
+    # can sustain; the baseline inherits only the relayed-message rate.  A
+    # qom slot superposes one device, as a com slot of one subarea does
+    layout = topology
+    if scheme.pairing == "qom":
+        layout = dataclasses.replace(
+            topology, subarea_counts=(1,) * topology.hop_count)
     reference = analytics.default_allocation(
-        topology, build_policy(Scheme.TCOM, m, rho, alpha=alpha,
-                               beta=beta, eta=config.eta),
+        layout, build_policy(Scheme.TCOM, m, rho, alpha=alpha,
+                             beta=beta, eta=config.eta),
         relay_share=config.relay_share,
         rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
     if scheme is Scheme.CNRR:
@@ -307,7 +312,7 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
         plan = analytics.baseline_plan(reference, topology.hop_count)
     elif scheme.harvesting == "BPEH":
         plan = analytics.default_allocation(
-            topology, policy, relay_share=config.relay_share,
+            layout, policy, relay_share=config.relay_share,
             rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
     else:
         plan = reference

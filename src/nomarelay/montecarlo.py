@@ -5,7 +5,7 @@ indicators, device activity, pairing distances, fades - and decode events
 come from the instantaneous rate formulas, never from the analytic layer.
 Each rate test ``tf log2(1 + a y / (b y + 1)) >= R`` holds iff the SNR ``y``
 reaches ``tau / (a - tau b)`` with ``tau = 2^(R/tf) - 1``, so a hop, a
-relayed message, a whole com SIC chain or a qom device is decided by one
+relayed message or a whole device SIC chain is decided by one
 comparison with the largest of its thresholds, which :func:`_band` derives
 from the rate formula.  A guard band around each threshold, wider than the
 rounding of either form, sends the trials inside it back to the rate
@@ -265,9 +265,14 @@ def _chain(y, tfs, sel, terms, counts):
 
 def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     """Resolve every decode event of one scenario in the first ``n`` trials
-    of shared draws, which it reads through views."""
+    of shared draws, which it reads through views.
+
+    The devices drawn for slot t are the device messages the plan lists
+    for it, in plan order: one SIC chain decodes com and qom slots alike,
+    and the pairing enters only through the draws.
+    """
     topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
-    budget, pairing = scenario.budget, scenario.scheme.pairing
+    budget = scenario.budget
     m, hops = topo.node_count, topo.hop_count
     g0 = budget.gamma_bar0
     bteh = policy.architecture == "BTEH"
@@ -283,7 +288,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     powers = np.ones((hops, n))
     chain = np.ones(n)
     for t in range(2, hops + 1):
-        gain = omega_factor(t, policy, m) \
+        gain = omega_factor(policy) \
             * pathloss_linear(topo.hop_distances[t - 2], budget) \
             * hop_fades[t - 2]
         chain = np.where(indicators[t - 2], chain * gain, 1.0)
@@ -305,7 +310,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
         return _chain(y, tfs, recv[t - 1] if bteh else None, terms, counts)
 
     # 7. hop decoding; with devices present, the relayed message is decoded
-    # over the devices' messages
+    # over the device messages the plan lists
     ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
     hop_snr = g0 * powers * ell_hop * hop_fades
     eff = hop_snr * split
@@ -313,7 +318,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     hop_ok = np.empty((hops, n), dtype=bool)
     for t in range(1, hops + 1):
         hop_ok[t - 1] = decode(eff[t - 1], t, [(1.0, 0.0, plan.relay_rate)])
-        if pairing is not None and p_m < 1.0:
+        if p_m < 1.0:
             hop_ok[t - 1] = _either(active[t - 1], [
                 hop_ok[t - 1], decode(eff[t - 1], t, [relayed])])
     prefix_ok = hop_ok.copy()
@@ -324,8 +329,8 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     msg_ok = np.vstack([np.ones((1, n), dtype=bool), prefix_ok[:-1]])
 
     # 8. device decoding: every device first peels the relayed message off
-    # the superposition, then its own message; a com device k also peels
-    # every weaker-protected message n > k before its own
+    # the superposition, then every weaker-protected message n > k the plan
+    # lists, then its own; a qom slot lists its one device
     device_snr, device_ok = [], []
     throughput = plan.relay_rate * prefix_ok[-1].astype(float)
     device_gain = draws.device_gain(budget)
@@ -334,26 +339,16 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
         fade = draws.device_fade[t - 1][:, :n]
         served = active[t - 1]
         count = ell_dev.shape[0]
-        if count == 0:
-            device_snr.append(np.zeros((0, n)))
-            device_ok.append(np.zeros((0, n), dtype=bool))
-            continue
         snr = g0 * powers[t - 1] * ell_dev * fade
         ok = np.empty((count, n), dtype=bool)
-        if pairing == "com":
-            shares = plan.device_shares[t - 1]
-            targets = plan.device_rates[t - 1]
-            below = np.cumsum((0.0,) + shares)
-            for k in range(count, 0, -1):
-                peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
-                         for nn in range(count, k - 1, -1)]
-                ok[k - 1] = served & decode(snr[k - 1], t, [relayed] + peels)
-                throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
-        else:
-            target = plan.nearest_rates[t - 1]
-            ok[0] = served & decode(snr[0], t,
-                                    [relayed, (1.0 - p_m, 0.0, target)])
-            throughput += target * (msg_ok[t - 1] & ok[0])
+        shares = plan.device_shares[t - 1]
+        targets = plan.device_rates[t - 1]
+        below = np.cumsum((0.0,) + shares)
+        for k in range(count, 0, -1):
+            peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
+                     for nn in range(count, k - 1, -1)]
+            ok[k - 1] = served & decode(snr[k - 1], t, [relayed] + peels)
+            throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
         device_snr.append(snr)
         device_ok.append(ok)
 
@@ -368,9 +363,9 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
 
 @dataclass
 class Tallies:
-    """Event counts and moment sums of one simulated run of ``hops`` slots."""
+    """Event counts and moment sums of one simulated run of ``scenario``."""
 
-    hops: int
+    scenario: Scenario
     trials: int = 0
     hop_fail: dict = field(default_factory=dict)
     present: dict = field(default_factory=dict)
@@ -382,60 +377,47 @@ class Tallies:
     supply_w_sum: float = 0.0
     supply_w_sumsq: float = 0.0
 
-    def add(self, scenario: Scenario, block: _Block, used: int) -> None:
+    def add(self, block: _Block, used: int) -> None:
         """Count the first ``used`` trials of one resolved block."""
         cut = slice(0, used)
         self.trials += used
-        for t in range(1, scenario.topology.hop_count + 1):
+        for t in range(1, self.scenario.topology.hop_count + 1):
             row = block.hop_ok[t - 1, cut]
             self.hop_fail[t] = self.hop_fail.get(t, 0) + int((~row).sum())
-            ok = block.device_ok[t - 1]
-            if ok.shape[0] == 0:
-                continue
             served = block.active[t - 1, cut]
             self.present[t] = self.present.get(t, 0) + int(served.sum())
-            for k in range(1, ok.shape[0] + 1):
-                key = (t, k if scenario.scheme.pairing == "com" else None)
-                fail = served & ~ok[k - 1, cut]
+            for k, ok in zip(self.scenario.served(t), block.device_ok[t - 1]):
+                key = (t, k)
+                fail = served & ~ok[cut]
                 self.device_fail[key] = self.device_fail.get(key, 0) \
                     + int(fail.sum())
-                e2e_fail = served & ~(ok[k - 1, cut]
-                                      & block.msg_ok[t - 1, cut])
+                e2e_fail = served & ~(ok[cut] & block.msg_ok[t - 1, cut])
                 self.e2e_device_fail[key] = self.e2e_device_fail.get(key, 0) \
                     + int(e2e_fail.sum())
         self.e2e_destination_fail += int((~block.prefix_ok[-1, cut]).sum())
         tp = block.throughput[cut]
         self.throughput_sum += float(tp.sum())
         self.throughput_sumsq += float((tp * tp).sum())
-        watts = scenario.budget.P0 * block.supply_units[cut]
+        watts = self.scenario.budget.P0 * block.supply_units[cut]
         self.supply_w_sum += float(watts.sum())
         self.supply_w_sumsq += float((watts * watts).sum())
 
     def outage(self, selector) -> Estimate:
         """Outage estimate of one decode event.
 
-        Selectors: ``("hop", t)``, ``("device", t, k)``,
-        ``("e2e_destination",)`` and ``("e2e_device", t, k)``; ``k=None``
+        Selectors are those of :meth:`Scenario.check_selector`; ``k=None``
         addresses the qom device.  Device estimates condition on the slot's
         disk being active, so their trial count is the number of
         conditioning trials.
         """
-        kind, rest = selector[0], tuple(selector[1:])
-        arity = {"hop": 1, "device": 2, "e2e_destination": 0, "e2e_device": 2}
-        if arity.get(kind) != len(rest):
-            raise ValueError(f"unknown selector {selector!r}")
+        kind, args = self.scenario.check_selector(selector)
         if kind == "e2e_destination":
             return Estimate.from_binomial(self.e2e_destination_fail,
                                           self.trials)
-        t = rest[0]
-        if not 1 <= t <= self.hops:
-            raise ValueError(f"slot {t} outside 1..{self.hops}")
         if kind == "hop":
-            return Estimate.from_binomial(self.hop_fail[t], self.trials)
+            return Estimate.from_binomial(self.hop_fail[args[0]], self.trials)
         table = self.device_fail if kind == "device" else self.e2e_device_fail
-        if rest not in table:
-            raise ValueError(f"no served device matches selector {selector!r}")
-        return Estimate.from_binomial(table[rest], self.present[t])
+        return Estimate.from_binomial(table[args], self.present[args[0]])
 
     def throughput(self) -> Estimate:
         """Mean delivered rate per block from exact joint end-to-end events."""
@@ -471,7 +453,7 @@ def simulate_plan(runs) -> dict:
             groups.setdefault((scenario.scheme.pairing, scenario.topology,
                                seed), {}).setdefault(scenario, set()).add(n)
     for (pairing, topo, seed), cuts in groups.items():
-        tallies = {(s, seed, n): Tallies(topo.hop_count)
+        tallies = {(s, seed, n): Tallies(s)
                    for s in cuts for n in cuts[s]}
         failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
         # blocks are always drawn in full so a longer run extends a shorter
@@ -493,7 +475,7 @@ def simulate_plan(runs) -> dict:
                     for n in cuts[s]:
                         if n > b * BLOCK_SIZE:
                             tallies[s, seed, n].add(
-                                s, block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+                                block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
                     guarded = block.guard_counts
                     del block
                 except Exception as exc:

@@ -127,6 +127,11 @@ def build_policy(scheme: Scheme, node_count: int, rho: float,
                           alpha=alpha, beta=beta, eta=eta)
 
 
+# arguments of each outage selector kind: slot t, then subarea k
+_SELECTOR_ARITY = {"hop": 1, "device": 2, "e2e_destination": 0,
+                   "e2e_device": 2}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one evaluation needs: scheme, layout, powering, budget, plan."""
@@ -150,3 +155,37 @@ class Scenario:
         if want is None and self.policy.is_harvesting:
             raise ValueError(
                 f"{self.scheme.value} disallows harvesting but rho is nonzero")
+        lists = tuple(len(shares) for shares in self.plan.device_shares)
+        serves = tuple(len(self.served(t))
+                       for t in range(1, self.topology.hop_count + 1))
+        if lists != serves:
+            raise ValueError(f"plan lists {lists} devices per slot but "
+                             f"{self.scheme.value} serves {serves}")
+
+    def served(self, t: int) -> tuple:
+        """Subarea of every device slot t serves, one per device message the
+        plan lists there: ``1..K_t`` under com, None (the nearest device)
+        under qom, none under cnrr."""
+        if self.scheme.pairing == "com":
+            return tuple(range(1, self.topology.subarea_counts[t - 1] + 1))
+        return (None,) if self.scheme.pairing == "qom" else ()
+
+    def check_selector(self, selector) -> tuple:
+        """``(kind, args)`` of an outage selector, for both evaluation routes:
+        ``("hop", t)``, ``("device", t, k)``, ``("e2e_destination",)`` or
+        ``("e2e_device", t, k)`` with an integer slot ``t`` in
+        ``1..hop_count`` and ``k`` in ``served(t)``; else ``ValueError``."""
+        kind, args = selector[0], tuple(selector[1:])
+        if _SELECTOR_ARITY.get(kind) != len(args):
+            raise ValueError(f"unknown selector {selector!r}")
+        # an integer is whatever has __index__ (int, numpy integers), never
+        # a float, which would compare equal to the slot it rounds to
+        hops = self.topology.hop_count
+        if args and not (hasattr(args[0], "__index__")
+                         and 1 <= args[0] <= hops):
+            raise ValueError(f"slot {args[0]!r} outside 1..{hops}")
+        if len(args) == 2 and not (
+                (args[1] is None or hasattr(args[1], "__index__"))
+                and args[1] in self.served(args[0])):
+            raise ValueError(f"no served device matches selector {selector!r}")
+        return kind, args

@@ -80,7 +80,7 @@ def uniform_policy(architecture: str, node_count: int, rho: float,
                     beta=beta, eta=eta)
 
 
-def omega_factor(t: int, policy: EhPolicy, node_count: int) -> float:
+def omega_factor(policy: EhPolicy) -> float:
     """Power gain applied per harvested hop.
 
     Time-switching spreads one receive slot's harvest over the shorter
@@ -90,5 +90,5 @@ def omega_factor(t: int, policy: EhPolicy, node_count: int) -> float:
     if policy.architecture == "BTEH":
         if policy.alpha >= 1.0:
             raise ValueError("alpha = 1 leaves no transmit window")
-        return (node_count - 1) * policy.alpha * policy.eta / (1.0 - policy.alpha)
+        return (policy.node_count - 1) * policy.alpha * policy.eta / (1.0 - policy.alpha)
     return policy.beta * policy.eta

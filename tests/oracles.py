@@ -4,6 +4,7 @@ the library computes another way."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -180,7 +181,7 @@ def transmit_power(t: int, realization: EhRealization, hop_gains,
         gain = hop_gains[i - 2]
         if gain <= 0.0:
             raise ValueError(f"hop gain for node {i} must be positive, got {gain}")
-        power *= omega_factor(i, policy, m) * gain
+        power *= omega_factor(policy) * gain
     return power
 
 
@@ -193,7 +194,7 @@ def transmit_power_recursive(t: int, realization: EhRealization, hop_gains,
     power = budget.P0
     for i in range(2, t + 1):
         if realization.indicator(i) == 1:
-            power = omega_factor(i, policy, m) * hop_gains[i - 2] * power
+            power = omega_factor(policy) * hop_gains[i - 2] * power
         else:
             power = budget.P0
     return power
@@ -289,7 +290,8 @@ def reference_decode(scenario: Scenario, block) -> dict:
                 ok[k - 1] = served & chain
                 throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
         else:
-            target = plan.nearest_rates[t - 1]
+            # the qom device holds the whole non-relayed share
+            target = plan.device_rates[t - 1][0]
             rates[0] = tf * np.log1p((1.0 - p_m) * snr[0]) / _LN2
             ok[0] = served & relayed_ok[0] & (rates[0] >= target)
             throughput += target * (msg_ok[t - 1] & ok[0])
@@ -589,6 +591,19 @@ def residue_asymptote(x: float, n: int) -> float:
         # linearly
         return 1.0 - x
     return 1.0 + sf._leading_residue(x, n)
+
+
+# --- analytics: the default plan of each pairing ---
+
+def default_plan(scheme, topology: NetworkTopology,
+                 policy: EhPolicy) -> analytics.AllocationPlan:
+    """``default_allocation`` for the devices ``scheme`` serves, as a sweep
+    builds it: one per subarea under com, one (the nearest) per slot under
+    qom, through a topology of one subarea per slot."""
+    if scheme.pairing == "qom":
+        topology = dataclasses.replace(
+            topology, subarea_counts=(1,) * topology.hop_count)
+    return analytics.default_allocation(topology, policy)
 
 
 # --- analytics: the diversity slope of an outage curve ---

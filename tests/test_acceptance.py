@@ -35,6 +35,7 @@ import oracles
 from oracles import (
     MeijerSpec,
     as_generator,
+    default_plan,
     diversity_order_estimate,
     meijer_g,
     sample_eh_process,
@@ -67,8 +68,8 @@ def _budget(p0_dbm):
 
 def _scenario(scheme, p0_dbm, rho=0.1):
     policy = build_policy(scheme, 4, rho)
-    reference = default_allocation(T1, build_policy(Scheme.TCOM, 4, rho))
-    plan = default_allocation(T1, policy) \
+    reference = default_plan(scheme, T1, build_policy(Scheme.TCOM, 4, rho))
+    plan = default_plan(scheme, T1, policy) \
         if scheme.harvesting == "BPEH" else reference
     return Scenario(scheme=scheme, topology=T1, policy=policy,
                     budget=_budget(p0_dbm), plan=plan)
@@ -249,14 +250,15 @@ def test_criterion_4d_peak_energy_efficiency_gain():
 
 def test_criterion_5_diversity_order():
     p0_grid = tuple(np.arange(20.0, 40.1, 2.5))
-    reference = default_allocation(T1, build_policy(Scheme.TCOM, 4, 0.1))
+    reference = build_policy(Scheme.TCOM, 4, 0.1)
 
     def slope(scheme, selector, rho):
         policy = build_policy(scheme, 4, rho)
+        plan = default_plan(scheme, T1, reference)
         ops = tuple(
             analytics.SlotMarginals(
                 Scenario(scheme=scheme, topology=T1, policy=policy,
-                         budget=_budget(p), plan=reference),
+                         budget=_budget(p), plan=plan),
                 lambda t: FIT100).outage(selector)
             for p in p0_grid)
         return diversity_order_estimate(p0_grid, ops)
@@ -314,7 +316,7 @@ def test_criterion_6_property_suites():
     # MRTR boundary: outage climbs continuously to one at the ceiling
     policy = build_policy(Scheme.COM_NOEH, 4, 0.0)
     plan = default_allocation(T1, policy)
-    ceiling = mrtr(plan, policy, 4, "relay")
+    ceiling = mrtr(plan, policy, "relay")
     last = 0.0
     for eps in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
         harder = dataclasses.replace(plan, relay_rate=ceiling * (1.0 - eps))

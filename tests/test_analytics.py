@@ -49,6 +49,7 @@ from oracles import (
     cdf_X,
     cdf_Y,
     cdf_Z,
+    default_plan,
     diversity_order_estimate,
 )
 
@@ -63,6 +64,10 @@ NOEH = uniform_policy("BTEH", 4, 0.0, alpha=0.2, eta=1.0)
 PLAN_BTEH = default_allocation(T1, BTEH)
 PLAN_BPEH = default_allocation(T1, BPEH)
 PLAN_NOEH = default_allocation(T1, NOEH)
+# qom plans: one device, the nearest, per slot
+QOM_BTEH = default_plan(Scheme.TQOM, T1, BTEH)
+QOM_BPEH = default_plan(Scheme.PQOM, T1, BPEH)
+QOM_NOEH = default_plan(Scheme.QOM_NOEH, T1, NOEH)
 # frozen fit for the 100 m disk at density 1e-2 (fit_singh_maddala output)
 FIT100 = FittedGainDistribution(mu=0.12381469748798679,
                                 theta=0.9774996210662569,
@@ -99,24 +104,28 @@ def test_default_rate_rule_anchors():
     assert PLAN_BTEH.relay_rate == pytest.approx(0.30959041265164833, rel=1e-14)
     assert PLAN_BPEH.relay_rate == pytest.approx(0.38698801581456044, rel=1e-14)
     # uncapped interior device: half of its own SIC ceiling
-    ceiling = mrtr(PLAN_BTEH, BTEH, 4, ("device", 1, 2))
+    ceiling = mrtr(PLAN_BTEH, BTEH, ("device", 1, 2))
     assert PLAN_BTEH.device_rates[0][1] == pytest.approx(0.5 * ceiling)
     # subarea-1 and nearest devices have no finite ceiling: capped
     assert PLAN_BTEH.device_rates[2][0] == 0.75
-    assert PLAN_BTEH.nearest_rates == (0.75, 0.75, 0.75)
+    assert QOM_BTEH.device_rates == ((0.75,),) * 3
+    # the nearest device holds every share the relayed message leaves
+    assert QOM_BTEH.device_shares == ((1.0 - 0.8,),) * 3
+    assert QOM_BTEH.relay_rate == PLAN_BTEH.relay_rate
 
 
 def test_mrtr_cases():
-    assert mrtr(PLAN_NOEH, NOEH, 4, "relay") == pytest.approx(
+    assert mrtr(PLAN_NOEH, NOEH, "relay") == pytest.approx(
         math.log2(5.0) / 3.0, rel=1e-14)
-    assert mrtr(PLAN_BTEH, BTEH, 4, "nearest") is None
-    assert mrtr(PLAN_BTEH, BTEH, 4, ("device", 2, 1)) is None
+    # the first device of a slot, the qom device included, has no ceiling
+    assert mrtr(PLAN_BTEH, BTEH, ("device", 2, 1)) is None
+    assert mrtr(QOM_BTEH, BTEH, ("device", 2, 1)) is None
     full = dataclasses.replace(PLAN_BTEH, relay_share=1.0,
                                device_shares=((),) * 3,
                                device_rates=((),) * 3)
-    assert mrtr(full, BTEH, 4, "relay") is None
+    assert mrtr(full, BTEH, "relay") is None
     with pytest.raises(ValueError, match="unknown signal"):
-        mrtr(PLAN_BTEH, BTEH, 4, ("gadget", 1, 1))
+        mrtr(PLAN_BTEH, BTEH, ("gadget", 1, 1))
 
 
 def test_rho_zero_raises_the_relay_target():
@@ -135,18 +144,16 @@ def test_baseline_plan_inherits_the_relayed_rate():
 def test_plan_validation():
     with pytest.raises(ValueError, match="ascending"):
         AllocationPlan(relay_share=0.8, device_shares=((0.15, 0.05),),
-                       relay_rate=0.3, device_rates=((0.1, 0.1),),
-                       nearest_rates=(0.1,))
+                       relay_rate=0.3, device_rates=((0.1, 0.1),))
     with pytest.raises(ValueError, match="sum to one"):
         AllocationPlan(relay_share=0.8, device_shares=((0.1, 0.2),),
-                       relay_rate=0.3, device_rates=((0.1, 0.1),),
-                       nearest_rates=(0.1,))
+                       relay_rate=0.3, device_rates=((0.1, 0.1),))
     with pytest.raises(ValueError, match="relay share"):
         AllocationPlan(relay_share=0.0, device_shares=((),),
-                       relay_rate=0.3, device_rates=((),), nearest_rates=(0.0,))
+                       relay_rate=0.3, device_rates=((),))
     with pytest.raises(ValueError, match="non-negative"):
         AllocationPlan(relay_share=1.0, device_shares=((),),
-                       relay_rate=-0.1, device_rates=((),), nearest_rates=(0.0,))
+                       relay_rate=-0.1, device_rates=((),))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +161,7 @@ def test_plan_validation():
 # ---------------------------------------------------------------------------
 
 def test_bteh_relay_threshold_anchors():
-    th = decoding_thresholds(PLAN_BTEH, BTEH, 4, Scheme.TCOM)
+    th = decoding_thresholds(PLAN_BTEH, BTEH)
     assert th.relay[0][0] == pytest.approx(0.9036539387158786, rel=1e-14)
     assert th.relay[0][1] == pytest.approx(1.45922632811449, rel=1e-12)
     # the harvested branch decodes in the compressed window, which lands
@@ -164,7 +171,7 @@ def test_bteh_relay_threshold_anchors():
 
 
 def test_bpeh_relay_threshold_anchors():
-    th = decoding_thresholds(PLAN_BPEH, BPEH, 4, Scheme.PCOM)
+    th = decoding_thresholds(PLAN_BPEH, BPEH)
     assert th.relay[0][0] == pytest.approx(GOLDEN, rel=1e-14)
     assert th.relay[0][1] == pytest.approx(math.sqrt(5.0), rel=1e-14)
     # power splitting divides the decode SNR by 1-beta instead
@@ -173,17 +180,16 @@ def test_bpeh_relay_threshold_anchors():
 
 
 def test_bpeh_device_thresholds_ignore_the_split():
-    th = decoding_thresholds(PLAN_BPEH, BPEH, 4, Scheme.PCOM)
-    for slot in th.com_device:
+    th = decoding_thresholds(PLAN_BPEH, BPEH)
+    qom = decoding_thresholds(QOM_BPEH, BPEH)
+    for slot in th.device + qom.device:
         for pair in slot:
             assert pair[0] == pair[1]
-    for pair in th.qom_device:
-        assert pair[0] == pair[1]
 
 
 def test_bteh_device_thresholds_feel_the_window():
-    th = decoding_thresholds(PLAN_BTEH, BTEH, 4, Scheme.TCOM)
-    for slot in th.com_device:
+    th = decoding_thresholds(PLAN_BTEH, BTEH)
+    for slot in th.device:
         for pair in slot:
             assert pair[1] > pair[0]
 
@@ -191,16 +197,9 @@ def test_bteh_device_thresholds_feel_the_window():
 def test_com_thresholds_decrease_with_subarea_index():
     # higher annuli get larger power shares, and each subarea must also
     # clear every weaker-allocated message above it in the SIC order
-    th = decoding_thresholds(PLAN_BTEH, BTEH, 4, Scheme.TCOM)
-    slot1 = [pair[0] for pair in th.com_device[0]]
+    th = decoding_thresholds(PLAN_BTEH, BTEH)
+    slot1 = [pair[0] for pair in th.device[0]]
     assert slot1[0] >= slot1[1] >= slot1[2]
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError, match="disagree"):
-        decoding_thresholds(PLAN_BTEH, BTEH, 5, Scheme.TCOM)
-    with pytest.raises(ValueError, match="expects"):
-        decoding_thresholds(PLAN_BTEH, BPEH, 4, Scheme.TCOM)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +331,16 @@ def test_small_gain_coefficients():
 
 
 def test_asymptotic_cdfs_match_exact_at_high_power():
-    th = decoding_thresholds(PLAN_BTEH, BTEH, 4, Scheme.TCOM)
+    th = decoding_thresholds(PLAN_BTEH, BTEH)
     for t in (1, 2, 3):
         x = th.relay[0][1]
         exact = cdf_X(x, t, T1, BTEH, HIGH)
         approx = asymptotic_cdf_X(x, t, T1, BTEH, HIGH)
         assert approx == pytest.approx(exact, rel=0.05)
-    y = th.com_device[0][1][0]
+    y = th.device[0][1][0]
     assert asymptotic_cdf_Y(y, 1, 2, T1, BTEH, HIGH) == pytest.approx(
         cdf_Y(y, 1, 2, T1, BTEH, HIGH), rel=0.05)
-    z = th.qom_device[0][0]
+    z = decoding_thresholds(QOM_BTEH, BTEH).device[0][0][0]
     assert asymptotic_cdf_Z(z, 1, T1, BTEH, HIGH) == pytest.approx(
         cdf_Z(z, 1, T1, BTEH, HIGH, FIT100), rel=0.05)
 
@@ -358,7 +357,7 @@ def test_asymptote_saturates_outside_its_regime():
 # ---------------------------------------------------------------------------
 
 def test_hop_outage_reduces_to_activity_weighted_cdf():
-    th = decoding_thresholds(PLAN_NOEH, NOEH, 4, Scheme.COM_NOEH)
+    th = decoding_thresholds(PLAN_NOEH, NOEH)
     idle = math.exp(log_null_probability(1e-2, 100.0))
     manual = idle * cdf_X(th.relay[0][0], 1, T1, NOEH, BUDGET) \
         + (1.0 - idle) * cdf_X(th.relay[0][1], 1, T1, NOEH, BUDGET)
@@ -369,7 +368,7 @@ def test_hop_outage_reduces_to_activity_weighted_cdf():
 def test_hop_outage_identical_for_both_pairings():
     for t in (1, 2, 3):
         com = outage(("hop", t), Scheme.TCOM, BTEH, PLAN_BTEH)
-        qom = outage(("hop", t), Scheme.TQOM, BTEH, PLAN_BTEH)
+        qom = outage(("hop", t), Scheme.TQOM, BTEH, QOM_BTEH)
         assert com == qom
 
 
@@ -390,21 +389,21 @@ def test_op_nondecreasing_in_target_rates():
 def test_device_op_reaches_one_at_the_rate_ceiling():
     # as the relayed target rises to its ceiling the relayed-message
     # threshold at the device diverges and the outage saturates at one
-    ceiling = mrtr(PLAN_NOEH, NOEH, 4, "relay")
+    ceiling = mrtr(QOM_NOEH, NOEH, "relay")
     ops = []
     for f in (0.9, 0.99, 0.999):
-        plan = dataclasses.replace(PLAN_NOEH, relay_rate=f * ceiling)
+        plan = dataclasses.replace(QOM_NOEH, relay_rate=f * ceiling)
         ops.append(outage(("device", 1, None), Scheme.QOM_NOEH, NOEH, plan,
                           fit=FIT100))
     assert ops[0] < ops[1] < ops[2] <= 1.0
-    at_ceiling = dataclasses.replace(PLAN_NOEH, relay_rate=ceiling)
+    at_ceiling = dataclasses.replace(QOM_NOEH, relay_rate=ceiling)
     assert outage(("device", 1, None), Scheme.QOM_NOEH, NOEH, at_ceiling,
                   fit=FIT100) == 1.0
 
 
 def test_qom_exact_op_requires_a_fit():
     with pytest.raises(ValueError, match="nearest-gain fit"):
-        outage(("device", 1, None), Scheme.TQOM, BTEH, PLAN_BTEH)
+        outage(("device", 1, None), Scheme.TQOM, BTEH, QOM_BTEH)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +431,10 @@ def test_device_chain_stops_at_its_transmitter():
 
 
 def test_qom_e2e_uses_the_per_slot_fit():
-    direct = outage(("device", 2, None), Scheme.TQOM, BTEH, PLAN_BTEH,
+    direct = outage(("device", 2, None), Scheme.TQOM, BTEH, QOM_BTEH,
                     fit=FIT100)
-    hop1 = outage(("hop", 1), Scheme.TQOM, BTEH, PLAN_BTEH)
-    got = outage(("e2e_device", 2, None), Scheme.TQOM, BTEH, PLAN_BTEH,
+    hop1 = outage(("hop", 1), Scheme.TQOM, BTEH, QOM_BTEH)
+    got = outage(("e2e_device", 2, None), Scheme.TQOM, BTEH, QOM_BTEH,
                  fit=FIT100)
     assert got == pytest.approx(1.0 - (1.0 - hop1) * (1.0 - direct), rel=1e-12)
 
@@ -447,22 +446,25 @@ def test_qom_e2e_uses_the_per_slot_fit():
 def test_sum_throughput_degenerate_cases():
     plan = PLAN_BTEH
     all_fail = tuple((1.0,) * len(row) for row in plan.device_rates)
-    assert sum_throughput(plan, 1.0, all_fail, "com", 4) == 0.0
+    assert sum_throughput(plan, 1.0, all_fail) == 0.0
     all_pass = tuple((0.0,) * len(row) for row in plan.device_rates)
     upper = (plan.relay_rate
              + sum(r for row in plan.device_rates for r in row)) / 3.0
-    assert sum_throughput(plan, 0.0, all_pass, "com", 4) == pytest.approx(upper)
+    assert sum_throughput(plan, 0.0, all_pass) == pytest.approx(upper)
+    # a qom plan credits its one device per slot at the device's rate
+    assert sum_throughput(QOM_BTEH, 0.0, ((0.0,),) * 3) == pytest.approx(
+        (QOM_BTEH.relay_rate + 3 * 0.75) / 3.0)
 
 
 def test_sum_throughput_baseline_has_no_device_terms():
     base = baseline_plan(PLAN_BTEH, 3)
-    tp = sum_throughput(base, 0.25, ((), (), ()), None, 4)
+    tp = sum_throughput(base, 0.25, ((), (), ()))
     assert tp == pytest.approx(base.relay_rate * 0.75 / 3.0)
 
 
 def test_sum_throughput_shape_mismatch():
     with pytest.raises(ValueError, match="outage values"):
-        sum_throughput(PLAN_BTEH, 0.0, ((0.0,), (0.0,), (0.0,)), "com", 4)
+        sum_throughput(PLAN_BTEH, 0.0, ((0.0,), (0.0,), (0.0,)))
 
 
 def test_supply_power_skips_harvested_hops():
@@ -511,9 +513,8 @@ def test_diversity_needs_enough_points():
 
 def _marginals(scheme, kernels):
     policy = build_policy(scheme, 4, 0.3)
-    plan = default_allocation(T1, policy)
     scenario = Scenario(scheme=scheme, topology=T1, policy=policy,
-                        budget=BUDGET, plan=plan)
+                        budget=BUDGET, plan=default_plan(scheme, T1, policy))
     return SlotMarginals(scenario, lambda t: FIT100, kernels)
 
 
@@ -521,9 +522,7 @@ def _every_marginal(marginals, asymptotic):
     values = []
     for t in range(1, T1.hop_count + 1):
         values.append(marginals.outage(("hop", t), asymptotic))
-        ks = (range(1, T1.subarea_counts[t - 1] + 1)
-              if marginals.scenario.scheme.pairing == "com" else (None,))
-        for k in ks:
+        for k in marginals.scenario.served(t):
             values.append(marginals.outage(("device", t, k), asymptotic))
             values.append(marginals.outage(("e2e_device", t, k), asymptotic))
     values.append(marginals.outage(("e2e_destination",), asymptotic))

@@ -645,6 +645,27 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
     assert all(exact == "0" for g in guards.values() for _, exact in g)
 
 
+# sha256 of the simulated device cross-check tables at 140,000 outage and
+# 70,000 throughput trials, as emitted while a qom plan carried its device
+# rate in a field of its own
+GOLDEN_MC_DEVICES = {
+    "validate_devices_com":
+        "f36743b6bac9e7ec69f503d3d03a0fd68be4d922604dc5ac53ea1fce871bf161",
+    "validate_devices_qom":
+        "d13ebcdeb8b94a079513904b3eed09d1a1fd1c05f47abb042bdd698214944a24",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MC_DEVICES))
+def test_shipped_mc_device_tables_are_byte_identical(tmp_path, name):
+    config = _shipped(tmp_path, name, trials_outage=140_000,
+                      trials_throughput=70_000)
+    result = run_sweep(config, source="mc")
+    assert not result.failures
+    text = render_results(result.rows, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC_DEVICES[name]
+
+
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
     draws, widths = [], []

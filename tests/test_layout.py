@@ -9,13 +9,14 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import numpy as np
 
 import oracles
-from nomarelay import analytics, channel, cli, experiments, montecarlo
+from nomarelay import analytics, channel, cli, experiments, montecarlo, power
 from nomarelay.channel import FitBook, LinkBudget
 from nomarelay.geometry import CoverageDisk
 from nomarelay.network import NetworkTopology, Scheme
@@ -44,10 +45,12 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
           "_annulus_deficit", "_z_kernel_value", "_z_kernel_deficit")
 # second ways into one route: per-call wrappers around SlotMarginals and
 # around a process-global cache of simulated runs; per-threshold harvest-run
-# enumeration and argument checks, now one run table per slot
+# enumeration and argument checks, now one run table per slot; a second
+# selector grammar, now read from the scenario by both routes
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
-                  "energy_efficiency", "_chain_gains", "_check_argument"),
+                  "energy_efficiency", "_chain_gains", "_check_argument",
+                  "_SELECTOR_ARITY"),
     "montecarlo": ("estimate_outage", "estimate_throughput",
                    "estimate_supply_power", "_accumulate", "_Tallies",
                    "lru_cache"),
@@ -61,6 +64,13 @@ REMOVED_PARAMETERS = {
             channel.cdf_varphi_nearest_numeric),
     "out_path": (experiments.run_sweep,),
     "fmt": (experiments.run_sweep,),
+    # a qom slot is a one-device superposition: the plan carries the
+    # device count, the policy the node count
+    "pairing": (analytics.sum_throughput,),
+    "node_count": (analytics.sum_throughput, analytics.decoding_thresholds,
+                   analytics.mrtr),
+    "scheme": (analytics.decoding_thresholds,),
+    "t": (power.omega_factor,),
 }
 
 
@@ -81,6 +91,10 @@ def test_library_holds_only_the_model():
         == ["scenario", "nearest_fit", "kernels"]
     assert not {"hop", "device", "e2e"} & set(vars(analytics.SlotMarginals))
     assert not hasattr(analytics.AllocationPlan, "subarea_count")
+    # no qom copy of the device fields: a qom plan lists its one device
+    assert "nearest_rates" not in _fields(analytics.AllocationPlan)
+    assert _fields(analytics.ThresholdSet) == {"relay", "device"}
+    assert "_served" not in vars(analytics.SlotMarginals)
     assert "stream" not in inspect.signature(cli._report).parameters
     assert not {"annulus_bounds", "_check_annulus"} & set(vars(CoverageDisk))
     assert hasattr(oracles, "annulus_bounds")
@@ -117,6 +131,10 @@ def test_library_holds_only_the_model():
     # decode events are threshold comparisons; no tally reads a rate
     assert not {"hop_rates", "device_rates"} & set(montecarlo._Block.__slots__)
     assert hasattr(oracles, "reference_decode")
+    # one SIC chain decodes every slot; the pairing shapes only the draws
+    resolve = ast.parse(textwrap.dedent(inspect.getsource(montecarlo._resolve)))
+    assert not [node for node in ast.walk(resolve)
+                if isinstance(node, ast.Attribute) and node.attr == "pairing"]
 
 
 def test_specfun_keeps_no_module_level_cache():

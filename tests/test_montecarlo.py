@@ -23,7 +23,7 @@ from nomarelay.geometry import log_null_probability
 from nomarelay.montecarlo import Estimate, simulate, simulate_plan
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 import oracles
-from oracles import empirical_ccdf_oracle, run_block_trial
+from oracles import default_plan, empirical_ccdf_oracle, run_block_trial
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
@@ -38,11 +38,10 @@ FIT100 = FittedGainDistribution(mu=0.12381469748798679,
 
 def scenario(scheme, rho=0.1, topology=T1):
     policy = build_policy(scheme, topology.node_count, rho)
-    plan = default_allocation(topology,
-                              build_policy(Scheme.TCOM, topology.node_count,
-                                           rho))
+    plan = default_plan(scheme, topology,
+                        build_policy(Scheme.TCOM, topology.node_count, rho))
     if scheme.harvesting == "BPEH":
-        plan = default_allocation(topology, policy)
+        plan = default_plan(scheme, topology, policy)
     return Scenario(scheme=scheme, topology=topology, policy=policy,
                     budget=BUDGET, plan=plan)
 
@@ -308,15 +307,17 @@ def _rejects(route, selector) -> bool:
 
 @pytest.mark.parametrize("scheme", [Scheme.TCOM, Scheme.TQOM, Scheme.CNRR])
 def test_both_routes_reject_the_same_selectors(scheme):
-    # wrong lengths and devices the scheme does not serve (k=None under
-    # com, a subarea under qom, any device under cnrr, k outside 1..K_t)
+    # wrong lengths, non-integer slots and subareas, and devices the scheme
+    # does not serve (k=None under com, a subarea under qom, any device
+    # under cnrr, k outside 1..K_t)
     s = BARE if scheme is Scheme.CNRR else scenario(scheme)
     routes = (simulate(s, 2_000, 3),
               analytics.SlotMarginals(s, lambda t: FIT100))
     t = 2
     selectors = [("hop", t), ("e2e_destination",), ("hop",), ("hop", t, 1),
                  ("e2e_destination", t), ("device", t), ("e2e_device", t),
-                 ("device", t, 1, 1)]
+                 ("device", t, 1, 1), ("hop", 1.0), ("device", 1, 2.0),
+                 ("e2e_device", 1, 2.0)]
     for kind in ("device", "e2e_device"):
         selectors += [(kind, t, k) for k in
                       (1, None, 0, s.topology.subarea_counts[t - 1] + 1)]

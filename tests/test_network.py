@@ -1,8 +1,10 @@
 """Scheme taxonomy, chain topology, and scenario validation tests."""
 
+import dataclasses
+
 import pytest
 
-from nomarelay.analytics import default_allocation
+from nomarelay.analytics import baseline_plan, default_allocation
 from nomarelay.channel import LinkBudget, noise_power_w
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 
@@ -107,3 +109,31 @@ def test_scenario_rejects_harvesting_for_noeh_scheme():
     with pytest.raises(ValueError, match="disallows harvesting"):
         Scenario(scheme=Scheme.COM_NOEH, topology=T1, policy=policy,
                  budget=BUDGET, plan=plan)
+
+
+def test_scenario_rejects_a_plan_that_miscounts_devices():
+    # a plan lists K_t devices per com slot, one per qom slot, none for
+    # cnrr, and one entry per hop
+    policy = build_policy(Scheme.TCOM, 4, 0.1)
+    single = dataclasses.replace(T1, subarea_counts=(1, 1, 1))
+    com, qom = default_allocation(T1, policy), default_allocation(single, policy)
+    bare = baseline_plan(com, 3)
+    short = dataclasses.replace(com, device_shares=com.device_shares[:2],
+                                device_rates=com.device_rates[:2])
+    rejected = [(Scheme.TCOM, single, com, r"\(3, 2, 1\).* \(1, 1, 1\)"),
+                (Scheme.TQOM, T1, com, r"\(3, 2, 1\).* \(1, 1, 1\)"),
+                (Scheme.TCOM, T1, qom, r"\(1, 1, 1\).* \(3, 2, 1\)"),
+                (Scheme.CNRR, T1.without_devices(), com,
+                 r"\(3, 2, 1\).* \(0, 0, 0\)"),
+                (Scheme.TCOM, T1, short, r"\(3, 2\).* \(3, 2, 1\)"),
+                (Scheme.TQOM, T1, bare, r"\(0, 0, 0\).* \(1, 1, 1\)")]
+    for scheme, topology, plan, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            Scenario(scheme=scheme, topology=topology,
+                     policy=build_policy(scheme, 4, 0.1), budget=BUDGET,
+                     plan=plan)
+    for scheme, topology, plan in ((Scheme.TCOM, single, qom),
+                                   (Scheme.TQOM, T1, qom),
+                                   (Scheme.CNRR, T1.without_devices(), bare)):
+        Scenario(scheme=scheme, topology=topology,
+                 policy=build_policy(scheme, 4, 0.1), budget=BUDGET, plan=plan)

@@ -47,11 +47,11 @@ def test_policy_validation():
 
 def test_omega_factor_values():
     bteh = uniform_policy("BTEH", 4, 0.1, alpha=0.2, eta=1.0)
-    assert omega_factor(2, bteh, 4) == pytest.approx(0.75, rel=1e-12)
+    assert omega_factor(bteh) == pytest.approx(0.75, rel=1e-12)
     bpeh = uniform_policy("BPEH", 4, 0.1, beta=0.8, eta=1.0)
-    assert omega_factor(2, bpeh, 4) == pytest.approx(0.8, rel=1e-12)
+    assert omega_factor(bpeh) == pytest.approx(0.8, rel=1e-12)
     dead = uniform_policy("BTEH", 4, 0.1, alpha=0.2, eta=0.0)
-    assert omega_factor(2, dead, 4) == 0.0
+    assert omega_factor(dead) == 0.0
 
 
 def test_sample_eh_process_degenerate_cases():

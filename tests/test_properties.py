@@ -22,7 +22,7 @@ from nomarelay.montecarlo import Estimate
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 from nomarelay.power import EhPolicy, uniform_policy
 import oracles
-from oracles import run_block_trial
+from oracles import default_plan, run_block_trial
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
                      disk_radii=(100.0, 100.0, 100.0),
@@ -108,7 +108,7 @@ def test_default_allocation_is_feasible(rho, alpha, arch, scheme):
     scheme = scheme if arch == "BTEH" else (
         Scheme.PCOM if scheme is Scheme.TCOM else Scheme.PQOM)
     policy = build_policy(scheme, 4, rho, alpha=alpha)
-    plan = default_allocation(T1, policy)
+    plan = default_plan(scheme, T1, policy)
     assert 0.0 < plan.relay_rate <= 0.75
     for t in range(1, 4):
         shares = plan.device_shares[t - 1]
@@ -117,7 +117,6 @@ def test_default_allocation_is_feasible(rho, alpha, arch, scheme):
         assert abs(total - 1.0) < 1e-12
         for rate in plan.device_rates[t - 1]:
             assert 0.0 < rate <= 0.75
-        assert 0.0 < plan.nearest_rates[t - 1] <= 0.75
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,24 +125,23 @@ def test_default_allocation_is_feasible(rho, alpha, arch, scheme):
 def test_thresholds_increase_with_rates(rho, alpha, arch, factor):
     # rho > 0 keeps the harvested-state rows live; at rho = 0 the rate
     # rule ignores them and they may sit at infinity
-    scheme = Scheme.TCOM if arch == "BTEH" else Scheme.PCOM
-    policy = build_policy(scheme, 4, rho, alpha=alpha)
-    plan = default_allocation(T1, policy)
-    slow = decoding_thresholds(plan, policy, 4, scheme)
-    harder = dataclasses.replace(
-        plan,
-        relay_rate=plan.relay_rate * factor,
-        device_rates=tuple(tuple(r * factor for r in row)
-                           for row in plan.device_rates),
-        nearest_rates=tuple(r * factor for r in plan.nearest_rates))
-    fast = decoding_thresholds(harder, policy, 4, scheme)
-    for row in range(2):  # first-hop receiver vs later receivers
-        for i in range(2):
-            assert fast.relay[row][i] > slow.relay[row][i] > 0.0
-    for t in range(3):
-        for k, pair in enumerate(slow.com_device[t]):
-            assert fast.com_device[t][k][0] > pair[0] > 0.0
-        assert fast.qom_device[t][0] > slow.qom_device[t][0] > 0.0
+    policy = uniform_policy(arch, 4, rho, alpha=alpha)
+    # com plans and one-device qom plans
+    for scheme in (Scheme.TCOM, Scheme.TQOM):
+        plan = default_plan(scheme, T1, policy)
+        slow = decoding_thresholds(plan, policy)
+        harder = dataclasses.replace(
+            plan,
+            relay_rate=plan.relay_rate * factor,
+            device_rates=tuple(tuple(r * factor for r in row)
+                               for row in plan.device_rates))
+        fast = decoding_thresholds(harder, policy)
+        for row in range(2):  # first-hop receiver vs later receivers
+            for i in range(2):
+                assert fast.relay[row][i] > slow.relay[row][i] > 0.0
+        for t in range(3):
+            for k, pair in enumerate(slow.device[t]):
+                assert fast.device[t][k][0] > pair[0] > 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,8 +167,8 @@ def test_outage_improves_with_supply_power(rho, alpha, t, arch, db_step):
 def test_single_trials_replay_and_nest(seed, scheme):
     topology = T1.without_devices() if scheme is Scheme.CNRR else T1
     policy = build_policy(scheme, topology.node_count, 0.3)
-    reference = default_allocation(
-        T1, build_policy(Scheme.TCOM, T1.node_count, 0.3))
+    reference = default_plan(
+        scheme, T1, build_policy(Scheme.TCOM, T1.node_count, 0.3))
     plan = analytics.baseline_plan(reference, 3) \
         if scheme is Scheme.CNRR else reference
     config = Scenario(scheme=scheme, topology=topology, policy=policy,
@@ -208,6 +206,6 @@ def test_throughput_stays_in_budget(device_ops, dest_op):
     plan = default_allocation(T1, policy)
     grouped = (tuple(device_ops[0:3]), tuple(device_ops[3:5]),
                (device_ops[5],))
-    value = analytics.sum_throughput(plan, dest_op, grouped, "com", 4)
+    value = analytics.sum_throughput(plan, dest_op, grouped)
     ceiling = plan.relay_rate + sum(sum(row) for row in plan.device_rates)
     assert 0.0 <= value <= ceiling / 3.0 + 1e-12
