@@ -215,6 +215,19 @@ def _either(sel, masks):
     return (sel & masks[1]) | (masks[0] & ~sel)
 
 
+def _gate(x, mask):
+    """``np.where(mask, x, 1.0)`` as the masked product ``x*mask + ~mask``,
+    which does not branch per element on a random ``mask``.
+
+    The two agree bit for bit where ``x`` is finite and not -0.0 (a
+    product of non-negative factors never is); a row holding an inf or a
+    NaN, where ``inf*0`` would give NaN, keeps ``np.where``.
+    """
+    if np.isfinite(x).all():
+        return x * mask + ~mask
+    return np.where(mask, x, 1.0)
+
+
 def _holds(y, tf, terms):
     """Whether every rate test of ``terms`` holds, by the rate formula."""
     ok = np.ones(y.shape, dtype=bool)
@@ -291,7 +304,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
         gain = omega_factor(policy) \
             * pathloss_linear(topo.hop_distances[t - 2], budget) \
             * hop_fades[t - 2]
-        chain = np.where(indicators[t - 2], chain * gain, 1.0)
+        chain = _gate(chain * gain, indicators[t - 2])
         powers[t - 1] = chain
 
     # 6. receiver adjustments: harvesting at the receiving relay either
@@ -313,7 +326,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     # over the device messages the plan lists
     ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
     hop_snr = g0 * powers * ell_hop * hop_fades
-    eff = hop_snr * split
+    eff = hop_snr if bteh else hop_snr * split
     relayed = (p_m, 1.0 - p_m, plan.relay_rate)
     hop_ok = np.empty((hops, n), dtype=bool)
     for t in range(1, hops + 1):
@@ -383,18 +396,21 @@ class Tallies:
         self.trials += used
         for t in range(1, self.scenario.topology.hop_count + 1):
             row = block.hop_ok[t - 1, cut]
-            self.hop_fail[t] = self.hop_fail.get(t, 0) + int((~row).sum())
+            self.hop_fail[t] = self.hop_fail.get(t, 0) + used \
+                - int(np.count_nonzero(row))
             served = block.active[t - 1, cut]
-            self.present[t] = self.present.get(t, 0) + int(served.sum())
+            self.present[t] = self.present.get(t, 0) \
+                + int(np.count_nonzero(served))
             for k, ok in zip(self.scenario.served(t), block.device_ok[t - 1]):
                 key = (t, k)
                 fail = served & ~ok[cut]
                 self.device_fail[key] = self.device_fail.get(key, 0) \
-                    + int(fail.sum())
+                    + int(np.count_nonzero(fail))
                 e2e_fail = served & ~(ok[cut] & block.msg_ok[t - 1, cut])
                 self.e2e_device_fail[key] = self.e2e_device_fail.get(key, 0) \
-                    + int(e2e_fail.sum())
-        self.e2e_destination_fail += int((~block.prefix_ok[-1, cut]).sum())
+                    + int(np.count_nonzero(e2e_fail))
+        self.e2e_destination_fail += used \
+            - int(np.count_nonzero(block.prefix_ok[-1, cut]))
         tp = block.throughput[cut]
         self.throughput_sum += float(tp.sum())
         self.throughput_sumsq += float((tp * tp).sum())

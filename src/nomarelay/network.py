@@ -24,31 +24,29 @@ from .power import EhPolicy, uniform_policy
 
 
 class Scheme(enum.Enum):
-    TCOM = "tcom"
-    TQOM = "tqom"
-    PCOM = "pcom"
-    PQOM = "pqom"
-    COM_NOEH = "com-noeh"
-    QOM_NOEH = "qom-noeh"
-    CNRR = "cnrr"
+    """A scheme, valued by its label.
 
-    @property
-    def pairing(self) -> Optional[str]:
-        """Device-pairing rule: "com", "qom", or None for the baseline."""
-        if self in (Scheme.TCOM, Scheme.PCOM, Scheme.COM_NOEH):
-            return "com"
-        if self in (Scheme.TQOM, Scheme.PQOM, Scheme.QOM_NOEH):
-            return "qom"
-        return None
+    ``pairing`` is the device-pairing rule: "com", "qom", or None for the
+    baseline.  ``harvesting`` is the powering architecture, "BTEH" or
+    "BPEH", or None when harvesting is disabled.  Both are plain member
+    attributes, set once when the class is created.
+    """
 
-    @property
-    def harvesting(self) -> Optional[str]:
-        """Powering architecture, or None when harvesting is disabled."""
-        if self in (Scheme.TCOM, Scheme.TQOM):
-            return "BTEH"
-        if self in (Scheme.PCOM, Scheme.PQOM):
-            return "BPEH"
-        return None
+    TCOM = ("tcom", "com", "BTEH")
+    TQOM = ("tqom", "qom", "BTEH")
+    PCOM = ("pcom", "com", "BPEH")
+    PQOM = ("pqom", "qom", "BPEH")
+    COM_NOEH = ("com-noeh", "com", None)
+    QOM_NOEH = ("qom-noeh", "qom", None)
+    CNRR = ("cnrr", None, None)
+
+    def __new__(cls, label: str, pairing: Optional[str],
+                harvesting: Optional[str]):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.pairing = pairing
+        member.harvesting = harvesting
+        return member
 
     @classmethod
     def parse(cls, label: str) -> "Scheme":

@@ -39,6 +39,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_NODES.setflags(write=False)
 _GL_WEIGHTS.setflags(write=False)
 
+# contour panels per integrand evaluation; the stopping rule still walks
+# them one by one, so a chunk may hold a few panels past the last one summed
+_PANEL_CHUNK = 8
+
+# abscissa candidates: offsets right of an open window's left edge, or
+# fractions of a bounded window's width
+_OPEN_OFFSETS = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0])
+_OPEN_OFFSETS.setflags(write=False)
+_WINDOW_FRACTIONS = np.linspace(0.05, 0.95, 19)
+_WINDOW_FRACTIONS.setflags(write=False)
+
 # points of every residue circle: exp(i theta) at the midpoint angles
 _RING_NODES = 192
 _UNIT_RING = np.exp(1j * (2.0 * math.pi * (np.arange(_RING_NODES) + 0.5)
@@ -154,13 +165,14 @@ class LogGammaTable(dict):
     """``loggamma(shift + slope*s)`` of the quadrature grids, computed once.
 
     Every point where a kernel integrand is evaluated is fixed by its grid,
-    not by the kernel argument: a contour panel by ``("panel", c, h,
-    index)``, a residue circle by ``("ring", center, radius)`` and an
-    abscissa candidate by ``("candidate", c)``.  So each gamma factor's
-    array is keyed by ``(grid, shift, slope)`` and computed once for as
-    long as the table lives.  Each factor keeps its own array, so a hit
-    adds exactly the terms a fresh evaluation adds, in the same order.
-    ``lookups`` counts lookups per grid kind.
+    not by the kernel argument: a chunk of ``chunk`` contour panels, the
+    first of them panel ``index``, by ``("panels", c, h, index, chunk)``;
+    a residue circle by ``("ring", center, radius)``; and the abscissa
+    candidates of a pole-free window by ``("window", lo, hi)``.  So each
+    gamma factor's array is keyed by ``(grid, shift, slope)`` and computed
+    once for as long as the table lives.  Each factor keeps its own array,
+    so a hit adds exactly the terms a fresh evaluation adds, in the same
+    order.  ``lookups`` counts lookups per grid kind.
     """
 
     def __init__(self):
@@ -189,17 +201,21 @@ def _log_integrand(s, num, den, logx, table, grid):
 
 
 def _pick_abscissa(num, den, window, logx, table) -> float:
-    """Scan the pole-free window for the abscissa with the flattest peak."""
+    """Scan the pole-free window for the abscissa with the flattest peak.
+
+    All candidates are scored in one integrand evaluation; the first
+    strict minimum wins, and a NaN score never does.
+    """
     lo, hi = window
     if hi is None:
-        cands = [lo + d for d in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0)]
+        cands = lo + _OPEN_OFFSETS
     else:
-        width = hi - lo
-        cands = list(lo + width * np.linspace(0.05, 0.95, 19))
+        cands = lo + (hi - lo) * _WINDOW_FRACTIONS
+    vals = _log_integrand(cands.astype(complex), num, den, logx, table,
+                          ("window", lo, hi)).real
+    cands = cands.tolist()
     best, best_val = cands[0], math.inf
-    for c in cands:
-        val = _log_integrand(complex(c, 0.0), num, den, logx, table,
-                             ("candidate", c)).real
+    for c, val in zip(cands, vals.tolist()):
         if val < best_val:
             best, best_val = c, val
     return best
@@ -209,7 +225,9 @@ def _contour_value(kind, x: float, tol: float, table=None) -> float:
     """(1/pi) * int_0^inf Re[integrand(c + iu)] du by Gauss-Legendre panels.
 
     Panel ``k`` spans ``[u, u + h]`` with ``u`` the sum of ``k`` steps
-    ``h``, so its nodes are fixed by ``(c, h, k)``.
+    ``h``, so its nodes are fixed by ``(c, h, k)``.  The integrand is
+    evaluated ``_PANEL_CHUNK`` panels at a time; the panels of a chunk are
+    then summed one by one, in order, until the tail goes quiet.
     """
     if table is None:
         table = LogGammaTable()
@@ -220,26 +238,33 @@ def _contour_value(kind, x: float, tol: float, table=None) -> float:
                              - sum(abs(sl) for _, sl in den))
     h = min(1.0, 30.0 / max(1.0, abs(logx)))
     u_cap = max(80.0, 420.0 / decay)
+    offsets = 0.5 * h * (_GL_NODES + 1.0)
+    steps = np.full(_PANEL_CHUNK, h)
     total = 0.0
     last = math.inf
     quiet = 0
     u = 0.0
     k = 0
     while u < u_cap:
-        nodes = u + 0.5 * h * (_GL_NODES + 1.0)
-        s = c + 1j * nodes
+        # the same running sum u += h as the walk below
+        steps[0] = u
+        starts = np.add.accumulate(steps)
+        s = c + 1j * (starts[:, None] + offsets)
         vals = np.exp(_log_integrand(s, num, den, logx, table,
-                                     ("panel", c, h, k))).real
-        last = 0.5 * h * float(np.dot(_GL_WEIGHTS, vals))
-        total += last
-        u += h
-        k += 1
-        if abs(last) < tol / 16.0:
-            quiet += 1
-            if quiet >= 2:
-                return total / math.pi
-        else:
-            quiet = 0
+                                     ("panels", c, h, k, _PANEL_CHUNK))).real
+        for panel in vals:
+            if not u < u_cap:
+                break
+            last = 0.5 * h * float(np.dot(_GL_WEIGHTS, panel))
+            total += last
+            u += h
+            k += 1
+            if abs(last) < tol / 16.0:
+                quiet += 1
+                if quiet >= 2:
+                    return total / math.pi
+            else:
+                quiet = 0
     raise KernelConvergenceError(
         f"Mellin-Barnes contour did not settle for family {kind!r} at x={x}",
         achieved=abs(last), target=tol / 16.0)

@@ -593,6 +593,63 @@ def residue_asymptote(x: float, n: int) -> float:
     return 1.0 + sf._leading_residue(x, n)
 
 
+# --- specfun: the contour scan one candidate and one panel at a time ---
+
+def pick_abscissa_by_candidate(num, den, window, logx, table) -> float:
+    """:func:`nomarelay.specfun._pick_abscissa` scoring each candidate on
+    its own scalar grid ``("candidate", c)``."""
+    lo, hi = window
+    if hi is None:
+        cands = [lo + d for d in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0)]
+    else:
+        width = hi - lo
+        cands = list(lo + width * np.linspace(0.05, 0.95, 19))
+    best, best_val = cands[0], math.inf
+    for c in cands:
+        val = sf._log_integrand(complex(c, 0.0), num, den, logx, table,
+                                ("candidate", c)).real
+        if val < best_val:
+            best, best_val = c, val
+    return best
+
+
+def contour_value_by_panel(kind, x: float, tol: float, table=None) -> float:
+    """:func:`nomarelay.specfun._contour_value` evaluating one panel
+    ``("panel", c, h, k)`` per integrand call."""
+    if table is None:
+        table = sf.LogGammaTable()
+    num, den, window = sf._family_factors(kind)
+    logx = math.log(x)
+    c = pick_abscissa_by_candidate(num, den, window, logx, table)
+    decay = 0.5 * math.pi * (sum(abs(sl) for _, sl in num)
+                             - sum(abs(sl) for _, sl in den))
+    h = min(1.0, 30.0 / max(1.0, abs(logx)))
+    u_cap = max(80.0, 420.0 / decay)
+    total = 0.0
+    last = math.inf
+    quiet = 0
+    u = 0.0
+    k = 0
+    while u < u_cap:
+        nodes = u + 0.5 * h * (sf._GL_NODES + 1.0)
+        s = c + 1j * nodes
+        vals = np.exp(sf._log_integrand(s, num, den, logx, table,
+                                        ("panel", c, h, k))).real
+        last = 0.5 * h * float(np.dot(sf._GL_WEIGHTS, vals))
+        total += last
+        u += h
+        k += 1
+        if abs(last) < tol / 16.0:
+            quiet += 1
+            if quiet >= 2:
+                return total / math.pi
+        else:
+            quiet = 0
+    raise sf.KernelConvergenceError(
+        f"Mellin-Barnes contour did not settle for family {kind!r} at x={x}",
+        achieved=abs(last), target=tol / 16.0)
+
+
 # --- analytics: the default plan of each pairing ---
 
 def default_plan(scheme, topology: NetworkTopology,

@@ -574,7 +574,7 @@ def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path, caplog):
     assert len(summary) == 1
     kinds = dict(part.split(" ", 1)
                  for part in summary[0][len("loggamma table: "):].split("; "))
-    assert sorted(kinds) == ["candidate", "panel", "ring"]
+    assert sorted(kinds) == ["panels", "ring", "window"]
     assert sum(int(text.split()[0]) for text in kinds.values()) == len(calls)
     # the table lives for one sweep: a second sweep pays the same cost
     evaluated = len(calls)

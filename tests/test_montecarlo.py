@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomarelay import analytics, montecarlo
 from nomarelay.analytics import default_allocation
@@ -287,6 +289,26 @@ def test_credited_device_messages_nest_in_earlier_hops(pairing):
                     s.scheme, n, t)
                 credited += int(served.sum())
     assert (credited > 0) == (pairing != "bare")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0.0, allow_infinity=False),
+                          st.booleans()), min_size=1, max_size=64))
+def test_gate_equals_where_on_finite_non_negative_rows(cells):
+    x = np.array([value for value, _ in cells])
+    mask = np.array([bit for _, bit in cells])
+    assert montecarlo._gate(x, mask).tobytes() \
+        == np.where(mask, x, 1.0).tobytes()
+
+
+def test_gate_keeps_where_on_a_row_that_is_not_finite():
+    x = np.array([np.inf, np.inf, np.nan, np.nan, 2.0, 0.0])
+    mask = np.array([True, False, True, False, True, False])
+    # the masked product alone turns inf * 0 into NaN
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((x * mask + ~mask)[1])
+    assert montecarlo._gate(x, mask).tobytes() \
+        == np.where(mask, x, 1.0).tobytes()
 
 
 def test_plan_keeps_failures_to_their_runs():

@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, kv, loggamma
 
@@ -29,8 +31,10 @@ from oracles import (
     EULER_GAMMA,
     FoxSpec,
     MeijerSpec,
+    contour_value_by_panel,
     fox_h,
     meijer_g,
+    pick_abscissa_by_candidate,
     residue_asymptote,
 )
 
@@ -332,16 +336,26 @@ TABLE_CASES = (
 def _grid_points(grid):
     """The points s that a table key's grid names."""
     kind, *where = grid
-    if kind == "candidate":
-        return complex(where[0], 0.0)
+    if kind == "window":
+        lo, hi = where
+        if hi is None:
+            cands = [lo + d for d in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
+                                      32.0, 50.0)]
+        else:
+            cands = lo + (hi - lo) * np.linspace(0.05, 0.95, 19)
+        return np.array([complex(c, 0.0) for c in cands])
     if kind == "ring":
         center, radius = where
         return center + radius * sf._UNIT_RING
-    c, h, index = where
+    c, h, index, chunk = where
     u = 0.0
     for _ in range(index):
         u += h
-    return c + 1j * (u + 0.5 * h * (sf._GL_NODES + 1.0))
+    panels = []
+    for _ in range(chunk):
+        panels.append(c + 1j * (u + 0.5 * h * (sf._GL_NODES + 1.0)))
+        u += h
+    return np.array(panels)
 
 
 class _Uncached(sf.LogGammaTable):
@@ -367,8 +381,8 @@ def test_shared_table_values_equal_fresh_evaluations():
     assert forward.keys() == reverse.keys()
     # the cases reach every grid kind and both grid edge cases
     grids = [grid for grid, _, _ in forward]
-    assert {grid[0] for grid in grids} == {"candidate", "panel", "ring"}
-    assert min(grid[2] for grid in grids if grid[0] == "panel") < 1.0
+    assert {grid[0] for grid in grids} == {"window", "panels", "ring"}
+    assert min(grid[2] for grid in grids if grid[0] == "panels") < 1.0
     assert min(grid[2] for grid in grids if grid[0] == "ring") < 0.2
     # clustered poles share one circle, wider than any single pole's
     assert max(grid[2] for grid in grids if grid[0] == "ring") > 0.2
@@ -382,6 +396,66 @@ def test_table_key_names_its_array():
     for (grid, shift, slope), stored in table.items():
         expected = loggamma(shift + slope * _grid_points(grid))
         assert np.array_equal(stored, expected), (grid, shift, slope)
+
+
+# ---------------------------------------------------------------------------
+# array scan and chunked contour: the per-candidate, per-panel floats
+# ---------------------------------------------------------------------------
+
+# every contour family with the tolerance its callers pass
+CONTOUR_KINDS = (
+    (("ccdf", 2), 1e-9), (("ccdf", 3), 1e-9),
+    (("pdf", 2), 1e-9), (("pdf", 3), 1e-9),
+    (("annulus", 0, C_EXP), 1e-9), (("annulus", 2, C_EXP), 1e-9),
+    (("sm_cdf", 1.3), 1e-8),
+    (("z_kernel", 1, 0.95, 1.3), 1e-8), (("z_kernel", 2, 1.7, 1.3), 1e-8),
+)
+
+
+def test_table_cases_equal_per_panel_reference(monkeypatch):
+    arrays = [kernel(*args) for kernel, args in TABLE_CASES]
+    monkeypatch.setattr(sf, "_contour_value", contour_value_by_panel)
+    assert [kernel(*args) for kernel, args in TABLE_CASES] == arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(CONTOUR_KINDS),
+       exponent=st.floats(min_value=-3.0, max_value=14.0))
+def test_contour_equals_per_panel_reference(case, exponent):
+    kind, tol = case
+    x = 10.0 ** exponent
+    num, den, window = sf._family_factors(kind)
+    logx = math.log(x)
+    assert sf._pick_abscissa(num, den, window, logx, sf.LogGammaTable()) \
+        == pick_abscissa_by_candidate(num, den, window, logx,
+                                      sf.LogGammaTable())
+    assert sf._contour_value(kind, x, tol) \
+        == contour_value_by_panel(kind, x, tol)
+
+
+@pytest.mark.parametrize("x", [0.4, 1e14])
+def test_contour_stops_at_the_per_panel_cap(x):
+    # with tol = 0 no panel is quiet, so both walk to u_cap and fail on the
+    # same last panel
+    for kind, _ in CONTOUR_KINDS:
+        with pytest.raises(sf.KernelConvergenceError) as chunked:
+            sf._contour_value(kind, x, 0.0)
+        with pytest.raises(sf.KernelConvergenceError) as by_panel:
+            contour_value_by_panel(kind, x, 0.0)
+        assert str(chunked.value) == str(by_panel.value)
+        assert chunked.value.achieved == by_panel.value.achieved
+
+
+def test_pick_abscissa_evaluates_the_integrand_once(monkeypatch):
+    calls = []
+    real = sf._log_integrand
+    monkeypatch.setattr(sf, "_log_integrand",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    for kind, _ in CONTOUR_KINDS:
+        num, den, window = sf._family_factors(kind)
+        calls.clear()
+        sf._pick_abscissa(num, den, window, math.log(0.4), sf.LogGammaTable())
+        assert calls == [("window",) + window]
 
 
 # ---------------------------------------------------------------------------
