@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from scipy.special import gammainc
+
 from .channel import LinkBudget, pathloss_linear
 from .geometry import log_null_probability
 from .network import NetworkTopology, Scenario
@@ -41,7 +43,6 @@ from .power import EhPolicy, omega_factor
 from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
     LogGammaTable,
     annulus_kernel_deficit,
-    lower_incomplete_gamma,
     nearest_kernel_deficit,
     prod_exp_cdf,
     residue_asymptote_cdf,
@@ -439,8 +440,9 @@ def nearest_small_gain_coefficient(density: float, radius: float,
     a = math.pi * density * radius**2
     if a <= 0.0:
         raise ValueError("needs a positive active density")
-    return a ** (-eps / 2.0) * lower_incomplete_gamma(eps / 2.0 + 1.0, a) \
-        / -math.expm1(-a)
+    shape = eps / 2.0 + 1.0
+    lower = float(gammainc(shape, a)) * math.gamma(shape)
+    return a ** (-eps / 2.0) * lower / -math.expm1(-a)
 
 
 # ---------------------------------------------------------------------------

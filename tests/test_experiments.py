@@ -190,6 +190,23 @@ def test_load_config_rejects_unknown_preset(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, written, replaced", [
+    ("sweep", "grid: [0.1, 0.2]", "grid: 0.5"),
+    ("seed", "seed: 99", "seed: [1]"),
+    ("topology", "topology: t2", "topology: {hop_distances: 200, "
+     "disk_radii: [100.0], subarea_counts: [1]}"),
+    ("topology_by_node_count", "seed: 99", "seed: 99\n"
+     "topology_by_node_count: [1, 2]"),
+], ids=["grid", "seed", "topology", "topology_by_node_count"])
+def test_cli_reports_a_value_of_the_wrong_type(tmp_path, capfd, section,
+                                              written, replaced):
+    path = tmp_path / "run.yaml"
+    path.write_text(FULL_YAML.replace(written, replaced))
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and f"run.yaml {section}: malformed" in err
+
+
 def test_load_config_subarea_grid_and_by_node_count(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("""\

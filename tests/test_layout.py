@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 import oracles
-from nomarelay import analytics, channel, cli, experiments, montecarlo, power
+from nomarelay import (analytics, channel, cli, experiments, montecarlo,
+                       power, specfun)
 from nomarelay.channel import FitBook, LinkBudget
 from nomarelay.geometry import CoverageDisk
 from nomarelay.network import NetworkTopology, Scheme
@@ -38,11 +40,17 @@ MOVED = {
                 "fit_singh_maddala_cached"),
     "specfun": ("MeijerSpec", "FoxSpec", "_near", "_classify_meijer",
                 "_classify_fox", "meijer_g", "fox_h", "_pdf_kernel",
-                "residue_asymptote", "EULER_GAMMA"),
+                "residue_asymptote", "EULER_GAMMA",
+                # the value side of each family; the model reads the CDF side
+                "prod_exp_ccdf", "annulus_kernel", "nearest_kernel",
+                "lower_incomplete_gamma"),
 }
-# value/deficit twins, now one crossover evaluation per family
+# value/deficit twins, now one CDF-side path per family read from one
+# family table
 MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
-          "_annulus_deficit", "_z_kernel_value", "_z_kernel_deficit")
+          "_annulus_deficit", "_z_kernel_value", "_z_kernel_deficit",
+          "_sides", "_ccdf_sides", "_family_factors", "_left_poles",
+          "_leading_residue")
 # second ways into one route: per-call wrappers around SlotMarginals and
 # around a process-global cache of simulated runs; per-threshold harvest-run
 # enumeration and argument checks, now one run table per slot; a second
@@ -58,8 +66,12 @@ DELETED = {
 REMOVED_PARAMETERS = {
     "empty_annulus": (montecarlo.simulate, montecarlo.simulate_plan,
                       montecarlo._draw),
-    "grid_spec": (FitBook.fit,),
-    "max_error": (FitBook.fit,),
+    "grid_spec": (FitBook.fit, channel.fit_singh_maddala),
+    "max_error": (FitBook.fit, channel.fit_singh_maddala),
+    # one value each in use, now module constants
+    "rel_tol": (specfun._residue_sum,),
+    "max_poles": (specfun._residue_sum,),
+    "gap": (specfun._cluster,),
     "tol": (channel.ccdf_varphi_nearest_numeric,
             channel.cdf_varphi_nearest_numeric),
     "out_path": (experiments.run_sweep,),
@@ -103,8 +115,9 @@ def test_library_holds_only_the_model():
         for name in names:
             assert not hasattr(library, name), f"{module}.{name}"
             assert hasattr(oracles, name), name
-    specfun = importlib.import_module("nomarelay.specfun")
     assert not [name for name in MERGED if hasattr(specfun, name)]
+    # the product PDF and Singh-Maddala CDF layouts are test-only
+    assert not re.search(r"\b(pdf|sm_cdf)\b", inspect.getsource(specfun))
     for parameter, functions in REMOVED_PARAMETERS.items():
         for function in functions:
             assert parameter not in inspect.signature(function).parameters, \
@@ -139,7 +152,6 @@ def test_library_holds_only_the_model():
 
 def test_specfun_keeps_no_module_level_cache():
     # kernels read and fill only a table their caller owns and passes in
-    specfun = importlib.import_module("nomarelay.specfun")
     module_level = {name: value for name, value in vars(specfun).items()
                     if not name.startswith("__")}
     assert [name for name, value in module_level.items()
