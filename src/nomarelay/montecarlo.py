@@ -20,7 +20,11 @@ resolution works trial by trial, so a resolved prefix equals the same
 prefix of a full-width resolve.  A sweep plans its simulation once
 (:func:`simulate_plan`): shorter trial counts are tallied as prefixes of
 longer ones, and scenarios sharing pairing, topology and seed resolve the
-same draws, with unchanged results.
+same draws, with unchanged results.  Each such draw group allocates one
+draw set and one resolve workspace (:class:`_Workspace`) at full block
+width and refills them in place, through ``out=`` stream calls and
+ufuncs in the same float order, for every block and scenario; a partial
+last block reads a prefix view, and the buffers are freed with the group.
 :func:`simulate` runs one scenario alone through the same plan.  Both
 yield :class:`Tallies`, whose ``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
@@ -103,7 +107,8 @@ class _Block:
 @dataclass(eq=False)
 class _Draws:
     """Random numbers of one block: they depend only on the pairing,
-    topology, seed and block index."""
+    topology, seed and block index.  A draw group refills one draw set
+    for every block (:func:`_draw`)."""
 
     u_eh: np.ndarray
     active: np.ndarray
@@ -112,8 +117,26 @@ class _Draws:
     device_fade: list
     gains: dict = field(default_factory=dict)
 
+    @classmethod
+    def empty(cls, topo, pairing, n: int) -> "_Draws":
+        """A draw set of width ``n``, its arrays not yet filled."""
+        m, hops = topo.node_count, topo.hop_count
+        counts = {"com": topo.subarea_counts,
+                  "qom": (1,) * hops}.get(pairing, (0,) * hops)
+        return cls(u_eh=np.empty((m - 1, n)),
+                   active=np.empty((hops, n), dtype=bool),
+                   hop_fades=np.empty((hops, n)),
+                   device_dist=[np.empty((k, n)) for k in counts],
+                   device_fade=[np.empty((k, n)) for k in counts])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in [self.u_eh, self.active, self.hop_fades,
+                                      *self.device_dist, *self.device_fade])
+
     def device_gain(self, budget) -> list:
-        """Path gain of every drawn device distance, once per (L, eps)."""
+        """Path gain of every drawn device distance, once per (L, eps) and
+        fill: :func:`_draw` empties ``gains``."""
         key = (budget.L, budget.epsilon)
         if key not in self.gains:
             self.gains[key] = [pathloss_linear(dist, budget)
@@ -121,54 +144,85 @@ class _Draws:
         return self.gains[key]
 
 
-def _draw(topo, pairing, rng: np.random.Generator, n: int) -> _Draws:
-    """Draw every random element of ``n`` relaying blocks.
+def _draw(topo, pairing, rng: np.random.Generator, n: int,
+          draws: _Draws | None = None) -> _Draws:
+    """Draw every random element of ``n`` relaying blocks into ``draws``, a
+    draw set of width ``n`` (a fresh one when None), and return it.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
-    and fades.
+    and fades.  Each array is filled in place by the same stream calls and
+    float operations, in the same order, as a freshly allocated one.
     """
-    m, hops = topo.node_count, topo.hop_count
+    if draws is None:
+        draws = _Draws.empty(topo, pairing, n)
+    draws.gains.clear()
+    hops = topo.hop_count
 
     # 1. harvest uniforms of nodes 2..M, compared with rho on resolution
-    u_eh = rng.random((m - 1, n))
+    rng.random(out=draws.u_eh)
 
-    # 2. device activity per slot
-    active = np.empty((hops, n), dtype=bool)
+    # 2. device activity per slot; the hop fades are drawn next, so their
+    # rows hold the activity uniforms meanwhile
     for t in range(1, hops + 1):
         p_active = -math.expm1(log_null_probability(
             topo.density_active, topo.disk_radii[t - 1]))
-        active[t - 1] = rng.random(n) < p_active
+        u = draws.hop_fades[t - 1]
+        rng.random(out=u)
+        np.less(u, p_active, out=draws.active[t - 1])
 
     # 3. hop fades; each doubles as the receiving node's harvest input
-    hop_fades = rng.standard_exponential((hops, n))
+    rng.standard_exponential(out=draws.hop_fades)
 
-    # 4. device geometry and fades
-    device_dist, device_fade = [], []
-    if pairing == "com":
-        for t in range(1, hops + 1):
+    # 4. device geometry and fades; a bare chain draws none
+    for t in range(1, hops + 1):
+        dist = draws.device_dist[t - 1]
+        radius = topo.disk_radii[t - 1]
+        if pairing == "com":
+            # radius / kt * sqrt((k - 1)^2 + (2k - 1) u) in subarea k
             kt = topo.subarea_counts[t - 1]
-            radius = topo.disk_radii[t - 1]
-            u = rng.random((kt, n))
             ks = np.arange(1, kt + 1, dtype=float)[:, None]
-            device_dist.append(radius / kt * np.sqrt((ks - 1.0) ** 2
-                                                     + (2.0 * ks - 1.0) * u))
-            device_fade.append(rng.standard_exponential((kt, n)))
-    elif pairing == "qom":
-        for t in range(1, hops + 1):
-            radius = topo.disk_radii[t - 1]
+            rng.random(out=dist)
+            dist *= 2.0 * ks - 1.0
+            dist += (ks - 1.0) ** 2
+            np.sqrt(dist, out=dist)
+            dist *= radius / kt
+        elif pairing == "qom":
+            # contact law truncated to the disk, valid given activity:
+            # sqrt(-log1p(-u * -expm1(-a)) / (pi lambda))
             a = math.pi * topo.density_active * radius * radius
-            u = rng.random(n)
-            # contact law truncated to the disk, valid given activity
-            dist = np.sqrt(-np.log1p(-u * -math.expm1(-a))
-                           / (math.pi * topo.density_active))
-            device_dist.append(dist[None, :])
-            device_fade.append(rng.standard_exponential((1, n)))
-    else:
-        device_dist = [np.zeros((0, n))] * hops
-        device_fade = [np.zeros((0, n))] * hops
-    return _Draws(u_eh=u_eh, active=active, hop_fades=hop_fades,
-                  device_dist=device_dist, device_fade=device_fade)
+            rng.random(out=dist)
+            np.negative(dist, out=dist)
+            dist *= -math.expm1(-a)
+            np.log1p(dist, out=dist)
+            np.negative(dist, out=dist)
+            dist /= math.pi * topo.density_active
+            np.sqrt(dist, out=dist)
+        else:
+            continue
+        rng.standard_exponential(out=draws.device_fade[t - 1])
+    return draws
+
+
+class _Workspace:
+    """The arrays one draw group resolves into.  Each is allocated at the
+    workspace's full width on first use and refilled by every later
+    resolve, which reads and writes a ``[..., :n]`` view of it."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.arrays = {}
+
+    def take(self, name, rows: tuple, n: int, dtype=float) -> np.ndarray:
+        """Array ``name`` of shape ``rows + (n,)``; its values are stale."""
+        key = (name, rows, dtype)
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(rows + (self.width,), dtype=dtype)
+        return self.arrays[key][..., :n]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.arrays.values())
 
 
 def _rate(y, a, b, tf):
@@ -216,16 +270,20 @@ def _either(sel, masks):
 
 
 def _gate(x, mask):
-    """``np.where(mask, x, 1.0)`` as the masked product ``x*mask + ~mask``,
-    which does not branch per element on a random ``mask``.
+    """Set ``x`` to ``np.where(mask, x, 1.0)`` in place, as the masked
+    product ``x*mask + ~mask``, which does not branch per element on a
+    random ``mask``; returns ``x``.
 
     The two agree bit for bit where ``x`` is finite and not -0.0 (a
     product of non-negative factors never is); a row holding an inf or a
     NaN, where ``inf*0`` would give NaN, keeps ``np.where``.
     """
     if np.isfinite(x).all():
-        return x * mask + ~mask
-    return np.where(mask, x, 1.0)
+        x *= mask
+        x += ~mask
+    else:
+        x[...] = np.where(mask, x, 1.0)
+    return x
 
 
 def _holds(y, tf, terms):
@@ -276,14 +334,20 @@ def _chain(y, tfs, sel, terms, counts):
     return ok
 
 
-def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
+def _resolve(scenario: Scenario, draws: _Draws, n: int,
+             work: _Workspace | None = None) -> _Block:
     """Resolve every decode event of one scenario in the first ``n`` trials
     of shared draws, which it reads through views.
 
     The devices drawn for slot t are the device messages the plan lists
     for it, in plan order: one SIC chain decodes com and qom slots alike,
-    and the pairing enters only through the draws.
+    and the pairing enters only through the draws.  The block's arrays and
+    full-width temporaries are views of ``work`` (a fresh workspace of
+    width ``n`` when None), so the next resolve into ``work`` overwrites
+    them; every element is written before it is read.
     """
+    if work is None:
+        work = _Workspace(n)
     topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
     budget = scenario.budget
     m, hops = topo.node_count, topo.hop_count
@@ -293,30 +357,25 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     active = draws.active[:, :n]
     hop_fades = draws.hop_fades[:, :n]
 
-    indicators = np.empty((m - 1, n), dtype=bool)
-    for row in range(m - 1):
-        indicators[row] = draws.u_eh[row, :n] < policy.rho1(row + 2)
+    indicators = work.take("indicators", (m - 1,), n, bool)
+    for r in range(m - 1):
+        np.less(draws.u_eh[r, :n], policy.rho1(r + 2), out=indicators[r])
 
-    # 5. transmit power chain, in units of P0
-    powers = np.ones((hops, n))
-    chain = np.ones(n)
+    # 5. transmit power chain, in units of P0: row t is row t-1 times the
+    # hop gain, where node t harvested
+    powers = work.take("powers", (hops,), n)
+    powers[0] = 1.0
     for t in range(2, hops + 1):
-        gain = omega_factor(policy) \
-            * pathloss_linear(topo.hop_distances[t - 2], budget) \
-            * hop_fades[t - 2]
-        chain = _gate(chain * gain, indicators[t - 2])
-        powers[t - 1] = chain
+        np.multiply(hop_fades[t - 2], omega_factor(policy)
+                    * pathloss_linear(topo.hop_distances[t - 2], budget),
+                    out=powers[t - 1])
+        powers[t - 1] *= powers[t - 2]
+        _gate(powers[t - 1], indicators[t - 2])
 
     # 6. receiver adjustments: harvesting at the receiving relay either
     # compresses the information window, giving each trial one of two time
     # factors, or splits the received power
     recv = indicators[:hops]
-    if bteh:
-        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
-        split = 1.0
-    else:
-        tfs = (1.0 / (m - 1),)
-        split = 1.0 - policy.beta * recv
     counts = [0, 0]
 
     def decode(y, t, terms):
@@ -325,48 +384,72 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int) -> _Block:
     # 7. hop decoding; with devices present, the relayed message is decoded
     # over the device messages the plan lists
     ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
-    hop_snr = g0 * powers * ell_hop * hop_fades
-    eff = hop_snr if bteh else hop_snr * split
+    hop_snr = work.take("hop_snr", (hops,), n)
+    np.multiply(g0, powers, out=hop_snr)
+    hop_snr *= ell_hop
+    hop_snr *= hop_fades
+    if bteh:
+        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
+        eff = hop_snr
+    else:
+        tfs = (1.0 / (m - 1),)
+        # hop_snr times the power split 1 - beta * recv
+        eff = work.take("eff", (hops,), n)
+        np.multiply(recv, policy.beta, out=eff)
+        np.subtract(1.0, eff, out=eff)
+        eff *= hop_snr
     relayed = (p_m, 1.0 - p_m, plan.relay_rate)
-    hop_ok = np.empty((hops, n), dtype=bool)
+    hop_ok = work.take("hop_ok", (hops,), n, bool)
     for t in range(1, hops + 1):
         hop_ok[t - 1] = decode(eff[t - 1], t, [(1.0, 0.0, plan.relay_rate)])
         if p_m < 1.0:
             hop_ok[t - 1] = _either(active[t - 1], [
                 hop_ok[t - 1], decode(eff[t - 1], t, [relayed])])
-    prefix_ok = hop_ok.copy()
+    prefix_ok = work.take("prefix_ok", (hops,), n, bool)
+    np.copyto(prefix_ok, hop_ok)
     for t in range(1, hops):
         prefix_ok[t] &= prefix_ok[t - 1]
     # slot t serves its devices iff its transmitter holds the message,
     # i.e. hops 1..t-1 all succeeded; the slot's own hop is a separate event
-    msg_ok = np.vstack([np.ones((1, n), dtype=bool), prefix_ok[:-1]])
+    msg_ok = work.take("msg_ok", (hops,), n, bool)
+    msg_ok[0] = True
+    msg_ok[1:] = prefix_ok[:-1]
 
     # 8. device decoding: every device first peels the relayed message off
     # the superposition, then every weaker-protected message n > k the plan
     # lists, then its own; a qom slot lists its one device
     device_snr, device_ok = [], []
-    throughput = plan.relay_rate * prefix_ok[-1].astype(float)
+    row = work.take("row", (), n)  # one row of float scratch
+    throughput = work.take("throughput", (), n)
+    np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
     device_gain = draws.device_gain(budget)
     for t in range(1, hops + 1):
         ell_dev = device_gain[t - 1][:, :n]
         fade = draws.device_fade[t - 1][:, :n]
         served = active[t - 1]
         count = ell_dev.shape[0]
-        snr = g0 * powers[t - 1] * ell_dev * fade
-        ok = np.empty((count, n), dtype=bool)
+        snr = work.take(("device_snr", t), (count,), n)
+        np.multiply(g0, powers[t - 1], out=row)
+        np.multiply(row, ell_dev, out=snr)
+        snr *= fade
+        ok = work.take(("device_ok", t), (count,), n, bool)
         shares = plan.device_shares[t - 1]
         targets = plan.device_rates[t - 1]
         below = np.cumsum((0.0,) + shares)
         for k in range(count, 0, -1):
             peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
                      for nn in range(count, k - 1, -1)]
-            ok[k - 1] = served & decode(snr[k - 1], t, [relayed] + peels)
-            throughput += targets[k - 1] * (msg_ok[t - 1] & ok[k - 1])
+            np.bitwise_and(served, decode(snr[k - 1], t, [relayed] + peels),
+                           out=ok[k - 1])
+            np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1], out=row)
+            throughput += row
         device_snr.append(snr)
         device_ok.append(ok)
 
     throughput /= m - 1
-    supply_units = hops - indicators[:hops - 1].sum(axis=0)
+    supply_units = work.take("supply_units", (), n, np.int64)
+    np.sum(indicators[:hops - 1], axis=0, out=supply_units)
+    np.subtract(hops, supply_units, out=supply_units)
     return _Block(n=n, indicators=indicators, active=active, powers=powers,
                   hop_snr=hop_snr, hop_ok=hop_ok, device_snr=device_snr,
                   device_ok=device_ok, prefix_ok=prefix_ok, msg_ok=msg_ok,
@@ -474,20 +557,24 @@ def simulate_plan(runs) -> dict:
         failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
         # blocks are always drawn in full so a longer run extends a shorter
         # one, and resolved only as wide as the scenario's longest run
-        # reads; one draw set and one resolved block are alive at a time
+        # reads; one draw set and one resolve workspace, each allocated at
+        # full width on first use, are refilled for every block and
+        # scenario of the group and freed with it
+        draws, work = None, _Workspace(BLOCK_SIZE)
         for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
-            draws = None
+            pending = True
             for s in cuts:
                 width = min(BLOCK_SIZE, max(cuts[s]) - b * BLOCK_SIZE)
                 if s in failed or width <= 0:
                     continue
                 try:
-                    if draws is None:
+                    if pending:
                         draws = _draw(topo, pairing, _block_rng(seed, b),
-                                      BLOCK_SIZE)
+                                      BLOCK_SIZE, draws)
                         drawn += 1
+                        pending = False
                     tick = time.perf_counter()
-                    block = _resolve(s, draws, width)
+                    block = _resolve(s, draws, width, work)
                     for n in cuts[s]:
                         if n > b * BLOCK_SIZE:
                             tallies[s, seed, n].add(
@@ -503,10 +590,12 @@ def simulate_plan(runs) -> dict:
                     spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
-                         "resolved, %d trials resolved in %.3f s; %s",
+                         "resolved, %d trials resolved in %.3f s, "
+                         "%d workspace bytes allocated once; %s",
                          pairing or "bare", seed, drawn, len(cuts),
                          sum(v[1] for v in spent.values()),
                          time.perf_counter() - start,
+                         work.nbytes + (0 if draws is None else draws.nbytes),
                          ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
                                    f"({g} in guard bands, {e} whole-row rate "
                                    "tests)"

@@ -21,6 +21,8 @@ no result: a kernel returns the very float it returns without one.
 from __future__ import annotations
 
 import collections
+import heapq
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Tuple
@@ -218,20 +220,27 @@ def _contour_value(family: Family, x: float, tol: float, table) -> float:
 
 # --- residue series ---------------------------------------------------------
 
-def _cluster(rungs) -> list:
+def _cluster(rungs):
     """The first ``_MAX_POLES`` left poles, descending (closest to zero
-    first), in runs of neighbours closer than ``_CLUSTER_GAP``."""
-    poles = [-(first + j) / slope for first, slope in rungs
-             for j in range(_MAX_POLES)]
-    if len(rungs) > 1:  # one rung is already distinct and descending
-        poles = sorted(set(poles), reverse=True)[:_MAX_POLES]
-    clusters = [[poles[0]]]
-    for p in poles[1:]:
-        if clusters[-1][-1] - p < _CLUSTER_GAP:
-            clusters[-1].append(p)
+    first), in runs of neighbours closer than ``_CLUSTER_GAP``, yielded one
+    run at a time so that a walk which settles early builds no more."""
+    # each generator binds its own rung as it is created
+    ladders = [(-(first + j) / slope for first, slope in [rung]
+                for j in range(_MAX_POLES)) for rung in rungs]
+    poles = ladders[0]
+    if len(ladders) > 1:  # one rung is already distinct and descending
+        poles = itertools.islice(
+            (p for p, _ in itertools.groupby(heapq.merge(*ladders,
+                                                         reverse=True))),
+            _MAX_POLES)
+    run = [next(poles)]
+    for p in poles:
+        if run[-1] - p < _CLUSTER_GAP:
+            run.append(p)
         else:
-            clusters.append([p])
-    return clusters
+            yield run
+            run = [p]
+    yield run
 
 
 def _circle_residue_sum(num, den, logx, center, radius, table) -> float:
@@ -252,17 +261,19 @@ def _residue_sum(family: Family, x: float, table) -> float:
     num, den = family.num, family.den
     logx = math.log(x)
     clusters = _cluster(family.rungs)
-    # distances to whatever lies outside each cluster (neighbours and s=0)
+    # distances to whatever lies outside each cluster (neighbours and s=0),
+    # reading one cluster ahead
     acc = 0.0
     quiet = 0
-    for i, cl in enumerate(clusters):
+    before, cl = None, next(clusters)
+    for after in itertools.chain(clusters, [None]):
         center = 0.5 * (cl[0] + cl[-1])
         span = cl[0] - cl[-1]
         out_dist = -cl[0] if cl[0] != 0.0 else math.inf
-        if i > 0:
-            out_dist = min(out_dist, clusters[i - 1][-1] - cl[0])
-        if i + 1 < len(clusters):
-            out_dist = min(out_dist, cl[-1] - clusters[i + 1][0])
+        if before is not None:
+            out_dist = min(out_dist, before[-1] - cl[0])
+        if after is not None:
+            out_dist = min(out_dist, cl[-1] - after[0])
         margin = min(0.2, 3.0 / max(1.0, abs(logx)), 0.45 * out_dist)
         if margin <= 1e-9:
             raise KernelConvergenceError(
@@ -276,6 +287,7 @@ def _residue_sum(family: Family, x: float, table) -> float:
                 return acc
         else:
             quiet = 0
+        before, cl = cl, after
     raise KernelConvergenceError(
         f"residue ladder did not converge for family {family.kind!r} at x={x}",
         achieved=abs(contrib), target=_RESIDUE_REL_TOL * max(abs(acc), 1e-300))

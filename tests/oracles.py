@@ -645,7 +645,8 @@ def residue_asymptote(x: float, n: int) -> float:
     return 1.0 - sf.residue_asymptote_cdf(x, n)
 
 
-# --- specfun: the contour scan one candidate and one panel at a time ---
+# --- specfun: the pole ladder at once, the contour scan one candidate and
+# one panel at a time ---
 
 def pick_abscissa_by_candidate(num, den, window, logx, table) -> float:
     """:func:`nomarelay.specfun._pick_abscissa` scoring each candidate on
@@ -663,6 +664,22 @@ def pick_abscissa_by_candidate(num, den, window, logx, table) -> float:
         if val < best_val:
             best, best_val = c, val
     return best
+
+
+def cluster_eagerly(rungs) -> list:
+    """:func:`nomarelay.specfun._cluster` as one list: every rung's first
+    ``_MAX_POLES`` poles, merged by a set and a sort and clustered at once."""
+    poles = [-(first + j) / slope for first, slope in rungs
+             for j in range(sf._MAX_POLES)]
+    if len(rungs) > 1:
+        poles = sorted(set(poles), reverse=True)[:sf._MAX_POLES]
+    clusters = [[poles[0]]]
+    for p in poles[1:]:
+        if clusters[-1][-1] - p < sf._CLUSTER_GAP:
+            clusters[-1].append(p)
+        else:
+            clusters.append([p])
+    return clusters
 
 
 def contour_value_by_panel(family, x: float, tol: float, table=None) -> float:

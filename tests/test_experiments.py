@@ -660,6 +660,12 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
     assert {k: len(g) for k, g in guards.items()} \
         == {"com": 3, "qom": 3, "bare": 1}
     assert all(exact == "0" for g in guards.values() for _, exact in g)
+    # each group allocates its draw set and workspace once, at full block
+    # width; more device rows take more bytes
+    spaces = {g.split(" ", 1)[0]: int(re.search(
+        r"(\d+) workspace bytes allocated once", g).group(1)) for g in groups}
+    assert all(size % montecarlo.BLOCK_SIZE == 0 for size in spaces.values())
+    assert spaces["com"] > spaces["qom"] > spaces["bare"] > 0
 
 
 # sha256 of the simulated device cross-check tables at 140,000 outage and
@@ -691,9 +697,9 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
         draws.append(args)
         return draw(*args)
 
-    def resolve(scenario, shared, n, resolve=montecarlo._resolve):
+    def resolve(scenario, shared, n, *work, resolve=montecarlo._resolve):
         widths.append(n)
-        return resolve(scenario, shared, n)
+        return resolve(scenario, shared, n, *work)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_resolve", resolve)
@@ -704,6 +710,8 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
     # block, and tcom/tqom/pcom/pqom at 3 rho values plus the rho-free
     # com-noeh/qom-noeh/cnrr make 15 scenarios
     assert (len(draws), len(widths)) == (3 * 4, 15 * 4)
+    # each group allocates one draw set and refills it for its 4 blocks
+    assert [args[4:] for args in draws].count((None,)) == 3
     # the last block is resolved only as far as the 200,000-trial run reads
     tail = 200_000 - 3 * montecarlo.BLOCK_SIZE
     assert sorted(set(widths)) == [tail, montecarlo.BLOCK_SIZE]
@@ -719,10 +727,10 @@ def test_simulation_failure_fails_only_its_scheme(monkeypatch):
     clean = run_sweep(config, source="both")
     resolve = montecarlo._resolve
 
-    def refuse_pcom(scenario, draws, n):
+    def refuse_pcom(scenario, draws, n, *work):
         if scenario.scheme is Scheme.PCOM:
             raise FloatingPointError("refused")
-        return resolve(scenario, draws, n)
+        return resolve(scenario, draws, n, *work)
 
     monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
     result = run_sweep(config, source="both")

@@ -162,6 +162,20 @@ def test_specfun_keeps_no_module_level_cache():
                 or (isinstance(value, np.ndarray) and value.flags.writeable)]
 
 
+def test_montecarlo_keeps_no_module_level_buffer():
+    # a draw set and a resolve workspace live only as long as one
+    # simulate_plan call, and no allocator setting is made
+    module_level = {name: value for name, value in vars(montecarlo).items()
+                    if not name.startswith("__")}
+    assert not [name for name, value in module_level.items()
+                if isinstance(value, (MutableMapping, MutableSequence,
+                                      MutableSet, montecarlo._Draws,
+                                      montecarlo._Workspace))
+                or (isinstance(value, np.ndarray) and value.flags.writeable)]
+    assert not re.search(r"\b(ctypes|mallopt)\b",
+                         Path(montecarlo.__file__).read_text())
+
+
 def test_simulator_derives_its_own_thresholds():
     # the simulator stays a route independent of the closed-form layer
     tree = ast.parse(Path(montecarlo.__file__).read_text())

@@ -291,14 +291,79 @@ def test_credited_device_messages_nest_in_earlier_hops(pairing):
     assert (credited > 0) == (pairing != "bare")
 
 
+# a gain of 1e300 at 1 m overflows the power chain to inf where nodes 2 and
+# 3 both harvest, so slot 3's row takes the gate's np.where fallback
+HOT_TCOM = dataclasses.replace(TCOM, budget=LinkBudget(
+    P0=1e-3, sigma2=noise_power_w(1e7), G_r=-1500.0, G_t=-1500.0))
+# one alternation of BTEH and PS scenarios per pairing (PS adds the power
+# split); full, partial and full widths in turn
+REUSE_GROUPS = {
+    "com": (TCOM, scenario(Scheme.PCOM), HOT_TCOM, STEEP_TCOM),
+    "qom": (TQOM, scenario(Scheme.PQOM), scenario(Scheme.QOM_NOEH, rho=0.0)),
+    "bare": (BARE,),
+}
+REUSE_WIDTHS = (montecarlo.BLOCK_SIZE, 3_392, 34_464, montecarlo.BLOCK_SIZE)
+
+
+def _spoil(arrays):
+    """Stale values every refill must overwrite: NaN in each float array,
+    -1 in each count, the complement of each mask."""
+    for a in arrays:
+        if a.dtype == bool:
+            np.logical_not(a, out=a)
+        else:
+            a.fill(np.nan if a.dtype.kind == "f" else -1)
+
+
+def _draw_arrays(draws):
+    return [draws.u_eh, draws.active, draws.hop_fades, *draws.device_dist,
+            *draws.device_fade]
+
+
+@pytest.mark.parametrize("pairing", sorted(REUSE_GROUPS))
+def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
+    group = REUSE_GROUPS[pairing]
+    topo, width = group[0].topology, montecarlo.BLOCK_SIZE
+    draws, work = None, montecarlo._Workspace(width)
+    for b, n in enumerate(REUSE_WIDTHS):
+        if draws is not None:
+            _spoil(_draw_arrays(draws))
+        draws = montecarlo._draw(topo, pairing, montecarlo._block_rng(43, b),
+                                 width, draws)
+        fresh = montecarlo._draw(topo, pairing, montecarlo._block_rng(43, b),
+                                 width)
+        for got, want in zip(_draw_arrays(draws), _draw_arrays(fresh)):
+            assert got.tobytes() == want.tobytes(), (b, n)
+        for s in group:
+            _spoil(work.arrays.values())
+            with np.errstate(over="ignore"):
+                got = montecarlo._resolve(s, draws, n, work)
+                want = montecarlo._resolve(s, fresh, n)
+            assert (got.n, got.guard_counts) == (n, want.guard_counts)
+            for name in ARRAY_FIELDS:
+                pairs = zip(getattr(got, name), getattr(want, name)) \
+                    if name in ("device_snr", "device_ok") \
+                    else [(getattr(got, name), getattr(want, name))]
+                for a, b_ in pairs:
+                    assert a.dtype == b_.dtype and a.shape == b_.shape
+                    assert a.tobytes() == b_.tobytes(), (s.scheme, n, name)
+            if s is HOT_TCOM:
+                assert np.isinf(got.powers[2]).any()
+    # the workspace is allocated once, at full width
+    assert work.nbytes % width == 0
+    assert all(a.shape[-1] == width for a in work.arrays.values())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(min_value=0.0, allow_infinity=False),
                           st.booleans()), min_size=1, max_size=64))
 def test_gate_equals_where_on_finite_non_negative_rows(cells):
     x = np.array([value for value, _ in cells])
     mask = np.array([bit for _, bit in cells])
-    assert montecarlo._gate(x, mask).tobytes() \
-        == np.where(mask, x, 1.0).tobytes()
+    want = np.where(mask, x, 1.0)
+    # the gate overwrites its row and hands it back
+    assert montecarlo._gate(x, mask) is x
+    assert x.tobytes() == want.tobytes()
 
 
 def test_gate_keeps_where_on_a_row_that_is_not_finite():
@@ -307,8 +372,8 @@ def test_gate_keeps_where_on_a_row_that_is_not_finite():
     # the masked product alone turns inf * 0 into NaN
     with np.errstate(invalid="ignore"):
         assert np.isnan((x * mask + ~mask)[1])
-    assert montecarlo._gate(x, mask).tobytes() \
-        == np.where(mask, x, 1.0).tobytes()
+    want = np.where(mask, x, 1.0)
+    assert montecarlo._gate(x, mask).tobytes() == want.tobytes()
 
 
 def test_plan_keeps_failures_to_their_runs():

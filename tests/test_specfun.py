@@ -28,6 +28,7 @@ from oracles import (
     FoxSpec,
     MeijerSpec,
     annulus_kernel,
+    cluster_eagerly,
     contour_value_by_panel,
     family,
     fox_h,
@@ -438,6 +439,43 @@ def test_contour_stops_at_the_per_panel_cap(x):
             contour_value_by_panel(family(kind), x, 0.0)
         assert str(chunked.value) == str(by_panel.value)
         assert chunked.value.achieved == by_panel.value.achieved
+
+
+# one rung; two rungs whose poles coincide (theta 1, 2), interleave (0.95,
+# 1.7, 0.5) or crowd within the cluster gap (0.97); the product PDF's
+# ladder starts at the pole s = 0
+@pytest.mark.parametrize("rungs", [
+    ((1.0, 1.0),), ((0.0, 1.0),),
+    *[((1.0, 1.0), (1.0, theta)) for theta in (1.0, 2.0, 0.95, 1.7, 0.5,
+                                                0.97, 0.9774996210662569)]])
+def test_lazy_cluster_walk_equals_the_eager_ladder(rungs):
+    walk = list(sf._cluster(rungs))
+    assert walk == cluster_eagerly(rungs)
+    assert [p for cl in walk for p in cl] \
+        == [p for cl in cluster_eagerly(rungs) for p in cl]
+
+
+def test_residue_walk_builds_clusters_one_ahead(monkeypatch):
+    # a walk that settles after a few clusters builds one more, not all
+    built = []
+    real = sf._cluster
+
+    def counted(rungs):
+        for cl in real(rungs):
+            built.append(cl)
+            yield cl
+
+    monkeypatch.setattr(sf, "_cluster", counted)
+    table = sf.LogGammaTable()
+    for kind in (("ccdf", 3), ("annulus", 2, C_EXP),
+                 ("z_kernel", 2, 0.95, 1.3)):
+        fam = family(kind)
+        built.clear()
+        sf._residue_sum(fam, 2e-4, table)
+        integrated = {key[0][1] for key in table if key[0][0] == "ring"}
+        assert len(built) <= len(integrated) + 1 < len(
+            cluster_eagerly(fam.rungs)), kind
+        table.clear()
 
 
 def test_pick_abscissa_evaluates_the_integrand_once(monkeypatch):
