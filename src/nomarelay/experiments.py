@@ -376,9 +376,7 @@ class _PointContext:
     def __init__(self, config: RunConfig, scheme: Scheme, value,
                  core: _SweepCore):
         self.config = config
-        self.scheme = scheme
         self.value = value
-        self.bandwidth_hz = config.bandwidth_hz
         self.scenario = _build_scenario(config, scheme, value)
         self.core = core
         self._twin = None
@@ -398,7 +396,7 @@ class _PointContext:
 
     def _per_watt(self, scenario, rate: float) -> float:
         """Energy efficiency of ``rate``: bits per joule of supply power."""
-        return self.bandwidth_hz * rate / analytics.supply_power(
+        return self.config.bandwidth_hz * rate / analytics.supply_power(
             scenario.budget, scenario.policy)
 
     def _efficiency(self, scenario, asymptotic=False) -> float:
@@ -423,22 +421,22 @@ class _PointContext:
 
     # -- simulated side ---------------------------------------------------
 
-    def simulation_runs(self, selector, seed: int) -> list:
+    def simulation_runs(self, selector) -> list:
         """The ``(scenario, seed, trials)`` runs a simulated row reads."""
         cfg, s = self.config, self.scenario
         if selector[0] not in _SCALAR_METRICS:
-            return [(s, seed, cfg.trials_outage)]
-        runs = [(s, seed, cfg.trials_throughput)]
+            return [(s, cfg.seed, cfg.trials_outage)]
+        runs = [(s, cfg.seed, cfg.trials_throughput)]
         if selector[0] == "eed" and s.policy.is_harvesting:
-            runs.append((self.twin, seed + _TWIN_SEED_OFFSET,
+            runs.append((self.twin, cfg.seed + _TWIN_SEED_OFFSET,
                          cfg.trials_throughput))
         return runs
 
-    def simulated(self, selector, seed: int) -> montecarlo.Estimate:
+    def simulated(self, selector) -> montecarlo.Estimate:
         s = self.scenario
         kind = selector[0]
         tallies = [self.core.tallies[run]
-                   for run in self.simulation_runs(selector, seed)]
+                   for run in self.simulation_runs(selector)]
         for tal in tallies:
             if isinstance(tal, Exception):
                 raise tal
@@ -457,7 +455,7 @@ class _PointContext:
         if kind == "eed":
             if not s.policy.is_harvesting:
                 return montecarlo.Estimate(0.0, 0.0, tp.trials)
-            scale = self.bandwidth_hz
+            scale = self.config.bandwidth_hz
             p_tol = analytics.supply_power(s.budget, s.policy)
             p0 = analytics.supply_power(self.twin.budget, self.twin.policy)
             tp0 = tallies[1].throughput()
@@ -483,7 +481,7 @@ class _PointContext:
             return sigma3 + floor
         if kind == "device":
             allowance = 0.0
-            if selector[2] is None and self.scheme.pairing == "qom":
+            if selector[2] is None:
                 allowance = 2.0 * max(
                     _nearest_fit(self.core.fits, self.scenario, t).fit_error
                     for t in range(1, self.scenario.topology.hop_count + 1))
@@ -571,22 +569,23 @@ def run_sweep(config: RunConfig, *, source: str = "both",
         core.tallies = montecarlo.simulate_plan(
             run for *_, ctx in points if isinstance(ctx, _PointContext)
             for selector in selectors
-            for run in ctx.simulation_runs(selector, config.seed))
+            for run in ctx.simulation_runs(selector))
     for value, scheme, ctx in points:
         if isinstance(ctx, Exception):
             result.failures.append(
                 (value, scheme.value, "*", f"{type(ctx).__name__}: {ctx}"))
             continue
         for metric, selector in zip(config.sweep.metrics, selectors):
-            _emit_point(ctx, metric, selector, source, config.seed, result)
+            _emit_point(ctx, metric, selector, source, result)
     core.kernels.log_summary()
     return result
 
 
 def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
-                seed: int, result: SweepResult) -> None:
+                result: SweepResult) -> None:
+    scheme = ctx.scenario.scheme.value
     base = dict(sweep_var=ctx.config.sweep.variable, value=repr(ctx.value),
-                scheme=ctx.scheme.value, metric=metric, seed=seed)
+                scheme=scheme, metric=metric, seed=ctx.config.seed)
 
     def row(row_source, mean, half_width=0.0, trials=0):
         result.rows.append(ResultRow(source=row_source, mean=mean,
@@ -597,7 +596,7 @@ def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
         # a failed value keeps its row in the table, as NaN
         if row_source is not None:
             row(row_source, math.nan, math.nan)
-        result.failures.append((ctx.value, ctx.scheme.value, metric,
+        result.failures.append((ctx.value, scheme, metric,
                                 f"{type(exc).__name__}: {exc}"))
 
     analytic_value = None
@@ -614,7 +613,7 @@ def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
                 fail(exc, "asymptotic")
     if source in ("mc", "both"):
         try:
-            estimate = ctx.simulated(selector, seed)
+            estimate = ctx.simulated(selector)
         except Exception as exc:
             fail(exc, "mc")
             return
@@ -630,7 +629,7 @@ def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
             gap = abs(analytic_value - estimate.mean)
             if gap > margin:
                 result.flagged.append(
-                    (ctx.value, ctx.scheme.value, metric, analytic_value,
+                    (ctx.value, scheme, metric, analytic_value,
                      estimate.mean, gap, margin))
 
 

@@ -20,11 +20,11 @@ resolution works trial by trial, so a resolved prefix equals the same
 prefix of a full-width resolve.  A sweep plans its simulation once
 (:func:`simulate_plan`): shorter trial counts are tallied as prefixes of
 longer ones, and scenarios sharing pairing, topology and seed resolve the
-same draws, with unchanged results.  Each such draw group allocates one
-draw set and one resolve workspace (:class:`_Workspace`) at full block
-width and refills them in place, through ``out=`` stream calls and
-ufuncs in the same float order, for every block and scenario; a partial
-last block reads a prefix view, and the buffers are freed with the group.
+same draws, with unchanged results.  Each such draw group fills one
+buffer set (:class:`_Buffers`), allocated at full block width, in place
+through ``out=`` stream calls and ufuncs in the same float order, for
+every block and scenario; a partial last block reads a prefix view, and
+the set is freed with its group, before the next group allocates.
 :func:`simulate` runs one scenario alone through the same plan.  Both
 yield :class:`Tallies`, whose ``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,35 +105,38 @@ class _Block:
             setattr(self, name, kw[name])
 
 
-@dataclass(eq=False)
-class _Draws:
-    """Random numbers of one block: they depend only on the pairing,
-    topology, seed and block index.  A draw group refills one draw set
-    for every block (:func:`_draw`)."""
+class _Buffers:
+    """Every array one draw group fills, at the group's full ``width``: the
+    random numbers of one block, which depend only on the pairing,
+    topology, seed and block index (:func:`_draw`), the device path gains
+    per (L, eps), and the arrays :func:`_resolve` writes, allocated on
+    first use (:meth:`take`).  A group refills one set for every block and
+    scenario; a resolve reads and writes ``[..., :n]`` views of it."""
 
-    u_eh: np.ndarray
-    active: np.ndarray
-    hop_fades: np.ndarray
-    device_dist: list
-    device_fade: list
-    gains: dict = field(default_factory=dict)
+    def __init__(self, scenario: Scenario, width: int):
+        topo, hops = scenario.topology, scenario.topology.hop_count
+        self.topology, self.pairing = topo, scenario.scheme.pairing
+        self.width = width
+        self.u_eh = np.empty((topo.node_count - 1, width))
+        self.active = np.empty((hops, width), dtype=bool)
+        self.hop_fades = np.empty((hops, width))
+        counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
+        self.device_dist = [np.empty((k, width)) for k in counts]
+        self.device_fade = [np.empty((k, width)) for k in counts]
+        self.gains, self.arrays = {}, {}
 
-    @classmethod
-    def empty(cls, topo, pairing, n: int) -> "_Draws":
-        """A draw set of width ``n``, its arrays not yet filled."""
-        m, hops = topo.node_count, topo.hop_count
-        counts = {"com": topo.subarea_counts,
-                  "qom": (1,) * hops}.get(pairing, (0,) * hops)
-        return cls(u_eh=np.empty((m - 1, n)),
-                   active=np.empty((hops, n), dtype=bool),
-                   hop_fades=np.empty((hops, n)),
-                   device_dist=[np.empty((k, n)) for k in counts],
-                   device_fade=[np.empty((k, n)) for k in counts])
+    def take(self, name, rows: tuple, n: int, dtype=float) -> np.ndarray:
+        """Array ``name`` of shape ``rows + (n,)``; its values are stale."""
+        key = (name, rows, dtype)
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(rows + (self.width,), dtype=dtype)
+        return self.arrays[key][..., :n]
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in [self.u_eh, self.active, self.hop_fades,
-                                      *self.device_dist, *self.device_fade])
+                                      *self.device_dist, *self.device_fade,
+                                      *self.arrays.values()])
 
     def device_gain(self, budget) -> list:
         """Path gain of every drawn device distance, once per (L, eps) and
@@ -144,39 +148,37 @@ class _Draws:
         return self.gains[key]
 
 
-def _draw(topo, pairing, rng: np.random.Generator, n: int,
-          draws: _Draws | None = None) -> _Draws:
-    """Draw every random element of ``n`` relaying blocks into ``draws``, a
-    draw set of width ``n`` (a fresh one when None), and return it.
+def _draw(buffers: _Buffers, rng: np.random.Generator) -> None:
+    """Draw every random element of as many relaying blocks as ``buffers``
+    is wide into it, in place.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
     and fades.  Each array is filled in place by the same stream calls and
     float operations, in the same order, as a freshly allocated one.
     """
-    if draws is None:
-        draws = _Draws.empty(topo, pairing, n)
-    draws.gains.clear()
+    buffers.gains.clear()
+    topo, pairing = buffers.topology, buffers.pairing
     hops = topo.hop_count
 
     # 1. harvest uniforms of nodes 2..M, compared with rho on resolution
-    rng.random(out=draws.u_eh)
+    rng.random(out=buffers.u_eh)
 
     # 2. device activity per slot; the hop fades are drawn next, so their
     # rows hold the activity uniforms meanwhile
     for t in range(1, hops + 1):
         p_active = -math.expm1(log_null_probability(
             topo.density_active, topo.disk_radii[t - 1]))
-        u = draws.hop_fades[t - 1]
+        u = buffers.hop_fades[t - 1]
         rng.random(out=u)
-        np.less(u, p_active, out=draws.active[t - 1])
+        np.less(u, p_active, out=buffers.active[t - 1])
 
     # 3. hop fades; each doubles as the receiving node's harvest input
-    rng.standard_exponential(out=draws.hop_fades)
+    rng.standard_exponential(out=buffers.hop_fades)
 
     # 4. device geometry and fades; a bare chain draws none
     for t in range(1, hops + 1):
-        dist = draws.device_dist[t - 1]
+        dist = buffers.device_dist[t - 1]
         radius = topo.disk_radii[t - 1]
         if pairing == "com":
             # radius / kt * sqrt((k - 1)^2 + (2k - 1) u) in subarea k
@@ -200,29 +202,7 @@ def _draw(topo, pairing, rng: np.random.Generator, n: int,
             np.sqrt(dist, out=dist)
         else:
             continue
-        rng.standard_exponential(out=draws.device_fade[t - 1])
-    return draws
-
-
-class _Workspace:
-    """The arrays one draw group resolves into.  Each is allocated at the
-    workspace's full width on first use and refilled by every later
-    resolve, which reads and writes a ``[..., :n]`` view of it."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.arrays = {}
-
-    def take(self, name, rows: tuple, n: int, dtype=float) -> np.ndarray:
-        """Array ``name`` of shape ``rows + (n,)``; its values are stale."""
-        key = (name, rows, dtype)
-        if key not in self.arrays:
-            self.arrays[key] = np.empty(rows + (self.width,), dtype=dtype)
-        return self.arrays[key][..., :n]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays.values())
+        rng.standard_exponential(out=buffers.device_fade[t - 1])
 
 
 def _rate(y, a, b, tf):
@@ -334,36 +314,32 @@ def _chain(y, tfs, sel, terms, counts):
     return ok
 
 
-def _resolve(scenario: Scenario, draws: _Draws, n: int,
-             work: _Workspace | None = None) -> _Block:
+def _resolve(scenario: Scenario, buffers: _Buffers, n: int) -> _Block:
     """Resolve every decode event of one scenario in the first ``n`` trials
     of shared draws, which it reads through views.
 
     The devices drawn for slot t are the device messages the plan lists
     for it, in plan order: one SIC chain decodes com and qom slots alike,
-    and the pairing enters only through the draws.  The block's arrays and
-    full-width temporaries are views of ``work`` (a fresh workspace of
-    width ``n`` when None), so the next resolve into ``work`` overwrites
-    them; every element is written before it is read.
+    and the pairing enters only through the buffers.  The block's arrays and
+    temporaries are views of ``buffers``, so the next resolve into them
+    overwrites them; every element is written before it is read.
     """
-    if work is None:
-        work = _Workspace(n)
     topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
     budget = scenario.budget
     m, hops = topo.node_count, topo.hop_count
     g0 = budget.gamma_bar0
     bteh = policy.architecture == "BTEH"
     p_m = plan.relay_share
-    active = draws.active[:, :n]
-    hop_fades = draws.hop_fades[:, :n]
+    active = buffers.active[:, :n]
+    hop_fades = buffers.hop_fades[:, :n]
 
-    indicators = work.take("indicators", (m - 1,), n, bool)
+    indicators = buffers.take("indicators", (m - 1,), n, bool)
     for r in range(m - 1):
-        np.less(draws.u_eh[r, :n], policy.rho1(r + 2), out=indicators[r])
+        np.less(buffers.u_eh[r, :n], policy.rho1(r + 2), out=indicators[r])
 
     # 5. transmit power chain, in units of P0: row t is row t-1 times the
     # hop gain, where node t harvested
-    powers = work.take("powers", (hops,), n)
+    powers = buffers.take("powers", (hops,), n)
     powers[0] = 1.0
     for t in range(2, hops + 1):
         np.multiply(hop_fades[t - 2], omega_factor(policy)
@@ -384,7 +360,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int,
     # 7. hop decoding; with devices present, the relayed message is decoded
     # over the device messages the plan lists
     ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
-    hop_snr = work.take("hop_snr", (hops,), n)
+    hop_snr = buffers.take("hop_snr", (hops,), n)
     np.multiply(g0, powers, out=hop_snr)
     hop_snr *= ell_hop
     hop_snr *= hop_fades
@@ -394,24 +370,24 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int,
     else:
         tfs = (1.0 / (m - 1),)
         # hop_snr times the power split 1 - beta * recv
-        eff = work.take("eff", (hops,), n)
+        eff = buffers.take("eff", (hops,), n)
         np.multiply(recv, policy.beta, out=eff)
         np.subtract(1.0, eff, out=eff)
         eff *= hop_snr
     relayed = (p_m, 1.0 - p_m, plan.relay_rate)
-    hop_ok = work.take("hop_ok", (hops,), n, bool)
+    hop_ok = buffers.take("hop_ok", (hops,), n, bool)
     for t in range(1, hops + 1):
         hop_ok[t - 1] = decode(eff[t - 1], t, [(1.0, 0.0, plan.relay_rate)])
         if p_m < 1.0:
             hop_ok[t - 1] = _either(active[t - 1], [
                 hop_ok[t - 1], decode(eff[t - 1], t, [relayed])])
-    prefix_ok = work.take("prefix_ok", (hops,), n, bool)
+    prefix_ok = buffers.take("prefix_ok", (hops,), n, bool)
     np.copyto(prefix_ok, hop_ok)
     for t in range(1, hops):
         prefix_ok[t] &= prefix_ok[t - 1]
     # slot t serves its devices iff its transmitter holds the message,
     # i.e. hops 1..t-1 all succeeded; the slot's own hop is a separate event
-    msg_ok = work.take("msg_ok", (hops,), n, bool)
+    msg_ok = buffers.take("msg_ok", (hops,), n, bool)
     msg_ok[0] = True
     msg_ok[1:] = prefix_ok[:-1]
 
@@ -419,20 +395,20 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int,
     # the superposition, then every weaker-protected message n > k the plan
     # lists, then its own; a qom slot lists its one device
     device_snr, device_ok = [], []
-    row = work.take("row", (), n)  # one row of float scratch
-    throughput = work.take("throughput", (), n)
+    row = buffers.take("row", (), n)  # one row of float scratch
+    throughput = buffers.take("throughput", (), n)
     np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
-    device_gain = draws.device_gain(budget)
+    device_gain = buffers.device_gain(budget)
     for t in range(1, hops + 1):
         ell_dev = device_gain[t - 1][:, :n]
-        fade = draws.device_fade[t - 1][:, :n]
+        fade = buffers.device_fade[t - 1][:, :n]
         served = active[t - 1]
         count = ell_dev.shape[0]
-        snr = work.take(("device_snr", t), (count,), n)
+        snr = buffers.take(("device_snr", t), (count,), n)
         np.multiply(g0, powers[t - 1], out=row)
         np.multiply(row, ell_dev, out=snr)
         snr *= fade
-        ok = work.take(("device_ok", t), (count,), n, bool)
+        ok = buffers.take(("device_ok", t), (count,), n, bool)
         shares = plan.device_shares[t - 1]
         targets = plan.device_rates[t - 1]
         below = np.cumsum((0.0,) + shares)
@@ -447,7 +423,7 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int,
         device_ok.append(ok)
 
     throughput /= m - 1
-    supply_units = work.take("supply_units", (), n, np.int64)
+    supply_units = buffers.take("supply_units", (), n, np.int64)
     np.sum(indicators[:hops - 1], axis=0, out=supply_units)
     np.subtract(hops, supply_units, out=supply_units)
     return _Block(n=n, indicators=indicators, active=active, powers=powers,
@@ -459,15 +435,16 @@ def _resolve(scenario: Scenario, draws: _Draws, n: int,
 
 @dataclass
 class Tallies:
-    """Event counts and moment sums of one simulated run of ``scenario``."""
+    """Event counts and moment sums of one simulated run of ``scenario``:
+    the successes of each decode event, keyed by its outage selector
+    (``decoded``), and each slot's active-disk trials (``present``).  A
+    device event implies its disk is active, so its failures are
+    ``present`` minus its successes."""
 
     scenario: Scenario
     trials: int = 0
-    hop_fail: dict = field(default_factory=dict)
-    present: dict = field(default_factory=dict)
-    device_fail: dict = field(default_factory=dict)
-    e2e_destination_fail: int = 0
-    e2e_device_fail: dict = field(default_factory=dict)
+    decoded: Counter = field(default_factory=Counter)
+    present: Counter = field(default_factory=Counter)
     throughput_sum: float = 0.0
     throughput_sumsq: float = 0.0
     supply_w_sum: float = 0.0
@@ -477,23 +454,18 @@ class Tallies:
         """Count the first ``used`` trials of one resolved block."""
         cut = slice(0, used)
         self.trials += used
+        decoded = self.decoded
         for t in range(1, self.scenario.topology.hop_count + 1):
             row = block.hop_ok[t - 1, cut]
-            self.hop_fail[t] = self.hop_fail.get(t, 0) + used \
-                - int(np.count_nonzero(row))
-            served = block.active[t - 1, cut]
-            self.present[t] = self.present.get(t, 0) \
-                + int(np.count_nonzero(served))
+            decoded["hop", t] += int(np.count_nonzero(row))
+            self.present[t] += int(np.count_nonzero(block.active[t - 1, cut]))
+            msg = block.msg_ok[t - 1, cut]
             for k, ok in zip(self.scenario.served(t), block.device_ok[t - 1]):
-                key = (t, k)
-                fail = served & ~ok[cut]
-                self.device_fail[key] = self.device_fail.get(key, 0) \
-                    + int(np.count_nonzero(fail))
-                e2e_fail = served & ~(ok[cut] & block.msg_ok[t - 1, cut])
-                self.e2e_device_fail[key] = self.e2e_device_fail.get(key, 0) \
-                    + int(np.count_nonzero(e2e_fail))
-        self.e2e_destination_fail += used \
-            - int(np.count_nonzero(block.prefix_ok[-1, cut]))
+                decoded["device", t, k] += int(np.count_nonzero(ok[cut]))
+                decoded["e2e_device", t, k] += int(np.count_nonzero(
+                    ok[cut] & msg))
+        decoded["e2e_destination",] += int(np.count_nonzero(
+            block.prefix_ok[-1, cut]))
         tp = block.throughput[cut]
         self.throughput_sum += float(tp.sum())
         self.throughput_sumsq += float((tp * tp).sum())
@@ -510,13 +482,9 @@ class Tallies:
         conditioning trials.
         """
         kind, args = self.scenario.check_selector(selector)
-        if kind == "e2e_destination":
-            return Estimate.from_binomial(self.e2e_destination_fail,
-                                          self.trials)
-        if kind == "hop":
-            return Estimate.from_binomial(self.hop_fail[args[0]], self.trials)
-        table = self.device_fail if kind == "device" else self.e2e_device_fail
-        return Estimate.from_binomial(table[args], self.present[args[0]])
+        base = self.present[args[0]] if kind in ("device", "e2e_device") \
+            else self.trials
+        return Estimate.from_binomial(base - self.decoded[(kind, *args)], base)
 
     def throughput(self) -> Estimate:
         """Mean delivered rate per block from exact joint end-to-end events."""
@@ -551,58 +519,56 @@ def simulate_plan(runs) -> dict:
         else:
             groups.setdefault((scenario.scheme.pairing, scenario.topology,
                                seed), {}).setdefault(scenario, set()).add(n)
-    for (pairing, topo, seed), cuts in groups.items():
-        tallies = {(s, seed, n): Tallies(s)
-                   for s in cuts for n in cuts[s]}
-        failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
-        # blocks are always drawn in full so a longer run extends a shorter
-        # one, and resolved only as wide as the scenario's longest run
-        # reads; one draw set and one resolve workspace, each allocated at
-        # full width on first use, are refilled for every block and
-        # scenario of the group and freed with it
-        draws, work = None, _Workspace(BLOCK_SIZE)
-        for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
-            pending = True
-            for s in cuts:
-                width = min(BLOCK_SIZE, max(cuts[s]) - b * BLOCK_SIZE)
-                if s in failed or width <= 0:
-                    continue
-                try:
-                    if pending:
-                        draws = _draw(topo, pairing, _block_rng(seed, b),
-                                      BLOCK_SIZE, draws)
-                        drawn += 1
-                        pending = False
-                    tick = time.perf_counter()
-                    block = _resolve(s, draws, width, work)
-                    for n in cuts[s]:
-                        if n > b * BLOCK_SIZE:
-                            tallies[s, seed, n].add(
-                                block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
-                    guarded = block.guard_counts
-                    del block
-                except Exception as exc:
-                    failed[s] = exc
-                    continue
-                # seconds, trials, trials in guard bands, whole-row tests
-                done = (time.perf_counter() - tick, width, *guarded)
-                spent[s.scheme.value] = tuple(map(sum, zip(
-                    spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
-                         "resolved, %d trials resolved in %.3f s, "
-                         "%d workspace bytes allocated once; %s",
-                         pairing or "bare", seed, drawn, len(cuts),
-                         sum(v[1] for v in spent.values()),
-                         time.perf_counter() - start,
-                         work.nbytes + (0 if draws is None else draws.nbytes),
-                         ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
-                                   f"({g} in guard bands, {e} whole-row rate "
-                                   "tests)"
-                                   for k, (t, n, g, e) in spent.items()))
-        out.update({run: failed.get(run[0], tal)
-                    for run, tal in tallies.items()})
+    for (_, _, seed), cuts in groups.items():
+        out.update(_simulate_group(seed, cuts))
     return out
+
+
+def _simulate_group(seed: int, cuts: dict) -> dict:
+    """Tallies of one draw group's runs, ``cuts`` mapping each scenario to
+    its trial counts at ``seed``.  Blocks are drawn in full, so a longer
+    run extends a shorter one, and resolved only as wide as the longest
+    run reads.  The group's buffer set and every block's views of it are
+    freed on return, before the next group allocates its own."""
+    tallies = {(s, seed, n): Tallies(s) for s in cuts for n in cuts[s]}
+    failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
+    buffers = _Buffers(next(iter(cuts)), BLOCK_SIZE)
+    for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
+        pending = True
+        for s in cuts:
+            width = min(BLOCK_SIZE, max(cuts[s]) - b * BLOCK_SIZE)
+            if s in failed or width <= 0:
+                continue
+            try:
+                if pending:
+                    _draw(buffers, _block_rng(seed, b))
+                    drawn += 1
+                    pending = False
+                tick = time.perf_counter()
+                block = _resolve(s, buffers, width)
+                for n in cuts[s]:
+                    if n > b * BLOCK_SIZE:
+                        tallies[s, seed, n].add(
+                            block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+            except Exception as exc:
+                failed[s] = exc
+                continue
+            # seconds, trials, trials in guard bands, whole-row tests
+            done = (time.perf_counter() - tick, width, *block.guard_counts)
+            spent[s.scheme.value] = tuple(map(sum, zip(
+                spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
+                     "resolved, %d trials resolved in %.3f s, "
+                     "%d workspace bytes allocated once; %s",
+                     buffers.pairing or "bare", seed, drawn, len(cuts),
+                     sum(v[1] for v in spent.values()),
+                     time.perf_counter() - start, buffers.nbytes,
+                     ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
+                               f"({g} in guard bands, {e} whole-row rate "
+                               "tests)"
+                               for k, (t, n, g, e) in spent.items()))
+    return {run: failed.get(run[0], tal) for run, tal in tallies.items()}
 
 
 def simulate(scenario: Scenario, n_trials: int, seed: int) -> Tallies:

@@ -219,8 +219,9 @@ class TrialOutcome:
 
 def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):
     """Draw and resolve ``n`` independent relaying blocks."""
-    return montecarlo._resolve(scenario, montecarlo._draw(
-        scenario.topology, scenario.scheme.pairing, rng, n), n)
+    buffers = montecarlo._Buffers(scenario, n)
+    montecarlo._draw(buffers, rng)
+    return montecarlo._resolve(scenario, buffers, n)
 
 
 _LN2 = math.log(2.0)

@@ -660,8 +660,8 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
     assert {k: len(g) for k, g in guards.items()} \
         == {"com": 3, "qom": 3, "bare": 1}
     assert all(exact == "0" for g in guards.values() for _, exact in g)
-    # each group allocates its draw set and workspace once, at full block
-    # width; more device rows take more bytes
+    # each group allocates its buffer set once, at full block width; more
+    # device rows take more bytes
     spaces = {g.split(" ", 1)[0]: int(re.search(
         r"(\d+) workspace bytes allocated once", g).group(1)) for g in groups}
     assert all(size % montecarlo.BLOCK_SIZE == 0 for size in spaces.values())
@@ -693,13 +693,13 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
     draws, widths = [], []
 
-    def draw(*args, draw=montecarlo._draw):
-        draws.append(args)
-        return draw(*args)
+    def draw(buffers, rng, draw=montecarlo._draw):
+        draws.append(buffers)
+        return draw(buffers, rng)
 
-    def resolve(scenario, shared, n, *work, resolve=montecarlo._resolve):
+    def resolve(scenario, buffers, n, resolve=montecarlo._resolve):
         widths.append(n)
-        return resolve(scenario, shared, n, *work)
+        return resolve(scenario, buffers, n)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_resolve", resolve)
@@ -710,8 +710,8 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
     # block, and tcom/tqom/pcom/pqom at 3 rho values plus the rho-free
     # com-noeh/qom-noeh/cnrr make 15 scenarios
     assert (len(draws), len(widths)) == (3 * 4, 15 * 4)
-    # each group allocates one draw set and refills it for its 4 blocks
-    assert [args[4:] for args in draws].count((None,)) == 3
+    # each group allocates one buffer set and refills it for its 4 blocks
+    assert len({id(buffers) for buffers in draws}) == 3
     # the last block is resolved only as far as the 200,000-trial run reads
     tail = 200_000 - 3 * montecarlo.BLOCK_SIZE
     assert sorted(set(widths)) == [tail, montecarlo.BLOCK_SIZE]

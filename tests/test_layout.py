@@ -54,14 +54,18 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
 # second ways into one route: per-call wrappers around SlotMarginals and
 # around a process-global cache of simulated runs; per-threshold harvest-run
 # enumeration and argument checks, now one run table per slot; a second
-# selector grammar, now read from the scenario by both routes
+# selector grammar, now read from the scenario by both routes; a draw set
+# and a resolve workspace, now one buffer set per draw group; a failure
+# table per event kind, now one success count per selector
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
                   "energy_efficiency", "_chain_gains", "_check_argument",
                   "_SELECTOR_ARITY"),
     "montecarlo": ("estimate_outage", "estimate_throughput",
                    "estimate_supply_power", "_accumulate", "_Tallies",
-                   "lru_cache"),
+                   "lru_cache", "_Draws", "_Workspace", "Tallies.hop_fail",
+                   "Tallies.device_fail", "Tallies.e2e_destination_fail",
+                   "Tallies.e2e_device_fail"),
 }
 REMOVED_PARAMETERS = {
     "empty_annulus": (montecarlo.simulate, montecarlo.simulate_plan,
@@ -83,6 +87,10 @@ REMOVED_PARAMETERS = {
                    analytics.mrtr),
     "scheme": (analytics.decoding_thresholds,),
     "t": (power.omega_factor,),
+    # a draw group fills and resolves into its one buffer set
+    "n": (montecarlo._draw,),
+    "draws": (montecarlo._draw,),
+    "work": (montecarlo._resolve,),
 }
 
 
@@ -90,11 +98,20 @@ def _fields(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def _defines(library, name) -> bool:
+    """Whether ``library`` holds ``name``, or, for ``Class.field``, whether
+    the dataclass ``Class`` has that field."""
+    owner, _, field = name.rpartition(".")
+    if owner:
+        return field in _fields(getattr(library, owner))
+    return hasattr(library, name)
+
+
 def test_library_holds_only_the_model():
     for module, names in DELETED.items():
         library = importlib.import_module(f"nomarelay.{module}")
         for name in names:
-            assert not hasattr(library, name), f"{module}.{name}"
+            assert not _defines(library, name), f"{module}.{name}"
     # no process-global memo keeps simulated runs between calls
     assert not [name for name, value in vars(montecarlo).items()
                 if hasattr(value, "cache_info")]
@@ -140,7 +157,7 @@ def test_library_holds_only_the_model():
     assert not hasattr(LinkBudget, "with_p0")
     assert not hasattr(Scheme, "serves_devices")
     assert "com_present" not in montecarlo._Block.__slots__
-    assert "com_present" not in _fields(montecarlo._Draws)
+    assert "com_present" not in inspect.getsource(montecarlo._Buffers)
     # decode events are threshold comparisons; no tally reads a rate
     assert not {"hop_rates", "device_rates"} & set(montecarlo._Block.__slots__)
     assert hasattr(oracles, "reference_decode")
@@ -163,14 +180,13 @@ def test_specfun_keeps_no_module_level_cache():
 
 
 def test_montecarlo_keeps_no_module_level_buffer():
-    # a draw set and a resolve workspace live only as long as one
-    # simulate_plan call, and no allocator setting is made
+    # a buffer set lives only as long as its draw group, and no allocator
+    # setting is made
     module_level = {name: value for name, value in vars(montecarlo).items()
                     if not name.startswith("__")}
     assert not [name for name, value in module_level.items()
                 if isinstance(value, (MutableMapping, MutableSequence,
-                                      MutableSet, montecarlo._Draws,
-                                      montecarlo._Workspace))
+                                      MutableSet, montecarlo._Buffers))
                 or (isinstance(value, np.ndarray) and value.flags.writeable)]
     assert not re.search(r"\b(ctypes|mallopt)\b",
                          Path(montecarlo.__file__).read_text())

@@ -8,6 +8,7 @@ approximation's documented envelope applies.
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -241,19 +242,21 @@ ARRAY_FIELDS = [name for name in montecarlo._Block.__slots__
                 if name not in ("n", "guard_counts")]
 
 
-def _shared_draws(group):
-    s = group[0]
-    return montecarlo._draw(s.topology, s.scheme.pairing,
-                            montecarlo._block_rng(43, 0),
-                            montecarlo.BLOCK_SIZE)
+def _drawn(s, b=0):
+    """A full-width buffer set for ``s`` holding block ``b`` of seed 43."""
+    buffers = montecarlo._Buffers(s, montecarlo.BLOCK_SIZE)
+    montecarlo._draw(buffers, montecarlo._block_rng(43, b))
+    return buffers
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_prefix_resolve_equals_full_width_prefix(pairing):
     group = PAIRINGS[pairing]
-    draws = _shared_draws(group)
+    # a resolve overwrites the arrays of the last one into the same set, so
+    # the full width is resolved into a second set from the same stream
+    draws, whole = _drawn(group[0]), _drawn(group[0])
     for s in group:
-        full = montecarlo._resolve(s, draws, montecarlo.BLOCK_SIZE)
+        full = montecarlo._resolve(s, whole, montecarlo.BLOCK_SIZE)
         for n in PREFIX_WIDTHS:
             part = montecarlo._resolve(s, draws, n)
             assert part.n == n
@@ -278,11 +281,17 @@ def test_credited_device_messages_nest_in_earlier_hops(pairing):
     # a credited device message implies its transmitter received it, which
     # implies every earlier hop succeeded
     group = PAIRINGS[pairing]
-    draws = _shared_draws(group)
+    draws = _drawn(group[0])
     credited = 0
     for s in group:
         for n in PREFIX_WIDTHS:
             block = montecarlo._resolve(s, draws, n)
+            # a device decodes only where its disk is active, so a tally
+            # counts a device event's failures as active trials less its
+            # successes
+            for t in range(1, s.topology.hop_count + 1):
+                assert not np.any(block.device_ok[t - 1]
+                                  & ~block.active[t - 1]), (s.scheme, n, t)
             for t in range(2, s.topology.hop_count + 1):
                 served = block.msg_ok[t - 1] & block.device_ok[t - 1]
                 assert not np.any(served & ~block.prefix_ok[t - 2]), (
@@ -315,30 +324,27 @@ def _spoil(arrays):
             a.fill(np.nan if a.dtype.kind == "f" else -1)
 
 
-def _draw_arrays(draws):
-    return [draws.u_eh, draws.active, draws.hop_fades, *draws.device_dist,
-            *draws.device_fade]
+def _draw_arrays(buffers):
+    return [buffers.u_eh, buffers.active, buffers.hop_fades,
+            *buffers.device_dist, *buffers.device_fade]
 
 
 @pytest.mark.parametrize("pairing", sorted(REUSE_GROUPS))
 def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
     group = REUSE_GROUPS[pairing]
-    topo, width = group[0].topology, montecarlo.BLOCK_SIZE
-    draws, work = None, montecarlo._Workspace(width)
+    width = montecarlo.BLOCK_SIZE
+    reused = montecarlo._Buffers(group[0], width)
     for b, n in enumerate(REUSE_WIDTHS):
-        if draws is not None:
-            _spoil(_draw_arrays(draws))
-        draws = montecarlo._draw(topo, pairing, montecarlo._block_rng(43, b),
-                                 width, draws)
-        fresh = montecarlo._draw(topo, pairing, montecarlo._block_rng(43, b),
-                                 width)
-        for got, want in zip(_draw_arrays(draws), _draw_arrays(fresh)):
+        _spoil(_draw_arrays(reused) + list(reused.arrays.values()))
+        montecarlo._draw(reused, montecarlo._block_rng(43, b))
+        for got, want in zip(_draw_arrays(reused),
+                             _draw_arrays(_drawn(group[0], b))):
             assert got.tobytes() == want.tobytes(), (b, n)
         for s in group:
-            _spoil(work.arrays.values())
+            _spoil(reused.arrays.values())
             with np.errstate(over="ignore"):
-                got = montecarlo._resolve(s, draws, n, work)
-                want = montecarlo._resolve(s, fresh, n)
+                got = montecarlo._resolve(s, reused, n)
+                want = montecarlo._resolve(s, _drawn(s, b), n)
             assert (got.n, got.guard_counts) == (n, want.guard_counts)
             for name in ARRAY_FIELDS:
                 pairs = zip(getattr(got, name), getattr(want, name)) \
@@ -349,9 +355,56 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
                     assert a.tobytes() == b_.tobytes(), (s.scheme, n, name)
             if s is HOT_TCOM:
                 assert np.isinf(got.powers[2]).any()
-    # the workspace is allocated once, at full width
-    assert work.nbytes % width == 0
-    assert all(a.shape[-1] == width for a in work.arrays.values())
+    # the buffer set is allocated once, at full width
+    assert reused.nbytes % width == 0
+    assert all(a.shape[-1] == width
+               for a in _draw_arrays(reused) + list(reused.arrays.values()))
+
+
+def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
+    # a group's buffer set, and every block's views of it, are gone before
+    # the next group builds its own, so two groups' buffers never coexist
+    # at peak memory
+    alive, built = [], []
+    init, take = montecarlo._Buffers.__init__, montecarlo._Buffers.take
+    resolve, gain = montecarlo._resolve, montecarlo._Buffers.device_gain
+
+    def watch(arrays):
+        alive.extend(weakref.ref(a) for a in arrays)
+
+    def build(self, scenario, width):
+        assert not [ref for ref in alive if ref() is not None], len(built)
+        init(self, scenario, width)
+        built.append(scenario.scheme.pairing)
+        watch(_draw_arrays(self))
+
+    def take_watched(self, *args, **kw):
+        view = take(self, *args, **kw)
+        watch([view, view.base])
+        return view
+
+    def gain_watched(self, budget):
+        gains = gain(self, budget)
+        watch(gains)
+        return gains
+
+    def resolve_watched(scenario, buffers, n):
+        block = resolve(scenario, buffers, n)
+        watch(a for name in ARRAY_FIELDS for a in (
+            getattr(block, name) if name in ("device_snr", "device_ok")
+            else [getattr(block, name)]))
+        return block
+
+    monkeypatch.setattr(montecarlo._Buffers, "__init__", build)
+    monkeypatch.setattr(montecarlo._Buffers, "take", take_watched)
+    monkeypatch.setattr(montecarlo._Buffers, "device_gain", gain_watched)
+    monkeypatch.setattr(montecarlo, "_resolve", resolve_watched)
+    runs = [(s, 7, n) for s in (TCOM, scenario(Scheme.PCOM), TQOM, BARE)
+            for n in (1_000, 2_500)]
+    plan = simulate_plan(runs)
+    assert not [run for run in runs if isinstance(plan[run], Exception)]
+    assert built == ["com", "qom", None]
+    assert alive and not [ref for ref in alive if ref() is not None]
 
 
 @settings(max_examples=200, deadline=None)

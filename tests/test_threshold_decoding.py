@@ -36,7 +36,7 @@ def scenarios():
             for scheme in config.sweep.schemes:
                 ctx = experiments._PointContext(config, scheme, value, core)
                 for selector in selectors:
-                    for s, _, _ in ctx.simulation_runs(selector, config.seed):
+                    for s, _, _ in ctx.simulation_runs(selector):
                         found.setdefault(s, None)
     return list(found)
 
@@ -47,10 +47,10 @@ def test_threshold_decoding_equals_the_rate_route(scenarios):
         groups.setdefault((s.scheme.pairing, s.topology), []).append(s)
     flips, resolved = 0, 0
     for (pairing, topo), group in groups.items():
-        draws = montecarlo._draw(topo, pairing, montecarlo._block_rng(SEED, 0),
-                                 BLOCK_SIZE)
+        buffers = montecarlo._Buffers(group[0], BLOCK_SIZE)
+        montecarlo._draw(buffers, montecarlo._block_rng(SEED, 0))
         for s in group:
-            block = montecarlo._resolve(s, draws, BLOCK_SIZE)
+            block = montecarlo._resolve(s, buffers, BLOCK_SIZE)
             want = reference_decode(s, block)
             for name in ("hop_ok", "prefix_ok", "msg_ok", "throughput",
                          "supply_units"):
@@ -83,9 +83,8 @@ def chains(scenarios):
         for s in scenarios:
             key = (s.scheme.pairing, s.topology)
             if key not in draws:
-                draws[key] = montecarlo._draw(
-                    s.topology, s.scheme.pairing,
-                    montecarlo._block_rng(SEED, 0), 16)
+                draws[key] = montecarlo._Buffers(s, 16)
+                montecarlo._draw(draws[key], montecarlo._block_rng(SEED, 0))
             montecarlo._resolve(s, draws[key], 16)
     return sorted(seen)
 
