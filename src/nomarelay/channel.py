@@ -87,13 +87,19 @@ class LinkBudget:
         return self.P0 / self.sigma2
 
 
-def pathloss_linear(x: float, budget: LinkBudget) -> float:
-    """Linear path gain L (1/x)^epsilon at distance x in metres."""
+def pathloss_linear(x: float, budget: LinkBudget, out=None) -> float:
+    """Linear path gain L (1/x)^epsilon at distance x in metres; for an
+    array ``x``, written into ``out`` when given, in the same operations."""
     # a float skips the array round trip; NaN passes either way
     bad = x <= 0.0 if isinstance(x, float) else np.any(np.asarray(x) <= 0.0)
     if bad:
         raise ValueError(f"distance must be positive, got {x}")
-    return budget.L * (1.0 / x) ** budget.epsilon
+    if out is None:
+        return budget.L * (1.0 / x) ** budget.epsilon
+    np.divide(1.0, x, out=out)
+    out **= budget.epsilon
+    np.multiply(budget.L, out, out=out)
+    return out
 
 
 def ccdf_varphi_nearest_numeric(phi: float, disk: CoverageDisk,

@@ -60,6 +60,14 @@ _SCALAR_METRICS = ("throughput", "ee", "eed", "p_tol")
 _TWIN_SEED_OFFSET = 1_000_003
 
 
+def _simulated_read(selector) -> tuple:
+    """What a simulated row of ``selector`` reads of each of its runs: its
+    outage event, or the moment its scalar metric is built from."""
+    if selector[0] not in _SCALAR_METRICS:
+        return selector
+    return ("supply_power",) if selector[0] == "p_tol" else ("throughput",)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable with its grid, scheme list, and metric list."""
@@ -565,11 +573,16 @@ def run_sweep(config: RunConfig, *, source: str = "both",
             points.append((value, scheme, ctx))
     if source in ("mc", "both"):
         # one plan for the whole sweep: shorter runs are prefixes of longer
-        # ones and scenarios sharing pairing and topology share draws
-        core.tallies = montecarlo.simulate_plan(
-            run for *_, ctx in points if isinstance(ctx, _PointContext)
-            for selector in selectors
-            for run in ctx.simulation_runs(selector))
+        # ones, scenarios sharing pairing and topology share draws, and each
+        # run is tallied only for what its rows read
+        reads = {}
+        for *_, ctx in points:
+            if isinstance(ctx, _PointContext):
+                for selector in selectors:
+                    for run in ctx.simulation_runs(selector):
+                        reads.setdefault(run, set()).add(
+                            _simulated_read(selector))
+        core.tallies = montecarlo.simulate_plan(reads, reads)
     for value, scheme, ctx in points:
         if isinstance(ctx, Exception):
             result.failures.append(

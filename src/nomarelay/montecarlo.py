@@ -14,18 +14,24 @@ for bit.  Trials are vectorized in fixed-size blocks; block ``b`` of a
 run draws from its own counter-derived stream, so estimates are
 bit-identical however the blocks are distributed over workers, and a
 shorter run is a prefix of a longer one with the same seed.  Each block
-is drawn in full by :func:`_draw` and resolved per scenario by
-:func:`_resolve`, only as far as that scenario's longest run reads it:
-resolution works trial by trial, so a resolved prefix equals the same
-prefix of a full-width resolve.  A sweep plans its simulation once
+is drawn by :func:`_draw` and resolved per scenario by :func:`_resolve`,
+only as far as that scenario's longest run reads it: resolution works
+trial by trial, so a resolved prefix equals the same prefix of a
+full-width resolve.  A sweep plans its simulation once
 (:func:`simulate_plan`): shorter trial counts are tallied as prefixes of
-longer ones, and scenarios sharing pairing, topology and seed resolve the
-same draws, with unchanged results.  Each such draw group fills one
-buffer set (:class:`_Buffers`), allocated at full block width, in place
-through ``out=`` stream calls and ufuncs in the same float order, for
-every block and scenario; a partial last block reads a prefix view, and
-the set is freed with its group, before the next group allocates.
-:func:`simulate` runs one scenario alone through the same plan.  Both
+longer ones, scenarios sharing pairing, topology and seed resolve the
+same draws, and each run is tallied only for what its rows read.  A
+scenario decodes device messages in a block only if a run reading that
+block reads a device event or the throughput, and the block draws device
+geometry and fades, the last draws of its stream, only if some scenario
+decodes them, so the other draws are the same either way.  A plan entry
+therefore equals its run simulated alone on everything its rows read,
+and raises on anything else.  Each draw group fills one buffer set
+(:class:`_Buffers`), allocated at full block width, in place through
+``out=`` stream calls and ufuncs in the same float order, for every block
+and scenario; a partial last block reads a prefix view, and the set is
+freed with its group, before the next group allocates.  :func:`simulate`
+runs one scenario alone, tallied in full, through the same plan.  Both
 yield :class:`Tallies`, whose ``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
 between calls.
@@ -94,7 +100,9 @@ class Estimate:
 class _Block:
     """Raw per-trial arrays for one simulated block, and the number of
     trials decided inside a guard band and of rate tests decided by
-    ``_rate`` over a whole row (``guard_counts``)."""
+    ``_rate`` over a whole row (``guard_counts``).  A block resolved
+    without its devices holds None as ``device_snr``, ``device_ok`` and
+    ``throughput``."""
 
     __slots__ = ("n", "indicators", "active", "powers", "hop_snr", "hop_ok",
                  "device_snr", "device_ok", "prefix_ok", "msg_ok",
@@ -123,7 +131,10 @@ class _Buffers:
         counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
         self.device_dist = [np.empty((k, width)) for k in counts]
         self.device_fade = [np.empty((k, width)) for k in counts]
-        self.gains, self.arrays = {}, {}
+        # whether the last fill drew the device geometry and fades
+        self.devices = False
+        # gains of the current fill by (L, eps), in rows allocated once
+        self.gains, self.gain_rows, self.arrays = {}, {}, {}
 
     def take(self, name, rows: tuple, n: int, dtype=float) -> np.ndarray:
         """Array ``name`` of shape ``rows + (n,)``; its values are stale."""
@@ -134,30 +145,42 @@ class _Buffers:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in [self.u_eh, self.active, self.hop_fades,
-                                      *self.device_dist, *self.device_fade,
-                                      *self.arrays.values()])
+        return sum(a.nbytes for a in [
+            self.u_eh, self.active, self.hop_fades, *self.device_dist,
+            *self.device_fade, *self.arrays.values(),
+            *(row for rows in self.gain_rows.values() for row in rows)])
 
     def device_gain(self, budget) -> list:
         """Path gain of every drawn device distance, once per (L, eps) and
-        fill: :func:`_draw` empties ``gains``."""
+        fill (:func:`_draw` empties ``gains``), into rows the set owns."""
+        if not self.devices:
+            raise RuntimeError("this fill drew no device geometry")
         key = (budget.L, budget.epsilon)
         if key not in self.gains:
-            self.gains[key] = [pathloss_linear(dist, budget)
-                               for dist in self.device_dist]
+            if key not in self.gain_rows:
+                self.gain_rows[key] = [np.empty_like(dist)
+                                       for dist in self.device_dist]
+            self.gains[key] = [
+                pathloss_linear(dist, budget, out=row)
+                for dist, row in zip(self.device_dist, self.gain_rows[key])]
         return self.gains[key]
 
 
-def _draw(buffers: _Buffers, rng: np.random.Generator) -> None:
+def _draw(buffers: _Buffers, rng: np.random.Generator,
+          devices: bool = True) -> None:
     """Draw every random element of as many relaying blocks as ``buffers``
-    is wide into it, in place.
+    is wide into it, in place; the device geometry and fades only if
+    ``devices``.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
-    and fades.  Each array is filled in place by the same stream calls and
-    float operations, in the same order, as a freshly allocated one.
+    and fades.  The device draws come last in the block's own stream, so
+    a fill without them draws the rest unchanged.  Each array is filled in
+    place by the same stream calls and float operations, in the same
+    order, as a freshly allocated one.
     """
     buffers.gains.clear()
+    buffers.devices = devices
     topo, pairing = buffers.topology, buffers.pairing
     hops = topo.hop_count
 
@@ -177,6 +200,8 @@ def _draw(buffers: _Buffers, rng: np.random.Generator) -> None:
     rng.standard_exponential(out=buffers.hop_fades)
 
     # 4. device geometry and fades; a bare chain draws none
+    if not devices:
+        return
     for t in range(1, hops + 1):
         dist = buffers.device_dist[t - 1]
         radius = topo.disk_radii[t - 1]
@@ -314,9 +339,12 @@ def _chain(y, tfs, sel, terms, counts):
     return ok
 
 
-def _resolve(scenario: Scenario, buffers: _Buffers, n: int) -> _Block:
+def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
+             devices: bool = True) -> _Block:
     """Resolve every decode event of one scenario in the first ``n`` trials
-    of shared draws, which it reads through views.
+    of shared draws, which it reads through views; the device messages and
+    the throughput they add to only if ``devices``, else the block's
+    ``device_snr``, ``device_ok`` and ``throughput`` are None.
 
     The devices drawn for slot t are the device messages the plan lists
     for it, in plan order: one SIC chain decodes com and qom slots alike,
@@ -394,35 +422,39 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int) -> _Block:
     # 8. device decoding: every device first peels the relayed message off
     # the superposition, then every weaker-protected message n > k the plan
     # lists, then its own; a qom slot lists its one device
-    device_snr, device_ok = [], []
-    row = buffers.take("row", (), n)  # one row of float scratch
-    throughput = buffers.take("throughput", (), n)
-    np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
-    device_gain = buffers.device_gain(budget)
-    for t in range(1, hops + 1):
-        ell_dev = device_gain[t - 1][:, :n]
-        fade = buffers.device_fade[t - 1][:, :n]
-        served = active[t - 1]
-        count = ell_dev.shape[0]
-        snr = buffers.take(("device_snr", t), (count,), n)
-        np.multiply(g0, powers[t - 1], out=row)
-        np.multiply(row, ell_dev, out=snr)
-        snr *= fade
-        ok = buffers.take(("device_ok", t), (count,), n, bool)
-        shares = plan.device_shares[t - 1]
-        targets = plan.device_rates[t - 1]
-        below = np.cumsum((0.0,) + shares)
-        for k in range(count, 0, -1):
-            peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
-                     for nn in range(count, k - 1, -1)]
-            np.bitwise_and(served, decode(snr[k - 1], t, [relayed] + peels),
-                           out=ok[k - 1])
-            np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1], out=row)
-            throughput += row
-        device_snr.append(snr)
-        device_ok.append(ok)
+    device_snr = device_ok = throughput = None
+    if devices:
+        device_snr, device_ok = [], []
+        row = buffers.take("row", (), n)  # one row of float scratch
+        throughput = buffers.take("throughput", (), n)
+        np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
+        device_gain = buffers.device_gain(budget)
+        for t in range(1, hops + 1):
+            ell_dev = device_gain[t - 1][:, :n]
+            fade = buffers.device_fade[t - 1][:, :n]
+            served = active[t - 1]
+            count = ell_dev.shape[0]
+            snr = buffers.take(("device_snr", t), (count,), n)
+            np.multiply(g0, powers[t - 1], out=row)
+            np.multiply(row, ell_dev, out=snr)
+            snr *= fade
+            ok = buffers.take(("device_ok", t), (count,), n, bool)
+            shares = plan.device_shares[t - 1]
+            targets = plan.device_rates[t - 1]
+            below = np.cumsum((0.0,) + shares)
+            for k in range(count, 0, -1):
+                peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
+                         for nn in range(count, k - 1, -1)]
+                np.bitwise_and(served,
+                               decode(snr[k - 1], t, [relayed] + peels),
+                               out=ok[k - 1])
+                np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1],
+                            out=row)
+                throughput += row
+            device_snr.append(snr)
+            device_ok.append(ok)
+        throughput /= m - 1
 
-    throughput /= m - 1
     supply_units = buffers.take("supply_units", (), n, np.int64)
     np.sum(indicators[:hops - 1], axis=0, out=supply_units)
     np.subtract(hops, supply_units, out=supply_units)
@@ -433,15 +465,32 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int) -> _Block:
                   guard_counts=tuple(counts))
 
 
+# what a run's rows read besides its outage events: the moment sums the
+# scalar metrics are built from
+_MOMENTS = (("throughput",), ("supply_power",))
+_DEVICE_KINDS = ("device", "e2e_device")
+
+
 @dataclass
 class Tallies:
-    """Event counts and moment sums of one simulated run of ``scenario``:
-    the successes of each decode event, keyed by its outage selector
-    (``decoded``), and each slot's active-disk trials (``present``).  A
-    device event implies its disk is active, so its failures are
-    ``present`` minus its successes."""
+    """Event counts and moment sums of one simulated run of ``scenario``,
+    for what its rows read (``reads``): the successes of each decode event
+    read, keyed by its outage selector ``(kind, *args)`` (``decoded``),
+    the active-disk trials of each slot whose device events are read
+    (``present``), and the throughput and supply-power moment sums if
+    read.  A device event implies its disk is active, so its failures are
+    ``present`` minus its successes.
+
+    ``reads`` holds outage selectors in :meth:`Scenario.check_selector`
+    form and the moments ``("throughput",)`` and ``("supply_power",)``;
+    None reads every event the scenario has and both moments.  A selector
+    the scenario rejects is left out, so reading it raises the scenario's
+    error.  Reading what was not tallied raises ``ValueError``, never a
+    partial count.
+    """
 
     scenario: Scenario
+    reads: frozenset = None
     trials: int = 0
     decoded: Counter = field(default_factory=Counter)
     present: Counter = field(default_factory=Counter)
@@ -450,28 +499,67 @@ class Tallies:
     supply_w_sum: float = 0.0
     supply_w_sumsq: float = 0.0
 
+    def __post_init__(self):
+        s = self.scenario
+        if self.reads is None:
+            hops = range(1, s.topology.hop_count + 1)
+            self.reads = [("hop", t) for t in hops] + [("e2e_destination",)] \
+                + [(kind, t, k) for t in hops for k in s.served(t)
+                   for kind in _DEVICE_KINDS] + list(_MOMENTS)
+        reads = set()
+        for read in map(tuple, self.reads):
+            if read not in _MOMENTS:
+                try:
+                    kind, args = s.check_selector(read)
+                except ValueError:
+                    continue
+                read = (kind, *args)
+            reads.add(read)
+        self.reads = frozenset(reads)
+
+    @property
+    def decodes_devices(self) -> bool:
+        """Whether the run reads a device event or the throughput, which
+        sums the device rates: its blocks must decode device messages."""
+        return any(read[0] in _DEVICE_KINDS + ("throughput",)
+                   for read in self.reads)
+
     def add(self, block: _Block, used: int) -> None:
-        """Count the first ``used`` trials of one resolved block."""
+        """Count what the run reads of the first ``used`` trials of one
+        resolved block."""
         cut = slice(0, used)
         self.trials += used
-        decoded = self.decoded
-        for t in range(1, self.scenario.topology.hop_count + 1):
-            row = block.hop_ok[t - 1, cut]
-            decoded["hop", t] += int(np.count_nonzero(row))
+        slots = set()
+        for read in self.reads:
+            kind = read[0]
+            if kind == "hop":
+                row = block.hop_ok[read[1] - 1, cut]
+            elif kind == "e2e_destination":
+                row = block.prefix_ok[-1, cut]
+            elif kind in _DEVICE_KINDS:
+                t, k = read[1:]
+                slots.add(t)
+                row = block.device_ok[t - 1][
+                    self.scenario.served(t).index(k), cut]
+                if kind == "e2e_device":
+                    row = row & block.msg_ok[t - 1, cut]
+            else:
+                continue
+            self.decoded[read] += int(np.count_nonzero(row))
+        for t in slots:
             self.present[t] += int(np.count_nonzero(block.active[t - 1, cut]))
-            msg = block.msg_ok[t - 1, cut]
-            for k, ok in zip(self.scenario.served(t), block.device_ok[t - 1]):
-                decoded["device", t, k] += int(np.count_nonzero(ok[cut]))
-                decoded["e2e_device", t, k] += int(np.count_nonzero(
-                    ok[cut] & msg))
-        decoded["e2e_destination",] += int(np.count_nonzero(
-            block.prefix_ok[-1, cut]))
-        tp = block.throughput[cut]
-        self.throughput_sum += float(tp.sum())
-        self.throughput_sumsq += float((tp * tp).sum())
-        watts = self.scenario.budget.P0 * block.supply_units[cut]
-        self.supply_w_sum += float(watts.sum())
-        self.supply_w_sumsq += float((watts * watts).sum())
+        if ("throughput",) in self.reads:
+            tp = block.throughput[cut]
+            self.throughput_sum += float(tp.sum())
+            self.throughput_sumsq += float((tp * tp).sum())
+        if ("supply_power",) in self.reads:
+            watts = self.scenario.budget.P0 * block.supply_units[cut]
+            self.supply_w_sum += float(watts.sum())
+            self.supply_w_sumsq += float((watts * watts).sum())
+
+    def _check_read(self, read: tuple, selector) -> None:
+        if read not in self.reads:
+            raise ValueError(f"{selector!r} was not tallied for this run")
 
     def outage(self, selector) -> Estimate:
         """Outage estimate of one decode event.
@@ -482,17 +570,19 @@ class Tallies:
         conditioning trials.
         """
         kind, args = self.scenario.check_selector(selector)
-        base = self.present[args[0]] if kind in ("device", "e2e_device") \
-            else self.trials
+        self._check_read((kind, *args), selector)
+        base = self.present[args[0]] if kind in _DEVICE_KINDS else self.trials
         return Estimate.from_binomial(base - self.decoded[(kind, *args)], base)
 
     def throughput(self) -> Estimate:
         """Mean delivered rate per block from exact joint end-to-end events."""
+        self._check_read(("throughput",), "throughput")
         return Estimate.from_moments(self.throughput_sum,
                                      self.throughput_sumsq, self.trials)
 
     def supply_power(self) -> Estimate:
         """Mean grid-supplied transmit power in watts; harvests are free."""
+        self._check_read(("supply_power",), "supply_power")
         return Estimate.from_moments(self.supply_w_sum, self.supply_w_sumsq,
                                      self.trials)
 
@@ -503,14 +593,20 @@ def _block_rng(seed: int, b: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
-def simulate_plan(runs) -> dict:
+def simulate_plan(runs, reads=None) -> dict:
     """Tallies of every ``(scenario, seed, n_trials)`` run, as one plan.
 
-    Scenarios of one seed that share pairing and topology read the same
-    draws: each block is drawn once, resolved once per scenario and tallied
-    into every trial count asked of it, in block order, so each entry
-    equals its run simulated alone.  A failed run maps to its exception.
+    ``reads`` maps a run to what its rows read (see :class:`Tallies`); a
+    run without an entry is tallied in full.  Scenarios of one seed that
+    share pairing and topology read the same draws: each block is drawn
+    once, resolved once per scenario and tallied into every trial count
+    asked of it, in block order.  A block decodes a scenario's device
+    messages only if a run reading that block reads a device event or the
+    throughput, and draws device geometry only if some scenario decodes
+    them.  So each entry equals its run simulated alone on everything the
+    run reads.  A failed run maps to its exception.
     """
+    reads = reads or {}
     out, groups = {}, {}
     for scenario, seed, n in runs:
         if n <= 0:
@@ -518,7 +614,8 @@ def simulate_plan(runs) -> dict:
                 f"trial count must be positive, got {n}")
         else:
             groups.setdefault((scenario.scheme.pairing, scenario.topology,
-                               seed), {}).setdefault(scenario, set()).add(n)
+                               seed), {}).setdefault(scenario, {})[n] = \
+                Tallies(scenario, reads.get((scenario, seed, n)))
     for (_, _, seed), cuts in groups.items():
         out.update(_simulate_group(seed, cuts))
     return out
@@ -526,49 +623,63 @@ def simulate_plan(runs) -> dict:
 
 def _simulate_group(seed: int, cuts: dict) -> dict:
     """Tallies of one draw group's runs, ``cuts`` mapping each scenario to
-    its trial counts at ``seed``.  Blocks are drawn in full, so a longer
-    run extends a shorter one, and resolved only as wide as the longest
-    run reads.  The group's buffer set and every block's views of it are
-    freed on return, before the next group allocates its own."""
-    tallies = {(s, seed, n): Tallies(s) for s in cuts for n in cuts[s]}
-    failed, spent, drawn, start = {}, {}, 0, time.perf_counter()
+    the tallies of its runs at ``seed`` by trial count.  Blocks are drawn
+    in full, so a longer run extends a shorter one, and resolved only as
+    wide as the longest run reads.  The group's buffer set and every
+    block's views of it are freed on return, before the next group
+    allocates its own."""
+    failed, spent, start = {}, {}, time.perf_counter()
+    # blocks drawn, of them without device geometry; trials resolved
+    # without device decoding
+    drawn, hop_only, undecoded = 0, 0, 0
     buffers = _Buffers(next(iter(cuts)), BLOCK_SIZE)
     for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
+        lo = b * BLOCK_SIZE
+        # a scenario decodes its devices in block b only for a run reading
+        # the block that needs them; the block draws device geometry only
+        # for a scenario that decodes them
+        devices = {s: any(tal.decodes_devices
+                          for n, tal in tallies.items() if n > lo)
+                   for s, tallies in cuts.items() if s not in failed}
+        geometry = any(devices.values())
         pending = True
-        for s in cuts:
-            width = min(BLOCK_SIZE, max(cuts[s]) - b * BLOCK_SIZE)
+        for s, tallies in cuts.items():
+            width = min(BLOCK_SIZE, max(tallies) - lo)
             if s in failed or width <= 0:
                 continue
             try:
                 if pending:
-                    _draw(buffers, _block_rng(seed, b))
-                    drawn += 1
+                    _draw(buffers, _block_rng(seed, b), geometry)
+                    drawn, hop_only = drawn + 1, hop_only + (not geometry)
                     pending = False
                 tick = time.perf_counter()
-                block = _resolve(s, buffers, width)
-                for n in cuts[s]:
-                    if n > b * BLOCK_SIZE:
-                        tallies[s, seed, n].add(
-                            block, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+                block = _resolve(s, buffers, width, devices[s])
+                for n, tal in tallies.items():
+                    if n > lo:
+                        tal.add(block, min(BLOCK_SIZE, n - lo))
             except Exception as exc:
-                failed[s] = exc
+                # without its traceback, whose frames hold the buffer set
+                failed[s] = exc.with_traceback(None)
                 continue
+            undecoded += 0 if devices[s] else width
             # seconds, trials, trials in guard bands, whole-row tests
             done = (time.perf_counter() - tick, width, *block.guard_counts)
             spent[s.scheme.value] = tuple(map(sum, zip(
                 spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("%s draws, seed %d: %d blocks drawn, %d scenarios "
-                     "resolved, %d trials resolved in %.3f s, "
+        logger.debug("%s draws, seed %d: %d blocks drawn (%d without device "
+                     "geometry), %d scenarios resolved, %d trials resolved "
+                     "(%d without device decoding) in %.3f s, "
                      "%d workspace bytes allocated once; %s",
-                     buffers.pairing or "bare", seed, drawn, len(cuts),
-                     sum(v[1] for v in spent.values()),
+                     buffers.pairing or "bare", seed, drawn, hop_only,
+                     len(cuts), sum(v[1] for v in spent.values()), undecoded,
                      time.perf_counter() - start, buffers.nbytes,
                      ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
                                f"({g} in guard bands, {e} whole-row rate "
                                "tests)"
                                for k, (t, n, g, e) in spent.items()))
-    return {run: failed.get(run[0], tal) for run, tal in tallies.items()}
+    return {(s, seed, n): failed.get(s, tal)
+            for s, tallies in cuts.items() for n, tal in tallies.items()}
 
 
 def simulate(scenario: Scenario, n_trials: int, seed: int) -> Tallies:

@@ -83,6 +83,16 @@ def test_pathloss_db_linear_agree():
         assert abs(linear - from_db) / linear < 1e-9
 
 
+def test_pathloss_into_given_rows():
+    b = default_budget()
+    x = np.array([[1.0, 25.0, 200.0], [3.5, 77.0, 1e3]])
+    out = np.full_like(x, np.nan)
+    assert pathloss_linear(x, b, out=out) is out
+    assert out.tobytes() == pathloss_linear(x, b).tobytes()
+    with pytest.raises(ValueError, match="distance must be positive"):
+        pathloss_linear(np.array([50.0, 0.0]), b, out=np.empty(2))
+
+
 def test_pathloss_exceeds_unity_at_short_range():
     # the dB convention comes out as a gain > 1 near the transmitter; we keep
     # the formula as printed instead of patching it

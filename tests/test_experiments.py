@@ -653,6 +653,12 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
     resolved = {g.split(" ", 1)[0]: re.search(r"(\d+) trials resolved",
                                               g).group(1) for g in groups}
     assert resolved == {"com": "980000", "qom": "980000", "bare": "140000"}
+    # block 2 serves only the outage runs, which read no device event: it
+    # draws no device geometry and its 8,928 trials decode no device
+    skipped = {g.split(" ", 1)[0]: re.search(
+        r"\((\d+) without device geometry\).*\((\d+) without device "
+        r"decoding\)", g).groups() for g in groups}
+    assert skipped["com"] == skipped["qom"] == ("1", str(7 * 8_928))
     # every scheme reports its guard-band trials and whole-row rate tests;
     # every rate test of a shipped plan has a threshold
     guards = {g.split(" ", 1)[0]: re.findall(
@@ -691,15 +697,16 @@ def test_shipped_mc_device_tables_are_byte_identical(tmp_path, name):
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
-    draws, widths = [], []
+    draws, widths, geometry = [], [], {}
 
-    def draw(buffers, rng, draw=montecarlo._draw):
+    def draw(buffers, rng, devices, draw=montecarlo._draw):
         draws.append(buffers)
-        return draw(buffers, rng)
+        geometry.setdefault(buffers.pairing, []).append(devices)
+        return draw(buffers, rng, devices)
 
-    def resolve(scenario, buffers, n, resolve=montecarlo._resolve):
+    def resolve(scenario, buffers, n, devices, resolve=montecarlo._resolve):
         widths.append(n)
-        return resolve(scenario, buffers, n)
+        return resolve(scenario, buffers, n, devices)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_resolve", resolve)
@@ -717,6 +724,9 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
     assert sorted(set(widths)) == [tail, montecarlo.BLOCK_SIZE]
     assert widths.count(tail) == 15
     assert sum(widths) == 15 * 200_000
+    # blocks 2 and 3 serve only the outage runs, which read hop_op:2 and
+    # e2e_op:destination, so no scenario decodes devices there
+    assert geometry["com"] == geometry["qom"] == [True, True, False, False]
 
 
 def test_simulation_failure_fails_only_its_scheme(monkeypatch):

@@ -7,6 +7,7 @@ approximation's documented envelope applies.
 """
 
 import dataclasses
+import logging
 import math
 import weakref
 
@@ -388,8 +389,8 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
         watch(gains)
         return gains
 
-    def resolve_watched(scenario, buffers, n):
-        block = resolve(scenario, buffers, n)
+    def resolve_watched(scenario, buffers, n, devices):
+        block = resolve(scenario, buffers, n, devices)
         watch(a for name in ARRAY_FIELDS for a in (
             getattr(block, name) if name in ("device_snr", "device_ok")
             else [getattr(block, name)]))
@@ -427,6 +428,112 @@ def test_gate_keeps_where_on_a_row_that_is_not_finite():
         assert np.isnan((x * mask + ~mask)[1])
     want = np.where(mask, x, 1.0)
     assert montecarlo._gate(x, mask).tobytes() == want.tobytes()
+
+
+def test_failed_run_frees_its_buffers(monkeypatch):
+    # a failure is kept without the frames that raised it, which would
+    # hold its group's buffer set for as long as the plan's result lives
+    alive = []
+    resolve = montecarlo._resolve
+
+    def refuse_pcom(scenario, buffers, n, *devices):
+        alive.extend(weakref.ref(a) for a in _draw_arrays(buffers) + [
+            *buffers.arrays.values(),
+            *(row for rows in buffers.gain_rows.values() for row in rows)])
+        if scenario.scheme is Scheme.PCOM:
+            raise FloatingPointError("refused")
+        return resolve(scenario, buffers, n, *devices)
+
+    monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
+    runs = [(s, 7, 2_000) for s in (TCOM, scenario(Scheme.PCOM), TQOM)]
+    plan = simulate_plan(runs)
+    assert isinstance(plan[runs[1]], FloatingPointError)
+    assert plan[runs[0]].trials == plan[runs[2]].trials == 2_000
+    assert alive and not [ref for ref in alive if ref() is not None]
+
+
+PCOM = scenario(Scheme.PCOM)
+# what each run of a plan reads: block 1 of the com and bare groups serves
+# only runs that read no device event and no throughput, so the com group
+# draws no device geometry there; an entry the scenario rejects, a qom
+# device under com, is left out
+DEMAND = {
+    (TCOM, 41, 100_000): {("hop", 2), ("e2e_destination",)},
+    (TCOM, 41, 30_000): {("throughput",)},
+    (PCOM, 41, 30_000): {("device", 1, 2), ("e2e_device", 2, 1),
+                         ("supply_power",)},
+    (STEEP_TCOM, 41, 30_000): {("e2e_device", 3, 1), ("device", 1, None)},
+    (TQOM, 41, 100_000): {("device", 1, None), ("hop", 3)},
+    (BARE, 41, 100_000): {("supply_power",)},
+    (BARE, 41, 30_000): {("throughput",), ("e2e_destination",)},
+}
+
+
+def _outage_selectors(s):
+    hops = range(1, s.topology.hop_count + 1)
+    return [("hop", t) for t in hops] + [("e2e_destination",)] + [
+        (kind, t, k) for t in hops for k in s.served(t)
+        for kind in ("device", "e2e_device")]
+
+
+def test_plan_tallies_what_each_run_reads(caplog):
+    full = (scenario(Scheme.COM_NOEH, rho=0.0), 41, 30_000)
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.montecarlo"):
+        plan = simulate_plan([*DEMAND, full], DEMAND)
+    for (s, seed, n), reads in DEMAND.items():
+        got, alone = plan[s, seed, n], simulate(s, n, seed)
+        assert got.trials == n
+        for selector in _outage_selectors(s):
+            if selector in reads:
+                assert got.outage(selector) == alone.outage(selector)
+            else:
+                with pytest.raises(ValueError, match="not tallied"):
+                    got.outage(selector)
+        for moment in ("throughput", "supply_power"):
+            if (moment,) in reads:
+                assert getattr(got, moment)() == getattr(alone, moment)()
+            else:
+                with pytest.raises(ValueError, match="not tallied"):
+                    getattr(got, moment)()
+    with pytest.raises(ValueError, match="no served device"):
+        plan[STEEP_TCOM, 41, 30_000].outage(("device", 1, None))
+    # a run without an entry is tallied in full
+    assert plan[full] == simulate(full[0], full[2], full[1])
+    # block 1 of the 100,000-trial runs is 34,464 trials wide
+    lines = {r.getMessage().split(" ", 1)[0]: r.getMessage()
+             for r in caplog.records}
+    assert "2 blocks drawn (1 without device geometry)" in lines["com"]
+    assert "(34464 without device decoding)" in lines["com"]
+    assert "2 blocks drawn (0 without device geometry)" in lines["qom"]
+    assert "(0 without device decoding)" in lines["qom"]
+    assert "(34464 without device decoding)" in lines["bare"]
+
+
+@pytest.mark.parametrize("pairing", ["com", "qom"])
+def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
+    s = PAIRINGS[pairing][0]
+    width = montecarlo.BLOCK_SIZE
+    full, part = _drawn(s, 1), montecarlo._Buffers(s, width)
+    _spoil(_draw_arrays(part))
+    montecarlo._draw(part, montecarlo._block_rng(43, 1), False)
+    for name in ("u_eh", "active", "hop_fades"):
+        assert getattr(part, name).tobytes() == getattr(full, name).tobytes()
+    # the device rows keep their stale values, and no resolve reads them
+    assert all(np.isnan(a).all() for a in part.device_dist + part.device_fade)
+    with pytest.raises(RuntimeError, match="no device geometry"):
+        montecarlo._resolve(s, part, width)
+    got = montecarlo._resolve(s, part, width, False)
+    want = montecarlo._resolve(s, full, width)
+    for name in ARRAY_FIELDS:
+        if name in ("device_snr", "device_ok", "throughput"):
+            assert getattr(got, name) is None, name
+        else:
+            assert getattr(got, name).tobytes() \
+                == getattr(want, name).tobytes(), name
+    # the next block draws from its own stream, unchanged
+    montecarlo._draw(part, montecarlo._block_rng(43, 2))
+    for got, want in zip(_draw_arrays(part), _draw_arrays(_drawn(s, 2))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_plan_keeps_failures_to_their_runs():
