@@ -452,7 +452,9 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
-    The decoding thresholds are derived on construction.  Every outage and
+    The decoding thresholds are derived when an outage first reads them,
+    unless the owner sets ``thresholds`` first (a sweep derives them once
+    per plan and policy).  Every outage and
     the sum throughput are memoized per (event, ``asymptotic``), so every
     composition of the same scenario reuses one value per slot.
     ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``; it is
@@ -462,10 +464,13 @@ class SlotMarginals:
     def __init__(self, scenario: Scenario, nearest_fit=None,
                  kernels: Optional["KernelMemo"] = None):
         self.scenario = scenario
-        self.thresholds = decoding_thresholds(scenario.plan, scenario.policy)
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
         self._memo = {}
+
+    @functools.cached_property
+    def thresholds(self) -> ThresholdSet:
+        return decoding_thresholds(self.scenario.plan, self.scenario.policy)
 
     def _once(self, compute, *args):
         key = (compute.__name__,) + args

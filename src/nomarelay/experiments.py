@@ -351,9 +351,11 @@ class _SweepCore:
     """State shared by every point of one sweep.
 
     Scenarios equal in value share one :class:`analytics.SlotMarginals`, so
-    thresholds, slot outages and throughput are computed once per sweep
-    (the no-harvest twin of a rho sweep is the same scenario at every grid
-    point), and nearest-gain fits are resolved lazily through one
+    slot outages and throughput are computed once per sweep (the
+    no-harvest twin of a rho sweep is the same scenario at every grid
+    point); scenarios of one plan and policy (a power sweep's points)
+    share their decoding thresholds, derived once per sweep; and
+    nearest-gain fits are resolved lazily through one
     :class:`FitBook`.  Simulated rows read ``tallies``, filled by one
     :func:`montecarlo.simulate_plan` over every run the sweep needs.
     """
@@ -361,16 +363,20 @@ class _SweepCore:
     def __init__(self, fit_cache: Optional[str]):
         self.fits = FitBook(fit_cache)
         self.kernels = analytics.KernelMemo()
-        self._marginals = {}
+        self._marginals, self._thresholds = {}, {}
         self.tallies = {}
 
     def marginals(self, scenario: Scenario) -> analytics.SlotMarginals:
         if scenario not in self._marginals:
             # the fit source binds the book, not the core, so no reference
             # cycle keeps a finished sweep's memo alive until a full collection
-            self._marginals[scenario] = analytics.SlotMarginals(
+            marginals = self._marginals[scenario] = analytics.SlotMarginals(
                 scenario, functools.partial(_nearest_fit, self.fits, scenario),
                 self.kernels)
+            key = (scenario.plan, scenario.policy)
+            if key not in self._thresholds:
+                self._thresholds[key] = analytics.decoding_thresholds(*key)
+            marginals.thresholds = self._thresholds[key]
         return self._marginals[scenario]
 
 

@@ -26,7 +26,14 @@ block reads a device event or the throughput, and the block draws device
 geometry and fades, the last draws of its stream, only if some scenario
 decodes them, so the other draws are the same either way.  A plan entry
 therefore equals its run simulated alone on everything its rows read,
-and raises on anything else.  Each draw group fills one buffer set
+and raises on anything else.  Nothing already certain is drawn or decided
+twice: a uniform row whose comparison cannot come out two ways (the
+destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a slot's
+activity when its probability is exactly 0 or 1) is skipped by advancing
+the Philox counter past it, so every other draw keeps its value; a harvest
+or activity branch that is certain is resolved once, without a mask; and
+the throughput and supply-power rows are built only when a run reading
+the block reads them.  Each draw group fills one buffer set
 (:class:`_Buffers`), allocated at full block width, in place through
 ``out=`` stream calls and ufuncs in the same float order, for every block
 and scenario; a partial last block reads a prefix view, and the set is
@@ -102,7 +109,8 @@ class _Block:
     trials decided inside a guard band and of rate tests decided by
     ``_rate`` over a whole row (``guard_counts``).  A block resolved
     without its devices holds None as ``device_snr``, ``device_ok`` and
-    ``throughput``."""
+    ``throughput``; one whose runs read no throughput or no supply power
+    holds None as ``throughput`` or ``supply_units``."""
 
     __slots__ = ("n", "indicators", "active", "powers", "hop_snr", "hop_ok",
                  "device_snr", "device_ok", "prefix_ok", "msg_ok",
@@ -119,12 +127,16 @@ class _Buffers:
     topology, seed and block index (:func:`_draw`), the device path gains
     per (L, eps), and the arrays :func:`_resolve` writes, allocated on
     first use (:meth:`take`).  A group refills one set for every block and
-    scenario; a resolve reads and writes ``[..., :n]`` views of it."""
+    scenario; a resolve reads and writes ``[..., :n]`` views of it.
+    ``p_active`` holds the activity probability of each slot's disk."""
 
     def __init__(self, scenario: Scenario, width: int):
         topo, hops = scenario.topology, scenario.topology.hop_count
         self.topology, self.pairing = topo, scenario.scheme.pairing
         self.width = width
+        self.p_active = tuple(
+            -math.expm1(log_null_probability(topo.density_active, radius))
+            for radius in topo.disk_radii)
         self.u_eh = np.empty((topo.node_count - 1, width))
         self.active = np.empty((hops, width), dtype=bool)
         self.hop_fades = np.empty((hops, width))
@@ -167,10 +179,10 @@ class _Buffers:
 
 
 def _draw(buffers: _Buffers, rng: np.random.Generator,
-          devices: bool = True) -> None:
+          devices: bool = True) -> int:
     """Draw every random element of as many relaying blocks as ``buffers``
     is wide into it, in place; the device geometry and fades only if
-    ``devices``.
+    ``devices``.  Returns the number of uniform rows skipped.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
@@ -178,20 +190,41 @@ def _draw(buffers: _Buffers, rng: np.random.Generator,
     a fill without them draws the rest unchanged.  Each array is filled in
     place by the same stream calls and float operations, in the same
     order, as a freshly allocated one.
+
+    A uniform row no comparison can read two ways is skipped: the
+    destination's harvest row (rho = 0 for every policy), which is set to
+    1.0, and the activity row of a disk active with probability exactly 0
+    or 1, which is set to that outcome.  Each double of steps 1-2 takes
+    one 64-bit output and Philox yields four per counter step, so with the
+    width a multiple of 4 every row starts on a counter step and a skip
+    advances the counter by ``width // 4``; every other draw keeps its
+    value.  At any other width nothing is skipped.
     """
     buffers.gains.clear()
     buffers.devices = devices
     topo, pairing = buffers.topology, buffers.pairing
     hops = topo.hop_count
+    skips = buffers.width % 4 == 0
 
     # 1. harvest uniforms of nodes 2..M, compared with rho on resolution
-    rng.random(out=buffers.u_eh)
+    skipped = 0
+    if skips:
+        rng.random(out=buffers.u_eh[:-1])
+        rng.bit_generator.advance(buffers.width // 4)
+        buffers.u_eh[-1] = 1.0
+        skipped += 1
+    else:
+        rng.random(out=buffers.u_eh)
 
     # 2. device activity per slot; the hop fades are drawn next, so their
     # rows hold the activity uniforms meanwhile
     for t in range(1, hops + 1):
-        p_active = -math.expm1(log_null_probability(
-            topo.density_active, topo.disk_radii[t - 1]))
+        p_active = buffers.p_active[t - 1]
+        if skips and p_active in (0.0, 1.0):
+            rng.bit_generator.advance(buffers.width // 4)
+            buffers.active[t - 1] = p_active == 1.0
+            skipped += 1
+            continue
         u = buffers.hop_fades[t - 1]
         rng.random(out=u)
         np.less(u, p_active, out=buffers.active[t - 1])
@@ -201,7 +234,7 @@ def _draw(buffers: _Buffers, rng: np.random.Generator,
 
     # 4. device geometry and fades; a bare chain draws none
     if not devices:
-        return
+        return skipped
     for t in range(1, hops + 1):
         dist = buffers.device_dist[t - 1]
         radius = topo.disk_radii[t - 1]
@@ -228,6 +261,7 @@ def _draw(buffers: _Buffers, rng: np.random.Generator,
         else:
             continue
         rng.standard_exponential(out=buffers.device_fade[t - 1])
+    return skipped
 
 
 def _rate(y, a, b, tf):
@@ -340,11 +374,20 @@ def _chain(y, tfs, sel, terms, counts):
 
 
 def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
-             devices: bool = True) -> _Block:
+             reads=None) -> _Block:
     """Resolve every decode event of one scenario in the first ``n`` trials
-    of shared draws, which it reads through views; the device messages and
-    the throughput they add to only if ``devices``, else the block's
-    ``device_snr``, ``device_ok`` and ``throughput`` are None.
+    of shared draws, which it reads through views, for what the runs
+    reading the block read (``reads``, in :class:`Tallies` form; None
+    reads everything).  The device messages are decoded only if ``reads``
+    holds a device event or the throughput, else the block's
+    ``device_snr``, ``device_ok`` and ``throughput`` are None; the
+    throughput and the supply units are built only if read, else they
+    are None.
+
+    A harvest indicator whose probability is 0 or 1 is written, not
+    compared, and every decode of its slot runs at the one time factor it
+    implies; a hop whose disk is certainly idle or active is decoded by
+    one chain.  Each decision equals the masked route's bit for bit.
 
     The devices drawn for slot t are the device messages the plan lists
     for it, in plan order: one SIC chain decodes com and qom slots alike,
@@ -360,30 +403,48 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
     p_m = plan.relay_share
     active = buffers.active[:, :n]
     hop_fades = buffers.hop_fades[:, :n]
+    devices = _decodes_devices(reads)
 
     indicators = buffers.take("indicators", (m - 1,), n, bool)
     for r in range(m - 1):
-        np.less(buffers.u_eh[r, :n], policy.rho1(r + 2), out=indicators[r])
+        rho = policy.rho1(r + 2)
+        if rho in (0.0, 1.0):
+            indicators[r] = rho == 1.0
+        else:
+            np.less(buffers.u_eh[r, :n], rho, out=indicators[r])
 
     # 5. transmit power chain, in units of P0: row t is row t-1 times the
     # hop gain, where node t harvested
     powers = buffers.take("powers", (hops,), n)
     powers[0] = 1.0
     for t in range(2, hops + 1):
+        rho = policy.rho1(t)
+        if rho == 0.0:
+            powers[t - 1] = 1.0
+            continue
         np.multiply(hop_fades[t - 2], omega_factor(policy)
                     * pathloss_linear(topo.hop_distances[t - 2], budget),
                     out=powers[t - 1])
         powers[t - 1] *= powers[t - 2]
-        _gate(powers[t - 1], indicators[t - 2])
+        if rho < 1.0:
+            _gate(powers[t - 1], indicators[t - 2])
 
     # 6. receiver adjustments: harvesting at the receiving relay either
     # compresses the information window, giving each trial one of two time
     # factors, or splits the received power
     recv = indicators[:hops]
     counts = [0, 0]
+    if bteh:
+        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
+    else:
+        tfs = (1.0 / (m - 1),)
 
     def decode(y, t, terms):
-        return _chain(y, tfs, recv[t - 1] if bteh else None, terms, counts)
+        rho = policy.rho1(t + 1)
+        if not bteh or rho not in (0.0, 1.0):
+            return _chain(y, tfs, recv[t - 1] if bteh else None, terms,
+                          counts)
+        return _chain(y, (tfs[int(rho)],), None, terms, counts)
 
     # 7. hop decoding; with devices present, the relayed message is decoded
     # over the device messages the plan lists
@@ -393,22 +454,27 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
     hop_snr *= ell_hop
     hop_snr *= hop_fades
     if bteh:
-        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
         eff = hop_snr
     else:
-        tfs = (1.0 / (m - 1),)
         # hop_snr times the power split 1 - beta * recv
         eff = buffers.take("eff", (hops,), n)
         np.multiply(recv, policy.beta, out=eff)
         np.subtract(1.0, eff, out=eff)
         eff *= hop_snr
-    relayed = (p_m, 1.0 - p_m, plan.relay_rate)
+    solo, relayed = (1.0, 0.0, plan.relay_rate), \
+        (p_m, 1.0 - p_m, plan.relay_rate)
     hop_ok = buffers.take("hop_ok", (hops,), n, bool)
     for t in range(1, hops + 1):
-        hop_ok[t - 1] = decode(eff[t - 1], t, [(1.0, 0.0, plan.relay_rate)])
-        if p_m < 1.0:
+        p_active = buffers.p_active[t - 1]
+        if p_m == 1.0 or p_active in (0.0, 1.0):
+            # the relayed message alone, or over the device messages of a
+            # disk certain to be active: one chain
+            hop_ok[t - 1] = decode(eff[t - 1], t,
+                                   [relayed if p_active == 1.0 else solo])
+        else:
             hop_ok[t - 1] = _either(active[t - 1], [
-                hop_ok[t - 1], decode(eff[t - 1], t, [relayed])])
+                decode(eff[t - 1], t, [solo]),
+                decode(eff[t - 1], t, [relayed])])
     prefix_ok = buffers.take("prefix_ok", (hops,), n, bool)
     np.copyto(prefix_ok, hop_ok)
     for t in range(1, hops):
@@ -426,8 +492,9 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
     if devices:
         device_snr, device_ok = [], []
         row = buffers.take("row", (), n)  # one row of float scratch
-        throughput = buffers.take("throughput", (), n)
-        np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
+        if reads is None or ("throughput",) in reads:
+            throughput = buffers.take("throughput", (), n)
+            np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
         device_gain = buffers.device_gain(budget)
         for t in range(1, hops + 1):
             ell_dev = device_gain[t - 1][:, :n]
@@ -448,16 +515,20 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
                 np.bitwise_and(served,
                                decode(snr[k - 1], t, [relayed] + peels),
                                out=ok[k - 1])
-                np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1],
-                            out=row)
-                throughput += row
+                if throughput is not None:
+                    np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1],
+                                out=row)
+                    throughput += row
             device_snr.append(snr)
             device_ok.append(ok)
-        throughput /= m - 1
+        if throughput is not None:
+            throughput /= m - 1
 
-    supply_units = buffers.take("supply_units", (), n, np.int64)
-    np.sum(indicators[:hops - 1], axis=0, out=supply_units)
-    np.subtract(hops, supply_units, out=supply_units)
+    supply_units = None
+    if reads is None or ("supply_power",) in reads:
+        supply_units = buffers.take("supply_units", (), n, np.int64)
+        np.sum(indicators[:hops - 1], axis=0, out=supply_units)
+        np.subtract(hops, supply_units, out=supply_units)
     return _Block(n=n, indicators=indicators, active=active, powers=powers,
                   hop_snr=hop_snr, hop_ok=hop_ok, device_snr=device_snr,
                   device_ok=device_ok, prefix_ok=prefix_ok, msg_ok=msg_ok,
@@ -469,6 +540,14 @@ def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
 # scalar metrics are built from
 _MOMENTS = (("throughput",), ("supply_power",))
 _DEVICE_KINDS = ("device", "e2e_device")
+
+
+def _decodes_devices(reads) -> bool:
+    """Whether ``reads`` (None: everything) holds a device event or the
+    throughput, which sums the device rates: a block read for it must
+    decode device messages."""
+    return reads is None or any(read[0] in _DEVICE_KINDS + ("throughput",)
+                                for read in reads)
 
 
 @dataclass
@@ -516,13 +595,6 @@ class Tallies:
                 read = (kind, *args)
             reads.add(read)
         self.reads = frozenset(reads)
-
-    @property
-    def decodes_devices(self) -> bool:
-        """Whether the run reads a device event or the throughput, which
-        sums the device rates: its blocks must decode device messages."""
-        return any(read[0] in _DEVICE_KINDS + ("throughput",)
-                   for read in self.reads)
 
     def add(self, block: _Block, used: int) -> None:
         """Count what the run reads of the first ``used`` trials of one
@@ -602,9 +674,11 @@ def simulate_plan(runs, reads=None) -> dict:
     once, resolved once per scenario and tallied into every trial count
     asked of it, in block order.  A block decodes a scenario's device
     messages only if a run reading that block reads a device event or the
-    throughput, and draws device geometry only if some scenario decodes
-    them.  So each entry equals its run simulated alone on everything the
-    run reads.  A failed run maps to its exception.
+    throughput, builds its throughput and supply-power rows only if a run
+    reading the block reads them, and draws device geometry only if some
+    scenario decodes devices.  So each entry equals its run simulated
+    alone on everything the run reads.  A failed run maps to its
+    exception.
     """
     reads = reads or {}
     out, groups = {}, {}
@@ -629,19 +703,19 @@ def _simulate_group(seed: int, cuts: dict) -> dict:
     block's views of it are freed on return, before the next group
     allocates its own."""
     failed, spent, start = {}, {}, time.perf_counter()
-    # blocks drawn, of them without device geometry; trials resolved
-    # without device decoding
-    drawn, hop_only, undecoded = 0, 0, 0
+    # blocks drawn, of them without device geometry; uniform rows skipped;
+    # trials resolved without device decoding
+    drawn, hop_only, skipped, undecoded = 0, 0, 0, 0
     buffers = _Buffers(next(iter(cuts)), BLOCK_SIZE)
     for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
         lo = b * BLOCK_SIZE
-        # a scenario decodes its devices in block b only for a run reading
-        # the block that needs them; the block draws device geometry only
-        # for a scenario that decodes them
-        devices = {s: any(tal.decodes_devices
-                          for n, tal in tallies.items() if n > lo)
-                   for s, tallies in cuts.items() if s not in failed}
-        geometry = any(devices.values())
+        # a scenario resolves block b for what the runs reading the block
+        # read; the block draws device geometry only for a scenario that
+        # decodes devices there
+        reads = {s: frozenset().union(*(tal.reads for n, tal in
+                                        tallies.items() if n > lo))
+                 for s, tallies in cuts.items() if s not in failed}
+        geometry = any(map(_decodes_devices, reads.values()))
         pending = True
         for s, tallies in cuts.items():
             width = min(BLOCK_SIZE, max(tallies) - lo)
@@ -649,11 +723,11 @@ def _simulate_group(seed: int, cuts: dict) -> dict:
                 continue
             try:
                 if pending:
-                    _draw(buffers, _block_rng(seed, b), geometry)
+                    skipped += _draw(buffers, _block_rng(seed, b), geometry)
                     drawn, hop_only = drawn + 1, hop_only + (not geometry)
                     pending = False
                 tick = time.perf_counter()
-                block = _resolve(s, buffers, width, devices[s])
+                block = _resolve(s, buffers, width, reads[s])
                 for n, tal in tallies.items():
                     if n > lo:
                         tal.add(block, min(BLOCK_SIZE, n - lo))
@@ -661,18 +735,20 @@ def _simulate_group(seed: int, cuts: dict) -> dict:
                 # without its traceback, whose frames hold the buffer set
                 failed[s] = exc.with_traceback(None)
                 continue
-            undecoded += 0 if devices[s] else width
+            undecoded += 0 if _decodes_devices(reads[s]) else width
             # seconds, trials, trials in guard bands, whole-row tests
             done = (time.perf_counter() - tick, width, *block.guard_counts)
             spent[s.scheme.value] = tuple(map(sum, zip(
                 spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("%s draws, seed %d: %d blocks drawn (%d without device "
-                     "geometry), %d scenarios resolved, %d trials resolved "
-                     "(%d without device decoding) in %.3f s, "
-                     "%d workspace bytes allocated once; %s",
+                     "geometry), %d uniform rows skipped, %d scenarios "
+                     "resolved, %d trials resolved (%d without device "
+                     "decoding) in %.3f s, %d workspace bytes allocated "
+                     "once; %s",
                      buffers.pairing or "bare", seed, drawn, hop_only,
-                     len(cuts), sum(v[1] for v in spent.values()), undecoded,
+                     skipped, len(cuts), sum(v[1] for v in spent.values()),
+                     undecoded,
                      time.perf_counter() - start, buffers.nbytes,
                      ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
                                f"({g} in guard bands, {e} whole-row rate "

@@ -8,12 +8,13 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Tuple
 
 import numpy as np
 from scipy.special import gammainc
 
-from nomarelay import analytics, montecarlo, specfun as sf
+from nomarelay import analytics, experiments, montecarlo, specfun as sf
 from nomarelay.channel import FitBook, FittedGainDistribution, LinkBudget, \
     pathloss_linear
 from nomarelay.geometry import CoverageDisk, log_null_probability
@@ -215,6 +216,94 @@ class TrialOutcome:
     hop_success: tuple
     device_rates: tuple
     device_success: tuple
+
+
+def shipped_scenarios() -> list:
+    """Every distinct scenario a sweep of a shipped config simulates."""
+    found = {}
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for path in sorted(configs.glob("*.yaml")):
+        config = experiments.load_config(path)
+        core = experiments._SweepCore(None)
+        selectors = [experiments.parse_metric(metric)
+                     for metric in config.sweep.metrics]
+        for value in config.sweep.grid:
+            for scheme in config.sweep.schemes:
+                ctx = experiments._PointContext(config, scheme, value, core)
+                for selector in selectors:
+                    for s, _, _ in ctx.simulation_runs(selector):
+                        found.setdefault(s, None)
+    return list(found)
+
+
+def plan_chains(scenario: Scenario) -> set:
+    """Every ``(tfs, terms)`` rate-test chain a scenario's plan defines:
+    the hop's relayed message decoded alone and over the device messages,
+    and the SIC chain of each served device, each at every time factor of
+    the policy (two under time-switching, ``tfs[1]`` where the receiving
+    relay harvests).  The simulator asks a chain at one of its time
+    factors only where the harvest is certain."""
+    plan, policy = scenario.plan, scenario.policy
+    m = scenario.topology.node_count
+    tfs = (1.0 / (m - 1),)
+    if policy.architecture == "BTEH":
+        tfs += ((1.0 - policy.alpha) / (m - 1),)
+    relayed = (plan.relay_share, 1.0 - plan.relay_share, plan.relay_rate)
+    chains = [[(1.0, 0.0, plan.relay_rate)], [relayed]]
+    for t in range(1, scenario.topology.hop_count + 1):
+        count = len(scenario.served(t))
+        shares, targets = plan.device_shares[t - 1], plan.device_rates[t - 1]
+        below = np.cumsum((0.0,) + shares)
+        chains += [[relayed] + [(shares[nn - 1], below[nn - 1],
+                                 targets[nn - 1])
+                                for nn in range(count, k - 1, -1)]
+                   for k in range(count, 0, -1)]
+    return {(tfs, tuple(tuple(float(v) for v in term) for term in terms))
+            for terms in chains}
+
+
+def draw_in_full(buffers, rng: np.random.Generator,
+                 devices: bool = True) -> None:
+    """:func:`nomarelay.montecarlo._draw` drawing every uniform row, the
+    destination's harvest row and each certain activity row too, with
+    each disk's activity probability derived here."""
+    buffers.gains.clear()
+    buffers.devices = devices
+    topo, pairing = buffers.topology, buffers.pairing
+    hops = topo.hop_count
+    rng.random(out=buffers.u_eh)
+    for t in range(1, hops + 1):
+        p_active = -math.expm1(log_null_probability(
+            topo.density_active, topo.disk_radii[t - 1]))
+        u = buffers.hop_fades[t - 1]
+        rng.random(out=u)
+        np.less(u, p_active, out=buffers.active[t - 1])
+    rng.standard_exponential(out=buffers.hop_fades)
+    if not devices:
+        return
+    for t in range(1, hops + 1):
+        dist = buffers.device_dist[t - 1]
+        radius = topo.disk_radii[t - 1]
+        if pairing == "com":
+            kt = topo.subarea_counts[t - 1]
+            ks = np.arange(1, kt + 1, dtype=float)[:, None]
+            rng.random(out=dist)
+            dist *= 2.0 * ks - 1.0
+            dist += (ks - 1.0) ** 2
+            np.sqrt(dist, out=dist)
+            dist *= radius / kt
+        elif pairing == "qom":
+            a = math.pi * topo.density_active * radius * radius
+            rng.random(out=dist)
+            np.negative(dist, out=dist)
+            dist *= -math.expm1(-a)
+            np.log1p(dist, out=dist)
+            np.negative(dist, out=dist)
+            dist /= math.pi * topo.density_active
+            np.sqrt(dist, out=dist)
+        else:
+            continue
+        rng.standard_exponential(out=buffers.device_fade[t - 1])
 
 
 def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):

@@ -525,6 +525,37 @@ def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
     assert len(summaries) == 1 and "hit ratio" in summaries[0]
 
 
+def test_sweep_derives_thresholds_once_per_plan_and_policy(monkeypatch,
+                                                           tmp_path):
+    calls, built = [], []
+    derive = analytics.decoding_thresholds
+    init = analytics.SlotMarginals.__init__
+
+    def counted(plan, policy):
+        calls.append((plan, policy))
+        return derive(plan, policy)
+
+    def build(self, scenario, *args):
+        built.append(scenario)
+        init(self, scenario, *args)
+
+    monkeypatch.setattr(analytics, "decoding_thresholds", counted)
+    monkeypatch.setattr(analytics.SlotMarginals, "__init__", build)
+    shared = 0
+    for name in sorted(GOLDEN_ANALYTIC):
+        calls.clear(), built.clear()
+        result = run_sweep(_shipped(tmp_path, name), source="analytic")
+        text = render_results(result.rows, "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == GOLDEN_ANALYTIC[name]
+        # one derivation per distinct (plan, policy) of the sweep
+        assert len(calls) == len(set(calls)) \
+            == len({(s.plan, s.policy) for s in built}), name
+        shared += len(built) - len(calls)
+    # the points of a power sweep share one plan and policy
+    assert shared > 0
+
+
 # the analytic layer reads CDF deficits and asymptotes only
 KERNELS = ("prod_exp_cdf", "annulus_kernel_deficit", "nearest_kernel_deficit",
            "residue_asymptote_cdf")
@@ -659,6 +690,12 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
         r"\((\d+) without device geometry\).*\((\d+) without device "
         r"decoding\)", g).groups() for g in groups}
     assert skipped["com"] == skipped["qom"] == ("1", str(7 * 8_928))
+    # every block skips the destination's harvest row and the activity row
+    # of each of its 3 slots, certainly active (or, for the bare chain,
+    # idle)
+    rows = {g.split(" ", 1)[0]: re.search(r"(\d+) uniform rows skipped",
+                                          g).group(1) for g in groups}
+    assert rows == {"com": "12", "qom": "12", "bare": "12"}
     # every scheme reports its guard-band trials and whole-row rate tests;
     # every rate test of a shipped plan has a threshold
     guards = {g.split(" ", 1)[0]: re.findall(
@@ -704,9 +741,9 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
         geometry.setdefault(buffers.pairing, []).append(devices)
         return draw(buffers, rng, devices)
 
-    def resolve(scenario, buffers, n, devices, resolve=montecarlo._resolve):
+    def resolve(scenario, buffers, n, reads, resolve=montecarlo._resolve):
         widths.append(n)
-        return resolve(scenario, buffers, n, devices)
+        return resolve(scenario, buffers, n, reads)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_resolve", resolve)

@@ -91,6 +91,8 @@ REMOVED_PARAMETERS = {
     "n": (montecarlo._draw,),
     "draws": (montecarlo._draw,),
     "work": (montecarlo._resolve,),
+    # a resolve builds what the runs reading its block read
+    "devices": (montecarlo._resolve,),
 }
 
 

@@ -389,8 +389,8 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
         watch(gains)
         return gains
 
-    def resolve_watched(scenario, buffers, n, devices):
-        block = resolve(scenario, buffers, n, devices)
+    def resolve_watched(scenario, buffers, n, reads):
+        block = resolve(scenario, buffers, n, reads)
         watch(a for name in ARRAY_FIELDS for a in (
             getattr(block, name) if name in ("device_snr", "device_ok")
             else [getattr(block, name)]))
@@ -436,13 +436,13 @@ def test_failed_run_frees_its_buffers(monkeypatch):
     alive = []
     resolve = montecarlo._resolve
 
-    def refuse_pcom(scenario, buffers, n, *devices):
+    def refuse_pcom(scenario, buffers, n, *reads):
         alive.extend(weakref.ref(a) for a in _draw_arrays(buffers) + [
             *buffers.arrays.values(),
             *(row for rows in buffers.gain_rows.values() for row in rows)])
         if scenario.scheme is Scheme.PCOM:
             raise FloatingPointError("refused")
-        return resolve(scenario, buffers, n, *devices)
+        return resolve(scenario, buffers, n, *reads)
 
     monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
     runs = [(s, 7, 2_000) for s in (TCOM, scenario(Scheme.PCOM), TQOM)]
@@ -522,7 +522,8 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
     assert all(np.isnan(a).all() for a in part.device_dist + part.device_fade)
     with pytest.raises(RuntimeError, match="no device geometry"):
         montecarlo._resolve(s, part, width)
-    got = montecarlo._resolve(s, part, width, False)
+    # read for a hop event and the supply power: no device is decoded
+    got = montecarlo._resolve(s, part, width, {("hop", 1), ("supply_power",)})
     want = montecarlo._resolve(s, full, width)
     for name in ARRAY_FIELDS:
         if name in ("device_snr", "device_ok", "throughput"):
@@ -534,6 +535,115 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
     montecarlo._draw(part, montecarlo._block_rng(43, 2))
     for got, want in zip(_draw_arrays(part), _draw_arrays(_drawn(s, 2))):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def shipped_groups():
+    """One scenario of every draw group a shipped sweep simulates."""
+    groups = {}
+    for s in oracles.shipped_scenarios():
+        groups.setdefault((s.scheme.pairing, s.topology), s)
+    return list(groups.values())
+
+
+def _compare_draws(s, width, devices, b):
+    """The uniform rows ``_draw`` skipped and the arrays of its fill that
+    differ from ``oracles.draw_in_full`` on the same stream."""
+    fast, full = montecarlo._Buffers(s, width), montecarlo._Buffers(s, width)
+    _spoil(_draw_arrays(fast))
+    skipped = montecarlo._draw(fast, montecarlo._block_rng(43, b), devices)
+    oracles.draw_in_full(full, montecarlo._block_rng(43, b), devices)
+    names = ["u_eh", "active", "hop_fades"]
+    if devices:
+        names += ["device_dist", "device_fade"]
+    differ = []
+    for name in names:
+        got, want = getattr(fast, name), getattr(full, name)
+        if name == "u_eh" and width % 4 == 0:
+            # a skipped harvest row is the destination's, which no resolve
+            # reads
+            got, want = got[:-1], want[:-1]
+        if isinstance(got, list):
+            same = all(np.array_equal(x, y) for x, y in zip(got, want))
+        else:
+            same = np.array_equal(got, want)
+        if not same:
+            differ.append(name)
+    return skipped, differ
+
+
+def test_skipped_rows_leave_every_read_draw_unchanged(shipped_groups):
+    drawn_activity = 0
+    for b, s in enumerate(shipped_groups):
+        p_active = [-math.expm1(log_null_probability(
+            s.topology.density_active, r)) for r in s.topology.disk_radii]
+        certain = sum(p in (0.0, 1.0) for p in p_active)
+        drawn_activity += certain < len(p_active)
+        for devices in (True, False):
+            assert _compare_draws(s, montecarlo.BLOCK_SIZE, devices, b) \
+                == (1 + certain, []), (s.topology, devices)
+        # at a width that is not a multiple of 4 nothing is skipped, and
+        # every array, the destination's harvest row too, is the same
+        assert _compare_draws(s, 4_093, True, b) == (0, []), s.topology
+    # the density sweep's sparsest disks draw their activity
+    # (lambda pi r^2 = pi: active with probability 0.957)
+    assert drawn_activity > 0
+    assert len(shipped_groups) > 20
+
+
+# a disk active with probability 0.957, so activity is drawn and the hop
+# decodes both chains
+PATCHY = dataclasses.replace(T1, density_active=1e-4)
+
+
+@pytest.mark.parametrize("topology", [T1, PATCHY], ids=["active", "patchy"])
+@pytest.mark.parametrize("scheme", [Scheme.TCOM, Scheme.PCOM])
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_certain_branches_equal_the_masked_route(topology, scheme, rho):
+    # an interior rho of exactly 0 or 1 takes the certain branches; its
+    # twin one ulp inside [0, 1] draws the same indicators through the
+    # comparison, the power gate and the masked time factor
+    certain = scenario(scheme, rho=rho, topology=topology)
+    near = 5e-324 if rho == 0.0 else np.nextafter(1.0, 0.0)
+    twin = dataclasses.replace(certain, policy=dataclasses.replace(
+        certain.policy, rho=(0.0, near, near, 0.0)))
+    got = montecarlo._resolve(certain, _drawn(certain),
+                              montecarlo.BLOCK_SIZE)
+    want = montecarlo._resolve(twin, _drawn(twin), montecarlo.BLOCK_SIZE)
+    assert np.all(got.indicators[:2] == bool(rho))
+    assert got.guard_counts == want.guard_counts
+    for name in ARRAY_FIELDS:
+        pairs = zip(getattr(got, name), getattr(want, name)) \
+            if name in ("device_snr", "device_ok") \
+            else [(getattr(got, name), getattr(want, name))]
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes(), name
+    ref = oracles.reference_decode(certain, got)
+    for name in ("hop_ok", "prefix_ok", "msg_ok", "throughput",
+                 "supply_units"):
+        assert np.array_equal(getattr(got, name), ref[name]), name
+    for a, b in zip(got.device_ok, ref["device_ok"]):
+        assert np.array_equal(a, b)
+    assert (topology is PATCHY) == (not got.active.all())
+
+
+def test_unread_moments_are_not_built():
+    buffers = _drawn(TCOM)
+    for reads, devices, moments in [
+            ({("hop", 2)}, False, ()),
+            ({("device", 1, 2)}, True, ()),
+            ({("hop", 1), ("supply_power",)}, False, ("supply_units",)),
+            ({("throughput",)}, True, ("throughput",))]:
+        block = montecarlo._resolve(TCOM, buffers, 1_000, reads)
+        assert (block.device_ok is not None) == devices, reads
+        for name in ("throughput", "supply_units"):
+            assert (getattr(block, name) is not None) == (name in moments)
+    # a run reads no moment it did not tally
+    tallies = simulate_plan([(TCOM, 3, 1_000)],
+                            {(TCOM, 3, 1_000): {("device", 1, 2)}})
+    for moment in ("throughput", "supply_power"):
+        with pytest.raises(ValueError, match="not tallied"):
+            getattr(tallies[TCOM, 3, 1_000], moment)()
 
 
 def test_plan_keeps_failures_to_their_runs():

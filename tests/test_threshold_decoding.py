@@ -7,18 +7,15 @@ every threshold the shipped configs ask for.
 """
 
 import math
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomarelay import experiments, montecarlo
+from nomarelay import montecarlo
 from nomarelay.montecarlo import BLOCK_SIZE, _band, _chain, _rate
-from oracles import reference_decode
+from oracles import plan_chains, reference_decode, shipped_scenarios
 
-ROOT = Path(__file__).resolve().parent.parent
 EPS = np.finfo(float).eps
 SEED = 2718
 
@@ -26,19 +23,7 @@ SEED = 2718
 @pytest.fixture(scope="module")
 def scenarios():
     """Every distinct scenario a sweep of a shipped config simulates."""
-    found = {}
-    for path in sorted((ROOT / "configs").glob("*.yaml")):
-        config = experiments.load_config(path)
-        core = experiments._SweepCore(None)
-        selectors = [experiments.parse_metric(metric)
-                     for metric in config.sweep.metrics]
-        for value in config.sweep.grid:
-            for scheme in config.sweep.schemes:
-                ctx = experiments._PointContext(config, scheme, value, core)
-                for selector in selectors:
-                    for s, _, _ in ctx.simulation_runs(selector):
-                        found.setdefault(s, None)
-    return list(found)
+    return shipped_scenarios()
 
 
 def test_threshold_decoding_equals_the_rate_route(scenarios):
@@ -68,13 +53,20 @@ def test_threshold_decoding_equals_the_rate_route(scenarios):
 
 @pytest.fixture(scope="module")
 def chains(scenarios):
-    """Every distinct ``(tfs, terms)`` chain ``_resolve`` asks of the
-    shipped scenarios."""
-    seen = set()
+    """Every distinct ``(tfs, terms)`` chain the shipped plans define, at
+    every time factor, whether or not a harvest is certain."""
+    return sorted(set().union(*map(plan_chains, scenarios)))
+
+
+def test_plan_chains_cover_every_chain_the_simulator_asks(scenarios,
+                                                          chains):
+    # the simulator asks a chain at both time factors, or at the one a
+    # certain harvest leaves; each is an enumerated chain or a part of one
+    asked = set()
 
     def record(y, tfs, sel, terms, counts):
-        seen.add((tuple(tfs), tuple(tuple(float(v) for v in term)
-                                    for term in terms)))
+        asked.add((tuple(tfs), tuple(tuple(float(v) for v in term)
+                                     for term in terms)))
         return _chain(y, tfs, sel, terms, counts)
 
     draws = {}
@@ -86,7 +78,14 @@ def chains(scenarios):
                 draws[key] = montecarlo._Buffers(s, 16)
                 montecarlo._draw(draws[key], montecarlo._block_rng(SEED, 0))
             montecarlo._resolve(s, draws[key], 16)
-    return sorted(seen)
+    enumerated = {}
+    for tfs, terms in chains:
+        enumerated.setdefault(terms, []).append(set(tfs))
+    assert asked and not [
+        (tfs, terms) for tfs, terms in asked
+        if not any(set(tfs) <= full for full in enumerated.get(terms, []))]
+    # time-switching scenarios ask both forms: certain and random harvests
+    assert {len(tfs) for tfs, _ in asked} == {1, 2}
 
 
 @pytest.fixture(scope="module")
