@@ -30,9 +30,9 @@ and raises on anything else.  Nothing already certain is drawn or decided
 twice: a uniform row whose comparison cannot come out two ways (the
 destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a slot's
 activity when its probability is exactly 0 or 1) is skipped by advancing
-the Philox counter past it, so every other draw keeps its value; a harvest
-or activity branch that is certain is resolved once, without a mask; and
-the throughput and supply-power rows are built only when a run reading
+the Philox counter past it, so at a block width that is a multiple of 4
+every other draw keeps its value; a harvest or activity branch that is
+certain is resolved once, without a mask; and the throughput and supply-power rows are built only when a run reading
 the block reads them.  Each draw group fills one buffer set
 (:class:`_Buffers`), allocated at full block width, in place through
 ``out=`` stream calls and ufuncs in the same float order, for every block
@@ -128,7 +128,8 @@ class _Buffers:
     per (L, eps), and the arrays :func:`_resolve` writes, allocated on
     first use (:meth:`take`).  A group refills one set for every block and
     scenario; a resolve reads and writes ``[..., :n]`` views of it.
-    ``p_active`` holds the activity probability of each slot's disk."""
+    ``u_eh`` holds the harvest uniforms of the relays only, and
+    ``p_active`` the activity probability of each slot's disk."""
 
     def __init__(self, scenario: Scenario, width: int):
         topo, hops = scenario.topology, scenario.topology.hop_count
@@ -137,7 +138,7 @@ class _Buffers:
         self.p_active = tuple(
             -math.expm1(log_null_probability(topo.density_active, radius))
             for radius in topo.disk_radii)
-        self.u_eh = np.empty((topo.node_count - 1, width))
+        self.u_eh = np.empty((topo.node_count - 2, width))
         self.active = np.empty((hops, width), dtype=bool)
         self.hop_fades = np.empty((hops, width))
         counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
@@ -191,36 +192,33 @@ def _draw(buffers: _Buffers, rng: np.random.Generator,
     place by the same stream calls and float operations, in the same
     order, as a freshly allocated one.
 
-    A uniform row no comparison can read two ways is skipped: the
-    destination's harvest row (rho = 0 for every policy), which is set to
-    1.0, and the activity row of a disk active with probability exactly 0
-    or 1, which is set to that outcome.  Each double of steps 1-2 takes
-    one 64-bit output and Philox yields four per counter step, so with the
-    width a multiple of 4 every row starts on a counter step and a skip
-    advances the counter by ``width // 4``; every other draw keeps its
-    value.  At any other width nothing is skipped.
+    A uniform row no comparison can read two ways is skipped by advancing
+    the Philox counter by ``width // 4``: the destination's harvest row
+    (rho = 0 for every policy), which the set does not hold, and the
+    activity row of a disk active with probability exactly 0 or 1, which
+    is set to that outcome.  Each double of steps 1-2 takes one 64-bit
+    output and Philox yields four per counter step, so at a width that is
+    a multiple of 4 (every plan block) each skip starts on a counter step
+    and every other draw equals the full draw's.  At any other width the
+    advance drops the rest of a partly used step: the draws differ from
+    the full draw's but stay deterministic, and no output is used twice.
     """
     buffers.gains.clear()
     buffers.devices = devices
     topo, pairing = buffers.topology, buffers.pairing
     hops = topo.hop_count
-    skips = buffers.width % 4 == 0
 
-    # 1. harvest uniforms of nodes 2..M, compared with rho on resolution
-    skipped = 0
-    if skips:
-        rng.random(out=buffers.u_eh[:-1])
-        rng.bit_generator.advance(buffers.width // 4)
-        buffers.u_eh[-1] = 1.0
-        skipped += 1
-    else:
-        rng.random(out=buffers.u_eh)
+    # 1. harvest uniforms of nodes 2..M-1, compared with rho on resolution;
+    # the destination's row is skipped
+    rng.random(out=buffers.u_eh)
+    rng.bit_generator.advance(buffers.width // 4)
+    skipped = 1
 
     # 2. device activity per slot; the hop fades are drawn next, so their
     # rows hold the activity uniforms meanwhile
     for t in range(1, hops + 1):
         p_active = buffers.p_active[t - 1]
-        if skips and p_active in (0.0, 1.0):
+        if p_active in (0.0, 1.0):
             rng.bit_generator.advance(buffers.width // 4)
             buffers.active[t - 1] = p_active == 1.0
             skipped += 1

@@ -272,6 +272,9 @@ def draw_in_full(buffers, rng: np.random.Generator,
     topo, pairing = buffers.topology, buffers.pairing
     hops = topo.hop_count
     rng.random(out=buffers.u_eh)
+    # the destination's harvest row, which the set does not hold; the hop
+    # fades are drawn later, so their first row holds it meanwhile
+    rng.random(out=buffers.hop_fades[0])
     for t in range(1, hops + 1):
         p_active = -math.expm1(log_null_probability(
             topo.density_active, topo.disk_radii[t - 1]))
