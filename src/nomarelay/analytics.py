@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from scipy.special import gammainc
-
 from .channel import LinkBudget, pathloss_linear
 from .geometry import log_null_probability
 from .network import NetworkTopology, Scenario
@@ -440,6 +438,7 @@ def nearest_small_gain_coefficient(density: float, radius: float,
     a = math.pi * density * radius**2
     if a <= 0.0:
         raise ValueError("needs a positive active density")
+    from scipy.special import gammainc  # on first use, like loggamma
     shape = eps / 2.0 + 1.0
     lower = float(gammainc(shape, a)) * math.gamma(shape)
     return a ** (-eps / 2.0) * lower / -math.expm1(-a)

@@ -10,45 +10,53 @@ comparison with the largest of its thresholds, which :func:`_band` derives
 from the rate formula.  A guard band around each threshold, wider than the
 rounding of either form, sends the trials inside it back to the rate
 formula (:func:`_chain`), so every decision equals the rate comparison bit
-for bit.  Trials are vectorized in fixed-size blocks; block ``b`` of a
-run draws from its own counter-derived stream, so estimates are
-bit-identical however the blocks are distributed over workers, and a
-shorter run is a prefix of a longer one with the same seed.  Each block
-is drawn by :func:`_draw` and resolved per scenario by :func:`_resolve`,
-only as far as that scenario's longest run reads it: resolution works
-trial by trial, so a resolved prefix equals the same prefix of a
-full-width resolve.  A sweep plans its simulation once
-(:func:`simulate_plan`): shorter trial counts are tallied as prefixes of
-longer ones, scenarios sharing pairing, topology and seed resolve the
-same draws, and each run is tallied only for what its rows read.  A
-scenario decodes device messages in a block only if a run reading that
-block reads a device event or the throughput, and the block draws device
-geometry and fades, the last draws of its stream, only if some scenario
-decodes them, so the other draws are the same either way.  A plan entry
-therefore equals its run simulated alone on everything its rows read,
-and raises on anything else.  Nothing already certain is drawn or decided
-twice: a uniform row whose comparison cannot come out two ways (the
-destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a slot's
-activity when its probability is exactly 0 or 1) is skipped by advancing
-the Philox counter past it, so at a block width that is a multiple of 4
-every other draw keeps its value; a harvest or activity branch that is
-certain is resolved once, without a mask; and the throughput and supply-power rows are built only when a run reading
-the block reads them.  Each draw group fills one buffer set
-(:class:`_Buffers`), allocated at full block width, in place through
-``out=`` stream calls and ufuncs in the same float order, for every block
-and scenario; a partial last block reads a prefix view, and the set is
-freed with its group, before the next group allocates.  :func:`simulate`
-runs one scenario alone, tallied in full, through the same plan.  Both
-yield :class:`Tallies`, whose ``outage`` reads the selector tuples of
+for bit.
+
+Trials are vectorized in fixed-size blocks; block ``b`` of a run draws
+from its own counter-derived stream, so a shorter run is a prefix of a
+longer one with the same seed.  Blocks are tallied in block order, which
+the float moment sums need to come out the same.  A sweep plans its
+simulation once (:func:`simulate_plan`): shorter trial counts are
+tallied as prefixes of longer ones, scenarios sharing pairing, topology
+and seed (a draw group) read the same draws, and each run is tallied only
+for what its rows read.  Each block is drawn once per group
+(:func:`_draw`) and resolved once per family (:func:`_resolve`), the
+scenarios of the group equal but for their harvest probabilities; a
+scenario alone is a family of one.  A slot's power and decode events
+depend on the harvests only through the run of harvesting nodes behind
+its transmitter and the receiver's harvest state, so a family decides
+each (run, state) once, on candidate rows, and each member picks its
+decisions from them by its own indicators, bit for bit as if resolved
+alone.  A family resolves a block only as far as the longest run of a
+member reads it, decodes a member's device messages only if a run
+reading the block reads a device event or the throughput, and the block
+draws device geometry and fades, the last draws of its stream, only if
+some member decodes them.  A plan entry therefore equals its run
+simulated alone on everything its rows read, and raises on anything
+else.  Nothing certain is drawn or decided per trial: a uniform row
+whose comparison cannot come out two ways (the destination's harvest,
+which ``EhPolicy`` fixes at rho = 0, and a slot's activity when its
+probability is exactly 0 or 1) is skipped by advancing the Philox counter
+past it, so at a block width that is a multiple of 4 every other draw
+keeps its value; a run or state no member can reach gets no candidate
+row; and the throughput and supply-power rows are built only when read.
+Each draw group fills one buffer set (:class:`_Buffers`), allocated at
+full block width, in place through ``out=`` stream calls and ufuncs in
+the same float order, for every block and family; a partial last block
+reads a prefix view, and the set is freed with its group, before the
+next group allocates.  :func:`simulate` runs one scenario alone, tallied
+in full, through the same plan.  Both yield :class:`Tallies`, whose
+``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
-between calls.
-Given an active disk, every com annulus holds a scheduled device.
-Single-trial outcomes and empirical survival curves, which only the tests
-read, live in ``tests/oracles.py``.
+between calls.  Given an active disk, every com annulus holds a
+scheduled device.  Single-trial outcomes, empirical survival curves and
+the per-scenario masked route, which only the tests read, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -105,16 +113,15 @@ class Estimate:
 
 
 class _Block:
-    """Raw per-trial arrays for one simulated block, and the number of
-    trials decided inside a guard band and of rate tests decided by
-    ``_rate`` over a whole row (``guard_counts``).  A block resolved
-    without its devices holds None as ``device_snr``, ``device_ok`` and
-    ``throughput``; one whose runs read no throughput or no supply power
-    holds None as ``throughput`` or ``supply_units``."""
+    """One family member's per-trial arrays in one resolved block: its
+    harvest indicators, the block's disk activity, and its hop, prefix,
+    message and device successes.  A block resolved without its devices
+    holds None as ``device_ok`` and ``throughput``; one whose runs read no
+    throughput or no supply power holds None as ``throughput`` or
+    ``supply_units``."""
 
-    __slots__ = ("n", "indicators", "active", "powers", "hop_snr", "hop_ok",
-                 "device_snr", "device_ok", "prefix_ok", "msg_ok",
-                 "supply_units", "throughput", "guard_counts")
+    __slots__ = ("n", "indicators", "active", "hop_ok", "device_ok",
+                 "prefix_ok", "msg_ok", "supply_units", "throughput")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -126,8 +133,9 @@ class _Buffers:
     random numbers of one block, which depend only on the pairing,
     topology, seed and block index (:func:`_draw`), the device path gains
     per (L, eps), and the arrays :func:`_resolve` writes, allocated on
-    first use (:meth:`take`).  A group refills one set for every block and
-    scenario; a resolve reads and writes ``[..., :n]`` views of it.
+    first use (:meth:`take`), among them the candidate rows of a family.  A
+    group refills one set for every block and family; a resolve reads and
+    writes ``[..., :n]`` views of it.
     ``u_eh`` holds the harvest uniforms of the relays only, and
     ``p_active`` the activity probability of each slot's disk."""
 
@@ -293,34 +301,11 @@ def _band(a, b, target, tf):
     return lo, hi
 
 
-def _pick(values, sel):
-    """``values[1]`` where the mask ``sel`` holds, else ``values[0]``."""
-    return values[0] if sel is None else np.where(sel, values[1], values[0])
-
-
 def _either(sel, masks):
-    """:func:`_pick` for boolean masks, in bit operations: ``np.where``
-    branches per element and mispredicts on a random ``sel``."""
-    if sel is None:
-        return masks[0]
-    return (sel & masks[1]) | (masks[0] & ~sel)
-
-
-def _gate(x, mask):
-    """Set ``x`` to ``np.where(mask, x, 1.0)`` in place, as the masked
-    product ``x*mask + ~mask``, which does not branch per element on a
-    random ``mask``; returns ``x``.
-
-    The two agree bit for bit where ``x`` is finite and not -0.0 (a
-    product of non-negative factors never is); a row holding an inf or a
-    NaN, where ``inf*0`` would give NaN, keeps ``np.where``.
-    """
-    if np.isfinite(x).all():
-        x *= mask
-        x += ~mask
-    else:
-        x[...] = np.where(mask, x, 1.0)
-    return x
+    """``masks[1]`` where the mask ``sel`` holds, else ``masks[0]``, in bit
+    operations: ``np.where`` branches per element and mispredicts on a
+    random ``sel``."""
+    return masks[0] ^ ((masks[0] ^ masks[1]) & sel)
 
 
 def _holds(y, tf, terms):
@@ -331,10 +316,9 @@ def _holds(y, tf, terms):
     return ok
 
 
-def _chain(y, tfs, sel, terms, counts):
+def _chain(y, tf, terms, counts):
     """Whether every rate test ``_rate(y, a, b, tf) >= target`` of ``terms``
-    holds, where ``tf`` is ``tfs[1]`` in the trials the mask ``sel`` marks
-    and ``tfs[0]`` elsewhere (everywhere when ``sel`` is None).
+    holds.
 
     Each test is monotone in ``y``, so the chain holds iff ``y`` clears the
     largest threshold: one comparison per trial.  Trials inside a guard
@@ -342,196 +326,284 @@ def _chain(y, tfs, sel, terms, counts):
     result equals the rate comparisons bit for bit.  ``counts`` gains the
     trials decided in a band and the tests decided over the whole row.
     """
-    guarded, exact = [], []
-    for term in terms:
-        bands = [_band(*term, tf) for tf in tfs]
-        if None in bands:
-            exact.append(term)
-        else:
-            guarded.append((term, bands))
+    bands = [_band(*term, tf) for term in terms]
+    guarded = [term for term, band in zip(terms, bands) if band is not None]
+    exact = [term for term, band in zip(terms, bands) if band is None]
     if guarded:
-        edges = [(max(bands[i][0] for _, bands in guarded),
-                  max(bands[i][1] for _, bands in guarded))
-                 for i in range(len(tfs))]
         # below the highest lower edge some test surely fails; above the
         # highest upper edge every test surely holds
-        ok = _either(sel, [y >= lo for lo, _ in edges])
-        near = ok & ~_either(sel, [y > hi for _, hi in edges])
+        lo = max(band[0] for band in bands if band is not None)
+        hi = max(band[1] for band in bands if band is not None)
+        ok = y >= lo
+        near = ok & (y <= hi)
         if near.any():
             near = np.flatnonzero(near)
-            ok[near] = _holds(y[near],
-                              _pick(tfs, None if sel is None else sel[near]),
-                              [term for term, _ in guarded])
+            ok[near] = _holds(y[near], tf, guarded)
             counts[0] += near.size
     else:
         ok = np.ones(y.shape, dtype=bool)
     if exact:
-        ok &= _holds(y, _pick(tfs, sel), exact)
+        ok &= _holds(y, tf, exact)
         counts[1] += len(exact)
     return ok
 
 
-def _resolve(scenario: Scenario, buffers: _Buffers, n: int,
-             reads=None) -> _Block:
-    """Resolve every decode event of one scenario in the first ``n`` trials
-    of shared draws, which it reads through views, for what the runs
-    reading the block read (``reads``, in :class:`Tallies` form; None
-    reads everything).  The device messages are decoded only if ``reads``
-    holds a device event or the throughput, else the block's
-    ``device_snr``, ``device_ok`` and ``throughput`` are None; the
-    throughput and the supply units are built only if read, else they
-    are None.
+def _runs(policy, t: int) -> list:
+    """Every harvest-run length node ``t`` transmits on with positive
+    probability under ``policy``: ``r`` where nodes ``t, ..., t-r+1`` may
+    each harvest and node ``t-r`` may not (node 1 never does)."""
+    runs, r = [], 0
+    while True:
+        rho = policy.rho1(t - r)
+        if rho < 1.0:
+            runs.append(r)
+        if rho == 0.0:
+            return runs
+        r += 1
 
-    A harvest indicator whose probability is 0 or 1 is written, not
-    compared, and every decode of its slot runs at the one time factor it
-    implies; a hop whose disk is certainly idle or active is decoded by
-    one chain.  Each decision equals the masked route's bit for bit.
 
-    The devices drawn for slot t are the device messages the plan lists
-    for it, in plan order: one SIC chain decodes com and qom slots alike,
-    and the pairing enters only through the buffers.  The block's arrays and
-    temporaries are views of ``buffers``, so the next resolve into them
-    overwrites them; every element is written before it is read.
+def _states(policy, t: int) -> list:
+    """Every harvest state (0 or 1) node ``t + 1``, the receiver of slot
+    ``t``, takes with positive probability under ``policy``."""
+    rho = policy.rho1(t + 1)
+    return [s for s, possible in enumerate((rho < 1.0, rho > 0.0))
+            if possible]
+
+
+def _resolve(family, buffers: _Buffers, n: int, reads, counts):
+    """Resolve every decode event of each member of ``family``, scenarios
+    equal but for ``policy.rho``, in the first ``n`` trials of shared
+    draws, for what the runs reading the block read (``reads``, one entry
+    per member in :class:`Tallies` form; None reads everything).  Yields
+    each member with its :class:`_Block`, or with the exception its own
+    part raised; the next member's block overwrites it.  ``counts`` gains
+    the trials decided in a guard band, the rate tests decided over a whole
+    row, and the candidate power and decision rows built.
+
+    A slot's transmit power is 1 or the hop gains along the run of
+    harvesting nodes behind its transmitter, and its decode events depend
+    on that run and on the receiving relay's harvest state.  So, per slot,
+    the family builds one power row per run r >= 1 some member can reach,
+    each run's hop and device SNRs in the float order ``((g0 P) l) fade``,
+    and one single-time-factor :func:`_chain` decision per (run, receiver
+    state) and event, kept as bool rows.  Each member then picks its
+    decisions with bit operations over its own harvest indicators
+    (:func:`_either`): first "the run passes r iff node t-r harvested",
+    then the receiver state.  Every decision equals that of the member
+    resolved alone through per-trial masks.  A failure of the shared hop
+    rows fails the whole family, one of the device rows the members that
+    decode devices.
+
+    A member's device messages are decoded only if its ``reads`` hold a
+    device event or the throughput, else its block's ``device_ok`` and
+    ``throughput`` are None; the throughput and the supply units are built
+    only if read, else they are None.  One SIC chain decodes com and qom
+    slots alike over the device messages the plan lists, and the pairing
+    enters only through the buffers.  Every element of an array is written
+    before a result reads it.
     """
-    topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
-    budget = scenario.budget
+    first = family[0]
+    topo, plan, budget = first.topology, first.plan, first.budget
     m, hops = topo.node_count, topo.hop_count
     g0 = budget.gamma_bar0
-    bteh = policy.architecture == "BTEH"
+    bteh = first.policy.architecture == "BTEH"
     p_m = plan.relay_share
     active = buffers.active[:, :n]
     hop_fades = buffers.hop_fades[:, :n]
-    devices = _decodes_devices(reads)
+    runs = [sorted(set().union(*(_runs(s.policy, t) for s in family)))
+            for t in range(1, hops + 1)]
+    states = [sorted(set().union(*(_states(s.policy, t) for s in family)))
+              for t in range(1, hops + 1)]
+    # harvesting at the receiving relay compresses the information window,
+    # giving time factor tfs[1], or splits the received power
+    tfs = (1.0 / (m - 1),) * 2
+    if bteh:
+        tfs = (tfs[0], (1.0 - first.policy.alpha) / (m - 1))
+    # float scratch: an SNR row, and g0 P of one run for its devices
+    y, gp = buffers.take("y", (), n), buffers.take("gp", (), n)
 
-    indicators = buffers.take("indicators", (m - 1,), n, bool)
-    for r in range(m - 1):
-        rho = policy.rho1(r + 2)
-        if rho in (0.0, 1.0):
-            indicators[r] = rho == 1.0
+    def decide(s, terms):
+        return _chain(y, tfs[s], terms, counts)
+
+    # 5. transmit power of each run, in units of P0: run 0 is 1, which no
+    # row holds, and run r of slot t is run r-1 of slot t-1 times the hop
+    # gain node t harvested (the product with run 0's 1 is the gain itself)
+    powers = []
+    for t in range(1, hops + 1):
+        rows = buffers.take(("powers", t), (t,), n) if runs[t - 1][-1] \
+            else None
+        for r in runs[t - 1]:
+            if r == 0:
+                continue
+            np.multiply(hop_fades[t - 2], omega_factor(first.policy)
+                        * pathloss_linear(topo.hop_distances[t - 2], budget),
+                        out=rows[r])
+            if r > 1:
+                rows[r] *= powers[t - 2][r - 1]
+            counts[2] += 1
+        powers.append(rows)
+
+    def snr(r, ell, fade):
+        # ((g0 P) ell) fade into y, with g0 P in gp; run 0 transmits at
+        # P = 1, and g0 * 1 is g0, so its SNR is (g0 ell) fade
+        if r == 0:
+            np.multiply(ell, g0, out=y)
         else:
-            np.less(buffers.u_eh[r, :n], rho, out=indicators[r])
+            np.multiply(gp, ell, out=y)
+        np.multiply(y, fade, out=y)
 
-    # 5. transmit power chain, in units of P0: row t is row t-1 times the
-    # hop gain, where node t harvested
-    powers = buffers.take("powers", (hops,), n)
-    powers[0] = 1.0
-    for t in range(2, hops + 1):
-        rho = policy.rho1(t)
-        if rho == 0.0:
-            powers[t - 1] = 1.0
-            continue
-        np.multiply(hop_fades[t - 2], omega_factor(policy)
-                    * pathloss_linear(topo.hop_distances[t - 2], budget),
-                    out=powers[t - 1])
-        powers[t - 1] *= powers[t - 2]
-        if rho < 1.0:
-            _gate(powers[t - 1], indicators[t - 2])
-
-    # 6. receiver adjustments: harvesting at the receiving relay either
-    # compresses the information window, giving each trial one of two time
-    # factors, or splits the received power
-    recv = indicators[:hops]
-    counts = [0, 0]
-    if bteh:
-        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
-    else:
-        tfs = (1.0 / (m - 1),)
-
-    def decode(y, t, terms):
-        rho = policy.rho1(t + 1)
-        if not bteh or rho not in (0.0, 1.0):
-            return _chain(y, tfs, recv[t - 1] if bteh else None, terms,
-                          counts)
-        return _chain(y, (tfs[int(rho)],), None, terms, counts)
-
-    # 7. hop decoding; with devices present, the relayed message is decoded
-    # over the device messages the plan lists
-    ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
-    hop_snr = buffers.take("hop_snr", (hops,), n)
-    np.multiply(g0, powers, out=hop_snr)
-    hop_snr *= ell_hop
-    hop_snr *= hop_fades
-    if bteh:
-        eff = hop_snr
-    else:
-        # hop_snr times the power split 1 - beta * recv
-        eff = buffers.take("eff", (hops,), n)
-        np.multiply(recv, policy.beta, out=eff)
-        np.subtract(1.0, eff, out=eff)
-        eff *= hop_snr
+    # 6-7. hop decoding per run and receiver state; with devices present,
+    # the relayed message is decoded over the device messages the plan lists
+    ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)
     solo, relayed = (1.0, 0.0, plan.relay_rate), \
         (p_m, 1.0 - p_m, plan.relay_rate)
-    hop_ok = buffers.take("hop_ok", (hops,), n, bool)
+    hop_rows = []
     for t in range(1, hops + 1):
+        rows = buffers.take(("hop", t), (t, 2), n, bool)
         p_active = buffers.p_active[t - 1]
-        if p_m == 1.0 or p_active in (0.0, 1.0):
-            # the relayed message alone, or over the device messages of a
-            # disk certain to be active: one chain
-            hop_ok[t - 1] = decode(eff[t - 1], t,
-                                   [relayed if p_active == 1.0 else solo])
-        else:
-            hop_ok[t - 1] = _either(active[t - 1], [
-                decode(eff[t - 1], t, [solo]),
-                decode(eff[t - 1], t, [relayed])])
-    prefix_ok = buffers.take("prefix_ok", (hops,), n, bool)
-    np.copyto(prefix_ok, hop_ok)
-    for t in range(1, hops):
-        prefix_ok[t] &= prefix_ok[t - 1]
-    # slot t serves its devices iff its transmitter holds the message,
-    # i.e. hops 1..t-1 all succeeded; the slot's own hop is a separate event
-    msg_ok = buffers.take("msg_ok", (hops,), n, bool)
-    msg_ok[0] = True
-    msg_ok[1:] = prefix_ok[:-1]
+        for r in runs[t - 1]:
+            if r:
+                np.multiply(g0, powers[t - 1][r], out=gp)
+            snr(r, ell_hop[t - 1], hop_fades[t - 1])
+            for s in states[t - 1]:
+                if s and not bteh:
+                    y *= 1.0 - first.policy.beta
+                if p_m == 1.0 or p_active in (0.0, 1.0):
+                    # the relayed message alone, or over the device
+                    # messages of a disk certain to be active: one chain
+                    rows[r, s] = decide(
+                        s, [relayed if p_active == 1.0 else solo])
+                else:
+                    rows[r, s] = _either(active[t - 1], [
+                        decide(s, [solo]), decide(s, [relayed])])
+        hop_rows.append(rows)
+        counts[3] += len(runs[t - 1]) * len(states[t - 1])
 
-    # 8. device decoding: every device first peels the relayed message off
-    # the superposition, then every weaker-protected message n > k the plan
+    # 8. device decoding per run (and, under time-switching, receiver
+    # state): every device first peels the relayed message off the
+    # superposition, then every weaker-protected message n > k the plan
     # lists, then its own; a qom slot lists its one device
-    device_snr = device_ok = throughput = None
-    if devices:
-        device_snr, device_ok = [], []
-        row = buffers.take("row", (), n)  # one row of float scratch
-        if reads is None or ("throughput",) in reads:
-            throughput = buffers.take("throughput", (), n)
-            np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
-        device_gain = buffers.device_gain(budget)
-        for t in range(1, hops + 1):
-            ell_dev = device_gain[t - 1][:, :n]
-            fade = buffers.device_fade[t - 1][:, :n]
-            served = active[t - 1]
-            count = ell_dev.shape[0]
-            snr = buffers.take(("device_snr", t), (count,), n)
-            np.multiply(g0, powers[t - 1], out=row)
-            np.multiply(row, ell_dev, out=snr)
-            snr *= fade
-            ok = buffers.take(("device_ok", t), (count,), n, bool)
-            shares = plan.device_shares[t - 1]
-            targets = plan.device_rates[t - 1]
-            below = np.cumsum((0.0,) + shares)
-            for k in range(count, 0, -1):
-                peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
-                         for nn in range(count, k - 1, -1)]
-                np.bitwise_and(served,
-                               decode(snr[k - 1], t, [relayed] + peels),
-                               out=ok[k - 1])
-                if throughput is not None:
-                    np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1],
-                                out=row)
-                    throughput += row
-            device_snr.append(snr)
-            device_ok.append(ok)
-        if throughput is not None:
-            throughput /= m - 1
+    device_rows = None
+    if any(map(_decodes_devices, reads)):
+        try:
+            device_rows = []
+            device_gain = buffers.device_gain(budget)
+            for t in range(1, hops + 1):
+                ell_dev = device_gain[t - 1][:, :n]
+                fade = buffers.device_fade[t - 1][:, :n]
+                count = ell_dev.shape[0]
+                rows = buffers.take(("device", t), (count, t, 2), n, bool)
+                shares = plan.device_shares[t - 1]
+                targets = plan.device_rates[t - 1]
+                below = np.cumsum((0.0,) + shares)
+                chosen = states[t - 1] if bteh else [0]
+                for r in runs[t - 1]:
+                    if r:
+                        np.multiply(g0, powers[t - 1][r], out=gp)
+                    for k in range(count, 0, -1):
+                        peels = [(shares[nn - 1], below[nn - 1],
+                                  targets[nn - 1])
+                                 for nn in range(count, k - 1, -1)]
+                        snr(r, ell_dev[k - 1], fade[k - 1])
+                        for s in chosen:
+                            np.bitwise_and(active[t - 1],
+                                           decide(s, [relayed] + peels),
+                                           out=rows[k - 1, r, s])
+                device_rows.append(rows)
+                counts[3] += count * len(runs[t - 1]) * len(chosen)
+        except Exception as exc:
+            # without its traceback, whose frames hold the buffer set
+            device_rows = exc.with_traceback(None)
 
-    supply_units = None
-    if reads is None or ("supply_power",) in reads:
-        supply_units = buffers.take("supply_units", (), n, np.int64)
-        np.sum(indicators[:hops - 1], axis=0, out=supply_units)
-        np.subtract(hops, supply_units, out=supply_units)
-    return _Block(n=n, indicators=indicators, active=active, powers=powers,
-                  hop_snr=hop_snr, hop_ok=hop_ok, device_snr=device_snr,
-                  device_ok=device_ok, prefix_ok=prefix_ok, msg_ok=msg_ok,
-                  supply_units=supply_units, throughput=throughput,
-                  guard_counts=tuple(counts))
+    def member(policy, reads, devices):
+        """The block of the member with ``policy``, picked from the
+        candidate rows by its own harvest indicators."""
+        indicators = buffers.take("indicators", (m - 1,), n, bool)
+        for j in range(m - 1):
+            rho = policy.rho1(j + 2)
+            if rho in (0.0, 1.0):
+                indicators[j] = rho == 1.0
+            else:
+                np.less(buffers.u_eh[j, :n], rho, out=indicators[j])
+
+        def by_run(t, rows):
+            # rows[r] where node t transmits on run r: the run passes r iff
+            # node t-r harvested; a node certain to harvest, or not to,
+            # needs no mask
+            r, mixed = 0, []
+            while policy.rho1(t - r) > 0.0:
+                if policy.rho1(t - r) < 1.0:
+                    mixed.append(r)
+                r += 1
+            out = rows[r]
+            for r in reversed(mixed):
+                out = _either(indicators[t - r - 2], [rows[r], out])
+            return out
+
+        def pick(t, rows):
+            # rows[r, s] by run, then by the receiver's harvest state s
+            rho = policy.rho1(t + 1)
+            if rho in (0.0, 1.0):
+                return by_run(t, rows[:, int(rho)])
+            return _either(indicators[t - 1], [by_run(t, rows[:, 0]),
+                                               by_run(t, rows[:, 1])])
+
+        hop_ok = buffers.take("hop_ok", (hops,), n, bool)
+        for t in range(1, hops + 1):
+            hop_ok[t - 1] = pick(t, hop_rows[t - 1])
+        prefix_ok = buffers.take("prefix_ok", (hops,), n, bool)
+        np.copyto(prefix_ok, hop_ok)
+        for t in range(1, hops):
+            prefix_ok[t] &= prefix_ok[t - 1]
+        # slot t serves its devices iff its transmitter holds the message,
+        # i.e. hops 1..t-1 all succeeded; the slot's own hop is a separate
+        # event
+        msg_ok = buffers.take("msg_ok", (hops,), n, bool)
+        msg_ok[0] = True
+        msg_ok[1:] = prefix_ok[:-1]
+
+        device_ok = throughput = None
+        if devices:
+            device_ok = []
+            if reads is None or ("throughput",) in reads:
+                throughput = buffers.take("throughput", (), n)
+                np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
+            for t in range(1, hops + 1):
+                rows = device_rows[t - 1]
+                count = rows.shape[0]
+                ok = buffers.take(("device_ok", t), (count,), n, bool)
+                targets = plan.device_rates[t - 1]
+                for k in range(count, 0, -1):
+                    ok[k - 1] = pick(t, rows[k - 1]) if bteh \
+                        else by_run(t, rows[k - 1, :, 0])
+                    if throughput is not None:
+                        np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1],
+                                    out=y)
+                        throughput += y
+                device_ok.append(ok)
+            if throughput is not None:
+                throughput /= m - 1
+
+        supply_units = None
+        if reads is None or ("supply_power",) in reads:
+            supply_units = buffers.take("supply_units", (), n, np.int64)
+            np.sum(indicators[:hops - 1], axis=0, out=supply_units)
+            np.subtract(hops, supply_units, out=supply_units)
+        return _Block(n=n, indicators=indicators, active=active,
+                      hop_ok=hop_ok, device_ok=device_ok, prefix_ok=prefix_ok,
+                      msg_ok=msg_ok, supply_units=supply_units,
+                      throughput=throughput)
+
+    for scenario, member_reads in zip(family, reads):
+        devices = _decodes_devices(member_reads)
+        if devices and isinstance(device_rows, Exception):
+            yield scenario, device_rows
+            continue
+        try:
+            block = member(scenario.policy, member_reads, devices)
+        except Exception as exc:
+            block = exc
+        yield scenario, block
 
 
 # what a run's rows read besides its outage events: the moment sums the
@@ -669,14 +741,15 @@ def simulate_plan(runs, reads=None) -> dict:
     ``reads`` maps a run to what its rows read (see :class:`Tallies`); a
     run without an entry is tallied in full.  Scenarios of one seed that
     share pairing and topology read the same draws: each block is drawn
-    once, resolved once per scenario and tallied into every trial count
-    asked of it, in block order.  A block decodes a scenario's device
-    messages only if a run reading that block reads a device event or the
-    throughput, builds its throughput and supply-power rows only if a run
-    reading the block reads them, and draws device geometry only if some
-    scenario decodes devices.  So each entry equals its run simulated
-    alone on everything the run reads.  A failed run maps to its
-    exception.
+    once, resolved once per family (the scenarios equal but for their
+    harvest probabilities, :func:`_family_key`) and tallied into every
+    trial count asked of each member, in block order.  A block decodes a
+    member's device messages only if a run reading that block reads a
+    device event or the throughput, builds its throughput and
+    supply-power rows only if a run reading the block reads them, and
+    draws device geometry only if some scenario decodes devices.  So each
+    entry equals its run simulated alone on everything the run reads.  A
+    failed run maps to its exception.
     """
     reads = reads or {}
     out, groups = {}, {}
@@ -693,17 +766,30 @@ def simulate_plan(runs, reads=None) -> dict:
     return out
 
 
+def _family_key(scenario: Scenario) -> Scenario:
+    """``scenario`` with its harvest probabilities cleared: scenarios of one
+    key differ only in ``policy.rho`` and resolve one family's candidate
+    rows (:func:`_resolve`)."""
+    policy = scenario.policy
+    return dataclasses.replace(scenario, policy=dataclasses.replace(
+        policy, rho=(0.0,) * policy.node_count))
+
+
 def _simulate_group(seed: int, cuts: dict) -> dict:
     """Tallies of one draw group's runs, ``cuts`` mapping each scenario to
     the tallies of its runs at ``seed`` by trial count.  Blocks are drawn
-    in full, so a longer run extends a shorter one, and resolved only as
-    wide as the longest run reads.  The group's buffer set and every
-    block's views of it are freed on return, before the next group
-    allocates its own."""
+    in full, so a longer run extends a shorter one, and each family
+    resolves a block as wide as the longest run of a member reads it.  The
+    group's buffer set and every block's views of it are freed on return,
+    before the next group allocates its own."""
     failed, spent, start = {}, {}, time.perf_counter()
     # blocks drawn, of them without device geometry; uniform rows skipped;
-    # trials resolved without device decoding
-    drawn, hop_only, skipped, undecoded = 0, 0, 0, 0
+    # trials resolved without device decoding; candidate power and
+    # decision rows built
+    drawn, hop_only, skipped, undecoded, candidates = 0, 0, 0, 0, [0, 0]
+    families = {}
+    for s in cuts:
+        families.setdefault(_family_key(s), []).append(s)
     buffers = _Buffers(next(iter(cuts)), BLOCK_SIZE)
     for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
         lo = b * BLOCK_SIZE
@@ -715,38 +801,56 @@ def _simulate_group(seed: int, cuts: dict) -> dict:
                  for s, tallies in cuts.items() if s not in failed}
         geometry = any(map(_decodes_devices, reads.values()))
         pending = True
-        for s, tallies in cuts.items():
-            width = min(BLOCK_SIZE, max(tallies) - lo)
-            if s in failed or width <= 0:
+        for family in families.values():
+            width = {s: min(BLOCK_SIZE, max(cuts[s]) - lo) for s in family
+                     if s not in failed and max(cuts[s]) > lo}
+            if not width:
                 continue
+            members, counts = list(width), [0, 0, 0, 0]
+            left = list(members)
             try:
                 if pending:
                     skipped += _draw(buffers, _block_rng(seed, b), geometry)
                     drawn, hop_only = drawn + 1, hop_only + (not geometry)
                     pending = False
                 tick = time.perf_counter()
-                block = _resolve(s, buffers, width, reads[s])
-                for n, tal in tallies.items():
-                    if n > lo:
-                        tal.add(block, min(BLOCK_SIZE, n - lo))
+                for s, block in _resolve(members, buffers, max(width.values()),
+                                         [reads[s] for s in members], counts):
+                    left.remove(s)
+                    try:
+                        if isinstance(block, Exception):
+                            raise block
+                        for n, tal in cuts[s].items():
+                            if n > lo:
+                                tal.add(block, min(BLOCK_SIZE, n - lo))
+                    except Exception as exc:
+                        failed[s] = exc.with_traceback(None)
             except Exception as exc:
-                # without its traceback, whose frames hold the buffer set
-                failed[s] = exc.with_traceback(None)
+                # without its traceback, whose frames hold the buffer set;
+                # a failure before a member's block fails it
+                failed.update(dict.fromkeys(left, exc.with_traceback(None)))
+            tallied = [s for s in width if s not in failed]
+            if not tallied:
                 continue
-            undecoded += 0 if _decodes_devices(reads[s]) else width
+            undecoded += sum(width[s] for s in tallied
+                             if not _decodes_devices(reads[s]))
+            candidates = [candidates[0] + counts[2], candidates[1] + counts[3]]
             # seconds, trials, trials in guard bands, whole-row tests
-            done = (time.perf_counter() - tick, width, *block.guard_counts)
-            spent[s.scheme.value] = tuple(map(sum, zip(
-                spent.get(s.scheme.value, (0.0, 0, 0, 0)), done)))
+            done = (time.perf_counter() - tick,
+                    sum(width[s] for s in tallied), *counts[:2])
+            key = family[0].scheme.value
+            spent[key] = tuple(map(sum, zip(spent.get(key, (0.0, 0, 0, 0)),
+                                            done)))
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("%s draws, seed %d: %d blocks drawn (%d without device "
                      "geometry), %d uniform rows skipped, %d scenarios "
-                     "resolved, %d trials resolved (%d without device "
-                     "decoding) in %.3f s, %d workspace bytes allocated "
-                     "once; %s",
+                     "resolved as %d families on %d candidate power rows and "
+                     "%d candidate decision rows, %d trials resolved (%d "
+                     "without device decoding) in %.3f s, %d workspace bytes "
+                     "allocated once; %s",
                      buffers.pairing or "bare", seed, drawn, hop_only,
-                     skipped, len(cuts), sum(v[1] for v in spent.values()),
-                     undecoded,
+                     skipped, len(cuts), len(families), *candidates,
+                     sum(v[1] for v in spent.values()), undecoded,
                      time.perf_counter() - start, buffers.nbytes,
                      ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
                                f"({g} in guard bands, {e} whole-row rate "

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy.special import loggamma
 
 # contour -> residue-series switch point for the CDF-side kernels
 RESIDUE_CROSSOVER = 1e-3
@@ -109,6 +108,13 @@ def _family(kind) -> Family:
         num = ((0.0, 1.0),) + ((1.0, theta),) * v + ((m, -1.0),)
         return Family(kind, num, (), (0.0, m), ((1.0, 1.0), (1.0, theta)))
     raise UnsupportedSpecError(f"unknown kernel family {kind!r}")
+
+
+def loggamma(z):
+    """``scipy.special.loggamma``, imported on first use, so that importing
+    the package or simulating loads no scipy module."""
+    from scipy.special import loggamma as scipy_loggamma
+    return scipy_loggamma(z)
 
 
 class LogGammaTable(dict):

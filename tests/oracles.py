@@ -241,8 +241,8 @@ def plan_chains(scenario: Scenario) -> set:
     the hop's relayed message decoded alone and over the device messages,
     and the SIC chain of each served device, each at every time factor of
     the policy (two under time-switching, ``tfs[1]`` where the receiving
-    relay harvests).  The simulator asks a chain at one of its time
-    factors only where the harvest is certain."""
+    relay harvests).  The simulator asks each chain at one time factor
+    per receiver harvest state."""
     plan, policy = scenario.plan, scenario.policy
     m = scenario.topology.node_count
     tfs = (1.0 / (m - 1),)
@@ -309,11 +309,265 @@ def draw_in_full(buffers, rng: np.random.Generator,
         rng.standard_exponential(out=buffers.device_fade[t - 1])
 
 
+def _pick(values, sel):
+    """``values[1]`` where the mask ``sel`` holds, else ``values[0]``
+    (everywhere when ``sel`` is None)."""
+    return values[0] if sel is None else np.where(sel, values[1], values[0])
+
+
+def _masked_either(sel, masks):
+    """:func:`nomarelay.montecarlo._either`, or ``masks[0]`` when ``sel`` is
+    None."""
+    return masks[0] if sel is None else montecarlo._either(sel, masks)
+
+
+def masked_chain(y, tfs, sel, terms, counts):
+    """:func:`nomarelay.montecarlo._chain` at a time factor per trial:
+    ``tfs[1]`` in the trials the mask ``sel`` marks and ``tfs[0]``
+    elsewhere (everywhere when ``sel`` is None), through one guard band per
+    time factor.  ``counts`` gains the trials decided in a band and the
+    tests decided over the whole row, a test being whole-row if it has no
+    band at some time factor."""
+    guarded, exact = [], []
+    for term in terms:
+        bands = [montecarlo._band(*term, tf) for tf in tfs]
+        if None in bands:
+            exact.append(term)
+        else:
+            guarded.append((term, bands))
+    if guarded:
+        edges = [(max(bands[i][0] for _, bands in guarded),
+                  max(bands[i][1] for _, bands in guarded))
+                 for i in range(len(tfs))]
+        ok = _masked_either(sel, [y >= lo for lo, _ in edges])
+        near = ok & ~_masked_either(sel, [y > hi for _, hi in edges])
+        if near.any():
+            near = np.flatnonzero(near)
+            ok[near] = montecarlo._holds(
+                y[near], _pick(tfs, None if sel is None else sel[near]),
+                [term for term, _ in guarded])
+            counts[0] += near.size
+    else:
+        ok = np.ones(y.shape, dtype=bool)
+    if exact:
+        ok &= montecarlo._holds(y, _pick(tfs, sel), exact)
+        counts[1] += len(exact)
+    return ok
+
+
+def _gate(x, mask):
+    """Set ``x`` to ``np.where(mask, x, 1.0)`` in place, as the masked
+    product ``x*mask + ~mask``, which does not branch per element on a
+    random ``mask``; returns ``x``.
+
+    The two agree bit for bit where ``x`` is finite and not -0.0 (a
+    product of non-negative factors never is); a row holding an inf or a
+    NaN, where ``inf*0`` would give NaN, keeps ``np.where``.
+    """
+    if np.isfinite(x).all():
+        x *= mask
+        x += ~mask
+    else:
+        x[...] = np.where(mask, x, 1.0)
+    return x
+
+
+@dataclass
+class MaskedBlock:
+    """One scenario's per-trial arrays from :func:`masked_resolve`: the
+    fields of :class:`nomarelay.montecarlo._Block`, the power chain and
+    the hop and device SNRs each trial saw, and ``guard_counts``, the
+    trials decided in a guard band and the rate tests decided over a whole
+    row."""
+
+    n: int
+    indicators: np.ndarray
+    active: np.ndarray
+    powers: np.ndarray
+    hop_snr: np.ndarray
+    hop_ok: np.ndarray
+    device_snr: list
+    device_ok: list
+    prefix_ok: np.ndarray
+    msg_ok: np.ndarray
+    supply_units: np.ndarray
+    throughput: np.ndarray
+    guard_counts: tuple
+
+
+def masked_resolve(scenario: Scenario, buffers, n: int,
+                   reads=None) -> MaskedBlock:
+    """Every decode event of one scenario in the first ``n`` trials of the
+    draws in ``buffers``, resolved alone through per-trial masks: the
+    power chain gated by each relay's harvest indicator, and each decode
+    at the time factor its receiver's indicator selects, in fresh arrays.
+    This is the per-scenario route that the simulator's family resolve
+    (:func:`nomarelay.montecarlo._resolve`) replaces, and it decides every
+    event the same bit for bit.  ``reads`` gates device decoding and the
+    moments as there; a harvest indicator whose probability is 0 or 1 is
+    written, and a hop whose disk is certainly idle or active is decoded
+    by one chain."""
+    topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
+    budget = scenario.budget
+    m, hops = topo.node_count, topo.hop_count
+    g0 = budget.gamma_bar0
+    bteh = policy.architecture == "BTEH"
+    p_m = plan.relay_share
+    active = buffers.active[:, :n]
+    hop_fades = buffers.hop_fades[:, :n]
+    devices = montecarlo._decodes_devices(reads)
+
+    indicators = np.empty((m - 1, n), dtype=bool)
+    for r in range(m - 1):
+        rho = policy.rho1(r + 2)
+        if rho in (0.0, 1.0):
+            indicators[r] = rho == 1.0
+        else:
+            np.less(buffers.u_eh[r, :n], rho, out=indicators[r])
+
+    # the transmit power chain, in units of P0: row t is row t-1 times the
+    # hop gain, where node t harvested
+    powers = np.empty((hops, n))
+    powers[0] = 1.0
+    for t in range(2, hops + 1):
+        rho = policy.rho1(t)
+        if rho == 0.0:
+            powers[t - 1] = 1.0
+            continue
+        np.multiply(hop_fades[t - 2], omega_factor(policy)
+                    * pathloss_linear(topo.hop_distances[t - 2], budget),
+                    out=powers[t - 1])
+        powers[t - 1] *= powers[t - 2]
+        if rho < 1.0:
+            _gate(powers[t - 1], indicators[t - 2])
+
+    # harvesting at the receiving relay either compresses the information
+    # window, giving each trial one of two time factors, or splits the
+    # received power
+    recv = indicators[:hops]
+    counts = [0, 0]
+    if bteh:
+        tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
+    else:
+        tfs = (1.0 / (m - 1),)
+
+    def decode(y, t, terms):
+        rho = policy.rho1(t + 1)
+        if not bteh or rho not in (0.0, 1.0):
+            return masked_chain(y, tfs, recv[t - 1] if bteh else None,
+                                terms, counts)
+        return masked_chain(y, (tfs[int(rho)],), None, terms, counts)
+
+    ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
+    hop_snr = np.multiply(g0, powers)
+    hop_snr *= ell_hop
+    hop_snr *= hop_fades
+    if bteh:
+        eff = hop_snr
+    else:
+        # hop_snr times the power split 1 - beta * recv
+        eff = np.multiply(recv, policy.beta)
+        np.subtract(1.0, eff, out=eff)
+        eff *= hop_snr
+    solo, relayed = (1.0, 0.0, plan.relay_rate), \
+        (p_m, 1.0 - p_m, plan.relay_rate)
+    hop_ok = np.empty((hops, n), dtype=bool)
+    for t in range(1, hops + 1):
+        p_active = buffers.p_active[t - 1]
+        if p_m == 1.0 or p_active in (0.0, 1.0):
+            hop_ok[t - 1] = decode(eff[t - 1], t,
+                                   [relayed if p_active == 1.0 else solo])
+        else:
+            hop_ok[t - 1] = _masked_either(active[t - 1], [
+                decode(eff[t - 1], t, [solo]),
+                decode(eff[t - 1], t, [relayed])])
+    prefix_ok = hop_ok.copy()
+    for t in range(1, hops):
+        prefix_ok[t] &= prefix_ok[t - 1]
+    msg_ok = np.empty((hops, n), dtype=bool)
+    msg_ok[0] = True
+    msg_ok[1:] = prefix_ok[:-1]
+
+    # every device first peels the relayed message off the superposition,
+    # then every weaker-protected message n > k the plan lists, then its own
+    device_snr = device_ok = throughput = None
+    if devices:
+        device_snr, device_ok = [], []
+        if reads is None or ("throughput",) in reads:
+            throughput = np.multiply(prefix_ok[-1], plan.relay_rate)
+        device_gain = buffers.device_gain(budget)
+        for t in range(1, hops + 1):
+            ell_dev = device_gain[t - 1][:, :n]
+            fade = buffers.device_fade[t - 1][:, :n]
+            served = active[t - 1]
+            count = ell_dev.shape[0]
+            row = np.multiply(g0, powers[t - 1])
+            snr = np.multiply(row, ell_dev)
+            snr *= fade
+            ok = np.empty((count, n), dtype=bool)
+            shares = plan.device_shares[t - 1]
+            targets = plan.device_rates[t - 1]
+            below = np.cumsum((0.0,) + shares)
+            for k in range(count, 0, -1):
+                peels = [(shares[nn - 1], below[nn - 1], targets[nn - 1])
+                         for nn in range(count, k - 1, -1)]
+                np.bitwise_and(served,
+                               decode(snr[k - 1], t, [relayed] + peels),
+                               out=ok[k - 1])
+                if throughput is not None:
+                    np.multiply(msg_ok[t - 1] & ok[k - 1], targets[k - 1],
+                                out=row)
+                    throughput += row
+            device_snr.append(snr)
+            device_ok.append(ok)
+        if throughput is not None:
+            throughput /= m - 1
+
+    supply_units = None
+    if reads is None or ("supply_power",) in reads:
+        supply_units = hops - np.sum(indicators[:hops - 1], axis=0)
+    return MaskedBlock(n=n, indicators=indicators, active=active,
+                       powers=powers, hop_snr=hop_snr, hop_ok=hop_ok,
+                       device_snr=device_snr, device_ok=device_ok,
+                       prefix_ok=prefix_ok, msg_ok=msg_ok,
+                       supply_units=supply_units, throughput=throughput,
+                       guard_counts=tuple(counts))
+
+
+def family_blocks(family, buffers, n: int, reads=None):
+    """Each member of ``family`` with a copy of its block from one family
+    resolve of the first ``n`` trials in ``buffers`` (a member's arrays
+    are overwritten by the next member's), and the family's counts:
+    guard-band trials, whole-row tests, candidate power and decision rows.
+    ``reads`` holds one entry per member, or None for everything; a member
+    whose resolve failed maps to its exception."""
+    counts = [0, 0, 0, 0]
+    reads = [None] * len(family) if reads is None else list(reads)
+    blocks = {}
+    for s, block in montecarlo._resolve(list(family), buffers, n, reads,
+                                        counts):
+        if not isinstance(block, Exception):
+            block = montecarlo._Block(**{
+                name: _copied(getattr(block, name))
+                for name in montecarlo._Block.__slots__})
+        blocks[s] = block
+    return blocks, counts
+
+
+def _copied(value):
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, list):
+        return [row.copy() for row in value]
+    return value
+
+
 def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):
-    """Draw and resolve ``n`` independent relaying blocks."""
+    """Draw ``n`` independent relaying blocks and resolve them through the
+    masked route."""
     buffers = montecarlo._Buffers(scenario, n)
     montecarlo._draw(buffers, rng)
-    return montecarlo._resolve(scenario, buffers, n)
+    return masked_resolve(scenario, buffers, n)
 
 
 _LN2 = math.log(2.0)

@@ -734,16 +734,19 @@ def test_shipped_mc_device_tables_are_byte_identical(tmp_path, name):
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
-    draws, widths, geometry = [], [], {}
+    draws, widths, families, geometry = [], [], [], {}
 
     def draw(buffers, rng, devices, draw=montecarlo._draw):
         draws.append(buffers)
         geometry.setdefault(buffers.pairing, []).append(devices)
         return draw(buffers, rng, devices)
 
-    def resolve(scenario, buffers, n, reads, resolve=montecarlo._resolve):
-        widths.append(n)
-        return resolve(scenario, buffers, n, reads)
+    def resolve(family, buffers, n, reads, counts,
+                resolve=montecarlo._resolve):
+        # every member of a family reads the block as wide as the family
+        families.append(len(family))
+        widths.extend([n] * len(family))
+        return resolve(family, buffers, n, reads, counts)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_resolve", resolve)
@@ -754,6 +757,10 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
     # block, and tcom/tqom/pcom/pqom at 3 rho values plus the rho-free
     # com-noeh/qom-noeh/cnrr make 15 scenarios
     assert (len(draws), len(widths)) == (3 * 4, 15 * 4)
+    # the scenarios that differ only in rho are one family: tcom, tqom,
+    # pcom and pqom each resolve their 3 rho values at once, beside the
+    # families of one of com-noeh, qom-noeh and cnrr
+    assert sorted(families) == sorted([3] * 4 * 4 + [1] * 3 * 4)
     # each group allocates one buffer set and refills it for its 4 blocks
     assert len({id(buffers) for buffers in draws}) == 3
     # the last block is resolved only as far as the 200,000-trial run reads
@@ -774,10 +781,10 @@ def test_simulation_failure_fails_only_its_scheme(monkeypatch):
     clean = run_sweep(config, source="both")
     resolve = montecarlo._resolve
 
-    def refuse_pcom(scenario, draws, n, *work):
-        if scenario.scheme is Scheme.PCOM:
+    def refuse_pcom(family, draws, n, *work):
+        if any(scenario.scheme is Scheme.PCOM for scenario in family):
             raise FloatingPointError("refused")
-        return resolve(scenario, draws, n, *work)
+        return resolve(family, draws, n, *work)
 
     monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
     result = run_sweep(config, source="both")

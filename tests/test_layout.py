@@ -32,8 +32,10 @@ MOVED = {
                   "asymptotic_cdf_Y", "asymptotic_cdf_Z"),
     "power": ("EhRealization", "sample_eh_process", "transmit_power",
               "transmit_power_recursive"),
+    # the masked gate of the per-scenario power chain, which the family
+    # resolve replaced by one power row per harvest run
     "montecarlo": ("TrialOutcome", "_simulate_block", "run_block_trial",
-                   "empirical_ccdf_oracle"),
+                   "empirical_ccdf_oracle", "_gate"),
     "channel": ("watts_to_dbm", "pathloss_db", "cdf_phi",
                 "ccdf_varphi_annulus", "cdf_varphi_annulus",
                 "singh_maddala_ccdf", "singh_maddala_ccdf_foxh",
@@ -93,6 +95,8 @@ REMOVED_PARAMETERS = {
     "work": (montecarlo._resolve,),
     # a resolve builds what the runs reading its block read
     "devices": (montecarlo._resolve,),
+    # a resolve takes a family; a scenario alone is a family of one
+    "scenario": (montecarlo._resolve,),
 }
 
 
@@ -216,6 +220,29 @@ def test_cli_import_leaves_the_fitting_modules_unloaded():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.split() == ["[]"]
+
+
+def test_mc_path_leaves_scipy_unloaded():
+    # scipy.special loads on first use by the analytic layer; importing the
+    # CLI or simulating a sweep reads no special function
+    root = Path(__file__).resolve().parent.parent
+    probe = ("import sys\n"
+             "def scipy(): return sorted(m for m in sys.modules\n"
+             "                           if m.split('.')[0] == 'scipy')\n"
+             "import nomarelay.cli\n"
+             "print(scipy())\n"
+             "from nomarelay import experiments\n"
+             "config = experiments.load_config(sys.argv[1])\n"
+             "result = experiments.run_sweep(config, source='mc', "
+             "trials=2000)\n"
+             "assert result.rows and not result.failures\n"
+             "print(scipy())\n")
+    out = subprocess.run(
+        [sys.executable, "-c", probe,
+         str(root / "configs" / "validate_chain.yaml")],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src"))).stdout
+    assert out.split() == ["[]", "[]"]
 
 
 def test_readme_library_example_runs(capsys):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomarelay import analytics, montecarlo
+from nomarelay import analytics, montecarlo, power
 from nomarelay.analytics import default_allocation
 from nomarelay.channel import (
     FittedGainDistribution,
@@ -239,8 +239,10 @@ PAIRINGS = {
 PREFIX_WIDTHS = (1, 3_392, 34_464, montecarlo.BLOCK_SIZE)
 
 
-ARRAY_FIELDS = [name for name in montecarlo._Block.__slots__
-                if name not in ("n", "guard_counts")]
+ARRAY_FIELDS = [name for name in montecarlo._Block.__slots__ if name != "n"]
+# the decision rows a member's block shares with the masked route
+DECISIONS = ("indicators", "active", "hop_ok", "prefix_ok", "msg_ok",
+             "device_ok", "supply_units", "throughput")
 
 
 def _drawn(s, b=0):
@@ -250,6 +252,64 @@ def _drawn(s, b=0):
     return buffers
 
 
+def _resolved(family, buffers, n, reads=None):
+    """Each member's block from one family resolve (copies), the family's
+    counts, and a copy of every candidate power row it built, by (slot,
+    run); run 0 transmits at 1 and builds no row."""
+    blocks, counts = oracles.family_blocks(family, buffers, n, reads)
+    hops = family[0].topology.hop_count
+    powers = {}
+    for t in range(1, hops + 1):
+        rows = buffers.take(("powers", t), (t,), n)
+        for r in set().union(*(montecarlo._runs(s.policy, t)
+                               for s in family)) - {0}:
+            powers[t, r] = rows[r].copy()
+    return blocks, counts, powers
+
+
+def _pairs(got, want, name):
+    """Pairs of arrays of field ``name`` of two blocks, one per row list
+    entry."""
+    a, b = getattr(got, name), getattr(want, name)
+    if isinstance(b, list):
+        assert len(a) == len(b), name
+        return list(zip(a, b))
+    return [(a, b)]
+
+
+def _assert_same_decisions(got, want, names=DECISIONS):
+    """Every decision row of a member's block equals that of ``want`` (a
+    block or a masked-route block), byte for byte."""
+    for name in names:
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None, name
+            continue
+        for a, b in _pairs(got, want, name):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _runs_taken(s, indicators, t):
+    """The harvest run node t transmits on in each trial."""
+    run = np.zeros(indicators.shape[1], dtype=int)
+    alive = np.ones(indicators.shape[1], dtype=bool)
+    for r in range(t - 1):
+        alive &= indicators[t - r - 2]
+        run += alive
+    return run
+
+
+def _assert_candidate_powers(s, powers, masked):
+    """The masked route's power chain of ``s`` is, trial by trial, the
+    candidate power row of the run its indicators give."""
+    for t in range(1, s.topology.hop_count + 1):
+        run = _runs_taken(s, masked.indicators, t)
+        picked = np.ones_like(masked.powers[t - 1])
+        for r in set(np.unique(run)) - {0}:
+            picked[run == r] = powers[t, r][run == r]
+        assert picked.tobytes() == masked.powers[t - 1].tobytes(), (s, t)
+
+
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_prefix_resolve_equals_full_width_prefix(pairing):
     group = PAIRINGS[pairing]
@@ -257,22 +317,29 @@ def test_prefix_resolve_equals_full_width_prefix(pairing):
     # the full width is resolved into a second set from the same stream
     draws, whole = _drawn(group[0]), _drawn(group[0])
     for s in group:
-        full = montecarlo._resolve(s, whole, montecarlo.BLOCK_SIZE)
+        blocks, counts, powers = _resolved([s], whole, montecarlo.BLOCK_SIZE)
+        full = blocks[s]
+        masked_full = oracles.masked_resolve(s, whole, montecarlo.BLOCK_SIZE)
         for n in PREFIX_WIDTHS:
-            part = montecarlo._resolve(s, draws, n)
+            blocks, part_counts, part_powers = _resolved([s], draws, n)
+            part = blocks[s]
             assert part.n == n
-            # a prefix holds no more band trials; whole-row tests are per row
-            assert part.guard_counts[0] <= full.guard_counts[0]
-            assert part.guard_counts[1] == full.guard_counts[1]
+            # a prefix holds no more band trials; whole-row tests are per
+            # row, and so are the candidate power and decision rows
+            assert part_counts[0] <= counts[0]
+            assert part_counts[1:] == counts[1:]
             for name in ARRAY_FIELDS:
-                got, want = getattr(part, name), getattr(full, name)
-                if isinstance(want, list):
-                    assert len(got) == len(want), name
-                    pairs = zip(got, want)
-                else:
-                    pairs = [(got, want)]
-                for a, b in pairs:
+                for a, b in _pairs(part, full, name):
                     assert np.array_equal(a, b[..., :n]), (s.scheme, n, name)
+            for key, row in part_powers.items():
+                assert np.array_equal(row, powers[key][:n]), (s.scheme, n)
+            # the masked route's power chain and SNRs are prefixes too
+            masked = oracles.masked_resolve(s, draws, n)
+            for name in ("powers", "hop_snr", "device_snr"):
+                for a, b in _pairs(masked, masked_full, name):
+                    assert np.array_equal(a, b[..., :n]), (s.scheme, n, name)
+            _assert_same_decisions(part, masked)
+            _assert_candidate_powers(s, part_powers, masked)
     # device gains are computed once per path-loss law and sliced
     assert len(draws.gains) == 1
 
@@ -286,7 +353,7 @@ def test_credited_device_messages_nest_in_earlier_hops(pairing):
     credited = 0
     for s in group:
         for n in PREFIX_WIDTHS:
-            block = montecarlo._resolve(s, draws, n)
+            block = oracles.family_blocks([s], draws, n)[0][s]
             # a device decodes only where its disk is active, so a tally
             # counts a device event's failures as active trials less its
             # successes
@@ -343,19 +410,24 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
             assert got.tobytes() == want.tobytes(), (b, n)
         for s in group:
             _spoil(reused.arrays.values())
+            fresh = _drawn(s, b)
             with np.errstate(over="ignore"):
-                got = montecarlo._resolve(s, reused, n)
-                want = montecarlo._resolve(s, _drawn(s, b), n)
-            assert (got.n, got.guard_counts) == (n, want.guard_counts)
-            for name in ARRAY_FIELDS:
-                pairs = zip(getattr(got, name), getattr(want, name)) \
-                    if name in ("device_snr", "device_ok") \
-                    else [(getattr(got, name), getattr(want, name))]
-                for a, b_ in pairs:
-                    assert a.dtype == b_.dtype and a.shape == b_.shape
-                    assert a.tobytes() == b_.tobytes(), (s.scheme, n, name)
+                got, got_counts, got_powers = _resolved([s], reused, n)
+                want, want_counts, want_powers = _resolved([s], fresh, n)
+                masked = oracles.masked_resolve(s, fresh, n)
+            got, want = got[s], want[s]
+            assert (got.n, got_counts) == (n, want_counts)
+            _assert_same_decisions(got, want, ARRAY_FIELDS)
+            _assert_same_decisions(got, masked)
+            assert got_powers.keys() == want_powers.keys()
+            for key, row in got_powers.items():
+                assert row.tobytes() == want_powers[key].tobytes(), key
+            _assert_candidate_powers(s, got_powers, masked)
             if s is HOT_TCOM:
-                assert np.isinf(got.powers[2]).any()
+                # the run of two harvests overflows; the masked route
+                # gates it through np.where
+                assert np.isinf(got_powers[3, 2]).any()
+                assert np.isinf(masked.powers[2]).any()
     # the buffer set is allocated once, at full width
     assert reused.nbytes % width == 0
     assert all(a.shape[-1] == width
@@ -389,12 +461,12 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
         watch(gains)
         return gains
 
-    def resolve_watched(scenario, buffers, n, reads):
-        block = resolve(scenario, buffers, n, reads)
-        watch(a for name in ARRAY_FIELDS for a in (
-            getattr(block, name) if name in ("device_snr", "device_ok")
-            else [getattr(block, name)]))
-        return block
+    def resolve_watched(family, buffers, n, reads, counts):
+        for s, block in resolve(family, buffers, n, reads, counts):
+            watch(a for name in ARRAY_FIELDS for a in (
+                getattr(block, name) if name == "device_ok"
+                else [getattr(block, name)]))
+            yield s, block
 
     monkeypatch.setattr(montecarlo._Buffers, "__init__", build)
     monkeypatch.setattr(montecarlo._Buffers, "take", take_watched)
@@ -416,7 +488,7 @@ def test_gate_equals_where_on_finite_non_negative_rows(cells):
     mask = np.array([bit for _, bit in cells])
     want = np.where(mask, x, 1.0)
     # the gate overwrites its row and hands it back
-    assert montecarlo._gate(x, mask) is x
+    assert oracles._gate(x, mask) is x
     assert x.tobytes() == want.tobytes()
 
 
@@ -427,7 +499,7 @@ def test_gate_keeps_where_on_a_row_that_is_not_finite():
     with np.errstate(invalid="ignore"):
         assert np.isnan((x * mask + ~mask)[1])
     want = np.where(mask, x, 1.0)
-    assert montecarlo._gate(x, mask).tobytes() == want.tobytes()
+    assert oracles._gate(x, mask).tobytes() == want.tobytes()
 
 
 def test_failed_run_frees_its_buffers(monkeypatch):
@@ -436,13 +508,13 @@ def test_failed_run_frees_its_buffers(monkeypatch):
     alive = []
     resolve = montecarlo._resolve
 
-    def refuse_pcom(scenario, buffers, n, *reads):
+    def refuse_pcom(family, buffers, n, *reads):
         alive.extend(weakref.ref(a) for a in _draw_arrays(buffers) + [
             *buffers.arrays.values(),
             *(row for rows in buffers.gain_rows.values() for row in rows)])
-        if scenario.scheme is Scheme.PCOM:
+        if any(s.scheme is Scheme.PCOM for s in family):
             raise FloatingPointError("refused")
-        return resolve(scenario, buffers, n, *reads)
+        return resolve(family, buffers, n, *reads)
 
     monkeypatch.setattr(montecarlo, "_resolve", refuse_pcom)
     runs = [(s, 7, 2_000) for s in (TCOM, scenario(Scheme.PCOM), TQOM)]
@@ -520,13 +592,15 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
         assert getattr(part, name).tobytes() == getattr(full, name).tobytes()
     # the device rows keep their stale values, and no resolve reads them
     assert all(np.isnan(a).all() for a in part.device_dist + part.device_fade)
-    with pytest.raises(RuntimeError, match="no device geometry"):
-        montecarlo._resolve(s, part, width)
+    failure = oracles.family_blocks([s], part, width)[0][s]
+    assert isinstance(failure, RuntimeError)
+    assert "no device geometry" in str(failure)
     # read for a hop event and the supply power: no device is decoded
-    got = montecarlo._resolve(s, part, width, {("hop", 1), ("supply_power",)})
-    want = montecarlo._resolve(s, full, width)
+    got = oracles.family_blocks([s], part, width,
+                                [{("hop", 1), ("supply_power",)}])[0][s]
+    want = oracles.family_blocks([s], full, width)[0][s]
     for name in ARRAY_FIELDS:
-        if name in ("device_snr", "device_ok", "throughput"):
+        if name in ("device_ok", "throughput"):
             assert getattr(got, name) is None, name
         else:
             assert getattr(got, name).tobytes() \
@@ -613,18 +687,21 @@ def test_certain_branches_equal_the_masked_route(topology, scheme, rho):
     near = 5e-324 if rho == 0.0 else np.nextafter(1.0, 0.0)
     twin = dataclasses.replace(certain, policy=dataclasses.replace(
         certain.policy, rho=(0.0, near, near, 0.0)))
-    got = montecarlo._resolve(certain, _drawn(certain),
-                              montecarlo.BLOCK_SIZE)
-    want = montecarlo._resolve(twin, _drawn(twin), montecarlo.BLOCK_SIZE)
+    buffers = _drawn(certain)
+    got, counts, _ = _resolved([certain], buffers, montecarlo.BLOCK_SIZE)
+    want, twin_counts, _ = _resolved([twin], buffers, montecarlo.BLOCK_SIZE)
+    got, want = got[certain], want[twin]
+    masked = oracles.masked_resolve(twin, buffers, montecarlo.BLOCK_SIZE)
     assert np.all(got.indicators[:2] == bool(rho))
-    assert got.guard_counts == want.guard_counts
-    for name in ARRAY_FIELDS:
-        pairs = zip(getattr(got, name), getattr(want, name)) \
-            if name in ("device_snr", "device_ok") \
-            else [(getattr(got, name), getattr(want, name))]
-        for a, b in pairs:
-            assert a.tobytes() == b.tobytes(), name
-    ref = oracles.reference_decode(certain, got)
+    # a certain harvest reaches fewer runs and receiver states, so the
+    # family builds fewer candidate rows; no test is decided whole-row
+    assert counts[2] < twin_counts[2] and counts[3] < twin_counts[3]
+    assert counts[1] == twin_counts[1] == masked.guard_counts[1] == 0
+    _assert_same_decisions(got, want, ARRAY_FIELDS)
+    _assert_same_decisions(got, masked)
+    ref = oracles.reference_decode(
+        certain, oracles.masked_resolve(certain, buffers,
+                                        montecarlo.BLOCK_SIZE))
     for name in ("hop_ok", "prefix_ok", "msg_ok", "throughput",
                  "supply_units"):
         assert np.array_equal(getattr(got, name), ref[name]), name
@@ -640,7 +717,7 @@ def test_unread_moments_are_not_built():
             ({("device", 1, 2)}, True, ()),
             ({("hop", 1), ("supply_power",)}, False, ("supply_units",)),
             ({("throughput",)}, True, ("throughput",))]:
-        block = montecarlo._resolve(TCOM, buffers, 1_000, reads)
+        block = oracles.family_blocks([TCOM], buffers, 1_000, [reads])[0][TCOM]
         assert (block.device_ok is not None) == devices, reads
         for name in ("throughput", "supply_units"):
             assert (getattr(block, name) is not None) == (name in moments)
@@ -650,6 +727,153 @@ def test_unread_moments_are_not_built():
     for moment in ("throughput", "supply_power"):
         with pytest.raises(ValueError, match="not tallied"):
             getattr(tallies[TCOM, 3, 1_000], moment)()
+
+
+# a node harvests surely, never, or with an interior probability
+RHOS = st.one_of(st.sampled_from([0.0, 1.0]),
+                 st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                           exclude_max=True))
+SCHEMES = {("com", "BTEH"): Scheme.TCOM, ("com", "BPEH"): Scheme.PCOM,
+           ("qom", "BTEH"): Scheme.TQOM, ("qom", "BPEH"): Scheme.PQOM,
+           ("bare", "BTEH"): Scheme.TCOM, ("bare", "BPEH"): Scheme.PCOM}
+
+
+@st.composite
+def families(draw):
+    """Runs of 2-4 scenarios equal but for their per-node harvest
+    probabilities (one family), at mixed trial counts, with what each run
+    reads; a bare chain is a com chain whose disks are surely idle, and
+    runs beside the cnrr baseline."""
+    pairing = draw(st.sampled_from(["com", "qom", "bare"]))
+    architecture = draw(st.sampled_from(["BTEH", "BPEH"]))
+    scheme = SCHEMES[pairing, architecture]
+    topology = T1.without_devices() if pairing == "bare" else T1
+    plan = default_plan(scheme, topology,
+                        build_policy(scheme, topology.node_count, 0.5))
+    vectors = draw(st.lists(st.tuples(RHOS, RHOS), min_size=2, max_size=4,
+                            unique=True))
+    members = [Scenario(scheme=scheme, topology=topology,
+                        policy=power.EhPolicy(architecture,
+                                              (0.0, *rho, 0.0)),
+                        budget=BUDGET, plan=plan) for rho in vectors]
+    if pairing == "bare":
+        members.append(BARE)
+    runs, reads = [], {}
+    for s in members:
+        for n in draw(st.lists(st.sampled_from([1, 4_000, 66_000]),
+                               min_size=1, max_size=2, unique=True)):
+            run = (s, 61, n)
+            runs.append(run)
+            wanted = _outage_selectors(s) + [("throughput",),
+                                             ("supply_power",)]
+            picked = draw(st.none() | st.lists(st.sampled_from(wanted),
+                                               min_size=1, max_size=3))
+            if picked is not None:
+                reads[run] = set(picked)
+    return members, runs, reads
+
+
+@settings(max_examples=25, deadline=None)
+@given(families())
+def test_a_family_equals_its_members(case):
+    members, runs, reads = case
+    plan = simulate_plan(runs, reads)
+    for run in runs:
+        alone = simulate_plan([run], {run: reads[run]} if run in reads
+                              else {})[run]
+        assert plan[run] == alone
+        if run not in reads:
+            assert plan[run] == simulate(run[0], run[2], run[1])
+    # every decision row of one family resolve equals the masked route's,
+    # for what each member's runs read
+    family = [s for s in members if s is not BARE]
+    member_reads = [None if any(run not in reads for run in runs
+                                if run[0] is s)
+                    else set().union(*(reads[run] for run in runs
+                                       if run[0] is s))
+                    for s in family]
+    buffers = montecarlo._Buffers(family[0], 4_096)
+    montecarlo._draw(buffers, montecarlo._block_rng(61, 0))
+    blocks, counts, powers = _resolved(family, buffers, 4_096, member_reads)
+    assert counts[1] == 0 and counts[2] == len(powers)
+    for s, r in zip(family, member_reads):
+        masked = oracles.masked_resolve(s, buffers, 4_096, r)
+        _assert_same_decisions(blocks[s], masked)
+        _assert_candidate_powers(s, powers, masked)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.TCOM, Scheme.PCOM, Scheme.TQOM,
+                                    Scheme.PQOM])
+def test_candidate_snrs_are_the_masked_routes_rows(monkeypatch, scheme):
+    # members certain to harvest, or not, at each relay take one run and
+    # one receiver state per slot; so every hop SNR (after the power split)
+    # and device SNR the masked route decides on is, byte for byte, a row
+    # a candidate decision of the family read
+    base = scenario(scheme)
+    family = [dataclasses.replace(base, policy=dataclasses.replace(
+        base.policy, rho=(0.0, a, b, 0.0))) for a in (0.0, 1.0)
+        for b in (0.0, 1.0)]
+    read, chain = set(), montecarlo._chain
+
+    def record(y, tf, terms, counts):
+        read.add(y.tobytes())
+        return chain(y, tf, terms, counts)
+
+    monkeypatch.setattr(montecarlo, "_chain", record)
+    buffers, n = _drawn(family[0]), 4_096
+    oracles.family_blocks(family, buffers, n)
+    rows = 0
+    for s in family:
+        masked = oracles.masked_resolve(s, buffers, n)
+        recv = masked.indicators[:s.topology.hop_count]
+        eff = masked.hop_snr
+        if s.policy.architecture == "BPEH":
+            eff = np.multiply(recv, s.policy.beta)
+            np.subtract(1.0, eff, out=eff)
+            eff *= masked.hop_snr
+        for row in [*eff, *(y for snr in masked.device_snr for y in snr)]:
+            assert row.tobytes() in read, s.policy.rho
+            rows += 1
+    assert rows == 4 * 9 if scheme.pairing == "com" else 4 * 6
+
+
+def test_shared_device_failure_fails_only_the_members_reading_devices(
+        monkeypatch):
+    # the device rows are shared by the members that decode devices; a
+    # member reading only hop events never reads them
+    hop = scenario(Scheme.TCOM, rho=0.5)
+    runs = [(TCOM, 7, 2_000), (hop, 7, 3_000)]
+    reads = {runs[1]: {("hop", 2), ("supply_power",)}}
+    assert montecarlo._family_key(hop) == montecarlo._family_key(TCOM)
+    want = simulate_plan(runs, reads)
+
+    def no_gain(self, budget):
+        raise FloatingPointError("no gain")
+
+    monkeypatch.setattr(montecarlo._Buffers, "device_gain", no_gain)
+    got = simulate_plan(runs, reads)
+    assert isinstance(got[runs[0]], FloatingPointError)
+    assert got[runs[1]] == want[runs[1]]
+
+
+def test_member_failure_fails_only_that_member(monkeypatch):
+    # only a member whose runs read the supply power builds its units
+    quiet = scenario(Scheme.TCOM, rho=0.5)
+    runs = [(TCOM, 7, 2_000), (quiet, 7, 2_000)]
+    reads = {runs[1]: {("hop", 1), ("throughput",)}}
+    assert montecarlo._family_key(quiet) == montecarlo._family_key(TCOM)
+    want = simulate_plan(runs, reads)
+    take = montecarlo._Buffers.take
+
+    def refuse_supply(self, name, *args, **kw):
+        if name == "supply_units":
+            raise MemoryError("refused")
+        return take(self, name, *args, **kw)
+
+    monkeypatch.setattr(montecarlo._Buffers, "take", refuse_supply)
+    got = simulate_plan(runs, reads)
+    assert isinstance(got[runs[0]], MemoryError)
+    assert got[runs[1]] == want[runs[1]]
 
 
 def test_plan_keeps_failures_to_their_runs():

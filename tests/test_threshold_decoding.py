@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomarelay import montecarlo
-from nomarelay.montecarlo import BLOCK_SIZE, _band, _chain, _rate
-from oracles import plan_chains, reference_decode, shipped_scenarios
+from nomarelay.montecarlo import BLOCK_SIZE, _band, _chain, _either, _rate
+from oracles import (family_blocks, masked_chain, masked_resolve,
+                     plan_chains, reference_decode, shipped_scenarios)
 
 EPS = np.finfo(float).eps
 SEED = 2718
@@ -26,17 +27,35 @@ def scenarios():
     return shipped_scenarios()
 
 
-def test_threshold_decoding_equals_the_rate_route(scenarios):
+def _families(scenarios):
+    """The shipped scenarios by draw group, each group by family."""
     groups = {}
     for s in scenarios:
-        groups.setdefault((s.scheme.pairing, s.topology), []).append(s)
+        groups.setdefault((s.scheme.pairing, s.topology), {}).setdefault(
+            montecarlo._family_key(s), []).append(s)
+    return groups
+
+
+def test_threshold_decoding_equals_the_rate_route(scenarios):
+    # each family resolves its members at once; every member's decisions
+    # equal the per-peel rate route on the SNRs of the masked route, and
+    # the masked route's own decisions
     flips, resolved = 0, 0
-    for (pairing, topo), group in groups.items():
-        buffers = montecarlo._Buffers(group[0], BLOCK_SIZE)
+    for (pairing, topo), families in _families(scenarios).items():
+        buffers = montecarlo._Buffers(next(iter(families.values()))[0],
+                                      BLOCK_SIZE)
         montecarlo._draw(buffers, montecarlo._block_rng(SEED, 0))
-        for s in group:
-            block = montecarlo._resolve(s, buffers, BLOCK_SIZE)
-            want = reference_decode(s, block)
+        blocks = {}
+        for family in families.values():
+            blocks.update(family_blocks(family, buffers, BLOCK_SIZE)[0])
+        for s, block in blocks.items():
+            masked = masked_resolve(s, buffers, BLOCK_SIZE)
+            want = reference_decode(s, masked)
+            for name in ("indicators", "hop_ok", "prefix_ok", "msg_ok",
+                         "throughput", "supply_units"):
+                assert np.array_equal(getattr(masked, name),
+                                      getattr(block, name)), (s, name)
+            assert all(map(np.array_equal, masked.device_ok, block.device_ok))
             for name in ("hop_ok", "prefix_ok", "msg_ok", "throughput",
                          "supply_units"):
                 got = getattr(block, name)
@@ -64,28 +83,26 @@ def test_plan_chains_cover_every_chain_the_simulator_asks(scenarios,
     # certain harvest leaves; each is an enumerated chain or a part of one
     asked = set()
 
-    def record(y, tfs, sel, terms, counts):
-        asked.add((tuple(tfs), tuple(tuple(float(v) for v in term)
-                                     for term in terms)))
-        return _chain(y, tfs, sel, terms, counts)
+    def record(y, tf, terms, counts):
+        asked.add(((tf,), tuple(tuple(float(v) for v in term)
+                                for term in terms)))
+        return _chain(y, tf, terms, counts)
 
-    draws = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_chain", record)
-        for s in scenarios:
-            key = (s.scheme.pairing, s.topology)
-            if key not in draws:
-                draws[key] = montecarlo._Buffers(s, 16)
-                montecarlo._draw(draws[key], montecarlo._block_rng(SEED, 0))
-            montecarlo._resolve(s, draws[key], 16)
+        for families in _families(scenarios).values():
+            draws = montecarlo._Buffers(next(iter(families.values()))[0], 16)
+            montecarlo._draw(draws, montecarlo._block_rng(SEED, 0))
+            for family in families.values():
+                family_blocks(family, draws, 16)
     enumerated = {}
     for tfs, terms in chains:
         enumerated.setdefault(terms, []).append(set(tfs))
     assert asked and not [
         (tfs, terms) for tfs, terms in asked
         if not any(set(tfs) <= full for full in enumerated.get(terms, []))]
-    # time-switching scenarios ask both forms: certain and random harvests
-    assert {len(tfs) for tfs, _ in asked} == {1, 2}
+    # a family asks each chain at one time factor per receiver state
+    assert {len(tfs) for tfs, _ in asked} == {1}
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +140,7 @@ def test_planted_snrs_decide_like_the_rate_formula(rate_tests):
         lo, hi = _band(a, b, target, tf)
         y = _planted(lo, hi, rng)
         want = _rate(y, a, b, tf) >= target
-        got = _chain(y, (tf,), None, [(a, b, target)], counts)
+        got = _chain(y, tf, [(a, b, target)], counts)
         flips += int(np.sum(got != want))
         inside += int(np.sum((y >= lo) & (y <= hi)))
         # the planted points straddle the threshold
@@ -145,7 +162,13 @@ def test_planted_snrs_decide_whole_chains_per_time_factor(chains):
         want = np.ones(y.size, dtype=bool)
         for a, b, target in terms:
             want &= _rate(y, a, b, tf) >= target
-        flips += int(np.sum(_chain(y, tfs, sel, list(terms), counts) != want))
+        # one chain per time factor, picked per trial, as a family member
+        # picks its receiver state; and the masked route's chain
+        got = [_chain(y, tf, list(terms), counts) for tf in tfs]
+        got = got[0] if sel is None else _either(sel, got)
+        flips += int(np.sum(got != want))
+        flips += int(np.sum(masked_chain(y, tfs, sel, list(terms), [0, 0])
+                            != want))
     assert flips == 0
     assert counts[0] > 0 and counts[1] == 0
 
@@ -170,17 +193,23 @@ def test_tests_without_a_band_are_decided_by_the_rate(a, b, target, tf):
     y = np.concatenate([[0.0, 5e-324, 1.0, 1e300],
                         np.geomspace(1e-310, 1e-290, 512),
                         np.geomspace(1e-6, 1e15, 4096)])
-    counts = [0, 0]
-    got = _chain(y, (tf, 0.5 * tf), y > 1.0, [(a, b, target)], counts)
     tf_row = np.where(y > 1.0, 0.5 * tf, tf)
+    masked_counts = [0, 0]
+    got = masked_chain(y, (tf, 0.5 * tf), y > 1.0, [(a, b, target)],
+                       masked_counts)
     assert np.array_equal(got, _rate(y, a, b, tf_row) >= target)
-    assert counts == [0, 1]
+    assert masked_counts == [0, 1]
+    # one chain per time factor decides the test over the whole row twice
+    counts = [0, 0]
+    got = _either(y > 1.0, [_chain(y, tf, [(a, b, target)], counts),
+                            _chain(y, 0.5 * tf, [(a, b, target)], counts)])
+    assert np.array_equal(got, _rate(y, a, b, tf_row) >= target)
+    assert counts == [0, 2]
     # a test without a band leaves the others on their thresholds
-    chained = _chain(y, (tf,), None, [(a, b, target), (1.0, 0.0, 0.1)],
-                     counts)
+    chained = _chain(y, tf, [(a, b, target), (1.0, 0.0, 0.1)], counts)
     assert np.array_equal(chained, (_rate(y, a, b, tf) >= target)
                           & (_rate(y, 1.0, 0.0, tf) >= 0.1))
-    assert counts == [0, 2]
+    assert counts == [0, 3]
 
 
 @st.composite
@@ -205,5 +234,5 @@ def rate_cases(draw):
 @given(rate_cases())
 def test_chain_equals_the_rate_comparison(case):
     a, b, target, tf, y = case
-    got = _chain(y, (tf,), None, [(a, b, target)], [0, 0])
+    got = _chain(y, tf, [(a, b, target)], [0, 0])
     assert np.array_equal(got, _rate(y, a, b, tf) >= target)
