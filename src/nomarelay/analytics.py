@@ -5,8 +5,9 @@ supply-or-harvested power chain behind the transmitter, one exponential
 fade, and (for device links) a random-distance path gain.  Conditioning on
 the run length of consecutive harvesting nodes turns every distribution
 into a finite mixture whose branches are the product-distribution kernels
-from :mod:`nomarelay.specfun`; :func:`harvest_runs` lists a transmitter's
-run states once, and the hop, com and qom laws of its slot all read them.
+from :mod:`nomarelay.specfun`; :func:`harvest_runs` adds hop gains to a
+transmitter's runs in the policy's harvest-state table, which the
+simulator reads too, and the hop, com and qom laws of its slot read them.
 Outage assembles those mixtures in CDF-deficit space so small
 probabilities keep relative accuracy, and the small-argument residue
 expansions provide the high-power asymptotes.
@@ -322,24 +323,18 @@ class KernelMemo(dict):
 
 def harvest_runs(t: int, topology: NetworkTopology, policy: EhPolicy,
                  budget: LinkBudget) -> tuple:
-    """``(w, v, gains)`` of every harvest-run state of transmitter t whose
-    weight ``w`` is nonzero, in ``tau`` order.
+    """``(w, v, gains)`` of every harvest run ``(v, w)`` of
+    :meth:`EhPolicy.runs` whose weight ``w`` is nonzero, longest first.
 
-    State ``tau`` means node ``tau`` ran on supply power and every node
-    ``tau+1..t`` harvested; the weights of all states sum to one.  ``v =
-    t - tau`` counts the harvested hops and ``gains`` are their mean gains.
+    Run ``v`` means the last ``v`` hops into transmitter t were harvested;
+    the weights of all runs sum to one.  ``gains`` are those hops' mean
+    gains.
     """
-    runs = []
-    for tau in range(1, t + 1):
-        w = policy.rho0(tau)
-        for j in range(tau + 1, t + 1):
-            w *= policy.rho1(j)
-        if w != 0.0:
-            runs.append((w, t - tau, tuple(
-                omega_factor(policy)
-                * pathloss_linear(topology.hop_distances[i - 2], budget)
-                for i in range(tau + 1, t + 1))))
-    return tuple(runs)
+    return tuple(
+        (w, v, tuple(omega_factor(policy)
+                     * pathloss_linear(topology.hop_distances[i - 2], budget)
+                     for i in range(t - v + 1, t + 1)))
+        for v, w in policy.runs(t) if w != 0.0)
 
 
 def _mix(runs, branch, label: str) -> float:
@@ -531,18 +526,17 @@ class SlotMarginals:
 
     def _outage(self, t, thresholds, iota, evaluate, label):
         """CDF deficit at ``thresholds[i][j]``, mixed over the receiver's
-        harvest state i and the sender's states j, weighted by ``iota``."""
-        policy = self.scenario.policy
-        rho = (policy.rho0(t + 1), policy.rho1(t + 1))
+        harvest states ``(i, p)`` (:meth:`EhPolicy.states`) and the sender's
+        states j, weighted by ``iota``."""
         op = 0.0
-        for i in (0, 1):
+        for i, p in self.scenario.policy.states(t + 1):
             for j, share in enumerate(iota):
                 threshold = thresholds[i][j]
                 # a threshold at or below zero never fails; +inf always does
-                if rho[i] == 0.0 or share == 0.0 or threshold <= 0.0:
+                if share == 0.0 or threshold <= 0.0:
                     continue
-                op += rho[i] * share * (1.0 if math.isinf(threshold)
-                                        else evaluate(threshold))
+                op += p * share * (1.0 if math.isinf(threshold)
+                                   else evaluate(threshold))
         return _clamp(op, label)
 
     def _e2e_destination(self, asymptotic):

@@ -24,22 +24,23 @@ for what its rows read.  Each block is drawn once per group
 scenarios of the group equal but for their harvest probabilities; a
 scenario alone is a family of one.  A slot's power and decode events
 depend on the harvests only through the run of harvesting nodes behind
-its transmitter and the receiver's harvest state, so a family decides
-each (run, state) once, on candidate rows, and each member picks its
-decisions from them by its own indicators, bit for bit as if resolved
-alone.  A family resolves a block only as far as the longest run of a
-member reads it, decodes a member's device messages only if a run
-reading the block reads a device event or the throughput, and the block
-draws device geometry and fades, the last draws of its stream, only if
-some member decodes them.  A plan entry therefore equals its run
-simulated alone on everything its rows read, and raises on anything
-else.  Nothing certain is drawn or decided per trial: a uniform row
-whose comparison cannot come out two ways (the destination's harvest,
-which ``EhPolicy`` fixes at rho = 0, and a slot's activity when its
-probability is exactly 0 or 1) is skipped by advancing the Philox counter
-past it, so at a block width that is a multiple of 4 every other draw
-keeps its value; a run or state no member can reach gets no candidate
-row; and the throughput and supply-power rows are built only when read.
+its transmitter and the receiver's harvest state, both listed by the
+policy's harvest-state table, so a family decides each (run, state) once,
+on candidate rows, and each member picks its decisions from them by its
+own indicators, bit for bit as if resolved alone.  A family resolves a
+block only as far as the longest run of a member reads it, decodes a
+member's device messages only if a run reading the block reads a device
+event or the throughput, and the block draws device geometry and fades,
+the last draws of its stream, only if some member decodes them.  A plan
+entry therefore equals its run simulated alone on everything its rows
+read, and raises on anything else.  Nothing certain is drawn or decided
+per trial: a uniform row whose comparison cannot come out two ways (the
+destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a slot's
+activity when its probability is exactly 0 or 1) is skipped by advancing
+the Philox counter past it, so at a block width that is a multiple of 4
+every other draw keeps its value; a run or state in no member's table
+gets no candidate row; and the throughput and supply-power rows are
+built only when read.
 Each draw group fills one buffer set (:class:`_Buffers`), allocated at
 full block width, in place through ``out=`` stream calls and ufuncs in
 the same float order, for every block and family; a partial last block
@@ -348,51 +349,31 @@ def _chain(y, tf, terms, counts):
     return ok
 
 
-def _runs(policy, t: int) -> list:
-    """Every harvest-run length node ``t`` transmits on with positive
-    probability under ``policy``: ``r`` where nodes ``t, ..., t-r+1`` may
-    each harvest and node ``t-r`` may not (node 1 never does)."""
-    runs, r = [], 0
-    while True:
-        rho = policy.rho1(t - r)
-        if rho < 1.0:
-            runs.append(r)
-        if rho == 0.0:
-            return runs
-        r += 1
-
-
-def _states(policy, t: int) -> list:
-    """Every harvest state (0 or 1) node ``t + 1``, the receiver of slot
-    ``t``, takes with positive probability under ``policy``."""
-    rho = policy.rho1(t + 1)
-    return [s for s, possible in enumerate((rho < 1.0, rho > 0.0))
-            if possible]
-
-
 def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     """Resolve every decode event of each member of ``family``, scenarios
     equal but for ``policy.rho``, in the first ``n`` trials of shared
     draws, for what the runs reading the block read (``reads``, one entry
-    per member in :class:`Tallies` form; None reads everything).  Yields
-    each member with its :class:`_Block`, or with the exception its own
-    part raised; the next member's block overwrites it.  ``counts`` gains
-    the trials decided in a guard band, the rate tests decided over a whole
-    row, and the candidate power and decision rows built.
+    per member in :class:`Tallies` form).  Yields each member with its
+    :class:`_Block`, or with the exception its own part raised; the next
+    member's block overwrites it.  ``counts`` gains the trials decided in a
+    guard band, the rate tests decided over a whole row, and the candidate
+    power and decision rows built.
 
     A slot's transmit power is 1 or the hop gains along the run of
     harvesting nodes behind its transmitter, and its decode events depend
-    on that run and on the receiving relay's harvest state.  So, per slot,
-    the family builds one power row per run r >= 1 some member can reach,
-    each run's hop and device SNRs in the float order ``((g0 P) l) fade``,
-    and one single-time-factor :func:`_chain` decision per (run, receiver
-    state) and event, kept as bool rows.  Each member then picks its
-    decisions with bit operations over its own harvest indicators
-    (:func:`_either`): first "the run passes r iff node t-r harvested",
-    then the receiver state.  Every decision equals that of the member
-    resolved alone through per-trial masks.  A failure of the shared hop
-    rows fails the whole family, one of the device rows the members that
-    decode devices.
+    on that run and on the receiving relay's harvest state, which each
+    member's :meth:`EhPolicy.runs` and :meth:`EhPolicy.states` list, read
+    once per resolve.  So, per slot, the family builds one power row per
+    run r >= 1 of some member, each run's hop and device SNRs in the float
+    order ``((g0 P) l) fade``, and one single-time-factor :func:`_chain`
+    decision per (run, receiver state) and event, kept as bool rows.  Each
+    member then picks its decisions with bit operations over its own
+    harvest indicators (:func:`_either`): a cascade over its runs, longest
+    first ("the run passes r iff node t-r harvested"), then one over its
+    receiver states.  Every decision equals that of the member resolved
+    alone through per-trial masks.  A failure of the shared hop rows fails
+    the whole family, one of the device rows the members that decode
+    devices.
 
     A member's device messages are decoded only if its ``reads`` hold a
     device event or the throughput, else its block's ``device_ok`` and
@@ -410,9 +391,13 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     p_m = plan.relay_share
     active = buffers.active[:, :n]
     hop_fades = buffers.hop_fades[:, :n]
-    runs = [sorted(set().union(*(_runs(s.policy, t) for s in family)))
+    # each member's runs at slot t's transmitter and states at its receiver
+    tables = [([s.policy.runs(t) for t in range(1, hops + 1)],
+               [s.policy.states(t + 1) for t in range(1, hops + 1)])
+              for s in family]
+    runs = [sorted({r for member, _ in tables for r, _ in member[t - 1]})
             for t in range(1, hops + 1)]
-    states = [sorted(set().union(*(_states(s.policy, t) for s in family)))
+    states = [sorted({i for _, member in tables for i, _ in member[t - 1]})
               for t in range(1, hops + 1)]
     # harvesting at the receiving relay compresses the information window,
     # giving time factor tfs[1], or splits the received power
@@ -515,9 +500,9 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
             # without its traceback, whose frames hold the buffer set
             device_rows = exc.with_traceback(None)
 
-    def member(policy, reads, devices):
-        """The block of the member with ``policy``, picked from the
-        candidate rows by its own harvest indicators."""
+    def member(policy, member_runs, member_states, reads, devices):
+        """The block of the member with ``policy``, runs and states, picked
+        from the candidate rows by its own harvest indicators."""
         indicators = buffers.take("indicators", (m - 1,), n, bool)
         for j in range(m - 1):
             rho = policy.rho1(j + 2)
@@ -527,26 +512,22 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
                 np.less(buffers.u_eh[j, :n], rho, out=indicators[j])
 
         def by_run(t, rows):
-            # rows[r] where node t transmits on run r: the run passes r iff
-            # node t-r harvested; a node certain to harvest, or not to,
+            # rows[r] where node t transmits on run r, longest run first:
+            # the run passes r iff node t-r harvested; a member on one run
             # needs no mask
-            r, mixed = 0, []
-            while policy.rho1(t - r) > 0.0:
-                if policy.rho1(t - r) < 1.0:
-                    mixed.append(r)
-                r += 1
+            (r, _), *shorter = member_runs[t - 1]
             out = rows[r]
-            for r in reversed(mixed):
+            for r, _ in shorter:
                 out = _either(indicators[t - r - 2], [rows[r], out])
             return out
 
         def pick(t, rows):
-            # rows[r, s] by run, then by the receiver's harvest state s
-            rho = policy.rho1(t + 1)
-            if rho in (0.0, 1.0):
-                return by_run(t, rows[:, int(rho)])
-            return _either(indicators[t - 1], [by_run(t, rows[:, 0]),
-                                               by_run(t, rows[:, 1])])
+            # rows[r, i] by run, then by the receiver's harvest state i
+            (i, _), *others = member_states[t - 1]
+            out = by_run(t, rows[:, i])
+            for i, _ in others:
+                out = _either(indicators[t - 1], [out, by_run(t, rows[:, i])])
+            return out
 
         hop_ok = buffers.take("hop_ok", (hops,), n, bool)
         for t in range(1, hops + 1):
@@ -565,7 +546,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
         device_ok = throughput = None
         if devices:
             device_ok = []
-            if reads is None or ("throughput",) in reads:
+            if ("throughput",) in reads:
                 throughput = buffers.take("throughput", (), n)
                 np.multiply(prefix_ok[-1], plan.relay_rate, out=throughput)
             for t in range(1, hops + 1):
@@ -585,7 +566,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
                 throughput /= m - 1
 
         supply_units = None
-        if reads is None or ("supply_power",) in reads:
+        if ("supply_power",) in reads:
             supply_units = buffers.take("supply_units", (), n, np.int64)
             np.sum(indicators[:hops - 1], axis=0, out=supply_units)
             np.subtract(hops, supply_units, out=supply_units)
@@ -594,13 +575,13 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
                       msg_ok=msg_ok, supply_units=supply_units,
                       throughput=throughput)
 
-    for scenario, member_reads in zip(family, reads):
+    for scenario, table, member_reads in zip(family, tables, reads):
         devices = _decodes_devices(member_reads)
         if devices and isinstance(device_rows, Exception):
             yield scenario, device_rows
             continue
         try:
-            block = member(scenario.policy, member_reads, devices)
+            block = member(scenario.policy, *table, member_reads, devices)
         except Exception as exc:
             block = exc
         yield scenario, block
@@ -613,11 +594,9 @@ _DEVICE_KINDS = ("device", "e2e_device")
 
 
 def _decodes_devices(reads) -> bool:
-    """Whether ``reads`` (None: everything) holds a device event or the
-    throughput, which sums the device rates: a block read for it must
-    decode device messages."""
-    return reads is None or any(read[0] in _DEVICE_KINDS + ("throughput",)
-                                for read in reads)
+    """Whether ``reads`` holds a device event or the throughput, which sums
+    the device rates: a block read for it must decode device messages."""
+    return any(read[0] in _DEVICE_KINDS + ("throughput",) for read in reads)
 
 
 @dataclass

@@ -8,12 +8,13 @@ fraction ``beta`` of the received power.  Either way the harvested
 transmit power is the previous hop's received power scaled by a
 per-architecture gain factor, which makes the power at hop ``t`` a product
 over the run of consecutive harvesting nodes behind it.  This module holds
-the policy and that gain factor; the simulator resolves the chain per
-trial and the closed-form layer mixes over its harvest-run states.
+that gain factor and the policy, whose harvest-state table (``runs`` and
+``states``) both the closed-form layer and the simulator read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 ARCHITECTURES = ("BTEH", "BPEH")
@@ -67,6 +68,26 @@ class EhPolicy:
     @property
     def is_harvesting(self) -> bool:
         return any(r > 0.0 for r in self.rho)
+
+    def runs(self, t: int) -> tuple:
+        """``(r, w)`` of every harvest run transmitter t can be on, longest
+        first: nodes ``t-r+1..t`` harvested and node ``tau = t-r`` did not,
+        with probability ``w = rho0(tau) rho1(tau+1) ... rho1(t)`` in that
+        order.  A run is listed when every factor is positive, even where
+        ``w`` underflows to 0.0, since a draw can still land on it."""
+        table = []
+        for tau in range(1, t + 1):
+            factors = [self.rho0(tau)] + [self.rho1(j)
+                                          for j in range(tau + 1, t + 1)]
+            if min(factors) > 0.0:
+                table.append((t - tau, math.prod(factors)))
+        return tuple(table)
+
+    def states(self, t: int) -> tuple:
+        """``(i, p)`` of each harvest state node t takes with probability
+        ``p > 0``: 0 on supply power, 1 harvesting."""
+        return tuple((i, p) for i, p in enumerate((self.rho0(t), self.rho1(t)))
+                     if p > 0.0)
 
 
 def uniform_policy(architecture: str, node_count: int, rho: float,

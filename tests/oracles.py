@@ -404,9 +404,12 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
     This is the per-scenario route that the simulator's family resolve
     (:func:`nomarelay.montecarlo._resolve`) replaces, and it decides every
     event the same bit for bit.  ``reads`` gates device decoding and the
-    moments as there; a harvest indicator whose probability is 0 or 1 is
-    written, and a hop whose disk is certainly idle or active is decoded
-    by one chain."""
+    moments as there (None: what :class:`nomarelay.montecarlo.Tallies`
+    reads of a run tallied in full); a harvest indicator whose probability
+    is 0 or 1 is written, and a hop whose disk is certainly idle or active
+    is decoded by one chain.  It walks the harvest indicators node by node
+    and reads no harvest-state table of the policy, so it stays a
+    reference for one."""
     topo, policy, plan = scenario.topology, scenario.policy, scenario.plan
     budget = scenario.budget
     m, hops = topo.node_count, topo.hop_count
@@ -415,6 +418,8 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
     p_m = plan.relay_share
     active = buffers.active[:, :n]
     hop_fades = buffers.hop_fades[:, :n]
+    if reads is None:
+        reads = montecarlo.Tallies(scenario).reads
     devices = montecarlo._decodes_devices(reads)
 
     indicators = np.empty((m - 1, n), dtype=bool)
@@ -493,7 +498,7 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
     device_snr = device_ok = throughput = None
     if devices:
         device_snr, device_ok = [], []
-        if reads is None or ("throughput",) in reads:
+        if ("throughput",) in reads:
             throughput = np.multiply(prefix_ok[-1], plan.relay_rate)
         device_gain = buffers.device_gain(budget)
         for t in range(1, hops + 1):
@@ -524,7 +529,7 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
             throughput /= m - 1
 
     supply_units = None
-    if reads is None or ("supply_power",) in reads:
+    if ("supply_power",) in reads:
         supply_units = hops - np.sum(indicators[:hops - 1], axis=0)
     return MaskedBlock(n=n, indicators=indicators, active=active,
                        powers=powers, hop_snr=hop_snr, hop_ok=hop_ok,
@@ -539,10 +544,12 @@ def family_blocks(family, buffers, n: int, reads=None):
     resolve of the first ``n`` trials in ``buffers`` (a member's arrays
     are overwritten by the next member's), and the family's counts:
     guard-band trials, whole-row tests, candidate power and decision rows.
-    ``reads`` holds one entry per member, or None for everything; a member
-    whose resolve failed maps to its exception."""
+    ``reads`` holds one entry per member, or None for what each member's
+    run tallied in full reads; a member whose resolve failed maps to its
+    exception."""
     counts = [0, 0, 0, 0]
-    reads = [None] * len(family) if reads is None else list(reads)
+    reads = [montecarlo.Tallies(s).reads for s in family] if reads is None \
+        else list(reads)
     blocks = {}
     for s, block in montecarlo._resolve(list(family), buffers, n, reads,
                                         counts):

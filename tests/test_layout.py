@@ -55,7 +55,9 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
           "_leading_residue")
 # second ways into one route: per-call wrappers around SlotMarginals and
 # around a process-global cache of simulated runs; per-threshold harvest-run
-# enumeration and argument checks, now one run table per slot; a second
+# enumeration and argument checks, now one run table per slot; the
+# simulator's own harvest-run and receiver-state walks, now the policy's
+# harvest-state table (``EhPolicy.runs`` and ``states``); a second
 # selector grammar, now read from the scenario by both routes; a draw set
 # and a resolve workspace, now one buffer set per draw group; a failure
 # table per event kind, now one success count per selector
@@ -67,7 +69,7 @@ DELETED = {
                    "estimate_supply_power", "_accumulate", "_Tallies",
                    "lru_cache", "_Draws", "_Workspace", "Tallies.hop_fail",
                    "Tallies.device_fail", "Tallies.e2e_destination_fail",
-                   "Tallies.e2e_device_fail"),
+                   "Tallies.e2e_device_fail", "_runs", "_states"),
 }
 REMOVED_PARAMETERS = {
     "empty_annulus": (montecarlo.simulate, montecarlo.simulate_plan,
@@ -171,6 +173,12 @@ def test_library_holds_only_the_model():
     resolve = ast.parse(textwrap.dedent(inspect.getsource(montecarlo._resolve)))
     assert not [node for node in ast.walk(resolve)
                 if isinstance(node, ast.Attribute) and node.attr == "pairing"]
+    # the masked route walks the harvest indicators node by node, so it
+    # stays a reference for the policy's harvest-state table
+    masked = ast.parse(inspect.getsource(oracles.masked_resolve))
+    assert not [node for node in ast.walk(masked)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("runs", "states")]
 
 
 def test_specfun_keeps_no_module_level_cache():

@@ -261,8 +261,7 @@ def _resolved(family, buffers, n, reads=None):
     powers = {}
     for t in range(1, hops + 1):
         rows = buffers.take(("powers", t), (t,), n)
-        for r in set().union(*(montecarlo._runs(s.policy, t)
-                               for s in family)) - {0}:
+        for r in {r for s in family for r, _ in s.policy.runs(t)} - {0}:
             powers[t, r] = rows[r].copy()
     return blocks, counts, powers
 
@@ -710,6 +709,25 @@ def test_certain_branches_equal_the_masked_route(topology, scheme, rho):
     assert (topology is PATCHY) == (not got.active.all())
 
 
+def test_an_underflowing_run_keeps_its_candidate_rows():
+    # relays 2 and 3 harvest with probability 1e-200 each, so slot 3's
+    # transmitter is on the 2-run with probability 1e-400, which underflows
+    # to 0.0: the closed form drops the run, but a uniform draw of exactly
+    # 0.0 lands on it, so the simulator keeps its candidate rows
+    s = dataclasses.replace(TCOM, policy=dataclasses.replace(
+        TCOM.policy, rho=(0.0, 1e-200, 1e-200, 0.0)))
+    assert s.policy.runs(3)[0] == (2, 0.0)
+    assert [v for _, v, _ in analytics.harvest_runs(
+        3, s.topology, s.policy, s.budget)] == [1, 0]
+    buffers, n = _drawn(s), 4_096
+    buffers.u_eh[:, :n // 2] = 0.0
+    blocks, _, powers = _resolved([s], buffers, n)
+    masked = oracles.masked_resolve(s, buffers, n)
+    assert masked.indicators[:2, :n // 2].all()
+    _assert_same_decisions(blocks[s], masked)
+    _assert_candidate_powers(s, powers, masked)
+
+
 def test_unread_moments_are_not_built():
     buffers = _drawn(TCOM)
     for reads, devices, moments in [
@@ -787,8 +805,8 @@ def test_a_family_equals_its_members(case):
     # every decision row of one family resolve equals the masked route's,
     # for what each member's runs read
     family = [s for s in members if s is not BARE]
-    member_reads = [None if any(run not in reads for run in runs
-                                if run[0] is s)
+    member_reads = [montecarlo.Tallies(s).reads
+                    if any(run not in reads for run in runs if run[0] is s)
                     else set().union(*(reads[run] for run in runs
                                        if run[0] is s))
                     for s in family]

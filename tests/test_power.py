@@ -1,7 +1,13 @@
 """Harvesting policy and transmit-power chain tests."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomarelay.channel import LinkBudget, noise_power_w
 from nomarelay.power import EhPolicy, omega_factor, uniform_policy
@@ -43,6 +49,55 @@ def test_policy_validation():
         EhPolicy(architecture="BPEH", rho=(0, 0.1, 0), beta=1.0)
     with pytest.raises(ValueError):
         EhPolicy(architecture="BTEH", rho=(0, 0.1, 0), eta=1.5)
+
+
+# a relay harvests surely, never, or with an interior probability
+RHOS = st.one_of(st.sampled_from([0.0, 1.0]),
+                 st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                           exclude_max=True))
+
+
+def _close(got, want):
+    """``got`` within 1e-12 of the exact ``want``, relative; below the
+    normal range a float product keeps only an absolute accuracy of a few
+    subnormal steps per factor."""
+    return math.isclose(got, float(want), rel_tol=1e-12, abs_tol=1e-320)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=5).flatmap(
+    lambda m: st.lists(RHOS, min_size=m - 2, max_size=m - 2)))
+def test_harvest_state_table_is_the_pattern_sum(relays):
+    # every relay harvest pattern, with its exact probability
+    policy = EhPolicy(architecture="BTEH", rho=(0.0, *relays, 0.0))
+    m = policy.node_count
+    patterns = []
+    for pattern in itertools.product((0, 1), repeat=m - 2):
+        harvests = (0, *pattern, 0)
+        patterns.append((harvests, math.prod(
+            Fraction(policy.rho1(j) if h else policy.rho0(j))
+            for j, h in enumerate(harvests, 1))))
+    for t in range(1, m):
+        # the run at transmitter t: how many of nodes t, t-1, ... harvested
+        want = {}
+        for harvests, p in patterns:
+            r = 0
+            while harvests[t - r - 1]:
+                r += 1
+            want[r] = want.get(r, 0) + p
+        table = policy.runs(t)
+        assert [r for r, _ in table] == sorted(
+            (r for r, p in want.items() if p > 0), reverse=True), t
+        assert all(_close(w, want[r]) for r, w in table), (t, table)
+    for t in range(1, m + 1):
+        want = {}
+        for harvests, p in patterns:
+            want[harvests[t - 1]] = want.get(harvests[t - 1], 0) + p
+        table = policy.states(t)
+        assert [i for i, _ in table] == [i for i in (0, 1)
+                                         if want.get(i, 0) > 0], t
+        assert all(_close(p, want[i]) for i, p in table), (t, table)
+        assert math.isclose(sum(p for _, p in table), 1.0, rel_tol=1e-15)
 
 
 def test_omega_factor_values():
