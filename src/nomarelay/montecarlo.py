@@ -17,37 +17,44 @@ from its own counter-derived stream, so a shorter run is a prefix of a
 longer one with the same seed.  Blocks are tallied in block order, which
 the float moment sums need to come out the same.  A sweep plans its
 simulation once (:func:`simulate_plan`): shorter trial counts are
-tallied as prefixes of longer ones, scenarios sharing pairing, topology
-and seed (a draw group) read the same draws, and each run is tallied only
-for what its rows read.  Each block is drawn once per group
-(:func:`_draw`) and resolved once per family (:func:`_resolve`), the
-scenarios of the group equal but for their harvest probabilities; a
-scenario alone is a family of one.  A slot's power and decode events
-depend on the harvests only through the run of harvesting nodes behind
-its transmitter and the receiver's harvest state, both listed by the
-policy's harvest-state table, so a family decides each (run, state) once,
-on candidate rows, and each member picks its decisions from them by its
-own indicators, bit for bit as if resolved alone.  A family resolves a
-block only as far as the longest run of a member reads it, decodes a
-member's device messages only if a run reading the block reads a device
-event or the throughput, and the block draws device geometry and fades,
-the last draws of its stream, only if some member decodes them.  A plan
-entry therefore equals its run simulated alone on everything its rows
-read, and raises on anything else.  Nothing certain is drawn or decided
-per trial: a uniform row whose comparison cannot come out two ways (the
-destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a slot's
-activity when its probability is exactly 0 or 1) is skipped by advancing
-the Philox counter past it, so at a block width that is a multiple of 4
-every other draw keeps its value; a run or state in no member's table
-gets no candidate row; and the throughput and supply-power rows are
-built only when read.
-Each draw group fills one buffer set (:class:`_Buffers`), allocated at
-full block width, in place through ``out=`` stream calls and ufuncs in
-the same float order, for every block and family; a partial last block
-reads a prefix view, and the set is freed with its group, before the
-next group allocates.  :func:`simulate` runs one scenario alone, tallied
-in full, through the same plan.  Both yield :class:`Tallies`, whose
-``outage`` reads the selector tuples of
+tallied as prefixes of longer ones, the scenarios of one seed and node
+count (a stream group) read one stream per block, and each run is
+tallied only for what its rows read.  A block's harvest uniforms,
+activity and hop fades depend on the node count alone, but for the
+activity probabilities, so they are drawn once per stream group
+(:func:`_draw`); each device group (the scenarios sharing pairing and
+topology) then draws its device geometry and fades from the state they
+leave (:func:`_draw_devices`), and the block is resolved once per family
+(:func:`_resolve`), the scenarios of a device group equal but for their
+harvest probabilities; a scenario alone is a family of one.  A slot's
+power and decode events depend on the harvests only through the run of
+harvesting nodes behind its transmitter and the receiver's harvest
+state, both listed by the policy's harvest-state table, so a family
+decides each (run, state) once, on candidate rows, and each member picks
+its decisions from them by its own indicators, bit for bit as if
+resolved alone.  A block is drawn only as far as its widest run reads
+it, a family resolves it only as far as the longest run of a member
+reads it, decodes a member's device messages only if a run reading the
+block reads a device event or the throughput, and a device group draws
+its devices only if some member decodes them.  A plan entry therefore
+equals its run simulated alone on everything its rows read, and raises
+on anything else.  Nothing certain or unread is drawn or decided per
+trial: a uniform row whose comparison cannot come out two ways (the
+destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a
+slot's activity when its probability is exactly 0 or 1 in every
+topology of the group), and the columns of a uniform row beyond those
+read, are skipped by advancing the Philox stream exactly as far as
+drawing them would (:func:`_skip`; Philox is counter-based), so every
+value read equals that of the block drawn in full; a run or state in no
+member's table gets no candidate row; and the throughput and
+supply-power rows are built only when read.
+Each stream group fills one buffer set (:class:`_Buffers`), allocated
+at full block width, in place through ``out=`` stream calls and ufuncs
+in the same float order, for every block, device group and family; a
+partial block reads a prefix view, and the set is freed with its group,
+before the next group allocates.  :func:`simulate` runs one scenario
+alone, tallied in full, through the same plan.  Both yield
+:class:`Tallies`, whose ``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
 between calls.  Given an active disk, every com annulus holds a
 scheduled device.  Single-trial outcomes, empirical survival curves and
@@ -130,33 +137,46 @@ class _Block:
 
 
 class _Buffers:
-    """Every array one draw group fills, at the group's full ``width``: the
-    random numbers of one block, which depend only on the pairing,
-    topology, seed and block index (:func:`_draw`), the device path gains
-    per (L, eps), and the arrays :func:`_resolve` writes, allocated on
+    """Every array one stream group (the scenarios of one seed and node
+    count) fills, at the group's full ``width``: the random numbers of one
+    block (:func:`_draw`, :func:`_draw_devices`), the device path gains per
+    (L, eps), the threshold bands per rate-test chain (``bands``, see
+    :func:`_chain`), and the arrays :func:`_resolve` writes, allocated on
     first use (:meth:`take`), among them the candidate rows of a family.  A
-    group refills one set for every block and family; a resolve reads and
-    writes ``[..., :n]`` views of it.
-    ``u_eh`` holds the harvest uniforms of the relays only, and
-    ``p_active`` the activity probability of each slot's disk."""
+    group refills one set for every block, device group and family; a
+    draw and a resolve read and write ``[..., :n]`` views of it.
 
-    def __init__(self, scenario: Scenario, width: int):
-        topo, hops = scenario.topology, scenario.topology.hop_count
-        self.topology, self.pairing = topo, scenario.scheme.pairing
+    ``u_eh`` holds the harvest uniforms of the relays only.  ``p_active``
+    maps each topology of the group to the activity probability of each
+    slot's disk, and ``active`` to its activity rows, one row set per
+    distinct tuple of probabilities (``activity``).  The device rows of
+    each slot are allocated at the group's largest device count, and a
+    device group reads the ``[:count]`` rows of its own fill; ``devices``
+    names the (pairing, topology) whose device geometry the last fill drew,
+    and ``dist`` holds that fill's distance views, or is None."""
+
+    def __init__(self, scenarios, width: int):
+        scenarios = list(scenarios)
+        hops = scenarios[0].topology.hop_count
         self.width = width
-        self.p_active = tuple(
-            -math.expm1(log_null_probability(topo.density_active, radius))
-            for radius in topo.disk_radii)
-        self.u_eh = np.empty((topo.node_count - 2, width))
-        self.active = np.empty((hops, width), dtype=bool)
+        self.u_eh = np.empty((hops - 1, width))
         self.hop_fades = np.empty((hops, width))
-        counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
+        self.p_active, self.active, self.activity = {}, {}, {}
+        for topo in dict.fromkeys(s.topology for s in scenarios):
+            p_active = tuple(
+                -math.expm1(log_null_probability(topo.density_active, radius))
+                for radius in topo.disk_radii)
+            if p_active not in self.activity:
+                self.activity[p_active] = np.empty((hops, width), dtype=bool)
+            self.p_active[topo] = p_active
+            self.active[topo] = self.activity[p_active]
+        counts = [max(len(s.served(t)) for s in scenarios)
+                  for t in range(1, hops + 1)]
         self.device_dist = [np.empty((k, width)) for k in counts]
         self.device_fade = [np.empty((k, width)) for k in counts]
-        # whether the last fill drew the device geometry and fades
-        self.devices = False
-        # gains of the current fill by (L, eps), in rows allocated once
-        self.gains, self.gain_rows, self.arrays = {}, {}, {}
+        self.devices, self.dist = None, None
+        # gains of the current device fill by (L, eps), in rows allocated once
+        self.gains, self.gain_rows, self.arrays, self.bands = {}, {}, {}, {}
 
     def take(self, name, rows: tuple, n: int, dtype=float) -> np.ndarray:
         """Array ``name`` of shape ``rows + (n,)``; its values are stale."""
@@ -168,107 +188,174 @@ class _Buffers:
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in [
-            self.u_eh, self.active, self.hop_fades, *self.device_dist,
-            *self.device_fade, *self.arrays.values(),
+            self.u_eh, *self.activity.values(), self.hop_fades,
+            *self.device_dist, *self.device_fade, *self.arrays.values(),
             *(row for rows in self.gain_rows.values() for row in rows)])
 
-    def device_gain(self, budget) -> list:
-        """Path gain of every drawn device distance, once per (L, eps) and
-        fill (:func:`_draw` empties ``gains``), into rows the set owns."""
-        if not self.devices:
-            raise RuntimeError("this fill drew no device geometry")
+    def device_gain(self, scenario: Scenario) -> list:
+        """Path gain of every device distance the current fill drew for the
+        device group of ``scenario``, once per (L, eps) and fill
+        (:func:`_draw_devices` empties ``gains``), into rows the set owns:
+        per slot, a ``[:count, :trials]`` view."""
+        if self.devices != _device_key(scenario):
+            raise RuntimeError("this fill drew no device geometry for "
+                               f"{scenario.scheme.value}")
+        budget = scenario.budget
         key = (budget.L, budget.epsilon)
         if key not in self.gains:
             if key not in self.gain_rows:
                 self.gain_rows[key] = [np.empty_like(dist)
                                        for dist in self.device_dist]
             self.gains[key] = [
-                pathloss_linear(dist, budget, out=row)
-                for dist, row in zip(self.device_dist, self.gain_rows[key])]
+                pathloss_linear(dist, budget,
+                                out=row[:dist.shape[0], :dist.shape[1]])
+                for dist, row in zip(self.dist, self.gain_rows[key])]
         return self.gains[key]
 
 
-def _draw(buffers: _Buffers, rng: np.random.Generator,
+# 64-bit outputs Philox yields per counter step
+_PHILOX_OUTPUTS = 4
+
+
+def _skip(rng: np.random.Generator, k: int) -> None:
+    """Advance ``rng`` past ``k`` 64-bit outputs, to the state
+    ``rng.bit_generator.random_raw(k)`` leaves: the outputs left in the
+    Philox buffer are used up, the counter advanced by whole steps, and
+    the ``k % 4`` outputs left over drawn.  Philox is counter-based, so
+    the skip costs as much at any ``k``."""
+    if k <= 0:
+        return
+    bit_generator = rng.bit_generator
+    held = _PHILOX_OUTPUTS - bit_generator.state["buffer_pos"]
+    if k <= held:
+        bit_generator.random_raw(k)
+        return
+    bit_generator.random_raw(held)
+    bit_generator.advance((k - held) // _PHILOX_OUTPUTS)
+    bit_generator.random_raw((k - held) % _PHILOX_OUTPUTS)
+
+
+def _uniforms(rng: np.random.Generator, rows, trials: int, skip: int) -> int:
+    """Fill the first ``trials`` columns of each row of ``rows`` with
+    uniforms, after skipping ``skip`` outputs, as if every row were drawn
+    in full; returns the outputs left to skip after the last row."""
+    for row in rows:
+        _skip(rng, skip)
+        rng.random(out=row[:trials])
+        skip = row.size - trials
+    return skip
+
+
+def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int,
           devices: bool = True) -> int:
-    """Draw every random element of as many relaying blocks as ``buffers``
-    is wide into it, in place; the device geometry and fades only if
-    ``devices``.  Returns the number of uniform rows skipped.
+    """Draw steps 1-3 of one relaying block into ``buffers``, in place, as
+    far as its first ``trials`` trials; ``devices`` if the block's stream
+    goes on to device draws (:func:`_draw_devices`).  Returns the number
+    of uniform rows skipped whole.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
-    and fades.  The device draws come last in the block's own stream, so
-    a fill without them draws the rest unchanged.  Each array is filled in
-    place by the same stream calls and float operations, in the same
-    order, as a freshly allocated one.
+    and fades.  Steps 1-3 depend on the node count alone, but for the
+    activity probabilities, so every topology and pairing of a stream
+    group reads one draw of them; each activity row set compares the same
+    uniforms with its own probabilities.
 
-    A uniform row no comparison can read two ways is skipped by advancing
-    the Philox counter by ``width // 4``: the destination's harvest row
-    (rho = 0 for every policy), which the set does not hold, and the
-    activity row of a disk active with probability exactly 0 or 1, which
-    is set to that outcome.  Each double of steps 1-2 takes one 64-bit
-    output and Philox yields four per counter step, so at a width that is
-    a multiple of 4 (every plan block) each skip starts on a counter step
-    and every other draw equals the full draw's.  At any other width the
-    advance drops the rest of a partly used step: the draws differ from
-    the full draw's but stay deterministic, and no output is used twice.
+    Every value read equals that of the block drawn in full at the set's
+    width, bit for bit.  A uniform takes one 64-bit output, so a uniform
+    row fills its first ``trials`` columns and skips the rest of its
+    outputs (:func:`_skip`), and a row no comparison can read two ways is
+    skipped whole: the destination's harvest row (rho = 0 for every
+    policy), which the set does not hold, and the activity row of a slot
+    whose disk every topology of the group holds active with probability
+    exactly 0 or 1, which is set to that outcome.  An exponential is a
+    ziggurat draw that takes a variable number of outputs, so the hop
+    fades are drawn in full, unless they end the stream: then the last
+    row is drawn as far as ``trials``.  Each array is filled by the same
+    stream calls and float operations, in the same order, as a freshly
+    allocated one.
     """
     buffers.gains.clear()
-    buffers.devices = devices
-    topo, pairing = buffers.topology, buffers.pairing
-    hops = topo.hop_count
+    buffers.devices = buffers.dist = None
+    width, hops = buffers.width, buffers.hop_fades.shape[0]
 
     # 1. harvest uniforms of nodes 2..M-1, compared with rho on resolution;
     # the destination's row is skipped
-    rng.random(out=buffers.u_eh)
-    rng.bit_generator.advance(buffers.width // 4)
+    skip = _uniforms(rng, buffers.u_eh, trials, 0) + width
     skipped = 1
 
     # 2. device activity per slot; the hop fades are drawn next, so their
     # rows hold the activity uniforms meanwhile
-    for t in range(1, hops + 1):
-        p_active = buffers.p_active[t - 1]
-        if p_active in (0.0, 1.0):
-            rng.bit_generator.advance(buffers.width // 4)
-            buffers.active[t - 1] = p_active == 1.0
+    for t in range(hops):
+        if any(p_active[t] not in (0.0, 1.0)
+               for p_active in buffers.activity):
+            u = buffers.hop_fades[t, :trials]
+            skip = _uniforms(rng, [buffers.hop_fades[t]], trials, skip)
+        else:
+            skip += width
             skipped += 1
-            continue
-        u = buffers.hop_fades[t - 1]
-        rng.random(out=u)
-        np.less(u, p_active, out=buffers.active[t - 1])
+        for p_active, rows in buffers.activity.items():
+            if p_active[t] in (0.0, 1.0):
+                rows[t, :trials] = p_active[t] == 1.0
+            else:
+                np.less(u, p_active[t], out=rows[t, :trials])
 
     # 3. hop fades; each doubles as the receiving node's harvest input
-    rng.standard_exponential(out=buffers.hop_fades)
+    _skip(rng, skip)
+    fades = buffers.hop_fades.reshape(-1)
+    rng.standard_exponential(
+        out=fades if devices else fades[:fades.size - width + trials])
+    return skipped
 
-    # 4. device geometry and fades; a bare chain draws none
-    if not devices:
-        return skipped
+
+def _device_key(scenario: Scenario) -> tuple:
+    """The device group of ``scenario``: scenarios of one stream group that
+    share pairing and topology read the same device draws."""
+    return scenario.scheme.pairing, scenario.topology
+
+
+def _draw_devices(buffers: _Buffers, rng: np.random.Generator,
+                  scenario: Scenario, trials: int) -> None:
+    """Draw step 4 of one block, the device geometry and fades of the
+    device group of ``scenario``, from ``rng`` left where :func:`_draw`
+    ended, into the ``[:count]`` device rows of each slot, as far as
+    ``trials``.  Uniform rows fill their first ``trials`` columns and
+    skip the rest; the device fades are drawn in full but for the last
+    row of the stream.  A bare chain draws none."""
+    topo, pairing = scenario.topology, scenario.scheme.pairing
+    width, hops = buffers.width, topo.hop_count
+    buffers.gains.clear()
+    buffers.devices, buffers.dist = _device_key(scenario), []
+    counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
+    last = max((t for t in range(1, hops + 1) if counts[t - 1]), default=0)
     for t in range(1, hops + 1):
-        dist = buffers.device_dist[t - 1]
+        rows = buffers.device_dist[t - 1][:counts[t - 1]]
+        dist = rows[:, :trials]
+        buffers.dist.append(dist)
+        if not counts[t - 1]:
+            continue
+        _skip(rng, _uniforms(rng, rows, trials, 0))
         radius = topo.disk_radii[t - 1]
         if pairing == "com":
             # radius / kt * sqrt((k - 1)^2 + (2k - 1) u) in subarea k
             kt = topo.subarea_counts[t - 1]
             ks = np.arange(1, kt + 1, dtype=float)[:, None]
-            rng.random(out=dist)
             dist *= 2.0 * ks - 1.0
             dist += (ks - 1.0) ** 2
             np.sqrt(dist, out=dist)
             dist *= radius / kt
-        elif pairing == "qom":
+        else:
             # contact law truncated to the disk, valid given activity:
             # sqrt(-log1p(-u * -expm1(-a)) / (pi lambda))
             a = math.pi * topo.density_active * radius * radius
-            rng.random(out=dist)
             np.negative(dist, out=dist)
             dist *= -math.expm1(-a)
             np.log1p(dist, out=dist)
             np.negative(dist, out=dist)
             dist /= math.pi * topo.density_active
             np.sqrt(dist, out=dist)
-        else:
-            continue
-        rng.standard_exponential(out=buffers.device_fade[t - 1])
-    return skipped
+        fades = buffers.device_fade[t - 1][:counts[t - 1]].reshape(-1)
+        rng.standard_exponential(
+            out=fades if t < last else fades[:fades.size - width + trials])
 
 
 def _rate(y, a, b, tf):
@@ -317,24 +404,34 @@ def _holds(y, tf, terms):
     return ok
 
 
-def _chain(y, tf, terms, counts):
+def _chain(y, tf, terms, counts, bands):
     """Whether every rate test ``_rate(y, a, b, tf) >= target`` of ``terms``
     holds.
 
     Each test is monotone in ``y``, so the chain holds iff ``y`` clears the
     largest threshold: one comparison per trial.  Trials inside a guard
     band and tests without a band are decided by ``_rate`` itself, so the
-    result equals the rate comparisons bit for bit.  ``counts`` gains the
-    trials decided in a band and the tests decided over the whole row.
+    result equals the rate comparisons bit for bit.  The band edges and
+    the split of ``terms`` into guarded and exact tests depend only on
+    ``(tf, terms)``, and are derived once per key into the table
+    ``bands``.  ``counts`` gains the trials decided in a band and the tests
+    decided over the whole row.
     """
-    bands = [_band(*term, tf) for term in terms]
-    guarded = [term for term, band in zip(terms, bands) if band is not None]
-    exact = [term for term, band in zip(terms, bands) if band is None]
-    if guarded:
+    key = (tf, *terms)
+    if key not in bands:
+        found = [_band(*term, tf) for term in terms]
+        guarded = [term for term, band in zip(terms, found)
+                   if band is not None]
+        exact = [term for term, band in zip(terms, found) if band is None]
         # below the highest lower edge some test surely fails; above the
         # highest upper edge every test surely holds
-        lo = max(band[0] for band in bands if band is not None)
-        hi = max(band[1] for band in bands if band is not None)
+        lo = hi = None
+        if guarded:
+            lo = max(band[0] for band in found if band is not None)
+            hi = max(band[1] for band in found if band is not None)
+        bands[key] = lo, hi, guarded, exact
+    lo, hi, guarded, exact = bands[key]
+    if guarded:
         ok = y >= lo
         near = ok & (y <= hi)
         if near.any():
@@ -351,9 +448,10 @@ def _chain(y, tf, terms, counts):
 
 def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     """Resolve every decode event of each member of ``family``, scenarios
-    equal but for ``policy.rho``, in the first ``n`` trials of shared
-    draws, for what the runs reading the block read (``reads``, one entry
-    per member in :class:`Tallies` form).  Yields each member with its
+    equal in all that a resolve reads but for ``policy.rho``
+    (:func:`_family_key`), in the first ``n`` trials of shared draws, for
+    what the runs reading the block read (``reads``, one entry per member
+    in :class:`Tallies` form).  Yields each member with its
     :class:`_Block`, or with the exception its own part raised; the next
     member's block overwrites it.  ``counts`` gains the trials decided in a
     guard band, the rate tests decided over a whole row, and the candidate
@@ -373,7 +471,9 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     receiver states.  Every decision equals that of the member resolved
     alone through per-trial masks.  A failure of the shared hop rows fails
     the whole family, one of the device rows the members that decode
-    devices.
+    devices; a scheme without harvesting joins the family of the
+    harvesting scheme whose plan and policy it shares (com-noeh that of
+    tcom, qom-noeh that of tqom), so such a failure fails it too.
 
     A member's device messages are decoded only if its ``reads`` hold a
     device event or the throughput, else its block's ``device_ok`` and
@@ -389,7 +489,8 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     g0 = budget.gamma_bar0
     bteh = first.policy.architecture == "BTEH"
     p_m = plan.relay_share
-    active = buffers.active[:, :n]
+    p_actives = buffers.p_active[topo]
+    active = buffers.active[topo][:, :n]
     hop_fades = buffers.hop_fades[:, :n]
     # each member's runs at slot t's transmitter and states at its receiver
     tables = [([s.policy.runs(t) for t in range(1, hops + 1)],
@@ -408,7 +509,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     y, gp = buffers.take("y", (), n), buffers.take("gp", (), n)
 
     def decide(s, terms):
-        return _chain(y, tfs[s], terms, counts)
+        return _chain(y, tfs[s], terms, counts, buffers.bands)
 
     # 5. transmit power of each run, in units of P0: run 0 is 1, which no
     # row holds, and run r of slot t is run r-1 of slot t-1 times the hop
@@ -445,7 +546,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     hop_rows = []
     for t in range(1, hops + 1):
         rows = buffers.take(("hop", t), (t, 2), n, bool)
-        p_active = buffers.p_active[t - 1]
+        p_active = p_actives[t - 1]
         for r in runs[t - 1]:
             if r:
                 np.multiply(g0, powers[t - 1][r], out=gp)
@@ -472,12 +573,16 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     if any(map(_decodes_devices, reads)):
         try:
             device_rows = []
-            device_gain = buffers.device_gain(budget)
+            device_gain = buffers.device_gain(first)
             for t in range(1, hops + 1):
                 ell_dev = device_gain[t - 1][:, :n]
-                fade = buffers.device_fade[t - 1][:, :n]
                 count = ell_dev.shape[0]
-                rows = buffers.take(("device", t), (count, t, 2), n, bool)
+                fade = buffers.device_fade[t - 1][:count, :n]
+                # rows of the group's largest device count, shared by every
+                # pairing of the stream group
+                rows = buffers.take(("device", t),
+                                    (len(buffers.device_fade[t - 1]), t, 2),
+                                    n, bool)[:count]
                 shares = plan.device_shares[t - 1]
                 targets = plan.device_rates[t - 1]
                 below = np.cumsum((0.0,) + shares)
@@ -552,7 +657,9 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
             for t in range(1, hops + 1):
                 rows = device_rows[t - 1]
                 count = rows.shape[0]
-                ok = buffers.take(("device_ok", t), (count,), n, bool)
+                ok = buffers.take(("device_ok", t),
+                                  (len(buffers.device_fade[t - 1]),), n,
+                                  bool)[:count]
                 targets = plan.device_rates[t - 1]
                 for k in range(count, 0, -1):
                     ok[k - 1] = pick(t, rows[k - 1]) if bteh \
@@ -718,17 +825,20 @@ def simulate_plan(runs, reads=None) -> dict:
     """Tallies of every ``(scenario, seed, n_trials)`` run, as one plan.
 
     ``reads`` maps a run to what its rows read (see :class:`Tallies`); a
-    run without an entry is tallied in full.  Scenarios of one seed that
-    share pairing and topology read the same draws: each block is drawn
-    once, resolved once per family (the scenarios equal but for their
-    harvest probabilities, :func:`_family_key`) and tallied into every
-    trial count asked of each member, in block order.  A block decodes a
-    member's device messages only if a run reading that block reads a
-    device event or the throughput, builds its throughput and
-    supply-power rows only if a run reading the block reads them, and
-    draws device geometry only if some scenario decodes devices.  So each
-    entry equals its run simulated alone on everything the run reads.  A
-    failed run maps to its exception.
+    run without an entry is tallied in full.  The runs of one seed and
+    node count form a stream group: each block's harvest uniforms,
+    activity and hop fades are drawn once for all of them, its device
+    draws once per device group (pairing and topology), and it is
+    resolved once per family (the scenarios equal but for their harvest
+    probabilities, :func:`_family_key`) and tallied into every trial count
+    asked of each member, in block order.  A block is drawn only as far as
+    its widest run reads it.  A block decodes a member's device messages
+    only if a run reading that block reads a device event or the
+    throughput, builds its throughput and supply-power rows only if a run
+    reading the block reads them, and draws a device group's geometry only
+    if some member of it decodes devices.  So each entry equals its run
+    simulated alone on everything the run reads.  A failed run maps to its
+    exception.
     """
     reads = reads or {}
     out, groups = {}, {}
@@ -737,106 +847,179 @@ def simulate_plan(runs, reads=None) -> dict:
             out[scenario, seed, n] = ValueError(
                 f"trial count must be positive, got {n}")
         else:
-            groups.setdefault((scenario.scheme.pairing, scenario.topology,
-                               seed), {}).setdefault(scenario, {})[n] = \
+            groups.setdefault((seed, scenario.topology.node_count), {}) \
+                .setdefault(scenario, {})[n] = \
                 Tallies(scenario, reads.get((scenario, seed, n)))
-    for (_, _, seed), cuts in groups.items():
+    for (seed, _), cuts in groups.items():
         out.update(_simulate_group(seed, cuts))
     return out
 
 
-def _family_key(scenario: Scenario) -> Scenario:
-    """``scenario`` with its harvest probabilities cleared: scenarios of one
-    key differ only in ``policy.rho`` and resolve one family's candidate
-    rows (:func:`_resolve`)."""
+def _family_key(scenario: Scenario) -> tuple:
+    """What :func:`_resolve` reads of ``scenario`` besides its harvest
+    probabilities: pairing, topology, plan, budget and the policy with rho
+    cleared.  Scenarios of one key resolve one family's candidate rows;
+    the scheme label is not read, so a scheme without harvesting joins the
+    family of the harvesting scheme with its plan and policy."""
     policy = scenario.policy
-    return dataclasses.replace(scenario, policy=dataclasses.replace(
-        policy, rho=(0.0,) * policy.node_count))
+    return (scenario.scheme.pairing, scenario.topology, scenario.plan,
+            scenario.budget,
+            dataclasses.replace(policy, rho=(0.0,) * policy.node_count))
+
+
+class _GroupStats:
+    """What one device group of a stream group did, for the DEBUG line."""
+
+    def __init__(self, label: str, families: dict):
+        self.label = label
+        self.scenarios = sum(map(len, families.values()))
+        self.families = len(families)
+        # blocks resolved, of them without device decoding; trials resolved,
+        # of them without device decoding; candidate power and decision rows
+        self.blocks, self.hop_only, self.trials, self.undecoded = 0, 0, 0, 0
+        self.candidates = [0, 0]
+        # seconds, trials, trials in guard bands, whole-row tests by family
+        self.spent = {}
+
+    def __str__(self) -> str:
+        return (f"{self.label}: {self.blocks} blocks resolved "
+                f"({self.hop_only} without device decoding), "
+                f"{self.scenarios} scenarios resolved as {self.families} "
+                f"families on {self.candidates[0]} candidate power rows and "
+                f"{self.candidates[1]} candidate decision rows, "
+                f"{self.trials} trials resolved ({self.undecoded} without "
+                "device decoding) [" + ", ".join(
+                    f"{k} {t:.3f} s {n / t:.0f} trials/s ({g} in guard "
+                    f"bands, {e} whole-row rate tests)"
+                    for k, (t, n, g, e) in self.spent.items()) + "]")
 
 
 def _simulate_group(seed: int, cuts: dict) -> dict:
-    """Tallies of one draw group's runs, ``cuts`` mapping each scenario to
-    the tallies of its runs at ``seed`` by trial count.  Blocks are drawn
-    in full, so a longer run extends a shorter one, and each family
-    resolves a block as wide as the longest run of a member reads it.  The
-    group's buffer set and every block's views of it are freed on return,
-    before the next group allocates its own."""
-    failed, spent, start = {}, {}, time.perf_counter()
-    # blocks drawn, of them without device geometry; uniform rows skipped;
-    # trials resolved without device decoding; candidate power and
-    # decision rows built
-    drawn, hop_only, skipped, undecoded, candidates = 0, 0, 0, 0, [0, 0]
-    families = {}
+    """Tallies of one stream group's runs, ``cuts`` mapping each scenario
+    to the tallies of its runs at ``seed`` by trial count.
+
+    Per block, steps 1-3 are drawn once, as far as the widest run reads
+    the block, and the stream's state after them is kept; each device
+    group that decodes devices there restores it and draws its own step 4,
+    as far as its widest member reads the block, into device rows every
+    group shares, and resolves its families before the next group draws.  A longer run extends a shorter one, and each family
+    resolves a block as wide as the longest run of a member reads it.  A
+    failed draw fails the runs reading it.  The group's buffer set and
+    every block's views of it are freed on return, before the next group
+    allocates its own."""
+    failed, start = {}, time.perf_counter()
+    groups, topologies = {}, {}
     for s in cuts:
-        families.setdefault(_family_key(s), []).append(s)
-    buffers = _Buffers(next(iter(cuts)), BLOCK_SIZE)
+        groups.setdefault(_device_key(s), {}).setdefault(
+            _family_key(s), []).append(s)
+    stats = {}
+    for key, families in groups.items():
+        index = topologies.setdefault(key[1], len(topologies) + 1)
+        stats[key] = _GroupStats(f"{key[0] or 'bare'} on topology {index}",
+                                 families)
+    # blocks drawn; trials drawn; uniform rows skipped whole
+    drawn, drawn_trials, skipped = 0, 0, 0
+    buffers = _Buffers(cuts, BLOCK_SIZE)
     for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
         lo = b * BLOCK_SIZE
+        width = {s: min(BLOCK_SIZE, max(cuts[s]) - lo) for s in cuts
+                 if s not in failed and max(cuts[s]) > lo}
+        if not width:
+            continue
         # a scenario resolves block b for what the runs reading the block
-        # read; the block draws device geometry only for a scenario that
-        # decodes devices there
+        # read; a device group draws its geometry only if a member decodes
+        # devices there, as far as its widest member reads the block
         reads = {s: frozenset().union(*(tal.reads for n, tal in
-                                        tallies.items() if n > lo))
-                 for s, tallies in cuts.items() if s not in failed}
-        geometry = any(map(_decodes_devices, reads.values()))
-        pending = True
-        for family in families.values():
-            width = {s: min(BLOCK_SIZE, max(cuts[s]) - lo) for s in family
-                     if s not in failed and max(cuts[s]) > lo}
-            if not width:
-                continue
-            members, counts = list(width), [0, 0, 0, 0]
-            left = list(members)
-            try:
-                if pending:
-                    skipped += _draw(buffers, _block_rng(seed, b), geometry)
-                    drawn, hop_only = drawn + 1, hop_only + (not geometry)
-                    pending = False
-                tick = time.perf_counter()
-                for s, block in _resolve(members, buffers, max(width.values()),
-                                         [reads[s] for s in members], counts):
-                    left.remove(s)
-                    try:
-                        if isinstance(block, Exception):
-                            raise block
-                        for n, tal in cuts[s].items():
-                            if n > lo:
-                                tal.add(block, min(BLOCK_SIZE, n - lo))
-                    except Exception as exc:
-                        failed[s] = exc.with_traceback(None)
-            except Exception as exc:
-                # without its traceback, whose frames hold the buffer set;
-                # a failure before a member's block fails it
-                failed.update(dict.fromkeys(left, exc.with_traceback(None)))
-            tallied = [s for s in width if s not in failed]
-            if not tallied:
-                continue
-            undecoded += sum(width[s] for s in tallied
-                             if not _decodes_devices(reads[s]))
-            candidates = [candidates[0] + counts[2], candidates[1] + counts[3]]
-            # seconds, trials, trials in guard bands, whole-row tests
-            done = (time.perf_counter() - tick,
-                    sum(width[s] for s in tallied), *counts[:2])
-            key = family[0].scheme.value
-            spent[key] = tuple(map(sum, zip(spent.get(key, (0.0, 0, 0, 0)),
-                                            done)))
+                                        cuts[s].items() if n > lo))
+                 for s in width}
+        present = {}
+        for key, families in groups.items():
+            members = [s for family in families.values() for s in family
+                       if s in width]
+            if members:
+                present[key] = members
+        decoding = {key: max(map(width.get, members)) if any(
+            _decodes_devices(reads[s]) for s in members) else 0
+            for key, members in present.items()}
+        rng = _block_rng(seed, b)
+        try:
+            skipped += _draw(buffers, rng, max(width.values()), any(
+                trials for (pairing, _), trials in decoding.items()
+                if pairing is not None))
+        except Exception as exc:
+            # without its traceback, whose frames hold the buffer set
+            failed.update(dict.fromkeys(width, exc.with_traceback(None)))
+            continue
+        drawn, drawn_trials = drawn + 1, drawn_trials + max(width.values())
+        state = rng.bit_generator.state
+        for key, members in present.items():
+            stats[key].blocks += 1
+            stats[key].hop_only += not decoding[key]
+            if decoding[key]:
+                try:
+                    rng.bit_generator.state = state
+                    _draw_devices(buffers, rng, members[0], decoding[key])
+                except Exception as exc:
+                    failed.update(dict.fromkeys(members,
+                                                exc.with_traceback(None)))
+                    continue
+            _resolve_group(stats[key], groups[key], cuts, buffers, lo, width,
+                           reads, failed)
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("%s draws, seed %d: %d blocks drawn (%d without device "
-                     "geometry), %d uniform rows skipped, %d scenarios "
-                     "resolved as %d families on %d candidate power rows and "
-                     "%d candidate decision rows, %d trials resolved (%d "
-                     "without device decoding) in %.3f s, %d workspace bytes "
-                     "allocated once; %s",
-                     buffers.pairing or "bare", seed, drawn, hop_only,
-                     skipped, len(cuts), len(families), *candidates,
-                     sum(v[1] for v in spent.values()), undecoded,
-                     time.perf_counter() - start, buffers.nbytes,
-                     ", ".join(f"{k} {t:.3f} s {n / t:.0f} trials/s "
-                               f"({g} in guard bands, {e} whole-row rate "
-                               "tests)"
-                               for k, (t, n, g, e) in spent.items()))
+        logger.debug("seed %d, %d nodes: %d blocks drawn, %d trials drawn, "
+                     "%d uniform rows skipped, %d workspace bytes allocated "
+                     "once, %.3f s; %s", seed,
+                     next(iter(cuts)).topology.node_count, drawn,
+                     drawn_trials, skipped, buffers.nbytes,
+                     time.perf_counter() - start,
+                     "; ".join(map(str, stats.values())))
     return {(s, seed, n): failed.get(s, tal)
             for s, tallies in cuts.items() for n, tal in tallies.items()}
+
+
+def _resolve_group(stats: _GroupStats, families: dict, cuts: dict,
+                   buffers: _Buffers, lo: int, width: dict, reads: dict,
+                   failed: dict) -> None:
+    """Resolve the families of one device group in the block starting at
+    trial ``lo`` and tally every run reading it; a member's failure goes
+    to ``failed``."""
+    for family in families.values():
+        family_width = {s: width[s] for s in family if s in width}
+        if not family_width:
+            continue
+        members, counts = list(family_width), [0, 0, 0, 0]
+        left = list(members)
+        tick = time.perf_counter()
+        try:
+            for s, block in _resolve(members, buffers,
+                                     max(family_width.values()),
+                                     [reads[s] for s in members], counts):
+                left.remove(s)
+                try:
+                    if isinstance(block, Exception):
+                        raise block
+                    for n, tal in cuts[s].items():
+                        if n > lo:
+                            tal.add(block, min(BLOCK_SIZE, n - lo))
+                except Exception as exc:
+                    failed[s] = exc.with_traceback(None)
+        except Exception as exc:
+            # without its traceback, whose frames hold the buffer set; a
+            # failure before a member's block fails it
+            failed.update(dict.fromkeys(left, exc.with_traceback(None)))
+        tallied = [s for s in members if s not in failed]
+        if not tallied:
+            continue
+        stats.trials += sum(family_width[s] for s in tallied)
+        stats.undecoded += sum(family_width[s] for s in tallied
+                               if not _decodes_devices(reads[s]))
+        stats.candidates = [stats.candidates[0] + counts[2],
+                            stats.candidates[1] + counts[3]]
+        done = (time.perf_counter() - tick,
+                sum(family_width[s] for s in tallied), *counts[:2])
+        label = "+".join(dict.fromkeys(s.scheme.value for s in family))
+        stats.spent[label] = tuple(map(sum, zip(
+            stats.spent.get(label, (0.0, 0, 0, 0)), done)))
 
 
 def simulate(scenario: Scenario, n_trials: int, seed: int) -> Tallies:

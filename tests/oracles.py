@@ -262,30 +262,36 @@ def plan_chains(scenario: Scenario) -> set:
             for terms in chains}
 
 
-def draw_in_full(buffers, rng: np.random.Generator,
+def draw_in_full(buffers, rng: np.random.Generator, scenario: Scenario,
                  devices: bool = True) -> None:
-    """:func:`nomarelay.montecarlo._draw` drawing every uniform row, the
-    destination's harvest row and each certain activity row too, with
-    each disk's activity probability derived here."""
+    """:func:`nomarelay.montecarlo._draw`, then, if ``devices``,
+    :func:`nomarelay.montecarlo._draw_devices` for the device group of
+    ``scenario``, drawing every row in full at the set's width: every
+    uniform row, the destination's harvest row and each certain activity
+    row too, and every row of the fades, with each disk's activity
+    probability derived here."""
     buffers.gains.clear()
-    buffers.devices = devices
-    topo, pairing = buffers.topology, buffers.pairing
-    hops = topo.hop_count
+    buffers.devices = buffers.dist = None
+    hops = buffers.hop_fades.shape[0]
     rng.random(out=buffers.u_eh)
     # the destination's harvest row, which the set does not hold; the hop
     # fades are drawn later, so their first row holds it meanwhile
     rng.random(out=buffers.hop_fades[0])
     for t in range(1, hops + 1):
-        p_active = -math.expm1(log_null_probability(
-            topo.density_active, topo.disk_radii[t - 1]))
         u = buffers.hop_fades[t - 1]
         rng.random(out=u)
-        np.less(u, p_active, out=buffers.active[t - 1])
+        for topo, rows in buffers.active.items():
+            p_active = -math.expm1(log_null_probability(
+                topo.density_active, topo.disk_radii[t - 1]))
+            np.less(u, p_active, out=rows[t - 1])
     rng.standard_exponential(out=buffers.hop_fades)
     if not devices:
         return
+    topo, pairing = scenario.topology, scenario.scheme.pairing
+    buffers.devices, buffers.dist = montecarlo._device_key(scenario), []
     for t in range(1, hops + 1):
-        dist = buffers.device_dist[t - 1]
+        dist = buffers.device_dist[t - 1][:len(scenario.served(t))]
+        buffers.dist.append(dist)
         radius = topo.disk_radii[t - 1]
         if pairing == "com":
             kt = topo.subarea_counts[t - 1]
@@ -306,7 +312,21 @@ def draw_in_full(buffers, rng: np.random.Generator,
             np.sqrt(dist, out=dist)
         else:
             continue
-        rng.standard_exponential(out=buffers.device_fade[t - 1])
+        rng.standard_exponential(out=buffers.device_fade[t - 1][:len(dist)])
+
+
+def drawn_alone(scenario: Scenario, rng: np.random.Generator, width: int,
+                trials: int = None, devices: bool = True):
+    """A buffer set of ``width`` for ``scenario`` alone holding one block of
+    ``rng`` drawn as far as ``trials`` (the whole width by default), with
+    its device draws if ``devices``, as a stream group of one scenario
+    draws it."""
+    trials = width if trials is None else trials
+    buffers = montecarlo._Buffers([scenario], width)
+    montecarlo._draw(buffers, rng, trials, devices)
+    if devices:
+        montecarlo._draw_devices(buffers, rng, scenario, trials)
+    return buffers
 
 
 def _pick(values, sel):
@@ -416,7 +436,7 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
     g0 = budget.gamma_bar0
     bteh = policy.architecture == "BTEH"
     p_m = plan.relay_share
-    active = buffers.active[:, :n]
+    active = buffers.active[topo][:, :n]
     hop_fades = buffers.hop_fades[:, :n]
     if reads is None:
         reads = montecarlo.Tallies(scenario).reads
@@ -478,7 +498,7 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
         (p_m, 1.0 - p_m, plan.relay_rate)
     hop_ok = np.empty((hops, n), dtype=bool)
     for t in range(1, hops + 1):
-        p_active = buffers.p_active[t - 1]
+        p_active = buffers.p_active[topo][t - 1]
         if p_m == 1.0 or p_active in (0.0, 1.0):
             hop_ok[t - 1] = decode(eff[t - 1], t,
                                    [relayed if p_active == 1.0 else solo])
@@ -500,12 +520,12 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
         device_snr, device_ok = [], []
         if ("throughput",) in reads:
             throughput = np.multiply(prefix_ok[-1], plan.relay_rate)
-        device_gain = buffers.device_gain(budget)
+        device_gain = buffers.device_gain(scenario)
         for t in range(1, hops + 1):
             ell_dev = device_gain[t - 1][:, :n]
-            fade = buffers.device_fade[t - 1][:, :n]
-            served = active[t - 1]
             count = ell_dev.shape[0]
+            fade = buffers.device_fade[t - 1][:count, :n]
+            served = active[t - 1]
             row = np.multiply(g0, powers[t - 1])
             snr = np.multiply(row, ell_dev)
             snr *= fade
@@ -572,9 +592,7 @@ def _copied(value):
 def _simulate_block(scenario: Scenario, rng: np.random.Generator, n: int):
     """Draw ``n`` independent relaying blocks and resolve them through the
     masked route."""
-    buffers = montecarlo._Buffers(scenario, n)
-    montecarlo._draw(buffers, rng)
-    return masked_resolve(scenario, buffers, n)
+    return masked_resolve(scenario, drawn_alone(scenario, rng, n), n)
 
 
 _LN2 = math.log(2.0)

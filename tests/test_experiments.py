@@ -673,42 +673,51 @@ def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
         result = run_sweep(config, source="mc")
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC
-    groups = [r.getMessage() for r in caplog.records
-              if r.name == "nomarelay.montecarlo"]
-    # com, qom and bare-chain draws at the config's seed, three blocks each;
-    # every scenario is resolved as far as its 140,000-trial run reads:
-    # 7 com, 7 qom and 1 bare scenario
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "nomarelay.montecarlo"]
+    # one stream group at the config's seed: every scheme's 4-node chain
+    # shares the draws of three blocks, the last drawn only as far as the
+    # 140,000-trial runs read it; it holds the com, qom and bare-chain
+    # device groups, and every scenario is resolved as far as its
+    # 140,000-trial run reads: 7 com, 7 qom and 1 bare scenario
+    assert len(lines) == 1
+    head, *groups = lines[0].split("; ")
+    assert head.startswith("seed 51, 4 nodes: 3 blocks drawn, "
+                           "140000 trials drawn")
     assert len(groups) == 3
-    assert all("seed 51: 3 blocks drawn" in g and "trials/s" in g
-               for g in groups)
+    assert all("3 blocks resolved" in g and "trials/s" in g for g in groups)
     resolved = {g.split(" ", 1)[0]: re.search(r"(\d+) trials resolved",
                                               g).group(1) for g in groups}
     assert resolved == {"com": "980000", "qom": "980000", "bare": "140000"}
     # block 2 serves only the outage runs, which read no device event: it
     # draws no device geometry and its 8,928 trials decode no device
     skipped = {g.split(" ", 1)[0]: re.search(
-        r"\((\d+) without device geometry\).*\((\d+) without device "
+        r"\((\d+) without device decoding\).*\((\d+) without device "
         r"decoding\)", g).groups() for g in groups}
     assert skipped["com"] == skipped["qom"] == ("1", str(7 * 8_928))
     # every block skips the destination's harvest row and the activity row
-    # of each of its 3 slots, certainly active (or, for the bare chain,
-    # idle)
-    rows = {g.split(" ", 1)[0]: re.search(r"(\d+) uniform rows skipped",
-                                          g).group(1) for g in groups}
-    assert rows == {"com": "12", "qom": "12", "bare": "12"}
-    # every scheme reports its guard-band trials and whole-row rate tests;
-    # every rate test of a shipped plan has a threshold
+    # of each of its 3 slots, certainly active for com and qom and
+    # certainly idle for the bare chain, so no topology draws it
+    rows = re.search(r"(\d+) uniform rows skipped", head).group(1)
+    assert rows == "12"
+    # every family reports its guard-band trials and whole-row rate tests;
+    # com-noeh and qom-noeh resolve in the families of tcom and tqom; every
+    # rate test of a shipped plan has a threshold
     guards = {g.split(" ", 1)[0]: re.findall(
-        r"(\d+) in guard bands, (\d+) whole-row", g) for g in groups}
-    assert {k: len(g) for k, g in guards.items()} \
-        == {"com": 3, "qom": 3, "bare": 1}
-    assert all(exact == "0" for g in guards.values() for _, exact in g)
-    # each group allocates its buffer set once, at full block width; more
-    # device rows take more bytes
-    spaces = {g.split(" ", 1)[0]: int(re.search(
-        r"(\d+) workspace bytes allocated once", g).group(1)) for g in groups}
-    assert all(size % montecarlo.BLOCK_SIZE == 0 for size in spaces.values())
-    assert spaces["com"] > spaces["qom"] > spaces["bare"] > 0
+        r"([a-z+-]+) [\d.]+ s \d+ trials/s \((\d+) in guard bands, (\d+) "
+        r"whole-row", g) for g in groups}
+    assert {k: [label for label, _, _ in g] for k, g in guards.items()} \
+        == {"com": ["tcom+com-noeh", "pcom"], "qom": ["tqom+qom-noeh", "pqom"],
+            "bare": ["cnrr"]}
+    assert all(exact == "0" for g in guards.values() for _, _, exact in g)
+    # the group allocates one buffer set, at full block width, with the
+    # device rows of its largest device count (com) and an activity row set
+    # per topology: 312 block widths, 3 more than the com draw group's set
+    # alone and half the 634 of the com, qom and bare sets allocated one
+    # after another
+    space = int(re.search(r"(\d+) workspace bytes allocated once",
+                          head).group(1))
+    assert space == 312 * montecarlo.BLOCK_SIZE
 
 
 # sha256 of the simulated device cross-check tables at 140,000 outage and
@@ -734,12 +743,17 @@ def test_shipped_mc_device_tables_are_byte_identical(tmp_path, name):
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
-    draws, widths, families, geometry = [], [], [], {}
+    draws, widths, families, devices = [], [], [], {}
 
-    def draw(buffers, rng, devices, draw=montecarlo._draw):
-        draws.append(buffers)
-        geometry.setdefault(buffers.pairing, []).append(devices)
-        return draw(buffers, rng, devices)
+    def draw(buffers, rng, trials, geometry, draw=montecarlo._draw):
+        draws.append((buffers, trials, geometry))
+        return draw(buffers, rng, trials, geometry)
+
+    def draw_devices(buffers, rng, scenario, trials,
+                     draw=montecarlo._draw_devices):
+        devices.setdefault(scenario.scheme.pairing, []).append(
+            (len(draws) - 1, trials))
+        return draw(buffers, rng, scenario, trials)
 
     def resolve(family, buffers, n, reads, counts,
                 resolve=montecarlo._resolve):
@@ -749,28 +763,38 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
         return resolve(family, buffers, n, reads, counts)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
+    monkeypatch.setattr(montecarlo, "_draw_devices", draw_devices)
     monkeypatch.setattr(montecarlo, "_resolve", resolve)
     result = run_sweep(_shipped(tmp_path, "validate_chain"), source="mc")
     assert not result.failures
     # 200,000 outage trials are 4 blocks and the 100,000 throughput trials
-    # are their prefix; com, qom and the bare chain each draw once per
-    # block, and tcom/tqom/pcom/pqom at 3 rho values plus the rho-free
-    # com-noeh/qom-noeh/cnrr make 15 scenarios
-    assert (len(draws), len(widths)) == (3 * 4, 15 * 4)
-    # the scenarios that differ only in rho are one family: tcom, tqom,
-    # pcom and pqom each resolve their 3 rho values at once, beside the
-    # families of one of com-noeh, qom-noeh and cnrr
-    assert sorted(families) == sorted([3] * 4 * 4 + [1] * 3 * 4)
-    # each group allocates one buffer set and refills it for its 4 blocks
-    assert len({id(buffers) for buffers in draws}) == 3
-    # the last block is resolved only as far as the 200,000-trial run reads
+    # are their prefix; every scheme runs the same 4-node chain at one
+    # seed, so each block's relay chain is drawn once for the com, qom and
+    # bare-chain scenarios alike, and tcom/tqom/pcom/pqom at 3 rho values
+    # plus the rho-free com-noeh/qom-noeh/cnrr make 15 scenarios
+    assert (len(draws), len(widths)) == (4, 15 * 4)
+    # the scenarios that differ only in what a resolve does not read are
+    # one family: tcom and tqom each resolve their 3 rho values with
+    # com-noeh and qom-noeh at once, pcom and pqom their 3, cnrr alone
+    assert sorted(families) == sorted([4] * 2 * 4 + [3] * 2 * 4 + [1] * 4)
+    # the group allocates one buffer set and refills it for its 4 blocks
+    assert len({id(buffers) for buffers, _, _ in draws}) == 1
+    # the last block is drawn and resolved only as far as the
+    # 200,000-trial runs read it
     tail = 200_000 - 3 * montecarlo.BLOCK_SIZE
+    assert [trials for _, trials, _ in draws] \
+        == [montecarlo.BLOCK_SIZE] * 3 + [tail]
     assert sorted(set(widths)) == [tail, montecarlo.BLOCK_SIZE]
     assert widths.count(tail) == 15
     assert sum(widths) == 15 * 200_000
     # blocks 2 and 3 serve only the outage runs, which read hop_op:2 and
-    # e2e_op:destination, so no scenario decodes devices there
-    assert geometry["com"] == geometry["qom"] == [True, True, False, False]
+    # e2e_op:destination, so no scenario decodes devices there: the hop
+    # fades end those blocks' streams, and no device group draws
+    assert [geometry for _, _, geometry in draws] \
+        == [True, True, False, False]
+    assert devices == {pairing: [(0, montecarlo.BLOCK_SIZE),
+                                 (1, montecarlo.BLOCK_SIZE)]
+                       for pairing in ("com", "qom", None)}
 
 
 def test_simulation_failure_fails_only_its_scheme(monkeypatch):

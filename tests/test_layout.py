@@ -59,7 +59,7 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
 # simulator's own harvest-run and receiver-state walks, now the policy's
 # harvest-state table (``EhPolicy.runs`` and ``states``); a second
 # selector grammar, now read from the scenario by both routes; a draw set
-# and a resolve workspace, now one buffer set per draw group; a failure
+# and a resolve workspace, now one buffer set per stream group; a failure
 # table per event kind, now one success count per selector
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
@@ -91,7 +91,7 @@ REMOVED_PARAMETERS = {
                    analytics.mrtr),
     "scheme": (analytics.decoding_thresholds,),
     "t": (power.omega_factor,),
-    # a draw group fills and resolves into its one buffer set
+    # a stream group fills and resolves into its one buffer set
     "n": (montecarlo._draw,),
     "draws": (montecarlo._draw,),
     "work": (montecarlo._resolve,),
@@ -194,7 +194,7 @@ def test_specfun_keeps_no_module_level_cache():
 
 
 def test_montecarlo_keeps_no_module_level_buffer():
-    # a buffer set lives only as long as its draw group, and no allocator
+    # a buffer set lives only as long as its stream group, and no allocator
     # setting is made
     module_level = {name: value for name, value in vars(montecarlo).items()
                     if not name.startswith("__")}

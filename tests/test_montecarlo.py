@@ -203,6 +203,11 @@ def test_empirical_ccdf_qom_variable():
         assert abs(ana - est.mean) <= 3.0 * sigma + 2.0 * FIT100.fit_error
 
 
+# a disk active with probability 0.957, so activity is drawn and the hop
+# decodes both chains
+PATCHY = dataclasses.replace(T1, density_active=1e-4)
+
+
 BARE = Scenario(scheme=Scheme.CNRR, topology=T1.without_devices(),
                 policy=build_policy(Scheme.CNRR, 4, 0.0), budget=BUDGET,
                 plan=analytics.baseline_plan(TCOM.plan, 3))
@@ -213,12 +218,15 @@ STEEP_TCOM = dataclasses.replace(
     TCOM, budget=LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7), epsilon=3.0))
 
 
-# a com device is resampled into its annulus whenever the disk is active
+# a com device is resampled into its annulus whenever the disk is active;
+# a stream group mixes pairings and topologies of one node count, beside a
+# chain of another
 @pytest.mark.parametrize("group", [
     (TCOM, scenario(Scheme.PCOM), scenario(Scheme.COM_NOEH, rho=0.0),
      STEEP_TCOM),
     (TQOM, scenario(Scheme.PQOM), scenario(Scheme.QOM_NOEH, rho=0.0), BARE),
-], ids=["com-resample", "qom-resample"])
+    (TCOM, TQOM, BARE, scenario(Scheme.PQOM, topology=PATCHY), SPARSE_COM),
+], ids=["com-resample", "qom-resample", "stream"])
 def test_shared_draws_match_runs_simulated_alone(group):
     # 30,000 trials cut block 0 and 100,000 cut block 1 of the same run
     runs = [(s, 41, n) for s in group for n in (100_000, 30_000)]
@@ -247,9 +255,8 @@ DECISIONS = ("indicators", "active", "hop_ok", "prefix_ok", "msg_ok",
 
 def _drawn(s, b=0):
     """A full-width buffer set for ``s`` holding block ``b`` of seed 43."""
-    buffers = montecarlo._Buffers(s, montecarlo.BLOCK_SIZE)
-    montecarlo._draw(buffers, montecarlo._block_rng(43, b))
-    return buffers
+    return oracles.drawn_alone(s, montecarlo._block_rng(43, b),
+                               montecarlo.BLOCK_SIZE)
 
 
 def _resolved(family, buffers, n, reads=None):
@@ -392,7 +399,7 @@ def _spoil(arrays):
 
 
 def _draw_arrays(buffers):
-    return [buffers.u_eh, buffers.active, buffers.hop_fades,
+    return [buffers.u_eh, *buffers.activity.values(), buffers.hop_fades,
             *buffers.device_dist, *buffers.device_fade]
 
 
@@ -400,13 +407,16 @@ def _draw_arrays(buffers):
 def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
     group = REUSE_GROUPS[pairing]
     width = montecarlo.BLOCK_SIZE
-    reused = montecarlo._Buffers(group[0], width)
+    reused = montecarlo._Buffers(group, width)
     for b, n in enumerate(REUSE_WIDTHS):
         _spoil(_draw_arrays(reused) + list(reused.arrays.values()))
-        montecarlo._draw(reused, montecarlo._block_rng(43, b))
+        # drawn as a plan draws a block its runs read as far as n trials
+        rng = montecarlo._block_rng(43, b)
+        montecarlo._draw(reused, rng, n)
+        montecarlo._draw_devices(reused, rng, group[0], n)
         for got, want in zip(_draw_arrays(reused),
                              _draw_arrays(_drawn(group[0], b))):
-            assert got.tobytes() == want.tobytes(), (b, n)
+            assert got[..., :n].tobytes() == want[..., :n].tobytes(), (b, n)
         for s in group:
             _spoil(reused.arrays.values())
             fresh = _drawn(s, b)
@@ -434,9 +444,9 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
 
 
 def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
-    # a group's buffer set, and every block's views of it, are gone before
-    # the next group builds its own, so two groups' buffers never coexist
-    # at peak memory
+    # a stream group's buffer set, and every block's views of it, are gone
+    # before the next group builds its own, so two groups' buffers never
+    # coexist at peak memory
     alive, built = [], []
     init, take = montecarlo._Buffers.__init__, montecarlo._Buffers.take
     resolve, gain = montecarlo._resolve, montecarlo._Buffers.device_gain
@@ -444,10 +454,12 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
     def watch(arrays):
         alive.extend(weakref.ref(a) for a in arrays)
 
-    def build(self, scenario, width):
+    def build(self, scenarios, width):
         assert not [ref for ref in alive if ref() is not None], len(built)
-        init(self, scenario, width)
-        built.append(scenario.scheme.pairing)
+        scenarios = list(scenarios)
+        init(self, scenarios, width)
+        built.append((scenarios[0].topology.node_count,
+                      sorted(s.scheme.pairing or "bare" for s in scenarios)))
         watch(_draw_arrays(self))
 
     def take_watched(self, *args, **kw):
@@ -455,8 +467,8 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
         watch([view, view.base])
         return view
 
-    def gain_watched(self, budget):
-        gains = gain(self, budget)
+    def gain_watched(self, scenario):
+        gains = gain(self, scenario)
         watch(gains)
         return gains
 
@@ -471,11 +483,15 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
     monkeypatch.setattr(montecarlo._Buffers, "take", take_watched)
     monkeypatch.setattr(montecarlo._Buffers, "device_gain", gain_watched)
     monkeypatch.setattr(montecarlo, "_resolve", resolve_watched)
-    runs = [(s, 7, n) for s in (TCOM, scenario(Scheme.PCOM), TQOM, BARE)
-            for n in (1_000, 2_500)]
+    # two seeds of 4-node chains, then two of a 3-node chain: one stream
+    # group per (seed, node count), each sharing its set among pairings
+    runs = [(s, seed, n)
+            for s in (TCOM, scenario(Scheme.PCOM), TQOM, BARE, SPARSE_COM)
+            for seed in (7, 8) for n in (1_000, 2_500)]
     plan = simulate_plan(runs)
     assert not [run for run in runs if isinstance(plan[run], Exception)]
-    assert built == ["com", "qom", None]
+    assert built == [(4, ["bare", "com", "com", "qom"])] * 2 \
+        + [(3, ["com"])] * 2
     assert alive and not [ref for ref in alive if ref() is not None]
 
 
@@ -570,13 +586,21 @@ def test_plan_tallies_what_each_run_reads(caplog):
         plan[STEEP_TCOM, 41, 30_000].outage(("device", 1, None))
     # a run without an entry is tallied in full
     assert plan[full] == simulate(full[0], full[2], full[1])
-    # block 1 of the 100,000-trial runs is 34,464 trials wide
-    lines = {r.getMessage().split(" ", 1)[0]: r.getMessage()
-             for r in caplog.records}
-    assert "2 blocks drawn (1 without device geometry)" in lines["com"]
+    # one stream group at seed 41 draws both blocks once, block 1 as far
+    # as the 100,000-trial runs read it: 34,464 trials
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    head, *segments = messages[0].split("; ")
+    assert head.startswith("seed 41, 4 nodes: 2 blocks drawn, "
+                           "100000 trials drawn")
+    lines = {g.split(" ", 1)[0]: g for g in segments}
+    assert len(lines) == len(segments) == 3
+    assert lines["com"].startswith("com on topology 1: ")
+    assert "2 blocks resolved (1 without device decoding)" in lines["com"]
     assert "(34464 without device decoding)" in lines["com"]
-    assert "2 blocks drawn (0 without device geometry)" in lines["qom"]
+    assert "2 blocks resolved (0 without device decoding)" in lines["qom"]
     assert "(0 without device decoding)" in lines["qom"]
+    assert lines["bare"].startswith("bare on topology 2: ")
     assert "(34464 without device decoding)" in lines["bare"]
 
 
@@ -584,11 +608,13 @@ def test_plan_tallies_what_each_run_reads(caplog):
 def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
     s = PAIRINGS[pairing][0]
     width = montecarlo.BLOCK_SIZE
-    full, part = _drawn(s, 1), montecarlo._Buffers(s, width)
+    full, part = _drawn(s, 1), montecarlo._Buffers([s], width)
     _spoil(_draw_arrays(part))
-    montecarlo._draw(part, montecarlo._block_rng(43, 1), False)
-    for name in ("u_eh", "active", "hop_fades"):
+    montecarlo._draw(part, montecarlo._block_rng(43, 1), width, False)
+    for name in ("u_eh", "hop_fades"):
         assert getattr(part, name).tobytes() == getattr(full, name).tobytes()
+    assert part.active[s.topology].tobytes() \
+        == full.active[s.topology].tobytes()
     # the device rows keep their stale values, and no resolve reads them
     assert all(np.isnan(a).all() for a in part.device_dist + part.device_fade)
     failure = oracles.family_blocks([s], part, width)[0][s]
@@ -605,63 +631,79 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
             assert getattr(got, name).tobytes() \
                 == getattr(want, name).tobytes(), name
     # the next block draws from its own stream, unchanged
-    montecarlo._draw(part, montecarlo._block_rng(43, 2))
+    rng = montecarlo._block_rng(43, 2)
+    montecarlo._draw(part, rng, width)
+    montecarlo._draw_devices(part, rng, s, width)
     for got, want in zip(_draw_arrays(part), _draw_arrays(_drawn(s, 2))):
         assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
 def shipped_groups():
-    """One scenario of every draw group a shipped sweep simulates."""
+    """One scenario of every device group a shipped sweep simulates."""
     groups = {}
     for s in oracles.shipped_scenarios():
         groups.setdefault((s.scheme.pairing, s.topology), s)
     return list(groups.values())
 
 
-def _compare_draws(s, width, devices, b):
-    """The uniform rows ``_draw`` skipped and the arrays of its fill that
-    differ from ``oracles.draw_in_full`` on the same stream."""
-    fast, full = montecarlo._Buffers(s, width), montecarlo._Buffers(s, width)
+def _compare_draws(s, width, devices, b, trials=None):
+    """The uniform rows ``_draw`` skipped drawing block ``b`` of seed 43
+    for ``s`` alone as far as ``trials`` (the whole ``width`` by default),
+    and the arrays of its fill whose first ``trials`` columns differ from
+    ``oracles.draw_in_full`` on the same stream."""
+    trials = width if trials is None else trials
+    fast = montecarlo._Buffers([s], width)
+    full = montecarlo._Buffers([s], width)
     _spoil(_draw_arrays(fast))
-    skipped = montecarlo._draw(fast, montecarlo._block_rng(43, b), devices)
-    oracles.draw_in_full(full, montecarlo._block_rng(43, b), devices)
+    rng = montecarlo._block_rng(43, b)
+    skipped = montecarlo._draw(fast, rng, trials, devices)
+    if devices:
+        montecarlo._draw_devices(fast, rng, s, trials)
+    oracles.draw_in_full(full, montecarlo._block_rng(43, b), s, devices)
     names = ["u_eh", "active", "hop_fades"]
     if devices:
         names += ["device_dist", "device_fade"]
     differ = []
     for name in names:
         got, want = getattr(fast, name), getattr(full, name)
-        if isinstance(got, list):
-            same = all(np.array_equal(x, y) for x, y in zip(got, want))
-        else:
-            same = np.array_equal(got, want)
-        if not same:
+        if name == "active":
+            got, want = got[s.topology], want[s.topology]
+        if not isinstance(got, list):
+            got, want = [got], [want]
+        if not all(np.array_equal(x[..., :trials], y[..., :trials])
+                   for x, y in zip(got, want)):
             differ.append(name)
     return skipped, differ
 
 
+def _certain_rows(s):
+    """The activity rows of ``s``'s disks that are certain, each skipped."""
+    return sum(-math.expm1(log_null_probability(
+        s.topology.density_active, r)) in (0.0, 1.0)
+        for r in s.topology.disk_radii)
+
+
 def test_skipped_rows_leave_every_read_draw_unchanged(shipped_groups):
+    # a skip advances the stream exactly as far as drawing the row would,
+    # so at any width, a multiple of 4 or not, every draw equals the full
+    # draw's
     drawn_activity = 0
     for b, s in enumerate(shipped_groups):
-        p_active = [-math.expm1(log_null_probability(
-            s.topology.density_active, r)) for r in s.topology.disk_radii]
-        certain = sum(p in (0.0, 1.0) for p in p_active)
-        drawn_activity += certain < len(p_active)
-        for devices in (True, False):
-            assert _compare_draws(s, montecarlo.BLOCK_SIZE, devices, b) \
-                == (1 + certain, []), (s.topology, devices)
-        # at a width that is not a multiple of 4 the same rows are skipped:
-        # the harvest uniforms, drawn first, equal the full draw's, and the
-        # later draws, which may differ from it, are the same in every fill
-        # from one stream
+        certain = _certain_rows(s)
+        drawn_activity += certain < s.topology.hop_count
+        for width in (montecarlo.BLOCK_SIZE, 4_093, 1):
+            for devices in (True, False):
+                assert _compare_draws(s, width, devices, b) \
+                    == (1 + certain, []), (s.topology, width, devices)
+        # and every fill from one stream is the same
         for width in (4_093, 1):
-            skipped, differ = _compare_draws(s, width, True, b)
-            assert skipped == 1 + certain and "u_eh" not in differ
-            fills = [montecarlo._Buffers(s, width) for _ in range(2)]
+            fills = [montecarlo._Buffers([s], width) for _ in range(2)]
             for buffers in fills:
                 _spoil(_draw_arrays(buffers))
-                montecarlo._draw(buffers, montecarlo._block_rng(43, b))
+                rng = montecarlo._block_rng(43, b)
+                montecarlo._draw(buffers, rng, width)
+                montecarlo._draw_devices(buffers, rng, s, width)
             for one, two in zip(*map(_draw_arrays, fills)):
                 assert one.tobytes() == two.tobytes(), (s.topology, width)
     # the density sweep's sparsest disks draw their activity
@@ -670,9 +712,95 @@ def test_skipped_rows_leave_every_read_draw_unchanged(shipped_groups):
     assert len(shipped_groups) > 20
 
 
-# a disk active with probability 0.957, so activity is drawn and the hop
-# decodes both chains
-PATCHY = dataclasses.replace(T1, density_active=1e-4)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=3 * montecarlo.BLOCK_SIZE + 7),
+       st.integers(min_value=0, max_value=2 ** 63))
+def test_skip_equals_drawing_the_outputs(position, k, seed):
+    # from every position of the Philox buffer, skipping k outputs leaves
+    # the stream where drawing them leaves it
+    rngs = []
+    for _ in range(2):
+        rng = np.random.Generator(np.random.Philox(seed))
+        rng.bit_generator.random_raw(4)
+        state = rng.bit_generator.state
+        state["buffer_pos"] = position
+        rng.bit_generator.state = state
+        rngs.append(rng)
+    montecarlo._skip(rngs[0], k)
+    rngs[1].bit_generator.random_raw(k)
+    states = [rng.bit_generator.state for rng in rngs]
+    assert states[0]["buffer_pos"] == states[1]["buffer_pos"]
+    assert np.array_equal(states[0]["state"]["counter"],
+                          states[1]["state"]["counter"])
+    assert np.array_equal(*(rng.bit_generator.random_raw(9) for rng in rngs))
+    assert np.array_equal(*(rng.random(5) for rng in rngs))
+
+
+# one trial, a few around a counter step of 4 outputs, the partial last
+# blocks of 200,000 and 100,000 trials, and a block one short of full
+DRAW_WIDTHS = (1, 3, 4, 5, 3_392, 34_464, montecarlo.BLOCK_SIZE - 1,
+               montecarlo.BLOCK_SIZE)
+
+
+@pytest.mark.parametrize("s", [TCOM, TQOM, BARE,
+                               scenario(Scheme.PCOM, topology=PATCHY)],
+                         ids=["com", "qom", "bare", "patchy"])
+def test_a_block_drawn_for_n_trials_equals_the_full_draw_there(s):
+    # a block drawn only as far as n trials holds the full draw's values on
+    # [:n] of every row a resolve reads, and resolves the same
+    full = _drawn(s, 3)
+    for n in DRAW_WIDTHS:
+        for devices in (True, False):
+            assert _compare_draws(s, montecarlo.BLOCK_SIZE, devices, 3, n) \
+                == (1 + _certain_rows(s), []), (n, devices)
+        part = montecarlo._Buffers([s], montecarlo.BLOCK_SIZE)
+        _spoil(_draw_arrays(part))
+        rng = montecarlo._block_rng(43, 3)
+        montecarlo._draw(part, rng, n)
+        montecarlo._draw_devices(part, rng, s, n)
+        got = _resolved([s], part, n)[0][s]
+        _assert_same_decisions(got, _resolved([s], full, n)[0][s],
+                               ARRAY_FIELDS)
+
+
+def test_a_stream_group_draws_each_pairing_as_if_alone():
+    # com, qom and bare chains and another topology of the same node count
+    # share steps 1-3 of one draw; each device group then draws its own
+    # devices from the state they leave, into rows sized for the largest
+    # device count, and reads what it would drawn alone
+    group = [TCOM, TQOM, BARE, scenario(Scheme.PCOM, topology=PATCHY)]
+    width = montecarlo.BLOCK_SIZE
+    shared = montecarlo._Buffers(group, width)
+    # T1 disks are surely active, bare disks surely idle, PATCHY's drawn
+    assert len(shared.activity) == 3
+    assert [len(rows) for rows in shared.device_dist] == [3, 2, 1]
+    # 2 harvest and 3 hop-fade rows, the 6 device distance and 6 fade rows
+    # of com, and 3 activity row sets of 3 slots: 145 bytes per trial
+    # where the 4 sets drawn alone hold 412
+    assert shared.nbytes == width * (8 * (2 + 3 + 2 * 6) + 3 * 3)
+    assert sum(_drawn(s).nbytes for s in group) == 412 * width
+    for b, trials in ((0, width), (1, 3_392)):
+        _spoil(_draw_arrays(shared))
+        rng = montecarlo._block_rng(43, b)
+        montecarlo._draw(shared, rng, trials)
+        state = rng.bit_generator.state
+        for s in group:
+            rng.bit_generator.state = state
+            montecarlo._draw_devices(shared, rng, s, trials)
+            alone = _drawn(s, b)
+            assert shared.u_eh[:, :trials].tobytes() \
+                == alone.u_eh[:, :trials].tobytes()
+            assert shared.hop_fades[:, :trials].tobytes() \
+                == alone.hop_fades[:, :trials].tobytes()
+            assert shared.active[s.topology][:, :trials].tobytes() \
+                == alone.active[s.topology][:, :trials].tobytes()
+            for t in range(1, s.topology.hop_count + 1):
+                count = len(s.served(t))
+                for rows in ("device_dist", "device_fade"):
+                    got = getattr(shared, rows)[t - 1][:count, :trials]
+                    want = getattr(alone, rows)[t - 1][:, :trials]
+                    assert got.tobytes() == want.tobytes(), (s.scheme, t)
 
 
 @pytest.mark.parametrize("topology", [T1, PATCHY], ids=["active", "patchy"])
@@ -810,8 +938,8 @@ def test_a_family_equals_its_members(case):
                     else set().union(*(reads[run] for run in runs
                                        if run[0] is s))
                     for s in family]
-    buffers = montecarlo._Buffers(family[0], 4_096)
-    montecarlo._draw(buffers, montecarlo._block_rng(61, 0))
+    buffers = oracles.drawn_alone(family[0], montecarlo._block_rng(61, 0),
+                                  4_096)
     blocks, counts, powers = _resolved(family, buffers, 4_096, member_reads)
     assert counts[1] == 0 and counts[2] == len(powers)
     for s, r in zip(family, member_reads):
@@ -833,9 +961,9 @@ def test_candidate_snrs_are_the_masked_routes_rows(monkeypatch, scheme):
         for b in (0.0, 1.0)]
     read, chain = set(), montecarlo._chain
 
-    def record(y, tf, terms, counts):
+    def record(y, tf, terms, counts, bands):
         read.add(y.tobytes())
-        return chain(y, tf, terms, counts)
+        return chain(y, tf, terms, counts, bands)
 
     monkeypatch.setattr(montecarlo, "_chain", record)
     buffers, n = _drawn(family[0]), 4_096
@@ -865,7 +993,7 @@ def test_shared_device_failure_fails_only_the_members_reading_devices(
     assert montecarlo._family_key(hop) == montecarlo._family_key(TCOM)
     want = simulate_plan(runs, reads)
 
-    def no_gain(self, budget):
+    def no_gain(self, scenario):
         raise FloatingPointError("no gain")
 
     monkeypatch.setattr(montecarlo._Buffers, "device_gain", no_gain)
@@ -892,6 +1020,41 @@ def test_member_failure_fails_only_that_member(monkeypatch):
     got = simulate_plan(runs, reads)
     assert isinstance(got[runs[0]], MemoryError)
     assert got[runs[1]] == want[runs[1]]
+
+
+@pytest.mark.parametrize("harvesting, without", [
+    (Scheme.TCOM, Scheme.COM_NOEH), (Scheme.TQOM, Scheme.QOM_NOEH)])
+def test_a_scheme_without_harvesting_joins_the_harvesting_family(
+        monkeypatch, harvesting, without):
+    # a family is keyed by what a resolve reads, not by the scheme label:
+    # com-noeh shares tcom's plan and policy but for rho, so it is a member
+    # of tcom's family, picks run 0 and state 0 from the rows its siblings
+    # build anyway, and equals its run simulated alone
+    # as in a sweep, each scheme's plan is the time-switching reference at
+    # the sweep point's rho; the scheme without harvesting forces rho to 0
+    family = [scenario(harvesting, rho=rho) for rho in (0.1, 0.5)] \
+        + [scenario(without, rho=0.1)]
+    assert not family[-1].policy.is_harvesting
+    keys = {montecarlo._family_key(s) for s in family}
+    assert len(keys) == 1
+    # power-splitting is another architecture, so another family
+    other = scenario(Scheme.PCOM if harvesting.pairing == "com"
+                     else Scheme.PQOM)
+    assert montecarlo._family_key(other) not in keys
+    sizes, resolve = [], montecarlo._resolve
+
+    def counted(members, *args):
+        sizes.append(len(members))
+        return resolve(members, *args)
+
+    monkeypatch.setattr(montecarlo, "_resolve", counted)
+    runs = [(s, 45, 70_000) for s in family + [other]]
+    plan = simulate_plan(runs)
+    # two blocks, each resolved once for the family and once for pcom
+    assert sorted(sizes) == [1, 1, 3, 3]
+    monkeypatch.setattr(montecarlo, "_resolve", resolve)
+    for s, seed, n in runs:
+        assert plan[s, seed, n] == simulate(s, n, seed)
 
 
 def test_plan_keeps_failures_to_their_runs():

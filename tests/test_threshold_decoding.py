@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from nomarelay import montecarlo
 from nomarelay.montecarlo import BLOCK_SIZE, _band, _chain, _either, _rate
-from oracles import (family_blocks, masked_chain, masked_resolve,
-                     plan_chains, reference_decode, shipped_scenarios)
+from oracles import (drawn_alone, family_blocks, masked_chain,
+                     masked_resolve, plan_chains, reference_decode,
+                     shipped_scenarios)
 
 EPS = np.finfo(float).eps
 SEED = 2718
@@ -28,7 +29,8 @@ def scenarios():
 
 
 def _families(scenarios):
-    """The shipped scenarios by draw group, each group by family."""
+    """The shipped scenarios by device group (pairing and topology), each
+    group by family."""
     groups = {}
     for s in scenarios:
         groups.setdefault((s.scheme.pairing, s.topology), {}).setdefault(
@@ -42,9 +44,8 @@ def test_threshold_decoding_equals_the_rate_route(scenarios):
     # the masked route's own decisions
     flips, resolved = 0, 0
     for (pairing, topo), families in _families(scenarios).items():
-        buffers = montecarlo._Buffers(next(iter(families.values()))[0],
-                                      BLOCK_SIZE)
-        montecarlo._draw(buffers, montecarlo._block_rng(SEED, 0))
+        buffers = drawn_alone(next(iter(families.values()))[0],
+                              montecarlo._block_rng(SEED, 0), BLOCK_SIZE)
         blocks = {}
         for family in families.values():
             blocks.update(family_blocks(family, buffers, BLOCK_SIZE)[0])
@@ -83,16 +84,16 @@ def test_plan_chains_cover_every_chain_the_simulator_asks(scenarios,
     # certain harvest leaves; each is an enumerated chain or a part of one
     asked = set()
 
-    def record(y, tf, terms, counts):
+    def record(y, tf, terms, counts, bands):
         asked.add(((tf,), tuple(tuple(float(v) for v in term)
                                 for term in terms)))
-        return _chain(y, tf, terms, counts)
+        return _chain(y, tf, terms, counts, bands)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_chain", record)
         for families in _families(scenarios).values():
-            draws = montecarlo._Buffers(next(iter(families.values()))[0], 16)
-            montecarlo._draw(draws, montecarlo._block_rng(SEED, 0))
+            draws = drawn_alone(next(iter(families.values()))[0],
+                                montecarlo._block_rng(SEED, 0), 16)
             for family in families.values():
                 family_blocks(family, draws, 16)
     enumerated = {}
@@ -140,7 +141,7 @@ def test_planted_snrs_decide_like_the_rate_formula(rate_tests):
         lo, hi = _band(a, b, target, tf)
         y = _planted(lo, hi, rng)
         want = _rate(y, a, b, tf) >= target
-        got = _chain(y, tf, [(a, b, target)], counts)
+        got = _chain(y, tf, [(a, b, target)], counts, {})
         flips += int(np.sum(got != want))
         inside += int(np.sum((y >= lo) & (y <= hi)))
         # the planted points straddle the threshold
@@ -153,7 +154,7 @@ def test_planted_snrs_decide_whole_chains_per_time_factor(chains):
     # each recorded chain, with a random time factor per trial, against
     # every planted point of each of its tests
     rng = np.random.default_rng(SEED + 1)
-    counts, flips = [0, 0], 0
+    counts, flips, bands = [0, 0], 0, {}
     for tfs, terms in chains:
         y = np.concatenate([_planted(*_band(*term, tf), rng)[::8]
                             for term in terms for tf in tfs])
@@ -164,7 +165,7 @@ def test_planted_snrs_decide_whole_chains_per_time_factor(chains):
             want &= _rate(y, a, b, tf) >= target
         # one chain per time factor, picked per trial, as a family member
         # picks its receiver state; and the masked route's chain
-        got = [_chain(y, tf, list(terms), counts) for tf in tfs]
+        got = [_chain(y, tf, list(terms), counts, bands) for tf in tfs]
         got = got[0] if sel is None else _either(sel, got)
         flips += int(np.sum(got != want))
         flips += int(np.sum(masked_chain(y, tfs, sel, list(terms), [0, 0])
@@ -201,12 +202,13 @@ def test_tests_without_a_band_are_decided_by_the_rate(a, b, target, tf):
     assert masked_counts == [0, 1]
     # one chain per time factor decides the test over the whole row twice
     counts = [0, 0]
-    got = _either(y > 1.0, [_chain(y, tf, [(a, b, target)], counts),
-                            _chain(y, 0.5 * tf, [(a, b, target)], counts)])
+    got = _either(y > 1.0, [_chain(y, tf, [(a, b, target)], counts, {}),
+                            _chain(y, 0.5 * tf, [(a, b, target)], counts,
+                                   {})])
     assert np.array_equal(got, _rate(y, a, b, tf_row) >= target)
     assert counts == [0, 2]
     # a test without a band leaves the others on their thresholds
-    chained = _chain(y, tf, [(a, b, target), (1.0, 0.0, 0.1)], counts)
+    chained = _chain(y, tf, [(a, b, target), (1.0, 0.0, 0.1)], counts, {})
     assert np.array_equal(chained, (_rate(y, a, b, tf) >= target)
                           & (_rate(y, 1.0, 0.0, tf) >= 0.1))
     assert counts == [0, 3]
@@ -234,5 +236,36 @@ def rate_cases(draw):
 @given(rate_cases())
 def test_chain_equals_the_rate_comparison(case):
     a, b, target, tf, y = case
-    got = _chain(y, tf, [(a, b, target)], [0, 0])
+    got = _chain(y, tf, [(a, b, target)], [0, 0], {})
     assert np.array_equal(got, _rate(y, a, b, tf) >= target)
+
+
+def test_band_table_derives_each_chain_once(monkeypatch, chains):
+    # a chain decided from a filled table equals its fresh derivation, and
+    # the table holds one entry per (time factor, terms), derived by one
+    # _band call per term
+    calls, band = [], montecarlo._band
+
+    def counted(*args):
+        calls.append(args)
+        return band(*args)
+
+    monkeypatch.setattr(montecarlo, "_band", counted)
+    rng = np.random.default_rng(SEED + 2)
+    bands, keys, fresh_terms = {}, set(), 0
+    for tfs, terms in chains:
+        y = np.concatenate([_planted(*band(*term, tf), rng)[::64]
+                            for term in terms for tf in tfs])
+        for tf in tfs:
+            fresh = _chain(y, tf, list(terms), [0, 0], {})
+            fresh_terms += len(terms)
+            for _ in range(2):
+                counts = [0, 0]
+                got = _chain(y, tf, list(terms), counts, bands)
+                assert np.array_equal(got, fresh)
+                assert counts[0] > 0
+            keys.add((tf, *terms))
+    assert bands.keys() == keys
+    # once per term for each fresh table, once per key for the shared one
+    assert len(calls) == fresh_terms + sum(len(key) - 1 for key in keys)
+    assert len(keys) < sum(map(len, (tfs for tfs, _ in chains)))
