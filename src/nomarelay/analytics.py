@@ -17,13 +17,17 @@ Every outage of a scenario, and its sum throughput, is read through one
 :meth:`nomarelay.montecarlo.Tallies.outage`, so the closed form and the
 simulator answer one question the same way.
 
-Every kernel call goes through a :class:`KernelMemo`.  A sweep shares one
-memo across all its :class:`SlotMarginals`, so each distinct kernel
-argument is evaluated once per sweep; a standalone ``SlotMarginals`` gets
-a private memo, and nothing outlives its owner.  The memo also owns the
-sweep's :class:`specfun.LogGammaTable`, so the kernels it evaluates share
-their gamma factors on the fixed quadrature grids, and the table goes
-with the memo.
+Every kernel call goes through a :class:`KernelMemo`, and what P0 does
+not touch (thresholds, and each slot's harvest runs, path gains,
+disk-idle shares and receiver states) through a dict of tables.  A sweep
+shares one memo and one dict across all its :class:`SlotMarginals`, so
+each distinct kernel argument is evaluated once per sweep, and a power
+family (the scenarios equal but for P0) derives its P0-free state once;
+a standalone ``SlotMarginals`` gets a private memo and tables, and
+nothing outlives its owner.  The memo also owns the sweep's
+:class:`specfun.LogGammaTable`, so the kernels it evaluates share their
+gamma factors on the fixed quadrature grids, and the table goes with the
+memo.
 """
 
 from __future__ import annotations
@@ -360,10 +364,9 @@ def _residue_branch(memo, x, budget, ell, coeff):
     return branch
 
 
-def _hop_law(memo, runs, t, topology, budget, asymptotic, x):
-    """CDF of the hop SNR X_t received by node t+1, or its asymptote."""
-    ell_next = pathloss_linear(topology.hop_distances[t - 1], budget)
-
+def _hop_law(memo, runs, t, budget, ell_next, asymptotic, x):
+    """CDF of the hop SNR X_t received by node t+1, whose hop has path gain
+    ``ell_next``, or its asymptote."""
     def branch(w, v, gains):
         return w * memo("prod_exp_cdf", x / budget.gamma_bar0, v + 1,
                         gains + (ell_next,))
@@ -377,13 +380,12 @@ def _annulus_chi(k: int) -> tuple:
     return k * k / (2.0 * k - 1.0), (k - 1.0) ** 2 / (2.0 * k - 1.0)
 
 
-def _com_law(memo, runs, t, topology, budget, k, asymptotic, y):
-    """CDF of the com device SNR Y_{t,k} in subarea k of slot t, or its
-    asymptote."""
+def _com_law(memo, runs, t, budget, ell_edge, topology, k, asymptotic, y):
+    """CDF of the com device SNR Y_{t,k} in subarea k of slot t, whose disk
+    edge has path gain ``ell_edge``, or its asymptote."""
     kt = topology.subarea_counts[t - 1]
     eps, c_exp = budget.epsilon, 2.0 / budget.epsilon
     chi_hi, chi_lo = _annulus_chi(k)
-    ell_edge = pathloss_linear(topology.disk_radii[t - 1], budget)
 
     def branch(w, v, gains):
         c_tau = y / (budget.gamma_bar0 * ell_edge * math.prod(gains))
@@ -399,20 +401,20 @@ def _com_law(memo, runs, t, topology, budget, k, asymptotic, y):
     return _mix(runs, branch, f"cdf_Y(t={t},k={k})")
 
 
-def _nearest_law(memo, runs, t, topology, budget, fit, asymptotic, z):
+def _nearest_law(memo, runs, t, budget, ell_edge, topology, fit, asymptotic,
+                 z):
     """CDF of the qom (nearest-device) SNR Z_t, or its asymptote, which
-    needs no fit."""
+    needs no fit but the disk-edge path gain ``ell_edge``."""
     def branch(w, v, gains):
         scale = budget.gamma_bar0 * fit.mu * math.prod(gains)
         return w / math.gamma(fit.m) * memo(
             "nearest_kernel_deficit", (z / scale) ** fit.theta, v, fit.theta,
             fit.m)
     if asymptotic:
-        radius = topology.disk_radii[t - 1]
         branch = _residue_branch(
-            memo, z, budget, pathloss_linear(radius, budget),
-            nearest_small_gain_coefficient(topology.density_active, radius,
-                                           budget.epsilon))
+            memo, z, budget, ell_edge, nearest_small_gain_coefficient(
+                topology.density_active, topology.disk_radii[t - 1],
+                budget.epsilon))
     return _mix(runs, branch, f"cdf_Z(t={t})")
 
 
@@ -446,25 +448,31 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
-    The decoding thresholds are derived when an outage first reads them,
-    unless the owner sets ``thresholds`` first (a sweep derives them once
-    per plan and policy).  Every outage and
-    the sum throughput are memoized per (event, ``asymptotic``), so every
-    composition of the same scenario reuses one value per slot.
+    Every outage and the sum throughput are memoized per (event,
+    ``asymptotic``), so every composition of the same scenario reuses one
+    value per slot.  ``tables`` holds what P0 does not touch, keyed by
+    what it reads: the decoding thresholds by plan and policy, each slot's
+    state (:meth:`_slot`) by topology, policy and path-loss law; a
+    standalone ``SlotMarginals`` is a family of one with private tables.
     ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``; it is
     called only when an exact qom device outage first needs it.
     """
 
     def __init__(self, scenario: Scenario, nearest_fit=None,
-                 kernels: Optional["KernelMemo"] = None):
+                 kernels: Optional["KernelMemo"] = None,
+                 tables: Optional[dict] = None):
         self.scenario = scenario
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
+        self._tables = {} if tables is None else tables
         self._memo = {}
 
     @functools.cached_property
     def thresholds(self) -> ThresholdSet:
-        return decoding_thresholds(self.scenario.plan, self.scenario.policy)
+        key = (self.scenario.plan, self.scenario.policy)
+        if key not in self._tables:
+            self._tables[key] = decoding_thresholds(*key)
+        return self._tables[key]
 
     def _once(self, compute, *args):
         key = (compute.__name__,) + args
@@ -494,42 +502,56 @@ class SlotMarginals:
         """Sum throughput over the relayed message and every served device."""
         return self._once(self._throughput, asymptotic)
 
-    def _law(self, law, t, *args):
-        """``law`` over transmitter t's harvest runs, enumerated once."""
+    def _slot(self, t):
+        """``(runs, ell_hop, ell_edge, iota, states)`` of slot t: the
+        transmitter's harvest runs (:func:`harvest_runs`), the hop and
+        disk-edge path gains, the idle and active shares of its disk, and
+        the receiver's harvest states, none of which reads P0."""
         s = self.scenario
-        runs = self._once(harvest_runs, t, s.topology, s.policy, s.budget)
-        return functools.partial(law, self.kernels, runs, t, s.topology,
-                                 s.budget, *args)
+        topo, budget = s.topology, s.budget
+        key = (t, topo, s.policy, budget.L, budget.epsilon)
+        if key not in self._tables:
+            log_idle = log_null_probability(topo.density_active,
+                                            topo.disk_radii[t - 1])
+            self._tables[key] = (
+                harvest_runs(t, topo, s.policy, budget),
+                pathloss_linear(topo.hop_distances[t - 1], budget),
+                pathloss_linear(topo.disk_radii[t - 1], budget),
+                (math.exp(log_idle), -math.expm1(log_idle)),
+                s.policy.states(t + 1))
+        return self._tables[key]
 
     def _hop(self, t, asymptotic):
-        s = self.scenario
-        log_idle = log_null_probability(s.topology.density_active,
-                                        s.topology.disk_radii[t - 1])
-        iota = (math.exp(log_idle), -math.expm1(log_idle))
-        return self._outage(t, self.thresholds.relay, iota,
-                            self._law(_hop_law, t, asymptotic),
+        runs, ell_hop, _, iota, states = self._once(self._slot, t)
+        evaluate = functools.partial(_hop_law, self.kernels, runs, t,
+                                     self.scenario.budget, ell_hop, asymptotic)
+        return self._outage(states, self.thresholds.relay, iota, evaluate,
                             f"hop outage (t={t})")
 
     def _device(self, t, k, asymptotic):
+        runs, _, ell_edge, _, states = self._once(self._slot, t)
         thresholds = self.thresholds.device[t - 1][0 if k is None else k - 1]
         if k is None:
             label = f"qom device outage (t={t})"
             if not asymptotic and self._nearest_fit is None:
                 raise ValueError("exact qom outage needs the nearest-gain fit")
             fit = None if asymptotic else self._nearest_fit(t)
-            evaluate = self._law(_nearest_law, t, fit, asymptotic)
+            law, arg = _nearest_law, fit
         else:
             label = f"com device outage (t={t},k={k})"
-            evaluate = self._law(_com_law, t, k, asymptotic)
-        return self._outage(t, tuple((th,) for th in thresholds), (1.0,),
+            law, arg = _com_law, k
+        evaluate = functools.partial(
+            law, self.kernels, runs, t, self.scenario.budget, ell_edge,
+            self.scenario.topology, arg, asymptotic)
+        return self._outage(states, tuple((th,) for th in thresholds), (1.0,),
                             evaluate, label)
 
-    def _outage(self, t, thresholds, iota, evaluate, label):
+    def _outage(self, states, thresholds, iota, evaluate, label):
         """CDF deficit at ``thresholds[i][j]``, mixed over the receiver's
         harvest states ``(i, p)`` (:meth:`EhPolicy.states`) and the sender's
         states j, weighted by ``iota``."""
         op = 0.0
-        for i, p in self.scenario.policy.states(t + 1):
+        for i, p in states:
             for j, share in enumerate(iota):
                 threshold = thresholds[i][j]
                 # a threshold at or below zero never fails; +inf always does

@@ -18,6 +18,7 @@ range; we keep the formula exactly as given rather than re-deriving it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -55,8 +56,8 @@ def noise_power_w(bandwidth_hz: float) -> float:
 class LinkBudget:
     """Transmit power, noise floor, and UMi path-loss parameters.
 
-    ``L`` is the path gain at 1 m; it and the reference SNR
-    ``gamma_bar0 = P0 / sigma2`` are derived from the fields.
+    ``L`` is the path gain at 1 m, derived once per budget, and the
+    reference SNR ``gamma_bar0 = P0 / sigma2`` is derived from the fields.
     """
 
     P0: float          # W
@@ -75,7 +76,7 @@ class LinkBudget:
             raise ValueError(
                 f"path-loss exponent must exceed 2 for finite moments, got {self.epsilon}")
 
-    @property
+    @functools.cached_property
     def L(self) -> float:
         # 10^(0.1 (22.7 + 26 log10 f_c - G_r - G_t)); equivalently
         # 10^2.27 f_c^2.6 / 10^(0.1 (G_r + G_t))

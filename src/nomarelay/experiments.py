@@ -290,8 +290,10 @@ def load_config(path) -> RunConfig:
 # scenario construction per (grid value, scheme)
 # ---------------------------------------------------------------------------
 
-def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
-    """The scenario of one (grid value, scheme) pair; it carries no fits."""
+def _build_scenario(config: RunConfig, scheme: Scheme, value,
+                    plans: dict) -> Scenario:
+    """The scenario of one (grid value, scheme) pair; it carries no fits.
+    Its plan is read from ``plans``, filled on a miss."""
     var = config.sweep.variable
     topology = config.topology
     rho, alpha, beta = config.rho, config.alpha, config.beta
@@ -329,18 +331,20 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
     if scheme.pairing == "qom":
         layout = dataclasses.replace(
             topology, subarea_counts=(1,) * topology.hop_count)
-    reference = analytics.default_allocation(
-        layout, build_policy(Scheme.TCOM, m, rho, alpha=alpha,
-                             beta=beta, eta=config.eta),
-        relay_share=config.relay_share,
-        rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
+
+    def allocate(policy):
+        key = (layout, policy, config.relay_share, config.rate_fraction,
+               config.rate_cap)
+        if key not in plans:
+            plans[key] = analytics.default_allocation(*key)
+        return plans[key]
+    reference = allocate(build_policy(Scheme.TCOM, m, rho, alpha=alpha,
+                                      beta=beta, eta=config.eta))
     if scheme is Scheme.CNRR:
         topology = topology.without_devices()
         plan = analytics.baseline_plan(reference, topology.hop_count)
     elif scheme.harvesting == "BPEH":
-        plan = analytics.default_allocation(
-            layout, policy, relay_share=config.relay_share,
-            rate_fraction=config.rate_fraction, rate_cap=config.rate_cap)
+        plan = allocate(policy)
     else:
         plan = reference
     return Scenario(scheme=scheme, topology=topology, policy=policy,
@@ -348,35 +352,33 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value) -> Scenario:
 
 
 class _SweepCore:
-    """State shared by every point of one sweep.
+    """State shared by every point of one sweep, dropped with it.
 
     Scenarios equal in value share one :class:`analytics.SlotMarginals`, so
     slot outages and throughput are computed once per sweep (the
     no-harvest twin of a rho sweep is the same scenario at every grid
-    point); scenarios of one plan and policy (a power sweep's points)
-    share their decoding thresholds, derived once per sweep; and
-    nearest-gain fits are resolved lazily through one
-    :class:`FitBook`.  Simulated rows read ``tallies``, filled by one
-    :func:`montecarlo.simulate_plan` over every run the sweep needs.
+    point).  What P0 does not touch is derived once per sweep: the
+    allocation plans in ``plans`` (:func:`_build_scenario`), and the
+    decoding thresholds and slot states every ``SlotMarginals`` reads in
+    ``tables``, so a power sweep's points share them.  Nearest-gain fits
+    are resolved lazily through one :class:`FitBook`.  Simulated rows read
+    ``tallies``, filled by one :func:`montecarlo.simulate_plan` over every
+    run the sweep needs.
     """
 
     def __init__(self, fit_cache: Optional[str]):
         self.fits = FitBook(fit_cache)
         self.kernels = analytics.KernelMemo()
-        self._marginals, self._thresholds = {}, {}
+        self.plans, self.tables, self._marginals = {}, {}, {}
         self.tallies = {}
 
     def marginals(self, scenario: Scenario) -> analytics.SlotMarginals:
         if scenario not in self._marginals:
             # the fit source binds the book, not the core, so no reference
             # cycle keeps a finished sweep's memo alive until a full collection
-            marginals = self._marginals[scenario] = analytics.SlotMarginals(
+            self._marginals[scenario] = analytics.SlotMarginals(
                 scenario, functools.partial(_nearest_fit, self.fits, scenario),
-                self.kernels)
-            key = (scenario.plan, scenario.policy)
-            if key not in self._thresholds:
-                self._thresholds[key] = analytics.decoding_thresholds(*key)
-            marginals.thresholds = self._thresholds[key]
+                self.kernels, self.tables)
         return self._marginals[scenario]
 
 
@@ -391,7 +393,7 @@ class _PointContext:
                  core: _SweepCore):
         self.config = config
         self.value = value
-        self.scenario = _build_scenario(config, scheme, value)
+        self.scenario = _build_scenario(config, scheme, value, core.plans)
         self.core = core
         self._twin = None
 
@@ -534,12 +536,12 @@ def fill_fit_cache(config: RunConfig) -> int:
     (grid value, scheme, slot) fits covered.
     """
     book = FitBook(config.fit_cache_path)
-    covered = 0
+    covered, plans = 0, {}
     for value in config.sweep.grid:
         for scheme in config.sweep.schemes:
             if scheme.pairing != "qom":
                 continue
-            scenario = _build_scenario(config, scheme, value)
+            scenario = _build_scenario(config, scheme, value, plans)
             for t in range(1, scenario.topology.hop_count + 1):
                 book.fit(scenario.topology.disk(t), scenario.budget)
                 covered += 1

@@ -40,14 +40,15 @@ its devices only if some member decodes them.  A plan entry therefore
 equals its run simulated alone on everything its rows read, and raises
 on anything else.  Nothing certain or unread is drawn or decided per
 trial: a uniform row whose comparison cannot come out two ways (the
-destination's harvest, which ``EhPolicy`` fixes at rho = 0, and a
-slot's activity when its probability is exactly 0 or 1 in every
-topology of the group), and the columns of a uniform row beyond those
-read, are skipped by advancing the Philox stream exactly as far as
-drawing them would (:func:`_skip`; Philox is counter-based), so every
-value read equals that of the block drawn in full; a run or state in no
-member's table gets no candidate row; and the throughput and
-supply-power rows are built only when read.
+destination's harvest, which ``EhPolicy`` fixes at rho = 0, a relay's
+harvest when its rho is exactly 0 or 1 in every scenario of the group,
+as in a group of no-harvest twins, and a slot's activity when its
+probability is exactly 0 or 1 in every topology of the group), and the
+columns of a uniform row beyond those read, are skipped by advancing
+the Philox stream exactly as far as drawing them would (:func:`_skip`;
+Philox is counter-based), so every value read equals that of the block
+drawn in full; a run or state in no member's table gets no candidate
+row; and the throughput and supply-power rows are built only when read.
 Each stream group fills one buffer set (:class:`_Buffers`), allocated
 at full block width, in place through ``out=`` stream calls and ufuncs
 in the same float order, for every block, device group and family; a
@@ -146,7 +147,9 @@ class _Buffers:
     group refills one set for every block, device group and family; a
     draw and a resolve read and write ``[..., :n]`` views of it.
 
-    ``u_eh`` holds the harvest uniforms of the relays only.  ``p_active``
+    ``u_eh`` holds the harvest uniforms of the relays only, and
+    ``certain_eh`` marks the relays whose rho is 0 or 1 in every scenario
+    of the group, whose rows are never drawn.  ``p_active``
     maps each topology of the group to the activity probability of each
     slot's disk, and ``active`` to its activity rows, one row set per
     distinct tuple of probabilities (``activity``).  The device rows of
@@ -160,6 +163,8 @@ class _Buffers:
         hops = scenarios[0].topology.hop_count
         self.width = width
         self.u_eh = np.empty((hops - 1, width))
+        self.certain_eh = [all(s.policy.rho1(j) in (0.0, 1.0)
+                               for s in scenarios) for j in range(2, hops + 1)]
         self.hop_fades = np.empty((hops, width))
         self.p_active, self.active, self.activity = {}, {}, {}
         for topo in dict.fromkeys(s.topology for s in scenarios):
@@ -265,7 +270,9 @@ def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int,
     row fills its first ``trials`` columns and skips the rest of its
     outputs (:func:`_skip`), and a row no comparison can read two ways is
     skipped whole: the destination's harvest row (rho = 0 for every
-    policy), which the set does not hold, and the activity row of a slot
+    policy), which the set does not hold, the harvest row of a relay whose
+    rho is 0 or 1 in every scenario of the group (``certain_eh``), which
+    keeps its stale values, and the activity row of a slot
     whose disk every topology of the group holds active with probability
     exactly 0 or 1, which is set to that outcome.  An exponential is a
     ziggurat draw that takes a variable number of outputs, so the hop
@@ -279,9 +286,14 @@ def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int,
     width, hops = buffers.width, buffers.hop_fades.shape[0]
 
     # 1. harvest uniforms of nodes 2..M-1, compared with rho on resolution;
-    # the destination's row is skipped
-    skip = _uniforms(rng, buffers.u_eh, trials, 0) + width
-    skipped = 1
+    # the destination's row and every certain relay's are skipped
+    skip, skipped = 0, 1
+    for row, certain in zip(buffers.u_eh, buffers.certain_eh):
+        if certain:
+            skip, skipped = skip + width, skipped + 1
+        else:
+            skip = _uniforms(rng, [row], trials, skip)
+    skip += width
 
     # 2. device activity per slot; the hop fades are drawn next, so their
     # rows hold the activity uniforms meanwhile

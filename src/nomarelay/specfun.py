@@ -254,7 +254,7 @@ def _circle_residue_sum(num, den, logx, center, radius, table) -> float:
     ring = radius * _UNIT_RING
     vals = np.exp(_log_integrand(center + ring, num, den, logx, table,
                                  ("ring", center, radius)))
-    return float((vals * ring).mean().real)
+    return float((np.add.reduce(vals * ring) / _RING_NODES).real)
 
 
 def _residue_sum(family: Family, x: float, table) -> float:

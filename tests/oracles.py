@@ -1183,35 +1183,51 @@ def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
                           branch)
 
 
-def _law(law, t, topology, policy, budget, *args) -> float:
-    """A library mixture law, through a private kernel memo."""
+def _law(law, t, topology, policy, budget, ell, *args) -> float:
+    """A library mixture law, through a private kernel memo, with the
+    path gain ``ell`` it reads."""
     return law(analytics.KernelMemo(),
                analytics.harvest_runs(t, topology, policy, budget), t,
-               topology, budget, *args)
+               budget, ell, *args)
+
+
+def _law_at_edge(law, t, topology, policy, budget, *args) -> float:
+    """A device law of slot t, which reads its disk-edge path gain."""
+    return _law(law, t, topology, policy, budget,
+                pathloss_linear(topology.disk_radii[t - 1], budget),
+                topology, *args)
+
+
+def _law_at_hop(t, topology, policy, budget, *args) -> float:
+    """The hop law of slot t, which reads its hop's path gain."""
+    return _law(analytics._hop_law, t, topology, policy, budget,
+                pathloss_linear(topology.hop_distances[t - 1], budget), *args)
 
 
 def cdf_X(x, t, topology, policy, budget):
-    return _law(analytics._hop_law, t, topology, policy, budget, False, x)
+    return _law_at_hop(t, topology, policy, budget, False, x)
 
 
 def cdf_Y(y, t, k, topology, policy, budget):
-    return _law(analytics._com_law, t, topology, policy, budget, k, False, y)
+    return _law_at_edge(analytics._com_law, t, topology, policy, budget, k,
+                        False, y)
 
 
 def cdf_Z(z, t, topology, policy, budget, fit):
-    return _law(analytics._nearest_law, t, topology, policy, budget, fit,
-                False, z)
+    return _law_at_edge(analytics._nearest_law, t, topology, policy, budget,
+                        fit, False, z)
 
 
 def asymptotic_cdf_X(x, t, topology, policy, budget):
     """Residue-series approximation of cdf_X, accurate at high power."""
-    return _law(analytics._hop_law, t, topology, policy, budget, True, x)
+    return _law_at_hop(t, topology, policy, budget, True, x)
 
 
 def asymptotic_cdf_Y(y, t, k, topology, policy, budget):
-    return _law(analytics._com_law, t, topology, policy, budget, k, True, y)
+    return _law_at_edge(analytics._com_law, t, topology, policy, budget, k,
+                        True, y)
 
 
 def asymptotic_cdf_Z(z, t, topology, policy, budget):
-    return _law(analytics._nearest_law, t, topology, policy, budget, None,
-                True, z)
+    return _law_at_edge(analytics._nearest_law, t, topology, policy, budget,
+                        None, True, z)

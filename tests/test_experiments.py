@@ -1,6 +1,7 @@
 """Runner tests: config parsing, sweep loop, emission contract, CLI."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -659,6 +660,65 @@ def test_sweep_enumerates_harvest_runs_once_per_scenario_slot(monkeypatch,
     assert {id(runs) for _, runs in calls} == set(mixed)
 
 
+@pytest.mark.parametrize("name", ["destination_op_p0", "throughput_p0"])
+def test_power_family_rows_equal_standalone_marginals(tmp_path, name):
+    # every point of a power sweep reads the plans, thresholds and slot
+    # states its family derived once; a standalone SlotMarginals, a family
+    # of one with private tables and memo, gives every row's very float
+    config = _shipped(tmp_path, name)
+    rows = run_sweep(config, source="analytic").rows
+    book = channel.FitBook(config.fit_cache_path)
+    want = []
+    for value in config.sweep.grid:
+        for scheme in config.sweep.schemes:
+            scenario = experiments._build_scenario(config, scheme, value, {})
+            alone = analytics.SlotMarginals(scenario, functools.partial(
+                experiments._nearest_fit, book, scenario))
+            for metric in config.sweep.metrics:
+                selector = parse_metric(metric)
+                for asymptotic in (False, True)[
+                        :1 + config.sweep.include_asymptotic]:
+                    want.append((repr(value), scheme.value, metric,
+                                 "asymptotic" if asymptotic else "analytic",
+                                 repr(alone.throughput(asymptotic)
+                                      if selector == ("throughput",)
+                                      else alone.outage(selector,
+                                                        asymptotic))))
+    assert [(r.value, r.scheme, r.metric, r.source, repr(r.mean))
+            for r in rows] == want
+
+
+# per sweep: distinct allocation plans and (slot, topology, policy,
+# path-loss law) harvest-run tables
+PLAN_AND_RUN_COUNTS = {"destination_op_p0": (4, 12), "throughput_p0": (4, 12),
+                       "validate_chain": (12, 24)}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_AND_RUN_COUNTS))
+def test_no_table_outlives_its_sweep(monkeypatch, tmp_path, name):
+    # a power sweep's 9 points share 4 plans and 12 run tables, where
+    # each point of each scheme derived its own; a second sweep in the
+    # same process derives them all again
+    counts = {}
+    for fn in ("default_allocation", "harvest_runs"):
+        def counted(*args, fn=fn, real=getattr(analytics, fn), **kw):
+            counts[fn] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(analytics, fn, counted)
+    config = _shipped(tmp_path, name)
+    tables = []
+    for _ in range(2):
+        counts.update(default_allocation=0, harvest_runs=0)
+        result = run_sweep(config, source="analytic")
+        assert not result.failures
+        tables.append(render_results(result.rows, "csv"))
+        assert (counts["default_allocation"], counts["harvest_runs"]) \
+            == PLAN_AND_RUN_COUNTS[name]
+    assert hashlib.sha256(tables[0].encode()).hexdigest() \
+        == GOLDEN_ANALYTIC[name]
+    assert tables[0] == tables[1]
+
+
 # sha256 of the simulated validate_chain table at 140,000 outage and 70,000
 # throughput trials (three blocks, partial cuts in blocks 1 and 2), as
 # emitted before a sweep planned its simulation
@@ -739,6 +799,26 @@ def test_shipped_mc_device_tables_are_byte_identical(tmp_path, name):
     assert not result.failures
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC_DEVICES[name]
+
+
+def test_twin_group_skips_the_harvest_rows_of_its_relays(tmp_path, caplog):
+    # the eed no-harvest twins draw at their own seed, and no relay of the
+    # group harvests: each of its 2 blocks skips both relays' harvest rows
+    # besides the destination's and the 3 certain activity rows, and the
+    # table keeps its bytes
+    config = _shipped(tmp_path, "validate_devices_com",
+                      trials_outage=140_000, trials_throughput=70_000)
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.montecarlo"):
+        result = run_sweep(config, source="mc")
+    text = render_results(result.rows, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == GOLDEN_MC_DEVICES["validate_devices_com"]
+    skipped = dict(re.findall(r"seed (\d+), 4 nodes: .*?(\d+) uniform rows "
+                              r"skipped", r.getMessage())[0]
+                   for r in caplog.records if r.name == "nomarelay.montecarlo")
+    twin = str(config.seed + experiments._TWIN_SEED_OFFSET)
+    # the main group's 3 blocks skip the destination and activity rows only
+    assert skipped == {str(config.seed): "12", twin: "12"}
 
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,

@@ -123,9 +123,10 @@ def test_library_holds_only_the_model():
     # no process-global memo keeps simulated runs between calls
     assert not [name for name, value in vars(montecarlo).items()
                 if hasattr(value, "cache_info")]
-    # one way into each route: a scenario in, fits through one callable
+    # one way into each route: a scenario in, fits through one callable,
+    # and the sweep's kernel memo and P0-free tables if it shares them
     assert list(inspect.signature(analytics.SlotMarginals).parameters) \
-        == ["scenario", "nearest_fit", "kernels"]
+        == ["scenario", "nearest_fit", "kernels", "tables"]
     assert not {"hop", "device", "e2e"} & set(vars(analytics.SlotMarginals))
     assert not hasattr(analytics.AllocationPlan, "subarea_count")
     # no qom copy of the device fields: a qom plan lists its one device

@@ -398,9 +398,19 @@ def _spoil(arrays):
             a.fill(np.nan if a.dtype.kind == "f" else -1)
 
 
+def _drawn_harvests(buffers):
+    """The rows of ``u_eh`` a fill draws: no resolve reads the others."""
+    return buffers.u_eh[~np.array(buffers.certain_eh, dtype=bool)]
+
+
 def _draw_arrays(buffers):
     return [buffers.u_eh, *buffers.activity.values(), buffers.hop_fades,
             *buffers.device_dist, *buffers.device_fade]
+
+
+def _read_draws(buffers):
+    """The arrays of a fill that a resolve reads."""
+    return [_drawn_harvests(buffers), *_draw_arrays(buffers)[1:]]
 
 
 @pytest.mark.parametrize("pairing", sorted(REUSE_GROUPS))
@@ -414,8 +424,8 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
         rng = montecarlo._block_rng(43, b)
         montecarlo._draw(reused, rng, n)
         montecarlo._draw_devices(reused, rng, group[0], n)
-        for got, want in zip(_draw_arrays(reused),
-                             _draw_arrays(_drawn(group[0], b))):
+        for got, want in zip(_read_draws(reused),
+                             _read_draws(_drawn(group[0], b))):
             assert got[..., :n].tobytes() == want[..., :n].tobytes(), (b, n)
         for s in group:
             _spoil(reused.arrays.values())
@@ -634,7 +644,7 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
     rng = montecarlo._block_rng(43, 2)
     montecarlo._draw(part, rng, width)
     montecarlo._draw_devices(part, rng, s, width)
-    for got, want in zip(_draw_arrays(part), _draw_arrays(_drawn(s, 2))):
+    for got, want in zip(_read_draws(part), _read_draws(_drawn(s, 2))):
         assert got.tobytes() == want.tobytes()
 
 
@@ -667,6 +677,9 @@ def _compare_draws(s, width, devices, b, trials=None):
     differ = []
     for name in names:
         got, want = getattr(fast, name), getattr(full, name)
+        if name == "u_eh":
+            # the full draw also fills the rows of certain relays
+            got, want = _drawn_harvests(fast), _drawn_harvests(full)
         if name == "active":
             got, want = got[s.topology], want[s.topology]
         if not isinstance(got, list):
@@ -684,18 +697,27 @@ def _certain_rows(s):
         for r in s.topology.disk_radii)
 
 
+def _certain_harvests(s):
+    """The harvest rows of ``s``'s relays whose rho is 0 or 1, each
+    skipped."""
+    return sum(s.policy.rho1(j) in (0.0, 1.0)
+               for j in range(2, s.topology.hop_count + 1))
+
+
 def test_skipped_rows_leave_every_read_draw_unchanged(shipped_groups):
     # a skip advances the stream exactly as far as drawing the row would,
     # so at any width, a multiple of 4 or not, every draw equals the full
     # draw's
-    drawn_activity = 0
+    drawn_activity = skipped_harvests = 0
     for b, s in enumerate(shipped_groups):
         certain = _certain_rows(s)
         drawn_activity += certain < s.topology.hop_count
+        skipped_harvests += _certain_harvests(s)
         for width in (montecarlo.BLOCK_SIZE, 4_093, 1):
             for devices in (True, False):
                 assert _compare_draws(s, width, devices, b) \
-                    == (1 + certain, []), (s.topology, width, devices)
+                    == (1 + certain + _certain_harvests(s), []), \
+                    (s.topology, width, devices)
         # and every fill from one stream is the same
         for width in (4_093, 1):
             fills = [montecarlo._Buffers([s], width) for _ in range(2)]
@@ -709,7 +731,27 @@ def test_skipped_rows_leave_every_read_draw_unchanged(shipped_groups):
     # the density sweep's sparsest disks draw their activity
     # (lambda pi r^2 = pi: active with probability 0.957)
     assert drawn_activity > 0
+    # the bare chain's relays never harvest
+    assert skipped_harvests > 0
     assert len(shipped_groups) > 20
+
+
+def test_a_group_of_certain_relays_keeps_every_tally():
+    # no relay of a no-harvest group harvests, so its blocks skip both
+    # relays' harvest rows, and every row read equals the full draw's;
+    # beside a harvesting scheme, which draws those rows, the same run
+    # tallies the same counts and moments
+    twin = scenario(Scheme.COM_NOEH, rho=0.0)
+    assert montecarlo._Buffers([twin], 1).certain_eh == [True, True]
+    assert montecarlo._Buffers([twin, TCOM], 1).certain_eh == [False, False]
+    for width in (montecarlo.BLOCK_SIZE, 4_093):
+        assert _compare_draws(twin, width, True, 5) \
+            == (1 + _certain_rows(twin) + 2, [])
+    run = (twin, 43, 70_000)
+    alone = montecarlo.simulate_plan([run])[run]
+    beside = montecarlo.simulate_plan([run, (TCOM, 43, 70_000)])[run]
+    assert alone.trials == 70_000 and alone.decoded
+    assert alone == beside
 
 
 @settings(max_examples=200, deadline=None)
@@ -753,7 +795,8 @@ def test_a_block_drawn_for_n_trials_equals_the_full_draw_there(s):
     for n in DRAW_WIDTHS:
         for devices in (True, False):
             assert _compare_draws(s, montecarlo.BLOCK_SIZE, devices, 3, n) \
-                == (1 + _certain_rows(s), []), (n, devices)
+                == (1 + _certain_rows(s) + _certain_harvests(s), []), \
+                (n, devices)
         part = montecarlo._Buffers([s], montecarlo.BLOCK_SIZE)
         _spoil(_draw_arrays(part))
         rng = montecarlo._block_rng(43, 3)
@@ -789,8 +832,10 @@ def test_a_stream_group_draws_each_pairing_as_if_alone():
             rng.bit_generator.state = state
             montecarlo._draw_devices(shared, rng, s, trials)
             alone = _drawn(s, b)
-            assert shared.u_eh[:, :trials].tobytes() \
-                == alone.u_eh[:, :trials].tobytes()
+            # the rows of relays certain for ``s`` alone are not drawn
+            drawn = ~np.array(alone.certain_eh, dtype=bool)
+            assert shared.u_eh[drawn, :trials].tobytes() \
+                == alone.u_eh[drawn, :trials].tobytes()
             assert shared.hop_fades[:, :trials].tobytes() \
                 == alone.hop_fades[:, :trials].tobytes()
             assert shared.active[s.topology][:, :trials].tobytes() \
@@ -814,7 +859,12 @@ def test_certain_branches_equal_the_masked_route(topology, scheme, rho):
     near = 5e-324 if rho == 0.0 else np.nextafter(1.0, 0.0)
     twin = dataclasses.replace(certain, policy=dataclasses.replace(
         certain.policy, rho=(0.0, near, near, 0.0)))
-    buffers = _drawn(certain)
+    # one block drawn for the stream group of both, in which the twin's
+    # relays draw their harvest rows
+    buffers = montecarlo._Buffers([certain, twin], montecarlo.BLOCK_SIZE)
+    rng = montecarlo._block_rng(43, 0)
+    montecarlo._draw(buffers, rng, montecarlo.BLOCK_SIZE)
+    montecarlo._draw_devices(buffers, rng, certain, montecarlo.BLOCK_SIZE)
     got, counts, _ = _resolved([certain], buffers, montecarlo.BLOCK_SIZE)
     want, twin_counts, _ = _resolved([twin], buffers, montecarlo.BLOCK_SIZE)
     got, want = got[certain], want[twin]

@@ -478,6 +478,34 @@ def test_residue_walk_builds_clusters_one_ahead(monkeypatch):
         table.clear()
 
 
+def test_circle_reduction_equals_the_mean_bit_for_bit(monkeypatch):
+    # a residue circle reduces its nodes with the pairwise sum that
+    # ``ndarray.mean`` runs, then divides by the node count as it does
+    rng = np.random.default_rng(24)
+    for _ in range(2_000):
+        ring = (rng.standard_normal(sf._RING_NODES)
+                + 1j * rng.standard_normal(sf._RING_NODES)) \
+            * 10.0 ** rng.uniform(-200.0, 200.0)
+        got = np.add.reduce(ring) / sf._RING_NODES
+        assert got.tobytes() == ring.mean().tobytes()
+    # and on the circles a residue walk integrates
+    circles = []
+    real = sf._circle_residue_sum
+    monkeypatch.setattr(sf, "_circle_residue_sum", lambda *args: (
+        circles.append(args) or real(*args)))
+    table = sf.LogGammaTable()
+    for kind in (("ccdf", 3), ("annulus", 2, C_EXP),
+                 ("z_kernel", 2, 0.95, 1.3)):
+        sf._residue_sum(family(kind), 2e-4, table)
+    assert len(circles) > 6
+    for num, den, logx, center, radius, table in circles:
+        ring = radius * sf._UNIT_RING
+        vals = np.exp(sf._log_integrand(center + ring, num, den, logx, table,
+                                        ("ring", center, radius)))
+        assert real(num, den, logx, center, radius, table) \
+            == float((vals * ring).mean().real)
+
+
 def test_pick_abscissa_evaluates_the_integrand_once(monkeypatch):
     calls = []
     real = sf._log_integrand
