@@ -282,14 +282,16 @@ class KernelMemo(dict):
     """Kernel values keyed by ``(kernel name, *arguments)``.
 
     The kernels are pure, so a hit returns the very float a miss computes.
-    ``lookups`` counts calls per kernel family; each key is one evaluation.
-    Every quadrature kernel evaluated here reads and fills ``table``, one
-    :class:`specfun.LogGammaTable` that lives as long as the memo.
+    ``lookups`` counts calls and ``evaluations`` misses per kernel family,
+    for the sweep's statistics record.  Every quadrature kernel evaluated
+    here reads and fills ``table``, one :class:`specfun.LogGammaTable`
+    that lives as long as the memo.
     """
 
     def __init__(self):
         super().__init__()
         self.lookups = collections.Counter()
+        self.evaluations = collections.Counter()
         self.table = LogGammaTable()
 
     def __call__(self, name: str, *args) -> float:
@@ -303,22 +305,8 @@ class KernelMemo(dict):
             kernel = globals()[name]
             value = self[key] = (kernel(*args) if family == "residue_asymptote"
                                  else kernel(*args, table=self.table))
+            self.evaluations[family] += 1
         return value
-
-    def log_summary(self) -> None:
-        """Two DEBUG lines: lookups, evaluations and hit ratio per kernel
-        family, then arrays stored, lookups and hit ratio per grid kind of
-        the loggamma table."""
-        evaluations = collections.Counter(_KERNEL_FAMILY[key[0]] for key in self)
-        logger.debug("kernel memo: %s", "; ".join(
-            f"{family} {n} lookups, {evaluations[family]} evaluations, "
-            f"hit ratio {1.0 - evaluations[family] / n:.3f}"
-            for family, n in sorted(self.lookups.items())) or "no lookups")
-        stored = collections.Counter(grid[0] for grid, *_ in self.table)
-        logger.debug("loggamma table: %s", "; ".join(
-            f"{kind} {stored[kind]} arrays, {n} lookups, "
-            f"hit ratio {1.0 - stored[kind] / n:.3f}"
-            for kind, n in sorted(self.table.lookups.items())) or "no lookups")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import io
 import json
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,8 @@ import yaml
 from . import analytics, montecarlo
 from .channel import FitBook, LinkBudget, dbm_to_watts, noise_power_w
 from .network import NetworkTopology, Scenario, Scheme, build_policy
+
+logger = logging.getLogger(__name__)
 
 TOPOLOGY_PRESETS = {
     "t1": {"hop_distances": (200.0, 200.0, 200.0),
@@ -149,10 +152,26 @@ class ResultRow:
 
 
 @dataclass
+class SweepStats:
+    """Where one sweep's work went, counted as it runs: a
+    :class:`montecarlo.StreamStats` per stream group simulated, in order,
+    kernel lookups and evaluations per kernel family, and loggamma lookups
+    and arrays computed per grid kind.  A rerun of the sweep gives an
+    equal record but for its seconds."""
+
+    streams: list
+    kernel_lookups: dict
+    kernel_evaluations: dict
+    grid_lookups: dict
+    grid_arrays: dict
+
+
+@dataclass
 class SweepResult:
     rows: list
     flagged: list
     failures: list
+    stats: Optional[SweepStats] = None
 
     @property
     def clean(self) -> bool:
@@ -569,7 +588,7 @@ def run_sweep(config: RunConfig, *, source: str = "both",
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     result = SweepResult(rows=[], flagged=[], failures=[])
-    core = _SweepCore(config.fit_cache_path)
+    core, streams = _SweepCore(config.fit_cache_path), []
     selectors = [parse_metric(metric) for metric in config.sweep.metrics]
     points = []
     for value in config.sweep.grid:
@@ -590,7 +609,7 @@ def run_sweep(config: RunConfig, *, source: str = "both",
                     for run in ctx.simulation_runs(selector):
                         reads.setdefault(run, set()).add(
                             _simulated_read(selector))
-        core.tallies = montecarlo.simulate_plan(reads, reads)
+        core.tallies = montecarlo.simulate_plan(reads, reads, streams)
     for value, scheme, ctx in points:
         if isinstance(ctx, Exception):
             result.failures.append(
@@ -598,7 +617,11 @@ def run_sweep(config: RunConfig, *, source: str = "both",
             continue
         for metric, selector in zip(config.sweep.metrics, selectors):
             _emit_point(ctx, metric, selector, source, result)
-    core.kernels.log_summary()
+    memo = core.kernels
+    result.stats = SweepStats(streams, memo.lookups, memo.evaluations,
+                              memo.table.lookups, memo.table.arrays)
+    # the one place the record is formatted: its repr, at DEBUG
+    logger.debug("sweep statistics: %r", result.stats)
     return result
 
 

@@ -16,44 +16,22 @@ Trials are vectorized in fixed-size blocks; block ``b`` of a run draws
 from its own counter-derived stream, so a shorter run is a prefix of a
 longer one with the same seed.  Blocks are tallied in block order, which
 the float moment sums need to come out the same.  A sweep plans its
-simulation once (:func:`simulate_plan`): shorter trial counts are
-tallied as prefixes of longer ones, the scenarios of one seed and node
-count (a stream group) read one stream per block, and each run is
-tallied only for what its rows read.  A block's harvest uniforms,
-activity and hop fades depend on the node count alone, but for the
-activity probabilities, so they are drawn once per stream group
-(:func:`_draw`); each device group (the scenarios sharing pairing and
-topology) then draws its device geometry and fades from the state they
-leave (:func:`_draw_devices`), and the block is resolved once per family
-(:func:`_resolve`), the scenarios of a device group equal but for their
-harvest probabilities; a scenario alone is a family of one.  A slot's
-power and decode events depend on the harvests only through the run of
-harvesting nodes behind its transmitter and the receiver's harvest
-state, both listed by the policy's harvest-state table, so a family
-decides each (run, state) once, on candidate rows, and each member picks
-its decisions from them by its own indicators, bit for bit as if
-resolved alone.  A block is drawn only as far as its widest run reads
-it, a family resolves it only as far as the longest run of a member
-reads it, decodes a member's device messages only if a run reading the
-block reads a device event or the throughput, and a device group draws
-its devices only if some member decodes them.  A plan entry therefore
-equals its run simulated alone on everything its rows read, and raises
-on anything else.  Nothing certain or unread is drawn or decided per
-trial: a uniform row whose comparison cannot come out two ways (the
-destination's harvest, which ``EhPolicy`` fixes at rho = 0, a relay's
-harvest when its rho is exactly 0 or 1 in every scenario of the group,
-as in a group of no-harvest twins, and a slot's activity when its
-probability is exactly 0 or 1 in every topology of the group), and the
-columns of a uniform row beyond those read, are skipped by advancing
-the Philox stream exactly as far as drawing them would (:func:`_skip`;
-Philox is counter-based), so every value read equals that of the block
-drawn in full; a run or state in no member's table gets no candidate
-row; and the throughput and supply-power rows are built only when read.
-Each stream group fills one buffer set (:class:`_Buffers`), allocated
-at full block width, in place through ``out=`` stream calls and ufuncs
-in the same float order, for every block, device group and family; a
-partial block reads a prefix view, and the set is freed with its group,
-before the next group allocates.  :func:`simulate` runs one scenario
+simulation once (:func:`simulate_plan`): the scenarios of one seed and
+node count (a stream group) draw each block's relay chain once
+(:func:`_draw`), each pairing and topology (a device group) its device
+geometry (:func:`_draw_devices`), and the scenarios of a device group
+equal but for their harvest probabilities (a family) are resolved
+together on candidate rows, one per harvest run and receiver state of
+the policy's harvest-state table (:func:`_resolve`); each member picks
+its decisions by its own indicators, bit for bit as if resolved alone.
+Nothing certain or unread is drawn or decided per trial, and a skipped
+uniform row advances the Philox stream exactly as far as drawing it
+would (:func:`_skip`), so a plan entry equals its run simulated alone on
+everything its rows read, and raises on anything else.  Each stream
+group fills one buffer set (:class:`_Buffers`) in place, frees it before
+the next group allocates, and counts where its work went in one
+:class:`StreamStats`, which :func:`simulate_plan` hands to its caller;
+this module counts and logs nothing.  :func:`simulate` runs one scenario
 alone, tallied in full, through the same plan.  Both yield
 :class:`Tallies`, whose ``outage`` reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
@@ -66,7 +44,6 @@ the per-scenario masked route, which only the tests read, live in
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import time
 from collections import Counter
@@ -78,8 +55,6 @@ from .channel import pathloss_linear
 from .geometry import log_null_probability
 from .network import Scenario
 from .power import omega_factor
-
-logger = logging.getLogger(__name__)
 
 BLOCK_SIZE = 1 << 16
 _CI_FACTOR = 1.96
@@ -416,7 +391,7 @@ def _holds(y, tf, terms):
     return ok
 
 
-def _chain(y, tf, terms, counts, bands):
+def _chain(y, tf, terms, stats, bands):
     """Whether every rate test ``_rate(y, a, b, tf) >= target`` of ``terms``
     holds.
 
@@ -426,8 +401,8 @@ def _chain(y, tf, terms, counts, bands):
     result equals the rate comparisons bit for bit.  The band edges and
     the split of ``terms`` into guarded and exact tests depend only on
     ``(tf, terms)``, and are derived once per key into the table
-    ``bands``.  ``counts`` gains the trials decided in a band and the tests
-    decided over the whole row.
+    ``bands``.  ``stats`` (a :class:`FamilyStats`) gains the trials
+    decided in a band and the tests decided over the whole row.
     """
     key = (tf, *terms)
     if key not in bands:
@@ -449,25 +424,25 @@ def _chain(y, tf, terms, counts, bands):
         if near.any():
             near = np.flatnonzero(near)
             ok[near] = _holds(y[near], tf, guarded)
-            counts[0] += near.size
+            stats.guarded += near.size
     else:
         ok = np.ones(y.shape, dtype=bool)
     if exact:
         ok &= _holds(y, tf, exact)
-        counts[1] += len(exact)
+        stats.whole_row += len(exact)
     return ok
 
 
-def _resolve(family, buffers: _Buffers, n: int, reads, counts):
+def _resolve(family, buffers: _Buffers, n: int, reads, stats):
     """Resolve every decode event of each member of ``family``, scenarios
     equal in all that a resolve reads but for ``policy.rho``
     (:func:`_family_key`), in the first ``n`` trials of shared draws, for
     what the runs reading the block read (``reads``, one entry per member
     in :class:`Tallies` form).  Yields each member with its
     :class:`_Block`, or with the exception its own part raised; the next
-    member's block overwrites it.  ``counts`` gains the trials decided in a
-    guard band, the rate tests decided over a whole row, and the candidate
-    power and decision rows built.
+    member's block overwrites it.  ``stats`` (a :class:`FamilyStats`) gains
+    the trials decided in a guard band, the rate tests decided over a
+    whole row, and the candidate power and decision rows built.
 
     A slot's transmit power is 1 or the hop gains along the run of
     harvesting nodes behind its transmitter, and its decode events depend
@@ -521,7 +496,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
     y, gp = buffers.take("y", (), n), buffers.take("gp", (), n)
 
     def decide(s, terms):
-        return _chain(y, tfs[s], terms, counts, buffers.bands)
+        return _chain(y, tfs[s], terms, stats, buffers.bands)
 
     # 5. transmit power of each run, in units of P0: run 0 is 1, which no
     # row holds, and run r of slot t is run r-1 of slot t-1 times the hop
@@ -538,7 +513,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
                         out=rows[r])
             if r > 1:
                 rows[r] *= powers[t - 2][r - 1]
-            counts[2] += 1
+            stats.power_rows += 1
         powers.append(rows)
 
     def snr(r, ell, fade):
@@ -575,7 +550,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
                     rows[r, s] = _either(active[t - 1], [
                         decide(s, [solo]), decide(s, [relayed])])
         hop_rows.append(rows)
-        counts[3] += len(runs[t - 1]) * len(states[t - 1])
+        stats.decision_rows += len(runs[t - 1]) * len(states[t - 1])
 
     # 8. device decoding per run (and, under time-switching, receiver
     # state): every device first peels the relayed message off the
@@ -612,7 +587,7 @@ def _resolve(family, buffers: _Buffers, n: int, reads, counts):
                                            decide(s, [relayed] + peels),
                                            out=rows[k - 1, r, s])
                 device_rows.append(rows)
-                counts[3] += count * len(runs[t - 1]) * len(chosen)
+                stats.decision_rows += count * len(runs[t - 1]) * len(chosen)
         except Exception as exc:
             # without its traceback, whose frames hold the buffer set
             device_rows = exc.with_traceback(None)
@@ -833,7 +808,7 @@ def _block_rng(seed: int, b: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
-def simulate_plan(runs, reads=None) -> dict:
+def simulate_plan(runs, reads=None, stats=None) -> dict:
     """Tallies of every ``(scenario, seed, n_trials)`` run, as one plan.
 
     ``reads`` maps a run to what its rows read (see :class:`Tallies`); a
@@ -850,9 +825,10 @@ def simulate_plan(runs, reads=None) -> dict:
     reading the block reads them, and draws a device group's geometry only
     if some member of it decodes devices.  So each entry equals its run
     simulated alone on everything the run reads.  A failed run maps to its
-    exception.
+    exception.  A list passed as ``stats`` gains the
+    :class:`StreamStats` of each stream group, in the order simulated.
     """
-    reads = reads or {}
+    reads, stats = reads or {}, [] if stats is None else stats
     out, groups = {}, {}
     for scenario, seed, n in runs:
         if n <= 0:
@@ -862,8 +838,9 @@ def simulate_plan(runs, reads=None) -> dict:
             groups.setdefault((seed, scenario.topology.node_count), {}) \
                 .setdefault(scenario, {})[n] = \
                 Tallies(scenario, reads.get((scenario, seed, n)))
-    for (seed, _), cuts in groups.items():
-        out.update(_simulate_group(seed, cuts))
+    for (seed, nodes), cuts in groups.items():
+        stats.append(StreamStats(seed, nodes))
+        out.update(_simulate_group(cuts, stats[-1]))
     return out
 
 
@@ -879,58 +856,77 @@ def _family_key(scenario: Scenario) -> tuple:
             dataclasses.replace(policy, rho=(0.0,) * policy.node_count))
 
 
-class _GroupStats:
-    """What one device group of a stream group did, for the DEBUG line."""
+@dataclass
+class FamilyStats:
+    """Counters of the families of one label (their schemes joined by "+")
+    in one device group, summed over blocks.  Band trials and whole-row
+    tests are counted on the candidate rows, once per family."""
 
-    def __init__(self, label: str, families: dict):
-        self.label = label
-        self.scenarios = sum(map(len, families.values()))
-        self.families = len(families)
-        # blocks resolved, of them without device decoding; trials resolved,
-        # of them without device decoding; candidate power and decision rows
-        self.blocks, self.hop_only, self.trials, self.undecoded = 0, 0, 0, 0
-        self.candidates = [0, 0]
-        # seconds, trials, trials in guard bands, whole-row tests by family
-        self.spent = {}
+    seconds: float = 0.0
+    trials: int = 0          # resolved, summed over members
+    guarded: int = 0         # trials decided in a guard band
+    whole_row: int = 0       # rate tests decided over a whole row
+    power_rows: int = 0      # candidate rows built
+    decision_rows: int = 0
 
-    def __str__(self) -> str:
-        return (f"{self.label}: {self.blocks} blocks resolved "
-                f"({self.hop_only} without device decoding), "
-                f"{self.scenarios} scenarios resolved as {self.families} "
-                f"families on {self.candidates[0]} candidate power rows and "
-                f"{self.candidates[1]} candidate decision rows, "
-                f"{self.trials} trials resolved ({self.undecoded} without "
-                "device decoding) [" + ", ".join(
-                    f"{k} {t:.3f} s {n / t:.0f} trials/s ({g} in guard "
-                    f"bands, {e} whole-row rate tests)"
-                    for k, (t, n, g, e) in self.spent.items()) + "]")
+    def add(self, other: "FamilyStats") -> None:
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
-def _simulate_group(seed: int, cuts: dict) -> dict:
-    """Tallies of one stream group's runs, ``cuts`` mapping each scenario
-    to the tallies of its runs at ``seed`` by trial count.
+@dataclass
+class DeviceGroupStats:
+    """Counters of one device group of a stream group; a family whose
+    every member failed adds nothing."""
+
+    pairing: str             # "bare" for a chain without devices
+    topology: int            # numbered from 1 in the stream group
+    scenarios: int
+    family_count: int
+    blocks: int = 0          # resolved
+    hop_only: int = 0        # of them, without device decoding
+    trials: int = 0          # resolved, summed over members
+    undecoded: int = 0       # of them, without device decoding
+    families: dict = field(default_factory=dict)  # FamilyStats by label
+
+
+@dataclass
+class StreamStats:
+    """Counters of one stream group (one seed and node count)."""
+
+    seed: int
+    nodes: int
+    blocks: int = 0          # drawn
+    trials: int = 0          # drawn
+    skipped: int = 0         # uniform rows skipped whole
+    nbytes: int = 0          # of the buffer set, allocated once
+    seconds: float = 0.0
+    devices: list = field(default_factory=list)  # DeviceGroupStats
+
+
+def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
+    """Tallies of one stream group's runs, counted into ``stats``; ``cuts``
+    maps each scenario to the tallies of its runs by trial count.
 
     Per block, steps 1-3 are drawn once, as far as the widest run reads
     the block, and the stream's state after them is kept; each device
     group that decodes devices there restores it and draws its own step 4,
     as far as its widest member reads the block, into device rows every
-    group shares, and resolves its families before the next group draws.  A longer run extends a shorter one, and each family
-    resolves a block as wide as the longest run of a member reads it.  A
-    failed draw fails the runs reading it.  The group's buffer set and
-    every block's views of it are freed on return, before the next group
-    allocates its own."""
+    group shares, and resolves its families before the next group draws.
+    A longer run extends a shorter one, and each family resolves a block
+    as wide as the longest run of a member reads it.  A failed draw fails
+    the runs reading it.  The group's buffer set and every block's views
+    of it are freed on return, before the next group allocates its own."""
     failed, start = {}, time.perf_counter()
     groups, topologies = {}, {}
     for s in cuts:
         groups.setdefault(_device_key(s), {}).setdefault(
             _family_key(s), []).append(s)
-    stats = {}
-    for key, families in groups.items():
-        index = topologies.setdefault(key[1], len(topologies) + 1)
-        stats[key] = _GroupStats(f"{key[0] or 'bare'} on topology {index}",
-                                 families)
-    # blocks drawn; trials drawn; uniform rows skipped whole
-    drawn, drawn_trials, skipped = 0, 0, 0
+    records = {key: DeviceGroupStats(
+        key[0] or "bare", topologies.setdefault(key[1], len(topologies) + 1),
+        sum(map(len, families.values())), len(families))
+        for key, families in groups.items()}
+    stats.devices = list(records.values())
     buffers = _Buffers(cuts, BLOCK_SIZE)
     for b in range(-(-max(map(max, cuts.values())) // BLOCK_SIZE)):
         lo = b * BLOCK_SIZE
@@ -953,20 +949,21 @@ def _simulate_group(seed: int, cuts: dict) -> dict:
         decoding = {key: max(map(width.get, members)) if any(
             _decodes_devices(reads[s]) for s in members) else 0
             for key, members in present.items()}
-        rng = _block_rng(seed, b)
+        rng = _block_rng(stats.seed, b)
         try:
-            skipped += _draw(buffers, rng, max(width.values()), any(
+            stats.skipped += _draw(buffers, rng, max(width.values()), any(
                 trials for (pairing, _), trials in decoding.items()
                 if pairing is not None))
         except Exception as exc:
             # without its traceback, whose frames hold the buffer set
             failed.update(dict.fromkeys(width, exc.with_traceback(None)))
             continue
-        drawn, drawn_trials = drawn + 1, drawn_trials + max(width.values())
+        stats.blocks += 1
+        stats.trials += max(width.values())
         state = rng.bit_generator.state
         for key, members in present.items():
-            stats[key].blocks += 1
-            stats[key].hop_only += not decoding[key]
+            records[key].blocks += 1
+            records[key].hop_only += not decoding[key]
             if decoding[key]:
                 try:
                     rng.bit_generator.state = state
@@ -975,21 +972,14 @@ def _simulate_group(seed: int, cuts: dict) -> dict:
                     failed.update(dict.fromkeys(members,
                                                 exc.with_traceback(None)))
                     continue
-            _resolve_group(stats[key], groups[key], cuts, buffers, lo, width,
-                           reads, failed)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("seed %d, %d nodes: %d blocks drawn, %d trials drawn, "
-                     "%d uniform rows skipped, %d workspace bytes allocated "
-                     "once, %.3f s; %s", seed,
-                     next(iter(cuts)).topology.node_count, drawn,
-                     drawn_trials, skipped, buffers.nbytes,
-                     time.perf_counter() - start,
-                     "; ".join(map(str, stats.values())))
-    return {(s, seed, n): failed.get(s, tal)
+            _resolve_group(records[key], groups[key], cuts, buffers, lo,
+                           width, reads, failed)
+    stats.nbytes, stats.seconds = buffers.nbytes, time.perf_counter() - start
+    return {(s, stats.seed, n): failed.get(s, tal)
             for s, tallies in cuts.items() for n, tal in tallies.items()}
 
 
-def _resolve_group(stats: _GroupStats, families: dict, cuts: dict,
+def _resolve_group(stats: DeviceGroupStats, families: dict, cuts: dict,
                    buffers: _Buffers, lo: int, width: dict, reads: dict,
                    failed: dict) -> None:
     """Resolve the families of one device group in the block starting at
@@ -999,13 +989,13 @@ def _resolve_group(stats: _GroupStats, families: dict, cuts: dict,
         family_width = {s: width[s] for s in family if s in width}
         if not family_width:
             continue
-        members, counts = list(family_width), [0, 0, 0, 0]
+        members, record = list(family_width), FamilyStats()
         left = list(members)
         tick = time.perf_counter()
         try:
             for s, block in _resolve(members, buffers,
                                      max(family_width.values()),
-                                     [reads[s] for s in members], counts):
+                                     [reads[s] for s in members], record):
                 left.remove(s)
                 try:
                     if isinstance(block, Exception):
@@ -1022,16 +1012,13 @@ def _resolve_group(stats: _GroupStats, families: dict, cuts: dict,
         tallied = [s for s in members if s not in failed]
         if not tallied:
             continue
-        stats.trials += sum(family_width[s] for s in tallied)
+        record.seconds = time.perf_counter() - tick
+        record.trials = sum(family_width[s] for s in tallied)
+        stats.trials += record.trials
         stats.undecoded += sum(family_width[s] for s in tallied
                                if not _decodes_devices(reads[s]))
-        stats.candidates = [stats.candidates[0] + counts[2],
-                            stats.candidates[1] + counts[3]]
-        done = (time.perf_counter() - tick,
-                sum(family_width[s] for s in tallied), *counts[:2])
         label = "+".join(dict.fromkeys(s.scheme.value for s in family))
-        stats.spent[label] = tuple(map(sum, zip(
-            stats.spent.get(label, (0.0, 0, 0, 0)), done)))
+        stats.families.setdefault(label, FamilyStats()).add(record)
 
 
 def simulate(scenario: Scenario, n_trials: int, seed: int) -> Tallies:

@@ -128,12 +128,13 @@ class LogGammaTable(dict):
     gamma factor's array is keyed by ``(grid, shift, slope)`` and computed
     once for as long as the table lives.  Each factor keeps its own array,
     so a hit adds exactly the terms a fresh evaluation adds, in the same
-    order.  ``lookups`` counts lookups per grid kind.
+    order.  ``lookups`` counts lookups, ``arrays`` misses, per grid kind.
     """
 
     def __init__(self):
         super().__init__()
         self.lookups = collections.Counter()
+        self.arrays = collections.Counter()
 
     def factor(self, grid, shift: float, slope: float, s):
         """``loggamma(shift + slope*s)`` with ``s`` the points of ``grid``."""
@@ -142,6 +143,7 @@ class LogGammaTable(dict):
         value = self.get(key)
         if value is None:
             value = self[key] = loggamma(shift + slope * s)
+            self.arrays[grid[0]] += 1
         return value
 
 

@@ -4,6 +4,7 @@ the library computes another way."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import warnings
@@ -341,13 +342,13 @@ def _masked_either(sel, masks):
     return masks[0] if sel is None else montecarlo._either(sel, masks)
 
 
-def masked_chain(y, tfs, sel, terms, counts):
+def masked_chain(y, tfs, sel, terms, stats):
     """:func:`nomarelay.montecarlo._chain` at a time factor per trial:
     ``tfs[1]`` in the trials the mask ``sel`` marks and ``tfs[0]``
     elsewhere (everywhere when ``sel`` is None), through one guard band per
-    time factor.  ``counts`` gains the trials decided in a band and the
-    tests decided over the whole row, a test being whole-row if it has no
-    band at some time factor."""
+    time factor.  ``stats`` (a :class:`montecarlo.FamilyStats`) gains the
+    trials decided in a band and the tests decided over the whole row, a
+    test being whole-row if it has no band at some time factor."""
     guarded, exact = [], []
     for term in terms:
         bands = [montecarlo._band(*term, tf) for tf in tfs]
@@ -366,12 +367,12 @@ def masked_chain(y, tfs, sel, terms, counts):
             ok[near] = montecarlo._holds(
                 y[near], _pick(tfs, None if sel is None else sel[near]),
                 [term for term, _ in guarded])
-            counts[0] += near.size
+            stats.guarded += near.size
     else:
         ok = np.ones(y.shape, dtype=bool)
     if exact:
         ok &= montecarlo._holds(y, _pick(tfs, sel), exact)
-        counts[1] += len(exact)
+        stats.whole_row += len(exact)
     return ok
 
 
@@ -396,9 +397,9 @@ def _gate(x, mask):
 class MaskedBlock:
     """One scenario's per-trial arrays from :func:`masked_resolve`: the
     fields of :class:`nomarelay.montecarlo._Block`, the power chain and
-    the hop and device SNRs each trial saw, and ``guard_counts``, the
-    trials decided in a guard band and the rate tests decided over a whole
-    row."""
+    the hop and device SNRs each trial saw, and ``stats``, a
+    :class:`montecarlo.FamilyStats` holding the trials decided in a guard
+    band and the rate tests decided over a whole row."""
 
     n: int
     indicators: np.ndarray
@@ -412,7 +413,7 @@ class MaskedBlock:
     msg_ok: np.ndarray
     supply_units: np.ndarray
     throughput: np.ndarray
-    guard_counts: tuple
+    stats: montecarlo.FamilyStats
 
 
 def masked_resolve(scenario: Scenario, buffers, n: int,
@@ -470,7 +471,7 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
     # window, giving each trial one of two time factors, or splits the
     # received power
     recv = indicators[:hops]
-    counts = [0, 0]
+    stats = montecarlo.FamilyStats()
     if bteh:
         tfs = (1.0 / (m - 1), (1.0 - policy.alpha) / (m - 1))
     else:
@@ -480,8 +481,8 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
         rho = policy.rho1(t + 1)
         if not bteh or rho not in (0.0, 1.0):
             return masked_chain(y, tfs, recv[t - 1] if bteh else None,
-                                terms, counts)
-        return masked_chain(y, (tfs[int(rho)],), None, terms, counts)
+                                terms, stats)
+        return masked_chain(y, (tfs[int(rho)],), None, terms, stats)
 
     ell_hop = pathloss_linear(np.asarray(topo.hop_distances), budget)[:, None]
     hop_snr = np.multiply(g0, powers)
@@ -556,29 +557,49 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
                        device_snr=device_snr, device_ok=device_ok,
                        prefix_ok=prefix_ok, msg_ok=msg_ok,
                        supply_units=supply_units, throughput=throughput,
-                       guard_counts=tuple(counts))
+                       stats=stats)
 
 
 def family_blocks(family, buffers, n: int, reads=None):
     """Each member of ``family`` with a copy of its block from one family
     resolve of the first ``n`` trials in ``buffers`` (a member's arrays
-    are overwritten by the next member's), and the family's counts:
-    guard-band trials, whole-row tests, candidate power and decision rows.
+    are overwritten by the next member's), and the family's
+    :class:`montecarlo.FamilyStats`: guard-band trials, whole-row tests,
+    candidate power and decision rows.
     ``reads`` holds one entry per member, or None for what each member's
     run tallied in full reads; a member whose resolve failed maps to its
     exception."""
-    counts = [0, 0, 0, 0]
+    stats = montecarlo.FamilyStats()
     reads = [montecarlo.Tallies(s).reads for s in family] if reads is None \
         else list(reads)
     blocks = {}
     for s, block in montecarlo._resolve(list(family), buffers, n, reads,
-                                        counts):
+                                        stats):
         if not isinstance(block, Exception):
             block = montecarlo._Block(**{
                 name: _copied(getattr(block, name))
                 for name in montecarlo._Block.__slots__})
         blocks[s] = block
-    return blocks, counts
+    return blocks, stats
+
+
+def without_seconds(record):
+    """A deep copy of a statistics record (a sweep's, a stream group's or
+    a device group's) with every ``seconds`` field zeroed: what is left
+    is the same on every rerun."""
+    record = copy.deepcopy(record)
+    stack = [record]
+    while stack:
+        item = stack.pop()
+        if dataclasses.is_dataclass(item):
+            if hasattr(item, "seconds"):
+                item.seconds = 0.0
+            stack.extend(vars(item).values())
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return record
 
 
 def _copied(value):

@@ -6,7 +6,6 @@ import hashlib
 import json
 import logging
 import math
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from nomarelay.experiments import (
     run_sweep,
 )
 from nomarelay.network import NetworkTopology, Scheme
+import oracles
 
 T3 = NetworkTopology(hop_distances=(50.0, 50.0), disk_radii=(25.0, 25.0),
                      subarea_counts=(2, 2), density_active=1e-2)
@@ -512,18 +512,19 @@ def test_every_shipped_config_has_a_golden_analytic_table():
 @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
 def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
     config = _shipped(tmp_path, name)
-    # debug logging reports the kernel memo without touching the table
-    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
+    # debug logging reports the sweep's record without touching the table
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.experiments"):
         result = run_sweep(config, source="analytic")
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC[name]
     if config.fit_cache is not None:
         assert (tmp_path / "fits.json").read_bytes() \
             == (ROOT / "data" / "nearest_fits.json").read_bytes()
-    summaries = [r.getMessage() for r in caplog.records
-                 if r.name == "nomarelay.analytics"
-                 and r.getMessage().startswith("kernel memo: ")]
-    assert len(summaries) == 1 and "hit ratio" in summaries[0]
+    # the record counts the sweep's kernel lookups, and no stream group
+    stats = result.stats
+    assert not stats.streams and sum(stats.kernel_lookups.values()) > 0
+    assert len([r for r in caplog.records
+                if r.name == "nomarelay.experiments"]) == 1
 
 
 def test_sweep_derives_thresholds_once_per_plan_and_policy(monkeypatch,
@@ -573,22 +574,18 @@ def _count_kernels(monkeypatch):
     return calls
 
 
-def test_sweep_evaluates_each_kernel_argument_once(monkeypatch, tmp_path,
-                                                  caplog):
+def test_sweep_evaluates_each_kernel_argument_once(monkeypatch, tmp_path):
     calls = _count_kernels(monkeypatch)
     config = _shipped(tmp_path, "rho_tradeoff")
-    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
-        first = render_results(run_sweep(config, source="analytic").rows, "csv")
+    result = run_sweep(config, source="analytic")
+    first = render_results(result.rows, "csv")
     evaluated = list(calls)
     assert evaluated and len(set(evaluated)) == len(evaluated)
-    # the summary counts the same evaluations, and a hit for every repeat
-    summary = [r.getMessage() for r in caplog.records
-               if r.getMessage().startswith("kernel memo: ")]
-    families = dict(part.split(" ", 1)
-                    for part in summary[0][len("kernel memo: "):].split("; "))
-    assert sorted(families) == ["annulus", "nearest", "prod_exp"]
-    for family, text in families.items():
-        lookups, evaluations = (int(word) for word in text.split()[0:3:2])
+    # the record counts the same evaluations, and a hit for every repeat
+    stats = result.stats
+    assert sorted(stats.kernel_lookups) == ["annulus", "nearest", "prod_exp"]
+    for family, lookups in stats.kernel_lookups.items():
+        evaluations = stats.kernel_evaluations[family]
         assert evaluations == sum(1 for name, *_ in evaluated
                                   if name.startswith(family))
         assert lookups > evaluations
@@ -599,7 +596,7 @@ def test_sweep_evaluates_each_kernel_argument_once(monkeypatch, tmp_path,
     assert first == second
 
 
-def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path, caplog):
+def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path):
     calls = []
     real = specfun.loggamma
     monkeypatch.setattr(specfun, "loggamma",
@@ -612,19 +609,15 @@ def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path, caplog):
             memos.append(self)
     monkeypatch.setattr(analytics, "KernelMemo", Recorded)
     config = _shipped(tmp_path, "density")
-    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
-        first = render_results(run_sweep(config, source="analytic").rows, "csv")
+    result = run_sweep(config, source="analytic")
+    first = render_results(result.rows, "csv")
     (memo,) = memos
     # one loggamma call per distinct (grid, shift, slope), none outside it
     assert calls and len(calls) == len(memo.table)
     assert sum(memo.table.lookups.values()) > 2 * len(memo.table)
-    summary = [r.getMessage() for r in caplog.records
-               if r.getMessage().startswith("loggamma table: ")]
-    assert len(summary) == 1
-    kinds = dict(part.split(" ", 1)
-                 for part in summary[0][len("loggamma table: "):].split("; "))
-    assert sorted(kinds) == ["panels", "ring", "window"]
-    assert sum(int(text.split()[0]) for text in kinds.values()) == len(calls)
+    stats = result.stats
+    assert sorted(stats.grid_lookups) == ["panels", "ring", "window"]
+    assert sum(stats.grid_arrays.values()) == len(calls)
     # the table lives for one sweep: a second sweep pays the same cost
     evaluated = len(calls)
     calls.clear()
@@ -725,59 +718,70 @@ def test_no_table_outlives_its_sweep(monkeypatch, tmp_path, name):
 GOLDEN_MC = "8ab2b6eb4eb6533352bbddecf5c698795160698196407a740949d12033d6ae80"
 
 
-def test_shipped_mc_table_is_byte_identical(tmp_path, caplog):
+def test_shipped_mc_table_is_byte_identical(tmp_path):
     config = _shipped(tmp_path, "validate_chain", trials_outage=140_000,
                       trials_throughput=70_000)
-    # debug logging reports the simulation plan without touching the table
-    with caplog.at_level(logging.DEBUG, logger="nomarelay.montecarlo"):
-        result = run_sweep(config, source="mc")
+    result = run_sweep(config, source="mc")
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC
-    lines = [r.getMessage() for r in caplog.records
-             if r.name == "nomarelay.montecarlo"]
     # one stream group at the config's seed: every scheme's 4-node chain
     # shares the draws of three blocks, the last drawn only as far as the
     # 140,000-trial runs read it; it holds the com, qom and bare-chain
     # device groups, and every scenario is resolved as far as its
     # 140,000-trial run reads: 7 com, 7 qom and 1 bare scenario
-    assert len(lines) == 1
-    head, *groups = lines[0].split("; ")
-    assert head.startswith("seed 51, 4 nodes: 3 blocks drawn, "
-                           "140000 trials drawn")
-    assert len(groups) == 3
-    assert all("3 blocks resolved" in g and "trials/s" in g for g in groups)
-    resolved = {g.split(" ", 1)[0]: re.search(r"(\d+) trials resolved",
-                                              g).group(1) for g in groups}
-    assert resolved == {"com": "980000", "qom": "980000", "bare": "140000"}
+    (stream,) = result.stats.streams
+    assert (stream.seed, stream.nodes, stream.blocks, stream.trials) \
+        == (51, 4, 3, 140_000)
+    groups = {g.pairing: g for g in stream.devices}
+    assert len(groups) == len(stream.devices) == 3
+    assert all(g.blocks == 3 and g.families for g in groups.values())
+    assert {k: g.trials for k, g in groups.items()} \
+        == {"com": 980_000, "qom": 980_000, "bare": 140_000}
     # block 2 serves only the outage runs, which read no device event: it
     # draws no device geometry and its 8,928 trials decode no device
-    skipped = {g.split(" ", 1)[0]: re.search(
-        r"\((\d+) without device decoding\).*\((\d+) without device "
-        r"decoding\)", g).groups() for g in groups}
-    assert skipped["com"] == skipped["qom"] == ("1", str(7 * 8_928))
+    assert (groups["com"].hop_only, groups["com"].undecoded) \
+        == (groups["qom"].hop_only, groups["qom"].undecoded) == (1, 7 * 8_928)
     # every block skips the destination's harvest row and the activity row
     # of each of its 3 slots, certainly active for com and qom and
     # certainly idle for the bare chain, so no topology draws it
-    rows = re.search(r"(\d+) uniform rows skipped", head).group(1)
-    assert rows == "12"
+    assert stream.skipped == 12
     # every family reports its guard-band trials and whole-row rate tests;
     # com-noeh and qom-noeh resolve in the families of tcom and tqom; every
     # rate test of a shipped plan has a threshold
-    guards = {g.split(" ", 1)[0]: re.findall(
-        r"([a-z+-]+) [\d.]+ s \d+ trials/s \((\d+) in guard bands, (\d+) "
-        r"whole-row", g) for g in groups}
-    assert {k: [label for label, _, _ in g] for k, g in guards.items()} \
+    assert {k: list(g.families) for k, g in groups.items()} \
         == {"com": ["tcom+com-noeh", "pcom"], "qom": ["tqom+qom-noeh", "pqom"],
             "bare": ["cnrr"]}
-    assert all(exact == "0" for g in guards.values() for _, _, exact in g)
+    assert all(f.whole_row == 0 for g in groups.values()
+               for f in g.families.values())
     # the group allocates one buffer set, at full block width, with the
     # device rows of its largest device count (com) and an activity row set
     # per topology: 312 block widths, 3 more than the com draw group's set
     # alone and half the 634 of the com, qom and bare sets allocated one
     # after another
-    space = int(re.search(r"(\d+) workspace bytes allocated once",
-                          head).group(1))
-    assert space == 312 * montecarlo.BLOCK_SIZE
+    assert stream.nbytes == 312 * montecarlo.BLOCK_SIZE
+
+
+def test_sweep_statistics_are_deterministic(tmp_path, caplog):
+    # a rerun gives an equal record but for its seconds, and logging the
+    # record at DEBUG leaves the table as it is
+    config = _shipped(tmp_path, "validate_chain", trials_outage=140_000,
+                      trials_throughput=70_000)
+    results = []
+    for level in (logging.DEBUG, logging.WARNING):
+        with caplog.at_level(level, logger="nomarelay.experiments"):
+            results.append(run_sweep(config, source="both"))
+        simulated = [row for row in results[-1].rows if row.source == "mc"]
+        text = render_results(simulated, "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC
+    debug, warning = results
+    assert render_results(debug.rows, "csv") \
+        == render_results(warning.rows, "csv")
+    assert debug.stats.streams and debug.stats.kernel_lookups
+    assert oracles.without_seconds(debug.stats) \
+        == oracles.without_seconds(warning.stats)
+    # only the DEBUG run logs its record, in one line
+    logged = [r for r in caplog.records if r.name == "nomarelay.experiments"]
+    assert len(logged) == 1
 
 
 # sha256 of the simulated device cross-check tables at 140,000 outage and
@@ -801,24 +805,22 @@ def test_shipped_mc_device_tables_are_byte_identical(tmp_path, name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MC_DEVICES[name]
 
 
-def test_twin_group_skips_the_harvest_rows_of_its_relays(tmp_path, caplog):
+def test_twin_group_skips_the_harvest_rows_of_its_relays(tmp_path):
     # the eed no-harvest twins draw at their own seed, and no relay of the
     # group harvests: each of its 2 blocks skips both relays' harvest rows
     # besides the destination's and the 3 certain activity rows, and the
     # table keeps its bytes
     config = _shipped(tmp_path, "validate_devices_com",
                       trials_outage=140_000, trials_throughput=70_000)
-    with caplog.at_level(logging.DEBUG, logger="nomarelay.montecarlo"):
-        result = run_sweep(config, source="mc")
+    result = run_sweep(config, source="mc")
     text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() \
         == GOLDEN_MC_DEVICES["validate_devices_com"]
-    skipped = dict(re.findall(r"seed (\d+), 4 nodes: .*?(\d+) uniform rows "
-                              r"skipped", r.getMessage())[0]
-                   for r in caplog.records if r.name == "nomarelay.montecarlo")
-    twin = str(config.seed + experiments._TWIN_SEED_OFFSET)
+    skipped = {g.seed: g.skipped for g in result.stats.streams
+               if g.nodes == 4}
+    twin = config.seed + experiments._TWIN_SEED_OFFSET
     # the main group's 3 blocks skip the destination and activity rows only
-    assert skipped == {str(config.seed): "12", twin: "12"}
+    assert skipped == {config.seed: 12, twin: 12}
 
 
 def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
@@ -835,12 +837,12 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
             (len(draws) - 1, trials))
         return draw(buffers, rng, scenario, trials)
 
-    def resolve(family, buffers, n, reads, counts,
+    def resolve(family, buffers, n, reads, stats,
                 resolve=montecarlo._resolve):
         # every member of a family reads the block as wide as the family
         families.append(len(family))
         widths.extend([n] * len(family))
-        return resolve(family, buffers, n, reads, counts)
+        return resolve(family, buffers, n, reads, stats)
 
     monkeypatch.setattr(montecarlo, "_draw", draw)
     monkeypatch.setattr(montecarlo, "_draw_devices", draw_devices)

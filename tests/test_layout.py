@@ -60,16 +60,18 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
 # harvest-state table (``EhPolicy.runs`` and ``states``); a second
 # selector grammar, now read from the scenario by both routes; a draw set
 # and a resolve workspace, now one buffer set per stream group; a failure
-# table per event kind, now one success count per selector
+# table per event kind, now one success count per selector; counters
+# formatted into log strings, now one statistics record per sweep
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
                   "energy_efficiency", "_chain_gains", "_check_argument",
-                  "_SELECTOR_ARITY"),
+                  "_SELECTOR_ARITY", "KernelMemo.log_summary"),
     "montecarlo": ("estimate_outage", "estimate_throughput",
                    "estimate_supply_power", "_accumulate", "_Tallies",
                    "lru_cache", "_Draws", "_Workspace", "Tallies.hop_fail",
                    "Tallies.device_fail", "Tallies.e2e_destination_fail",
-                   "Tallies.e2e_device_fail", "_runs", "_states"),
+                   "Tallies.e2e_device_fail", "_runs", "_states",
+                   "_GroupStats"),
 }
 REMOVED_PARAMETERS = {
     "empty_annulus": (montecarlo.simulate, montecarlo.simulate_plan,
@@ -99,6 +101,8 @@ REMOVED_PARAMETERS = {
     "devices": (montecarlo._resolve,),
     # a resolve takes a family; a scenario alone is a family of one
     "scenario": (montecarlo._resolve,),
+    # counters go to named fields of a statistics record, not a list
+    "counts": (montecarlo._chain, montecarlo._resolve),
 }
 
 
@@ -108,10 +112,13 @@ def _fields(cls):
 
 def _defines(library, name) -> bool:
     """Whether ``library`` holds ``name``, or, for ``Class.field``, whether
-    the dataclass ``Class`` has that field."""
+    ``Class`` has that field if it is a dataclass, else that attribute."""
     owner, _, field = name.rpartition(".")
     if owner:
-        return field in _fields(getattr(library, owner))
+        cls = getattr(library, owner)
+        if dataclasses.is_dataclass(cls):
+            return field in _fields(cls)
+        return hasattr(cls, field)
     return hasattr(library, name)
 
 

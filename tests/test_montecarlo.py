@@ -7,7 +7,6 @@ approximation's documented envelope applies.
 """
 
 import dataclasses
-import logging
 import math
 import weakref
 
@@ -261,16 +260,17 @@ def _drawn(s, b=0):
 
 def _resolved(family, buffers, n, reads=None):
     """Each member's block from one family resolve (copies), the family's
-    counts, and a copy of every candidate power row it built, by (slot,
-    run); run 0 transmits at 1 and builds no row."""
-    blocks, counts = oracles.family_blocks(family, buffers, n, reads)
+    :class:`montecarlo.FamilyStats`, and a copy of every candidate power
+    row it built, by (slot, run); run 0 transmits at 1 and builds no
+    row."""
+    blocks, stats = oracles.family_blocks(family, buffers, n, reads)
     hops = family[0].topology.hop_count
     powers = {}
     for t in range(1, hops + 1):
         rows = buffers.take(("powers", t), (t,), n)
         for r in {r for s in family for r, _ in s.policy.runs(t)} - {0}:
             powers[t, r] = rows[r].copy()
-    return blocks, counts, powers
+    return blocks, stats, powers
 
 
 def _pairs(got, want, name):
@@ -323,17 +323,20 @@ def test_prefix_resolve_equals_full_width_prefix(pairing):
     # the full width is resolved into a second set from the same stream
     draws, whole = _drawn(group[0]), _drawn(group[0])
     for s in group:
-        blocks, counts, powers = _resolved([s], whole, montecarlo.BLOCK_SIZE)
+        blocks, stats, powers = _resolved([s], whole, montecarlo.BLOCK_SIZE)
         full = blocks[s]
         masked_full = oracles.masked_resolve(s, whole, montecarlo.BLOCK_SIZE)
         for n in PREFIX_WIDTHS:
-            blocks, part_counts, part_powers = _resolved([s], draws, n)
+            blocks, part_stats, part_powers = _resolved([s], draws, n)
             part = blocks[s]
             assert part.n == n
             # a prefix holds no more band trials; whole-row tests are per
             # row, and so are the candidate power and decision rows
-            assert part_counts[0] <= counts[0]
-            assert part_counts[1:] == counts[1:]
+            assert part_stats.guarded <= stats.guarded
+            assert (part_stats.whole_row, part_stats.power_rows,
+                    part_stats.decision_rows) == (stats.whole_row,
+                                                  stats.power_rows,
+                                                  stats.decision_rows)
             for name in ARRAY_FIELDS:
                 for a, b in _pairs(part, full, name):
                     assert np.array_equal(a, b[..., :n]), (s.scheme, n, name)
@@ -431,11 +434,11 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
             _spoil(reused.arrays.values())
             fresh = _drawn(s, b)
             with np.errstate(over="ignore"):
-                got, got_counts, got_powers = _resolved([s], reused, n)
-                want, want_counts, want_powers = _resolved([s], fresh, n)
+                got, got_stats, got_powers = _resolved([s], reused, n)
+                want, want_stats, want_powers = _resolved([s], fresh, n)
                 masked = oracles.masked_resolve(s, fresh, n)
             got, want = got[s], want[s]
-            assert (got.n, got_counts) == (n, want_counts)
+            assert (got.n, got_stats) == (n, want_stats)
             _assert_same_decisions(got, want, ARRAY_FIELDS)
             _assert_same_decisions(got, masked)
             assert got_powers.keys() == want_powers.keys()
@@ -482,8 +485,8 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
         watch(gains)
         return gains
 
-    def resolve_watched(family, buffers, n, reads, counts):
-        for s, block in resolve(family, buffers, n, reads, counts):
+    def resolve_watched(family, buffers, n, reads, stats):
+        for s, block in resolve(family, buffers, n, reads, stats):
             watch(a for name in ARRAY_FIELDS for a in (
                 getattr(block, name) if name == "device_ok"
                 else [getattr(block, name)]))
@@ -573,10 +576,9 @@ def _outage_selectors(s):
         for kind in ("device", "e2e_device")]
 
 
-def test_plan_tallies_what_each_run_reads(caplog):
-    full = (scenario(Scheme.COM_NOEH, rho=0.0), 41, 30_000)
-    with caplog.at_level(logging.DEBUG, logger="nomarelay.montecarlo"):
-        plan = simulate_plan([*DEMAND, full], DEMAND)
+def test_plan_tallies_what_each_run_reads():
+    full, stats = (scenario(Scheme.COM_NOEH, rho=0.0), 41, 30_000), []
+    plan = simulate_plan([*DEMAND, full], DEMAND, stats)
     for (s, seed, n), reads in DEMAND.items():
         got, alone = plan[s, seed, n], simulate(s, n, seed)
         assert got.trials == n
@@ -598,20 +600,54 @@ def test_plan_tallies_what_each_run_reads(caplog):
     assert plan[full] == simulate(full[0], full[2], full[1])
     # one stream group at seed 41 draws both blocks once, block 1 as far
     # as the 100,000-trial runs read it: 34,464 trials
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 1
-    head, *segments = messages[0].split("; ")
-    assert head.startswith("seed 41, 4 nodes: 2 blocks drawn, "
-                           "100000 trials drawn")
-    lines = {g.split(" ", 1)[0]: g for g in segments}
-    assert len(lines) == len(segments) == 3
-    assert lines["com"].startswith("com on topology 1: ")
-    assert "2 blocks resolved (1 without device decoding)" in lines["com"]
-    assert "(34464 without device decoding)" in lines["com"]
-    assert "2 blocks resolved (0 without device decoding)" in lines["qom"]
-    assert "(0 without device decoding)" in lines["qom"]
-    assert lines["bare"].startswith("bare on topology 2: ")
-    assert "(34464 without device decoding)" in lines["bare"]
+    (group,) = stats
+    assert (group.seed, group.nodes, group.blocks, group.trials) \
+        == (41, 4, 2, 100_000)
+    groups = {g.pairing: g for g in group.devices}
+    assert len(groups) == len(group.devices) == 3
+    assert groups["com"].topology == 1
+    assert (groups["com"].blocks, groups["com"].hop_only) == (2, 1)
+    assert groups["com"].undecoded == 34_464
+    assert (groups["qom"].blocks, groups["qom"].hop_only) == (2, 0)
+    assert groups["qom"].undecoded == 0
+    assert groups["bare"].topology == 2
+    assert groups["bare"].undecoded == 34_464
+
+
+def test_failed_family_adds_no_counters(monkeypatch):
+    # a family whose resolve raises fails its members and, like any family
+    # whose every member failed, adds nothing to its device group's
+    # record; the other device group and the stream group are counted as
+    # in a clean run
+    runs = [(s, 41, 30_000) for s in (TCOM, PCOM, TQOM)]
+    clean_stats, failed_stats = [], []
+    clean = simulate_plan(runs, stats=clean_stats)
+    resolve = montecarlo._resolve
+
+    def failing(family, buffers, n, reads, stats):
+        if family[0].scheme is Scheme.PCOM:
+            stats.power_rows += 1
+            raise RuntimeError("planted failure")
+        yield from resolve(family, buffers, n, reads, stats)
+
+    monkeypatch.setattr(montecarlo, "_resolve", failing)
+    plan = simulate_plan(runs, stats=failed_stats)
+    assert isinstance(plan[PCOM, 41, 30_000], RuntimeError)
+    for s in (TCOM, TQOM):
+        assert plan[s, 41, 30_000] == clean[s, 41, 30_000]
+    (want,), (got,) = clean_stats, failed_stats
+    want, got = oracles.without_seconds(want), oracles.without_seconds(got)
+    assert (got.seed, got.nodes, got.blocks, got.trials, got.skipped) \
+        == (want.seed, want.nodes, want.blocks, want.trials, want.skipped)
+    assert got.nbytes > 0
+    (com, qom), (clean_com, clean_qom) = got.devices, want.devices
+    assert (com.pairing, qom.pairing) == ("com", "qom")
+    assert qom == clean_qom
+    assert com.families == {"tcom": clean_com.families["tcom"]}
+    assert com.trials == clean_com.trials \
+        - clean_com.families["pcom"].trials
+    assert dataclasses.replace(com, trials=0, families={}) \
+        == dataclasses.replace(clean_com, trials=0, families={})
 
 
 @pytest.mark.parametrize("pairing", ["com", "qom"])
@@ -865,15 +901,17 @@ def test_certain_branches_equal_the_masked_route(topology, scheme, rho):
     rng = montecarlo._block_rng(43, 0)
     montecarlo._draw(buffers, rng, montecarlo.BLOCK_SIZE)
     montecarlo._draw_devices(buffers, rng, certain, montecarlo.BLOCK_SIZE)
-    got, counts, _ = _resolved([certain], buffers, montecarlo.BLOCK_SIZE)
-    want, twin_counts, _ = _resolved([twin], buffers, montecarlo.BLOCK_SIZE)
+    got, stats, _ = _resolved([certain], buffers, montecarlo.BLOCK_SIZE)
+    want, twin_stats, _ = _resolved([twin], buffers, montecarlo.BLOCK_SIZE)
     got, want = got[certain], want[twin]
     masked = oracles.masked_resolve(twin, buffers, montecarlo.BLOCK_SIZE)
     assert np.all(got.indicators[:2] == bool(rho))
     # a certain harvest reaches fewer runs and receiver states, so the
     # family builds fewer candidate rows; no test is decided whole-row
-    assert counts[2] < twin_counts[2] and counts[3] < twin_counts[3]
-    assert counts[1] == twin_counts[1] == masked.guard_counts[1] == 0
+    assert stats.power_rows < twin_stats.power_rows
+    assert stats.decision_rows < twin_stats.decision_rows
+    assert stats.whole_row == twin_stats.whole_row \
+        == masked.stats.whole_row == 0
     _assert_same_decisions(got, want, ARRAY_FIELDS)
     _assert_same_decisions(got, masked)
     ref = oracles.reference_decode(
@@ -990,8 +1028,8 @@ def test_a_family_equals_its_members(case):
                     for s in family]
     buffers = oracles.drawn_alone(family[0], montecarlo._block_rng(61, 0),
                                   4_096)
-    blocks, counts, powers = _resolved(family, buffers, 4_096, member_reads)
-    assert counts[1] == 0 and counts[2] == len(powers)
+    blocks, stats, powers = _resolved(family, buffers, 4_096, member_reads)
+    assert stats.whole_row == 0 and stats.power_rows == len(powers)
     for s, r in zip(family, member_reads):
         masked = oracles.masked_resolve(s, buffers, 4_096, r)
         _assert_same_decisions(blocks[s], masked)
@@ -1011,9 +1049,9 @@ def test_candidate_snrs_are_the_masked_routes_rows(monkeypatch, scheme):
         for b in (0.0, 1.0)]
     read, chain = set(), montecarlo._chain
 
-    def record(y, tf, terms, counts, bands):
+    def record(y, tf, terms, stats, bands):
         read.add(y.tobytes())
-        return chain(y, tf, terms, counts, bands)
+        return chain(y, tf, terms, stats, bands)
 
     monkeypatch.setattr(montecarlo, "_chain", record)
     buffers, n = _drawn(family[0]), 4_096

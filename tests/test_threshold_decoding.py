@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomarelay import montecarlo
-from nomarelay.montecarlo import BLOCK_SIZE, _band, _chain, _either, _rate
+from nomarelay.montecarlo import (BLOCK_SIZE, FamilyStats, _band, _chain,
+                                  _either, _rate)
 from oracles import (drawn_alone, family_blocks, masked_chain,
                      masked_resolve, plan_chains, reference_decode,
                      shipped_scenarios)
@@ -84,10 +85,10 @@ def test_plan_chains_cover_every_chain_the_simulator_asks(scenarios,
     # certain harvest leaves; each is an enumerated chain or a part of one
     asked = set()
 
-    def record(y, tf, terms, counts, bands):
+    def record(y, tf, terms, stats, bands):
         asked.add(((tf,), tuple(tuple(float(v) for v in term)
                                 for term in terms)))
-        return _chain(y, tf, terms, counts, bands)
+        return _chain(y, tf, terms, stats, bands)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_chain", record)
@@ -136,25 +137,25 @@ def test_every_shipped_rate_test_has_a_guard_band(rate_tests):
 
 def test_planted_snrs_decide_like_the_rate_formula(rate_tests):
     rng = np.random.default_rng(SEED)
-    counts, flips, inside = [0, 0], 0, 0
+    stats, flips, inside = FamilyStats(), 0, 0
     for a, b, target, tf in rate_tests:
         lo, hi = _band(a, b, target, tf)
         y = _planted(lo, hi, rng)
         want = _rate(y, a, b, tf) >= target
-        got = _chain(y, tf, [(a, b, target)], counts, {})
+        got = _chain(y, tf, [(a, b, target)], stats, {})
         flips += int(np.sum(got != want))
         inside += int(np.sum((y >= lo) & (y <= hi)))
         # the planted points straddle the threshold
         assert want.any() and not want.all()
     assert flips == 0
-    assert counts == [inside, 0]
+    assert (stats.guarded, stats.whole_row) == (inside, 0)
 
 
 def test_planted_snrs_decide_whole_chains_per_time_factor(chains):
     # each recorded chain, with a random time factor per trial, against
     # every planted point of each of its tests
     rng = np.random.default_rng(SEED + 1)
-    counts, flips, bands = [0, 0], 0, {}
+    stats, flips, bands = FamilyStats(), 0, {}
     for tfs, terms in chains:
         y = np.concatenate([_planted(*_band(*term, tf), rng)[::8]
                             for term in terms for tf in tfs])
@@ -165,13 +166,13 @@ def test_planted_snrs_decide_whole_chains_per_time_factor(chains):
             want &= _rate(y, a, b, tf) >= target
         # one chain per time factor, picked per trial, as a family member
         # picks its receiver state; and the masked route's chain
-        got = [_chain(y, tf, list(terms), counts, bands) for tf in tfs]
+        got = [_chain(y, tf, list(terms), stats, bands) for tf in tfs]
         got = got[0] if sel is None else _either(sel, got)
         flips += int(np.sum(got != want))
-        flips += int(np.sum(masked_chain(y, tfs, sel, list(terms), [0, 0])
-                            != want))
+        flips += int(np.sum(masked_chain(y, tfs, sel, list(terms),
+                                         FamilyStats()) != want))
     assert flips == 0
-    assert counts[0] > 0 and counts[1] == 0
+    assert stats.guarded > 0 and stats.whole_row == 0
 
 
 def _ill_conditioned():
@@ -195,23 +196,23 @@ def test_tests_without_a_band_are_decided_by_the_rate(a, b, target, tf):
                         np.geomspace(1e-310, 1e-290, 512),
                         np.geomspace(1e-6, 1e15, 4096)])
     tf_row = np.where(y > 1.0, 0.5 * tf, tf)
-    masked_counts = [0, 0]
+    masked = FamilyStats()
     got = masked_chain(y, (tf, 0.5 * tf), y > 1.0, [(a, b, target)],
-                       masked_counts)
+                       masked)
     assert np.array_equal(got, _rate(y, a, b, tf_row) >= target)
-    assert masked_counts == [0, 1]
+    assert (masked.guarded, masked.whole_row) == (0, 1)
     # one chain per time factor decides the test over the whole row twice
-    counts = [0, 0]
-    got = _either(y > 1.0, [_chain(y, tf, [(a, b, target)], counts, {}),
-                            _chain(y, 0.5 * tf, [(a, b, target)], counts,
+    stats = FamilyStats()
+    got = _either(y > 1.0, [_chain(y, tf, [(a, b, target)], stats, {}),
+                            _chain(y, 0.5 * tf, [(a, b, target)], stats,
                                    {})])
     assert np.array_equal(got, _rate(y, a, b, tf_row) >= target)
-    assert counts == [0, 2]
+    assert (stats.guarded, stats.whole_row) == (0, 2)
     # a test without a band leaves the others on their thresholds
-    chained = _chain(y, tf, [(a, b, target), (1.0, 0.0, 0.1)], counts, {})
+    chained = _chain(y, tf, [(a, b, target), (1.0, 0.0, 0.1)], stats, {})
     assert np.array_equal(chained, (_rate(y, a, b, tf) >= target)
                           & (_rate(y, 1.0, 0.0, tf) >= 0.1))
-    assert counts == [0, 3]
+    assert (stats.guarded, stats.whole_row) == (0, 3)
 
 
 @st.composite
@@ -236,7 +237,7 @@ def rate_cases(draw):
 @given(rate_cases())
 def test_chain_equals_the_rate_comparison(case):
     a, b, target, tf, y = case
-    got = _chain(y, tf, [(a, b, target)], [0, 0], {})
+    got = _chain(y, tf, [(a, b, target)], FamilyStats(), {})
     assert np.array_equal(got, _rate(y, a, b, tf) >= target)
 
 
@@ -257,13 +258,13 @@ def test_band_table_derives_each_chain_once(monkeypatch, chains):
         y = np.concatenate([_planted(*band(*term, tf), rng)[::64]
                             for term in terms for tf in tfs])
         for tf in tfs:
-            fresh = _chain(y, tf, list(terms), [0, 0], {})
+            fresh = _chain(y, tf, list(terms), FamilyStats(), {})
             fresh_terms += len(terms)
             for _ in range(2):
-                counts = [0, 0]
-                got = _chain(y, tf, list(terms), counts, bands)
+                stats = FamilyStats()
+                got = _chain(y, tf, list(terms), stats, bands)
                 assert np.array_equal(got, fresh)
-                assert counts[0] > 0
+                assert stats.guarded > 0
             keys.add((tf, *terms))
     assert bands.keys() == keys
     # once per term for each fresh table, once per key for the shared one
