@@ -509,6 +509,64 @@ def test_every_shipped_config_has_a_golden_analytic_table():
     assert shipped == sorted(GOLDEN_ANALYTIC)
 
 
+# per shipped config under source="both" at 70,000 trials: the sha256 of
+# the whole table, and the sorted (value, scheme, metric) of its flagged rows
+GOLDEN_BOTH = {
+    "alpha_share": (
+        "220f735fdb8362e192db404f1ec259c4bc65762f876e2787d81841c10d89343c",
+        []),
+    "density": (
+        "cb68ad1afff15bdde45a198982c444a374b7688ba2f9513693e3e4c1e3663647",
+        [(0.0001, "tcom", "throughput"), (0.0001, "tqom", "throughput")]),
+    "destination_op_p0": (
+        "90e02117b09e920c645713e49af33d8a09e4d4f91b38e408334a00457120c705",
+        []),
+    "efficiency_rho": (
+        "2641b5c46466d82b47b1e65f7b13dfba8c75e28646e379ec0fe5416e5850372d",
+        []),
+    "rho_tradeoff": (
+        "83de9f613a0af53170160df4593c3ae6874b5ea7a7756deaee0f4d09d883bc0e",
+        [(rho, "tcom", "throughput")
+         for rho in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]),
+    "scaling_com": (
+        "18529d942669e9275ea65745228570eedba9c0e8dca010d95d9c7b6592cf109b",
+        []),
+    "scaling_qom": (
+        "99a68cce8a5a37ea3448f416a2d67c7c7b2b228226a43e54dec018592deb9143",
+        []),
+    "throughput_p0": (
+        "891c753ae2ba72bf0a7bb247a61f00a7f90e828f95167b5b1698604c3f2cc2cd",
+        [(-30, "pcom", "throughput"), (-30, "pqom", "throughput")]),
+    "validate_chain": (
+        "b5fcaa9c0dfb4e734246b36a1e2a42dfc10009c1b0782309b22eb591aef51f0d",
+        []),
+    "validate_devices_com": (
+        "4a64c45043e8704a518c42f549689eebdb235fd9a1ea48311fe37e71de48920b",
+        []),
+    "validate_devices_qom": (
+        "33d843ba004d1be21ab6bd7b58899a6d36c77ff2c491959760ed86f31f80db9d",
+        [(0.9, "pqom", "device_op:3:nearest"),
+         (0.9, "tqom", "device_op:3:nearest")]),
+}
+
+
+def test_every_shipped_config_has_a_golden_both_table():
+    shipped = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
+    assert shipped == sorted(GOLDEN_BOTH)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOTH))
+def test_shipped_both_tables_are_byte_identical(tmp_path, name):
+    result = run_sweep(_shipped(tmp_path, name), source="both",
+                       trials=70_000)
+    text = render_results(result.rows, "csv")
+    table, flagged = GOLDEN_BOTH[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == table
+    assert sorted({(value, scheme, metric)
+                   for value, scheme, metric, *_ in result.flagged}) \
+        == flagged
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
 def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
     config = _shipped(tmp_path, name)
