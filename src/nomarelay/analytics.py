@@ -17,17 +17,17 @@ Every outage of a scenario, and its sum throughput, is read through one
 :meth:`nomarelay.montecarlo.Tallies.outage`, so the closed form and the
 simulator answer one question the same way.
 
-Every kernel call goes through a :class:`KernelMemo`, and what P0 does
-not touch (thresholds, and each slot's harvest runs, path gains,
-disk-idle shares and receiver states) through a dict of tables.  A sweep
-shares one memo and one dict across all its :class:`SlotMarginals`, so
-each distinct kernel argument is evaluated once per sweep, and a power
-family (the scenarios equal but for P0) derives its P0-free state once;
-a standalone ``SlotMarginals`` gets a private memo and tables, and
-nothing outlives its owner.  The memo also owns the sweep's
-:class:`specfun.LogGammaTable`, so the kernels it evaluates share their
-gamma factors on the fixed quadrature grids, and the table goes with the
-memo.
+Every kernel call goes through a :class:`KernelMemo`, which also carries
+what P0 does not touch (allocation plans, thresholds, and each slot's
+harvest runs, path gains, disk-idle shares and receiver states) in its
+``tables``.  A sweep shares one memo across all its
+:class:`SlotMarginals`, so each distinct kernel argument is evaluated
+once per sweep, and a power family (the scenarios equal but for P0)
+derives its P0-free state once; a standalone ``SlotMarginals`` gets a
+private memo, and nothing outlives its owner.  The memo also owns the
+sweep's :class:`specfun.LogGammaTable`, so the kernels it evaluates
+share their gamma factors on the fixed quadrature grids, and the table
+goes with the memo.
 """
 
 from __future__ import annotations
@@ -285,7 +285,10 @@ class KernelMemo(dict):
     ``lookups`` counts calls and ``evaluations`` misses per kernel family,
     for the sweep's statistics record.  Every quadrature kernel evaluated
     here reads and fills ``table``, one :class:`specfun.LogGammaTable`
-    that lives as long as the memo.
+    that lives as long as the memo.  ``tables`` holds what P0 does not
+    touch, keyed by what it reads: the sweep's allocation plans, and the
+    decoding thresholds and slot states of every :class:`SlotMarginals`
+    reading the memo.
     """
 
     def __init__(self):
@@ -293,6 +296,7 @@ class KernelMemo(dict):
         self.lookups = collections.Counter()
         self.evaluations = collections.Counter()
         self.table = LogGammaTable()
+        self.tables = {}
 
     def __call__(self, name: str, *args) -> float:
         family = _KERNEL_FAMILY[name]
@@ -438,29 +442,28 @@ class SlotMarginals:
 
     Every outage and the sum throughput are memoized per (event,
     ``asymptotic``), so every composition of the same scenario reuses one
-    value per slot.  ``tables`` holds what P0 does not touch, keyed by
-    what it reads: the decoding thresholds by plan and policy, each slot's
+    value per slot.  What P0 does not touch lives in the ``tables`` of the
+    kernel memo: the decoding thresholds by plan and policy, each slot's
     state (:meth:`_slot`) by topology, policy and path-loss law; a
-    standalone ``SlotMarginals`` is a family of one with private tables.
+    standalone ``SlotMarginals`` is a family of one with a private memo.
     ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``; it is
     called only when an exact qom device outage first needs it.
     """
 
     def __init__(self, scenario: Scenario, nearest_fit=None,
-                 kernels: Optional["KernelMemo"] = None,
-                 tables: Optional[dict] = None):
+                 kernels: Optional["KernelMemo"] = None):
         self.scenario = scenario
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
-        self._tables = {} if tables is None else tables
         self._memo = {}
 
     @functools.cached_property
     def thresholds(self) -> ThresholdSet:
         key = (self.scenario.plan, self.scenario.policy)
-        if key not in self._tables:
-            self._tables[key] = decoding_thresholds(*key)
-        return self._tables[key]
+        tables = self.kernels.tables
+        if key not in tables:
+            tables[key] = decoding_thresholds(*key)
+        return tables[key]
 
     def _once(self, compute, *args):
         key = (compute.__name__,) + args
@@ -495,19 +498,19 @@ class SlotMarginals:
         transmitter's harvest runs (:func:`harvest_runs`), the hop and
         disk-edge path gains, the idle and active shares of its disk, and
         the receiver's harvest states, none of which reads P0."""
-        s = self.scenario
+        s, tables = self.scenario, self.kernels.tables
         topo, budget = s.topology, s.budget
         key = (t, topo, s.policy, budget.L, budget.epsilon)
-        if key not in self._tables:
+        if key not in tables:
             log_idle = log_null_probability(topo.density_active,
                                             topo.disk_radii[t - 1])
-            self._tables[key] = (
+            tables[key] = (
                 harvest_runs(t, topo, s.policy, budget),
                 pathloss_linear(topo.hop_distances[t - 1], budget),
                 pathloss_linear(topo.disk_radii[t - 1], budget),
                 (math.exp(log_idle), -math.expm1(log_idle)),
                 s.policy.states(t + 1))
-        return self._tables[key]
+        return tables[key]
 
     def _hop(self, t, asymptotic):
         runs, ell_hop, _, iota, states = self._once(self._slot, t)

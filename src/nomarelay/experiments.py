@@ -309,40 +309,37 @@ def load_config(path) -> RunConfig:
 # scenario construction per (grid value, scheme)
 # ---------------------------------------------------------------------------
 
-def _build_scenario(config: RunConfig, scheme: Scheme, value,
-                    plans: dict) -> Scenario:
-    """The scenario of one (grid value, scheme) pair; it carries no fits.
-    Its plan is read from ``plans``, filled on a miss."""
+def _point_config(config: RunConfig, value) -> RunConfig:
+    """``config`` with its swept field set to ``value``."""
     var = config.sweep.variable
-    topology = config.topology
-    rho, alpha, beta = config.rho, config.alpha, config.beta
-    p0_dbm = config.p0_dbm
-    if var == "p0_dbm":
-        p0_dbm = value
-    elif var == "rho":
-        rho = value
-    elif var == "alpha":
-        alpha = value
-    elif var == "beta":
-        beta = value
-    elif var == "density_active":
-        topology = dataclasses.replace(topology, density_active=value)
-    elif var == "node_count":
-        table = config.topology_by_node_count
-        if table is None or int(value) not in table:
+    if var == "node_count":
+        topology = (config.topology_by_node_count or {}).get(int(value))
+        if topology is None:
             raise ValueError(f"no topology configured for node count {value}")
-        topology = table[int(value)]
-    elif var == "subarea_counts":
-        topology = dataclasses.replace(topology, subarea_counts=value)
-    m = topology.node_count
-    if var == "node_count" and m != int(value):
-        raise ValueError(f"topology for node count {value} has {m} nodes")
-    budget = LinkBudget(P0=dbm_to_watts(p0_dbm),
+        if topology.node_count != int(value):
+            raise ValueError(f"topology for node count {value} has "
+                             f"{topology.node_count} nodes")
+        return dataclasses.replace(config, topology=topology)
+    if var in ("density_active", "subarea_counts"):
+        return dataclasses.replace(config, topology=dataclasses.replace(
+            config.topology, **{var: value}))
+    return dataclasses.replace(config, **{var: value})
+
+
+def _build_scenario(config: RunConfig, scheme: Scheme,
+                    plans: dict) -> Scenario:
+    """The scenario of ``scheme`` at the point ``config``; it carries no
+    fits.  Its plan is read from ``plans``, filled on a miss."""
+    topology, m = config.topology, config.topology.node_count
+    budget = LinkBudget(P0=dbm_to_watts(config.p0_dbm),
                         sigma2=noise_power_w(config.bandwidth_hz),
                         f_c=config.f_c_ghz, G_r=config.gain_rx_dbi,
                         G_t=config.gain_tx_dbi, epsilon=config.epsilon)
-    policy = build_policy(scheme, m, rho, alpha=alpha, beta=beta,
-                          eta=config.eta)
+
+    def policy_of(scheme):
+        return build_policy(scheme, m, config.rho, alpha=config.alpha,
+                            beta=config.beta, eta=config.eta)
+    policy = policy_of(scheme)
     # every scheme competes at the rates the time-switching reference
     # can sustain; the baseline inherits only the relayed-message rate.  A
     # qom slot superposes one device, as a com slot of one subarea does
@@ -357,8 +354,7 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value,
         if key not in plans:
             plans[key] = analytics.default_allocation(*key)
         return plans[key]
-    reference = allocate(build_policy(Scheme.TCOM, m, rho, alpha=alpha,
-                                      beta=beta, eta=config.eta))
+    reference = allocate(policy_of(Scheme.TCOM))
     if scheme is Scheme.CNRR:
         topology = topology.without_devices()
         plan = analytics.baseline_plan(reference, topology.hop_count)
@@ -370,25 +366,46 @@ def _build_scenario(config: RunConfig, scheme: Scheme, value,
                     budget=budget, plan=plan)
 
 
+def _points(config: RunConfig, plans: dict):
+    """Yield ``(value, scheme, scenario)`` for every point of the sweep, in
+    row order; a point that cannot be built yields its exception as the
+    scenario.  Each grid value's config is derived once for its schemes,
+    and plans are read from ``plans`` (:func:`_build_scenario`)."""
+    for value in config.sweep.grid:
+        try:
+            point = _point_config(config, value)
+        except Exception as exc:
+            point = exc
+        for scheme in config.sweep.schemes:
+            scenario = point
+            if not isinstance(point, Exception):
+                try:
+                    scenario = _build_scenario(point, scheme, plans)
+                except Exception as exc:
+                    scenario = exc
+            yield value, scheme, scenario
+
+
 class _SweepCore:
-    """State shared by every point of one sweep, dropped with it.
+    """State shared by every point of one sweep, dropped with it, and the
+    evaluation of each (scenario, metric) of the sweep's ``config``.
 
     Scenarios equal in value share one :class:`analytics.SlotMarginals`, so
     slot outages and throughput are computed once per sweep (the
     no-harvest twin of a rho sweep is the same scenario at every grid
-    point).  What P0 does not touch is derived once per sweep: the
-    allocation plans in ``plans`` (:func:`_build_scenario`), and the
-    decoding thresholds and slot states every ``SlotMarginals`` reads in
-    ``tables``, so a power sweep's points share them.  Nearest-gain fits
-    are resolved lazily through one :class:`FitBook`.  Simulated rows read
-    ``tallies``, filled by one :func:`montecarlo.simulate_plan` over every
-    run the sweep needs.
+    point), and one eed twin.  Every ``SlotMarginals`` reads one
+    :class:`analytics.KernelMemo`, whose ``tables`` also hold the
+    allocation plans (:func:`_build_scenario`), so what P0 does not touch
+    is derived once per sweep.  Nearest-gain fits are resolved lazily
+    through one :class:`FitBook`.  Simulated rows read ``tallies``, filled
+    by one :func:`montecarlo.simulate_plan` over every run the sweep needs.
     """
 
-    def __init__(self, fit_cache: Optional[str]):
-        self.fits = FitBook(fit_cache)
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.fits = FitBook(config.fit_cache_path)
         self.kernels = analytics.KernelMemo()
-        self.plans, self.tables, self._marginals = {}, {}, {}
+        self._marginals, self._twins = {}, {}
         self.tallies = {}
 
     def marginals(self, scenario: Scenario) -> analytics.SlotMarginals:
@@ -397,35 +414,19 @@ class _SweepCore:
             # cycle keeps a finished sweep's memo alive until a full collection
             self._marginals[scenario] = analytics.SlotMarginals(
                 scenario, functools.partial(_nearest_fit, self.fits, scenario),
-                self.kernels, self.tables)
+                self.kernels)
         return self._marginals[scenario]
 
-
-def _nearest_fit(book: FitBook, scenario: Scenario, t: int):
-    return book.fit(scenario.topology.disk(t), scenario.budget)
-
-
-class _PointContext:
-    """Everything needed to evaluate one (grid value, scheme) pair."""
-
-    def __init__(self, config: RunConfig, scheme: Scheme, value,
-                 core: _SweepCore):
-        self.config = config
-        self.value = value
-        self.scenario = _build_scenario(config, scheme, value, core.plans)
-        self.core = core
-        self._twin = None
-
-    @property
-    def twin(self) -> "Scenario":
+    def twin(self, scenario: Scenario) -> Scenario:
         """Same scheme with harvesting disabled; reference point for EED."""
-        if self._twin is None:
-            s = self.scenario
-            policy = build_policy(s.scheme, s.policy.node_count, 0.0,
-                                  alpha=s.policy.alpha, beta=s.policy.beta,
-                                  eta=s.policy.eta)
-            self._twin = dataclasses.replace(s, policy=policy)
-        return self._twin
+        if scenario not in self._twins:
+            policy = build_policy(scenario.scheme, scenario.policy.node_count,
+                                  0.0, alpha=scenario.policy.alpha,
+                                  beta=scenario.policy.beta,
+                                  eta=scenario.policy.eta)
+            self._twins[scenario] = dataclasses.replace(scenario,
+                                                        policy=policy)
+        return self._twins[scenario]
 
     # -- analytic side ----------------------------------------------------
 
@@ -436,42 +437,40 @@ class _PointContext:
 
     def _efficiency(self, scenario, asymptotic=False) -> float:
         return self._per_watt(
-            scenario, self.core.marginals(scenario).throughput(asymptotic))
+            scenario, self.marginals(scenario).throughput(asymptotic))
 
-    def analytic(self, selector, asymptotic=False) -> float:
-        s = self.scenario
+    def analytic(self, s: Scenario, selector, asymptotic=False) -> float:
         kind = selector[0]
         if kind == "throughput":
-            return self.core.marginals(s).throughput(asymptotic)
+            return self.marginals(s).throughput(asymptotic)
         if kind == "ee":
             return self._efficiency(s, asymptotic)
         if kind == "eed":
             if not s.policy.is_harvesting:
                 return 0.0
             return (self._efficiency(s, asymptotic)
-                    - self._efficiency(self.twin, asymptotic))
+                    - self._efficiency(self.twin(s), asymptotic))
         if kind == "p_tol":
             return analytics.supply_power(s.budget, s.policy)
-        return self.core.marginals(s).outage(selector, asymptotic)
+        return self.marginals(s).outage(selector, asymptotic)
 
     # -- simulated side ---------------------------------------------------
 
-    def simulation_runs(self, selector) -> list:
+    def simulation_runs(self, s: Scenario, selector) -> list:
         """The ``(scenario, seed, trials)`` runs a simulated row reads."""
-        cfg, s = self.config, self.scenario
+        cfg = self.config
         if selector[0] not in _SCALAR_METRICS:
             return [(s, cfg.seed, cfg.trials_outage)]
         runs = [(s, cfg.seed, cfg.trials_throughput)]
         if selector[0] == "eed" and s.policy.is_harvesting:
-            runs.append((self.twin, cfg.seed + _TWIN_SEED_OFFSET,
+            runs.append((self.twin(s), cfg.seed + _TWIN_SEED_OFFSET,
                          cfg.trials_throughput))
         return runs
 
-    def simulated(self, selector) -> montecarlo.Estimate:
-        s = self.scenario
+    def simulated(self, s: Scenario, selector) -> montecarlo.Estimate:
         kind = selector[0]
-        tallies = [self.core.tallies[run]
-                   for run in self.simulation_runs(selector)]
+        tallies = [self.tallies[run]
+                   for run in self.simulation_runs(s, selector)]
         for tal in tallies:
             if isinstance(tal, Exception):
                 raise tal
@@ -490,9 +489,10 @@ class _PointContext:
         if kind == "eed":
             if not s.policy.is_harvesting:
                 return montecarlo.Estimate(0.0, 0.0, tp.trials)
+            twin = self.twin(s)
             scale = self.config.bandwidth_hz
             p_tol = analytics.supply_power(s.budget, s.policy)
-            p0 = analytics.supply_power(self.twin.budget, self.twin.policy)
+            p0 = analytics.supply_power(twin.budget, twin.policy)
             tp0 = tallies[1].throughput()
             hw = scale * math.hypot(tp.half_width / p_tol, tp0.half_width / p0)
             return montecarlo.Estimate(
@@ -500,7 +500,7 @@ class _PointContext:
                 half_width=hw, trials=tp.trials)
         raise ValueError(f"unknown selector {selector!r}")
 
-    def declared_margin(self, selector, analytic_value: float,
+    def declared_margin(self, s: Scenario, selector, analytic_value: float,
                         estimate: montecarlo.Estimate) -> float:
         """Disagreement threshold beyond which a row is flagged."""
         sigma = estimate.half_width / 1.96
@@ -518,8 +518,8 @@ class _PointContext:
             allowance = 0.0
             if selector[2] is None:
                 allowance = 2.0 * max(
-                    _nearest_fit(self.core.fits, self.scenario, t).fit_error
-                    for t in range(1, self.scenario.topology.hop_count + 1))
+                    _nearest_fit(self.fits, s, t).fit_error
+                    for t in range(1, s.topology.hop_count + 1))
             return sigma3 + allowance + floor
         # end-to-end compositions multiply per-slot marginals; the simulator
         # resolves the exact joint events, where a harvesting node reuses the
@@ -527,20 +527,23 @@ class _PointContext:
         # envelope that grows with the harvesting probability.  The nearest-
         # device surrogate adds a tail bias for qom schemes, measured at
         # up to 6% of the composed value near rho = 0.7.
-        rho = max((self.scenario.policy.rho1(j)
-                   for j in range(2, self.scenario.policy.node_count)),
+        rho = max((s.policy.rho1(j) for j in range(2, s.policy.node_count)),
                   default=0.0)
-        qom = self.scenario.scheme.pairing == "qom"
+        qom = s.scheme.pairing == "qom"
         scale = abs(analytic_value)
         if kind in ("e2e_destination", "e2e_device"):
             return sigma3 + (0.05 + 0.45 * rho) * scale + floor
         if kind == "eed":
             # a difference of two efficiencies inherits the error of the
             # larger one, so the envelope tracks their magnitudes instead
-            scale = (abs(self._efficiency(self.scenario))
-                     + abs(self._efficiency(self.twin)))
+            scale = (abs(self._efficiency(s))
+                     + abs(self._efficiency(self.twin(s))))
         envelope = (0.01 + 0.12 * rho) if qom else (0.005 + 0.02 * rho)
         return sigma3 + envelope * scale + floor
+
+
+def _nearest_fit(book: FitBook, scenario: Scenario, t: int):
+    return book.fit(scenario.topology.disk(t), scenario.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +554,19 @@ def fill_fit_cache(config: RunConfig) -> int:
     """Fit every qom slot geometry the sweep reads into its fit sidecar.
 
     Walks the grid as :func:`run_sweep` does, through one fit book, so
-    each distinct geometry is fitted at most once.  Returns the number of
-    (grid value, scheme, slot) fits covered.
+    each distinct geometry is fitted at most once; a qom point that cannot
+    be built raises.  Returns the number of (grid value, scheme, slot)
+    fits covered.
     """
-    book = FitBook(config.fit_cache_path)
-    covered, plans = 0, {}
-    for value in config.sweep.grid:
-        for scheme in config.sweep.schemes:
-            if scheme.pairing != "qom":
-                continue
-            scenario = _build_scenario(config, scheme, value, plans)
-            for t in range(1, scenario.topology.hop_count + 1):
-                book.fit(scenario.topology.disk(t), scenario.budget)
-                covered += 1
+    book, covered = FitBook(config.fit_cache_path), 0
+    for _, scheme, scenario in _points(config, {}):
+        if scheme.pairing != "qom":
+            continue
+        if isinstance(scenario, Exception):
+            raise scenario
+        for t in range(1, scenario.topology.hop_count + 1):
+            book.fit(scenario.topology.disk(t), scenario.budget)
+            covered += 1
     return covered
 
 
@@ -588,35 +591,29 @@ def run_sweep(config: RunConfig, *, source: str = "both",
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     result = SweepResult(rows=[], flagged=[], failures=[])
-    core, streams = _SweepCore(config.fit_cache_path), []
+    core, streams = _SweepCore(config), []
     selectors = [parse_metric(metric) for metric in config.sweep.metrics]
-    points = []
-    for value in config.sweep.grid:
-        for scheme in config.sweep.schemes:
-            try:
-                ctx = _PointContext(config, scheme, value, core)
-            except Exception as exc:
-                ctx = exc
-            points.append((value, scheme, ctx))
+    points = list(_points(config, core.kernels.tables))
     if source in ("mc", "both"):
         # one plan for the whole sweep: shorter runs are prefixes of longer
         # ones, scenarios sharing pairing and topology share draws, and each
         # run is tallied only for what its rows read
         reads = {}
-        for *_, ctx in points:
-            if isinstance(ctx, _PointContext):
+        for *_, scenario in points:
+            if isinstance(scenario, Scenario):
                 for selector in selectors:
-                    for run in ctx.simulation_runs(selector):
+                    for run in core.simulation_runs(scenario, selector):
                         reads.setdefault(run, set()).add(
                             _simulated_read(selector))
         core.tallies = montecarlo.simulate_plan(reads, reads, streams)
-    for value, scheme, ctx in points:
-        if isinstance(ctx, Exception):
-            result.failures.append(
-                (value, scheme.value, "*", f"{type(ctx).__name__}: {ctx}"))
+    for value, scheme, scenario in points:
+        if isinstance(scenario, Exception):
+            result.failures.append((value, scheme.value, "*",
+                                    f"{type(scenario).__name__}: {scenario}"))
             continue
         for metric, selector in zip(config.sweep.metrics, selectors):
-            _emit_point(ctx, metric, selector, source, result)
+            _emit_point(core, value, scenario, metric, selector, source,
+                        result)
     memo = core.kernels
     result.stats = SweepStats(streams, memo.lookups, memo.evaluations,
                               memo.table.lookups, memo.table.arrays)
@@ -625,11 +622,11 @@ def run_sweep(config: RunConfig, *, source: str = "both",
     return result
 
 
-def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
-                result: SweepResult) -> None:
-    scheme = ctx.scenario.scheme.value
-    base = dict(sweep_var=ctx.config.sweep.variable, value=repr(ctx.value),
-                scheme=scheme, metric=metric, seed=ctx.config.seed)
+def _emit_point(core: _SweepCore, value, scenario: Scenario, metric: str,
+                selector, source: str, result: SweepResult) -> None:
+    scheme = scenario.scheme.value
+    base = dict(sweep_var=core.config.sweep.variable, value=repr(value),
+                scheme=scheme, metric=metric, seed=core.config.seed)
 
     def row(row_source, mean, half_width=0.0, trials=0):
         result.rows.append(ResultRow(source=row_source, mean=mean,
@@ -640,32 +637,33 @@ def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
         # a failed value keeps its row in the table, as NaN
         if row_source is not None:
             row(row_source, math.nan, math.nan)
-        result.failures.append((ctx.value, scheme, metric,
+        result.failures.append((value, scheme, metric,
                                 f"{type(exc).__name__}: {exc}"))
 
     analytic_value = None
     if source in ("analytic", "both"):
         try:
-            analytic_value = ctx.analytic(selector)
+            analytic_value = core.analytic(scenario, selector)
             row("analytic", analytic_value)
         except Exception as exc:
             fail(exc, "analytic")
-        if ctx.config.sweep.include_asymptotic:
+        if core.config.sweep.include_asymptotic:
             try:
-                row("asymptotic", ctx.analytic(selector, asymptotic=True))
+                row("asymptotic",
+                    core.analytic(scenario, selector, asymptotic=True))
             except Exception as exc:
                 fail(exc, "asymptotic")
     if source in ("mc", "both"):
         try:
-            estimate = ctx.simulated(selector)
+            estimate = core.simulated(scenario, selector)
         except Exception as exc:
             fail(exc, "mc")
             return
         row("mc", estimate.mean, estimate.half_width, estimate.trials)
         if analytic_value is not None and math.isfinite(analytic_value):
             try:
-                margin = ctx.declared_margin(selector, analytic_value,
-                                             estimate)
+                margin = core.declared_margin(scenario, selector,
+                                              analytic_value, estimate)
             except Exception as exc:
                 # the margin of a qom device row reads every slot's fit
                 fail(exc)
@@ -673,7 +671,7 @@ def _emit_point(ctx: _PointContext, metric: str, selector, source: str,
             gap = abs(analytic_value - estimate.mean)
             if gap > margin:
                 result.flagged.append(
-                    (ctx.value, scheme, metric, analytic_value,
+                    (value, scheme, metric, analytic_value,
                      estimate.mean, gap, margin))
 
 

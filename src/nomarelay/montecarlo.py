@@ -24,16 +24,17 @@ equal but for their harvest probabilities (a family) are resolved
 together on candidate rows, one per harvest run and receiver state of
 the policy's harvest-state table (:func:`_resolve`); each member picks
 its decisions by its own indicators, bit for bit as if resolved alone.
-Nothing certain or unread is drawn or decided per trial, and a skipped
-uniform row advances the Philox stream exactly as far as drawing it
-would (:func:`_skip`), so a plan entry equals its run simulated alone on
-everything its rows read, and raises on anything else.  Each stream
-group fills one buffer set (:class:`_Buffers`) in place, frees it before
-the next group allocates, and counts where its work went in one
-:class:`StreamStats`, which :func:`simulate_plan` hands to its caller;
-this module counts and logs nothing.  :func:`simulate` runs one scenario
-alone, tallied in full, through the same plan.  Both yield
-:class:`Tallies`, whose ``outage`` reads the selector tuples of
+Nothing certain or unread is drawn or decided per trial but the fades,
+which are drawn in full, and a skipped uniform row advances the Philox
+stream exactly as far as drawing it would (:func:`_skip`), so a plan
+entry equals its run simulated alone on everything its rows read, and
+raises on anything else.  Each stream group fills one buffer set
+(:class:`_Buffers`) in place, frees it before the next group allocates,
+and counts where its work went in one :class:`StreamStats`, which
+:func:`simulate_plan` hands to its caller; this module counts and logs
+nothing.  :func:`simulate` runs one scenario alone, tallied in full,
+through the same plan.  Both yield :class:`Tallies`, whose ``outage``
+reads the selector tuples of
 :meth:`nomarelay.analytics.SlotMarginals.outage`; nothing is cached
 between calls.  Given an active disk, every com annulus holds a
 scheduled device.  Single-trial outcomes, empirical survival curves and
@@ -226,12 +227,10 @@ def _uniforms(rng: np.random.Generator, rows, trials: int, skip: int) -> int:
     return skip
 
 
-def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int,
-          devices: bool = True) -> int:
+def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int) -> int:
     """Draw steps 1-3 of one relaying block into ``buffers``, in place, as
-    far as its first ``trials`` trials; ``devices`` if the block's stream
-    goes on to device draws (:func:`_draw_devices`).  Returns the number
-    of uniform rows skipped whole.
+    far as its first ``trials`` trials.  Returns the number of uniform
+    rows skipped whole.
 
     The draw order is part of the determinism contract: harvest
     uniforms, disk activity, hop fades, then per-slot device geometry
@@ -251,8 +250,7 @@ def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int,
     whose disk every topology of the group holds active with probability
     exactly 0 or 1, which is set to that outcome.  An exponential is a
     ziggurat draw that takes a variable number of outputs, so the hop
-    fades are drawn in full, unless they end the stream: then the last
-    row is drawn as far as ``trials``.  Each array is filled by the same
+    fades are always drawn in full.  Each array is filled by the same
     stream calls and float operations, in the same order, as a freshly
     allocated one.
     """
@@ -288,9 +286,7 @@ def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int,
 
     # 3. hop fades; each doubles as the receiving node's harvest input
     _skip(rng, skip)
-    fades = buffers.hop_fades.reshape(-1)
-    rng.standard_exponential(
-        out=fades if devices else fades[:fades.size - width + trials])
+    rng.standard_exponential(out=buffers.hop_fades.reshape(-1))
     return skipped
 
 
@@ -306,14 +302,13 @@ def _draw_devices(buffers: _Buffers, rng: np.random.Generator,
     device group of ``scenario``, from ``rng`` left where :func:`_draw`
     ended, into the ``[:count]`` device rows of each slot, as far as
     ``trials``.  Uniform rows fill their first ``trials`` columns and
-    skip the rest; the device fades are drawn in full but for the last
-    row of the stream.  A bare chain draws none."""
+    skip the rest; the device fades, ziggurat draws like the hop fades,
+    are drawn in full.  A bare chain draws none."""
     topo, pairing = scenario.topology, scenario.scheme.pairing
-    width, hops = buffers.width, topo.hop_count
+    hops = topo.hop_count
     buffers.gains.clear()
     buffers.devices, buffers.dist = _device_key(scenario), []
     counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
-    last = max((t for t in range(1, hops + 1) if counts[t - 1]), default=0)
     for t in range(1, hops + 1):
         rows = buffers.device_dist[t - 1][:counts[t - 1]]
         dist = rows[:, :trials]
@@ -340,9 +335,8 @@ def _draw_devices(buffers: _Buffers, rng: np.random.Generator,
             np.negative(dist, out=dist)
             dist /= math.pi * topo.density_active
             np.sqrt(dist, out=dist)
-        fades = buffers.device_fade[t - 1][:counts[t - 1]].reshape(-1)
         rng.standard_exponential(
-            out=fades if t < last else fades[:fades.size - width + trials])
+            out=buffers.device_fade[t - 1][:counts[t - 1]].reshape(-1))
 
 
 def _rate(y, a, b, tf):
@@ -877,7 +871,8 @@ class FamilyStats:
 @dataclass
 class DeviceGroupStats:
     """Counters of one device group of a stream group; a family whose
-    every member failed adds nothing."""
+    every member failed adds nothing.  The group's trials resolved are
+    the sum of its ``families``' trials."""
 
     pairing: str             # "bare" for a chain without devices
     topology: int            # numbered from 1 in the stream group
@@ -885,8 +880,7 @@ class DeviceGroupStats:
     family_count: int
     blocks: int = 0          # resolved
     hop_only: int = 0        # of them, without device decoding
-    trials: int = 0          # resolved, summed over members
-    undecoded: int = 0       # of them, without device decoding
+    undecoded: int = 0       # trials resolved without device decoding
     families: dict = field(default_factory=dict)  # FamilyStats by label
 
 
@@ -951,9 +945,7 @@ def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
             for key, members in present.items()}
         rng = _block_rng(stats.seed, b)
         try:
-            stats.skipped += _draw(buffers, rng, max(width.values()), any(
-                trials for (pairing, _), trials in decoding.items()
-                if pairing is not None))
+            stats.skipped += _draw(buffers, rng, max(width.values()))
         except Exception as exc:
             # without its traceback, whose frames hold the buffer set
             failed.update(dict.fromkeys(width, exc.with_traceback(None)))
@@ -1014,7 +1006,6 @@ def _resolve_group(stats: DeviceGroupStats, families: dict, cuts: dict,
             continue
         record.seconds = time.perf_counter() - tick
         record.trials = sum(family_width[s] for s in tallied)
-        stats.trials += record.trials
         stats.undecoded += sum(family_width[s] for s in tallied
                                if not _decodes_devices(reads[s]))
         label = "+".join(dict.fromkeys(s.scheme.value for s in family))

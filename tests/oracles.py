@@ -225,15 +225,13 @@ def shipped_scenarios() -> list:
     configs = Path(__file__).resolve().parent.parent / "configs"
     for path in sorted(configs.glob("*.yaml")):
         config = experiments.load_config(path)
-        core = experiments._SweepCore(None)
+        core = experiments._SweepCore(config)
         selectors = [experiments.parse_metric(metric)
                      for metric in config.sweep.metrics]
-        for value in config.sweep.grid:
-            for scheme in config.sweep.schemes:
-                ctx = experiments._PointContext(config, scheme, value, core)
-                for selector in selectors:
-                    for s, _, _ in ctx.simulation_runs(selector):
-                        found.setdefault(s, None)
+        for _, _, scenario in experiments._points(config, {}):
+            for selector in selectors:
+                for s, _, _ in core.simulation_runs(scenario, selector):
+                    found.setdefault(s, None)
     return list(found)
 
 
@@ -324,7 +322,7 @@ def drawn_alone(scenario: Scenario, rng: np.random.Generator, width: int,
     draws it."""
     trials = width if trials is None else trials
     buffers = montecarlo._Buffers([scenario], width)
-    montecarlo._draw(buffers, rng, trials, devices)
+    montecarlo._draw(buffers, rng, trials)
     if devices:
         montecarlo._draw_devices(buffers, rng, scenario, trials)
     return buffers

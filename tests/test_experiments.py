@@ -323,8 +323,8 @@ def test_efficiency_rows_divide_throughput_by_supply_power():
 
 
 def test_flag_plumbing(monkeypatch):
-    monkeypatch.setattr(experiments._PointContext, "declared_margin",
-                        lambda self, selector, ana, est: -1.0)
+    monkeypatch.setattr(experiments._SweepCore, "declared_margin",
+                        lambda self, scenario, selector, ana, est: -1.0)
     result = run_sweep(small_config(), source="both")
     assert not result.clean
     assert len(result.flagged) == 2
@@ -332,6 +332,31 @@ def test_flag_plumbing(monkeypatch):
     assert (value, scheme, metric) == (0.0, "tcom", "hop_op:1")
     assert gap == abs(ana - mc)
     assert margin == -1.0
+
+
+def test_a_point_that_cannot_be_built_fails_each_scheme(monkeypatch):
+    # each grid value's config is derived once for all its schemes; a value
+    # without a topology fails the whole point of every scheme, and
+    # fill_fit_cache raises the error of a qom point only
+    sweep = SweepSpec(variable="node_count", grid=(3, 5),
+                      schemes=(Scheme.TCOM, Scheme.TQOM),
+                      metrics=("hop_op:1",))
+    config = small_config(sweep=sweep, topology_by_node_count={3: T3})
+    derived, derive = [], experiments._point_config
+    monkeypatch.setattr(experiments, "_point_config", lambda config, value: (
+        derived.append(value) or derive(config, value)))
+    result = run_sweep(config, source="analytic")
+    assert derived == [3, 5]
+    assert [(r.value, r.scheme) for r in result.rows] \
+        == [("3", "tcom"), ("3", "tqom")]
+    assert result.failures == [
+        (5, scheme, "*", "ValueError: no topology configured for node count 5")
+        for scheme in ("tcom", "tqom")]
+    with pytest.raises(ValueError, match="node count 5"):
+        experiments.fill_fit_cache(config)
+    com_only = dataclasses.replace(
+        config, sweep=dataclasses.replace(sweep, schemes=(Scheme.TCOM,)))
+    assert experiments.fill_fit_cache(com_only) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +745,18 @@ def test_power_family_rows_equal_standalone_marginals(tmp_path, name):
     rows = run_sweep(config, source="analytic").rows
     book = channel.FitBook(config.fit_cache_path)
     want = []
-    for value in config.sweep.grid:
-        for scheme in config.sweep.schemes:
-            scenario = experiments._build_scenario(config, scheme, value, {})
-            alone = analytics.SlotMarginals(scenario, functools.partial(
-                experiments._nearest_fit, book, scenario))
-            for metric in config.sweep.metrics:
-                selector = parse_metric(metric)
-                for asymptotic in (False, True)[
-                        :1 + config.sweep.include_asymptotic]:
-                    want.append((repr(value), scheme.value, metric,
-                                 "asymptotic" if asymptotic else "analytic",
-                                 repr(alone.throughput(asymptotic)
-                                      if selector == ("throughput",)
-                                      else alone.outage(selector,
-                                                        asymptotic))))
+    for value, scheme, scenario in experiments._points(config, {}):
+        alone = analytics.SlotMarginals(scenario, functools.partial(
+            experiments._nearest_fit, book, scenario))
+        for metric in config.sweep.metrics:
+            selector = parse_metric(metric)
+            for asymptotic in (False, True)[
+                    :1 + config.sweep.include_asymptotic]:
+                want.append((repr(value), scheme.value, metric,
+                             "asymptotic" if asymptotic else "analytic",
+                             repr(alone.throughput(asymptotic)
+                                  if selector == ("throughput",)
+                                  else alone.outage(selector, asymptotic))))
     assert [(r.value, r.scheme, r.metric, r.source, repr(r.mean))
             for r in rows] == want
 
@@ -793,7 +815,8 @@ def test_shipped_mc_table_is_byte_identical(tmp_path):
     groups = {g.pairing: g for g in stream.devices}
     assert len(groups) == len(stream.devices) == 3
     assert all(g.blocks == 3 and g.families for g in groups.values())
-    assert {k: g.trials for k, g in groups.items()} \
+    assert {k: sum(f.trials for f in g.families.values())
+            for k, g in groups.items()} \
         == {"com": 980_000, "qom": 980_000, "bare": 140_000}
     # block 2 serves only the outage runs, which read no device event: it
     # draws no device geometry and its 8,928 trials decode no device
@@ -885,9 +908,9 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
                                                          tmp_path):
     draws, widths, families, devices = [], [], [], {}
 
-    def draw(buffers, rng, trials, geometry, draw=montecarlo._draw):
-        draws.append((buffers, trials, geometry))
-        return draw(buffers, rng, trials, geometry)
+    def draw(buffers, rng, trials, draw=montecarlo._draw):
+        draws.append((buffers, trials))
+        return draw(buffers, rng, trials)
 
     def draw_devices(buffers, rng, scenario, trials,
                      draw=montecarlo._draw_devices):
@@ -918,20 +941,18 @@ def test_sweep_draws_once_and_resolves_each_scenario_once(monkeypatch,
     # com-noeh and qom-noeh at once, pcom and pqom their 3, cnrr alone
     assert sorted(families) == sorted([4] * 2 * 4 + [3] * 2 * 4 + [1] * 4)
     # the group allocates one buffer set and refills it for its 4 blocks
-    assert len({id(buffers) for buffers, _, _ in draws}) == 1
+    assert len({id(buffers) for buffers, _ in draws}) == 1
     # the last block is drawn and resolved only as far as the
     # 200,000-trial runs read it
     tail = 200_000 - 3 * montecarlo.BLOCK_SIZE
-    assert [trials for _, trials, _ in draws] \
+    assert [trials for _, trials in draws] \
         == [montecarlo.BLOCK_SIZE] * 3 + [tail]
     assert sorted(set(widths)) == [tail, montecarlo.BLOCK_SIZE]
     assert widths.count(tail) == 15
     assert sum(widths) == 15 * 200_000
     # blocks 2 and 3 serve only the outage runs, which read hop_op:2 and
-    # e2e_op:destination, so no scenario decodes devices there: the hop
-    # fades end those blocks' streams, and no device group draws
-    assert [geometry for _, _, geometry in draws] \
-        == [True, True, False, False]
+    # e2e_op:destination, so no scenario decodes devices there, and no
+    # device group draws
     assert devices == {pairing: [(0, montecarlo.BLOCK_SIZE),
                                  (1, montecarlo.BLOCK_SIZE)]
                        for pairing in ("com", "qom", None)}

@@ -61,7 +61,8 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
 # selector grammar, now read from the scenario by both routes; a draw set
 # and a resolve workspace, now one buffer set per stream group; a failure
 # table per event kind, now one success count per selector; counters
-# formatted into log strings, now one statistics record per sweep
+# formatted into log strings, now one statistics record per sweep; a
+# per-point wrapper around the sweep core, which takes the scenario
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
                   "energy_efficiency", "_chain_gains", "_check_argument",
@@ -72,6 +73,7 @@ DELETED = {
                    "Tallies.device_fail", "Tallies.e2e_destination_fail",
                    "Tallies.e2e_device_fail", "_runs", "_states",
                    "_GroupStats"),
+    "experiments": ("_PointContext",),
 }
 REMOVED_PARAMETERS = {
     "empty_annulus": (montecarlo.simulate, montecarlo.simulate_plan,
@@ -97,8 +99,9 @@ REMOVED_PARAMETERS = {
     "n": (montecarlo._draw,),
     "draws": (montecarlo._draw,),
     "work": (montecarlo._resolve,),
-    # a resolve builds what the runs reading its block read
-    "devices": (montecarlo._resolve,),
+    # a resolve builds what the runs reading its block read, and a draw
+    # draws its fades in full whether or not device draws follow
+    "devices": (montecarlo._resolve, montecarlo._draw),
     # a resolve takes a family; a scenario alone is a family of one
     "scenario": (montecarlo._resolve,),
     # counters go to named fields of a statistics record, not a list
@@ -131,9 +134,9 @@ def test_library_holds_only_the_model():
     assert not [name for name, value in vars(montecarlo).items()
                 if hasattr(value, "cache_info")]
     # one way into each route: a scenario in, fits through one callable,
-    # and the sweep's kernel memo and P0-free tables if it shares them
+    # and the sweep's kernel memo, which carries its P0-free tables
     assert list(inspect.signature(analytics.SlotMarginals).parameters) \
-        == ["scenario", "nearest_fit", "kernels", "tables"]
+        == ["scenario", "nearest_fit", "kernels"]
     assert not {"hop", "device", "e2e"} & set(vars(analytics.SlotMarginals))
     assert not hasattr(analytics.AllocationPlan, "subarea_count")
     # no qom copy of the device fields: a qom plan lists its one device
@@ -174,6 +177,8 @@ def test_library_holds_only_the_model():
     assert not hasattr(Scheme, "serves_devices")
     assert "com_present" not in montecarlo._Block.__slots__
     assert "com_present" not in inspect.getsource(montecarlo._Buffers)
+    # a device group's trials are the sum over its families
+    assert "trials" not in _fields(montecarlo.DeviceGroupStats)
     # decode events are threshold comparisons; no tally reads a rate
     assert not {"hop_rates", "device_rates"} & set(montecarlo._Block.__slots__)
     assert hasattr(oracles, "reference_decode")
