@@ -517,9 +517,8 @@ class _SweepCore:
         if kind == "device":
             allowance = 0.0
             if selector[2] is None:
-                allowance = 2.0 * max(
-                    _nearest_fit(self.fits, s, t).fit_error
-                    for t in range(1, s.topology.hop_count + 1))
+                allowance = 2.0 * _nearest_fit(self.fits, s,
+                                               selector[1]).fit_error
             return sigma3 + allowance + floor
         # end-to-end compositions multiply per-slot marginals; the simulator
         # resolves the exact joint events, where a harvesting node reuses the
@@ -665,7 +664,7 @@ def _emit_point(core: _SweepCore, value, scenario: Scenario, metric: str,
                 margin = core.declared_margin(scenario, selector,
                                               analytic_value, estimate)
             except Exception as exc:
-                # the margin of a qom device row reads every slot's fit
+                # the margin of a qom device row reads its slot's fit
                 fail(exc)
                 return
             gap = abs(analytic_value - estimate.mean)

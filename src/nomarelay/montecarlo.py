@@ -18,9 +18,10 @@ longer one with the same seed.  Blocks are tallied in block order, which
 the float moment sums need to come out the same.  A sweep plans its
 simulation once (:func:`simulate_plan`): the scenarios of one seed and
 node count (a stream group) draw each block's relay chain once
-(:func:`_draw`), each pairing and topology (a device group) its device
-geometry (:func:`_draw_devices`), and the scenarios of a device group
-equal but for their harvest probabilities (a family) are resolved
+(:func:`_draw`), each pairing, topology and path-loss law (a device
+group) its device geometry, held as path gains, the only form the
+decisions read (:func:`_draw_devices`), and the scenarios of a device
+group equal but for their harvest probabilities (a family) are resolved
 together on candidate rows, one per harvest run and receiver state of
 the policy's harvest-state table (:func:`_resolve`); each member picks
 its decisions by its own indicators, bit for bit as if resolved alone.
@@ -116,12 +117,12 @@ class _Block:
 class _Buffers:
     """Every array one stream group (the scenarios of one seed and node
     count) fills, at the group's full ``width``: the random numbers of one
-    block (:func:`_draw`, :func:`_draw_devices`), the device path gains per
-    (L, eps), the threshold bands per rate-test chain (``bands``, see
-    :func:`_chain`), and the arrays :func:`_resolve` writes, allocated on
-    first use (:meth:`take`), among them the candidate rows of a family.  A
-    group refills one set for every block, device group and family; a
-    draw and a resolve read and write ``[..., :n]`` views of it.
+    block (:func:`_draw`, :func:`_draw_devices`), the threshold bands per
+    rate-test chain (``bands``, see :func:`_chain`), and the arrays
+    :func:`_resolve` writes, allocated on first use (:meth:`take`), among
+    them the candidate rows of a family.  A group refills one set for every
+    block, device group and family; a draw and a resolve read and write
+    ``[..., :n]`` views of it.
 
     ``u_eh`` holds the harvest uniforms of the relays only, and
     ``certain_eh`` marks the relays whose rho is 0 or 1 in every scenario
@@ -130,9 +131,10 @@ class _Buffers:
     slot's disk, and ``active`` to its activity rows, one row set per
     distinct tuple of probabilities (``activity``).  The device rows of
     each slot are allocated at the group's largest device count, and a
-    device group reads the ``[:count]`` rows of its own fill; ``devices``
-    names the (pairing, topology) whose device geometry the last fill drew,
-    and ``dist`` holds that fill's distance views, or is None."""
+    device group reads the ``[:count]`` rows of its own fill: the path gain
+    of each drawn device distance (``device_gain``) and its fade.
+    ``devices`` names the device group (pairing, topology, L, eps) whose
+    rows the last fill drew, or is None."""
 
     def __init__(self, scenarios, width: int):
         scenarios = list(scenarios)
@@ -153,11 +155,9 @@ class _Buffers:
             self.active[topo] = self.activity[p_active]
         counts = [max(len(s.served(t)) for s in scenarios)
                   for t in range(1, hops + 1)]
-        self.device_dist = [np.empty((k, width)) for k in counts]
+        self.device_gain = [np.empty((k, width)) for k in counts]
         self.device_fade = [np.empty((k, width)) for k in counts]
-        self.devices, self.dist = None, None
-        # gains of the current device fill by (L, eps), in rows allocated once
-        self.gains, self.gain_rows, self.arrays, self.bands = {}, {}, {}, {}
+        self.devices, self.arrays, self.bands = None, {}, {}
 
     def take(self, name, rows: tuple, n: int, dtype=float) -> np.ndarray:
         """Array ``name`` of shape ``rows + (n,)``; its values are stale."""
@@ -170,28 +170,7 @@ class _Buffers:
     def nbytes(self) -> int:
         return sum(a.nbytes for a in [
             self.u_eh, *self.activity.values(), self.hop_fades,
-            *self.device_dist, *self.device_fade, *self.arrays.values(),
-            *(row for rows in self.gain_rows.values() for row in rows)])
-
-    def device_gain(self, scenario: Scenario) -> list:
-        """Path gain of every device distance the current fill drew for the
-        device group of ``scenario``, once per (L, eps) and fill
-        (:func:`_draw_devices` empties ``gains``), into rows the set owns:
-        per slot, a ``[:count, :trials]`` view."""
-        if self.devices != _device_key(scenario):
-            raise RuntimeError("this fill drew no device geometry for "
-                               f"{scenario.scheme.value}")
-        budget = scenario.budget
-        key = (budget.L, budget.epsilon)
-        if key not in self.gains:
-            if key not in self.gain_rows:
-                self.gain_rows[key] = [np.empty_like(dist)
-                                       for dist in self.device_dist]
-            self.gains[key] = [
-                pathloss_linear(dist, budget,
-                                out=row[:dist.shape[0], :dist.shape[1]])
-                for dist, row in zip(self.dist, self.gain_rows[key])]
-        return self.gains[key]
+            *self.device_gain, *self.device_fade, *self.arrays.values()])
 
 
 # 64-bit outputs Philox yields per counter step
@@ -254,8 +233,7 @@ def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int) -> int:
     stream calls and float operations, in the same order, as a freshly
     allocated one.
     """
-    buffers.gains.clear()
-    buffers.devices = buffers.dist = None
+    buffers.devices = None
     width, hops = buffers.width, buffers.hop_fades.shape[0]
 
     # 1. harvest uniforms of nodes 2..M-1, compared with rho on resolution;
@@ -292,8 +270,10 @@ def _draw(buffers: _Buffers, rng: np.random.Generator, trials: int) -> int:
 
 def _device_key(scenario: Scenario) -> tuple:
     """The device group of ``scenario``: scenarios of one stream group that
-    share pairing and topology read the same device draws."""
-    return scenario.scheme.pairing, scenario.topology
+    share pairing, topology and path-loss law read the same device rows."""
+    budget = scenario.budget
+    return scenario.scheme.pairing, scenario.topology, budget.L, \
+        budget.epsilon
 
 
 def _draw_devices(buffers: _Buffers, rng: np.random.Generator,
@@ -303,18 +283,18 @@ def _draw_devices(buffers: _Buffers, rng: np.random.Generator,
     ended, into the ``[:count]`` device rows of each slot, as far as
     ``trials``.  Uniform rows fill their first ``trials`` columns and
     skip the rest; the device fades, ziggurat draws like the hop fades,
-    are drawn in full.  A bare chain draws none."""
+    are drawn in full.  Each drawn distance becomes its path gain in place
+    (``device_gain``), the only form a resolve reads, so a fill serves one
+    path-loss law.  A bare chain draws none."""
     topo, pairing = scenario.topology, scenario.scheme.pairing
     hops = topo.hop_count
-    buffers.gains.clear()
-    buffers.devices, buffers.dist = _device_key(scenario), []
+    buffers.devices = None
     counts = [len(scenario.served(t)) for t in range(1, hops + 1)]
     for t in range(1, hops + 1):
-        rows = buffers.device_dist[t - 1][:counts[t - 1]]
-        dist = rows[:, :trials]
-        buffers.dist.append(dist)
         if not counts[t - 1]:
             continue
+        rows = buffers.device_gain[t - 1][:counts[t - 1]]
+        dist = rows[:, :trials]
         _skip(rng, _uniforms(rng, rows, trials, 0))
         radius = topo.disk_radii[t - 1]
         if pairing == "com":
@@ -335,8 +315,10 @@ def _draw_devices(buffers: _Buffers, rng: np.random.Generator,
             np.negative(dist, out=dist)
             dist /= math.pi * topo.density_active
             np.sqrt(dist, out=dist)
+        pathloss_linear(dist, scenario.budget, out=dist)
         rng.standard_exponential(
             out=buffers.device_fade[t - 1][:counts[t - 1]].reshape(-1))
+    buffers.devices = _device_key(scenario)
 
 
 def _rate(y, a, b, tf):
@@ -459,10 +441,13 @@ def _resolve(family, buffers: _Buffers, n: int, reads, stats):
     A member's device messages are decoded only if its ``reads`` hold a
     device event or the throughput, else its block's ``device_ok`` and
     ``throughput`` are None; the throughput and the supply units are built
-    only if read, else they are None.  One SIC chain decodes com and qom
-    slots alike over the device messages the plan lists, and the pairing
-    enters only through the buffers.  Every element of an array is written
-    before a result reads it.
+    only if read, else they are None.  The device rows read are the path
+    gains and fades of the fill drawn for the family's device group
+    (pairing, topology and path-loss law); a fill drawn for another group
+    raises ``RuntimeError`` for the members that decode devices.  One SIC
+    chain decodes com and qom slots alike over the device messages the
+    plan lists, and the pairing enters only through the buffers.  Every
+    element of an array is written before a result reads it.
     """
     first = family[0]
     topo, plan, budget = first.topology, first.plan, first.budget
@@ -553,11 +538,13 @@ def _resolve(family, buffers: _Buffers, n: int, reads, stats):
     device_rows = None
     if any(map(_decodes_devices, reads)):
         try:
+            if buffers.devices != _device_key(first):
+                raise RuntimeError("this fill drew no device geometry for "
+                                   f"{first.scheme.value}")
             device_rows = []
-            device_gain = buffers.device_gain(first)
             for t in range(1, hops + 1):
-                ell_dev = device_gain[t - 1][:, :n]
-                count = ell_dev.shape[0]
+                count = len(first.served(t))
+                ell_dev = buffers.device_gain[t - 1][:count, :n]
                 fade = buffers.device_fade[t - 1][:count, :n]
                 # rows of the group's largest device count, shared by every
                 # pairing of the stream group
@@ -809,17 +796,17 @@ def simulate_plan(runs, reads=None, stats=None) -> dict:
     run without an entry is tallied in full.  The runs of one seed and
     node count form a stream group: each block's harvest uniforms,
     activity and hop fades are drawn once for all of them, its device
-    draws once per device group (pairing and topology), and it is
-    resolved once per family (the scenarios equal but for their harvest
-    probabilities, :func:`_family_key`) and tallied into every trial count
-    asked of each member, in block order.  A block is drawn only as far as
-    its widest run reads it.  A block decodes a member's device messages
-    only if a run reading that block reads a device event or the
-    throughput, builds its throughput and supply-power rows only if a run
-    reading the block reads them, and draws a device group's geometry only
-    if some member of it decodes devices.  So each entry equals its run
-    simulated alone on everything the run reads.  A failed run maps to its
-    exception.  A list passed as ``stats`` gains the
+    draws once per device group (pairing, topology and path-loss law), and
+    it is resolved once per family (the scenarios equal but for their
+    harvest probabilities, :func:`_family_key`) and tallied into every
+    trial count asked of each member, in block order.  A block is drawn
+    only as far as its widest run reads it.  A block decodes a member's
+    device messages only if a run reading that block reads a device event
+    or the throughput, builds its throughput and supply-power rows only if
+    a run reading the block reads them, and draws a device group's
+    geometry only if some member of it decodes devices.  So each entry
+    equals its run simulated alone on everything the run reads.  A failed
+    run maps to its exception.  A list passed as ``stats`` gains the
     :class:`StreamStats` of each stream group, in the order simulated.
     """
     reads, stats = reads or {}, [] if stats is None else stats
@@ -872,7 +859,8 @@ class FamilyStats:
 class DeviceGroupStats:
     """Counters of one device group of a stream group; a family whose
     every member failed adds nothing.  The group's trials resolved are
-    the sum of its ``families``' trials."""
+    the sum of its ``families``' trials.  Groups that differ only in
+    their path-loss law share ``pairing`` and ``topology``."""
 
     pairing: str             # "bare" for a chain without devices
     topology: int            # numbered from 1 in the stream group
@@ -904,13 +892,15 @@ def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
 
     Per block, steps 1-3 are drawn once, as far as the widest run reads
     the block, and the stream's state after them is kept; each device
-    group that decodes devices there restores it and draws its own step 4,
-    as far as its widest member reads the block, into device rows every
-    group shares, and resolves its families before the next group draws.
+    group (pairing, topology and path-loss law) that decodes devices there
+    restores it and draws its own step 4, as far as its widest member reads
+    the block, into the device rows every group shares, which then hold
+    its path gains, and resolves its families before the next group draws.
     A longer run extends a shorter one, and each family resolves a block
-    as wide as the longest run of a member reads it.  A failed draw fails
-    the runs reading it.  The group's buffer set and every block's views
-    of it are freed on return, before the next group allocates its own."""
+    as wide as the longest run of a member reads it.  A failed draw, path
+    loss included, fails the runs reading it.  The group's buffer set and
+    every block's views of it are freed on return, before the next group
+    allocates its own."""
     failed, start = {}, time.perf_counter()
     groups, topologies = {}, {}
     for s in cuts:

@@ -268,9 +268,9 @@ def draw_in_full(buffers, rng: np.random.Generator, scenario: Scenario,
     ``scenario``, drawing every row in full at the set's width: every
     uniform row, the destination's harvest row and each certain activity
     row too, and every row of the fades, with each disk's activity
-    probability derived here."""
-    buffers.gains.clear()
-    buffers.devices = buffers.dist = None
+    probability derived here, and each device distance turned into its
+    path gain in the same float operations."""
+    buffers.devices = None
     hops = buffers.hop_fades.shape[0]
     rng.random(out=buffers.u_eh)
     # the destination's harvest row, which the set does not hold; the hop
@@ -287,10 +287,8 @@ def draw_in_full(buffers, rng: np.random.Generator, scenario: Scenario,
     if not devices:
         return
     topo, pairing = scenario.topology, scenario.scheme.pairing
-    buffers.devices, buffers.dist = montecarlo._device_key(scenario), []
     for t in range(1, hops + 1):
-        dist = buffers.device_dist[t - 1][:len(scenario.served(t))]
-        buffers.dist.append(dist)
+        dist = buffers.device_gain[t - 1][:len(scenario.served(t))]
         radius = topo.disk_radii[t - 1]
         if pairing == "com":
             kt = topo.subarea_counts[t - 1]
@@ -311,7 +309,9 @@ def draw_in_full(buffers, rng: np.random.Generator, scenario: Scenario,
             np.sqrt(dist, out=dist)
         else:
             continue
+        pathloss_linear(dist, scenario.budget, out=dist)
         rng.standard_exponential(out=buffers.device_fade[t - 1][:len(dist)])
+    buffers.devices = montecarlo._device_key(scenario)
 
 
 def drawn_alone(scenario: Scenario, rng: np.random.Generator, width: int,
@@ -519,10 +519,12 @@ def masked_resolve(scenario: Scenario, buffers, n: int,
         device_snr, device_ok = [], []
         if ("throughput",) in reads:
             throughput = np.multiply(prefix_ok[-1], plan.relay_rate)
-        device_gain = buffers.device_gain(scenario)
+        if buffers.devices != montecarlo._device_key(scenario):
+            raise RuntimeError("this fill drew no device geometry for "
+                               f"{scenario.scheme.value}")
         for t in range(1, hops + 1):
-            ell_dev = device_gain[t - 1][:, :n]
-            count = ell_dev.shape[0]
+            count = len(scenario.served(t))
+            ell_dev = buffers.device_gain[t - 1][:count, :n]
             fade = buffers.device_fade[t - 1][:count, :n]
             served = active[t - 1]
             row = np.multiply(g0, powers[t - 1])

@@ -4,8 +4,8 @@ Each criterion gets one pass/fail line under ``pytest -v``.  Green
 criteria assert directly.  A handful of figure-read reference values are
 known-unreachable under the as-printed propagation constant; their tests
 gather every pinned comparison first and then fail with the full list,
-deliberately, instead of being skipped or masked.  The analysis behind
-each red anchor lives in the project decisions ledger.
+deliberately, instead of being skipped or masked.  ``tests/RED_ANCHORS.md``
+names each red anchor's pinned window and what drives the miss.
 """
 
 import dataclasses
@@ -206,7 +206,7 @@ def test_criterion_4b_node_scaling_qom():
                               f"outside [{lo:.3f}, {hi:.3f}]")
     # pinned reference values; the four-node level and the drop are
     # known-unreachable under the as-printed propagation constant.
-    # Analysis in the project decisions ledger.
+    # See tests/RED_ANCHORS.md.
     assert not misses, "\n".join(misses)
 
 
@@ -228,7 +228,7 @@ def test_criterion_4c_harvesting_share_tradeoff():
         misses.append(f"tcom decays {flat:.1f}% over rho 0..0.4, "
                       "expected nearly flat (<= 10%)")
     # pinned reference values; known-unreachable under the as-printed
-    # propagation constant.  Analysis in the project decisions ledger.
+    # propagation constant.  See tests/RED_ANCHORS.md.
     assert not misses, "\n".join(misses)
 
 
@@ -244,7 +244,7 @@ def test_criterion_4d_peak_energy_efficiency_gain():
         peak = max(peak, max(row.mean for row in result.rows))
     # pinned reference value, 2.5 Gbit/Joule within a factor of 1.5;
     # known-unreachable under the as-printed propagation constant.
-    # Analysis in the project decisions ledger.
+    # See tests/RED_ANCHORS.md.
     assert 2.5e9 / 1.5 <= peak <= 2.5e9 * 1.5, f"peak {peak:.4g}"
 
 
@@ -281,7 +281,7 @@ def test_criterion_5_diversity_order():
     # pinned reference window at the default harvesting level; the
     # harvested power chains are still outside their linear region at
     # +40 dBm under the as-printed propagation constant, so these stay
-    # red.  Analysis in the project decisions ledger.
+    # red.  See tests/RED_ANCHORS.md.
     assert not misses, "\n".join(misses)
 
 

@@ -23,6 +23,7 @@ from nomarelay.experiments import (
     render_results,
     run_sweep,
 )
+from nomarelay.geometry import log_null_probability
 from nomarelay.network import NetworkTopology, Scheme
 import oracles
 
@@ -435,6 +436,46 @@ def test_fit_error_fails_only_rows_that_read_the_fit(monkeypatch):
     assert len(calls) == 1  # the failure is remembered, not retried
 
 
+def test_a_qom_device_margin_reads_only_its_own_slot_fit(monkeypatch):
+    # t2 serves a 100 m disk at slot 1 and 50 m disks at slots 2 and 3;
+    # with the 50 m fit refused, slot 2's nearest-device row fails, while
+    # slot 1's row, whose value, estimate and margin read the 100 m fit
+    # alone, stands
+    fit100 = channel.FittedGainDistribution(
+        mu=0.12381469748798679, theta=0.9774996210662569,
+        m=0.352367611096878, fit_error=0.00016760753354505553)
+
+    def fit(disk, budget, **kw):
+        if disk.radius != 100.0:
+            raise channel.FitError("refused")
+        return fit100
+
+    calls = _count_fits(monkeypatch, fit=fit)
+    margins, declared = [], experiments._SweepCore.declared_margin
+
+    def recorded(self, scenario, selector, *args):
+        margins.append((selector, declared(self, scenario, selector, *args)))
+        return margins[-1][1]
+
+    monkeypatch.setattr(experiments._SweepCore, "declared_margin", recorded)
+    t2 = NetworkTopology(**experiments.TOPOLOGY_PRESETS["t2"],
+                         density_active=1e-2)
+    sweep = SweepSpec(variable="p0_dbm", grid=(0.0,), schemes=(Scheme.TQOM,),
+                      metrics=("device_op:1:nearest", "device_op:2:nearest"))
+    result = run_sweep(small_config(topology=t2, sweep=sweep), source="both")
+    assert result.failures == [
+        (0.0, "tqom", "device_op:2:nearest", "FitError: refused")]
+    means = {(row.metric, row.source): row.mean for row in result.rows}
+    assert all(math.isfinite(means["device_op:1:nearest", source])
+               for source in ("analytic", "mc"))
+    assert math.isnan(means["device_op:2:nearest", "analytic"])
+    # the one margin declared carries twice slot 1's fit error
+    (selector, margin), = margins
+    assert selector == ("device", 1, None)
+    assert margin > 2.0 * fit100.fit_error
+    assert len(calls) == 2  # one fit per disk radius, none retried
+
+
 def test_unwritable_sidecar_warns_and_keeps_the_fit(monkeypatch, tmp_path,
                                                   caplog):
     calls = _count_fits(monkeypatch)
@@ -590,6 +631,50 @@ def test_shipped_both_tables_are_byte_identical(tmp_path, name):
     assert sorted({(value, scheme, metric)
                    for value, scheme, metric, *_ in result.flagged}) \
         == flagged
+
+
+# sparse points of the density sweep, each scheme without harvesting, so
+# no harvest-product bias enters the throughput; the qom points are fitted
+# in the shipped sidecar
+ACTIVITY_POINTS = ((Scheme.COM_NOEH, (1e-4, 2e-4)),
+                   (Scheme.QOM_NOEH, (1e-4, 3e-4)))
+
+
+@pytest.mark.parametrize("scheme, grid", ACTIVITY_POINTS,
+                         ids=[s.value for s, _ in ACTIVITY_POINTS])
+def test_throughput_gap_is_the_disk_activity_term(tmp_path, scheme, grid):
+    # the simulator earns a device's rate only in trials where its disk is
+    # active, while the analytic sum weights it by its end-to-end outage
+    # given an active disk; so analytic - mc throughput is
+    # sum_t sum_k r_tk iota_t (1 - op_e2e,tk) / slots, with iota_t the
+    # probability that slot t's disk is idle, within 3 sigma of the
+    # estimate, and the term itself lies beyond 3 sigma
+    config = _shipped(tmp_path, "density", p0_dbm=0.0,
+                      trials_throughput=100_000,
+                      sweep=SweepSpec(variable="density_active", grid=grid,
+                                      schemes=(scheme,),
+                                      metrics=("throughput",)))
+    result = run_sweep(config, source="both")
+    assert not result.failures, result.failures
+    rows = {(row.value, row.source): row for row in result.rows}
+    book = channel.FitBook(config.fit_cache)
+    for value, _, s in experiments._points(config, {}):
+        topo = s.topology
+        marginals = analytics.SlotMarginals(
+            s, lambda t: book.fit(topo.disk(t), s.budget))
+        term = sum(
+            r * math.exp(log_null_probability(topo.density_active,
+                                              topo.disk_radii[t - 1]))
+            * (1.0 - marginals.outage(("e2e_device", t, k)))
+            for t in range(1, topo.hop_count + 1)
+            for r, k in zip(s.plan.device_rates[t - 1], s.served(t))) \
+            / s.plan.slot_count
+        ana, mc = rows[repr(value), "analytic"], rows[repr(value), "mc"]
+        assert ana.mean == marginals.throughput()
+        assert mc.trials == 100_000
+        sigma = mc.ci_half_width / 1.96
+        assert abs(ana.mean - mc.mean - term) <= 3.0 * sigma, value
+        assert term > 3.0 * sigma, value
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ANALYTIC))
@@ -835,11 +920,11 @@ def test_shipped_mc_table_is_byte_identical(tmp_path):
     assert all(f.whole_row == 0 for g in groups.values()
                for f in g.families.values())
     # the group allocates one buffer set, at full block width, with the
-    # device rows of its largest device count (com) and an activity row set
-    # per topology: 312 block widths, 3 more than the com draw group's set
-    # alone and half the 634 of the com, qom and bare sets allocated one
-    # after another
-    assert stream.nbytes == 312 * montecarlo.BLOCK_SIZE
+    # device rows of its largest device count (com), which hold the path
+    # gains, and an activity row set per topology: 264 block widths, 3 more
+    # than the com draw group's set alone and under half the 562 of the
+    # com, qom and bare sets allocated one after another
+    assert stream.nbytes == 264 * montecarlo.BLOCK_SIZE
 
 
 def test_sweep_statistics_are_deterministic(tmp_path, caplog):

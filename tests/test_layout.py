@@ -21,7 +21,7 @@ from nomarelay import (analytics, channel, cli, experiments, montecarlo,
                        power, specfun)
 from nomarelay.channel import FitBook, LinkBudget
 from nomarelay.geometry import CoverageDisk
-from nomarelay.network import NetworkTopology, Scheme
+from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
 
 MOVED = {
     "geometry": ("as_generator", "PointPattern", "sample_hppp_disk",
@@ -62,7 +62,8 @@ MERGED = ("_ccdf_kernel", "_ccdf_kernel_deficit", "_annulus_value",
 # and a resolve workspace, now one buffer set per stream group; a failure
 # table per event kind, now one success count per selector; counters
 # formatted into log strings, now one statistics record per sweep; a
-# per-point wrapper around the sweep core, which takes the scenario
+# per-point wrapper around the sweep core, which takes the scenario; a
+# per-law cache of device path gains, now held by the device rows
 DELETED = {
     "analytics": ("op_typeI", "op_typeII_com", "op_typeII_qom", "e2e_op",
                   "energy_efficiency", "_chain_gains", "_check_argument",
@@ -72,7 +73,7 @@ DELETED = {
                    "lru_cache", "_Draws", "_Workspace", "Tallies.hop_fail",
                    "Tallies.device_fail", "Tallies.e2e_destination_fail",
                    "Tallies.e2e_device_fail", "_runs", "_states",
-                   "_GroupStats"),
+                   "_GroupStats", "_Buffers.device_gain"),
     "experiments": ("_PointContext",),
 }
 REMOVED_PARAMETERS = {
@@ -177,6 +178,20 @@ def test_library_holds_only_the_model():
     assert not hasattr(Scheme, "serves_devices")
     assert "com_present" not in montecarlo._Block.__slots__
     assert "com_present" not in inspect.getsource(montecarlo._Buffers)
+    # device rows hold path gains: no gain cache, second row set or
+    # distance views beside them, and no method computes the gains
+    topology = NetworkTopology(hop_distances=(50.0, 50.0),
+                               disk_radii=(25.0, 25.0),
+                               subarea_counts=(2, 2), density_active=1e-2)
+    policy = build_policy(Scheme.TCOM, 3, 0.1)
+    buffers = montecarlo._Buffers([Scenario(
+        scheme=Scheme.TCOM, topology=topology, policy=policy,
+        budget=LinkBudget(P0=1e-3, sigma2=1e-13),
+        plan=analytics.default_allocation(topology, policy))], 1)
+    assert not {"gains", "gain_rows", "dist"} & set(vars(buffers))
+    assert not inspect.isfunction(
+        inspect.getattr_static(montecarlo._Buffers, "device_gain", None))
+    assert [len(rows) for rows in buffers.device_gain] == [2, 2]
     # a device group's trials are the sum over its families
     assert "trials" not in _fields(montecarlo.DeviceGroupStats)
     # decode events are threshold comparisons; no tally reads a rate

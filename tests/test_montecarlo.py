@@ -212,7 +212,8 @@ BARE = Scenario(scheme=Scheme.CNRR, topology=T1.without_devices(),
                 plan=analytics.baseline_plan(TCOM.plan, 3))
 
 
-# another path-loss law reads the same draws through its own device gains
+# another path-loss law is a device group of its own: it redraws the same
+# device geometry into its own path gains
 STEEP_TCOM = dataclasses.replace(
     TCOM, budget=LinkBudget(P0=1e-3, sigma2=noise_power_w(1e7), epsilon=3.0))
 
@@ -349,8 +350,9 @@ def test_prefix_resolve_equals_full_width_prefix(pairing):
                     assert np.array_equal(a, b[..., :n]), (s.scheme, n, name)
             _assert_same_decisions(part, masked)
             _assert_candidate_powers(s, part_powers, masked)
-    # device gains are computed once per path-loss law and sliced
-    assert len(draws.gains) == 1
+    # every member reads the path gains of the one fill its device group
+    # drew, sliced
+    assert {montecarlo._device_key(s) for s in group} == {draws.devices}
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
@@ -382,7 +384,8 @@ def test_credited_device_messages_nest_in_earlier_hops(pairing):
 HOT_TCOM = dataclasses.replace(TCOM, budget=LinkBudget(
     P0=1e-3, sigma2=noise_power_w(1e7), G_r=-1500.0, G_t=-1500.0))
 # one alternation of BTEH and PS scenarios per pairing (PS adds the power
-# split); full, partial and full widths in turn
+# split), and under com two more path-loss laws, each its own device group;
+# full, partial and full widths in turn
 REUSE_GROUPS = {
     "com": (TCOM, scenario(Scheme.PCOM), HOT_TCOM, STEEP_TCOM),
     "qom": (TQOM, scenario(Scheme.PQOM), scenario(Scheme.QOM_NOEH, rho=0.0)),
@@ -408,7 +411,7 @@ def _drawn_harvests(buffers):
 
 def _draw_arrays(buffers):
     return [buffers.u_eh, *buffers.activity.values(), buffers.hop_fades,
-            *buffers.device_dist, *buffers.device_fade]
+            *buffers.device_gain, *buffers.device_fade]
 
 
 def _read_draws(buffers):
@@ -423,14 +426,21 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
     reused = montecarlo._Buffers(group, width)
     for b, n in enumerate(REUSE_WIDTHS):
         _spoil(_draw_arrays(reused) + list(reused.arrays.values()))
-        # drawn as a plan draws a block its runs read as far as n trials
+        # drawn as a plan draws a block its runs read as far as n trials,
+        # with one device fill per device group
         rng = montecarlo._block_rng(43, b)
         montecarlo._draw(reused, rng, n)
-        montecarlo._draw_devices(reused, rng, group[0], n)
-        for got, want in zip(_read_draws(reused),
-                             _read_draws(_drawn(group[0], b))):
-            assert got[..., :n].tobytes() == want[..., :n].tobytes(), (b, n)
+        state = rng.bit_generator.state
+        fills = 0
         for s in group:
+            if reused.devices != montecarlo._device_key(s):
+                rng.bit_generator.state = state
+                montecarlo._draw_devices(reused, rng, s, n)
+                fills += 1
+                for got, want in zip(_read_draws(reused),
+                                     _read_draws(_drawn(s, b))):
+                    assert got[..., :n].tobytes() \
+                        == want[..., :n].tobytes(), (b, n, s.scheme)
             _spoil(reused.arrays.values())
             fresh = _drawn(s, b)
             with np.errstate(over="ignore"):
@@ -450,6 +460,8 @@ def test_reused_draw_set_and_workspace_equal_fresh_arrays(pairing):
                 # gates it through np.where
                 assert np.isinf(got_powers[3, 2]).any()
                 assert np.isinf(masked.powers[2]).any()
+        # TCOM and PCOM share a fill; HOT_TCOM and STEEP_TCOM each draw one
+        assert fills == {"com": 3, "qom": 1, "bare": 1}[pairing]
     # the buffer set is allocated once, at full width
     assert reused.nbytes % width == 0
     assert all(a.shape[-1] == width
@@ -462,7 +474,7 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
     # coexist at peak memory
     alive, built = [], []
     init, take = montecarlo._Buffers.__init__, montecarlo._Buffers.take
-    resolve, gain = montecarlo._resolve, montecarlo._Buffers.device_gain
+    resolve = montecarlo._resolve
 
     def watch(arrays):
         alive.extend(weakref.ref(a) for a in arrays)
@@ -480,11 +492,6 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
         watch([view, view.base])
         return view
 
-    def gain_watched(self, scenario):
-        gains = gain(self, scenario)
-        watch(gains)
-        return gains
-
     def resolve_watched(family, buffers, n, reads, stats):
         for s, block in resolve(family, buffers, n, reads, stats):
             watch(a for name in ARRAY_FIELDS for a in (
@@ -494,7 +501,6 @@ def test_each_draw_group_frees_its_buffers_before_the_next(monkeypatch):
 
     monkeypatch.setattr(montecarlo._Buffers, "__init__", build)
     monkeypatch.setattr(montecarlo._Buffers, "take", take_watched)
-    monkeypatch.setattr(montecarlo._Buffers, "device_gain", gain_watched)
     monkeypatch.setattr(montecarlo, "_resolve", resolve_watched)
     # two seeds of 4-node chains, then two of a 3-node chain: one stream
     # group per (seed, node count), each sharing its set among pairings
@@ -537,9 +543,8 @@ def test_failed_run_frees_its_buffers(monkeypatch):
     resolve = montecarlo._resolve
 
     def refuse_pcom(family, buffers, n, *reads):
-        alive.extend(weakref.ref(a) for a in _draw_arrays(buffers) + [
-            *buffers.arrays.values(),
-            *(row for rows in buffers.gain_rows.values() for row in rows)])
+        alive.extend(weakref.ref(a) for a in _draw_arrays(buffers)
+                     + list(buffers.arrays.values()))
         if any(s.scheme is Scheme.PCOM for s in family):
             raise FloatingPointError("refused")
         return resolve(family, buffers, n, *reads)
@@ -603,15 +608,17 @@ def test_plan_tallies_what_each_run_reads():
     (group,) = stats
     assert (group.seed, group.nodes, group.blocks, group.trials) \
         == (41, 4, 2, 100_000)
-    groups = {g.pairing: g for g in group.devices}
-    assert len(groups) == len(group.devices) == 3
-    assert groups["com"].topology == 1
-    assert (groups["com"].blocks, groups["com"].hop_only) == (2, 1)
-    assert groups["com"].undecoded == 34_464
-    assert (groups["qom"].blocks, groups["qom"].hop_only) == (2, 0)
-    assert groups["qom"].undecoded == 0
-    assert groups["bare"].topology == 2
-    assert groups["bare"].undecoded == 34_464
+    # STEEP_TCOM's path-loss law makes a com device group of its own, which
+    # only its 30,000-trial run reads: block 0, decoding devices
+    com, steep, qom, bare = group.devices
+    assert [(g.pairing, g.topology) for g in group.devices] \
+        == [("com", 1), ("com", 1), ("qom", 1), ("bare", 2)]
+    assert (steep.blocks, steep.hop_only, steep.undecoded) == (1, 0, 0)
+    assert (com.blocks, com.hop_only) == (2, 1)
+    assert com.undecoded == 34_464
+    assert (qom.blocks, qom.hop_only) == (2, 0)
+    assert qom.undecoded == 0
+    assert bare.undecoded == 34_464
 
 
 def test_failed_family_adds_no_counters(monkeypatch):
@@ -664,7 +671,7 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
     assert part.active[s.topology].tobytes() \
         == full.active[s.topology].tobytes()
     # the device rows keep their stale values, and no resolve reads them
-    assert all(np.isnan(a).all() for a in part.device_dist + part.device_fade)
+    assert all(np.isnan(a).all() for a in part.device_gain + part.device_fade)
     failure = oracles.family_blocks([s], part, width)[0][s]
     assert isinstance(failure, RuntimeError)
     assert "no device geometry" in str(failure)
@@ -684,6 +691,52 @@ def test_block_drawn_without_devices_keeps_its_other_draws(pairing):
     montecarlo._draw_devices(part, rng, s, width)
     for got, want in zip(_read_draws(part), _read_draws(_drawn(s, 2))):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_fill_serves_only_its_own_path_loss_law():
+    # the device rows of a fill hold the path gains of one law: reading
+    # another law's devices from them raises in both routes, while its hop
+    # events, which read no device row, resolve as from its own fill
+    assert montecarlo._device_key(STEEP_TCOM) != montecarlo._device_key(TCOM)
+    width = 4_096
+    drawn, own = (oracles.drawn_alone(s, montecarlo._block_rng(43, 0), width)
+                  for s in (TCOM, STEEP_TCOM))
+    failure = oracles.family_blocks([STEEP_TCOM], drawn, width)[0][STEEP_TCOM]
+    assert isinstance(failure, RuntimeError)
+    assert "no device geometry" in str(failure)
+    with pytest.raises(RuntimeError, match="no device geometry"):
+        oracles.masked_resolve(STEEP_TCOM, drawn, width)
+    hop_reads = [{("hop", 1), ("e2e_destination",)}]
+    got, want = (oracles.family_blocks([STEEP_TCOM], buffers, width,
+                                       hop_reads)[0][STEEP_TCOM]
+                 for buffers in (drawn, own))
+    _assert_same_decisions(got, want, ARRAY_FIELDS)
+    # the two fills draw the same geometry and fades into other gains
+    for a, b in zip(drawn.device_fade, own.device_fade):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(drawn.device_gain, own.device_gain):
+        assert not np.array_equal(a, b)
+
+
+def test_a_path_loss_failure_fails_its_device_group(monkeypatch):
+    # the path gains are part of a device draw, so a path-loss failure
+    # fails every member of the device group in that block, a member
+    # reading only hop events too; another law's device group is untouched
+    hop = scenario(Scheme.TCOM, rho=0.5)
+    runs = [(TCOM, 7, 2_000), (hop, 7, 3_000), (STEEP_TCOM, 7, 2_000)]
+    reads = {runs[1]: {("hop", 2), ("supply_power",)}}
+    want = simulate_plan(runs, reads)
+    pathloss = montecarlo.pathloss_linear
+
+    def refuse(x, budget, out=None):
+        if out is not None and budget == TCOM.budget:
+            raise FloatingPointError("refused")
+        return pathloss(x, budget, out=out)
+
+    monkeypatch.setattr(montecarlo, "pathloss_linear", refuse)
+    got = simulate_plan(runs, reads)
+    assert all(isinstance(got[run], FloatingPointError) for run in runs[:2])
+    assert got[runs[2]] == want[runs[2]]
 
 
 @pytest.fixture(scope="module")
@@ -711,7 +764,7 @@ def _compare_draws(s, width, devices, b, trials=None):
     oracles.draw_in_full(full, montecarlo._block_rng(43, b), s, devices)
     names = ["u_eh", "active", "hop_fades"]
     if devices:
-        names += ["device_dist", "device_fade"]
+        names += ["device_gain", "device_fade"]
     differ = []
     for name in names:
         got, want = getattr(fast, name), getattr(full, name)
@@ -855,7 +908,7 @@ def test_a_stream_group_draws_each_pairing_as_if_alone():
     shared = montecarlo._Buffers(group, width)
     # T1 disks are surely active, bare disks surely idle, PATCHY's drawn
     assert len(shared.activity) == 3
-    assert [len(rows) for rows in shared.device_dist] == [3, 2, 1]
+    assert [len(rows) for rows in shared.device_gain] == [3, 2, 1]
     # 2 harvest and 3 hop-fade rows, the 6 device distance and 6 fade rows
     # of com, and 3 activity row sets of 3 slots: 145 bytes per trial
     # where the 4 sets drawn alone hold 412
@@ -880,7 +933,7 @@ def test_a_stream_group_draws_each_pairing_as_if_alone():
                 == alone.active[s.topology][:, :trials].tobytes()
             for t in range(1, s.topology.hop_count + 1):
                 count = len(s.served(t))
-                for rows in ("device_dist", "device_fade"):
+                for rows in ("device_gain", "device_fade"):
                     got = getattr(shared, rows)[t - 1][:count, :trials]
                     want = getattr(alone, rows)[t - 1][:, :trials]
                     assert got.tobytes() == want.tobytes(), (s.scheme, t)
@@ -1082,11 +1135,15 @@ def test_shared_device_failure_fails_only_the_members_reading_devices(
     reads = {runs[1]: {("hop", 2), ("supply_power",)}}
     assert montecarlo._family_key(hop) == montecarlo._family_key(TCOM)
     want = simulate_plan(runs, reads)
+    chain = montecarlo._chain
 
-    def no_gain(self, scenario):
-        raise FloatingPointError("no gain")
+    def no_peel(y, tf, terms, stats, bands):
+        # a hop decodes one message; a device peels the relayed one first
+        if len(terms) > 1:
+            raise FloatingPointError("no peel")
+        return chain(y, tf, terms, stats, bands)
 
-    monkeypatch.setattr(montecarlo._Buffers, "device_gain", no_gain)
+    monkeypatch.setattr(montecarlo, "_chain", no_peel)
     got = simulate_plan(runs, reads)
     assert isinstance(got[runs[0]], FloatingPointError)
     assert got[runs[1]] == want[runs[1]]
