@@ -22,17 +22,21 @@ what P0 does not touch (allocation plans, thresholds, and each slot's
 harvest runs, path gains, disk-idle shares and receiver states) in its
 ``tables``.  A sweep shares one memo across all its
 :class:`SlotMarginals`, so each distinct kernel argument is evaluated
-once per sweep, and a power family (the scenarios equal but for P0)
-derives its P0-free state once; a standalone ``SlotMarginals`` gets a
-private memo, and nothing outlives its owner.  The memo also owns the
-sweep's :class:`specfun.LogGammaTable`, so the kernels it evaluates
-share their gamma factors on the fixed quadrature grids, and the table
-goes with the memo.
+once per sweep.  It also registers each power family there (the
+scenarios equal but for P0): the family derives its P0-free state once,
+and each of its outages is one walk over the mixtures that carries every
+member's reference SNR, each member's sum kept in its own float; an
+unregistered scenario is a family of one.  A standalone
+``SlotMarginals`` gets a private memo, and nothing outlives its owner.
+The memo also owns the sweep's :class:`specfun.LogGammaTable`, so the
+kernels it evaluates share their gamma factors on the fixed quadrature
+grids, and the table goes with the memo.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import logging
 import math
@@ -286,9 +290,10 @@ class KernelMemo(dict):
     for the sweep's statistics record.  Every quadrature kernel evaluated
     here reads and fills ``table``, one :class:`specfun.LogGammaTable`
     that lives as long as the memo.  ``tables`` holds what P0 does not
-    touch, keyed by what it reads: the sweep's allocation plans, and the
-    decoding thresholds and slot states of every :class:`SlotMarginals`
-    reading the memo.
+    touch, keyed by what it reads: the sweep's policies, layouts and
+    allocation plans, the decoding thresholds and slot states of every
+    :class:`SlotMarginals` reading the memo, and the members and shared
+    memo of each registered power family.
     """
 
     def __init__(self):
@@ -312,6 +317,19 @@ class KernelMemo(dict):
             self.evaluations[family] += 1
         return value
 
+    def register_families(self, scenarios) -> None:
+        """Group ``scenarios`` into power families, the scenarios equal but
+        for ``budget.P0``, and give each a shared memo in ``tables``, with
+        its members' reference SNRs in the order given; the
+        :class:`SlotMarginals` of a member then walk the whole family at
+        once.  Register before any of them is read."""
+        families = {}
+        for s in scenarios:
+            members = families.setdefault(_power_family(s), {})
+            members[s.budget.gamma_bar0] = None
+        for key, members in families.items():
+            self.tables[key] = (tuple(members), {})
+
 
 # ---------------------------------------------------------------------------
 # harvest-run mixtures of the normalized received powers
@@ -333,38 +351,43 @@ def harvest_runs(t: int, topology: NetworkTopology, policy: EhPolicy,
         for v, w in policy.runs(t) if w != 0.0)
 
 
-def _mix(runs, branch, label: str) -> float:
-    """Mixture of ``branch(w, v, gains)`` over ``runs``, clamped.
+def _mix(runs, g0s, branch, label: str) -> tuple:
+    """Mixture of ``branch(w, v, gains)`` over ``runs``, clamped, for each
+    reference SNR of ``g0s``.
 
-    ``branch`` returns the whole weighted term, so each law keeps the float
-    association of its own product.  The loop adds in run order on every
-    interpreter; ``sum()`` compensates float sums from Python 3.12 on.
+    ``branch`` returns the whole weighted term of every member, so each law
+    keeps the float association of its own product.  Each member's sum
+    adds in run order on every interpreter; ``sum()`` compensates float
+    sums from Python 3.12 on.
     """
-    total = 0.0
+    totals = [0.0] * len(g0s)
     for w, v, gains in runs:
-        total += branch(w, v, gains)
-    return _clamp(total, label)
+        totals = [total + term
+                  for total, term in zip(totals, branch(w, v, gains))]
+    return tuple(_clamp(total, label) for total in totals)
 
 
-def _residue_branch(memo, x, budget, ell, coeff):
+def _residue_branch(memo, g0s, x, ell, coeff):
     """Branch of the high-power asymptote of a gain with edge gain ``ell``."""
     def branch(w, v, gains):
-        scaled = coeff * x / (budget.gamma_bar0 * ell * math.prod(gains))
+        scaled, gain = coeff * x, math.prod(gains)
         # branches still outside their small-argument regime saturate at
         # certain outage instead of overshooting
-        return w * min(max(memo("residue_asymptote_cdf", scaled, v), 0.0), 1.0)
+        return [w * min(max(memo("residue_asymptote_cdf",
+                                 scaled / (g0 * ell * gain), v), 0.0), 1.0)
+                for g0 in g0s]
     return branch
 
 
-def _hop_law(memo, runs, t, budget, ell_next, asymptotic, x):
+def _hop_law(memo, runs, t, ell_next, asymptotic, g0s, x):
     """CDF of the hop SNR X_t received by node t+1, whose hop has path gain
-    ``ell_next``, or its asymptote."""
+    ``ell_next``, or its asymptote, at each reference SNR of ``g0s``."""
     def branch(w, v, gains):
-        return w * memo("prod_exp_cdf", x / budget.gamma_bar0, v + 1,
-                        gains + (ell_next,))
+        means = gains + (ell_next,)
+        return [w * memo("prod_exp_cdf", x / g0, v + 1, means) for g0 in g0s]
     if asymptotic:
-        branch = _residue_branch(memo, x, budget, ell_next, 1.0)
-    return _mix(runs, branch, f"cdf_X(t={t})")
+        branch = _residue_branch(memo, g0s, x, ell_next, 1.0)
+    return _mix(runs, g0s, branch, f"cdf_X(t={t})")
 
 
 def _annulus_chi(k: int) -> tuple:
@@ -372,42 +395,48 @@ def _annulus_chi(k: int) -> tuple:
     return k * k / (2.0 * k - 1.0), (k - 1.0) ** 2 / (2.0 * k - 1.0)
 
 
-def _com_law(memo, runs, t, budget, ell_edge, topology, k, asymptotic, y):
+def _com_law(memo, runs, t, ell_edge, topology, eps, k, asymptotic, g0s, y):
     """CDF of the com device SNR Y_{t,k} in subarea k of slot t, whose disk
-    edge has path gain ``ell_edge``, or its asymptote."""
+    edge has path gain ``ell_edge``, or its asymptote, at each reference
+    SNR of ``g0s``."""
     kt = topology.subarea_counts[t - 1]
-    eps, c_exp = budget.epsilon, 2.0 / budget.epsilon
+    c_exp = 2.0 / eps
     chi_hi, chi_lo = _annulus_chi(k)
+    outer, inner = (k / kt) ** eps, ((k - 1) / kt) ** eps
 
     def branch(w, v, gains):
-        c_tau = y / (budget.gamma_bar0 * ell_edge * math.prod(gains))
-        term = chi_hi * memo("annulus_kernel_deficit", c_tau * (k / kt) ** eps,
-                             v, c_exp)
-        if k > 1:
-            term -= chi_lo * memo("annulus_kernel_deficit",
-                                  c_tau * ((k - 1) / kt) ** eps, v, c_exp)
-        return w * c_exp * term
+        gain, terms = math.prod(gains), []
+        for g0 in g0s:
+            c_tau = y / (g0 * ell_edge * gain)
+            term = chi_hi * memo("annulus_kernel_deficit", c_tau * outer, v,
+                                 c_exp)
+            if k > 1:
+                term -= chi_lo * memo("annulus_kernel_deficit",
+                                      c_tau * inner, v, c_exp)
+            terms.append(w * c_exp * term)
+        return terms
     if asymptotic:
-        branch = _residue_branch(memo, y, budget, ell_edge,
+        branch = _residue_branch(memo, g0s, y, ell_edge,
                                  annulus_small_gain_coefficient(k, kt, eps))
-    return _mix(runs, branch, f"cdf_Y(t={t},k={k})")
+    return _mix(runs, g0s, branch, f"cdf_Y(t={t},k={k})")
 
 
-def _nearest_law(memo, runs, t, budget, ell_edge, topology, fit, asymptotic,
-                 z):
+def _nearest_law(memo, runs, t, ell_edge, topology, eps, fit, asymptotic,
+                 g0s, z):
     """CDF of the qom (nearest-device) SNR Z_t, or its asymptote, which
-    needs no fit but the disk-edge path gain ``ell_edge``."""
+    needs no fit but the disk-edge path gain ``ell_edge``, at each
+    reference SNR of ``g0s``."""
     def branch(w, v, gains):
-        scale = budget.gamma_bar0 * fit.mu * math.prod(gains)
-        return w / math.gamma(fit.m) * memo(
-            "nearest_kernel_deficit", (z / scale) ** fit.theta, v, fit.theta,
-            fit.m)
+        gain, weight = math.prod(gains), w / math.gamma(fit.m)
+        return [weight * memo("nearest_kernel_deficit",
+                              (z / (g0 * fit.mu * gain)) ** fit.theta, v,
+                              fit.theta, fit.m)
+                for g0 in g0s]
     if asymptotic:
         branch = _residue_branch(
-            memo, z, budget, ell_edge, nearest_small_gain_coefficient(
-                topology.density_active, topology.disk_radii[t - 1],
-                budget.epsilon))
-    return _mix(runs, branch, f"cdf_Z(t={t})")
+            memo, g0s, z, ell_edge, nearest_small_gain_coefficient(
+                topology.density_active, topology.disk_radii[t - 1], eps))
+    return _mix(runs, g0s, branch, f"cdf_Z(t={t})")
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +469,17 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
-    Every outage and the sum throughput are memoized per (event,
-    ``asymptotic``), so every composition of the same scenario reuses one
-    value per slot.  What P0 does not touch lives in the ``tables`` of the
-    kernel memo: the decoding thresholds by plan and policy, each slot's
-    state (:meth:`_slot`) by topology, policy and path-loss law; a
-    standalone ``SlotMarginals`` is a family of one with a private memo.
-    ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``; it is
-    called only when an exact qom device outage first needs it.
+    The scenario belongs to a power family: the scenarios equal but for
+    ``budget.P0`` that :meth:`KernelMemo.register_families` registered in
+    the kernel memo's ``tables``, which also hold what P0 does not touch
+    (the decoding thresholds by plan and policy, each slot's state
+    (:meth:`_slot`) by topology, policy and path-loss law).  Every
+    outage and the sum throughput are computed per (event,
+    ``asymptotic``) in one walk for the whole family, whose shared memo
+    keeps each member's float; an unregistered scenario is a family of
+    one, and a standalone ``SlotMarginals`` has a private kernel memo as
+    well.  ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``;
+    it is called only when an exact qom device outage first needs it.
     """
 
     def __init__(self, scenario: Scenario, nearest_fit=None,
@@ -455,7 +487,12 @@ class SlotMarginals:
         self.scenario = scenario
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
-        self._memo = {}
+        self._g0 = scenario.budget.gamma_bar0
+        family = self.kernels.tables.get(_power_family(scenario))
+        if family is None or self._g0 not in family[0]:
+            family = ((self._g0,), {})
+        self._g0s, self._memo = family
+        self._index = self._g0s.index(self._g0)
 
     @functools.cached_property
     def thresholds(self) -> ThresholdSet:
@@ -465,11 +502,37 @@ class SlotMarginals:
             tables[key] = decoding_thresholds(*key)
         return tables[key]
 
-    def _once(self, compute, *args):
-        key = (compute.__name__,) + args
-        if key not in self._memo:
-            self._memo[key] = compute(*args)
-        return self._memo[key]
+    def _once(self, g0s, compute, *args) -> tuple:
+        """``compute(g0s, *args)``: one float per member of ``g0s``, each
+        computed once per family.  A walk over several members that raises
+        is redone member by member, so a failure reaches only the members
+        whose own walk raises; it is kept like a value, and raised to
+        every reader."""
+        known = self._memo.setdefault((compute.__name__,) + args, {})
+        missing = tuple(g0 for g0 in g0s if g0 not in known)
+        if len(missing) > 1:
+            with contextlib.suppress(Exception):
+                known.update(zip(missing, compute(missing, *args)))
+        for g0 in g0s:
+            if g0 not in known:
+                try:
+                    known[g0], = compute((g0,), *args)
+                except Exception as exc:
+                    # without its traceback, whose frames hold the memo
+                    known[g0] = exc.with_traceback(None)
+        values = tuple(known[g0] for g0 in g0s)
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
+        return values
+
+    def _read(self, compute, *args) -> float:
+        """This scenario's float of a family computation."""
+        try:
+            return self._once(self._g0s, compute, *args)[self._index]
+        except Exception:
+            # another member failed; this one may not have
+            return self._once((self._g0,), compute, *args)[0]
 
     def outage(self, selector, asymptotic: bool = False) -> float:
         """Outage probability of the decode event ``selector`` names.
@@ -487,11 +550,11 @@ class SlotMarginals:
         serve, as it does for the simulated tallies.
         """
         kind, args = self.scenario.check_selector(selector)
-        return self._once(getattr(self, "_" + kind), *args, asymptotic)
+        return self._read(getattr(self, "_" + kind), *args, asymptotic)
 
     def throughput(self, asymptotic: bool = False) -> float:
         """Sum throughput over the relayed message and every served device."""
-        return self._once(self._throughput, asymptotic)
+        return self._read(self._throughput, asymptotic)
 
     def _slot(self, t):
         """``(runs, ell_hop, ell_edge, iota, states)`` of slot t: the
@@ -512,15 +575,15 @@ class SlotMarginals:
                 s.policy.states(t + 1))
         return tables[key]
 
-    def _hop(self, t, asymptotic):
-        runs, ell_hop, _, iota, states = self._once(self._slot, t)
-        evaluate = functools.partial(_hop_law, self.kernels, runs, t,
-                                     self.scenario.budget, ell_hop, asymptotic)
-        return self._outage(states, self.thresholds.relay, iota, evaluate,
-                            f"hop outage (t={t})")
+    def _hop(self, g0s, t, asymptotic):
+        runs, ell_hop, _, iota, states = self._slot(t)
+        evaluate = functools.partial(_hop_law, self.kernels, runs, t, ell_hop,
+                                     asymptotic)
+        return self._outage(g0s, states, self.thresholds.relay, iota,
+                            evaluate, f"hop outage (t={t})")
 
-    def _device(self, t, k, asymptotic):
-        runs, _, ell_edge, _, states = self._once(self._slot, t)
+    def _device(self, g0s, t, k, asymptotic):
+        runs, _, ell_edge, _, states = self._slot(t)
         thresholds = self.thresholds.device[t - 1][0 if k is None else k - 1]
         if k is None:
             label = f"qom device outage (t={t})"
@@ -532,46 +595,75 @@ class SlotMarginals:
             label = f"com device outage (t={t},k={k})"
             law, arg = _com_law, k
         evaluate = functools.partial(
-            law, self.kernels, runs, t, self.scenario.budget, ell_edge,
-            self.scenario.topology, arg, asymptotic)
-        return self._outage(states, tuple((th,) for th in thresholds), (1.0,),
-                            evaluate, label)
+            law, self.kernels, runs, t, ell_edge, self.scenario.topology,
+            self.scenario.budget.epsilon, arg, asymptotic)
+        # a served device's disk is active
+        return self._outage(g0s, states, tuple((th, th) for th in thresholds),
+                            (0.0, 1.0), evaluate, label)
 
-    def _outage(self, states, thresholds, iota, evaluate, label):
+    @staticmethod
+    def _outage(g0s, states, thresholds, iota, evaluate, label):
         """CDF deficit at ``thresholds[i][j]``, mixed over the receiver's
         harvest states ``(i, p)`` (:meth:`EhPolicy.states`) and the sender's
-        states j, weighted by ``iota``."""
-        op = 0.0
+        disk states j, idle (0) and active (1), weighted by ``iota``, for
+        each member of ``g0s``; ``evaluate(members, x)`` gives the law at
+        ``x`` of each of ``members``.  Each member's sum adds the terms in
+        (i, j) order, but leaves out an idle term that cannot move it."""
+        def terms(g0s, p, share, threshold):
+            # a threshold at or below zero never fails; +inf always does
+            if share == 0.0 or threshold <= 0.0:
+                return (0.0,) * len(g0s)
+            if math.isinf(threshold):
+                return (p * share,) * len(g0s)
+            return [p * share * f for f in evaluate(g0s, threshold)]
+
+        ops, (idle, active) = [0.0] * len(g0s), iota
         for i, p in states:
-            for j, share in enumerate(iota):
-                threshold = thresholds[i][j]
-                # a threshold at or below zero never fails; +inf always does
-                if share == 0.0 or threshold <= 0.0:
-                    continue
-                op += p * share * (1.0 if math.isinf(threshold)
-                                   else evaluate(threshold))
-        return _clamp(op, label)
+            t1 = terms(g0s, p, active, thresholds[i][1])
+            # every law is clamped to [0, 1], so the idle term lies in
+            # [0, p * idle], and rounding is monotone: where that bound
+            # cannot move op + t1, no idle term can
+            bound = p * idle
+            moved = [m for m, (op, term) in enumerate(zip(ops, t1))
+                     if (op + bound) + term != op + term]
+            t0 = dict(zip(moved, terms(tuple(g0s[m] for m in moved), p, idle,
+                                       thresholds[i][0]))) if moved else {}
+            ops = [(op + t0[m]) + term if m in t0 else op + term
+                   for m, (op, term) in enumerate(zip(ops, t1))]
+        return tuple(_clamp(op, label) for op in ops)
 
-    def _e2e_destination(self, asymptotic):
-        return _clamp(_success_product(
-            self.outage(("hop", t), asymptotic)
-            for t in range(1, self.scenario.topology.hop_count + 1)),
-            "e2e outage (destination)")
+    def _e2e_destination(self, g0s, asymptotic):
+        hops = [self._once(g0s, self._hop, t, asymptotic)
+                for t in range(1, self.scenario.topology.hop_count + 1)]
+        return tuple(_clamp(_success_product(ops), "e2e outage (destination)")
+                     for ops in zip(*hops))
 
-    def _e2e_device(self, t, k, asymptotic):
-        device = self.outage(("device", t, k), asymptotic)
-        chain = [self.outage(("hop", i), asymptotic) for i in range(1, t)]
-        return _clamp(_success_product(chain + [device]),
-                      f"e2e outage (t={t},k={k})")
+    def _e2e_device(self, g0s, t, k, asymptotic):
+        device = self._once(g0s, self._device, t, k, asymptotic)
+        chain = [self._once(g0s, self._hop, i, asymptotic)
+                 for i in range(1, t)]
+        return tuple(_clamp(_success_product(ops),
+                            f"e2e outage (t={t},k={k})")
+                     for ops in zip(*chain, device))
 
-    def _throughput(self, asymptotic):
+    def _throughput(self, g0s, asymptotic):
         s = self.scenario
-        destination = self.outage(("e2e_destination",), asymptotic)
-        devices = tuple(
-            tuple(self.outage(("e2e_device", t, k), asymptotic)
-                  for k in s.served(t))
-            for t in range(1, s.topology.hop_count + 1))
-        return sum_throughput(s.plan, destination, devices)
+        destination = self._once(g0s, self._e2e_destination, asymptotic)
+        devices = [[self._once(g0s, self._e2e_device, t, k, asymptotic)
+                    for k in s.served(t)]
+                   for t in range(1, s.topology.hop_count + 1)]
+        return tuple(
+            sum_throughput(s.plan, destination[m],
+                           tuple(tuple(ops[m] for ops in slot)
+                                 for slot in devices))
+            for m in range(len(g0s)))
+
+
+def _power_family(scenario: Scenario) -> tuple:
+    """What the marginals of ``scenario`` read besides ``budget.P0``: the
+    scenarios of one key form a power family."""
+    return ("power family", scenario.scheme, scenario.topology,
+            scenario.policy, scenario.plan, replace(scenario.budget, P0=1.0))
 
 
 def _success_product(ops) -> float:

@@ -326,38 +326,50 @@ def _point_config(config: RunConfig, value) -> RunConfig:
     return dataclasses.replace(config, **{var: value})
 
 
+def _built(tables: dict, build, *args):
+    """``build(*args)``, built once per sweep: kept in ``tables`` by
+    ``build`` and its inputs."""
+    key = (build,) + args
+    if key not in tables:
+        tables[key] = build(*args)
+    return tables[key]
+
+
+def _qom_layout(topology: NetworkTopology) -> NetworkTopology:
+    """A qom slot superposes one device, as a com slot of one subarea does."""
+    return dataclasses.replace(topology,
+                               subarea_counts=(1,) * topology.hop_count)
+
+
 def _build_scenario(config: RunConfig, scheme: Scheme,
-                    plans: dict) -> Scenario:
+                    tables: dict) -> Scenario:
     """The scenario of ``scheme`` at the point ``config``; it carries no
-    fits.  Its plan is read from ``plans``, filled on a miss."""
+    fits.  Its budget, policies, layout and plans are read from
+    ``tables``, built on a miss."""
     topology, m = config.topology, config.topology.node_count
-    budget = LinkBudget(P0=dbm_to_watts(config.p0_dbm),
-                        sigma2=noise_power_w(config.bandwidth_hz),
-                        f_c=config.f_c_ghz, G_r=config.gain_rx_dbi,
-                        G_t=config.gain_tx_dbi, epsilon=config.epsilon)
+    budget = _built(tables, LinkBudget, dbm_to_watts(config.p0_dbm),
+                    noise_power_w(config.bandwidth_hz), config.f_c_ghz,
+                    config.gain_rx_dbi, config.gain_tx_dbi, config.epsilon)
 
     def policy_of(scheme):
-        return build_policy(scheme, m, config.rho, alpha=config.alpha,
-                            beta=config.beta, eta=config.eta)
+        return _built(tables, build_policy, scheme, m, config.rho,
+                      config.alpha, config.beta, config.eta)
     policy = policy_of(scheme)
     # every scheme competes at the rates the time-switching reference
-    # can sustain; the baseline inherits only the relayed-message rate.  A
-    # qom slot superposes one device, as a com slot of one subarea does
+    # can sustain; the baseline inherits only the relayed-message rate
     layout = topology
     if scheme.pairing == "qom":
-        layout = dataclasses.replace(
-            topology, subarea_counts=(1,) * topology.hop_count)
+        layout = _built(tables, _qom_layout, topology)
 
     def allocate(policy):
-        key = (layout, policy, config.relay_share, config.rate_fraction,
-               config.rate_cap)
-        if key not in plans:
-            plans[key] = analytics.default_allocation(*key)
-        return plans[key]
+        return _built(tables, analytics.default_allocation, layout, policy,
+                      config.relay_share, config.rate_fraction,
+                      config.rate_cap)
     reference = allocate(policy_of(Scheme.TCOM))
     if scheme is Scheme.CNRR:
-        topology = topology.without_devices()
-        plan = analytics.baseline_plan(reference, topology.hop_count)
+        topology = _built(tables, NetworkTopology.without_devices, topology)
+        plan = _built(tables, analytics.baseline_plan, reference,
+                      topology.hop_count)
     elif scheme.harvesting == "BPEH":
         plan = allocate(policy)
     else:
@@ -366,11 +378,12 @@ def _build_scenario(config: RunConfig, scheme: Scheme,
                     budget=budget, plan=plan)
 
 
-def _points(config: RunConfig, plans: dict):
+def _points(config: RunConfig, tables: dict):
     """Yield ``(value, scheme, scenario)`` for every point of the sweep, in
     row order; a point that cannot be built yields its exception as the
     scenario.  Each grid value's config is derived once for its schemes,
-    and plans are read from ``plans`` (:func:`_build_scenario`)."""
+    and what does not vary with the point is read from ``tables``
+    (:func:`_build_scenario`)."""
     for value in config.sweep.grid:
         try:
             point = _point_config(config, value)
@@ -380,7 +393,7 @@ def _points(config: RunConfig, plans: dict):
             scenario = point
             if not isinstance(point, Exception):
                 try:
-                    scenario = _build_scenario(point, scheme, plans)
+                    scenario = _build_scenario(point, scheme, tables)
                 except Exception as exc:
                     scenario = exc
             yield value, scheme, scenario
@@ -394,9 +407,11 @@ class _SweepCore:
     slot outages and throughput are computed once per sweep (the
     no-harvest twin of a rho sweep is the same scenario at every grid
     point), and one eed twin.  Every ``SlotMarginals`` reads one
-    :class:`analytics.KernelMemo`, whose ``tables`` also hold the
-    allocation plans (:func:`_build_scenario`), so what P0 does not touch
-    is derived once per sweep.  Nearest-gain fits are resolved lazily
+    :class:`analytics.KernelMemo`, whose ``tables`` also hold the budgets,
+    policies, layouts and allocation plans (:func:`_build_scenario`), so
+    what P0 does not touch is derived once per sweep, and the power
+    families :meth:`register` groups, so each family's outages are walked
+    once for all its points.  Nearest-gain fits are resolved lazily
     through one :class:`FitBook`.  Simulated rows read ``tallies``, filled
     by one :func:`montecarlo.simulate_plan` over every run the sweep needs.
     """
@@ -407,6 +422,16 @@ class _SweepCore:
         self.kernels = analytics.KernelMemo()
         self._marginals, self._twins = {}, {}
         self.tallies = {}
+
+    def register(self, scenarios) -> None:
+        """Register the power families of ``scenarios``, in grid order,
+        and, where the sweep reads eed, those of their twins, before the
+        first row reads a marginal."""
+        scenarios = list(scenarios)
+        if "eed" in self.config.sweep.metrics:
+            scenarios += [self.twin(s) for s in scenarios
+                          if s.policy.is_harvesting]
+        self.kernels.register_families(scenarios)
 
     def marginals(self, scenario: Scenario) -> analytics.SlotMarginals:
         if scenario not in self._marginals:
@@ -593,6 +618,8 @@ def run_sweep(config: RunConfig, *, source: str = "both",
     core, streams = _SweepCore(config), []
     selectors = [parse_metric(metric) for metric in config.sweep.metrics]
     points = list(_points(config, core.kernels.tables))
+    if source in ("analytic", "both"):
+        core.register(s for *_, s in points if isinstance(s, Scenario))
     if source in ("mc", "both"):
         # one plan for the whole sweep: shorter runs are prefixes of longer
         # ones, scenarios sharing pairing and topology share draws, and each

@@ -860,10 +860,13 @@ class DeviceGroupStats:
     """Counters of one device group of a stream group; a family whose
     every member failed adds nothing.  The group's trials resolved are
     the sum of its ``families``' trials.  Groups that differ only in
-    their path-loss law share ``pairing`` and ``topology``."""
+    their path-loss law share ``pairing`` and ``topology`` and differ in
+    ``L`` or ``epsilon``."""
 
     pairing: str             # "bare" for a chain without devices
     topology: int            # numbered from 1 in the stream group
+    L: float                 # path gain at 1 m
+    epsilon: float           # path-loss exponent
     scenarios: int
     family_count: int
     blocks: int = 0          # resolved
@@ -898,7 +901,9 @@ def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
     its path gains, and resolves its families before the next group draws.
     A longer run extends a shorter one, and each family resolves a block
     as wide as the longest run of a member reads it.  A failed draw, path
-    loss included, fails the runs reading it.  The group's buffer set and
+    loss included, fails the runs reading it: a failed device draw fails
+    the members decoding devices in that block, not those reading only
+    hop events.  The group's buffer set and
     every block's views of it are freed on return, before the next group
     allocates its own."""
     failed, start = {}, time.perf_counter()
@@ -908,7 +913,7 @@ def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
             _family_key(s), []).append(s)
     records = {key: DeviceGroupStats(
         key[0] or "bare", topologies.setdefault(key[1], len(topologies) + 1),
-        sum(map(len, families.values())), len(families))
+        *key[2:], sum(map(len, families.values())), len(families))
         for key, families in groups.items()}
     stats.devices = list(records.values())
     buffers = _Buffers(cuts, BLOCK_SIZE)
@@ -951,9 +956,10 @@ def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
                     rng.bit_generator.state = state
                     _draw_devices(buffers, rng, members[0], decoding[key])
                 except Exception as exc:
-                    failed.update(dict.fromkeys(members,
-                                                exc.with_traceback(None)))
-                    continue
+                    # the members reading only hop events still resolve
+                    exc = exc.with_traceback(None)
+                    failed.update((s, exc) for s in members
+                                  if _decodes_devices(reads[s]))
             _resolve_group(records[key], groups[key], cuts, buffers, lo,
                            width, reads, failed)
     stats.nbytes, stats.seconds = buffers.nbytes, time.perf_counter() - start
@@ -968,7 +974,8 @@ def _resolve_group(stats: DeviceGroupStats, families: dict, cuts: dict,
     trial ``lo`` and tally every run reading it; a member's failure goes
     to ``failed``."""
     for family in families.values():
-        family_width = {s: width[s] for s in family if s in width}
+        family_width = {s: width[s] for s in family
+                        if s in width and s not in failed}
         if not family_width:
             continue
         members, record = list(family_width), FamilyStats()

@@ -1205,18 +1205,21 @@ def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
 
 
 def _law(law, t, topology, policy, budget, ell, *args) -> float:
-    """A library mixture law, through a private kernel memo, with the
-    path gain ``ell`` it reads."""
-    return law(analytics.KernelMemo(),
-               analytics.harvest_runs(t, topology, policy, budget), t,
-               budget, ell, *args)
+    """A library mixture law at the last of ``args``, through a private
+    kernel memo, with the path gain ``ell`` it reads, for the family of
+    one reference SNR ``budget`` gives."""
+    *params, x = args
+    (value,) = law(analytics.KernelMemo(),
+                   analytics.harvest_runs(t, topology, policy, budget), t,
+                   ell, *params, (budget.gamma_bar0,), x)
+    return value
 
 
 def _law_at_edge(law, t, topology, policy, budget, *args) -> float:
     """A device law of slot t, which reads its disk-edge path gain."""
     return _law(law, t, topology, policy, budget,
                 pathloss_linear(topology.disk_radii[t - 1], budget),
-                topology, *args)
+                topology, budget.epsilon, *args)
 
 
 def _law_at_hop(t, topology, policy, budget, *args) -> float:
@@ -1252,3 +1255,36 @@ def asymptotic_cdf_Y(y, t, k, topology, policy, budget):
 def asymptotic_cdf_Z(z, t, topology, policy, budget):
     return _law_at_edge(analytics._nearest_law, t, topology, policy, budget,
                         None, True, z)
+
+
+def outage_in_full(states, thresholds, iota, law) -> float:
+    """The slot outage ``SlotMarginals._outage`` assembles, with every term
+    evaluated and added in (receiver state i, sender disk state j) order:
+    ``p * iota[j] * law(thresholds[i][j])`` over the receiver's harvest
+    states ``(i, p)``, where a threshold at or below zero adds nothing and
+    +inf adds its whole weight; clamped to [0, 1]."""
+    op = 0.0
+    for i, p in states:
+        for j, share in enumerate(iota):
+            threshold = thresholds[i][j]
+            if share == 0.0 or threshold <= 0.0:
+                continue
+            op += p * share * (1.0 if math.isinf(threshold)
+                               else law(threshold))
+    return min(max(op, 0.0), 1.0)
+
+
+def hop_outage_in_full(scenario: Scenario, t: int,
+                       asymptotic: bool = False) -> float:
+    """The hop outage of slot t of ``scenario`` by :func:`outage_in_full`,
+    both disk states' laws evaluated through :func:`cdf_X` (or its
+    asymptote)."""
+    topo, policy, budget = scenario.topology, scenario.policy, scenario.budget
+    log_idle = log_null_probability(topo.density_active,
+                                    topo.disk_radii[t - 1])
+    law = asymptotic_cdf_X if asymptotic else cdf_X
+    return outage_in_full(
+        policy.states(t + 1),
+        analytics.decoding_thresholds(scenario.plan, policy).relay,
+        (math.exp(log_idle), -math.expm1(log_idle)),
+        lambda x: law(x, t, topo, policy, budget))

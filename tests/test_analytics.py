@@ -7,6 +7,7 @@ anchors are frozen from exact hand evaluation of the default plan.
 """
 
 import dataclasses
+import functools
 import math
 
 import mpmath as mp
@@ -51,6 +52,8 @@ from oracles import (
     cdf_Z,
     default_plan,
     diversity_order_estimate,
+    hop_outage_in_full,
+    outage_in_full,
     prod_exp_ccdf,
 )
 
@@ -388,6 +391,78 @@ def test_hop_outage_identical_for_both_pairings():
         com = outage(("hop", t), Scheme.TCOM, BTEH, PLAN_BTEH)
         qom = outage(("hop", t), Scheme.TQOM, BTEH, QOM_BTEH)
         assert com == qom
+
+
+# receiver harvest states and (idle, active) relay thresholds of a slot
+STATES = ((0, 0.9), (1, 0.1))
+RELAY = ((1.0, 2.0), (3.0, 4.0))
+# the idle-disk share of a t1 disk, ~4e-137, and of the density sweep's
+# sparsest point, 0.043
+T1_IOTA = (math.exp(-100.0 * math.pi), -math.expm1(-100.0 * math.pi))
+SPARSE_IOTA = (math.exp(-math.pi), -math.expm1(-math.pi))
+
+
+def _family_outage(g0s, iota, law):
+    """``SlotMarginals._outage`` of the family ``g0s`` over ``law(g0, x)``,
+    and the (g0, threshold) of every law evaluation it made."""
+    evaluated = []
+
+    def evaluate(members, x):
+        evaluated.extend((g0, x) for g0 in members)
+        return tuple(law(g0, x) for g0 in members)
+    ops = SlotMarginals._outage(g0s, STATES, RELAY, iota, evaluate, "test")
+    return ops, evaluated
+
+
+@pytest.mark.parametrize("iota, skipped", [(T1_IOTA, True),
+                                           (SPARSE_IOTA, False)])
+def test_idle_term_is_skipped_only_where_it_cannot_move_the_float(iota,
+                                                                  skipped):
+    def law(g0, x):
+        return min(x * 1e-3 / g0, 1.0)
+    g0s = (1.0, 10.0)
+    ops, evaluated = _family_outage(g0s, iota, law)
+    assert ops == tuple(outage_in_full(STATES, RELAY, iota,
+                                       functools.partial(law, g0))
+                        for g0 in g0s)
+    active = [(g0, x) for x in (2.0, 4.0) for g0 in g0s]
+    idle = [(g0, x) for x in (1.0, 3.0) for g0 in g0s]
+    assert sorted(evaluated) == sorted(active + ([] if skipped else idle))
+
+
+def test_idle_term_is_kept_where_the_active_term_is_zero():
+    # member 1e3's active laws are 0.0, so its tiny idle terms are the
+    # whole outage and must be evaluated; member 1.0's are not
+    def law(g0, x):
+        if g0 > 1.0:
+            return 0.0 if x in (2.0, 4.0) else 0.5
+        return min(x * 1e-3 / g0, 1.0)
+    g0s = (1.0, 1e3)
+    ops, evaluated = _family_outage(g0s, T1_IOTA, law)
+    want = tuple(outage_in_full(STATES, RELAY, T1_IOTA,
+                                functools.partial(law, g0)) for g0 in g0s)
+    assert ops == want and 0.0 < want[1] < 1e-100
+    assert sorted(evaluated) == sorted(
+        [(g0, x) for x in (2.0, 4.0) for g0 in g0s]
+        + [(1e3, 1.0), (1e3, 3.0)])
+
+
+@pytest.mark.parametrize("asymptotic", [False, True])
+@pytest.mark.parametrize("density", [1e-2, 1e-4])
+def test_hop_outage_equals_the_sum_of_every_term(asymptotic, density):
+    # at density 1e-2 every t1 idle term is left out, at 1e-4 (idle share
+    # 0.043) every one is kept; the float is the full sum's either way
+    topology = dataclasses.replace(T1, density_active=density)
+    for scheme, policy, plan in ((Scheme.TCOM, BTEH, PLAN_BTEH),
+                                 (Scheme.PCOM, BPEH, PLAN_BPEH),
+                                 (Scheme.COM_NOEH, NOEH, PLAN_NOEH)):
+        for p0 in (1e-6, 1e-3, 10.0):
+            s = Scenario(scheme=scheme, topology=topology, policy=policy,
+                         budget=dataclasses.replace(BUDGET, P0=p0), plan=plan)
+            marginals = SlotMarginals(s)
+            for t in (1, 2, 3):
+                assert marginals.outage(("hop", t), asymptotic) \
+                    == hop_outage_in_full(s, t, asymptotic), (scheme, p0, t)
 
 
 def test_op_nondecreasing_in_target_rates():

@@ -570,9 +570,20 @@ GOLDEN_ANALYTIC = {
 }
 
 
+# kernel evaluations of the analytic sweep of every shipped config, summed
+# over kernel families: what the analytic route evaluates is pinned, not
+# only what it emits
+KERNEL_EVALUATIONS = {
+    "alpha_share": 258, "density": 70, "destination_op_p0": 198,
+    "efficiency_rho": 35, "rho_tradeoff": 43, "scaling_com": 95,
+    "scaling_qom": 39, "throughput_p0": 432, "validate_chain": 48,
+    "validate_devices_com": 40, "validate_devices_qom": 17,
+}
+
+
 def test_every_shipped_config_has_a_golden_analytic_table():
     shipped = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
-    assert shipped == sorted(GOLDEN_ANALYTIC)
+    assert shipped == sorted(GOLDEN_ANALYTIC) == sorted(KERNEL_EVALUATIONS)
 
 
 # per shipped config under source="both" at 70,000 trials: the sha256 of
@@ -688,9 +699,11 @@ def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
     if config.fit_cache is not None:
         assert (tmp_path / "fits.json").read_bytes() \
             == (ROOT / "data" / "nearest_fits.json").read_bytes()
-    # the record counts the sweep's kernel lookups, and no stream group
+    # the record counts the sweep's kernel lookups and evaluations, and no
+    # stream group
     stats = result.stats
     assert not stats.streams and sum(stats.kernel_lookups.values()) > 0
+    assert sum(stats.kernel_evaluations.values()) == KERNEL_EVALUATIONS[name]
     assert len([r for r in caplog.records
                 if r.name == "nomarelay.experiments"]) == 1
 
@@ -846,6 +859,95 @@ def test_power_family_rows_equal_standalone_marginals(tmp_path, name):
             for r in rows] == want
 
 
+@pytest.mark.parametrize("name", ["destination_op_p0", "throughput_p0"])
+def test_a_power_family_walks_each_outage_once(monkeypatch, tmp_path, name):
+    # the 9 points of a power sweep walk each slot outage as one family, so
+    # the sweep makes as many walks as a sweep of one point
+    walks = []
+    outage = analytics.SlotMarginals._outage
+    monkeypatch.setattr(analytics.SlotMarginals, "_outage", staticmethod(
+        lambda *args: walks.append(len(args[0])) or outage(*args)))
+    config = _shipped(tmp_path, name)
+    text = render_results(run_sweep(config, source="analytic").rows, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC[name]
+    family = list(walks)
+    walks.clear()
+    point = dataclasses.replace(config, sweep=dataclasses.replace(
+        config.sweep, grid=config.sweep.grid[:1]))
+    assert not run_sweep(point, source="analytic").failures
+    assert len(family) == len(walks) <= 48
+    assert set(family) == {len(config.sweep.grid)} and set(walks) == {1}
+    if name == "destination_op_p0":
+        assert len(family) == 42  # 7 schemes x 3 hops x 2, from 378
+
+
+def test_eed_twins_walk_as_a_power_family_of_their_own(monkeypatch,
+                                                      tmp_path):
+    # the no-harvest twins of a power family's points differ only in P0
+    # too, so they are walked as one family, and every eed row is the
+    # difference of the standalone efficiencies
+    walks = []
+    outage = analytics.SlotMarginals._outage
+    monkeypatch.setattr(analytics.SlotMarginals, "_outage", staticmethod(
+        lambda *args: walks.append(len(args[0])) or outage(*args)))
+    config = _shipped(tmp_path, "throughput_p0")
+    config = dataclasses.replace(config, sweep=dataclasses.replace(
+        config.sweep, metrics=("eed",)))
+    rows = run_sweep(config, source="analytic").rows
+    assert walks and set(walks) == {len(config.sweep.grid)}
+    book = channel.FitBook(config.fit_cache_path)
+
+    def efficiency(s):
+        alone = analytics.SlotMarginals(s, functools.partial(
+            experiments._nearest_fit, book, s))
+        return config.bandwidth_hz * alone.throughput() \
+            / analytics.supply_power(s.budget, s.policy)
+    want = []
+    for _, _, s in experiments._points(config, {}):
+        if not s.policy.is_harvesting:
+            want.append(0.0)
+            continue
+        twin = dataclasses.replace(s, policy=dataclasses.replace(
+            s.policy, rho=(0.0,) * s.policy.node_count))
+        want.append(efficiency(s) - efficiency(twin))
+    assert [repr(row.mean) for row in rows] == list(map(repr, want))
+
+
+def test_a_kernel_failure_at_one_member_fails_only_its_rows(monkeypatch,
+                                                            tmp_path):
+    # a prod_exp kernel raising at every hop threshold of the -10 dBm
+    # point fails that point's exact rows; the family's walk is redone
+    # member by member, so every other row, its asymptotic rows included,
+    # is the clean sweep's
+    config = _shipped(tmp_path, "destination_op_p0")
+    clean = run_sweep(config, source="analytic")
+    points = [s for value, _, s in experiments._points(config, {})
+              if value == -10]
+    g0 = points[0].budget.gamma_bar0
+    planted = {x / g0 for s in points
+               for row in analytics.decoding_thresholds(s.plan,
+                                                        s.policy).relay
+               for x in row}
+    kernel = analytics.prod_exp_cdf
+
+    def refuse(z, *args, **kw):
+        if z in planted:
+            raise FloatingPointError("planted")
+        return kernel(z, *args, **kw)
+
+    monkeypatch.setattr(analytics, "prod_exp_cdf", refuse)
+    result = run_sweep(config, source="analytic")
+    schemes = [scheme.value for scheme in config.sweep.schemes]
+    assert result.failures == [
+        (-10, scheme, "e2e_op:destination", "FloatingPointError: planted")
+        for scheme in schemes]
+    for got, want in zip(result.rows, clean.rows, strict=True):
+        if (got.value, got.source) == ("-10", "analytic"):
+            assert math.isnan(got.mean)
+        else:
+            assert got == want
+
+
 # per sweep: distinct allocation plans and (slot, topology, policy,
 # path-loss law) harvest-run tables
 PLAN_AND_RUN_COUNTS = {"destination_op_p0": (4, 12), "throughput_p0": (4, 12),
@@ -857,21 +959,29 @@ def test_no_table_outlives_its_sweep(monkeypatch, tmp_path, name):
     # a power sweep's 9 points share 4 plans and 12 run tables, where
     # each point of each scheme derived its own; a second sweep in the
     # same process derives them all again
-    counts = {}
+    counts, built = {}, []
     for fn in ("default_allocation", "harvest_runs"):
         def counted(*args, fn=fn, real=getattr(analytics, fn), **kw):
             counts[fn] += 1
             return real(*args, **kw)
         monkeypatch.setattr(analytics, fn, counted)
+    # each policy, layout and budget is built once per sweep and input
+    for fn in ("build_policy", "_qom_layout", "LinkBudget"):
+        def recorded(*args, fn=fn, real=getattr(experiments, fn)):
+            built.append((fn,) + args)
+            return real(*args)
+        monkeypatch.setattr(experiments, fn, recorded)
     config = _shipped(tmp_path, name)
     tables = []
     for _ in range(2):
         counts.update(default_allocation=0, harvest_runs=0)
+        built.clear()
         result = run_sweep(config, source="analytic")
         assert not result.failures
         tables.append(render_results(result.rows, "csv"))
         assert (counts["default_allocation"], counts["harvest_runs"]) \
             == PLAN_AND_RUN_COUNTS[name]
+        assert len(built) == len(set(built)) > 0
     assert hashlib.sha256(tables[0].encode()).hexdigest() \
         == GOLDEN_ANALYTIC[name]
     assert tables[0] == tables[1]

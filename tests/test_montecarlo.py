@@ -613,6 +613,10 @@ def test_plan_tallies_what_each_run_reads():
     com, steep, qom, bare = group.devices
     assert [(g.pairing, g.topology) for g in group.devices] \
         == [("com", 1), ("com", 1), ("qom", 1), ("bare", 2)]
+    # the two com groups tell their path-loss laws apart
+    assert (com.L, com.epsilon) == (TCOM.budget.L, TCOM.budget.epsilon)
+    assert (steep.L, steep.epsilon) == (STEEP_TCOM.budget.L, 3.0)
+    assert steep.L == com.L and steep.epsilon != com.epsilon
     assert (steep.blocks, steep.hop_only, steep.undecoded) == (1, 0, 0)
     assert (com.blocks, com.hop_only) == (2, 1)
     assert com.undecoded == 34_464
@@ -720,8 +724,10 @@ def test_a_fill_serves_only_its_own_path_loss_law():
 
 def test_a_path_loss_failure_fails_its_device_group(monkeypatch):
     # the path gains are part of a device draw, so a path-loss failure
-    # fails every member of the device group in that block, a member
-    # reading only hop events too; another law's device group is untouched
+    # fails the members of the device group decoding devices in that
+    # block; a member reading only hop events reads no device row and
+    # resolves as in a clean run, and another law's device group is
+    # untouched
     hop = scenario(Scheme.TCOM, rho=0.5)
     runs = [(TCOM, 7, 2_000), (hop, 7, 3_000), (STEEP_TCOM, 7, 2_000)]
     reads = {runs[1]: {("hop", 2), ("supply_power",)}}
@@ -735,7 +741,9 @@ def test_a_path_loss_failure_fails_its_device_group(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "pathloss_linear", refuse)
     got = simulate_plan(runs, reads)
-    assert all(isinstance(got[run], FloatingPointError) for run in runs[:2])
+    assert isinstance(got[runs[0]], FloatingPointError)
+    assert str(got[runs[0]]) == "refused"
+    assert got[runs[1]] == want[runs[1]]
     assert got[runs[2]] == want[runs[2]]
 
 
