@@ -18,16 +18,18 @@ Every outage of a scenario, and its sum throughput, is read through one
 simulator answer one question the same way.
 
 Every kernel call goes through a :class:`KernelMemo`, which also carries
-what P0 does not touch (allocation plans, thresholds, and each slot's
-harvest runs, path gains, disk-idle shares and receiver states) in its
-``tables``.  A sweep shares one memo across all its
+what P0 and rho do not touch (allocation plans, thresholds, and each
+slot's harvest runs, path gains, disk-idle shares and receiver states)
+in its ``tables``.  A sweep shares one memo across all its
 :class:`SlotMarginals`, so each distinct kernel argument is evaluated
-once per sweep.  It also registers each power family there (the
-scenarios equal but for P0): the family derives its P0-free state once,
-and each of its outages is one walk over the mixtures that carries every
-member's reference SNR, each member's sum kept in its own float; an
-unregistered scenario is a family of one.  A standalone
-``SlotMarginals`` gets a private memo, and nothing outlives its owner.
+once per sweep.  It also registers each family there (the scenarios
+equal but for P0 and rho): the family derives its shared state once, and
+each of its outages is one walk over the mixtures, which evaluates each
+unweighted branch once per run length and reference SNR; each member
+then adds its own runs' weights and receiver-state probabilities, its
+sum kept in its own float.  An unregistered scenario is a family of
+one.  A standalone ``SlotMarginals`` gets a private memo, and nothing
+outlives its owner.
 The memo also owns the sweep's :class:`specfun.LogGammaTable`, so the
 kernels it evaluates share their gamma factors on the fixed quadrature
 grids, and the table goes with the memo.
@@ -40,7 +42,7 @@ import contextlib
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .channel import LinkBudget, pathloss_linear
@@ -287,19 +289,24 @@ class KernelMemo(dict):
 
     The kernels are pure, so a hit returns the very float a miss computes.
     ``lookups`` counts calls and ``evaluations`` misses per kernel family,
-    for the sweep's statistics record.  Every quadrature kernel evaluated
-    here reads and fills ``table``, one :class:`specfun.LogGammaTable`
-    that lives as long as the memo.  ``tables`` holds what P0 does not
-    touch, keyed by what it reads: the sweep's policies, layouts and
-    allocation plans, the decoding thresholds and slot states of every
-    :class:`SlotMarginals` reading the memo, and the members and shared
-    memo of each registered power family.
+    ``outage_walks`` the outage walks of the :class:`SlotMarginals`
+    reading the memo by the members each carried, and ``family_members``
+    the members of each registered family, for the sweep's statistics
+    record.  Every quadrature kernel evaluated here reads and fills
+    ``table``, one :class:`specfun.LogGammaTable` that lives as long as
+    the memo.  ``tables`` holds what P0 and rho do not touch, keyed by what it
+    reads: the sweep's policies, layouts and allocation plans, the
+    decoding thresholds and harvest-state tables of every
+    ``SlotMarginals`` reading the memo, and the family and position of
+    each registered scenario.
     """
 
     def __init__(self):
         super().__init__()
         self.lookups = collections.Counter()
         self.evaluations = collections.Counter()
+        self.outage_walks = collections.Counter()
+        self.family_members = []
         self.table = LogGammaTable()
         self.tables = {}
 
@@ -318,17 +325,99 @@ class KernelMemo(dict):
         return value
 
     def register_families(self, scenarios) -> None:
-        """Group ``scenarios`` into power families, the scenarios equal but
-        for ``budget.P0``, and give each a shared memo in ``tables``, with
-        its members' reference SNRs in the order given; the
-        :class:`SlotMarginals` of a member then walk the whole family at
-        once.  Register before any of them is read."""
-        families = {}
+        """Group ``scenarios`` into families, the scenarios equal but for
+        ``budget.P0`` and ``policy.rho`` (:func:`_family`), each member at
+        its position in the order given; the :class:`SlotMarginals` of a
+        member then walk the whole family at once.  Register before any of
+        them is read."""
+        families, cleared = {}, {}
         for s in scenarios:
-            members = families.setdefault(_power_family(s), {})
-            members[s.budget.gamma_bar0] = None
+            families.setdefault(_family(s, cleared), {})[s] = None
         for key, members in families.items():
-            self.tables[key] = (tuple(members), {})
+            family = _Family(key, tuple(members))
+            for position, s in enumerate(family.members):
+                self.tables["member", s] = (family, position)
+            self.family_members.append(len(family.members))
+
+
+class _Family:
+    """The members of one family, by position, and what they share.
+
+    ``key`` is the family's :func:`_family`; ``g0s`` holds each member's
+    reference SNR, ``policies`` the members' distinct policies, ``group``
+    the index of each member's there, and ``layout`` the members of each
+    policy (:func:`_policy_groups`).  ``values`` keeps each
+    computation's float (or failure) per member, and ``slots`` each
+    slot's state (:meth:`SlotMarginals._slot`).  ``walks[t, ms]`` and
+    ``receivers[t, ms]`` hold the mixture walk (:func:`_walk`) and
+    receiver states (:func:`_receivers`) of slot t for the member
+    positions ``ms``: :meth:`SlotMarginals._slot` sets them for every
+    member, and other positions are built on first use.
+    """
+
+    def __init__(self, key: tuple, members: tuple):
+        self.key, self.members = key, members
+        self.positions = tuple(range(len(members)))
+        self.g0s = tuple([s.budget.gamma_bar0 for s in members])
+        policies = {}
+        self.group = tuple([policies.setdefault(s.policy, len(policies))
+                            for s in members])
+        self.policies = tuple(policies)
+        self.layout = _policy_groups(self.group, self.g0s, self.positions)
+        self.values, self.slots = {}, {}
+        # the builders hold the family's fields, not the family: no
+        # reference cycle keeps it alive
+        self.walks = _Built(functools.partial(
+            _members_walk, self.slots, self.group, self.g0s))
+        self.receivers = _Built(functools.partial(
+            _members_receivers, self.slots, self.group, self.g0s))
+
+
+def _policy_groups(group, g0s, ms) -> tuple:
+    """``(ns, g, g0s)`` of each policy g of the member positions ``ms`` of
+    a family, in order of first use: the indices of its members in ``ms``
+    and their reference SNRs."""
+    groups = {}
+    for n, m in enumerate(ms):
+        ns, g0s_g = groups.setdefault(group[m], ([], []))
+        ns.append(n)
+        g0s_g.append(g0s[m])
+    return tuple((tuple(ns), g, tuple(g0s_g))
+                 for g, (ns, g0s_g) in groups.items())
+
+
+def _walk(slot, groups, size) -> tuple:
+    """The walk of a slot's mixtures (see :func:`_mix`) over ``size``
+    members, per policy ``(ns, g, g0s)`` of ``groups``: its members'
+    indices, its harvest runs in ``slot`` and their reference SNRs."""
+    return size, tuple((ns, slot[g][3], g0s) for ns, g, g0s in groups)
+
+
+def _members_walk(slots, group, g0s, key) -> tuple:
+    """:func:`_walk` of slot t for the member positions ``ms`` of a
+    family; ``key`` is ``(t, ms)``."""
+    t, ms = key
+    return _walk(slots[t], _policy_groups(group, g0s, ms), len(ms))
+
+
+def _members_receivers(slots, group, g0s, key) -> tuple:
+    """:func:`_receivers` of slot t for the member positions ``ms`` of a
+    family, each policy's at once; ``key`` is ``(t, ms)``."""
+    t, ms = key
+    slot = slots[t]
+    return _receivers(ms, [(ns, slot[g][4])
+                           for ns, g, _ in _policy_groups(group, g0s, ms)])
+
+
+class _Built(dict):
+    """``build(key)`` of each key asked for, built on first use."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -351,43 +440,91 @@ def harvest_runs(t: int, topology: NetworkTopology, policy: EhPolicy,
         for v, w in policy.runs(t) if w != 0.0)
 
 
-def _mix(runs, g0s, branch, label: str) -> tuple:
-    """Mixture of ``branch(w, v, gains)`` over ``runs``, clamped, for each
-    reference SNR of ``g0s``.
-
-    ``branch`` returns the whole weighted term of every member, so each law
-    keeps the float association of its own product.  Each member's sum
-    adds in run order on every interpreter; ``sum()`` compensates float
-    sums from Python 3.12 on.
+def _receivers(ms, groups) -> tuple:
+    """``(i, members, ns, ps)`` of each receiver harvest state i a member
+    of ``ms`` takes, in order: those members (``ms`` itself where all
+    take it), their indices in ``ms`` and their probabilities of i.
+    ``groups`` lists ``(ns, states)``: the indices in ``ms`` of members
+    whose receiver takes the states ``states`` (:meth:`EhPolicy.states`).
     """
-    totals = [0.0] * len(g0s)
-    for w, v, gains in runs:
-        totals = [total + term
-                  for total, term in zip(totals, branch(w, v, gains))]
-    return tuple(_clamp(total, label) for total in totals)
+    out = []
+    for i in (0, 1):
+        ns, ps = [], []
+        for group_ns, states in groups:
+            for j, p in states:
+                if j == i:
+                    ns += group_ns
+                    ps += [p] * len(group_ns)
+        if ns:
+            ns = tuple(ns)
+            members = tuple([ms[n] for n in ns])
+            out.append((i, ms if members == ms else members, ns, tuple(ps)))
+    return tuple(out)
 
 
-def _residue_branch(memo, g0s, x, ell, coeff):
+def _mix(walk, branch, weight, label: str) -> tuple:
+    """Mixture of the unweighted ``branch(v, gains, g0s)`` over ``walk``,
+    clamped, for each of its members.
+
+    ``walk`` is ``(size, groups)``: the member count and, per run table
+    (one policy), ``(ns, runs, g0s)``, the indices of its members among
+    them, the table's harvest runs (:func:`harvest_runs`) and their
+    reference SNRs.  The members on one run table walk it together: one
+    branch per run carrying their reference SNRs, whose values a later
+    table with the same run length and SNRs reads again.  Each member
+    adds ``weight(w) * value`` (``w`` itself where ``weight`` is None)
+    over its own runs, so each law keeps the float association of its own
+    product, in run order on every interpreter; ``sum()`` compensates
+    float sums from Python 3.12 on.
+    """
+    size, groups = walk
+    if len(groups) > 1:
+        branch = functools.partial(_shared, {}, branch)
+    out = [0.0] * size
+    for ns, runs, g0s in groups:
+        totals = [0.0] * len(g0s)
+        for w, v, gains in runs:
+            values = branch(v, gains, g0s)
+            if weight is not None:
+                w = weight(w)
+            totals = [total + w * value
+                      for total, value in zip(totals, values)]
+        for n, total in zip(ns, totals):
+            out[n] = _clamp(total, label)
+    return tuple(out)
+
+
+def _shared(known, branch, v, gains, g0s):
+    """``branch(v, gains, g0s)``, kept in ``known`` for the later run
+    tables of a walk with the same run length and reference SNRs."""
+    values = known.get((v, g0s))
+    if values is None:
+        values = known[v, g0s] = branch(v, gains, g0s)
+    return values
+
+
+def _residue_branch(memo, x, ell, coeff):
     """Branch of the high-power asymptote of a gain with edge gain ``ell``."""
-    def branch(w, v, gains):
+    def branch(v, gains, g0s):
         scaled, gain = coeff * x, math.prod(gains)
         # branches still outside their small-argument regime saturate at
         # certain outage instead of overshooting
-        return [w * min(max(memo("residue_asymptote_cdf",
-                                 scaled / (g0 * ell * gain), v), 0.0), 1.0)
+        return [min(max(memo("residue_asymptote_cdf",
+                             scaled / (g0 * ell * gain), v), 0.0), 1.0)
                 for g0 in g0s]
     return branch
 
 
-def _hop_law(memo, runs, t, ell_next, asymptotic, g0s, x):
+def _hop_law(memo, walks, t, ell_next, asymptotic, members, x):
     """CDF of the hop SNR X_t received by node t+1, whose hop has path gain
-    ``ell_next``, or its asymptote, at each reference SNR of ``g0s``."""
-    def branch(w, v, gains):
+    ``ell_next``, or its asymptote, for each of ``members``, over their
+    walk ``walks[t, members]``."""
+    def branch(v, gains, g0s):
         means = gains + (ell_next,)
-        return [w * memo("prod_exp_cdf", x / g0, v + 1, means) for g0 in g0s]
+        return [memo("prod_exp_cdf", x / g0, v + 1, means) for g0 in g0s]
     if asymptotic:
-        branch = _residue_branch(memo, g0s, x, ell_next, 1.0)
-    return _mix(runs, g0s, branch, f"cdf_X(t={t})")
+        branch = _residue_branch(memo, x, ell_next, 1.0)
+    return _mix(walks[t, members], branch, None, f"cdf_X(t={t})")
 
 
 def _annulus_chi(k: int) -> tuple:
@@ -395,16 +532,17 @@ def _annulus_chi(k: int) -> tuple:
     return k * k / (2.0 * k - 1.0), (k - 1.0) ** 2 / (2.0 * k - 1.0)
 
 
-def _com_law(memo, runs, t, ell_edge, topology, eps, k, asymptotic, g0s, y):
+def _com_law(memo, walks, t, ell_edge, topology, eps, k, asymptotic,
+             members, y):
     """CDF of the com device SNR Y_{t,k} in subarea k of slot t, whose disk
-    edge has path gain ``ell_edge``, or its asymptote, at each reference
-    SNR of ``g0s``."""
+    edge has path gain ``ell_edge``, or its asymptote, for each of
+    ``members``, over their walk ``walks[t, members]``."""
     kt = topology.subarea_counts[t - 1]
     c_exp = 2.0 / eps
     chi_hi, chi_lo = _annulus_chi(k)
     outer, inner = (k / kt) ** eps, ((k - 1) / kt) ** eps
 
-    def branch(w, v, gains):
+    def branch(v, gains, g0s):
         gain, terms = math.prod(gains), []
         for g0 in g0s:
             c_tau = y / (g0 * ell_edge * gain)
@@ -413,30 +551,35 @@ def _com_law(memo, runs, t, ell_edge, topology, eps, k, asymptotic, g0s, y):
             if k > 1:
                 term -= chi_lo * memo("annulus_kernel_deficit",
                                       c_tau * inner, v, c_exp)
-            terms.append(w * c_exp * term)
+            terms.append(term)
         return terms
+    # each run weighs w * c_exp (c_exp's bound method), an asymptote's w
+    weight = c_exp.__rmul__
     if asymptotic:
-        branch = _residue_branch(memo, g0s, y, ell_edge,
-                                 annulus_small_gain_coefficient(k, kt, eps))
-    return _mix(runs, g0s, branch, f"cdf_Y(t={t},k={k})")
+        weight, branch = None, _residue_branch(
+            memo, y, ell_edge, annulus_small_gain_coefficient(k, kt, eps))
+    return _mix(walks[t, members], branch, weight, f"cdf_Y(t={t},k={k})")
 
 
-def _nearest_law(memo, runs, t, ell_edge, topology, eps, fit, asymptotic,
-                 g0s, z):
+def _nearest_law(memo, walks, t, ell_edge, topology, eps, fit, asymptotic,
+                 members, z):
     """CDF of the qom (nearest-device) SNR Z_t, or its asymptote, which
-    needs no fit but the disk-edge path gain ``ell_edge``, at each
-    reference SNR of ``g0s``."""
-    def branch(w, v, gains):
-        gain, weight = math.prod(gains), w / math.gamma(fit.m)
-        return [weight * memo("nearest_kernel_deficit",
-                              (z / (g0 * fit.mu * gain)) ** fit.theta, v,
-                              fit.theta, fit.m)
+    needs no fit but the disk-edge path gain ``ell_edge``, for each of
+    ``members``, over their walk ``walks[t, members]``."""
+    def branch(v, gains, g0s):
+        gain = math.prod(gains)
+        return [memo("nearest_kernel_deficit",
+                     (z / (g0 * fit.mu * gain)) ** fit.theta, v, fit.theta,
+                     fit.m)
                 for g0 in g0s]
     if asymptotic:
-        branch = _residue_branch(
-            memo, g0s, z, ell_edge, nearest_small_gain_coefficient(
+        weight, branch = None, _residue_branch(
+            memo, z, ell_edge, nearest_small_gain_coefficient(
                 topology.density_active, topology.disk_radii[t - 1], eps))
-    return _mix(runs, g0s, branch, f"cdf_Z(t={t})")
+    else:
+        # each run weighs w / gamma(m) (gamma(m)'s bound method)
+        weight = math.gamma(fit.m).__rtruediv__
+    return _mix(walks[t, members], branch, weight, f"cdf_Z(t={t})")
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +612,21 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
-    The scenario belongs to a power family: the scenarios equal but for
-    ``budget.P0`` that :meth:`KernelMemo.register_families` registered in
-    the kernel memo's ``tables``, which also hold what P0 does not touch
-    (the decoding thresholds by plan and policy, each slot's state
-    (:meth:`_slot`) by topology, policy and path-loss law).  Every
-    outage and the sum throughput are computed per (event,
-    ``asymptotic``) in one walk for the whole family, whose shared memo
-    keeps each member's float; an unregistered scenario is a family of
-    one, and a standalone ``SlotMarginals`` has a private kernel memo as
-    well.  ``nearest_fit(t)`` returns the nearest-gain fit of slot ``t``;
-    it is called only when an exact qom device outage first needs it.
+    The scenario belongs to a family: the scenarios equal but for
+    ``budget.P0`` and ``policy.rho`` that
+    :meth:`KernelMemo.register_families` registered in the kernel memo's
+    ``tables``, which also hold what P0 and rho do not touch (the decoding
+    thresholds by plan and policy with rho cleared, each policy's harvest
+    runs and receiver states per slot).  Every outage and the sum
+    throughput are computed per (event, ``asymptotic``) in one walk for
+    the whole family, which evaluates each unweighted mixture branch once
+    per run length and reference SNR and keeps each member's float, summed
+    over its own runs and receiver states; members on one policy (a power
+    family) walk its run table together.  An unregistered scenario is a
+    family of one, and a standalone ``SlotMarginals`` has a private kernel
+    memo as well.  ``nearest_fit(t)`` returns the nearest-gain fit of slot
+    ``t``; it is called only when an exact qom device outage first needs
+    it.
     """
 
     def __init__(self, scenario: Scenario, nearest_fit=None,
@@ -487,40 +634,42 @@ class SlotMarginals:
         self.scenario = scenario
         self._nearest_fit = nearest_fit
         self.kernels = KernelMemo() if kernels is None else kernels
-        self._g0 = scenario.budget.gamma_bar0
-        family = self.kernels.tables.get(_power_family(scenario))
-        if family is None or self._g0 not in family[0]:
-            family = ((self._g0,), {})
-        self._g0s, self._memo = family
-        self._index = self._g0s.index(self._g0)
+        self._family, self._index = (
+            self.kernels.tables.get(("member", scenario))
+            or (_Family(_family(scenario), (scenario,)), 0))
 
     @functools.cached_property
     def thresholds(self) -> ThresholdSet:
-        key = (self.scenario.plan, self.scenario.policy)
+        # thresholds do not read rho: one derivation per plan (whose slot
+        # count fixes the node count) and the policy's other fields, last
+        # in the family key
+        key = ("thresholds", self.scenario.plan, self._family.key[-1])
         tables = self.kernels.tables
         if key not in tables:
-            tables[key] = decoding_thresholds(*key)
+            tables[key] = decoding_thresholds(self.scenario.plan,
+                                              self.scenario.policy)
         return tables[key]
 
-    def _once(self, g0s, compute, *args) -> tuple:
-        """``compute(g0s, *args)``: one float per member of ``g0s``, each
-        computed once per family.  A walk over several members that raises
-        is redone member by member, so a failure reaches only the members
-        whose own walk raises; it is kept like a value, and raised to
-        every reader."""
-        known = self._memo.setdefault((compute.__name__,) + args, {})
-        missing = tuple(g0 for g0 in g0s if g0 not in known)
+    def _once(self, ms, compute, *args) -> tuple:
+        """``compute(ms, *args)``: one float per member position of ``ms``,
+        each computed once per family.  A walk over several members that
+        raises is redone member by member, so a failure reaches only the
+        members whose own walk raises; it is kept like a value, and raised
+        to every reader."""
+        known = self._family.values.setdefault((compute.__name__,) + args,
+                                               {})
+        missing = tuple(m for m in ms if m not in known)
         if len(missing) > 1:
             with contextlib.suppress(Exception):
                 known.update(zip(missing, compute(missing, *args)))
-        for g0 in g0s:
-            if g0 not in known:
+        for m in ms:
+            if m not in known:
                 try:
-                    known[g0], = compute((g0,), *args)
+                    known[m], = compute((m,), *args)
                 except Exception as exc:
                     # without its traceback, whose frames hold the memo
-                    known[g0] = exc.with_traceback(None)
-        values = tuple(known[g0] for g0 in g0s)
+                    known[m] = exc.with_traceback(None)
+        values = tuple(known[m] for m in ms)
         for value in values:
             if isinstance(value, Exception):
                 raise value
@@ -529,10 +678,11 @@ class SlotMarginals:
     def _read(self, compute, *args) -> float:
         """This scenario's float of a family computation."""
         try:
-            return self._once(self._g0s, compute, *args)[self._index]
+            return self._once(self._family.positions, compute,
+                              *args)[self._index]
         except Exception:
             # another member failed; this one may not have
-            return self._once((self._g0,), compute, *args)[0]
+            return self._once((self._index,), compute, *args)[0]
 
     def outage(self, selector, asymptotic: bool = False) -> float:
         """Outage probability of the decode event ``selector`` names.
@@ -557,33 +707,54 @@ class SlotMarginals:
         return self._read(self._throughput, asymptotic)
 
     def _slot(self, t):
-        """``(runs, ell_hop, ell_edge, iota, states)`` of slot t: the
-        transmitter's harvest runs (:func:`harvest_runs`), the hop and
-        disk-edge path gains, the idle and active shares of its disk, and
-        the receiver's harvest states, none of which reads P0."""
-        s, tables = self.scenario, self.kernels.tables
-        topo, budget = s.topology, s.budget
-        key = (t, topo, s.policy, budget.L, budget.epsilon)
-        if key not in tables:
-            log_idle = log_null_probability(topo.density_active,
-                                            topo.disk_radii[t - 1])
-            tables[key] = (
-                harvest_runs(t, topo, s.policy, budget),
-                pathloss_linear(topo.hop_distances[t - 1], budget),
-                pathloss_linear(topo.disk_radii[t - 1], budget),
-                (math.exp(log_idle), -math.expm1(log_idle)),
-                s.policy.states(t + 1))
-        return tables[key]
+        """Per policy of the family, in order, ``(ell_hop, ell_edge, iota,
+        runs, states)`` of slot t: the hop and disk-edge path gains and the
+        idle and active shares of its disk, none of which reads P0 or rho,
+        so the first policy's serve every member, and the transmitter's
+        harvest runs (:func:`harvest_runs`) and the receiver's harvest
+        states.  It also sets the walk and receiver states of every
+        member."""
+        family = self._family
+        if t not in family.slots:
+            s, tables = self.scenario, self.kernels.tables
+            topo, budget = s.topology, s.budget
+            groups = []
+            for policy in family.policies:
+                key = (t, topo, policy, budget.L, budget.epsilon)
+                if key not in tables:
+                    log_idle = log_null_probability(topo.density_active,
+                                                    topo.disk_radii[t - 1])
+                    tables[key] = (
+                        pathloss_linear(topo.hop_distances[t - 1], budget),
+                        pathloss_linear(topo.disk_radii[t - 1], budget),
+                        (math.exp(log_idle), -math.expm1(log_idle)),
+                        harvest_runs(t, topo, policy, budget),
+                        policy.states(t + 1))
+                groups.append(tables[key])
+            slot = family.slots[t] = tuple(groups)
+            everyone, layout = family.positions, family.layout
+            family.walks[t, everyone] = _walk(slot, layout, len(everyone))
+            family.receivers[t, everyone] = _receivers(
+                everyone, [(ns, slot[g][4]) for ns, g, _ in layout])
+        return family.slots[t]
 
-    def _hop(self, g0s, t, asymptotic):
-        runs, ell_hop, _, iota, states = self._slot(t)
-        evaluate = functools.partial(_hop_law, self.kernels, runs, t, ell_hop,
-                                     asymptotic)
-        return self._outage(g0s, states, self.thresholds.relay, iota,
-                            evaluate, f"hop outage (t={t})")
+    def _walked(self, ms, t, thresholds, iota, law, args, label):
+        """:meth:`_outage` of slot t for the member positions ``ms`` over
+        ``law(memo, walks, t, *args, members, x)``, counted in the memo's
+        outage walks."""
+        family = self._family
+        self.kernels.outage_walks[len(ms)] += 1
+        return self._outage(ms, family.receivers[t, ms], thresholds, iota,
+                            functools.partial(law, self.kernels, family.walks,
+                                              t, *args), label)
 
-    def _device(self, g0s, t, k, asymptotic):
-        runs, _, ell_edge, _, states = self._slot(t)
+    def _hop(self, ms, t, asymptotic):
+        ell_hop, _, iota, _, _ = self._slot(t)[0]
+        return self._walked(ms, t, self.thresholds.relay, iota, _hop_law,
+                            (ell_hop, asymptotic), f"hop outage (t={t})")
+
+    def _device(self, ms, t, k, asymptotic):
+        ell_edge = self._slot(t)[0][1]
         thresholds = self.thresholds.device[t - 1][0 if k is None else k - 1]
         if k is None:
             label = f"qom device outage (t={t})"
@@ -594,76 +765,93 @@ class SlotMarginals:
         else:
             label = f"com device outage (t={t},k={k})"
             law, arg = _com_law, k
-        evaluate = functools.partial(
-            law, self.kernels, runs, t, ell_edge, self.scenario.topology,
-            self.scenario.budget.epsilon, arg, asymptotic)
         # a served device's disk is active
-        return self._outage(g0s, states, tuple((th, th) for th in thresholds),
-                            (0.0, 1.0), evaluate, label)
+        return self._walked(ms, t, tuple((th, th) for th in thresholds),
+                            (0.0, 1.0), law,
+                            (ell_edge, self.scenario.topology,
+                             self.scenario.budget.epsilon, arg, asymptotic),
+                            label)
 
     @staticmethod
-    def _outage(g0s, states, thresholds, iota, evaluate, label):
+    def _outage(ms, receivers, thresholds, iota, evaluate, label):
         """CDF deficit at ``thresholds[i][j]``, mixed over the receiver's
-        harvest states ``(i, p)`` (:meth:`EhPolicy.states`) and the sender's
-        disk states j, idle (0) and active (1), weighted by ``iota``, for
-        each member of ``g0s``; ``evaluate(members, x)`` gives the law at
-        ``x`` of each of ``members``.  Each member's sum adds the terms in
-        (i, j) order, but leaves out an idle term that cannot move it."""
-        def terms(g0s, p, share, threshold):
+        harvest states i (``receivers``, from :func:`_receivers`) and the
+        sender's disk states j, idle (0) and active (1), weighted by
+        ``iota``, for each member of ``ms``; ``evaluate(members, x)`` gives
+        the law at ``x`` of each of ``members``, a tuple drawn from ``ms``.
+        Each member's sum adds its own terms in (i, j) order, but leaves
+        out an idle term that cannot move it."""
+        def terms(members, ps, share, threshold):
             # a threshold at or below zero never fails; +inf always does
             if share == 0.0 or threshold <= 0.0:
-                return (0.0,) * len(g0s)
+                return [0.0] * len(ps)
             if math.isinf(threshold):
-                return (p * share,) * len(g0s)
-            return [p * share * f for f in evaluate(g0s, threshold)]
+                return [p * share for p in ps]
+            return [p * share * f
+                    for p, f in zip(ps, evaluate(members, threshold))]
 
-        ops, (idle, active) = [0.0] * len(g0s), iota
-        for i, p in states:
-            t1 = terms(g0s, p, active, thresholds[i][1])
+        ops, (idle, active) = [0.0] * len(ms), iota
+        for i, members, ns, ps in receivers:
+            t1 = terms(members, ps, active, thresholds[i][1])
             # every law is clamped to [0, 1], so the idle term lies in
             # [0, p * idle], and rounding is monotone: where that bound
             # cannot move op + t1, no idle term can
-            bound = p * idle
-            moved = [m for m, (op, term) in enumerate(zip(ops, t1))
-                     if (op + bound) + term != op + term]
-            t0 = dict(zip(moved, terms(tuple(g0s[m] for m in moved), p, idle,
-                                       thresholds[i][0]))) if moved else {}
-            ops = [(op + t0[m]) + term if m in t0 else op + term
-                   for m, (op, term) in enumerate(zip(ops, t1))]
+            moved = [k for k, (n, p, term) in enumerate(zip(ns, ps, t1))
+                     if (ops[n] + p * idle) + term != ops[n] + term]
+            t0 = dict(zip(moved, terms(
+                tuple(members[k] for k in moved), [ps[k] for k in moved],
+                idle, thresholds[i][0]))) if moved else {}
+            for k, (n, term) in enumerate(zip(ns, t1)):
+                ops[n] = (ops[n] + t0[k]) + term if k in t0 \
+                    else ops[n] + term
         return tuple(_clamp(op, label) for op in ops)
 
-    def _e2e_destination(self, g0s, asymptotic):
-        hops = [self._once(g0s, self._hop, t, asymptotic)
+    def _e2e_destination(self, ms, asymptotic):
+        hops = [self._once(ms, self._hop, t, asymptotic)
                 for t in range(1, self.scenario.topology.hop_count + 1)]
         return tuple(_clamp(_success_product(ops), "e2e outage (destination)")
                      for ops in zip(*hops))
 
-    def _e2e_device(self, g0s, t, k, asymptotic):
-        device = self._once(g0s, self._device, t, k, asymptotic)
-        chain = [self._once(g0s, self._hop, i, asymptotic)
+    def _e2e_device(self, ms, t, k, asymptotic):
+        device = self._once(ms, self._device, t, k, asymptotic)
+        chain = [self._once(ms, self._hop, i, asymptotic)
                  for i in range(1, t)]
         return tuple(_clamp(_success_product(ops),
                             f"e2e outage (t={t},k={k})")
                      for ops in zip(*chain, device))
 
-    def _throughput(self, g0s, asymptotic):
+    def _throughput(self, ms, asymptotic):
         s = self.scenario
-        destination = self._once(g0s, self._e2e_destination, asymptotic)
-        devices = [[self._once(g0s, self._e2e_device, t, k, asymptotic)
+        destination = self._once(ms, self._e2e_destination, asymptotic)
+        devices = [[self._once(ms, self._e2e_device, t, k, asymptotic)
                     for k in s.served(t)]
                    for t in range(1, s.topology.hop_count + 1)]
         return tuple(
-            sum_throughput(s.plan, destination[m],
-                           tuple(tuple(ops[m] for ops in slot)
+            sum_throughput(s.plan, destination[n],
+                           tuple(tuple(ops[n] for ops in slot)
                                  for slot in devices))
-            for m in range(len(g0s)))
+            for n in range(len(ms)))
 
 
-def _power_family(scenario: Scenario) -> tuple:
-    """What the marginals of ``scenario`` read besides ``budget.P0``: the
-    scenarios of one key form a power family."""
-    return ("power family", scenario.scheme, scenario.topology,
-            scenario.policy, scenario.plan, replace(scenario.budget, P0=1.0))
+def _family(scenario: Scenario, cleared: Optional[dict] = None) -> tuple:
+    """What the marginals of ``scenario`` read besides ``budget.P0`` and
+    ``policy.rho``: the scenarios of one key form a family.  The policy's
+    other fields come last.  ``cleared`` keeps the fields of each budget
+    and policy already keyed, so the scenarios of one sweep share them."""
+    cleared = {} if cleared is None else cleared
+    budget, policy = scenario.budget, scenario.policy
+    if budget not in cleared:
+        cleared[budget] = _fields_but(budget, "P0")
+    if policy not in cleared:
+        # the topology in the key fixes the policy's node count
+        cleared[policy] = _fields_but(policy, "rho")
+    return ("family", scenario.scheme, scenario.topology, scenario.plan,
+            cleared[budget], cleared[policy])
+
+
+def _fields_but(obj, name: str) -> tuple:
+    """The field values of the dataclass ``obj`` but ``name``'s."""
+    return tuple(getattr(obj, f.name) for f in fields(obj) if f.name != name)
 
 
 def _success_product(ops) -> float:

@@ -155,15 +155,19 @@ class ResultRow:
 class SweepStats:
     """Where one sweep's work went, counted as it runs: a
     :class:`montecarlo.StreamStats` per stream group simulated, in order,
-    kernel lookups and evaluations per kernel family, and loggamma lookups
-    and arrays computed per grid kind.  A rerun of the sweep gives an
-    equal record but for its seconds."""
+    kernel lookups and evaluations per kernel family, loggamma lookups
+    and arrays computed per grid kind, the analytic outage walks by the
+    members each carried, and the members of each registered family, in
+    order.  A rerun of the sweep gives an equal record but for its
+    seconds."""
 
     streams: list
     kernel_lookups: dict
     kernel_evaluations: dict
     grid_lookups: dict
     grid_arrays: dict
+    outage_walks: dict
+    family_members: list
 
 
 @dataclass
@@ -362,9 +366,15 @@ def _build_scenario(config: RunConfig, scheme: Scheme,
         layout = _built(tables, _qom_layout, topology)
 
     def allocate(policy):
-        return _built(tables, analytics.default_allocation, layout, policy,
-                      config.relay_share, config.rate_fraction,
-                      config.rate_cap)
+        # a plan reads the layout's subarea counts, the node count and the
+        # policy's information window (analytics._time_scale), and no more
+        key = ("plan", layout.subarea_counts, m, analytics._time_scale(policy),
+               config.relay_share, config.rate_fraction, config.rate_cap)
+        if key not in tables:
+            tables[key] = analytics.default_allocation(
+                layout, policy, config.relay_share, config.rate_fraction,
+                config.rate_cap)
+        return tables[key]
     reference = allocate(policy_of(Scheme.TCOM))
     if scheme is Scheme.CNRR:
         topology = _built(tables, NetworkTopology.without_devices, topology)
@@ -409,11 +419,12 @@ class _SweepCore:
     point), and one eed twin.  Every ``SlotMarginals`` reads one
     :class:`analytics.KernelMemo`, whose ``tables`` also hold the budgets,
     policies, layouts and allocation plans (:func:`_build_scenario`), so
-    what P0 does not touch is derived once per sweep, and the power
-    families :meth:`register` groups, so each family's outages are walked
-    once for all its points.  Nearest-gain fits are resolved lazily
-    through one :class:`FitBook`.  Simulated rows read ``tallies``, filled
-    by one :func:`montecarlo.simulate_plan` over every run the sweep needs.
+    what P0 and rho do not touch is derived once per sweep, and the
+    families :meth:`register` groups (the points equal but for P0 and
+    rho, with their eed twins), so each family's outages are walked once
+    for all its points.  Nearest-gain fits are resolved lazily through
+    one :class:`FitBook`.  Simulated rows read ``tallies``, filled by one
+    :func:`montecarlo.simulate_plan` over every run the sweep needs.
     """
 
     def __init__(self, config: RunConfig):
@@ -424,9 +435,10 @@ class _SweepCore:
         self.tallies = {}
 
     def register(self, scenarios) -> None:
-        """Register the power families of ``scenarios``, in grid order,
-        and, where the sweep reads eed, those of their twins, before the
-        first row reads a marginal."""
+        """Register the families of ``scenarios``, in grid order, before
+        the first row reads a marginal.  Where the sweep reads eed, their
+        twins follow them: a twin differs from its point only in rho, so
+        it joins the point's family."""
         scenarios = list(scenarios)
         if "eed" in self.config.sweep.metrics:
             scenarios += [self.twin(s) for s in scenarios
@@ -642,7 +654,8 @@ def run_sweep(config: RunConfig, *, source: str = "both",
                         result)
     memo = core.kernels
     result.stats = SweepStats(streams, memo.lookups, memo.evaluations,
-                              memo.table.lookups, memo.table.arrays)
+                              memo.table.lookups, memo.table.arrays,
+                              memo.outage_walks, memo.family_members)
     # the one place the record is formatted: its repr, at DEBUG
     logger.debug("sweep statistics: %r", result.stats)
     return result

@@ -1206,12 +1206,12 @@ def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
 
 def _law(law, t, topology, policy, budget, ell, *args) -> float:
     """A library mixture law at the last of ``args``, through a private
-    kernel memo, with the path gain ``ell`` it reads, for the family of
-    one reference SNR ``budget`` gives."""
+    kernel memo, with the path gain ``ell`` it reads, for a family of one
+    member: the reference SNR ``budget`` gives, on the policy's runs."""
     *params, x = args
-    (value,) = law(analytics.KernelMemo(),
-                   analytics.harvest_runs(t, topology, policy, budget), t,
-                   ell, *params, (budget.gamma_bar0,), x)
+    runs = analytics.harvest_runs(t, topology, policy, budget)
+    walks = {(t, (0,)): (1, (((0,), runs, (budget.gamma_bar0,)),))}
+    (value,) = law(analytics.KernelMemo(), walks, t, ell, *params, (0,), x)
     return value
 
 

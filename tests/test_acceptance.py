@@ -82,31 +82,38 @@ def test_criterion_1_slot_outage_oracle_equivalence():
     # simulator draws the true law, so they carry twice the fit's
     # sup-norm error on top of the binomial band.
     misses = []
-    for p0_dbm in (-20.0, -10.0, 0.0):
-        for scheme in (Scheme.TCOM, Scheme.PCOM, Scheme.TQOM, Scheme.PQOM):
-            qom = scheme.pairing == "qom"
-            s = _scenario(scheme, p0_dbm)
-            selectors = [("hop", t) for t in (1, 2, 3)]
-            if qom:
-                selectors += [("device", t, None) for t in (1, 2, 3)]
-            else:
-                selectors += [("device", t, k) for t in (1, 2, 3)
-                              for k in range(1, T1.subarea_counts[t - 1] + 1)]
-            # one closed form and one simulated run answer every selector
-            marginals = analytics.SlotMarginals(s, lambda t: FIT100)
-            tallies = montecarlo.simulate(s, 1_000_000, 101)
-            for sel in selectors:
-                ana = marginals.outage(sel)
-                est = tallies.outage(sel)
-                sigma = max(est.half_width / 1.96,
-                            math.sqrt(max(ana * (1.0 - ana), 1e-12)
-                                      / est.trials))
-                bound = 3.0 * sigma + (2.0 * FIT100.fit_error if qom else 0.0)
-                if abs(ana - est.mean) > bound:
-                    misses.append(
-                        f"{scheme.value} {sel} @ {p0_dbm:+.0f} dBm: "
-                        f"analytic {ana:.6g} vs simulated {est.mean:.6g} "
-                        f"(bound {bound:.3g})")
+    points = [(p0_dbm, scheme, _scenario(scheme, p0_dbm))
+              for p0_dbm in (-20.0, -10.0, 0.0)
+              for scheme in (Scheme.TCOM, Scheme.PCOM, Scheme.TQOM,
+                             Scheme.PQOM)]
+    # one simulation plan for the 12 runs, which share a seed and a node
+    # count, so one block stream feeds them all; each run's tallies are
+    # those it gets simulated alone
+    plan = montecarlo.simulate_plan([(s, 101, 1_000_000) for *_, s in points])
+    for p0_dbm, scheme, s in points:
+        qom = scheme.pairing == "qom"
+        selectors = [("hop", t) for t in (1, 2, 3)]
+        if qom:
+            selectors += [("device", t, None) for t in (1, 2, 3)]
+        else:
+            selectors += [("device", t, k) for t in (1, 2, 3)
+                          for k in range(1, T1.subarea_counts[t - 1] + 1)]
+        # one closed form and one simulated run answer every selector
+        marginals = analytics.SlotMarginals(s, lambda t: FIT100)
+        tallies = plan[s, 101, 1_000_000]
+        assert not isinstance(tallies, Exception), tallies
+        for sel in selectors:
+            ana = marginals.outage(sel)
+            est = tallies.outage(sel)
+            sigma = max(est.half_width / 1.96,
+                        math.sqrt(max(ana * (1.0 - ana), 1e-12)
+                                  / est.trials))
+            bound = 3.0 * sigma + (2.0 * FIT100.fit_error if qom else 0.0)
+            if abs(ana - est.mean) > bound:
+                misses.append(
+                    f"{scheme.value} {sel} @ {p0_dbm:+.0f} dBm: "
+                    f"analytic {ana:.6g} vs simulated {est.mean:.6g} "
+                    f"(bound {bound:.3g})")
     assert not misses, "\n".join(misses)
 
 

@@ -403,14 +403,17 @@ SPARSE_IOTA = (math.exp(-math.pi), -math.expm1(-math.pi))
 
 
 def _family_outage(g0s, iota, law):
-    """``SlotMarginals._outage`` of the family ``g0s`` over ``law(g0, x)``,
-    and the (g0, threshold) of every law evaluation it made."""
+    """``SlotMarginals._outage`` of the family ``g0s``, every member in
+    ``STATES``, over ``law(g0, x)``, and the (g0, threshold) of every law
+    evaluation it made."""
     evaluated = []
 
     def evaluate(members, x):
         evaluated.extend((g0, x) for g0 in members)
         return tuple(law(g0, x) for g0 in members)
-    ops = SlotMarginals._outage(g0s, STATES, RELAY, iota, evaluate, "test")
+    ops = SlotMarginals._outage(
+        g0s, analytics._receivers(g0s, [(range(len(g0s)), STATES)]), RELAY,
+        iota, evaluate, "test")
     return ops, evaluated
 
 

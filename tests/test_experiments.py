@@ -581,9 +581,21 @@ KERNEL_EVALUATIONS = {
 }
 
 
+# analytic outage walks of every shipped config, read from the sweep's
+# record: a family (points equal but for P0 and rho, with their eed twins)
+# walks each slot outage once for all its members
+OUTAGE_WALKS = {
+    "alpha_share": 300, "density": 105, "destination_op_p0": 42,
+    "efficiency_rho": 15, "rho_tradeoff": 30, "scaling_com": 72,
+    "scaling_qom": 36, "throughput_p0": 48, "validate_chain": 48,
+    "validate_devices_com": 24, "validate_devices_qom": 17,
+}
+
+
 def test_every_shipped_config_has_a_golden_analytic_table():
     shipped = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
-    assert shipped == sorted(GOLDEN_ANALYTIC) == sorted(KERNEL_EVALUATIONS)
+    assert shipped == sorted(GOLDEN_ANALYTIC) == sorted(KERNEL_EVALUATIONS) \
+        == sorted(OUTAGE_WALKS)
 
 
 # per shipped config under source="both" at 70,000 trials: the sha256 of
@@ -704,6 +716,7 @@ def test_shipped_analytic_tables_are_byte_identical(tmp_path, caplog, name):
     stats = result.stats
     assert not stats.streams and sum(stats.kernel_lookups.values()) > 0
     assert sum(stats.kernel_evaluations.values()) == KERNEL_EVALUATIONS[name]
+    assert sum(stats.outage_walks.values()) == OUTAGE_WALKS[name]
     assert len([r for r in caplog.records
                 if r.name == "nomarelay.experiments"]) == 1
 
@@ -731,12 +744,17 @@ def test_sweep_derives_thresholds_once_per_plan_and_policy(monkeypatch,
         text = render_results(result.rows, "csv")
         assert hashlib.sha256(text.encode()).hexdigest() \
             == GOLDEN_ANALYTIC[name]
-        # one derivation per distinct (plan, policy) of the sweep
+        # thresholds do not read rho: one derivation per distinct plan and
+        # policy with rho cleared, so at most one per family
         assert len(calls) == len(set(calls)) \
-            == len({(s.plan, s.policy) for s in built}), name
+            == len({(s.plan, _rho_cleared(s.policy)) for s in built}), name
         shared += len(built) - len(calls)
-    # the points of a power sweep share one plan and policy
+    # the points of a power or rho sweep share one plan and policy
     assert shared > 0
+
+
+def _rho_cleared(policy):
+    return dataclasses.replace(policy, rho=(0.0,) * policy.node_count)
 
 
 # the analytic layer reads CDF deficits and asymptotes only
@@ -821,8 +839,10 @@ def test_sweep_enumerates_harvest_runs_once_per_scenario_slot(monkeypatch,
         calls.append(((scenario, t), runs))
         return runs
     monkeypatch.setattr(analytics, "harvest_runs", counted)
-    monkeypatch.setattr(analytics, "_mix", lambda runs, *rest: (
-        mixed.append(id(runs)) or real_mix(runs, *rest)))
+    # a mixture walks the run table of each policy group it carries
+    monkeypatch.setattr(analytics, "_mix", lambda walk, *rest: (
+        mixed.extend(id(runs) for _, runs, _ in walk[1])
+        or real_mix(walk, *rest)))
     text = render_results(run_sweep(_shipped(tmp_path, "density"),
                                     source="analytic").rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() \
@@ -834,83 +854,138 @@ def test_sweep_enumerates_harvest_runs_once_per_scenario_slot(monkeypatch,
     assert {id(runs) for _, runs in calls} == set(mixed)
 
 
-@pytest.mark.parametrize("name", ["destination_op_p0", "throughput_p0"])
-def test_power_family_rows_equal_standalone_marginals(tmp_path, name):
-    # every point of a power sweep reads the plans, thresholds and slot
-    # states its family derived once; a standalone SlotMarginals, a family
-    # of one with private tables and memo, gives every row's very float
-    config = _shipped(tmp_path, name)
-    rows = run_sweep(config, source="analytic").rows
+def _standalone_rows(config, fail=None):
+    """``(value, scheme, metric, source, repr(mean))`` of every analytic
+    row of ``config``, each point computed by standalone
+    :class:`analytics.SlotMarginals` (a family of one with private tables
+    and memo); a value that raises reads ``fail``."""
     book = channel.FitBook(config.fit_cache_path)
-    want = []
-    for value, scheme, scenario in experiments._points(config, {}):
-        alone = analytics.SlotMarginals(scenario, functools.partial(
-            experiments._nearest_fit, book, scenario))
+
+    def alone(s):
+        return analytics.SlotMarginals(s, functools.partial(
+            experiments._nearest_fit, book, s))
+
+    def efficiency(s, asymptotic):
+        return config.bandwidth_hz * alone(s).throughput(asymptotic) \
+            / analytics.supply_power(s.budget, s.policy)
+
+    def value(s, selector, asymptotic):
+        kind = selector[0]
+        if kind == "throughput":
+            return alone(s).throughput(asymptotic)
+        if kind == "ee":
+            return efficiency(s, asymptotic)
+        if kind == "eed":
+            if not s.policy.is_harvesting:
+                return 0.0
+            twin = dataclasses.replace(s, policy=_rho_cleared(s.policy))
+            return efficiency(s, asymptotic) - efficiency(twin, asymptotic)
+        if kind == "p_tol":
+            return analytics.supply_power(s.budget, s.policy)
+        return alone(s).outage(selector, asymptotic)
+
+    rows = []
+    for point, scheme, scenario in experiments._points(config, {}):
         for metric in config.sweep.metrics:
-            selector = parse_metric(metric)
             for asymptotic in (False, True)[
                     :1 + config.sweep.include_asymptotic]:
-                want.append((repr(value), scheme.value, metric,
+                try:
+                    mean = repr(value(scenario, parse_metric(metric),
+                                      asymptotic))
+                except Exception:
+                    mean = fail
+                rows.append((repr(point), scheme.value, metric,
                              "asymptotic" if asymptotic else "analytic",
-                             repr(alone.throughput(asymptotic)
-                                  if selector == ("throughput",)
-                                  else alone.outage(selector, asymptotic))))
-    assert [(r.value, r.scheme, r.metric, r.source, repr(r.mean))
-            for r in rows] == want
+                             mean))
+    return rows
+
+
+def _row_keys(rows):
+    return [(r.value, r.scheme, r.metric, r.source, repr(r.mean))
+            for r in rows]
+
+
+# the configs whose points form families of several members: power sweeps
+# and rho sweeps, eed twins joining their points' families
+FAMILY_SWEEPS = ["destination_op_p0", "throughput_p0", "efficiency_rho",
+                 "rho_tradeoff", "validate_chain", "validate_devices_com",
+                 "validate_devices_qom"]
+
+
+@pytest.mark.parametrize("name", FAMILY_SWEEPS)
+def test_power_family_rows_equal_standalone_marginals(tmp_path, name):
+    # every point of a power or rho sweep reads the plans, thresholds and
+    # slot states its family derived once, and its floats come from the
+    # family's walks; a standalone SlotMarginals, a family of one with
+    # private tables and memo, gives every row's very float
+    config = _shipped(tmp_path, name)
+    rows = run_sweep(config, source="analytic").rows
+    assert _row_keys(rows) == _standalone_rows(config)
 
 
 @pytest.mark.parametrize("name", ["destination_op_p0", "throughput_p0"])
-def test_a_power_family_walks_each_outage_once(monkeypatch, tmp_path, name):
+def test_a_power_family_walks_each_outage_once(tmp_path, name):
     # the 9 points of a power sweep walk each slot outage as one family, so
     # the sweep makes as many walks as a sweep of one point
-    walks = []
-    outage = analytics.SlotMarginals._outage
-    monkeypatch.setattr(analytics.SlotMarginals, "_outage", staticmethod(
-        lambda *args: walks.append(len(args[0])) or outage(*args)))
     config = _shipped(tmp_path, name)
-    text = render_results(run_sweep(config, source="analytic").rows, "csv")
+    result = run_sweep(config, source="analytic")
+    text = render_results(result.rows, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYTIC[name]
-    family = list(walks)
-    walks.clear()
+    family = result.stats.outage_walks
     point = dataclasses.replace(config, sweep=dataclasses.replace(
         config.sweep, grid=config.sweep.grid[:1]))
-    assert not run_sweep(point, source="analytic").failures
-    assert len(family) == len(walks) <= 48
+    alone = run_sweep(point, source="analytic")
+    assert not alone.failures
+    walks = alone.stats.outage_walks
+    assert sum(family.values()) == sum(walks.values()) <= 48
     assert set(family) == {len(config.sweep.grid)} and set(walks) == {1}
+    assert set(result.stats.family_members) == {len(config.sweep.grid)}
     if name == "destination_op_p0":
-        assert len(family) == 42  # 7 schemes x 3 hops x 2, from 378
+        assert sum(family.values()) == 42  # 7 schemes x 3 hops x 2, from 378
 
 
-def test_eed_twins_walk_as_a_power_family_of_their_own(monkeypatch,
-                                                      tmp_path):
-    # the no-harvest twins of a power family's points differ only in P0
-    # too, so they are walked as one family, and every eed row is the
+# the members of each family of each shipped rho sweep, in order: the rho
+# points of a scheme form one family where they share a plan (rho = 0 has
+# its own time-switching plan), eed twins join it, and a scheme without
+# harvesting is one scenario at every point
+RHO_FAMILIES = {
+    "efficiency_rho": [20, 20],
+    "rho_tradeoff": [1, 1, 9, 9],
+    "validate_chain": [3, 3, 3, 3, 1, 1, 1],
+    "validate_devices_com": [4, 4, 1],
+    "validate_devices_qom": [4, 4, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHO_FAMILIES))
+def test_a_rho_family_walks_each_outage_once(tmp_path, name):
+    # every walk carries a whole family, so a rho sweep walks each slot
+    # outage once per family (OUTAGE_WALKS: 15, 30, 48, 24 and 17, from
+    # 300, 150, 108, 78 and 53 with a family of one per point)
+    config = _shipped(tmp_path, name)
+    stats = run_sweep(config, source="analytic").stats
+    assert stats.family_members == RHO_FAMILIES[name]
+    assert set(stats.outage_walks) <= set(RHO_FAMILIES[name])
+    assert sum(stats.outage_walks.values()) == OUTAGE_WALKS[name]
+
+
+def test_eed_twins_join_their_points_family(tmp_path):
+    # the no-harvest twin of a point differs from it only in rho, so the
+    # twins of a power sweep join their points' family: 18 members, where
+    # they formed a family of 9 of their own before; every eed row is the
     # difference of the standalone efficiencies
-    walks = []
-    outage = analytics.SlotMarginals._outage
-    monkeypatch.setattr(analytics.SlotMarginals, "_outage", staticmethod(
-        lambda *args: walks.append(len(args[0])) or outage(*args)))
     config = _shipped(tmp_path, "throughput_p0")
     config = dataclasses.replace(config, sweep=dataclasses.replace(
         config.sweep, metrics=("eed",)))
-    rows = run_sweep(config, source="analytic").rows
-    assert walks and set(walks) == {len(config.sweep.grid)}
-    book = channel.FitBook(config.fit_cache_path)
-
-    def efficiency(s):
-        alone = analytics.SlotMarginals(s, functools.partial(
-            experiments._nearest_fit, book, s))
-        return config.bandwidth_hz * alone.throughput() \
-            / analytics.supply_power(s.budget, s.policy)
-    want = []
-    for _, _, s in experiments._points(config, {}):
-        if not s.policy.is_harvesting:
-            want.append(0.0)
-            continue
-        twin = dataclasses.replace(s, policy=dataclasses.replace(
-            s.policy, rho=(0.0,) * s.policy.node_count))
-        want.append(efficiency(s) - efficiency(twin))
-    assert [repr(row.mean) for row in rows] == list(map(repr, want))
+    result = run_sweep(config, source="analytic")
+    grid = len(config.sweep.grid)
+    harvesting = sum(1 for scheme in config.sweep.schemes
+                     if scheme.harvesting is not None)
+    assert result.stats.family_members == [2 * grid] * harvesting \
+        + [grid] * (len(config.sweep.schemes) - harvesting)
+    # only the harvesting points read a twin, and each walk carries all 18
+    assert set(result.stats.outage_walks) == {2 * grid}
+    assert _row_keys(result.rows) == _standalone_rows(config)
 
 
 def test_a_kernel_failure_at_one_member_fails_only_its_rows(monkeypatch,
@@ -948,10 +1023,53 @@ def test_a_kernel_failure_at_one_member_fails_only_its_rows(monkeypatch,
             assert got == want
 
 
-# per sweep: distinct allocation plans and (slot, topology, policy,
-# path-loss law) harvest-run tables
+def test_a_kernel_failure_at_one_rho_members_argument_fails_only_its_rows(
+        monkeypatch, tmp_path):
+    # on t2 the one-factor hop law of a 100 m hop is read only by a point
+    # whose relays may be on supply power: rho = 1 harvests at every
+    # relay, so its hops 2 and 3 are on runs of one and two harvested hops.
+    # A kernel refusing that argument fails the exact rows of rho = 0.5
+    # that read it; rho = 1, walked in the same family, keeps every float
+    sweep = SweepSpec(variable="rho", grid=(0.5, 1.0), schemes=("tcom",),
+                      metrics=("hop_op:1", "hop_op:2", "hop_op:3",
+                               "e2e_op:destination", "throughput"),
+                      include_asymptotic=True)
+    config = small_config(sweep=sweep,
+                          topology=experiments._topology_from_spec(
+                              "t2", 1e-2, "t2"))
+    clean = run_sweep(config, source="analytic")
+    assert not clean.failures and clean.stats.family_members == [2]
+    budget = next(s for *_, s in experiments._points(config, {})).budget
+    planted = (channel.pathloss_linear(100.0, budget),)
+    kernel = analytics.prod_exp_cdf
+
+    def refuse(z, n, means, **kw):
+        if n == 1 and means == planted:
+            raise FloatingPointError("planted")
+        return kernel(z, n, means, **kw)
+
+    monkeypatch.setattr(analytics, "prod_exp_cdf", refuse)
+    result = run_sweep(config, source="analytic")
+    failing = ["hop_op:2", "hop_op:3", "e2e_op:destination", "throughput"]
+    assert result.failures == [(0.5, "tcom", metric,
+                                "FloatingPointError: planted")
+                               for metric in failing]
+    # each row fails as the point fails alone, and every other row keeps
+    # the clean sweep's float
+    assert _row_keys(result.rows) == _standalone_rows(config, fail="nan")
+    for got, want in zip(result.rows, clean.rows, strict=True):
+        if (got.value, got.metric, got.source) in {
+                ("0.5", metric, "analytic") for metric in failing}:
+            assert math.isnan(got.mean)
+        else:
+            assert got == want
+
+
+# per sweep: distinct allocation plans (by the subarea counts, node count,
+# information window and rate settings they read) and (slot, topology,
+# policy, path-loss law) harvest-run tables
 PLAN_AND_RUN_COUNTS = {"destination_op_p0": (4, 12), "throughput_p0": (4, 12),
-                       "validate_chain": (12, 24)}
+                       "validate_chain": (4, 24)}
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_AND_RUN_COUNTS))

@@ -209,3 +209,46 @@ def test_throughput_stays_in_budget(device_ops, dest_op):
     value = analytics.sum_throughput(plan, dest_op, grouped)
     ceiling = plan.relay_rate + sum(sum(row) for row in plan.device_rates)
     assert 0.0 <= value <= ceiling / 3.0 + 1e-12
+
+
+relay_rho = st.floats(min_value=0.05, max_value=0.95) | st.just(1.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(relay_rho, relay_rho), min_size=1, max_size=3,
+                unique=True),
+       architectures, st.sampled_from(["com", "qom"]),
+       st.sampled_from([(-10.0, 0.0), (0.0, 20.0)]))
+def test_a_registered_family_equals_its_members_alone(relay_rhos, arch,
+                                                      pairing, p0s_dbm):
+    # the scenarios equal but for P0 and their relays' harvest
+    # probabilities (interior or 1) walk every outage as one family; each
+    # member's float is the one it gets alone, exact and asymptotic
+    scheme = {("com", "BTEH"): Scheme.TCOM, ("qom", "BTEH"): Scheme.TQOM,
+              ("com", "BPEH"): Scheme.PCOM,
+              ("qom", "BPEH"): Scheme.PQOM}[pairing, arch]
+    policies = [EhPolicy(arch, (0.0,) + rhos + (0.0,), alpha=0.2)
+                for rhos in relay_rhos]
+    plan = default_plan(scheme, T1, policies[0])
+    members = [Scenario(scheme=scheme, topology=T1, policy=policy,
+                        budget=dataclasses.replace(
+                            BUDGET, P0=10.0 ** (p0 / 10.0) / 1e3),
+                        plan=plan)
+               for policy in policies for p0 in p0s_dbm]
+    memo = analytics.KernelMemo()
+    memo.register_families(members)
+    assert memo.family_members == [len(members)]
+    selectors = [("e2e_destination",)] + [("hop", t) for t in (1, 2, 3)] \
+        + [("device", t, k) for t in (1, 2, 3)
+           for k in members[0].served(t)]
+    for s in members:
+        family = analytics.SlotMarginals(s, lambda t: FIT100, memo)
+        alone = analytics.SlotMarginals(s, lambda t: FIT100)
+        for asymptotic in (False, True):
+            assert repr(family.throughput(asymptotic)) \
+                == repr(alone.throughput(asymptotic))
+            for selector in selectors:
+                assert repr(family.outage(selector, asymptotic)) \
+                    == repr(alone.outage(selector, asymptotic)), selector
+    # each walk carries the whole family
+    assert set(memo.outage_walks) == {len(members)}
