@@ -11,11 +11,12 @@ ladder, so that tiny CDF values keep *relative* accuracy (needed for the
 high-power diversity slope).
 
 Everything here is pure and thread-safe.  The one piece of state is a
-:class:`LogGammaTable` of gamma factors: a caller may create one and pass
-it to the public kernels (``table=``) to share it across calls; it then
-owns the table, decides how long it lives and must not share it between
-threads.  Without one, each call fills a private table.  A table changes
-no result: a kernel returns the very float it returns without one.
+:class:`LogGammaTable` of gamma factors and the grids they are computed
+on: a caller may create one and pass it to the public kernels
+(``table=``) to share it across calls; it then owns the table, decides
+how long it lives and must not share it between threads.  Without one,
+each call fills a private table.  A table changes no result: a kernel
+returns the very float it returns without one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ _GL_WEIGHTS.setflags(write=False)
 
 # contour panels per integrand evaluation; the stopping rule still walks
 # them one by one, so a chunk may hold a few panels past the last one summed
-_PANEL_CHUNK = 8
+# and its size changes no value.  Two in five contour walks of the shipped
+# sweeps stop after nine or ten panels; of chunks of 4, 6, 8, 10, 12 and 16
+# panels, ten ran their kernels fastest
+_PANEL_CHUNK = 10
 
 # abscissa candidates: offsets right of an open window's left edge, or
 # fractions of a bounded window's width
@@ -113,8 +117,30 @@ def _family(kind) -> Family:
 def loggamma(z):
     """``scipy.special.loggamma``, imported on first use, so that importing
     the package or simulating loads no scipy module."""
+    return _scipy_loggamma()(z)
+
+
+def _scipy_loggamma():
     from scipy.special import loggamma as scipy_loggamma
-    return scipy_loggamma(z)
+    return scipy_loggamma
+
+
+_OWN_LOGGAMMA = loggamma
+
+
+class _Grid:
+    """What a table keeps of one grid: its points, their negation, what
+    its walk reads besides (``aux``: a window's candidates as a list, a
+    circle's offsets from its centre) and, per ``(num, den)``, the
+    numerator and the denominator factor arrays, each in order."""
+
+    __slots__ = ("points", "neg", "aux", "rows")
+
+    def __init__(self, points, aux=None):
+        self.points = points
+        self.neg = -points
+        self.aux = aux
+        self.rows = {}
 
 
 class LogGammaTable(dict):
@@ -128,13 +154,31 @@ class LogGammaTable(dict):
     gamma factor's array is keyed by ``(grid, shift, slope)`` and computed
     once for as long as the table lives.  Each factor keeps its own array,
     so a hit adds exactly the terms a fresh evaluation adds, in the same
-    order.  ``lookups`` counts lookups, ``arrays`` misses, per grid kind.
+    order.  ``lookups`` counts lookups, one per factor, and ``arrays``
+    misses, per grid kind.
+
+    Besides its items the table keeps, per grid, what does not depend on
+    the kernel argument (``grids``: a :class:`_Grid`), and per family, by
+    its ``kind``, the contour's cap (``u_caps``) and the pole clusters its
+    residue walks have built (``ladders``).  It resolves the ``loggamma``
+    it computes with on its first miss: this module's, so that a caller
+    may replace it, and scipy's itself while that is the module's own.
     """
 
     def __init__(self):
         super().__init__()
         self.lookups = collections.Counter()
         self.arrays = collections.Counter()
+        self.grids = {}
+        self.u_caps = {}
+        self.ladders = {}
+        self.loggamma = None
+
+    def clear(self):
+        super().clear()
+        self.grids.clear()
+        self.u_caps.clear()
+        self.ladders.clear()
 
     def factor(self, grid, shift: float, slope: float, s):
         """``loggamma(shift + slope*s)`` with ``s`` the points of ``grid``."""
@@ -142,19 +186,43 @@ class LogGammaTable(dict):
         key = (grid, shift, slope)
         value = self.get(key)
         if value is None:
-            value = self[key] = loggamma(shift + slope * s)
+            if self.loggamma is None:
+                self.loggamma = (_scipy_loggamma()
+                                 if loggamma is _OWN_LOGGAMMA else loggamma)
+            value = self[key] = self.loggamma(shift + slope * s)
             self.arrays[grid[0]] += 1
         return value
+
+    def rows(self, grid, s, num, den):
+        """The negated points of ``grid`` and its numerator and
+        denominator factor arrays, in order; ``s``, the grid's points, is
+        read only where the table does not hold the grid yet."""
+        state = self.grids.get(grid)
+        if state is None:
+            state = self.grids[grid] = _Grid(s)
+        rows = state.rows.get((num, den))
+        if rows is None:
+            points = state.points
+            rows = state.rows[num, den] = (
+                tuple([self.factor(grid, beta, slope, points)
+                       for beta, slope in num]),
+                tuple([self.factor(grid, beta, slope, points)
+                       for beta, slope in den]))
+        else:
+            self.lookups[grid[0]] += len(num) + len(den)
+        return state.neg, rows
 
 
 def _log_integrand(s, num, den, logx, table, grid):
     """-s log x plus the numerator and minus the denominator log-gammas,
-    each factor looked up in ``table`` on the grid that names the points s."""
-    out = -s * logx
-    for beta, slope in num:
-        out = out + table.factor(grid, beta, slope, s)
-    for beta, slope in den:
-        out = out - table.factor(grid, beta, slope, s)
+    each factor read from ``table`` on the grid that names the points s,
+    summed in order into the one array ``-s log x`` makes."""
+    neg, (num_rows, den_rows) = table.rows(grid, s, num, den)
+    out = neg * logx
+    for row in num_rows:
+        out += row
+    for row in den_rows:
+        out -= row
     return out
 
 
@@ -165,13 +233,17 @@ def _pick_abscissa(num, den, window, logx, table) -> float:
     strict minimum wins, and a NaN score never does.
     """
     lo, hi = window
-    if hi is None:
-        cands = lo + _OPEN_OFFSETS
-    else:
-        cands = lo + (hi - lo) * _WINDOW_FRACTIONS
-    vals = _log_integrand(cands.astype(complex), num, den, logx, table,
-                          ("window", lo, hi)).real
-    cands = cands.tolist()
+    grid = ("window", lo, hi)
+    state = table.grids.get(grid)
+    if state is None:
+        if hi is None:
+            cands = lo + _OPEN_OFFSETS
+        else:
+            cands = lo + (hi - lo) * _WINDOW_FRACTIONS
+        state = table.grids[grid] = _Grid(cands.astype(complex),
+                                          cands.tolist())
+    vals = _log_integrand(state.points, num, den, logx, table, grid).real
+    cands = state.aux
     best, best_val = cands[0], math.inf
     for c, val in zip(cands, vals.tolist()):
         if val < best_val:
@@ -187,28 +259,36 @@ def _contour_value(family: Family, x: float, tol: float, table) -> float:
     evaluated ``_PANEL_CHUNK`` panels at a time; the panels of a chunk are
     then summed one by one, in order, until the tail goes quiet.
     """
-    num, den, window = family.num, family.den, family.window
+    num, den = family.num, family.den
     logx = math.log(x)
-    c = _pick_abscissa(num, den, window, logx, table)
-    decay = 0.5 * math.pi * (sum(abs(sl) for _, sl in num)
-                             - sum(abs(sl) for _, sl in den))
+    c = _pick_abscissa(num, den, family.window, logx, table)
+    u_cap = table.u_caps.get(family.kind)
+    if u_cap is None:
+        decay = 0.5 * math.pi * (sum(abs(sl) for _, sl in num)
+                                 - sum(abs(sl) for _, sl in den))
+        u_cap = table.u_caps[family.kind] = max(80.0, 420.0 / decay)
     h = min(1.0, 30.0 / max(1.0, abs(logx)))
-    u_cap = max(80.0, 420.0 / decay)
-    offsets = 0.5 * h * (_GL_NODES + 1.0)
-    steps = np.full(_PANEL_CHUNK, h)
+    chunk = _PANEL_CHUNK
+    offsets = steps = None
     total = 0.0
     last = math.inf
     quiet = 0
     u = 0.0
     k = 0
     while u < u_cap:
-        # the same running sum u += h as the walk below
-        steps[0] = u
-        starts = np.add.accumulate(steps)
-        s = c + 1j * (starts[:, None] + offsets)
-        vals = np.exp(_log_integrand(s, num, den, logx, table,
-                                     ("panels", c, h, k, _PANEL_CHUNK))).real
-        for panel in vals:
+        grid = ("panels", c, h, k, chunk)
+        state = table.grids.get(grid)
+        if state is None:
+            if offsets is None:
+                offsets = 0.5 * h * (_GL_NODES + 1.0)
+                steps = np.full(chunk, h)
+            # the same running sum u += h as the walk below
+            steps[0] = u
+            starts = np.add.accumulate(steps)
+            state = table.grids[grid] = _Grid(
+                c + 1j * (starts[:, None] + offsets))
+        vals = _log_integrand(state.points, num, den, logx, table, grid)
+        for panel in np.exp(vals, out=vals).real:
             if not u < u_cap:
                 break
             last = 0.5 * h * float(np.dot(_GL_WEIGHTS, panel))
@@ -251,12 +331,36 @@ def _cluster(rungs):
     yield run
 
 
+def _clusters(family: Family, table):
+    """The pole clusters of ``family`` in order: those the walks on
+    ``table`` built already, then more from :func:`_cluster` as this walk
+    reads them."""
+    ladder = table.ladders.get(family.kind)
+    if ladder is None:
+        ladder = table.ladders[family.kind] = ([], _cluster(family.rungs))
+    built, rest = ladder
+    i = 0
+    while True:
+        if i == len(built):
+            cl = next(rest, None)
+            if cl is None:
+                return
+            built.append(cl)
+        yield built[i]
+        i += 1
+
+
 def _circle_residue_sum(num, den, logx, center, radius, table) -> float:
     """(1/2 pi i) closed-circle integral of the integrand = sum of residues."""
-    ring = radius * _UNIT_RING
-    vals = np.exp(_log_integrand(center + ring, num, den, logx, table,
-                                 ("ring", center, radius)))
-    return float((np.add.reduce(vals * ring) / _RING_NODES).real)
+    grid = ("ring", center, radius)
+    state = table.grids.get(grid)
+    if state is None:
+        ring = radius * _UNIT_RING
+        state = table.grids[grid] = _Grid(center + ring, ring)
+    vals = _log_integrand(state.points, num, den, logx, table, grid)
+    vals = np.exp(vals, out=vals)
+    vals *= state.aux
+    return float((np.add.reduce(vals) / _RING_NODES).real)
 
 
 def _residue_sum(family: Family, x: float, table) -> float:
@@ -268,7 +372,7 @@ def _residue_sum(family: Family, x: float, table) -> float:
     """
     num, den = family.num, family.den
     logx = math.log(x)
-    clusters = _cluster(family.rungs)
+    clusters = _clusters(family, table)
     # distances to whatever lies outside each cluster (neighbours and s=0),
     # reading one cluster ahead
     acc = 0.0

@@ -1204,42 +1204,46 @@ def ccdf_Z(z: float, t: int, topology: NetworkTopology, policy: EhPolicy,
                           branch)
 
 
-def _law(law, t, topology, policy, budget, ell, *args) -> float:
-    """A library mixture law at the last of ``args``, through a private
-    kernel memo, with the path gain ``ell`` it reads, for a family of one
-    member: the reference SNR ``budget`` gives, on the policy's runs."""
+def _law(law, t, topology, policy, budget, ell, *args, memo=None) -> float:
+    """A library mixture law at the last of ``args``, through ``memo`` (a
+    private kernel memo if None), with the path gain ``ell`` it reads, for
+    a family of one member: the reference SNR ``budget`` gives, on the
+    policy's runs."""
     *params, x = args
     runs = analytics.harvest_runs(t, topology, policy, budget)
     walks = {(t, (0,)): (1, (((0,), runs, (budget.gamma_bar0,)),))}
-    (value,) = law(analytics.KernelMemo(), walks, t, ell, *params, (0,), x)
+    if memo is None:
+        memo = analytics.KernelMemo()
+    (value,) = law(memo, walks, t, ell, *params, (0,), x)
     return value
 
 
-def _law_at_edge(law, t, topology, policy, budget, *args) -> float:
+def _law_at_edge(law, t, topology, policy, budget, *args, memo=None) -> float:
     """A device law of slot t, which reads its disk-edge path gain."""
     return _law(law, t, topology, policy, budget,
                 pathloss_linear(topology.disk_radii[t - 1], budget),
-                topology, budget.epsilon, *args)
+                topology, budget.epsilon, *args, memo=memo)
 
 
-def _law_at_hop(t, topology, policy, budget, *args) -> float:
+def _law_at_hop(t, topology, policy, budget, *args, memo=None) -> float:
     """The hop law of slot t, which reads its hop's path gain."""
     return _law(analytics._hop_law, t, topology, policy, budget,
-                pathloss_linear(topology.hop_distances[t - 1], budget), *args)
+                pathloss_linear(topology.hop_distances[t - 1], budget), *args,
+                memo=memo)
 
 
-def cdf_X(x, t, topology, policy, budget):
-    return _law_at_hop(t, topology, policy, budget, False, x)
+def cdf_X(x, t, topology, policy, budget, *, memo=None):
+    return _law_at_hop(t, topology, policy, budget, False, x, memo=memo)
 
 
-def cdf_Y(y, t, k, topology, policy, budget):
+def cdf_Y(y, t, k, topology, policy, budget, *, memo=None):
     return _law_at_edge(analytics._com_law, t, topology, policy, budget, k,
-                        False, y)
+                        False, y, memo=memo)
 
 
-def cdf_Z(z, t, topology, policy, budget, fit):
+def cdf_Z(z, t, topology, policy, budget, fit, *, memo=None):
     return _law_at_edge(analytics._nearest_law, t, topology, policy, budget,
-                        fit, False, z)
+                        fit, False, z, memo=memo)
 
 
 def asymptotic_cdf_X(x, t, topology, policy, budget):

@@ -298,17 +298,20 @@ def test_criterion_6_property_suites():
     policy_b = uniform_policy("BTEH", 4, 0.3)
     policy_p = uniform_policy("BPEH", 4, 0.3)
     budget = _budget(0.0)
+    # one memo across the draws: a hit is the very float a miss computes
+    memo = analytics.KernelMemo()
     for _ in range(1000):
         t = int(rng.integers(1, 4))
         policy = policy_b if rng.random() < 0.5 else policy_p
         lo, hi = np.sort(10.0 ** rng.uniform(-6.0, 3.0, size=2))
         for pair in (
-                (oracles.cdf_X(lo, t, T1, policy, budget),
-                 oracles.cdf_X(hi, t, T1, policy, budget)),
-                (oracles.cdf_Y(lo, t, 1, T1, policy, budget),
-                 oracles.cdf_Y(hi, t, 1, T1, policy, budget)),
-                (oracles.cdf_Z(lo, t, T1, policy, budget, FIT100),
-                 oracles.cdf_Z(hi, t, T1, policy, budget, FIT100))):
+                (oracles.cdf_X(lo, t, T1, policy, budget, memo=memo),
+                 oracles.cdf_X(hi, t, T1, policy, budget, memo=memo)),
+                (oracles.cdf_Y(lo, t, 1, T1, policy, budget, memo=memo),
+                 oracles.cdf_Y(hi, t, 1, T1, policy, budget, memo=memo)),
+                (oracles.cdf_Z(lo, t, T1, policy, budget, FIT100, memo=memo),
+                 oracles.cdf_Z(hi, t, T1, policy, budget, FIT100,
+                               memo=memo))):
             assert 0.0 <= pair[0] <= pair[1] <= 1.0 + 1e-12
 
     # total-probability closure, exact

@@ -1,5 +1,6 @@
 """Runner tests: config parsing, sweep loop, emission contract, CLI."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -823,6 +824,23 @@ def test_sweep_computes_each_gamma_factor_once(monkeypatch, tmp_path):
     second = render_results(run_sweep(config, source="analytic").rows, "csv")
     assert len(calls) == evaluated and len(memos) == 2
     assert first == second
+
+
+def test_sweep_counts_one_grid_lookup_per_factor_read(monkeypatch, tmp_path):
+    # a warm grid hands over a family's factor arrays at once; the record
+    # still counts each factor an integrand evaluation reads
+    factors = collections.Counter()
+    integrand = specfun._log_integrand
+
+    def counted(s, num, den, logx, table, grid):
+        factors[grid[0]] += len(num) + len(den)
+        return integrand(s, num, den, logx, table, grid)
+
+    monkeypatch.setattr(specfun, "_log_integrand", counted)
+    stats = run_sweep(_shipped(tmp_path, "density"), source="analytic").stats
+    assert sorted(factors) == ["panels", "ring", "window"]
+    assert stats.grid_lookups == factors
+    assert sum(stats.grid_arrays.values()) < sum(factors.values())
 
 
 def test_sweep_enumerates_harvest_runs_once_per_scenario_slot(monkeypatch,

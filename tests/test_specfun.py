@@ -5,6 +5,7 @@ Oracles are computed live where a trustworthy independent route exists
 values are frozen from high-precision runs.
 """
 
+import collections
 import math
 
 import mpmath as mp
@@ -392,6 +393,49 @@ def test_table_key_names_its_array():
         assert np.array_equal(stored, expected), (grid, shift, slope)
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_a_warm_table_computes_nothing_again(monkeypatch):
+    fresh = _bits(kernel(*args, table=_Uncached())
+                  for kernel, args in TABLE_CASES)
+    calls = []
+    real = sf.loggamma
+    monkeypatch.setattr(sf, "loggamma", lambda z: calls.append(z) or real(z))
+    # the factors each integrand evaluation reads, per grid kind
+    factors = collections.Counter()
+    integrand = sf._log_integrand
+
+    def counted(s, num, den, logx, table, grid):
+        factors[grid[0]] += len(num) + len(den)
+        return integrand(s, num, den, logx, table, grid)
+
+    monkeypatch.setattr(sf, "_log_integrand", counted)
+    table = sf.LogGammaTable()
+    assert _bits(kernel(*args, table=table)
+                 for kernel, args in TABLE_CASES) == fresh
+    # one loggamma call per item, and one lookup per factor read
+    assert calls and len(calls) == len(table)
+    assert table.lookups == factors
+    items = dict(table)
+    calls.clear()
+    factors.clear()
+    lookups = table.lookups.copy()
+    assert _bits(kernel(*args, table=table)
+                 for kernel, args in TABLE_CASES) == fresh
+    assert not calls
+    assert table.keys() == items.keys()
+    assert all(table[key] is items[key] for key in items)
+    assert table.lookups - lookups == factors
+    # clearing the table drops what it keeps per grid and per family too
+    table.clear()
+    assert not (table or table.grids or table.u_caps or table.ladders)
+    assert _bits(kernel(*args, table=table)
+                 for kernel, args in TABLE_CASES) == fresh
+    assert table.keys() == items.keys()
+
+
 # ---------------------------------------------------------------------------
 # array scan and chunked contour: the per-candidate, per-panel floats
 # ---------------------------------------------------------------------------
@@ -439,6 +483,32 @@ def test_contour_stops_at_the_per_panel_cap(x):
             contour_value_by_panel(family(kind), x, 0.0)
         assert str(chunked.value) == str(by_panel.value)
         assert chunked.value.achieved == by_panel.value.achieved
+
+
+# contour-branch arguments: h = 1, h < 1 and the walks that stop after two
+# panels
+CHUNK_XS = (2e-3, 0.4, 7.0, 1e14)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8, 10, 16])
+def test_panel_chunk_changes_no_value(monkeypatch, chunk):
+    # each panel's nodes are fixed by (c, h, k) and the walk sums and stops
+    # panel by panel, so the chunk only trades integrand calls for panels
+    # computed past the stop
+    def contours(table):
+        return _bits(sf._contour_value(family(kind), x, tol, table)
+                     for kind, tol in CONTOUR_KINDS for x in CHUNK_XS)
+
+    shipped = _bits(kernel(*args) for kernel, args in TABLE_CASES)
+    shipped_contours = contours(sf.LogGammaTable())
+    monkeypatch.setattr(sf, "_PANEL_CHUNK", chunk)
+    assert _bits(kernel(*args) for kernel, args in TABLE_CASES) == shipped
+    table = sf.LogGammaTable()
+    assert _bits(kernel(*args, table=table)
+                 for kernel, args in TABLE_CASES) == shipped
+    assert contours(table) == shipped_contours
+    assert {grid[4] for grid, _, _ in table if grid[0] == "panels"} \
+        == {chunk}
 
 
 # one rung; two rungs whose poles coincide (theta 1, 2), interleave (0.95,
