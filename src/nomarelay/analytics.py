@@ -22,14 +22,14 @@ what P0 and rho do not touch (allocation plans, thresholds, and each
 slot's harvest runs, path gains, disk-idle shares and receiver states)
 in its ``tables``.  A sweep shares one memo across all its
 :class:`SlotMarginals`, so each distinct kernel argument is evaluated
-once per sweep.  It also registers each family there (the scenarios
-equal but for P0 and rho): the family derives its shared state once, and
-each of its outages is one walk over the mixtures, which evaluates each
-unweighted branch once per run length and reference SNR; each member
-then adds its own runs' weights and receiver-state probabilities, its
-sum kept in its own float.  An unregistered scenario is a family of
-one.  A standalone ``SlotMarginals`` gets a private memo, and nothing
-outlives its owner.
+once per sweep.  It also registers each family there (the scenarios of
+one :func:`nomarelay.network.family_key`, equal but for P0 and rho): the
+family derives its shared state once, and each of its outages is one
+walk over the mixtures, which evaluates each unweighted branch once per
+run length and reference SNR; each member then adds its own runs'
+weights and receiver-state probabilities, its sum kept in its own
+float.  An unregistered scenario is a family of one.  A standalone
+``SlotMarginals`` gets a private memo, and nothing outlives its owner.
 The memo also owns the sweep's :class:`specfun.LogGammaTable`, so the
 kernels it evaluates share their gamma factors on the fixed quadrature
 grids, and the table goes with the memo.
@@ -42,12 +42,12 @@ import contextlib
 import functools
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .channel import LinkBudget, pathloss_linear
 from .geometry import log_null_probability
-from .network import NetworkTopology, Scenario
+from .network import NetworkTopology, Scenario, family_key
 from .power import EhPolicy, omega_factor
 from .specfun import (  # noqa: F401 - KernelMemo calls the kernels by name
     LogGammaTable,
@@ -325,14 +325,14 @@ class KernelMemo(dict):
         return value
 
     def register_families(self, scenarios) -> None:
-        """Group ``scenarios`` into families, the scenarios equal but for
-        ``budget.P0`` and ``policy.rho`` (:func:`_family`), each member at
-        its position in the order given; the :class:`SlotMarginals` of a
-        member then walk the whole family at once.  Register before any of
-        them is read."""
-        families, cleared = {}, {}
+        """Group ``scenarios`` into families by
+        :func:`nomarelay.network.family_key`, each member at its position
+        in the order given; the :class:`SlotMarginals` of a member then
+        walk the whole family at once.  Register before any of them is
+        read."""
+        families = {}
         for s in scenarios:
-            families.setdefault(_family(s, cleared), {})[s] = None
+            families.setdefault(family_key(s), {})[s] = None
         for key, members in families.items():
             family = _Family(key, tuple(members))
             for position, s in enumerate(family.members):
@@ -343,16 +343,14 @@ class KernelMemo(dict):
 class _Family:
     """The members of one family, by position, and what they share.
 
-    ``key`` is the family's :func:`_family`; ``g0s`` holds each member's
-    reference SNR, ``policies`` the members' distinct policies, ``group``
-    the index of each member's there, and ``layout`` the members of each
-    policy (:func:`_policy_groups`).  ``values`` keeps each
-    computation's float (or failure) per member, and ``slots`` each
-    slot's state (:meth:`SlotMarginals._slot`).  ``walks[t, ms]`` and
-    ``receivers[t, ms]`` hold the mixture walk (:func:`_walk`) and
+    ``key`` is the family's :func:`nomarelay.network.family_key`; ``g0s``
+    holds each member's reference SNR, ``policies`` the members' distinct
+    policies and ``group`` the index of each member's there.  ``values``
+    keeps each computation's float (or failure) per member, and ``slots``
+    each slot's state (:meth:`SlotMarginals._slot`).  ``walks[t, ms]`` and
+    ``receivers[t, ms]`` hold the mixture walk (:func:`_members_walk`) and
     receiver states (:func:`_receivers`) of slot t for the member
-    positions ``ms``: :meth:`SlotMarginals._slot` sets them for every
-    member, and other positions are built on first use.
+    positions ``ms``, built on first use.
     """
 
     def __init__(self, key: tuple, members: tuple):
@@ -363,7 +361,6 @@ class _Family:
         self.group = tuple([policies.setdefault(s.policy, len(policies))
                             for s in members])
         self.policies = tuple(policies)
-        self.layout = _policy_groups(self.group, self.g0s, self.positions)
         self.values, self.slots = {}, {}
         # the builders hold the family's fields, not the family: no
         # reference cycle keeps it alive
@@ -386,18 +383,14 @@ def _policy_groups(group, g0s, ms) -> tuple:
                  for g, (ns, g0s_g) in groups.items())
 
 
-def _walk(slot, groups, size) -> tuple:
-    """The walk of a slot's mixtures (see :func:`_mix`) over ``size``
-    members, per policy ``(ns, g, g0s)`` of ``groups``: its members'
-    indices, its harvest runs in ``slot`` and their reference SNRs."""
-    return size, tuple((ns, slot[g][3], g0s) for ns, g, g0s in groups)
-
-
 def _members_walk(slots, group, g0s, key) -> tuple:
-    """:func:`_walk` of slot t for the member positions ``ms`` of a
-    family; ``key`` is ``(t, ms)``."""
+    """The walk of slot t's mixtures (see :func:`_mix`) for the member
+    positions ``ms`` of a family, ``key`` being ``(t, ms)``: per policy
+    of theirs, its members' indices in ``ms``, its harvest runs and their
+    reference SNRs."""
     t, ms = key
-    return _walk(slots[t], _policy_groups(group, g0s, ms), len(ms))
+    return len(ms), tuple((ns, slots[t][g][3], g0s_g)
+                          for ns, g, g0s_g in _policy_groups(group, g0s, ms))
 
 
 def _members_receivers(slots, group, g0s, key) -> tuple:
@@ -407,6 +400,15 @@ def _members_receivers(slots, group, g0s, key) -> tuple:
     slot = slots[t]
     return _receivers(ms, [(ns, slot[g][4])
                            for ns, g, _ in _policy_groups(group, g0s, ms)])
+
+
+def built(tables: dict, build, *args, key=None):
+    """``build(*args)``, built once per ``tables``: kept there by ``key``,
+    or by ``build`` and its inputs."""
+    key = (build,) + args if key is None else key
+    if key not in tables:
+        tables[key] = build(*args)
+    return tables[key]
 
 
 class _Built(dict):
@@ -612,8 +614,8 @@ def nearest_small_gain_coefficient(density: float, radius: float,
 class SlotMarginals:
     """Outage marginals of one scenario, each evaluated at most once.
 
-    The scenario belongs to a family: the scenarios equal but for
-    ``budget.P0`` and ``policy.rho`` that
+    The scenario belongs to a family: the scenarios of one
+    :func:`nomarelay.network.family_key` that
     :meth:`KernelMemo.register_families` registered in the kernel memo's
     ``tables``, which also hold what P0 and rho do not touch (the decoding
     thresholds by plan and policy with rho cleared, each policy's harvest
@@ -636,19 +638,16 @@ class SlotMarginals:
         self.kernels = KernelMemo() if kernels is None else kernels
         self._family, self._index = (
             self.kernels.tables.get(("member", scenario))
-            or (_Family(_family(scenario), (scenario,)), 0))
+            or (_Family(family_key(scenario), (scenario,)), 0))
 
     @functools.cached_property
     def thresholds(self) -> ThresholdSet:
         # thresholds do not read rho: one derivation per plan (whose slot
         # count fixes the node count) and the policy's other fields, last
         # in the family key
-        key = ("thresholds", self.scenario.plan, self._family.key[-1])
-        tables = self.kernels.tables
-        if key not in tables:
-            tables[key] = decoding_thresholds(self.scenario.plan,
-                                              self.scenario.policy)
-        return tables[key]
+        s, key = self.scenario, self._family.key
+        return built(self.kernels.tables, decoding_thresholds, s.plan,
+                     s.policy, key=("thresholds", s.plan, key[-1]))
 
     def _once(self, ms, compute, *args) -> tuple:
         """``compute(ms, *args)``: one float per member position of ``ms``,
@@ -707,36 +706,31 @@ class SlotMarginals:
         return self._read(self._throughput, asymptotic)
 
     def _slot(self, t):
-        """Per policy of the family, in order, ``(ell_hop, ell_edge, iota,
-        runs, states)`` of slot t: the hop and disk-edge path gains and the
-        idle and active shares of its disk, none of which reads P0 or rho,
-        so the first policy's serve every member, and the transmitter's
-        harvest runs (:func:`harvest_runs`) and the receiver's harvest
-        states.  It also sets the walk and receiver states of every
-        member."""
-        family = self._family
+        """Per policy of the family, in order, :meth:`_state` of slot t,
+        kept in the memo's tables by what it reads.  The path gains and
+        disk shares read neither P0 nor rho, so the first policy's serve
+        every member."""
+        family, s = self._family, self.scenario
         if t not in family.slots:
-            s, tables = self.scenario, self.kernels.tables
-            topo, budget = s.topology, s.budget
-            groups = []
-            for policy in family.policies:
-                key = (t, topo, policy, budget.L, budget.epsilon)
-                if key not in tables:
-                    log_idle = log_null_probability(topo.density_active,
-                                                    topo.disk_radii[t - 1])
-                    tables[key] = (
-                        pathloss_linear(topo.hop_distances[t - 1], budget),
-                        pathloss_linear(topo.disk_radii[t - 1], budget),
-                        (math.exp(log_idle), -math.expm1(log_idle)),
-                        harvest_runs(t, topo, policy, budget),
-                        policy.states(t + 1))
-                groups.append(tables[key])
-            slot = family.slots[t] = tuple(groups)
-            everyone, layout = family.positions, family.layout
-            family.walks[t, everyone] = _walk(slot, layout, len(everyone))
-            family.receivers[t, everyone] = _receivers(
-                everyone, [(ns, slot[g][4]) for ns, g, _ in layout])
+            family.slots[t] = tuple(
+                built(self.kernels.tables, self._state, t, policy,
+                      key=(t, s.topology, policy, s.budget.L,
+                           s.budget.epsilon))
+                for policy in family.policies)
         return family.slots[t]
+
+    def _state(self, t, policy):
+        """``(ell_hop, ell_edge, iota, runs, states)`` of slot t under
+        ``policy``: the hop and disk-edge path gains, the idle and active
+        shares of the disk, the transmitter's harvest runs
+        (:func:`harvest_runs`) and the receiver's harvest states."""
+        topo, budget = self.scenario.topology, self.scenario.budget
+        log_idle = log_null_probability(topo.density_active,
+                                        topo.disk_radii[t - 1])
+        return (pathloss_linear(topo.hop_distances[t - 1], budget),
+                pathloss_linear(topo.disk_radii[t - 1], budget),
+                (math.exp(log_idle), -math.expm1(log_idle)),
+                harvest_runs(t, topo, policy, budget), policy.states(t + 1))
 
     def _walked(self, ms, t, thresholds, iota, law, args, label):
         """:meth:`_outage` of slot t for the member positions ``ms`` over
@@ -831,27 +825,6 @@ class SlotMarginals:
                            tuple(tuple(ops[n] for ops in slot)
                                  for slot in devices))
             for n in range(len(ms)))
-
-
-def _family(scenario: Scenario, cleared: Optional[dict] = None) -> tuple:
-    """What the marginals of ``scenario`` read besides ``budget.P0`` and
-    ``policy.rho``: the scenarios of one key form a family.  The policy's
-    other fields come last.  ``cleared`` keeps the fields of each budget
-    and policy already keyed, so the scenarios of one sweep share them."""
-    cleared = {} if cleared is None else cleared
-    budget, policy = scenario.budget, scenario.policy
-    if budget not in cleared:
-        cleared[budget] = _fields_but(budget, "P0")
-    if policy not in cleared:
-        # the topology in the key fixes the policy's node count
-        cleared[policy] = _fields_but(policy, "rho")
-    return ("family", scenario.scheme, scenario.topology, scenario.plan,
-            cleared[budget], cleared[policy])
-
-
-def _fields_but(obj, name: str) -> tuple:
-    """The field values of the dataclass ``obj`` but ``name``'s."""
-    return tuple(getattr(obj, f.name) for f in fields(obj) if f.name != name)
 
 
 def _success_product(ops) -> float:

@@ -28,6 +28,7 @@ from typing import Optional
 import yaml
 
 from . import analytics, montecarlo
+from .analytics import built
 from .channel import FitBook, LinkBudget, dbm_to_watts, noise_power_w
 from .network import NetworkTopology, Scenario, Scheme, build_policy
 
@@ -330,15 +331,6 @@ def _point_config(config: RunConfig, value) -> RunConfig:
     return dataclasses.replace(config, **{var: value})
 
 
-def _built(tables: dict, build, *args):
-    """``build(*args)``, built once per sweep: kept in ``tables`` by
-    ``build`` and its inputs."""
-    key = (build,) + args
-    if key not in tables:
-        tables[key] = build(*args)
-    return tables[key]
-
-
 def _qom_layout(topology: NetworkTopology) -> NetworkTopology:
     """A qom slot superposes one device, as a com slot of one subarea does."""
     return dataclasses.replace(topology,
@@ -349,37 +341,34 @@ def _build_scenario(config: RunConfig, scheme: Scheme,
                     tables: dict) -> Scenario:
     """The scenario of ``scheme`` at the point ``config``; it carries no
     fits.  Its budget, policies, layout and plans are read from
-    ``tables``, built on a miss."""
+    ``tables``, built once per sweep (:func:`analytics.built`)."""
     topology, m = config.topology, config.topology.node_count
-    budget = _built(tables, LinkBudget, dbm_to_watts(config.p0_dbm),
-                    noise_power_w(config.bandwidth_hz), config.f_c_ghz,
-                    config.gain_rx_dbi, config.gain_tx_dbi, config.epsilon)
+    budget = built(tables, LinkBudget, dbm_to_watts(config.p0_dbm),
+                   noise_power_w(config.bandwidth_hz), config.f_c_ghz,
+                   config.gain_rx_dbi, config.gain_tx_dbi, config.epsilon)
 
     def policy_of(scheme):
-        return _built(tables, build_policy, scheme, m, config.rho,
-                      config.alpha, config.beta, config.eta)
+        return built(tables, build_policy, scheme, m, config.rho,
+                     config.alpha, config.beta, config.eta)
     policy = policy_of(scheme)
     # every scheme competes at the rates the time-switching reference
     # can sustain; the baseline inherits only the relayed-message rate
     layout = topology
     if scheme.pairing == "qom":
-        layout = _built(tables, _qom_layout, topology)
+        layout = built(tables, _qom_layout, topology)
 
     def allocate(policy):
         # a plan reads the layout's subarea counts, the node count and the
         # policy's information window (analytics._time_scale), and no more
-        key = ("plan", layout.subarea_counts, m, analytics._time_scale(policy),
-               config.relay_share, config.rate_fraction, config.rate_cap)
-        if key not in tables:
-            tables[key] = analytics.default_allocation(
-                layout, policy, config.relay_share, config.rate_fraction,
-                config.rate_cap)
-        return tables[key]
+        rule = (config.relay_share, config.rate_fraction, config.rate_cap)
+        return built(tables, analytics.default_allocation, layout, policy,
+                     *rule, key=("plan", layout.subarea_counts, m,
+                                 analytics._time_scale(policy)) + rule)
     reference = allocate(policy_of(Scheme.TCOM))
     if scheme is Scheme.CNRR:
-        topology = _built(tables, NetworkTopology.without_devices, topology)
-        plan = _built(tables, analytics.baseline_plan, reference,
-                      topology.hop_count)
+        topology = built(tables, NetworkTopology.without_devices, topology)
+        plan = built(tables, analytics.baseline_plan, reference,
+                     topology.hop_count)
     elif scheme.harvesting == "BPEH":
         plan = allocate(policy)
     else:
@@ -420,9 +409,9 @@ class _SweepCore:
     :class:`analytics.KernelMemo`, whose ``tables`` also hold the budgets,
     policies, layouts and allocation plans (:func:`_build_scenario`), so
     what P0 and rho do not touch is derived once per sweep, and the
-    families :meth:`register` groups (the points equal but for P0 and
-    rho, with their eed twins), so each family's outages are walked once
-    for all its points.  Nearest-gain fits are resolved lazily through
+    families :meth:`register` groups (by :func:`network.family_key`, with
+    the points' eed twins), so each family's outages are walked once for
+    all its points.  Nearest-gain fits are resolved lazily through
     one :class:`FitBook`.  Simulated rows read ``tallies``, filled by one
     :func:`montecarlo.simulate_plan` over every run the sweep needs.
     """

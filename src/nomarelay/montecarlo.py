@@ -21,10 +21,11 @@ node count (a stream group) draw each block's relay chain once
 (:func:`_draw`), each pairing, topology and path-loss law (a device
 group) its device geometry, held as path gains, the only form the
 decisions read (:func:`_draw_devices`), and the scenarios of a device
-group equal but for their harvest probabilities (a family) are resolved
-together on candidate rows, one per harvest run and receiver state of
-the policy's harvest-state table (:func:`_resolve`); each member picks
-its decisions by its own indicators, bit for bit as if resolved alone.
+group of one family (:func:`nomarelay.network.family_key`) and P0, equal
+but for their harvest probabilities, are resolved together on candidate
+rows, one per harvest run and receiver state of the policy's
+harvest-state table (:func:`_resolve`); each member picks its decisions
+by its own indicators, bit for bit as if resolved alone.
 Nothing certain or unread is drawn or decided per trial but the fades,
 which are drawn in full, and a skipped uniform row advances the Philox
 stream exactly as far as drawing it would (:func:`_skip`), so a plan
@@ -45,7 +46,6 @@ the per-scenario masked route, which only the tests read, live in
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from collections import Counter
@@ -55,7 +55,7 @@ import numpy as np
 
 from .channel import pathloss_linear
 from .geometry import log_null_probability
-from .network import Scenario
+from .network import Scenario, family_key
 from .power import omega_factor
 
 BLOCK_SIZE = 1 << 16
@@ -411,14 +411,15 @@ def _chain(y, tf, terms, stats, bands):
 
 def _resolve(family, buffers: _Buffers, n: int, reads, stats):
     """Resolve every decode event of each member of ``family``, scenarios
-    equal in all that a resolve reads but for ``policy.rho``
-    (:func:`_family_key`), in the first ``n`` trials of shared draws, for
-    what the runs reading the block read (``reads``, one entry per member
-    in :class:`Tallies` form).  Yields each member with its
-    :class:`_Block`, or with the exception its own part raised; the next
-    member's block overwrites it.  ``stats`` (a :class:`FamilyStats`) gains
-    the trials decided in a guard band, the rate tests decided over a
-    whole row, and the candidate power and decision rows built.
+    of one :func:`nomarelay.network.family_key` and P0, so equal in all
+    that a resolve reads but for ``policy.rho``, in the first ``n`` trials
+    of shared draws, for what the runs reading the block read (``reads``,
+    one entry per member in :class:`Tallies` form).  Yields each member
+    with its :class:`_Block`, or with the exception its own part raised;
+    the next member's block overwrites it.  ``stats`` (a
+    :class:`FamilyStats`) gains the trials decided in a guard band, the
+    rate tests decided over a whole row, and the candidate power and
+    decision rows built.
 
     A slot's transmit power is 1 or the hop gains along the run of
     harvesting nodes behind its transmitter, and its decode events depend
@@ -797,14 +798,14 @@ def simulate_plan(runs, reads=None, stats=None) -> dict:
     node count form a stream group: each block's harvest uniforms,
     activity and hop fades are drawn once for all of them, its device
     draws once per device group (pairing, topology and path-loss law), and
-    it is resolved once per family (the scenarios equal but for their
-    harvest probabilities, :func:`_family_key`) and tallied into every
-    trial count asked of each member, in block order.  A block is drawn
-    only as far as its widest run reads it.  A block decodes a member's
-    device messages only if a run reading that block reads a device event
-    or the throughput, builds its throughput and supply-power rows only if
-    a run reading the block reads them, and draws a device group's
-    geometry only if some member of it decodes devices.  So each entry
+    it is resolved once per family (:func:`nomarelay.network.family_key`)
+    and P0 and tallied into every trial count asked of each member, in
+    block order.  A block is drawn only as far as its widest run reads
+    it.  A block decodes a member's device messages only if a run reading
+    that block reads a device event or the throughput, builds its
+    throughput and supply-power rows only if a run reading the block reads
+    them, and draws a device group's geometry only if some member of it
+    decodes devices.  So each entry
     equals its run simulated alone on everything the run reads.  A failed
     run maps to its exception.  A list passed as ``stats`` gains the
     :class:`StreamStats` of each stream group, in the order simulated.
@@ -823,18 +824,6 @@ def simulate_plan(runs, reads=None, stats=None) -> dict:
         stats.append(StreamStats(seed, nodes))
         out.update(_simulate_group(cuts, stats[-1]))
     return out
-
-
-def _family_key(scenario: Scenario) -> tuple:
-    """What :func:`_resolve` reads of ``scenario`` besides its harvest
-    probabilities: pairing, topology, plan, budget and the policy with rho
-    cleared.  Scenarios of one key resolve one family's candidate rows;
-    the scheme label is not read, so a scheme without harvesting joins the
-    family of the harvesting scheme with its plan and policy."""
-    policy = scenario.policy
-    return (scenario.scheme.pairing, scenario.topology, scenario.plan,
-            scenario.budget,
-            dataclasses.replace(policy, rho=(0.0,) * policy.node_count))
 
 
 @dataclass
@@ -909,8 +898,9 @@ def _simulate_group(cuts: dict, stats: StreamStats) -> dict:
     failed, start = {}, time.perf_counter()
     groups, topologies = {}, {}
     for s in cuts:
+        # a resolve reads one reference SNR, so a family splits by P0
         groups.setdefault(_device_key(s), {}).setdefault(
-            _family_key(s), []).append(s)
+            (family_key(s), s.budget.P0), []).append(s)
     records = {key: DeviceGroupStats(
         key[0] or "bare", topologies.setdefault(key[1], len(topologies) + 1),
         *key[2:], sum(map(len, families.values())), len(families))

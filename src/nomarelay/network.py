@@ -187,3 +187,24 @@ class Scenario:
                 and args[1] in self.served(args[0])):
             raise ValueError(f"no served device matches selector {selector!r}")
         return kind, args
+
+
+def family_key(scenario: Scenario) -> tuple:
+    """What both routes read of ``scenario`` besides ``budget.P0`` and
+    ``policy.rho``: the scenarios of one key form a family, which the
+    closed form walks at once and the simulator, per P0, resolves at once.
+    The pairing stands for the scheme, whose label neither route reads, so
+    a scheme without harvesting joins the time-switching family whose plan
+    it shares (com-noeh that of tcom, qom-noeh that of tqom).  The policy's
+    other fields come last; the topology fixes its node count."""
+    return (scenario.scheme.pairing, scenario.topology, scenario.plan,
+            _fields_but(scenario.budget, "P0"),
+            _fields_but(scenario.policy, "rho"))
+
+
+def _fields_but(obj, name: str) -> tuple:
+    """The field values of the dataclass ``obj`` but ``name``'s."""
+    # the class's field table, read directly: dataclasses.fields() would
+    # rebuild it for every scenario of a sweep
+    return tuple([getattr(obj, f) for f in obj.__dataclass_fields__
+                  if f != name])

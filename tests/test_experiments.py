@@ -583,13 +583,14 @@ KERNEL_EVALUATIONS = {
 
 
 # analytic outage walks of every shipped config, read from the sweep's
-# record: a family (points equal but for P0 and rho, with their eed twins)
+# record: a family (points of one network.family_key, so equal but for P0
+# and rho, with their eed twins; com-noeh and qom-noeh join tcom and tqom)
 # walks each slot outage once for all its members
 OUTAGE_WALKS = {
-    "alpha_share": 300, "density": 105, "destination_op_p0": 42,
+    "alpha_share": 150, "density": 105, "destination_op_p0": 30,
     "efficiency_rho": 15, "rho_tradeoff": 30, "scaling_com": 72,
-    "scaling_qom": 36, "throughput_p0": 48, "validate_chain": 48,
-    "validate_devices_com": 24, "validate_devices_qom": 17,
+    "scaling_qom": 36, "throughput_p0": 33, "validate_chain": 33,
+    "validate_devices_com": 18, "validate_devices_qom": 12,
 }
 
 
@@ -944,7 +945,9 @@ def test_power_family_rows_equal_standalone_marginals(tmp_path, name):
 @pytest.mark.parametrize("name", ["destination_op_p0", "throughput_p0"])
 def test_a_power_family_walks_each_outage_once(tmp_path, name):
     # the 9 points of a power sweep walk each slot outage as one family, so
-    # the sweep makes as many walks as a sweep of one point
+    # the sweep makes as many walks as a sweep of one point; com-noeh and
+    # qom-noeh join tcom's and tqom's family, so those families walk 18
+    # members, and 2 at a single point
     config = _shipped(tmp_path, name)
     result = run_sweep(config, source="analytic")
     text = render_results(result.rows, "csv")
@@ -955,30 +958,33 @@ def test_a_power_family_walks_each_outage_once(tmp_path, name):
     alone = run_sweep(point, source="analytic")
     assert not alone.failures
     walks = alone.stats.outage_walks
-    assert sum(family.values()) == sum(walks.values()) <= 48
-    assert set(family) == {len(config.sweep.grid)} and set(walks) == {1}
-    assert set(result.stats.family_members) == {len(config.sweep.grid)}
+    assert sum(family.values()) == sum(walks.values()) == OUTAGE_WALKS[name]
+    grid = len(config.sweep.grid)
+    assert set(family) == {grid, 2 * grid} and set(walks) == {1, 2}
+    assert set(result.stats.family_members) == {grid, 2 * grid}
     if name == "destination_op_p0":
-        assert sum(family.values()) == 42  # 7 schemes x 3 hops x 2, from 378
+        # 5 families x 3 hops x 2, from 378 with a family of one per point
+        assert sum(family.values()) == 30
 
 
 # the members of each family of each shipped rho sweep, in order: the rho
-# points of a scheme form one family where they share a plan (rho = 0 has
-# its own time-switching plan), eed twins join it, and a scheme without
-# harvesting is one scenario at every point
+# points of a pairing and architecture form one family where they share a
+# plan (rho = 0 has its own time-switching plan), eed twins join it, and a
+# scheme without harvesting, one scenario at every point, joins the
+# time-switching family whose plan it shares
 RHO_FAMILIES = {
     "efficiency_rho": [20, 20],
     "rho_tradeoff": [1, 1, 9, 9],
-    "validate_chain": [3, 3, 3, 3, 1, 1, 1],
-    "validate_devices_com": [4, 4, 1],
-    "validate_devices_qom": [4, 4, 1],
+    "validate_chain": [4, 4, 3, 3, 1],
+    "validate_devices_com": [5, 4],
+    "validate_devices_qom": [5, 4],
 }
 
 
 @pytest.mark.parametrize("name", sorted(RHO_FAMILIES))
 def test_a_rho_family_walks_each_outage_once(tmp_path, name):
     # every walk carries a whole family, so a rho sweep walks each slot
-    # outage once per family (OUTAGE_WALKS: 15, 30, 48, 24 and 17, from
+    # outage once per family (OUTAGE_WALKS: 15, 30, 33, 18 and 12, from
     # 300, 150, 108, 78 and 53 with a family of one per point)
     config = _shipped(tmp_path, name)
     stats = run_sweep(config, source="analytic").stats
@@ -990,20 +996,75 @@ def test_a_rho_family_walks_each_outage_once(tmp_path, name):
 def test_eed_twins_join_their_points_family(tmp_path):
     # the no-harvest twin of a point differs from it only in rho, so the
     # twins of a power sweep join their points' family: 18 members, where
-    # they formed a family of 9 of their own before; every eed row is the
-    # difference of the standalone efficiencies
+    # they formed a family of 9 of their own before; com-noeh and qom-noeh,
+    # whose plan and policy tcom's and tqom's twins share, join too, so
+    # tcom's and tqom's families hold 27; every eed row is the difference
+    # of the standalone efficiencies
     config = _shipped(tmp_path, "throughput_p0")
     config = dataclasses.replace(config, sweep=dataclasses.replace(
         config.sweep, metrics=("eed",)))
     result = run_sweep(config, source="analytic")
     grid = len(config.sweep.grid)
-    harvesting = sum(1 for scheme in config.sweep.schemes
-                     if scheme.harvesting is not None)
-    assert result.stats.family_members == [2 * grid] * harvesting \
-        + [grid] * (len(config.sweep.schemes) - harvesting)
-    # only the harvesting points read a twin, and each walk carries all 18
-    assert set(result.stats.outage_walks) == {2 * grid}
+    assert result.stats.family_members == [3 * grid] * 2 + [2 * grid] * 2 \
+        + [grid]
+    # only the harvesting points read a twin, and each walk carries its
+    # whole family
+    assert set(result.stats.outage_walks) == {3 * grid, 2 * grid}
     assert _row_keys(result.rows) == _standalone_rows(config)
+
+
+def _route_families(monkeypatch, config):
+    """The ``both`` sweep of ``config``, the member sets of its analytic
+    families, in registration order, and the set of those of its
+    simulated families."""
+    analytic, together = [], {}
+    register, resolve = analytics.KernelMemo.register_families, \
+        montecarlo._resolve
+
+    def registered(memo, scenarios):
+        register(memo, scenarios)
+        members = {}
+        for key, value in memo.tables.items():
+            if key[0] == "member":
+                members.setdefault(id(value[0]), frozenset(value[0].members))
+        analytic.extend(members.values())
+
+    def resolved(family, *args):
+        # a member absent from some block still resolves with its family
+        # in another; the union over blocks is the family
+        for s in family:
+            together.setdefault(s, set()).update(family)
+        return resolve(family, *args)
+
+    monkeypatch.setattr(analytics.KernelMemo, "register_families",
+                        registered)
+    monkeypatch.setattr(montecarlo, "_resolve", resolved)
+    result = run_sweep(config, source="both")
+    assert not result.failures
+    return result, analytic, {frozenset(v) for v in together.values()}
+
+
+def test_both_routes_form_the_same_families(monkeypatch, tmp_path):
+    # both routes group a sweep by network.family_key: com-noeh joins
+    # tcom's family and qom-noeh tqom's in the analytic walk and in the
+    # simulator alike, and a rho sweep at one P0 forms the same families
+    config = _shipped(tmp_path, "validate_chain", trials_outage=2_000,
+                      trials_throughput=2_000)
+    result, analytic, simulated = _route_families(monkeypatch, config)
+    assert result.stats.family_members == [4, 4, 3, 3, 1]
+    assert sorted(label for stream in result.stats.streams
+                  for group in stream.devices for label in group.families) \
+        == sorted(["tcom+com-noeh", "tqom+qom-noeh", "pcom", "pqom", "cnrr"])
+    assert set(analytic) == simulated and len(simulated) == 5
+    # the simulator resolves one reference SNR at a time, so the families
+    # of a power sweep are its analytic families split by P0
+    config = _shipped(tmp_path, "destination_op_p0", trials_outage=2_000)
+    _, analytic, simulated = _route_families(monkeypatch, config)
+    assert len(analytic) == 5 and sum(map(len, analytic)) == 63
+    assert simulated == {
+        frozenset(s for s in family if s.budget.P0 == p0)
+        for family in analytic for p0 in {s.budget.P0 for s in family}}
+    assert len(simulated) == 5 * len(config.sweep.grid)
 
 
 def test_a_kernel_failure_at_one_member_fails_only_its_rows(monkeypatch,

@@ -24,7 +24,8 @@ from nomarelay.channel import (
 )
 from nomarelay.geometry import log_null_probability
 from nomarelay.montecarlo import Estimate, simulate, simulate_plan
-from nomarelay.network import NetworkTopology, Scenario, Scheme, build_policy
+from nomarelay.network import (NetworkTopology, Scenario, Scheme, build_policy,
+                               family_key)
 import oracles
 from oracles import default_plan, empirical_ccdf_oracle, run_block_trial
 
@@ -1141,7 +1142,7 @@ def test_shared_device_failure_fails_only_the_members_reading_devices(
     hop = scenario(Scheme.TCOM, rho=0.5)
     runs = [(TCOM, 7, 2_000), (hop, 7, 3_000)]
     reads = {runs[1]: {("hop", 2), ("supply_power",)}}
-    assert montecarlo._family_key(hop) == montecarlo._family_key(TCOM)
+    assert family_key(hop) == family_key(TCOM)
     want = simulate_plan(runs, reads)
     chain = montecarlo._chain
 
@@ -1162,7 +1163,7 @@ def test_member_failure_fails_only_that_member(monkeypatch):
     quiet = scenario(Scheme.TCOM, rho=0.5)
     runs = [(TCOM, 7, 2_000), (quiet, 7, 2_000)]
     reads = {runs[1]: {("hop", 1), ("throughput",)}}
-    assert montecarlo._family_key(quiet) == montecarlo._family_key(TCOM)
+    assert family_key(quiet) == family_key(TCOM)
     want = simulate_plan(runs, reads)
     take = montecarlo._Buffers.take
 
@@ -1190,12 +1191,12 @@ def test_a_scheme_without_harvesting_joins_the_harvesting_family(
     family = [scenario(harvesting, rho=rho) for rho in (0.1, 0.5)] \
         + [scenario(without, rho=0.1)]
     assert not family[-1].policy.is_harvesting
-    keys = {montecarlo._family_key(s) for s in family}
+    keys = {family_key(s) for s in family}
     assert len(keys) == 1
     # power-splitting is another architecture, so another family
     other = scenario(Scheme.PCOM if harvesting.pairing == "com"
                      else Scheme.PQOM)
-    assert montecarlo._family_key(other) not in keys
+    assert family_key(other) not in keys
     sizes, resolve = [], montecarlo._resolve
 
     def counted(members, *args):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nomarelay import montecarlo
 from nomarelay.montecarlo import (BLOCK_SIZE, FamilyStats, _band, _chain,
                                   _either, _rate)
+from nomarelay.network import family_key
 from oracles import (drawn_alone, family_blocks, masked_chain,
                      masked_resolve, plan_chains, reference_decode,
                      shipped_scenarios)
@@ -31,11 +32,11 @@ def scenarios():
 
 def _families(scenarios):
     """The shipped scenarios by device group (pairing and topology), each
-    group by family."""
+    group by family and P0, as the simulator resolves them."""
     groups = {}
     for s in scenarios:
         groups.setdefault((s.scheme.pairing, s.topology), {}).setdefault(
-            montecarlo._family_key(s), []).append(s)
+            (family_key(s), s.budget.P0), []).append(s)
     return groups
 
 
