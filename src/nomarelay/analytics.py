@@ -67,6 +67,8 @@ class ProbabilityBoundError(RuntimeError):
 
 
 def _clamp(p: float, label: str) -> float:
+    if 0.0 <= p <= 1.0:
+        return p
     if not math.isfinite(p) or p < -CLAMP_TOLERANCE or p > 1.0 + CLAMP_TOLERANCE:
         raise ProbabilityBoundError(f"{label} evaluated to {p!r}")
     if p < 0.0 or p > 1.0:
@@ -655,27 +657,34 @@ class SlotMarginals:
         raises is redone member by member, so a failure reaches only the
         members whose own walk raises; it is kept like a value, and raised
         to every reader."""
-        known = self._family.values.setdefault((compute.__name__,) + args,
+        known = self._family.values.setdefault((compute.__name__, *args),
                                                {})
-        missing = tuple(m for m in ms if m not in known)
+        missing = tuple([m for m in ms if m not in known])
         if len(missing) > 1:
             with contextlib.suppress(Exception):
                 known.update(zip(missing, compute(missing, *args)))
-        for m in ms:
+        for m in missing:
             if m not in known:
                 try:
                     known[m], = compute((m,), *args)
                 except Exception as exc:
                     # without its traceback, whose frames hold the memo
                     known[m] = exc.with_traceback(None)
-        values = tuple(known[m] for m in ms)
+        values = [known[m] for m in ms]
         for value in values:
             if isinstance(value, Exception):
                 raise value
-        return values
+        return tuple(values)
 
     def _read(self, compute, *args) -> float:
-        """This scenario's float of a family computation."""
+        """This scenario's float of a family computation: one lookup once
+        the family has been walked, its own failure raised as such."""
+        value = self._family.values.get((compute.__name__, *args),
+                                        {}).get(self._index)
+        if isinstance(value, Exception):
+            raise value
+        if value is not None:
+            return value
         try:
             return self._once(self._family.positions, compute,
                               *args)[self._index]

@@ -55,6 +55,11 @@ TOPOLOGY_PRESETS = {
 RESULT_COLUMNS = ("sweep_var", "value", "scheme", "metric", "source",
                   "mean", "ci_half_width", "trials", "seed")
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python
+# one: both give the shipped configs equal documents, libyaml about eight
+# times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 SWEEP_VARIABLES = ("p0_dbm", "rho", "alpha", "beta", "density_active",
                    "node_count", "subarea_counts")
 
@@ -261,9 +266,19 @@ def load_config(path) -> RunConfig:
 
     Only the keys present are passed on, so the defaults of
     :class:`RunConfig` and :class:`SweepSpec` apply to the rest.  A value
-    of the wrong type is a ValueError naming the file and its section.
+    of the wrong type is a ValueError naming the file and its section, and
+    malformed YAML one naming the file and the parser's line and column.
     """
-    raw = _checked(yaml.safe_load(Path(path).read_text()),
+    try:
+        document = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else \
+            f" at line {mark.line + 1}, column {mark.column + 1}"
+        reason = getattr(exc, "problem", None) or exc
+        raise ValueError(f"{path}: YAML syntax error{where}: {reason}") \
+            from None
+    raw = _checked(document,
                    ("topology", "densities", "topology_by_node_count",
                     "sweep", "seed", "fit_cache", *_SECTIONS), path)
     with _section(f"{path} densities"):

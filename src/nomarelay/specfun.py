@@ -159,10 +159,11 @@ class LogGammaTable(dict):
 
     Besides its items the table keeps, per grid, what does not depend on
     the kernel argument (``grids``: a :class:`_Grid`), and per family, by
-    its ``kind``, the contour's cap (``u_caps``) and the pole clusters its
-    residue walks have built (``ladders``).  It resolves the ``loggamma``
-    it computes with on its first miss: this module's, so that a caller
-    may replace it, and scipy's itself while that is the module's own.
+    its ``kind``, its :class:`Family` (``families``), the contour's cap
+    (``u_caps``) and the pole clusters its residue walks have built
+    (``ladders``).  It resolves the ``loggamma`` it computes with on its
+    first miss: this module's, so that a caller may replace it, and
+    scipy's itself while that is the module's own.
     """
 
     def __init__(self):
@@ -170,6 +171,7 @@ class LogGammaTable(dict):
         self.lookups = collections.Counter()
         self.arrays = collections.Counter()
         self.grids = {}
+        self.families = {}
         self.u_caps = {}
         self.ladders = {}
         self.loggamma = None
@@ -177,6 +179,7 @@ class LogGammaTable(dict):
     def clear(self):
         super().clear()
         self.grids.clear()
+        self.families.clear()
         self.u_caps.clear()
         self.ladders.clear()
 
@@ -256,8 +259,9 @@ def _contour_value(family: Family, x: float, tol: float, table) -> float:
 
     Panel ``k`` spans ``[u, u + h]`` with ``u`` the sum of ``k`` steps
     ``h``, so its nodes are fixed by ``(c, h, k)``.  The integrand is
-    evaluated ``_PANEL_CHUNK`` panels at a time; the panels of a chunk are
-    then summed one by one, in order, until the tail goes quiet.
+    evaluated ``_PANEL_CHUNK`` panels at a time, each panel's quadrature
+    sum taken in one ``vecdot`` over the chunk; the panel sums are then
+    added one by one, in order, until the tail goes quiet.
     """
     num, den = family.num, family.den
     logx = math.log(x)
@@ -288,10 +292,12 @@ def _contour_value(family: Family, x: float, tol: float, table) -> float:
             state = table.grids[grid] = _Grid(
                 c + 1j * (starts[:, None] + offsets))
         vals = _log_integrand(state.points, num, den, logx, table, grid)
-        for panel in np.exp(vals, out=vals).real:
+        # one ddot per panel, as np.dot of each row would be
+        sums = np.vecdot(np.exp(vals, out=vals).real, _GL_WEIGHTS)
+        for value in sums.tolist():
             if not u < u_cap:
                 break
-            last = 0.5 * h * float(np.dot(_GL_WEIGHTS, panel))
+            last = 0.5 * h * value
             total += last
             u += h
             k += 1
@@ -411,9 +417,12 @@ def _deficit(kind, x: float, total: float, tol: float, table) -> float:
     Without a ``table`` the call fills a private one."""
     if table is None:
         table = LogGammaTable()
+    family = table.families.get(kind)
+    if family is None:
+        family = table.families[kind] = _family(kind)
     if x < RESIDUE_CROSSOVER:
-        return -_residue_sum(_family(kind), x, table)
-    return total - _contour_value(_family(kind), x, tol, table)
+        return -_residue_sum(family, x, table)
+    return total - _contour_value(family, x, tol, table)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ anchors are frozen from exact hand evaluation of the default plan.
 
 import dataclasses
 import functools
+import logging
 import math
 
 import mpmath as mp
@@ -653,3 +654,39 @@ def test_standalone_evaluations_keep_no_memo_between_calls(monkeypatch):
                         budget=BUDGET, plan=PLAN_BTEH)
     assert SlotMarginals(scenario, kernels=memo).kernels is memo
     assert SlotMarginals(scenario).kernels is not memo
+
+
+# ---------------------------------------------------------------------------
+# clamping computed probabilities
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [0.0, -0.0, 1.0, 5e-324, 1e-300, 0.25, 0.5,
+                               1.0 - 2.0 ** -53])
+def test_clamp_returns_a_probability_unchanged(caplog, p):
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
+        got = analytics._clamp(p, "hop outage (t=1)")
+    assert got.hex() == p.hex()
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("p, want", [
+    (-analytics.CLAMP_TOLERANCE, 0.0), (-1e-9, 0.0), (-5e-324, 0.0),
+    (1.0 + analytics.CLAMP_TOLERANCE, 1.0), (1.0 + 1e-9, 1.0),
+    (1.0 + 2.0 ** -52, 1.0)])
+def test_clamp_pulls_a_rounding_excursion_into_range(caplog, p, want):
+    with caplog.at_level(logging.DEBUG, logger="nomarelay.analytics"):
+        got = analytics._clamp(p, "hop outage (t=1)")
+    assert got.hex() == want.hex()
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "clamped hop outage (t=1)" in record.getMessage()
+
+
+@pytest.mark.parametrize("p", [
+    math.nextafter(-analytics.CLAMP_TOLERANCE, -math.inf),
+    math.nextafter(1.0 + analytics.CLAMP_TOLERANCE, math.inf), -0.5, 2.0,
+    math.inf, -math.inf, math.nan])
+def test_clamp_rejects_what_lies_past_the_tolerance(p):
+    with pytest.raises(analytics.ProbabilityBoundError,
+                       match=r"^hop outage \(t=1\) evaluated to "):
+        analytics._clamp(p, "hop outage (t=1)")

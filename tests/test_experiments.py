@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from nomarelay import analytics, channel, cli, experiments, montecarlo, specfun
 from nomarelay.experiments import (
@@ -151,6 +152,31 @@ def test_load_config_defaults(tmp_path):
     assert config.trials_outage == 1_000_000
     assert config.seed == 1
     assert config.fit_cache is None
+
+
+def test_both_yaml_loaders_read_every_config_alike(monkeypatch, tmp_path):
+    # libyaml's parser is used where PyYAML has it; the pure-Python one
+    # must give every config the same RunConfig and the same error prefix
+    assert experiments._YAML_LOADER is getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader)
+    full = tmp_path / "full.yaml"
+    full.write_text(FULL_YAML)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(FULL_YAML.replace("grid: [0.1, 0.2]", "grid: [0.1"))
+    paths = sorted((ROOT / "configs").glob("*.yaml")) + [full]
+    assert len(paths) == 12
+    read = []
+    for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", None)):
+        if loader is None:
+            continue
+        monkeypatch.setattr(experiments, "_YAML_LOADER", loader)
+        configs = [load_config(path) for path in paths]
+        with pytest.raises(ValueError) as malformed:
+            load_config(bad)
+        assert str(malformed.value).startswith(
+            f"{bad}: YAML syntax error at line 9, column 10: ")
+        read.append((configs, [repr(c) for c in configs]))
+    assert all(got == read[0] for got in read)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -1102,6 +1128,84 @@ def test_a_kernel_failure_at_one_member_fails_only_its_rows(monkeypatch,
             assert got == want
 
 
+def _warm_com_family(config):
+    """The sweep core of ``config`` with its families registered, the
+    18-member tcom + com-noeh family of its points and each member's grid
+    value."""
+    core = experiments._SweepCore(config)
+    points = list(experiments._points(config, core.kernels.tables))
+    core.register(s for *_, s in points)
+    first = next(s for _, scheme, s in points if scheme is Scheme.TCOM)
+    family, _ = core.kernels.tables["member", first]
+    values = {s: value for value, _, s in points}
+    return core, family, [values[s] for s in family.members]
+
+
+def _counted_once(monkeypatch):
+    calls = []
+    once = analytics.SlotMarginals._once
+    monkeypatch.setattr(analytics.SlotMarginals, "_once",
+                        lambda self, *args: calls.append(args)
+                        or once(self, *args))
+    return calls
+
+
+def test_a_warm_family_read_walks_nothing(monkeypatch, tmp_path):
+    # once one member's read has walked the family, every other member
+    # reads its own float with one lookup
+    core, family, _ = _warm_com_family(_shipped(tmp_path,
+                                                "destination_op_p0"))
+    assert len(family.members) == 18
+    selector = parse_metric("e2e_op:destination")
+    first, *rest = family.members
+    core.marginals(first).outage(selector)
+    calls = _counted_once(monkeypatch)
+    ops = [core.marginals(s).outage(selector) for s in rest]
+    assert not calls
+    assert ops == [family.values["_e2e_destination", False][n]
+                   for n in range(1, 18)]
+
+
+def test_a_warm_failed_read_raises_its_own_failure(monkeypatch, tmp_path):
+    # the members of the -10 dBm point fail at their own hop thresholds;
+    # once walked, they raise their stored failure on every read and the
+    # other members read their floats, with no walk either way
+    config = _shipped(tmp_path, "destination_op_p0")
+    selector = parse_metric("e2e_op:destination")
+    core, family, values = _warm_com_family(config)
+    clean_core = _warm_com_family(config)[0]
+    clean = [clean_core.marginals(s).outage(selector)
+             for s in family.members]
+    g0 = family.members[values.index(-10)].budget.gamma_bar0
+    planted = {x / g0 for s in family.members
+               for row in analytics.decoding_thresholds(s.plan,
+                                                        s.policy).relay
+               for x in row}
+    kernel = analytics.prod_exp_cdf
+
+    def refuse(z, *args, **kw):
+        if z in planted:
+            raise FloatingPointError("planted")
+        return kernel(z, *args, **kw)
+
+    monkeypatch.setattr(analytics, "prod_exp_cdf", refuse)
+    core.marginals(family.members[values.index(-5)]).outage(selector)
+    stored = family.values["_e2e_destination", False]
+    calls = _counted_once(monkeypatch)
+    failed = 0
+    for n, (s, value) in enumerate(zip(family.members, values)):
+        for _ in range(2):
+            if value == -10:
+                with pytest.raises(FloatingPointError) as raised:
+                    core.marginals(s).outage(selector)
+                assert raised.value is stored[n]
+            else:
+                assert core.marginals(s).outage(selector) == clean[n]
+        failed += value == -10
+    assert failed == 2
+    assert not calls
+
+
 def test_a_kernel_failure_at_one_rho_members_argument_fails_only_its_rows(
         monkeypatch, tmp_path):
     # on t2 the one-factor hop law of a 100 m hop is read only by a point
@@ -1535,3 +1639,13 @@ def test_cli_error_exit_code(tmp_path, capfd):
     assert rc == 2
     assert "topology: missing config keys ['subarea_counts']" \
         in capfd.readouterr().err
+    # an unclosed flow sequence is a YAML syntax error, not a traceback
+    config = _write_config(tmp_path, SMALL_YAML.replace("grid: [0.0]",
+                                                        "grid: [0.0"))
+    for command in ("sweep", "validate"):
+        rc = cli.main([command, "--config", str(config)])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert f"error: {config}: YAML syntax error at line 5, column 10" \
+            in err
+        assert "Traceback" not in err

@@ -430,7 +430,8 @@ def test_a_warm_table_computes_nothing_again(monkeypatch):
     assert table.lookups - lookups == factors
     # clearing the table drops what it keeps per grid and per family too
     table.clear()
-    assert not (table or table.grids or table.u_caps or table.ladders)
+    assert not (table or table.grids or table.families or table.u_caps
+                or table.ladders)
     assert _bits(kernel(*args, table=table)
                  for kernel, args in TABLE_CASES) == fresh
     assert table.keys() == items.keys()
@@ -509,6 +510,42 @@ def test_panel_chunk_changes_no_value(monkeypatch, chunk):
     assert contours(table) == shipped_contours
     assert {grid[4] for grid, _, _ in table if grid[0] == "panels"} \
         == {chunk}
+
+
+def test_vecdot_panel_sums_equal_per_panel_dots(monkeypatch):
+    # a chunk's panel sums come from one vecdot, which runs each row
+    # through the same ddot as one np.dot per panel: no bit may move.  On
+    # random chunks and on every chunk the contour walks of
+    # test_panel_chunk_changes_no_value evaluate
+    def by_vecdot(chunk):
+        return _bits(np.vecdot(chunk.real, sf._GL_WEIGHTS).tolist())
+
+    def by_panel(chunk):
+        return _bits(np.dot(sf._GL_WEIGHTS, row) for row in chunk.real)
+
+    rng = np.random.default_rng(32)
+    chunks = [np.exp(rng.normal(0.0, 8.0, (k, 32))
+                     + 1j * rng.uniform(-math.pi, math.pi, (k, 32)))
+              for k in range(1, 11) for _ in range(40)]
+    walked = []
+    log_integrand = sf._log_integrand
+
+    def kept(s, num, den, logx, table, grid):
+        # the walk exponentiates this array in place: it ends as the chunk
+        vals = log_integrand(s, num, den, logx, table, grid)
+        if grid[0] == "panels":
+            walked.append(vals)
+        return vals
+
+    monkeypatch.setattr(sf, "_log_integrand", kept)
+    for chunk in (1, 3, 8, 10, 16):
+        monkeypatch.setattr(sf, "_PANEL_CHUNK", chunk)
+        for kind, tol in CONTOUR_KINDS:
+            for x in CHUNK_XS:
+                sf._contour_value(family(kind), x, tol, sf.LogGammaTable())
+    assert len(walked) > 100
+    for chunk in chunks + walked:
+        assert by_vecdot(chunk) == by_panel(chunk)
 
 
 # one rung; two rungs whose poles coincide (theta 1, 2), interleave (0.95,
